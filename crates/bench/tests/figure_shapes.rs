@@ -90,6 +90,30 @@ fn figure2_shape() {
     );
 }
 
+/// The wrapped sorted map applies each commit's buffered writes in key
+/// order, not in its hash map's per-process order, so the tree's shape and
+/// every conflict that follows from it repeat: two runs of the Fig. 2
+/// wrapped series in one process agree exactly.
+#[test]
+fn figure2_wrapped_series_is_repeatable() {
+    let run = || {
+        let w = TestMapTm {
+            map: TmMapFlavor::WrappedTree(TransactionalSortedMap::new()),
+            txns_per_cpu: TXNS,
+            seed: SEED,
+        };
+        w.map.preload();
+        let r = sim::run_tm(16, &w);
+        (
+            r.commits,
+            r.makespan,
+            r.violations_memory,
+            r.violations_semantic,
+        )
+    };
+    assert_eq!(run(), run(), "(commits, makespan, violations) diverged");
+}
+
 #[test]
 fn figure3_shape() {
     // Compound operations: coarse-lock Java is pinned near 2 while the

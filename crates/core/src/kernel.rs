@@ -458,7 +458,6 @@ impl<C: SemanticClass> SemanticCore<C> {
             .is_some_and(|k| cached_keys::<Q>(k).contains(key));
         if hit {
             self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::record_lock_cache_hit();
             stm::metrics::cache_hit(self.inner.stats.class_sym());
             stm::trace::lock_cache_hit(
                 tx.handle().id(),
@@ -501,7 +500,6 @@ impl<C: SemanticClass> SemanticCore<C> {
         let hit = slot.points & p.bit() != 0;
         if hit {
             self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::record_lock_cache_hit();
             stm::metrics::cache_hit(self.inner.stats.class_sym());
             stm::trace::lock_cache_hit(
                 tx.handle().id(),

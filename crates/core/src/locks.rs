@@ -93,7 +93,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use stm::metrics;
+use stm::metrics::{self, Total};
 use stm::trace::{self, LockKind};
 use stm::{TxHandle, TxState};
 
@@ -737,12 +737,11 @@ impl<G> GlobalStripe<G> {
     /// each visit closes its stripe before the next acquisition).
     pub(crate) fn with<R>(&self, stats: &SemanticStats, f: impl FnOnce(&mut G) -> R) -> R {
         stats.global_stripe_entries.fetch_add(1, Ordering::Relaxed);
-        stm::record_global_stripe_entry();
+        metrics::tally(Total::GlobalStripeEntries);
         let mut guard = match self.inner.try_lock() {
             Some(g) => g,
             None => {
                 stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                stm::record_stripe_lock_spin();
                 // Global-stripe contention: stripe index u64::MAX by
                 // convention (see `trace::TraceEvent::SemLockBlocked`).
                 trace::sem_lock_blocked(stats.class_sym(), u64::MAX);
@@ -833,7 +832,6 @@ impl<S, G> StripedTables<S, G> {
             Some(g) => g,
             None => {
                 stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                stm::record_stripe_lock_spin();
                 trace::sem_lock_blocked(stats.class_sym(), idx as u64);
                 metrics::stripe_blocked(stats.class_sym(), idx as u64);
                 let wait_t0 = metrics::timer();

@@ -414,12 +414,16 @@ where
         // buffered write and doom key-lock observers under the key's
         // stripe; release own key locks. Keys whose committed state
         // actually changed are collected for the global-stripe range scan
-        // (phase 2).
+        // (phase 2). Writes apply in key order, not the buffer's hash
+        // order, so the tree's shape — and every rotation and conflict that
+        // follows from it — is the same in every process.
+        let mut writes: Vec<_> = local.store_buffer.iter().collect();
+        writes.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut changed_keys: Vec<&K> = Vec::new();
         sweep_commit_footprint(
             &self.tables,
             stats,
-            local.store_buffer.iter(),
+            writes,
             local.key_locks.iter(),
             |shard, op| match op {
                 FootprintOp::Apply(k, BufWrite::Put(v)) => {

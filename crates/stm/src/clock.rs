@@ -58,7 +58,7 @@
 //! are only ever held for bounded, non-blocking critical sections, so the
 //! lane-holder's direct writes (which spin on var locks) always terminate.
 
-use crate::stats;
+use crate::metrics::{self, Total};
 use crate::trace;
 use crate::tvar::AnyVar;
 use parking_lot::{Mutex, MutexGuard};
@@ -87,8 +87,7 @@ pub(crate) fn fresh_version() -> u64 {
 /// `txn` is the holding attempt's id, recorded on the trace lane-occupancy
 /// events (enter after acquisition, exit on drop).
 pub(crate) fn lane_lock(txn: u64) -> LaneGuard {
-    stats::record_lane_entry();
-    crate::metrics::lane_entered();
+    metrics::tally(Total::LaneEntries);
     let inner = HANDLER_LANE.lock();
     trace::lane_enter(txn);
     LaneGuard { txn, _inner: inner }
@@ -114,7 +113,7 @@ pub(crate) fn lock_var_spin(var: &dyn AnyVar) {
     if var.try_lock_commit() {
         return;
     }
-    stats::record_var_lock_spin();
+    metrics::tally(Total::VarLockSpins);
     trace::var_lock_spin(var.id());
     loop {
         std::hint::spin_loop();

@@ -29,9 +29,10 @@
 //! stable, so any committer that could have missed the pin provably drew a
 //! write version at or below the pinned epoch — the new head itself serves
 //! the snapshot and no reclaimed entry is needed. The remaining *counted
-//! fallback* cases (`stats::snapshot_fallbacks`) are the chain depth bound
-//! (a pin outrun by more than `MAX_CHAIN_DEPTH` publishes to one var) and
-//! snapshot-incapable backends; neither is ever an inconsistent read.
+//! fallback* cases (`StatsSnapshot::snapshot_fallbacks`) are the chain
+//! depth bound (a pin outrun by more than `MAX_CHAIN_DEPTH` publishes to
+//! one var) and snapshot-incapable backends; neither is ever an
+//! inconsistent read.
 
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;

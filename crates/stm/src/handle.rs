@@ -1,5 +1,8 @@
 //! Top-level transaction handles and program-directed abort.
 //!
+//! txlint: metrics — metrics-emitter argument spans here must not allocate
+//! or format (TX014).
+//!
 //! The paper (§4, "Program-directed transaction abort") requires that "an
 //! open-nested transaction needs a way to request a reference to its top-level
 //! transaction that can be stored as the owner of a lock. Later if another
@@ -23,7 +26,7 @@
 //! of the two CASes wins; a doomed transaction can never publish, and a
 //! transaction that has started publishing can never be doomed.
 
-use crate::stats;
+use crate::metrics::{self, Total};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -144,7 +147,7 @@ impl TxHandle {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    stats::record_doom_issued();
+                    metrics::tally(Total::DoomsIssued);
                     return true;
                 }
                 Err(cur) => w = cur,

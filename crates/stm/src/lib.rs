@@ -71,7 +71,6 @@ mod handlers;
 mod interrupt;
 pub mod metrics;
 mod runtime;
-mod stats;
 pub mod trace;
 mod tvar;
 mod txn;
@@ -81,10 +80,7 @@ pub use cost::{add_cost, current_cost, reset_cost, take_cost, MEM_ACCESS_COST};
 pub use handle::{TxHandle, TxState};
 pub use handlers::HandlerCtx;
 pub use interrupt::{abort_and_retry, user_abort, AbortCause};
+pub use metrics::{global_stats, StatsSnapshot};
 pub use runtime::{atomic, atomic_read, atomic_with, speculate, PreparedTxn, RunOpts};
-pub use stats::{
-    global_stats, record_global_stripe_entry, record_lock_cache_hit, record_open_flattened,
-    record_stripe_lock_spin, reset_global_stats, StatsSnapshot, TornWindow,
-};
 pub use tvar::{label_var, var_label, TVar, VarId};
 pub use txn::{Txn, TxnMode};

@@ -1,28 +1,32 @@
-//! Dimensional windowed metrics: the third observability layer.
+//! The runtime's one counter store: always-on process totals plus opt-in
+//! dimensional windowed metrics.
 //!
 //! txlint: metrics — emission sites in this file and in every other file
 //! carrying this marker must not allocate or format inside metrics-emitter
 //! argument spans (TX014, the mirror of the trace layer's TX009).
 //!
-//! [`crate::stats`] answers *how much* globally (scalar process-wide
-//! counters); [`crate::trace`] answers *why* for individual events (word-
-//! packed rings). Neither answers the question the adaptive contention
-//! management work needs: **which class, which stripe, which cause, at what
-//! rate, and at what latency cost** — windowed. This module is that layer:
+//! [`crate::trace`] answers *why* for individual events (word-packed
+//! rings). This module answers *how much*, and — for the adaptive
+//! contention-management work — **which class, which stripe, which cause,
+//! at what rate, and at what latency cost**, windowed. Every count lives in
+//! one **per-thread shard** with a single writer, the owning thread:
 //!
-//! * a **dimensional registry** of counters keyed by `(class, stripe,
-//!   kind)` — dooms landed, stripe blocks, cache hits, lane entries,
-//!   commits, aborts by cause, snapshot fallbacks, epoch pins — stored in
-//!   fixed-capacity **thread-local open-addressed slabs** (one writer per
-//!   slab, relaxed stores only, zero allocation per emission; overflow is
-//!   counted, never silent);
+//! * **totals** — a fixed array with one slot per [`StatsSnapshot`] field
+//!   ([`Total`]: commits, aborts by cause, lane entries, open commits, ...).
+//!   Always on: the owner bumps its slot with a plain relaxed load and
+//!   store, so no event pays a shared atomic read-modify-write.
+//!   [`global_stats`] sums the totals over every shard;
+//! * a **dimensional slab** of counters keyed by `(class, stripe, kind)` —
+//!   dooms landed, stripe blocks, cache hits, epoch pins — in a
+//!   fixed-capacity open-addressed table ([`SLAB_SLOTS`] slots, zero
+//!   allocation per emission; overflow is counted, never silent). Opt-in;
 //! * **log2-bucketed latency histograms** (commit latency, semantic-lock
-//!   wait, transaction wall time, snapshot read time) as mergeable
-//!   per-thread shards with p50/p90/p99/max extraction;
+//!   wait, transaction wall time, snapshot read time) with p50/p90/p99/max
+//!   extraction. Opt-in;
 //! * a **windowing reaper**: [`window`] merges every shard into a
 //!   [`MetricsWindow`], and [`MetricsWindow::diff`] generalizes
-//!   [`crate::StatsSnapshot::diff`] to the dimensional space, turning raw
-//!   counters into per-interval rates;
+//!   [`StatsSnapshot::diff`] to the dimensional space, turning raw counters
+//!   into per-interval rates;
 //! * **exporters** — Prometheus text exposition ([`MetricsWindow::to_prometheus`])
 //!   and the repo's hand-rolled JSON style ([`MetricsWindow::to_json`]);
 //! * a **flight recorder** ([`FlightRecorder`]): trace rings and metrics run
@@ -30,22 +34,33 @@
 //!   trigger dumps the ring snapshot plus the offending metrics window to
 //!   disk, so an abort storm narrates itself post-hoc.
 //!
+//! ## Shard lifetime
+//!
+//! A thread claims a shard on its first event. When the thread exits, its
+//! shard is **parked** and handed to the next thread that claims one (as
+//! `epoch.rs` recycles pin slots): the shard stays registered, so its
+//! counts survive the thread, and the registry grows with peak thread
+//! concurrency instead of with every thread ever spawned. A thread-local
+//! destructor that runs after the shard's own counts its totals into a
+//! process-wide spill.
+//!
 //! ## Off-cost discipline
 //!
-//! Identical to the trace layer: when no [`MetricsGuard`] is live, every
-//! emission site is **one relaxed atomic load** ([`enabled`]) and nothing
-//! else — no time sampling, no thread-local access, no shard registration.
-//! Timing sites use [`timer`], which returns `None` while disabled so the
-//! `Instant::now()` call itself is skipped.
+//! The totals cost one thread-local access and one store per event. The
+//! opt-in parts follow the trace layer: when no [`MetricsGuard`] is live,
+//! a dimensional or histogram site is **one relaxed atomic load**
+//! ([`enabled`]) and nothing else. Timing sites use [`timer`], which
+//! returns `None` while disabled so the `Instant::now()` call itself is
+//! skipped.
 
 use crate::interrupt::AbortCause;
 use crate::trace::{self, Sym};
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 // ----------------------------------------------------------------------
@@ -88,7 +103,10 @@ pub fn stripe_label(stripe: u16) -> String {
 
 /// What a dimensional counter counts. The `(class, stripe, kind)` triple is
 /// the registry key; kinds without a natural class/stripe use
-/// [`Sym::UNKNOWN`] / [`STRIPE_NONE`].
+/// [`Sym::UNKNOWN`] / [`STRIPE_NONE`]. The process-level kinds that have a
+/// [`Total`] (lane entries, commits, the three abort causes, snapshot
+/// fallbacks) are read from the totals, so a window reports them
+/// cumulative since process start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u16)]
 pub enum MetricKind {
@@ -152,6 +170,22 @@ impl MetricKind {
 
     fn from_u16(v: u16) -> Option<MetricKind> {
         ALL_KINDS.get(v as usize).copied()
+    }
+
+    /// The always-on total this kind is read from, if it has one.
+    fn total(self) -> Option<Total> {
+        match self {
+            MetricKind::LaneEntry => Some(Total::LaneEntries),
+            MetricKind::Commit => Some(Total::Commits),
+            MetricKind::AbortReadInvalid => Some(Total::AbortsReadInvalid),
+            MetricKind::AbortDoomed => Some(Total::AbortsDoomed),
+            MetricKind::AbortExplicit => Some(Total::AbortsExplicit),
+            MetricKind::SnapshotFallback => Some(Total::SnapshotFallbacks),
+            MetricKind::Doom
+            | MetricKind::StripeBlocked
+            | MetricKind::CacheHit
+            | MetricKind::EpochPin => None,
+        }
     }
 }
 
@@ -220,8 +254,159 @@ fn slot_mix(key: u64) -> u64 {
 }
 
 // ----------------------------------------------------------------------
+// Always-on totals
+// ----------------------------------------------------------------------
+
+/// Declares [`Total`] and [`StatsSnapshot`] from one list, so a counter's
+/// index and its snapshot field cannot drift apart.
+macro_rules! totals {
+    ($($(#[$doc:meta])* $field:ident: $variant:ident,)*) => {
+        /// One always-on process-level counter: an index into every shard's
+        /// totals array, named after its [`StatsSnapshot`] field.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Total {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// The always-on totals summed over every shard: see
+        /// [`global_stats`]. Harnesses snapshot before and after a measured
+        /// region and take [`StatsSnapshot::diff`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// Number of [`Total`]s (the width of a shard's totals array).
+        const TOTALS: usize = [$(Total::$variant),*].len();
+
+        impl StatsSnapshot {
+            fn from_totals(t: [u64; TOTALS]) -> StatsSnapshot {
+                StatsSnapshot { $($field: t[Total::$variant as usize],)* }
+            }
+
+            fn to_totals(self) -> [u64; TOTALS] {
+                [$(self.$field),*]
+            }
+        }
+    };
+}
+
+totals! {
+    /// Top-level commits.
+    commits: Commits,
+    /// Aborts from read-set invalidation (memory-level conflicts).
+    aborts_read_invalid: AbortsReadInvalid,
+    /// Aborts from program-directed abort (semantic conflicts).
+    aborts_doomed: AbortsDoomed,
+    /// Aborts requested by the program itself.
+    aborts_explicit: AbortsExplicit,
+    /// Open-nested child commits.
+    open_commits: OpenCommits,
+    /// Open-nested child re-executions.
+    open_retries: OpenRetries,
+    /// Flattened read-only opens: protocol-equivalent `open` calls served
+    /// with no child transaction (direct validated reads) — each one is an
+    /// open commit that did not have to happen.
+    open_flattened: OpenFlattened,
+    /// Txn-local semantic-lock cache hits: `(kind, key)` acquisitions the
+    /// kernel satisfied from the transaction's own cache with zero
+    /// shared-memory traffic.
+    lock_cache_hits: LockCacheHits,
+    /// Closed-nested partial rollbacks (frame re-executions).
+    frame_retries: FrameRetries,
+    /// Commit/abort handler invocations.
+    handler_runs: HandlerRuns,
+    /// Commit-path contention: per-var commit-lock acquisitions that found
+    /// the lock held and had to spin.
+    var_lock_spins: VarLockSpins,
+    /// Handler-lane acquisitions (handler execution and writing open-nested
+    /// commits).
+    lane_entries: LaneEntries,
+    /// Top-level commits that never touched the handler lane — the fully
+    /// parallel fast path.
+    lane_free_commits: LaneFreeCommits,
+    /// Semantic-table contention: stripe acquisitions (key stripe or global
+    /// stripe) that found the mutex held and had to block.
+    stripe_lock_spins: StripeLockSpins,
+    /// Acquisitions of a collection's global stripe (size/empty/endpoint/
+    /// range point locks) — the serialized residue of semantic locking.
+    global_stripe_entries: GlobalStripeEntries,
+    /// Program-directed dooms *issued*: successful [`crate::TxHandle::doom`]
+    /// calls that transitioned a victim to the doomed state. Cross-checks
+    /// against `aborts_doomed` (dooms *absorbed*) and the trace layer's
+    /// `DoomEdge` events — issued ≥ absorbed, because a doomed attempt
+    /// observes its doom exactly once but may be doomed by several commits.
+    dooms_issued: DoomsIssued,
+    /// Trace events lost to ring-buffer overflow (drop-oldest) in
+    /// [`crate::trace`]. Zero whenever tracing is off.
+    trace_events_dropped: TraceEventsDropped,
+    /// Variable reads served by snapshot ([`crate::atomic_read`])
+    /// transactions out of the multi-version chain — reads with no read-set
+    /// entry, no validation, and no semantic locks.
+    snapshot_reads: SnapshotReads,
+    /// Snapshot transactions that abandoned to the validated path because a
+    /// version chain had been truncated past their snapshot (the counted,
+    /// never-silent escape hatch of the wait-free read design).
+    snapshot_fallbacks: SnapshotFallbacks,
+    /// Version-chain entries reclaimed: dropped past the epoch horizon or
+    /// the depth bound, or cleared when no snapshot reader was pinned.
+    chain_entries_reclaimed: ChainEntriesReclaimed,
+}
+
+impl StatsSnapshot {
+    /// Total aborts of top-level attempts.
+    pub fn aborts(&self) -> u64 {
+        self.aborts_read_invalid + self.aborts_doomed + self.aborts_explicit
+    }
+
+    /// Program-directed dooms *absorbed*: top-level aborts whose cause was a
+    /// doom. Alias of `aborts_doomed`, named to pair with
+    /// [`StatsSnapshot::dooms_issued`] for counter/trace cross-checks.
+    pub fn dooms_absorbed(&self) -> u64 {
+        self.aborts_doomed
+    }
+
+    /// Counter-wise difference (`self - earlier`), saturating. The harness
+    /// idiom is snapshot-before, run, snapshot-after, `after.diff(&before)`;
+    /// the totals only grow, so a window is exact.
+    #[must_use]
+    pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+        let (now, then) = (self.to_totals(), earlier.to_totals());
+        StatsSnapshot::from_totals(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
+    }
+
+    /// Counter-wise difference (`self - earlier`), saturating. Alias of
+    /// [`StatsSnapshot::diff`], kept for existing call sites.
+    #[must_use]
+    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+        self.diff(earlier)
+    }
+}
+
+/// Snapshot the always-on totals: every shard's (live or parked) plus the
+/// spill, summed. Cumulative since process start.
+#[must_use]
+pub fn global_stats() -> StatsSnapshot {
+    StatsSnapshot::from_totals(sum_totals(&SHARDS.lock().all))
+}
+
+fn sum_totals(shards: &[&Shard]) -> [u64; TOTALS] {
+    std::array::from_fn(|i| {
+        let owned: u64 = shards
+            .iter()
+            .map(|s| s.totals[i].load(Ordering::Relaxed))
+            .sum();
+        owned + SPILL[i].load(Ordering::Relaxed)
+    })
+}
+
+// ----------------------------------------------------------------------
 // Per-thread shards
 // ----------------------------------------------------------------------
+
+/// Per-thread dimensional-slab capacity (slots; power of two).
+pub const SLAB_SLOTS: usize = 512;
 
 /// One dimensional-counter slot: `key == 0` means empty. Written only by
 /// the owning thread; scanned concurrently by [`window`].
@@ -263,33 +448,57 @@ impl HistShard {
     }
 }
 
-/// One thread's metrics shard: a fixed-capacity counter slab plus one
-/// histogram shard per [`HistKind`]. Single writer (the owning thread),
-/// many concurrent readers (window merges).
+/// One thread's shard: the always-on totals plus the opt-in parts, which
+/// the owner allocates on its first dimensional or histogram event (a
+/// thread that never counts with metrics enabled costs only its totals).
+/// Single writer (the owning thread), many concurrent readers (snapshots
+/// and window merges).
 struct Shard {
-    slots: Box<[Slot]>,
-    hists: [HistShard; HIST_KINDS],
+    totals: [AtomicU64; TOTALS],
+    dims: OnceLock<Box<Dims>>,
 }
 
 impl Shard {
-    fn new(nslots: usize) -> Shard {
+    fn new() -> Shard {
         Shard {
-            slots: (0..nslots)
-                .map(|_| Slot {
-                    key: AtomicU64::new(0),
-                    count: AtomicU64::new(0),
-                })
-                .collect(),
+            totals: std::array::from_fn(|_| AtomicU64::new(0)),
+            dims: OnceLock::new(),
+        }
+    }
+
+    /// Owner-thread total increment: a plain load and store — nobody else
+    /// writes this shard's totals, and nothing ever resets them.
+    fn add(&self, t: Total, n: u64) {
+        let c = &self.totals[t as usize];
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+}
+
+/// A shard's opt-in parts: the dimensional slab and one histogram shard
+/// per [`HistKind`].
+struct Dims {
+    slots: [Slot; SLAB_SLOTS],
+    hists: [HistShard; HIST_KINDS],
+}
+
+impl Dims {
+    fn new() -> Dims {
+        Dims {
+            slots: std::array::from_fn(|_| Slot {
+                key: AtomicU64::new(0),
+                count: AtomicU64::new(0),
+            }),
             hists: std::array::from_fn(|_| HistShard::new()),
         }
     }
 
-    /// Owner-thread increment. Linear probe from the mixed slot; a full
-    /// slab counts the increment as dropped rather than spilling.
+    /// Owner-thread dimensional increment. Linear probe from the mixed
+    /// slot; a full slab counts the increment as dropped rather than
+    /// spilling.
     fn bump(&self, key: u64) {
-        let mask = self.slots.len() - 1;
+        let mask = SLAB_SLOTS - 1;
         let mut idx = slot_mix(key) as usize & mask;
-        for _ in 0..self.slots.len() {
+        for _ in 0..SLAB_SLOTS {
             let k = self.slots[idx].key.load(Ordering::Relaxed);
             if k == key {
                 self.slots[idx].count.fetch_add(1, Ordering::Relaxed);
@@ -309,7 +518,7 @@ impl Shard {
     }
 
     fn reset(&self) {
-        for s in self.slots.iter() {
+        for s in &self.slots {
             s.key.store(0, Ordering::Relaxed);
             s.count.store(0, Ordering::Relaxed);
         }
@@ -319,76 +528,102 @@ impl Shard {
     }
 }
 
-static REGISTRY: Mutex<Vec<Arc<Shard>>> = Mutex::new(Vec::new());
-static ENABLE_COUNT: AtomicU32 = AtomicU32::new(0);
-/// Slab capacity for shards created while the current enable is live
-/// (normalized at enable time; shards keep their capacity across resets).
-static SLAB_SLOTS: AtomicUsize = AtomicUsize::new(DEFAULT_SLAB_SLOTS);
-/// Increments that found their thread's slab full — the counted, never
-/// silent overflow path.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Default per-thread counter-slab capacity (slots; power of two).
-pub const DEFAULT_SLAB_SLOTS: usize = 512;
-
-thread_local! {
-    static SHARD: RefCell<Option<Arc<Shard>>> = const { RefCell::new(None) };
+/// Every shard ever claimed (`all`: it only grows, and is what readers
+/// sum) and the shards of exited threads waiting for a new owner
+/// (`parked`). Shards live for the rest of the process.
+struct Shards {
+    all: Vec<&'static Shard>,
+    parked: Vec<&'static Shard>,
 }
 
-/// Is the metrics layer live? One relaxed load — the entire cost of every
-/// emission site while disabled.
+static SHARDS: Mutex<Shards> = Mutex::new(Shards {
+    all: Vec::new(),
+    parked: Vec::new(),
+});
+/// Totals counted by a thread after its shard was parked (a thread-local
+/// destructor that runs after the shard's own). Shared, so atomic adds.
+static SPILL: [AtomicU64; TOTALS] = [const { AtomicU64::new(0) }; TOTALS];
+static ENABLE_COUNT: AtomicU32 = AtomicU32::new(0);
+/// Dimensional increments and histogram samples that found no slot (a full
+/// slab, or no shard) — the counted, never silent overflow path.
+static DROPPED: AtomicU64 = AtomicU64::new(0);
+
+/// A thread's claim on its shard; dropping it (thread exit) parks the
+/// shard for the next thread.
+struct Owned(&'static Shard);
+
+impl Drop for Owned {
+    fn drop(&mut self) {
+        SHARDS.lock().parked.push(self.0);
+    }
+}
+
+thread_local! {
+    static SHARD: OnceCell<Owned> = const { OnceCell::new() };
+}
+
+/// Is the dimensional layer live? One relaxed load — the entire cost of
+/// every dimensional or histogram site while disabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLE_COUNT.load(Ordering::Relaxed) != 0
 }
 
-fn with_shard(f: impl FnOnce(&Shard)) {
-    SHARD.with(|cell| {
-        let mut cell = cell.borrow_mut();
-        let shard = cell.get_or_insert_with(|| {
-            let shard = Arc::new(Shard::new(SLAB_SLOTS.load(Ordering::Relaxed)));
-            REGISTRY.lock().push(Arc::clone(&shard));
-            shard
-        });
-        f(shard);
-    });
+/// Run `f` on this thread's shard, claiming one on the thread's first
+/// event (a parked shard before a new one). `false`, without running `f`,
+/// once the thread's shard has been parked.
+#[inline]
+fn with_shard(f: impl FnOnce(&Shard)) -> bool {
+    SHARD.try_with(|cell| f(cell.get_or_init(claim).0)).is_ok()
+}
+
+/// [`with_shard`] on this thread's opt-in parts, allocating them on first
+/// use.
+fn with_dims(f: impl FnOnce(&Dims)) -> bool {
+    with_shard(|s| f(s.dims.get_or_init(|| Box::new(Dims::new()))))
+}
+
+fn claim() -> Owned {
+    let mut shards = SHARDS.lock();
+    let shard = match shards.parked.pop() {
+        Some(parked) => parked,
+        None => {
+            let fresh: &'static Shard = Box::leak(Box::new(Shard::new()));
+            shards.all.push(fresh);
+            fresh
+        }
+    };
+    Owned(shard)
+}
+
+/// Number of shards ever registered: the peak number of threads that
+/// counted at the same time, since exited threads' shards are reused.
+pub fn registered_shards() -> usize {
+    SHARDS.lock().all.len()
 }
 
 // ----------------------------------------------------------------------
 // Enable / disable
 // ----------------------------------------------------------------------
 
-/// Configuration for [`MetricsConfig::enable`].
-#[derive(Debug, Clone, Copy)]
+/// Configuration for [`MetricsConfig::enable`]; build it with
+/// `MetricsConfig::default()`. Nothing is configurable today: the slab
+/// holds [`SLAB_SLOTS`] keys per thread.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsConfig {
-    /// Per-thread counter-slab capacity (rounded up to a power of two, at
-    /// least 64). Applies to shards created while this enable is live;
-    /// existing shards keep their capacity.
-    pub slab_slots: usize,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig {
-            slab_slots: DEFAULT_SLAB_SLOTS,
-        }
-    }
+    _priv: (),
 }
 
 impl MetricsConfig {
-    /// Turn the metrics layer on, returning the RAII guard that keeps it
-    /// on. Enables nest (refcounted, like [`crate::trace::TraceConfig`]);
-    /// the **outermost** enable zeroes every registered shard so windows
-    /// start clean.
+    /// Turn the dimensional layer on, returning the RAII guard that keeps
+    /// it on. Enables nest (refcounted, like [`crate::trace::TraceConfig`]);
+    /// the **outermost** enable zeroes every shard's slab and histograms so
+    /// windows start clean. The totals are never reset.
     pub fn enable(self) -> MetricsGuard {
-        let reg = REGISTRY.lock();
+        let shards = SHARDS.lock();
         if ENABLE_COUNT.load(Ordering::Relaxed) == 0 {
-            SLAB_SLOTS.store(
-                self.slab_slots.max(64).next_power_of_two(),
-                Ordering::Relaxed,
-            );
-            for shard in reg.iter() {
-                shard.reset();
+            for dims in shards.all.iter().filter_map(|s| s.dims.get()) {
+                dims.reset();
             }
             DROPPED.store(0, Ordering::Relaxed);
         }
@@ -397,8 +632,8 @@ impl MetricsConfig {
     }
 }
 
-/// RAII handle keeping the metrics layer enabled; dropping the last live
-/// guard disables it (emission sites return to one relaxed load).
+/// RAII handle keeping the dimensional layer enabled; dropping the last
+/// live guard disables it (its sites return to one relaxed load).
 #[must_use = "metrics stay enabled only while the guard is live"]
 pub struct MetricsGuard {
     _priv: (),
@@ -414,69 +649,83 @@ impl Drop for MetricsGuard {
 // Emission (hot paths — no allocation, no formatting; TX014)
 // ----------------------------------------------------------------------
 
+/// Count one event on total `t`. Always on.
+#[inline]
+pub fn tally(t: Total) {
+    tally_n(t, 1);
+}
+
+/// Count `n` events on total `t` (batched sites: snapshot reads, reclaimed
+/// chain entries).
+pub(crate) fn tally_n(t: Total, n: u64) {
+    if n > 0 && !with_shard(|s| s.add(t, n)) {
+        SPILL[t as usize].fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 #[inline]
 fn bump_counter(class: Sym, stripe: u16, kind: MetricKind) {
-    with_shard(|s| s.bump(pack_key(class, stripe, kind)));
+    if !with_dims(|d| d.bump(pack_key(class, stripe, kind))) {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A top-level commit: counted (with the lane-free fast path when it ran
+/// no handlers), and its latency since `start` ([`timer`]) recorded.
+pub(crate) fn committed(lane_free: bool, start: Option<Instant>) {
+    tally(Total::Commits);
+    if lane_free {
+        tally(Total::LaneFreeCommits);
+    }
+    hist_elapsed(HistKind::CommitLatency, start);
+}
+
+/// A snapshot attempt ended — `committed`, or abandoned to a fallback or a
+/// panic — after serving `reads` variable reads from version chains.
+pub(crate) fn snapshot_finished(committed: bool, reads: u64) {
+    if committed {
+        tally(Total::Commits);
+    }
+    tally_n(Total::SnapshotReads, reads);
+}
+
+/// A top-level abort, counted by cause.
+pub(crate) fn abort_counted(cause: AbortCause) {
+    tally(match cause {
+        AbortCause::ReadInvalid => Total::AbortsReadInvalid,
+        AbortCause::Doomed => Total::AbortsDoomed,
+        AbortCause::Explicit => Total::AbortsExplicit,
+    });
 }
 
 /// A semantic doom landed against a lock of `class` on `stripe` (raw
 /// convention: `u64::MAX` = global stripe). Called by the collection
-/// layer's doom dispatch.
+/// layer's doom dispatch. Dimensional only.
 pub fn doom_landed(class: Sym, stripe: u64) {
     if enabled() {
         bump_counter(class, stripe_dim(stripe), MetricKind::Doom);
     }
 }
 
-/// A semantic stripe acquisition blocked on a held mutex.
+/// A semantic stripe acquisition blocked on a held mutex: counted in
+/// [`Total::StripeLockSpins`], and by class and stripe when enabled.
 pub fn stripe_blocked(class: Sym, stripe: u64) {
+    tally(Total::StripeLockSpins);
     if enabled() {
         bump_counter(class, stripe_dim(stripe), MetricKind::StripeBlocked);
     }
 }
 
 /// A `(kind, key)` acquisition was served by the kernel's txn-local lock
-/// cache.
+/// cache: counted in [`Total::LockCacheHits`], and by class when enabled.
 pub fn cache_hit(class: Sym) {
+    tally(Total::LockCacheHits);
     if enabled() {
         bump_counter(class, STRIPE_NONE, MetricKind::CacheHit);
     }
 }
 
-/// A handler-lane acquisition.
-pub(crate) fn lane_entered() {
-    if enabled() {
-        bump_counter(Sym::UNKNOWN, STRIPE_NONE, MetricKind::LaneEntry);
-    }
-}
-
-/// A top-level commit.
-pub(crate) fn commit_counted() {
-    if enabled() {
-        bump_counter(Sym::UNKNOWN, STRIPE_NONE, MetricKind::Commit);
-    }
-}
-
-/// A top-level abort, dimensioned by cause.
-pub(crate) fn abort_counted(cause: AbortCause) {
-    if enabled() {
-        let kind = match cause {
-            AbortCause::ReadInvalid => MetricKind::AbortReadInvalid,
-            AbortCause::Doomed => MetricKind::AbortDoomed,
-            AbortCause::Explicit => MetricKind::AbortExplicit,
-        };
-        bump_counter(Sym::UNKNOWN, STRIPE_NONE, kind);
-    }
-}
-
-/// A snapshot transaction fell back to the validated path.
-pub(crate) fn fallback_taken() {
-    if enabled() {
-        bump_counter(Sym::UNKNOWN, STRIPE_NONE, MetricKind::SnapshotFallback);
-    }
-}
-
-/// A snapshot epoch pin was taken.
+/// A snapshot epoch pin was taken. Dimensional only.
 pub(crate) fn pin_entered() {
     if enabled() {
         bump_counter(Sym::UNKNOWN, STRIPE_NONE, MetricKind::EpochPin);
@@ -505,8 +754,8 @@ pub fn hist_elapsed(kind: HistKind, start: Option<Instant>) {
 
 /// Record one latency sample (nanoseconds) into `kind`'s histogram.
 pub fn hist_record_ns(kind: HistKind, ns: u64) {
-    if enabled() {
-        with_shard(|s| s.hists[kind as usize].record(ns));
+    if enabled() && !with_dims(|d| d.hists[kind as usize].record(ns)) {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -614,8 +863,8 @@ impl Histogram {
 // ----------------------------------------------------------------------
 
 /// A point-in-time merge of every thread's shard — the dimensional
-/// generalization of [`crate::StatsSnapshot`]. Obtain with [`window`];
-/// subtract two with [`MetricsWindow::diff`] to get per-interval rates.
+/// generalization of [`StatsSnapshot`]. Obtain with [`window`]; subtract
+/// two with [`MetricsWindow::diff`] to get per-interval rates.
 #[derive(Debug, Clone)]
 pub struct MetricsWindow {
     counters: BTreeMap<u64, u64>,
@@ -625,15 +874,17 @@ pub struct MetricsWindow {
     wall_ns: u64,
 }
 
-/// Merge every registered shard into a [`MetricsWindow`]. Values are
-/// cumulative since the outermost enable; concurrent recording makes this
-/// a consistent-enough snapshot (each counter is read once, monotone).
+/// Merge every registered shard into a [`MetricsWindow`]. Slab counters
+/// and histograms are cumulative since the outermost enable; the kinds read
+/// from the totals are cumulative since process start. Concurrent recording
+/// makes this a consistent-enough snapshot (each counter is read once,
+/// monotone).
 pub fn window() -> MetricsWindow {
     let mut counters: BTreeMap<u64, u64> = BTreeMap::new();
     let mut hists: [Histogram; HIST_KINDS] = Default::default();
-    let reg = REGISTRY.lock();
-    for shard in reg.iter() {
-        for slot in shard.slots.iter() {
+    let shards = SHARDS.lock();
+    for dims in shards.all.iter().filter_map(|s| s.dims.get()) {
+        for slot in &dims.slots {
             let key = slot.key.load(Ordering::Relaxed);
             if key == 0 {
                 continue;
@@ -643,7 +894,7 @@ pub fn window() -> MetricsWindow {
                 *counters.entry(key).or_insert(0) += count;
             }
         }
-        for (kind, h) in shard.hists.iter().enumerate() {
+        for (kind, h) in dims.hists.iter().enumerate() {
             let mut part = Histogram::default();
             for (b, bucket) in h.buckets.iter().enumerate() {
                 part.buckets[b] = bucket.load(Ordering::Relaxed);
@@ -653,7 +904,16 @@ pub fn window() -> MetricsWindow {
             hists[kind].merge(&part);
         }
     }
-    drop(reg);
+    let totals = sum_totals(&shards.all);
+    drop(shards);
+    for kind in ALL_KINDS {
+        if let Some(t) = kind.total() {
+            let n = totals[t as usize];
+            if n > 0 {
+                counters.insert(pack_key(Sym::UNKNOWN, STRIPE_NONE, kind), n);
+            }
+        }
+    }
     MetricsWindow {
         counters,
         hists,
@@ -700,7 +960,8 @@ impl MetricsWindow {
         self.wall_ns
     }
 
-    /// Increments lost to slab overflow within this window.
+    /// Dimensional increments and histogram samples lost within this
+    /// window (a full slab, or a thread whose shard was already parked).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -1022,17 +1283,53 @@ mod tests {
     #[test]
     fn slab_overflow_is_counted_not_silent() {
         let _g = TEST_LOCK.lock();
-        let _guard = MetricsConfig { slab_slots: 64 }.enable();
-        // 64 slots cannot hold 65 distinct stripes of doom keys plus the
-        // existing thread residue; drive well past capacity.
-        for stripe in 0..200u64 {
+        let _guard = MetricsConfig::default().enable();
+        // The outermost enable emptied this thread's slab, so exactly
+        // SLAB_SLOTS distinct keys fit; drive twice that many.
+        let keys = 2 * SLAB_SLOTS as u64;
+        for stripe in 0..keys {
             doom_landed(Sym(9), stripe);
         }
         let w = window();
         let seen: u64 = w.kind_total(MetricKind::Doom);
-        assert!(seen <= 200);
-        assert_eq!(seen + w.dropped(), 200, "overflow must be counted");
-        assert!(w.dropped() > 0, "200 keys cannot fit 64 slots");
+        assert!(seen <= keys);
+        assert_eq!(seen + w.dropped(), keys, "overflow must be counted");
+        assert!(w.dropped() > 0, "{keys} keys cannot fit {SLAB_SLOTS} slots");
+    }
+
+    #[test]
+    fn totals_map_onto_their_snapshot_fields() {
+        let s = StatsSnapshot::from_totals(std::array::from_fn(|i| i as u64 + 1));
+        assert_eq!(s.commits, Total::Commits as u64 + 1);
+        assert_eq!(s.lane_entries, Total::LaneEntries as u64 + 1);
+        assert_eq!(
+            s.chain_entries_reclaimed,
+            Total::ChainEntriesReclaimed as u64 + 1
+        );
+        assert_eq!(StatsSnapshot::from_totals(s.to_totals()), s);
+    }
+
+    #[test]
+    fn diff_is_fieldwise_and_saturating() {
+        let earlier = StatsSnapshot {
+            commits: 10,
+            aborts_doomed: 2,
+            dooms_issued: 3,
+            ..StatsSnapshot::default()
+        };
+        let later = StatsSnapshot {
+            commits: 15,
+            aborts_doomed: 6,
+            dooms_issued: 1, // diffed in the wrong order: saturates to 0
+            ..StatsSnapshot::default()
+        };
+        let d = later.diff(&earlier);
+        assert_eq!(d.commits, 5);
+        assert_eq!(d.aborts_doomed, 4);
+        assert_eq!(d.dooms_absorbed(), 4);
+        assert_eq!(d.dooms_issued, 0);
+        // `since` is an exact alias.
+        assert_eq!(later.since(&earlier), d);
     }
 
     #[test]

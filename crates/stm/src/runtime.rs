@@ -9,7 +9,7 @@ use crate::handle::TxHandle;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::tvar::VarId;
 use crate::txn::Txn;
-use crate::{epoch, metrics, stats, trace};
+use crate::{epoch, metrics, trace};
 use std::sync::Arc;
 
 /// Options for [`atomic_with`].
@@ -152,8 +152,7 @@ pub fn atomic_read<T>(mut f: impl FnMut(&mut Txn) -> T) -> T {
                     // through an arbitrarily long transaction would stall
                     // chain reclamation for everyone.
                     drop(pin);
-                    stats::record_snapshot_fallback();
-                    metrics::fallback_taken();
+                    metrics::tally(metrics::Total::SnapshotFallbacks);
                     atomic(f)
                 }
                 Ok(TxInterrupt::Misuse(diag)) => {

@@ -1,6 +1,9 @@
 //! Conflict-provenance tracing: a structured event layer for the runtime.
 //!
-//! The stats counters (`crate::stats`) say *how many* transactions aborted;
+//! txlint: metrics — metrics-emitter argument spans here must not allocate
+//! or format (TX014).
+//!
+//! The counters ([`crate::metrics`]) say *how many* transactions aborted;
 //! they cannot say *why this one* aborted or *who* doomed it via *which*
 //! semantic lock. This module records that provenance as a bounded stream of
 //! typed events — transaction lifecycle, handler-lane entry/exit, lock-spin
@@ -34,7 +37,7 @@
 //! ```
 
 use crate::interrupt::AbortCause;
-use crate::stats;
+use crate::metrics::{self, Total};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -584,7 +587,7 @@ impl Ring {
         let n = self.slots.len() as u64;
         if h >= n {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            stats::record_trace_dropped();
+            metrics::tally(Total::TraceEventsDropped);
         }
         let slot = &self.slots[(h % n) as usize];
         let v = slot.seq.load(Ordering::Relaxed);
@@ -1089,9 +1092,8 @@ impl TraceSnapshot {
     }
 }
 
-/// Trace state is process-global; unit tests that touch it (here and in
-/// `stats`) serialize on this mutex so rings, resets, and snapshots do not
-/// interleave.
+/// Trace state is process-global; unit tests that touch it serialize on
+/// this mutex so rings, resets, and snapshots do not interleave.
 #[cfg(test)]
 pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 

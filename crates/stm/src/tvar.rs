@@ -1,5 +1,8 @@
 //! Transactional variables.
 //!
+//! txlint: metrics — metrics-emitter argument spans here must not allocate
+//! or format (TX014).
+//!
 //! A [`TVar<T>`] is a shared, versioned cell. All access from inside a
 //! transaction goes through [`TVar::read`] / [`TVar::write`], which log the
 //! access in the current nesting frame of the [`Txn`]. Values are stored and
@@ -14,7 +17,7 @@
 //! version + lock state as one word. See `clock.rs` for the protocol.
 
 use crate::cost;
-use crate::stats;
+use crate::metrics::{self, Total};
 use crate::txn::Txn;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
@@ -248,9 +251,7 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
             self.has_hist.store(true, Ordering::Relaxed);
             let reclaimed = Self::truncate_chain(&mut h, horizon);
             drop(h);
-            if reclaimed > 0 {
-                stats::record_chain_reclaimed(reclaimed as u64);
-            }
+            metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
         } else {
             // No snapshot pinned anywhere: overwrite in place, as before the
             // multi-version chain existed. Any leftover chain must be cleared
@@ -263,9 +264,7 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
                 h.clear();
                 self.has_hist.store(false, Ordering::Relaxed);
                 drop(h);
-                if reclaimed > 0 {
-                    stats::record_chain_reclaimed(reclaimed as u64);
-                }
+                metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
             }
             let mut g = self.cell.write();
             *g = (version, v.clone());

@@ -7,8 +7,7 @@ use crate::clock;
 use crate::handle::TxHandle;
 use crate::handlers::{Handler, LocalUndo};
 use crate::interrupt::{self, AbortCause, TxInterrupt};
-use crate::metrics;
-use crate::stats;
+use crate::metrics::{self, Total};
 use crate::trace;
 use crate::tvar::{AnyVar, TVar, VarId};
 use std::any::Any;
@@ -422,7 +421,7 @@ impl Txn {
         let innermost = self.frames.len() - 1;
         let confined = invalid_frames.iter().all(|&fi| fi == innermost);
         if confined && self.frames[innermost].kind == FrameKind::Closed {
-            stats::record_frame_retry();
+            metrics::tally(Total::FrameRetries);
             trace::frame_retry(self.handle.id());
             interrupt::throw(TxInterrupt::RetryFrame(innermost));
         }
@@ -574,13 +573,13 @@ impl Txn {
                         parent.commit_handlers.extend(committed.commit_handlers);
                         parent.abort_handlers.extend(committed.abort_handlers);
                         parent.local_undos.extend(committed.local_undos);
-                        stats::record_open_commit();
+                        metrics::tally(Total::OpenCommits);
                         trace::open_commit(self.handle.id());
                         return v;
                     }
                     Err(h) => {
                         handle = h;
-                        stats::record_open_retry();
+                        metrics::tally(Total::OpenRetries);
                         trace::open_retry(self.handle.id());
                         continue;
                     }
@@ -591,7 +590,7 @@ impl Txn {
                         // A read conflict inside the child retries only the child.
                         Ok(TxInterrupt::Retry(AbortCause::ReadInvalid))
                         | Ok(TxInterrupt::RetryFrame(_)) => {
-                            stats::record_open_retry();
+                            metrics::tally(Total::OpenRetries);
                             trace::open_retry(self.handle.id());
                             continue;
                         }
@@ -641,11 +640,11 @@ impl Txn {
                 .iter()
                 .all(|(var, ver)| clock::read_valid(var.as_ref(), *ver, false));
             if valid {
-                stats::record_open_flattened();
+                metrics::tally(Total::OpenFlattened);
                 trace::open_flattened(self.handle.id());
                 return v;
             }
-            stats::record_open_retry();
+            metrics::tally(Total::OpenRetries);
             trace::open_retry(self.handle.id());
         }
     }
@@ -809,13 +808,8 @@ impl Txn {
             self.run_commit_handlers();
         }
         drop(lane);
-        stats::record_commit();
-        metrics::hist_elapsed(metrics::HistKind::CommitLatency, commit_t0);
-        metrics::commit_counted();
+        metrics::committed(!has_handlers, commit_t0);
         trace::txn_commit(self.handle.id());
-        if !has_handlers {
-            stats::record_lane_free_commit();
-        }
         Ok(())
     }
 
@@ -854,12 +848,8 @@ impl Txn {
             self.run_commit_handlers();
         }
         drop(lane);
-        stats::record_commit();
-        metrics::commit_counted();
+        metrics::committed(!has_handlers, None);
         trace::txn_commit(self.handle.id());
-        if !has_handlers {
-            stats::record_lane_free_commit();
-        }
     }
 
     /// Complete a successful snapshot attempt. There is nothing to validate,
@@ -869,11 +859,7 @@ impl Txn {
     pub(crate) fn finish_snapshot(&mut self) {
         debug_assert!(self.snapshot.is_some());
         self.handle.mark_committed();
-        stats::record_commit();
-        metrics::commit_counted();
-        if self.snapshot_reads_served > 0 {
-            stats::record_snapshot_reads(self.snapshot_reads_served);
-        }
+        metrics::snapshot_finished(true, self.snapshot_reads_served);
         trace::snapshot_txn(self.handle.id(), self.snapshot_reads_served);
         trace::txn_commit(self.handle.id());
     }
@@ -888,9 +874,7 @@ impl Txn {
     pub(crate) fn abandon_snapshot(&mut self) {
         debug_assert!(self.snapshot.is_some());
         self.handle.mark_aborted();
-        if self.snapshot_reads_served > 0 {
-            stats::record_snapshot_reads(self.snapshot_reads_served);
-        }
+        metrics::snapshot_finished(false, self.snapshot_reads_served);
         trace::txn_abort(self.handle.id(), AbortCause::Explicit, 0);
     }
 
@@ -908,7 +892,7 @@ impl Txn {
                 break;
             }
             for h in hs {
-                stats::record_handler_run();
+                metrics::tally(Total::HandlerRuns);
                 h(self);
             }
         }
@@ -946,7 +930,7 @@ impl Txn {
                     break;
                 }
                 for h in hs {
-                    stats::record_handler_run();
+                    metrics::tally(Total::HandlerRuns);
                     h(self);
                 }
             }
@@ -962,7 +946,6 @@ impl Txn {
             self.frames[0].commit_handlers.clear();
             self.handle.mark_aborted();
         }
-        stats::record_abort(cause);
         metrics::abort_counted(cause);
         // Every begun attempt reaches exactly one of `trace::txn_commit` /
         // this emission, so a trace never holds a dangling begin.

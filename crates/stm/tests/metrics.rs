@@ -35,9 +35,10 @@ fn model_histogram(values: &[u64]) -> Histogram {
 }
 
 proptest! {
-    // Each case spawns real threads and registers their shards in the
-    // process-global registry (shards of exited threads stay registered,
-    // so later cases merge ever more of them) — keep the case count modest.
+    // Each case spawns real threads, each claiming a shard from the
+    // process-global registry; an exited thread's shard is parked and
+    // reused by a later case's thread, so the registry stays at the peak
+    // thread count. Every case still spawns threads — keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Values recorded from several threads (one real shard each) merge

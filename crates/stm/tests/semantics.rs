@@ -6,6 +6,15 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use stm::{atomic, atomic_with, AbortCause, BackoffPolicy, RunOpts, TVar, TxHandle, TxState};
 
+/// Held by every test here that runs an open-nested child, and by the test
+/// that asserts a window of the process-wide counters saw no open commit:
+/// without it, a sibling test's open commit lands in that window.
+static OPEN_NESTING: Mutex<()> = Mutex::new(());
+
+fn exclusive_open_nesting() -> std::sync::MutexGuard<'static, ()> {
+    OPEN_NESTING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn read_your_own_writes() {
     let v = TVar::new(1);
@@ -99,6 +108,7 @@ fn closed_nested_commit_merges_into_parent() {
 
 #[test]
 fn open_nested_commits_immediately() {
+    let _open = exclusive_open_nesting();
     let shared = Arc::new(TVar::new(0u32));
     let mid_view = Arc::new(AtomicU32::new(u32::MAX));
     let s2 = shared.clone();
@@ -118,6 +128,7 @@ fn open_nested_commits_immediately() {
 
 #[test]
 fn open_nested_leaves_no_parent_dependencies() {
+    let _open = exclusive_open_nesting();
     let noise = Arc::new(TVar::new(0u64));
     let target = Arc::new(TVar::new(0u64));
     let attempts = Arc::new(AtomicU32::new(0));
@@ -156,6 +167,7 @@ fn open_nested_leaves_no_parent_dependencies() {
 
 #[test]
 fn open_read_leaves_no_parent_dependencies() {
+    let _open = exclusive_open_nesting();
     // Same experiment as above with the flattened read: the per-var stamp
     // validation happens inside `open_read` and is then forgotten — the
     // noise var never enters the parent's read set.
@@ -433,6 +445,7 @@ fn explicit_retry_reexecutes_body() {
 
 #[test]
 fn open_nested_effects_survive_parent_abort_unless_compensated() {
+    let _open = exclusive_open_nesting();
     // UID-generator semantics: the open increment persists even though the
     // first parent attempt aborts (gaps are allowed, paper §6.3).
     let uid = Arc::new(TVar::new(0u64));
@@ -457,6 +470,7 @@ fn open_nested_effects_survive_parent_abort_unless_compensated() {
 
 #[test]
 fn open_nested_with_compensation_rolls_back_on_abort() {
+    let _open = exclusive_open_nesting();
     // The compensating pattern the collection classes use: the abort handler
     // undoes the open child's published effect.
     let counter = Arc::new(TVar::new(0i64));
@@ -535,6 +549,7 @@ fn closed_nesting_depth() {
 
 #[test]
 fn open_within_closed_promotes_handlers_to_closed_frame() {
+    let _open = exclusive_open_nesting();
     // A handler registered via an open child inside a closed frame is
     // discarded when the closed frame aborts (the paper's discard rule).
     let handler_runs = Arc::new(AtomicU64::new(0));

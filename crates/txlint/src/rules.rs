@@ -711,17 +711,18 @@ fn tx009_alloc_in_trace_emission(path: &Path, m: &FileModel, out: &mut Vec<Findi
 }
 
 /// The `stm::metrics` emission functions whose argument spans must stay
-/// allocation-free (TX014, the dimensional-metrics mirror of TX009). Bare
+/// allocation-free (TX014, the counter-store mirror of TX009). Bare
 /// call names, matched with the same call-shape test as [`TRACE_EMITTERS`].
-const METRICS_EMITTERS: [&str; 10] = [
+const METRICS_EMITTERS: [&str; 11] = [
+    "tally",
+    "tally_n",
+    "committed",
+    "snapshot_finished",
+    "abort_counted",
     "doom_landed",
     "stripe_blocked",
     "cache_hit",
-    "lane_entered",
     "pin_entered",
-    "fallback_taken",
-    "commit_counted",
-    "abort_counted",
     "hist_elapsed",
     "hist_record_ns",
 ];
@@ -1796,6 +1797,12 @@ mod tests {
             )),
             vec!["TX014"]
         );
+        assert_eq!(
+            codes(&metrics_marked(
+                "fn f() { metrics::tally(total_named(&format!(\"{name}\"))); }"
+            )),
+            vec!["TX014"]
+        );
     }
 
     #[test]
@@ -1812,7 +1819,7 @@ mod tests {
         .is_empty());
         // Allocation outside an emitter span is none of TX014's business.
         assert!(codes(&metrics_marked(
-            "fn f() { let s = format!(\"x\"); metrics::commit_counted(); }"
+            "fn f() { let s = format!(\"x\"); metrics::tally(Total::Commits); }"
         ))
         .is_empty());
         // Construction-time interning (outside any emission span) stays the
