@@ -1,5 +1,7 @@
-//! benchdiff — counter-based regression gate between two checked-in BENCH
-//! JSON files (`benchdiff OLD.json NEW.json`).
+//! benchdiff — counter-based regression gate between checked-in BENCH JSON
+//! files: `benchdiff OLD.json NEW.json` gates one pair, and `benchdiff`
+//! with no arguments gates every consecutive pair of the `BENCH_PR<n>.json`
+//! reports in the current directory, in numeric order of `n`.
 //!
 //! Every `BENCH_PRn.json` in this repo is hand-printed JSON whose leaves
 //! are `"name": number` pairs. Rather than vendoring a JSON parser for a
@@ -24,8 +26,10 @@
 //!   no counter keys the gate passes with a note — it is a ratchet where
 //!   comparable, not a straitjacket.
 //!
-//! Exit status: 0 clean or incomparable, 1 regression, 2 usage/IO error.
+//! Exit status: 0 clean or incomparable, 1 regression, 2 usage/IO error
+//! (with several pairs, the worst status of any pair).
 
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Counters gated when present in both files. Throughput counters like
@@ -107,26 +111,84 @@ fn lookup(leaves: &[(String, f64)], key: &str) -> Option<f64> {
     leaves.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
 }
 
+/// `n` of a `BENCH_PR<n>.json` file name, or `None` for any other name.
+fn report_number(name: &str) -> Option<u32> {
+    let digits = name.strip_prefix("BENCH_PR")?.strip_suffix(".json")?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// Every consecutive pair of the `BENCH_PR<n>.json` names in `names`, in
+/// numeric order of `n` (so PR9 precedes PR10).
+fn consecutive_pairs(names: impl IntoIterator<Item = String>) -> Vec<(String, String)> {
+    let mut reports: Vec<(u32, String)> = names
+        .into_iter()
+        .filter_map(|name| report_number(&name).map(|n| (n, name)))
+        .collect();
+    reports.sort();
+    reports
+        .windows(2)
+        .map(|w| (w[0].1.clone(), w[1].1.clone()))
+        .collect()
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let [_, old_path, new_path] = &args[..] else {
-        eprintln!("usage: benchdiff OLD.json NEW.json");
-        return ExitCode::from(2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let pairs = match &args[..] {
+        [] => {
+            let names = match std::fs::read_dir(".") {
+                Ok(dir) => dir
+                    .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .collect::<Vec<_>>(),
+                Err(e) => {
+                    eprintln!("benchdiff: cannot list the current directory: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            let pairs = consecutive_pairs(names);
+            if pairs.is_empty() {
+                println!(
+                    "benchdiff: fewer than two BENCH_PR<n>.json reports here; nothing to gate"
+                );
+            }
+            pairs
+        }
+        [old, new] => vec![(old.clone(), new.clone())],
+        _ => {
+            eprintln!("usage: benchdiff [OLD.json NEW.json]");
+            return ExitCode::from(2);
+        }
     };
-    let read = |p: &str| match std::fs::read_to_string(p) {
+    let status = pairs
+        .iter()
+        .map(|(old, new)| gate_pair(Path::new(old), Path::new(new)))
+        .max()
+        .unwrap_or(0);
+    ExitCode::from(status)
+}
+
+/// Gate one pair of reports; returns the exit status for it.
+fn gate_pair(old_path: &Path, new_path: &Path) -> u8 {
+    let read = |p: &Path| match std::fs::read_to_string(p) {
         Ok(s) => Some(s),
         Err(e) => {
-            eprintln!("benchdiff: cannot read {p}: {e}");
+            eprintln!("benchdiff: cannot read {}: {e}", p.display());
             None
         }
     };
     let (Some(old_src), Some(new_src)) = (read(old_path), read(new_path)) else {
-        return ExitCode::from(2);
+        return 2;
     };
     let old = numeric_leaves(&old_src);
     let new = numeric_leaves(&new_src);
 
-    println!("benchdiff: {old_path} -> {new_path}");
+    println!(
+        "benchdiff: {} -> {}",
+        old_path.display(),
+        new_path.display()
+    );
     let mut compared = 0;
     let mut regressions = 0;
     for key in GATED {
@@ -162,14 +224,14 @@ fn main() -> ExitCode {
             "  no shared protocol counters (the two PRs measured different benches); \
              nothing to gate — pass"
         );
-        return ExitCode::SUCCESS;
+        return 0;
     }
     if regressions > 0 {
         eprintln!("benchdiff: {regressions} counter regression(s)");
-        return ExitCode::from(1);
+        return 1;
     }
     println!("  {compared} gated counter(s) within limits");
-    ExitCode::SUCCESS
+    0
 }
 
 #[cfg(test)]
@@ -183,6 +245,26 @@ mod tests {
         assert_eq!(lookup(&leaves, "a"), Some(3.5));
         assert_eq!(lookup(&leaves, "b"), Some(-3.0));
         assert_eq!(lookup(&leaves, "note"), None);
+    }
+
+    #[test]
+    fn reports_pair_up_in_numeric_order() {
+        let names = [
+            "BENCH_PR10.json",
+            "README.md",
+            "BENCH_PR9.json",
+            "BENCH_PR2.json",
+        ]
+        .into_iter()
+        .chain(["BENCH_PRx.json", "BENCH_PR3.json.bak", "BENCH_PR.json"])
+        .map(String::from);
+        let pairs = consecutive_pairs(names);
+        let expect = [
+            ("BENCH_PR2.json", "BENCH_PR9.json"),
+            ("BENCH_PR9.json", "BENCH_PR10.json"),
+        ];
+        assert_eq!(pairs, expect.map(|(a, b)| (a.to_string(), b.to_string())));
+        assert!(consecutive_pairs(["BENCH_PR7.json".to_string()]).is_empty());
     }
 
     #[test]

@@ -388,15 +388,12 @@ where
     /// Wrap with an explicit stripe count for the reader/writer key tables.
     pub fn wrap_with_stripes(backend: B, policy: EagerPolicy, nstripes: usize) -> Self {
         EagerTransactionalMap {
-            core: SemanticCore::new(
-                EagerClass {
-                    backend,
-                    policy,
-                    tables: StripedTables::new(nstripes, EagerGlobal::default()),
-                    _value: PhantomData,
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(EagerClass {
+                backend,
+                policy,
+                tables: StripedTables::new(nstripes, EagerGlobal::default()),
+                _value: PhantomData,
+            }),
         }
     }
 
@@ -413,12 +410,12 @@ where
     }
 
     /// First-touch registration, discharged by the kernel (probe, then the
-    /// paired handlers, then the locals entry — in exactly that order).
+    /// paired handlers, then the kernel slot — in exactly that order).
     fn ensure_registered(&self, tx: &mut Txn) {
         self.core.ensure_registered(tx);
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut EagerLocal<K>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut EagerLocal<K>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 

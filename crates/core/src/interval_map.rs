@@ -340,17 +340,14 @@ where
     /// the knob exists for constructor parity with the other classes.
     pub fn with_stripes(nstripes: usize) -> Self {
         TransactionalIntervalMap {
-            core: SemanticCore::new(
-                IntervalMapClass {
-                    store: TVar::new(Arc::new(IntervalTree::new())),
-                    next_id: AtomicU64::new(1),
-                    tables: StripedTables::new(
-                        nstripes,
-                        SortedGlobal::with_kind(RangeIndexKind::FlatScan),
-                    ),
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(IntervalMapClass {
+                store: TVar::new(Arc::new(IntervalTree::new())),
+                next_id: AtomicU64::new(1),
+                tables: StripedTables::new(
+                    nstripes,
+                    SortedGlobal::with_kind(RangeIndexKind::FlatScan),
+                ),
+            }),
         }
     }
 
@@ -364,6 +361,15 @@ where
         self.core.class().tables.stripe_count()
     }
 
+    /// Number of span (range) locks currently outstanding (diagnostics).
+    pub fn locked_range_count(&self) -> usize {
+        let stats = self.core.stats();
+        self.core
+            .class()
+            .tables
+            .with_global(stats, |g| g.sorted.ranges.len())
+    }
+
     fn assert_usable(tx: &Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
@@ -371,7 +377,7 @@ where
         );
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut IntervalMapLocal<K, V>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut IntervalMapLocal<K, V>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -418,13 +424,9 @@ where
             l.adds.push((id, lower, upper, value));
             l.delta += 1;
         });
-        let txid = tx.handle().id();
-        let core = self.core.clone();
-        tx.on_local_undo(move || {
-            core.update_local(txid, |l| {
-                l.adds.retain(|(aid, _, _, _)| *aid != id);
-                l.delta -= 1;
-            });
+        self.core.local_undo(tx, move |l| {
+            l.adds.retain(|(aid, _, _, _)| *aid != id);
+            l.delta -= 1;
         });
         id
     }
@@ -437,8 +439,7 @@ where
         Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         // Already removed by us, or our own buffered insert (which we can
-        // just drop — a txn-local entry needs no lock). Non-creating probe:
-        // a transaction with no locals entry cannot have a local hit.
+        // just drop — a txn-local entry needs no lock).
         let local_hit = self
             .core
             .try_local(tx, |l| {
@@ -456,13 +457,9 @@ where
         match local_hit {
             Some(None) => return false,
             Some(Some(entry)) => {
-                let txid = tx.handle().id();
-                let core = self.core.clone();
-                tx.on_local_undo(move || {
-                    core.update_local(txid, |l| {
-                        l.adds.push(entry);
-                        l.delta += 1;
-                    });
+                self.core.local_undo(tx, move |l| {
+                    l.adds.push(entry);
+                    l.delta += 1;
                 });
                 return true;
             }
@@ -480,18 +477,14 @@ where
         if self.find_span(tx, id).is_none() {
             return false;
         }
-        let txid = tx.handle().id();
         self.with_local(tx, |l| {
             l.removes.insert(id, (lower, upper));
             l.delta -= 1;
         });
-        let core = self.core.clone();
-        tx.on_local_undo(move || {
-            core.update_local(txid, |l| {
-                if l.removes.remove(&id).is_some() {
-                    l.delta += 1;
-                }
-            });
+        self.core.local_undo(tx, move |l| {
+            if l.removes.remove(&id).is_some() {
+                l.delta += 1;
+            }
         });
         true
     }
@@ -554,7 +547,7 @@ where
     /// the buffered insertions the span predicate admits.
     fn merge_local(
         &self,
-        tx: &Txn,
+        tx: &mut Txn,
         committed: Vec<(u64, V)>,
         admit: impl Fn(&Bound<K>, &Bound<K>) -> bool,
     ) -> Vec<(u64, V)> {

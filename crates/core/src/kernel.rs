@@ -26,30 +26,37 @@
 //!
 //! * **Idempotent first-touch registration.** On the first operation a
 //!   top-level transaction performs on an instance, the core registers one
-//!   commit/abort handler pair and marks the transaction — in exactly the
-//!   order extension-slot probe → commit handler → abort handler → slot
-//!   insert. The probe is a scan of the transaction's own extension vector
-//!   (zero shared-memory traffic — the deferred-registration fast path:
-//!   the sharded locals table is not touched until an operation actually
-//!   buffers state); and because the handlers are registered *before* the
-//!   marker exists, an unwind between the two steps cannot leave a marked
+//!   commit/abort handler pair and parks a [`KernelSlot`] in the
+//!   transaction's extension map — in exactly the order extension-slot
+//!   probe → commit handler → abort handler → slot insert. The probe is a
+//!   scan of the transaction's own extension vector (zero shared-memory
+//!   traffic); and because the handlers are registered *before* the slot
+//!   exists, an unwind between the two steps cannot leave a marked
 //!   transaction with no abort handler to clean up. Collections used to
 //!   restate this obligation each; now it is discharged here once (and
 //!   txlint TX008 rejects any direct handler registration outside this
 //!   file).
-//! * **The txn-local semantic-lock cache.** The extension slot doubles as
-//!   a per-transaction, per-instance cache of already-acquired `(kind,
-//!   key)` semantic locks ([`SemanticCore::key_lock_cached`] /
+//! * **The attempt's footprint lives in the transaction.** The slot holds
+//!   the class's `Local` buffer, the eager undo log and the lock cache, so
+//!   buffering a write is a local probe of the transaction's own state —
+//!   paper §3.1 keeps this state thread-local for the same reason. The
+//!   handlers take the whole slot in one `ext_remove` and hand the buffer
+//!   to the class by value; a fresh attempt starts with a fresh `Txn` and
+//!   no slot, so nothing can outlive, leak from or be resurrected into an
+//!   attempt. A collection operation inside a `tx.open` body is a misuse
+//!   abort: the child's slots would die with the child.
+//! * **The txn-local semantic-lock cache.** The slot doubles as a
+//!   per-transaction, per-instance cache of already-acquired `(kind, key)`
+//!   semantic locks ([`SemanticCore::key_lock_cached`] /
 //!   [`SemanticCore::point_lock_cached`]): the first acquisition populates
 //!   it, every later operation on the same key or point lock is a local
 //!   hash probe that never touches a stripe mutex. Both handlers drop the
-//!   slot before releasing any lock, so the cache provably never outlives
-//!   the locks it witnesses (cache lifetime ⊆ lock hold).
-//! * **The sharded [`LocalTable`].** Locals are keyed by top-level
-//!   transaction id; handlers drain an attempt's entry exactly once via
-//!   `remove`, and local-undo compensation goes through the non-creating
-//!   [`SemanticCore::update_local`] so it can never resurrect state a
-//!   handler already removed.
+//!   cache before releasing any lock, so it provably never outlives the
+//!   locks it witnesses (cache lifetime ⊆ lock hold).
+//! * **Partial-rollback undos.** [`SemanticCore::local_undo`] registers a
+//!   buffer compensation only inside a closed frame, the one place a
+//!   conflict can roll back less than the whole attempt; at the root frame
+//!   the abort handler already receives the buffer, so nothing is boxed.
 //! * **The per-transaction undo log.** Classes that apply mutations
 //!   eagerly (boosted backends) record a [`SemanticClass::Undo`] entry per
 //!   first write via [`SemanticCore::log_undo`]; the abort handler drains
@@ -74,7 +81,8 @@
 //!
 //! 1. *Keep transaction-local state encapsulated* — define a `Local` type
 //!    and reach it only through [`SemanticCore::with_local`] /
-//!    [`SemanticCore::update_local`].
+//!    [`SemanticCore::try_local`]; roll it back for closed frames through
+//!    [`SemanticCore::local_undo`].
 //! 2. *Register one handler pair on first touch* — call
 //!    [`SemanticCore::ensure_registered`] at the top of every operation;
 //!    the core makes it idempotent and ordering-safe.
@@ -90,12 +98,12 @@
 // txlint: semantic-kernel
 
 use crate::locks::{
-    bucket_order, key_hash64, KeyLockShard, LocalTable, MapTables, Owner, PointLocks,
-    SemanticStats, StripedTables, UpdateEffect,
+    bucket_order, key_hash64, KeyLockShard, LocalSet, MapTables, Owner, PointLocks, SemanticStats,
+    StripedTables, UpdateEffect,
 };
 use std::any::Any;
-use std::collections::HashSet;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm::trace::LockKind;
 use stm::{Txn, TxnMode};
@@ -105,18 +113,21 @@ use stm::{Txn, TxnMode};
 // ----------------------------------------------------------------------
 
 /// What varies between transactional collection classes: the buffer type
-/// and the two handler bodies. Everything else — registration, local-state
-/// sharding, sweep order, doom dispatch — is [`SemanticCore`]'s.
+/// and the two handler bodies. Everything else — registration, where the
+/// per-attempt state lives, sweep order, doom dispatch — is
+/// [`SemanticCore`]'s.
 ///
 /// `apply` and `release` run in **direct mode** under the stm handler lane
-/// (serialized against all other handlers), with the attempt's drained
-/// `Local` passed by value. They must uphold the sweep discipline: touched
-/// key stripes ascending, global stripe last, own locks released last —
-/// which [`ClassTables::commit_sweep`] / [`ClassTables::release_sweep`]
-/// do structurally for keyed classes.
+/// (serialized against all other handlers), with the attempt's `Local`
+/// passed by value. They must uphold the sweep discipline: touched key
+/// stripes ascending, global stripe last, own locks released last — which
+/// [`ClassTables::commit_sweep`] / [`ClassTables::release_sweep`] do
+/// structurally for keyed classes.
 pub trait SemanticClass: Send + Sync + 'static {
     /// Per-transaction buffered state (paper Table 3): held semantic locks
-    /// plus pending writes. Created implicitly at `Default` on first touch.
+    /// plus pending writes. Created at `Default` when a transaction first
+    /// touches the instance, and lives in that transaction until a handler
+    /// takes it.
     type Local: Default + Send + 'static;
 
     /// One logged compensation entry for an **eagerly applied** mutation —
@@ -146,6 +157,16 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// in-place effects recorded in `local` and release transaction `id`'s
     /// locks. Buffered-update classes have nothing to undo and only
     /// release.
+    ///
+    /// A whole-attempt abort passes `local` as the body last wrote it: no
+    /// undo is registered for a root-frame write. Undos
+    /// ([`SemanticCore::local_undo`]) exist only for writes made inside a
+    /// closed frame and run only when such a frame rolls back — which a
+    /// whole-attempt abort also does, to any closed frame it unwinds through
+    /// or that merged into the root. So `release` must give the same result
+    /// whether or not a closed frame's writes are still in `local`: the
+    /// in-tree classes read only their held-lock lists, and the queue
+    /// returns every removed item whatever its return mark says.
     fn release(&self, local: Self::Local, htx: &mut Txn, id: u64, stats: &SemanticStats);
 
     /// Replay one undo entry in the abort handler (direct mode, under the
@@ -199,14 +220,36 @@ pub trait SemanticClass: Send + Sync + 'static {
 }
 
 /// The per-attempt state a [`SemanticCore`] parks in its transaction
-/// extension slot: its presence is the registration marker, and it carries
-/// the txn-local semantic-lock cache. Handlers remove the slot (dropping
-/// the cache) strictly before any semantic lock is released, so a cached
-/// entry can never be observed without its lock (the cache-lifetime
-/// obligation, docs/PROTOCOL.md). Fresh attempts start with a fresh `Txn`
-/// and therefore an empty slot — abort invalidation is structural.
+/// extension slot — the attempt's whole footprint on one instance. Its
+/// presence is the registration marker; the handlers take it in one
+/// `ext_remove` and drop the lock cache strictly before any semantic lock is
+/// released, so a cached entry can never be observed without its lock (the
+/// cache-lifetime obligation, docs/PROTOCOL.md). Fresh attempts start with a
+/// fresh `Txn` and therefore no slot — abort invalidation is structural, and
+/// no other transaction can reach (or resurrect) this state.
+struct KernelSlot<C: SemanticClass> {
+    cache: LockCache,
+    /// The class's buffered state, handed to `apply`/`release` by value.
+    local: C::Local,
+    /// Compensations for eagerly applied mutations, in logging order.
+    /// Replayed in reverse by the abort handler (before `release`), and
+    /// discarded by the commit handler.
+    undo: Vec<C::Undo>,
+}
+
+impl<C: SemanticClass> Default for KernelSlot<C> {
+    fn default() -> Self {
+        KernelSlot {
+            cache: LockCache::default(),
+            local: C::Local::default(),
+            undo: Vec::new(),
+        }
+    }
+}
+
+/// The txn-local semantic-lock cache of one instance.
 #[derive(Default)]
-struct KernelSlot {
+struct LockCache {
     /// Bitmask of [`CachedPoint`] locks already acquired.
     points: u8,
     /// Key locks already acquired, type-erased: the key type is the
@@ -215,18 +258,18 @@ struct KernelSlot {
     keys: Option<Box<dyn Any + Send>>,
 }
 
-fn cached_keys<Q: Eq + Hash + Send + 'static>(b: &(dyn Any + Send)) -> &HashSet<Q> {
-    b.downcast_ref::<HashSet<Q>>()
+fn cached_keys<Q: Eq + Hash + Send + 'static>(b: &(dyn Any + Send)) -> &LocalSet<Q> {
+    b.downcast_ref::<LocalSet<Q>>()
         .expect("one key type per semantic core")
 }
 
-fn cached_keys_mut<Q: Eq + Hash + Send + 'static>(b: &mut (dyn Any + Send)) -> &mut HashSet<Q> {
-    b.downcast_mut::<HashSet<Q>>()
+fn cached_keys_mut<Q: Eq + Hash + Send + 'static>(b: &mut (dyn Any + Send)) -> &mut LocalSet<Q> {
+    b.downcast_mut::<LocalSet<Q>>()
         .expect("one key type per semantic core")
 }
 
 /// Whole-collection point-lock kinds the txn-local lock cache can remember
-/// (one bit each in [`KernelSlot::points`]).
+/// (one bit each in [`LockCache::points`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachedPoint {
     /// The size lock.
@@ -259,18 +302,33 @@ impl CachedPoint {
 
 struct CoreInner<C: SemanticClass> {
     class: C,
-    locals: LocalTable<C::Local>,
-    /// Per-transaction compensation log for eagerly applied mutations,
-    /// sharded like `locals`. Appended by [`SemanticCore::log_undo`];
-    /// drained in reverse by the abort handler (before `release`), and
-    /// discarded wholesale by the commit handler.
-    undo: LocalTable<Vec<C::Undo>>,
     stats: SemanticStats,
+    /// Odd while one of this instance's handlers runs (a seqlock; handlers
+    /// are serialized by the handler lane). See
+    /// [`SemanticCore::read_settled`].
+    handler_seq: AtomicU64,
+}
+
+/// A handler of one instance is running: `handler_seq` is odd from
+/// [`HandlerRun::begin`] until the guard drops, also on unwind.
+struct HandlerRun<'a>(&'a AtomicU64);
+
+impl<'a> HandlerRun<'a> {
+    fn begin(seq: &'a AtomicU64) -> Self {
+        seq.fetch_add(1, Ordering::SeqCst);
+        HandlerRun(seq)
+    }
+}
+
+impl Drop for HandlerRun<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// The invariant half of every transactional class: first-touch handler
-/// registration, the sharded local-state table, and the per-instance
-/// conflict counters. Cheap to clone (one `Arc`).
+/// registration, the per-attempt slot holding the class's buffered state,
+/// and the per-instance conflict counters. Cheap to clone (one `Arc`).
 pub struct SemanticCore<C: SemanticClass> {
     inner: Arc<CoreInner<C>>,
 }
@@ -284,9 +342,8 @@ impl<C: SemanticClass> Clone for SemanticCore<C> {
 }
 
 impl<C: SemanticClass> SemanticCore<C> {
-    /// Build a core around `class`, sharding the local-state table
-    /// `nshards` ways (rounded up to a power of two).
-    pub fn new(class: C, nshards: usize) -> Self {
+    /// Build a core around `class`.
+    pub fn new(class: C) -> Self {
         let stats = SemanticStats::default();
         stats.set_class(class.name());
         if let Some(graph) = class.conflict_graph() {
@@ -295,9 +352,8 @@ impl<C: SemanticClass> SemanticCore<C> {
         SemanticCore {
             inner: Arc::new(CoreInner {
                 class,
-                locals: LocalTable::new(nshards),
-                undo: LocalTable::new(nshards),
                 stats,
+                handler_seq: AtomicU64::new(0),
             }),
         }
     }
@@ -339,19 +395,20 @@ impl<C: SemanticClass> SemanticCore<C> {
         &self.inner.stats
     }
 
-    /// Register the single commit/abort handler pair and mark the
-    /// transaction on first use by this top-level transaction (paper §5
-    /// guideline 2). Call at the top of every operation; idempotent. The
-    /// probe and marker live in the transaction's own extension slot, so
-    /// the repeat-call case costs a local vector scan and no shared-memory
-    /// traffic; the locals-table entry is created lazily by the first
-    /// operation that buffers state.
+    /// Register the single commit/abort handler pair and park the
+    /// attempt's `KernelSlot` on first use by this top-level transaction
+    /// (paper §5 guideline 2). Call at the top of every operation;
+    /// idempotent. The probe is a scan of the transaction's own extension
+    /// slots, so the repeat-call case costs no shared-memory traffic.
     ///
-    /// Handlers are registered **before** the marker is inserted: an
-    /// unwind during registration cannot leave a marked transaction whose
-    /// state no abort handler will clean up. This ordering obligation
-    /// lives here and nowhere else — txlint TX008 rejects direct handler
-    /// registration in any other semantic-tables file.
+    /// Handlers are registered **before** the slot is inserted: an unwind
+    /// during registration cannot leave a marked transaction whose state no
+    /// abort handler will clean up. This ordering obligation lives here and
+    /// nowhere else — txlint TX008 rejects direct handler registration in
+    /// any other semantic-tables file.
+    ///
+    /// A first touch inside a `tx.open` body is a misuse abort: the child's
+    /// slots die with the child, so its buffered state would be lost.
     pub fn ensure_registered(&self, tx: &mut Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
@@ -373,44 +430,45 @@ impl<C: SemanticClass> SemanticCore<C> {
         if tx.ext_contains(tag) {
             return;
         }
+        tx.reject_in_open(
+            "collection operation inside a tx.open body: the open child's state dies with it \
+             — call the collection from the enclosing transaction",
+        );
         let id = tx.handle().id();
         let inner = Arc::clone(&self.inner);
         tx.on_commit_top(move |htx| {
+            let KernelSlot { cache, local, undo } = Self::take_slot(htx, tag);
             // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the txn-local
             // lock cache dies here, before the apply sweep releases a
             // single semantic lock.
-            drop(htx.ext_remove(tag));
+            drop(cache);
             // Committed eager mutations stand: the undo log is dead weight,
             // dropped before the apply sweep so nothing replays it.
-            drop(inner.undo.remove(id));
-            let local = inner.locals.remove(id).unwrap_or_default();
+            drop(undo);
+            let _run = HandlerRun::begin(&inner.handler_seq);
             inner.class.apply(local, htx, id, &inner.stats);
         });
         let inner = Arc::clone(&self.inner);
         tx.on_abort_top(move |htx| {
+            let KernelSlot { cache, local, undo } = Self::take_slot(htx, tag);
             // Invalidate the lock cache first: nothing after this point may
             // trust a cached acquisition while the footprint unwinds.
-            drop(htx.ext_remove(tag));
+            drop(cache);
             // Undo before release: drain the compensation log in reverse
             // while transaction `id` still holds every semantic lock it
             // took, so no observer can see a partially rolled-back state
             // between a compensating write and the lock drop
             // (docs/PROTOCOL.md, "undo-before-release").
-            if let Some(log) = inner.undo.remove(id) {
-                for entry in log.into_iter().rev() {
-                    inner.class.compensate(entry, htx);
-                }
+            let _run = HandlerRun::begin(&inner.handler_seq);
+            for entry in undo.into_iter().rev() {
+                inner.class.compensate(entry, htx);
             }
-            let local = inner.locals.remove(id).unwrap_or_default();
             inner.class.release(local, htx, id, &inner.stats);
         });
-        // Marker last: an unwind between handler registration and this
-        // insert leaves no marker (the next attempt re-registers) and the
-        // already-registered handlers drain harmlessly empty state. The
-        // locals entry itself is created lazily by `with_local` — a
-        // single-op read-only transaction may never create one at all (the
-        // deferred-registration fast path).
-        tx.ext_insert(tag, Box::new(KernelSlot::default()));
+        // Slot last: an unwind between handler registration and this insert
+        // leaves no slot (a closed-frame retry re-registers) and the
+        // already-registered handlers take an empty default footprint.
+        tx.ext_insert(tag, Box::new(KernelSlot::<C>::default()));
     }
 
     /// The owner-unique extension tag of this core instance: its inner
@@ -421,9 +479,58 @@ impl<C: SemanticClass> SemanticCore<C> {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
 
-    fn slot_mut<'t>(&self, tx: &'t mut Txn) -> Option<&'t mut KernelSlot> {
-        tx.ext_get_mut(self.tag())
-            .map(|s| s.downcast_mut::<KernelSlot>().expect("kernel slot type"))
+    fn slot_in(tx: &mut Txn, tag: usize) -> Option<&mut KernelSlot<C>> {
+        tx.ext_get_mut(tag)
+            .map(|s| s.downcast_mut::<KernelSlot<C>>().expect("kernel slot type"))
+    }
+
+    fn slot_mut<'t>(&self, tx: &'t mut Txn) -> Option<&'t mut KernelSlot<C>> {
+        Self::slot_in(tx, self.tag())
+    }
+
+    /// The attempt's slot, registering on first touch (the handlers that
+    /// will drain it exist before it does).
+    fn slot<'t>(&self, tx: &'t mut Txn) -> &'t mut KernelSlot<C> {
+        if !tx.ext_contains(self.tag()) {
+            self.ensure_registered(tx);
+        }
+        self.slot_mut(tx)
+            .expect("registered transaction has a kernel slot")
+    }
+
+    /// Handler side: take the attempt's whole footprint out of `htx` (an
+    /// empty default if an unwind beat the slot insert).
+    fn take_slot(htx: &mut Txn, tag: usize) -> KernelSlot<C> {
+        htx.ext_remove(tag)
+            .map(|s| *s.downcast::<KernelSlot<C>>().expect("kernel slot type"))
+            .unwrap_or_default()
+    }
+
+    /// Read committed whole-collection state — a size, an enumeration — that
+    /// one of this instance's handlers could be changing key by key: `f`
+    /// runs as a flattened open ([`Txn::open_read`]) and is re-run until no
+    /// handler of this instance ran during it. A commit whose applies net to
+    /// no size change dooms no size observer, so without this an observer
+    /// could read a size the commit passed through but never committed
+    /// (remove one key, then insert another). Take the observation's lock
+    /// first: then every later handler either dooms the observer or leaves
+    /// what it read unchanged. Waits only while a handler of this instance
+    /// runs under the handler lane, which never waits on a body.
+    pub fn read_settled<R>(&self, tx: &mut Txn, mut f: impl FnMut(&mut Txn) -> R) -> R {
+        if tx.mode() == TxnMode::Direct || tx.in_snapshot() {
+            return tx.open_read(f);
+        }
+        let seq = &self.inner.handler_seq;
+        loop {
+            let before = seq.load(Ordering::SeqCst);
+            if before.is_multiple_of(2) {
+                let r = tx.open_read(&mut f);
+                if seq.load(Ordering::SeqCst) == before {
+                    return r;
+                }
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Probe the txn-local lock cache for a key lock this transaction has
@@ -453,6 +560,7 @@ impl<C: SemanticClass> SemanticCore<C> {
             return false;
         };
         let hit = slot
+            .cache
             .keys
             .as_deref()
             .is_some_and(|k| cached_keys::<Q>(k).contains(key));
@@ -479,8 +587,9 @@ impl<C: SemanticClass> SemanticCore<C> {
     {
         if let Some(slot) = self.slot_mut(tx) {
             cached_keys_mut::<Q>(
-                slot.keys
-                    .get_or_insert_with(|| Box::new(HashSet::<Q>::new()))
+                slot.cache
+                    .keys
+                    .get_or_insert_with(|| Box::new(LocalSet::<Q>::default()))
                     .as_mut(),
             )
             .insert(key);
@@ -497,7 +606,7 @@ impl<C: SemanticClass> SemanticCore<C> {
         let Some(slot) = self.slot_mut(tx) else {
             return false;
         };
-        let hit = slot.points & p.bit() != 0;
+        let hit = slot.cache.points & p.bit() != 0;
         if hit {
             self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
             stm::metrics::cache_hit(self.inner.stats.class_sym());
@@ -514,65 +623,58 @@ impl<C: SemanticClass> SemanticCore<C> {
     /// Remember a point-lock acquisition (strictly after it succeeded).
     pub fn note_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
         if let Some(slot) = self.slot_mut(tx) {
-            slot.points |= p.bit();
+            slot.cache.points |= p.bit();
         }
     }
 
-    /// Run `f` on the calling transaction's local state (creating it at
-    /// `Default` if absent — call [`Self::ensure_registered`] first so the
-    /// handlers that will drain it exist).
-    pub fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut C::Local) -> R) -> R {
+    /// Run `f` on the calling transaction's local state, registering the
+    /// core first if this is the transaction's first touch.
+    pub fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut C::Local) -> R) -> R {
         tx.reject_in_snapshot(
             "collection mutation inside a snapshot transaction (stm::atomic_read): snapshot \
              transactions are read-only — run writes under stm::atomic",
         );
-        self.inner.locals.with(tx.handle().id(), f)
+        f(&mut self.slot(tx).local)
     }
 
-    /// Run `f` on the calling transaction's local state **only if a
-    /// buffering operation has already created it** — the non-creating read
-    /// for body-side probes (store-buffer lookups, delta reads). A
-    /// transaction that only ever reads must not inflate the sharded locals
-    /// table with an empty entry it registered no writes into (the
-    /// single-op fast path); absence simply means "nothing buffered".
-    pub fn try_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut C::Local) -> R) -> Option<R> {
-        self.inner.locals.update(tx.handle().id(), f)
+    /// Run `f` on the calling transaction's local state **only if the
+    /// transaction is registered on this core** — the non-registering probe
+    /// for body-side reads (store-buffer lookups, delta reads), which a
+    /// snapshot transaction also makes. `None` means "nothing buffered".
+    pub fn try_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut C::Local) -> R) -> Option<R> {
+        self.slot_mut(tx).map(|s| f(&mut s.local))
     }
 
-    /// Run `f` on transaction `id`'s local state **only if it still
-    /// exists** — the non-creating variant for local-undo closures, so a
-    /// compensation racing a completed handler can never resurrect an
-    /// entry the handler already drained (the stale-local hazard).
-    pub fn update_local<R>(&self, id: u64, f: impl FnOnce(&mut C::Local) -> R) -> Option<R> {
-        self.inner.locals.update(id, f)
+    /// Register `undo` to roll back a buffer mutation the caller just made,
+    /// in case an enclosing closed frame aborts (the encapsulated
+    /// alternative to Moss-style interleaved undo, paper §5.1). Registered
+    /// only inside a closed frame — the one place a conflict can roll back
+    /// less than the whole attempt; at the root frame the abort handler
+    /// receives the buffer as last written, so `undo` is simply dropped.
+    /// The undo reaches the buffer through the transaction it runs with,
+    /// and is a no-op if the slot is already gone.
+    pub fn local_undo(&self, tx: &mut Txn, undo: impl FnOnce(&mut C::Local) + Send + 'static) {
+        if !tx.in_closed_frame() {
+            return;
+        }
+        let tag = self.tag();
+        tx.on_local_undo(move |tx| {
+            if let Some(slot) = Self::slot_in(tx, tag) {
+                undo(&mut slot.local);
+            }
+        });
     }
 
     /// Log a compensation entry for an **eagerly applied** mutation. The
     /// abort handler replays the calling transaction's entries in reverse
     /// logging order through [`SemanticClass::compensate`], strictly before
-    /// [`SemanticClass::release`]; a commit discards the log. Call
-    /// [`Self::ensure_registered`] first — an unregistered transaction has
-    /// no handler to drain what it logs.
-    pub fn log_undo(&self, tx: &Txn, entry: C::Undo) {
+    /// [`SemanticClass::release`]; a commit discards the log.
+    pub fn log_undo(&self, tx: &mut Txn, entry: C::Undo) {
         tx.reject_in_snapshot(
             "eager collection mutation inside a snapshot transaction (stm::atomic_read): \
              snapshot transactions are read-only — run writes under stm::atomic",
         );
-        self.inner
-            .undo
-            .with(tx.handle().id(), |log| log.push(entry));
-    }
-
-    /// Live local-state entries across all shards (diagnostics: nonzero
-    /// with no transaction in flight means a handler leaked an entry).
-    pub fn resident_locals(&self) -> usize {
-        self.inner.locals.len()
-    }
-
-    /// Live undo logs across all shards (diagnostics: nonzero with no
-    /// transaction in flight means a handler leaked a compensation log).
-    pub fn resident_undo_logs(&self) -> usize {
-        self.inner.undo.len()
+        self.slot(tx).undo.push(entry);
     }
 }
 
@@ -627,12 +729,7 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// Semantic key locks currently outstanding across all stripes
     /// (diagnostics).
     pub fn locked_key_count(&self, stats: &SemanticStats) -> usize {
-        let mut n = 0;
-        self.tables
-            .for_stripes_ascending(0..self.tables.stripe_count(), stats, |_, s| {
-                n += s.locked_key_count()
-            });
-        n
+        self.tables.locked_key_count(stats)
     }
 
     /// Commit-handler sweep over transaction `id`'s footprint: `writes`
@@ -881,53 +978,50 @@ pub(crate) fn sweep_release_footprint<'a, K, S, G>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Minimal probe class: counts handler invocations and buffered ops.
-    struct ProbeClass {
-        applies: Arc<AtomicU64>,
-        releases: Arc<AtomicU64>,
-        applied_ops: Arc<AtomicU64>,
+    /// Handler invocations and the buffered ops each handler received.
+    #[derive(Default)]
+    struct Counts {
+        applies: AtomicU64,
+        releases: AtomicU64,
+        applied_ops: AtomicU64,
+        released_ops: AtomicU64,
     }
+
+    /// Minimal probe class: records into its shared [`Counts`].
+    struct ProbeClass(Arc<Counts>);
 
     impl SemanticClass for ProbeClass {
         type Local = Vec<u64>;
         type Undo = ();
 
         fn apply(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
-            self.applies.fetch_add(1, Ordering::SeqCst);
-            self.applied_ops
+            self.0.applies.fetch_add(1, Ordering::SeqCst);
+            self.0
+                .applied_ops
                 .fetch_add(local.len() as u64, Ordering::SeqCst);
         }
 
-        fn release(&self, _local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
-            self.releases.fetch_add(1, Ordering::SeqCst);
+        fn release(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+            self.0.releases.fetch_add(1, Ordering::SeqCst);
+            self.0
+                .released_ops
+                .fetch_add(local.len() as u64, Ordering::SeqCst);
         }
     }
 
-    fn probe_core() -> (
-        SemanticCore<ProbeClass>,
-        Arc<AtomicU64>,
-        Arc<AtomicU64>,
-        Arc<AtomicU64>,
-    ) {
-        let applies = Arc::new(AtomicU64::new(0));
-        let releases = Arc::new(AtomicU64::new(0));
-        let applied_ops = Arc::new(AtomicU64::new(0));
-        let core = SemanticCore::new(
-            ProbeClass {
-                applies: applies.clone(),
-                releases: releases.clone(),
-                applied_ops: applied_ops.clone(),
-            },
-            4,
-        );
-        (core, applies, releases, applied_ops)
+    fn probe_core() -> (SemanticCore<ProbeClass>, Arc<Counts>) {
+        let counts = Arc::new(Counts::default());
+        (SemanticCore::new(ProbeClass(counts.clone())), counts)
+    }
+
+    fn load(c: &AtomicU64) -> u64 {
+        c.load(Ordering::SeqCst)
     }
 
     #[test]
     fn registration_is_idempotent_and_commit_drains_locals() {
-        let (core, applies, releases, applied_ops) = probe_core();
+        let (core, n) = probe_core();
         let c = core.clone();
         let (_, t) = stm::speculate(
             move |tx| {
@@ -941,15 +1035,14 @@ mod tests {
         )
         .unwrap();
         t.commit();
-        assert_eq!(applies.load(Ordering::SeqCst), 1);
-        assert_eq!(releases.load(Ordering::SeqCst), 0);
-        assert_eq!(applied_ops.load(Ordering::SeqCst), 2);
-        assert_eq!(core.resident_locals(), 0);
+        assert_eq!(load(&n.applies), 1);
+        assert_eq!(load(&n.releases), 0);
+        assert_eq!(load(&n.applied_ops), 2);
     }
 
     #[test]
     fn abort_runs_release_exactly_once_and_drains_locals() {
-        let (core, applies, releases, _) = probe_core();
+        let (core, n) = probe_core();
         let c = core.clone();
         let (_, t) = stm::speculate(
             move |tx| {
@@ -960,27 +1053,110 @@ mod tests {
         )
         .unwrap();
         t.abort(stm::AbortCause::Explicit);
-        assert_eq!(applies.load(Ordering::SeqCst), 0);
-        assert_eq!(releases.load(Ordering::SeqCst), 1);
-        assert_eq!(core.resident_locals(), 0);
+        assert_eq!(load(&n.applies), 0);
+        assert_eq!(load(&n.releases), 1);
+        assert_eq!(
+            load(&n.released_ops),
+            1,
+            "release gets the buffer as written"
+        );
     }
 
     #[test]
-    fn update_local_cannot_resurrect_a_drained_entry() {
-        let (core, ..) = probe_core();
+    fn with_local_registers_on_first_touch() {
+        let (core, n) = probe_core();
         let c = core.clone();
-        let (id, t) = stm::speculate(
+        let (_, t) = stm::speculate(move |tx| c.with_local(tx, |l| l.push(3)), 0).unwrap();
+        t.commit();
+        assert_eq!(load(&n.applies), 1);
+        assert_eq!(load(&n.applied_ops), 1);
+    }
+
+    /// Both handlers take the attempt's whole slot: a probe registered
+    /// after them (so it runs after them) finds nothing left to read or
+    /// mutate, so nothing can outlive or be resurrected into a drained
+    /// attempt.
+    #[test]
+    fn probe_after_either_handler_finds_no_slot() {
+        for commit in [true, false] {
+            let (core, n) = probe_core();
+            let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let (c, s) = (core.clone(), seen.clone());
+            let (_, t) = stm::speculate(
+                move |tx| {
+                    c.with_local(tx, |l| l.push(42));
+                    let (c1, s1) = (c.clone(), s.clone());
+                    tx.on_commit_top(move |htx| s1.lock().push(c1.try_local(htx, |l| l.len())));
+                    let (c2, s2) = (c.clone(), s.clone());
+                    tx.on_abort_top(move |htx| s2.lock().push(c2.try_local(htx, |l| l.len())));
+                },
+                0,
+            )
+            .unwrap();
+            if commit {
+                t.commit();
+            } else {
+                t.abort(stm::AbortCause::Explicit);
+            }
+            assert_eq!(*seen.lock(), vec![None], "commit={commit}");
+            assert_eq!(load(&n.applied_ops) + load(&n.released_ops), 1);
+        }
+    }
+
+    /// Undos are registered only inside closed frames: a root-frame write
+    /// reaches `release` as written, while a closed frame that merged into
+    /// the root rolls its writes back before a whole-attempt abort's
+    /// `release`.
+    #[test]
+    fn local_undo_registers_only_inside_closed_frames() {
+        let (core, n) = probe_core();
+        let undos = Arc::new(AtomicU64::new(0));
+        let (c, u) = (core.clone(), undos.clone());
+        let (_, t) = stm::speculate(
             move |tx| {
-                c.ensure_registered(tx);
-                tx.handle().id()
+                c.with_local(tx, |l| l.push(1));
+                let u1 = u.clone();
+                c.local_undo(tx, move |l| {
+                    u1.fetch_add(1, Ordering::SeqCst);
+                    l.pop();
+                });
+                tx.closed(|tx| {
+                    c.with_local(tx, |l| l.push(2));
+                    let u2 = u.clone();
+                    c.local_undo(tx, move |l| {
+                        u2.fetch_add(1, Ordering::SeqCst);
+                        l.pop();
+                    });
+                });
             },
             0,
         )
         .unwrap();
-        t.commit();
-        // The commit handler drained the entry; a stale undo must be a no-op.
-        assert_eq!(core.update_local(id, |l| l.push(9)), None);
-        assert_eq!(core.resident_locals(), 0);
+        t.abort(stm::AbortCause::Explicit);
+        assert_eq!(
+            load(&undos),
+            1,
+            "only the closed frame's undo is registered"
+        );
+        assert_eq!(load(&n.released_ops), 1, "the root write reaches release");
+    }
+
+    #[test]
+    fn open_body_collection_operation_is_a_misuse_abort() {
+        let (core, n) = probe_core();
+        let c = core.clone();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stm::atomic(|tx| {
+                c.with_local(tx, |l| l.push(1));
+                tx.open(|otx| c.with_local(otx, |l| l.push(2)));
+            })
+        }));
+        let msg = r.expect_err("misuse must panic at the atomic boundary");
+        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("tx.open"), "diagnostic: {msg}");
+        assert_eq!(load(&n.releases), 1, "the parent's footprint is released");
+        assert_eq!(load(&n.released_ops), 1);
+        assert_eq!(load(&n.applies), 0);
     }
 
     /// Class that logs undo entries and records the order in which the
@@ -1011,12 +1187,9 @@ mod tests {
         Arc<parking_lot::Mutex<Vec<String>>>,
     ) {
         let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let core = SemanticCore::new(
-            UndoProbe {
-                events: events.clone(),
-            },
-            4,
-        );
+        let core = SemanticCore::new(UndoProbe {
+            events: events.clone(),
+        });
         (core, events)
     }
 
@@ -1040,8 +1213,6 @@ mod tests {
             vec!["undo:3", "undo:2", "undo:1", "release"],
             "compensation must replay newest-first and finish before release"
         );
-        assert_eq!(core.resident_undo_logs(), 0);
-        assert_eq!(core.resident_locals(), 0);
     }
 
     #[test]
@@ -1059,8 +1230,6 @@ mod tests {
         .unwrap();
         t.commit();
         assert_eq!(*events.lock(), vec!["apply"]);
-        assert_eq!(core.resident_undo_logs(), 0);
-        assert_eq!(core.resident_locals(), 0);
     }
 
     #[test]

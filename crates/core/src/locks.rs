@@ -17,9 +17,9 @@
 //! structures scale. Point locks on whole-collection properties
 //! (`size_lockers`, `empty_lockers`, the sorted map's endpoint and range
 //! tables) live in a dedicated **global stripe**, so size/empty/endpoint/
-//! range semantics stay totally ordered. The per-transaction `locals`
-//! write-buffer map is sharded the same way (by transaction id), so
-//! buffering a put never contends with another thread's get.
+//! range semantics stay totally ordered. The per-transaction write buffers
+//! are not in any table: they live in the transaction itself (the kernel's
+//! extension slot), so buffering a put touches no shared memory at all.
 //!
 //! Lock *acquisition* happens during the transaction body (after which the
 //! underlying structure is read open-nested — lock-then-read order is what
@@ -161,6 +161,16 @@ impl Hasher for StripeHasher {
         self.mix(n as u64);
     }
 }
+
+/// [`StripeHasher`] as the hasher of a transaction's private sets — store
+/// buffers, held-lock lists and the lock cache. They live and die inside one
+/// attempt and are probed on every buffered operation, so they take the
+/// stripe hash's speed over SipHash's flooding resistance: a collision only
+/// slows the transaction whose own keys collide.
+pub(crate) type LocalSet<K> = HashSet<K, BuildHasherDefault<StripeHasher>>;
+
+/// Map counterpart of [`LocalSet`].
+pub(crate) type LocalMap<K, V> = HashMap<K, V, BuildHasherDefault<StripeHasher>>;
 
 /// The stripe index `key` hashes to in a table of `nstripes` stripes
 /// (callers pass a power of two; the production tables normalize). Public
@@ -883,6 +893,18 @@ impl<S, G> StripedTables<S, G> {
     }
 }
 
+impl<K: Clone + Eq + Hash, G> StripedTables<KeyLockShard<K>, G> {
+    /// Semantic key locks currently outstanding across all stripes
+    /// (diagnostics).
+    pub(crate) fn locked_key_count(&self, stats: &SemanticStats) -> usize {
+        let mut n = 0;
+        self.for_stripes_ascending(0..self.stripe_count(), stats, |_, s| {
+            n += s.locked_key_count()
+        });
+        n
+    }
+}
+
 /// Striped table of the hash-map abstraction: key stripes + map point locks.
 pub(crate) type MapTables<K> = StripedTables<KeyLockShard<K>, PointLocks>;
 
@@ -905,75 +927,6 @@ impl<K: Clone + Ord> SortedGlobal<K> {
 
 /// Striped table of the sorted-map abstraction.
 pub(crate) type SortedTables<K> = StripedTables<KeyLockShard<K>, SortedGlobal<K>>;
-
-// ----------------------------------------------------------------------
-// Sharded per-transaction local state
-// ----------------------------------------------------------------------
-
-/// The per-transaction local-state table (`locals`), sharded by top-level
-/// transaction id so that buffering a write never contends with another
-/// thread's operation. Ids are drawn from a process-wide sequence, so a
-/// plain `id & mask` spreads concurrent transactions across shards.
-pub(crate) struct LocalTable<L> {
-    shards: Box<[Mutex<HashMap<u64, L>>]>,
-    mask: u64,
-}
-
-impl<L> LocalTable<L> {
-    /// Create with `nshards` shards (rounded up to a power of two —
-    /// collections pass their stripe count).
-    pub(crate) fn new(nshards: usize) -> Self {
-        let n = normalize_stripes(nshards);
-        let shards: Box<[Mutex<HashMap<u64, L>>]> =
-            (0..n).map(|_| Mutex::new(HashMap::new())).collect();
-        LocalTable {
-            shards,
-            mask: (n - 1) as u64,
-        }
-    }
-
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, L>> {
-        &self.shards[(id & self.mask) as usize]
-    }
-
-    /// Whether local state exists for `id` (test-only probe; production
-    /// registration checks moved to the transaction's own extension slot —
-    /// the deferred-registration fast path never asks the shared table).
-    #[cfg(test)]
-    pub(crate) fn contains(&self, id: u64) -> bool {
-        self.shard(id).lock().contains_key(&id)
-    }
-
-    /// Run `f` on `id`'s local state, creating it if absent.
-    pub(crate) fn with<R>(&self, id: u64, f: impl FnOnce(&mut L) -> R) -> R
-    where
-        L: Default,
-    {
-        let mut shard = self.shard(id).lock();
-        f(shard.entry(id).or_default())
-    }
-
-    /// Run `f` on `id`'s local state **only if it exists** — the
-    /// non-creating variant used by local-undo closures and handlers, so a
-    /// compensation path racing a completed removal can never resurrect an
-    /// entry (the stale-local hazard).
-    pub(crate) fn update<R>(&self, id: u64, f: impl FnOnce(&mut L) -> R) -> Option<R> {
-        let mut shard = self.shard(id).lock();
-        shard.get_mut(&id).map(f)
-    }
-
-    /// Remove and return `id`'s local state (commit/abort handlers: the
-    /// single point where an attempt's local state leaves the table).
-    pub(crate) fn remove(&self, id: u64) -> Option<L> {
-        self.shard(id).lock().remove(&id)
-    }
-
-    /// Total entries across all shards (diagnostics: residual entries after
-    /// all transactions finished indicate a leak).
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-}
 
 /// A range lock: owner has observed all keys in the interval. Identified by
 /// a stable id so iterators can grow their range as they advance even while
@@ -1040,6 +993,14 @@ pub(crate) enum RangeStore<K> {
 }
 
 impl<K: Clone + Ord> RangeStore<K> {
+    /// Range locks currently held (diagnostics).
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RangeStore::Flat { locks, .. } => locks.len(),
+            RangeStore::Tree { by_id, .. } => by_id.len(),
+        }
+    }
+
     fn new(kind: RangeIndexKind) -> Self {
         match kind {
             RangeIndexKind::FlatScan => RangeStore::Flat {
@@ -1641,23 +1602,5 @@ mod tests {
         t.with_global(&stats, |g| g.take_size_lock(me.clone(), &stats));
         t.with_global(&stats, |g| g.release_owner(me.id(), &stats));
         assert_eq!(stats.global_stripe_entries.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn local_table_shards_by_id_and_never_resurrects() {
-        let t: LocalTable<Vec<u32>> = LocalTable::new(4);
-        assert!(!t.contains(3));
-        t.with(3, |l| l.push(1));
-        assert!(t.contains(3));
-        assert_eq!(t.len(), 1);
-        // Non-creating update on a missing id is a no-op.
-        assert_eq!(t.update(99, |l| l.push(5)), None);
-        assert_eq!(t.len(), 1);
-        let taken = t.remove(3);
-        assert_eq!(taken, Some(vec![1]));
-        // An undo racing the removal must not bring the entry back.
-        assert_eq!(t.update(3, |l| l.push(2)), None);
-        assert!(!t.contains(3));
-        assert_eq!(t.len(), 0);
     }
 }

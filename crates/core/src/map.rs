@@ -52,8 +52,8 @@
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, ClassTables, SemanticClass, SemanticCore};
-use crate::locks::{ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
-use std::collections::{HashMap, HashSet};
+use crate::locks::{LocalMap, LocalSet, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
+use std::collections::HashSet;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use stm::{Txn, TxnMode};
@@ -268,32 +268,67 @@ pub(crate) enum BufWrite<V> {
 }
 
 /// Per-transaction local state (paper Table 3: `keyLocks`, `storeBuffer`,
-/// `delta`). Keyed by top-level transaction id rather than by thread — the
-/// same encapsulation, robust to handler execution context.
+/// `delta`). Lives in the transaction's kernel slot rather than in a
+/// thread-local — the same encapsulation, robust to handler execution
+/// context.
 pub(crate) struct MapLocal<K, V> {
-    pub key_locks: HashSet<K>,
-    pub store_buffer: HashMap<K, BufWrite<V>>,
+    pub key_locks: LocalSet<K>,
+    pub store_buffer: LocalMap<K, BufWrite<V>>,
     /// Size delta of buffered writes whose prior presence is known.
     pub delta: isize,
     /// Keys written blindly (`put_discard`/`remove_discard`): their effect on
     /// the size is unknown until resolved or until commit.
-    pub blind: HashSet<K>,
+    pub blind: LocalSet<K>,
 }
 
 impl<K, V> Default for MapLocal<K, V> {
     fn default() -> Self {
         MapLocal {
-            key_locks: HashSet::new(),
-            store_buffer: HashMap::new(),
+            key_locks: LocalSet::default(),
+            store_buffer: LocalMap::default(),
             delta: 0,
-            blind: HashSet::new(),
+            blind: LocalSet::default(),
+        }
+    }
+}
+
+impl<K: Clone + Eq + Hash, V> MapLocal<K, V> {
+    /// Buffer `write` for `key`, maintaining `delta`/`blind`, and return the
+    /// undo that restores the previous buffer state (for
+    /// [`SemanticCore::local_undo`]). Blindness must be preserved by further
+    /// writes to the key, or the size delta silently loses the unresolved
+    /// contribution.
+    pub(crate) fn buffer(
+        &mut self,
+        key: K,
+        write: BufWrite<V>,
+        delta_change: isize,
+        blind: bool,
+    ) -> impl FnOnce(&mut Self) {
+        let prev = self.store_buffer.insert(key.clone(), write);
+        let was_blind = if blind {
+            !self.blind.insert(key.clone())
+        } else {
+            self.blind.remove(&key)
+        };
+        self.delta += delta_change;
+        move |l: &mut Self| {
+            if blind && !was_blind {
+                l.blind.remove(&key);
+            }
+            l.delta -= delta_change;
+            match prev {
+                Some(w) => l.store_buffer.insert(key, w),
+                None => l.store_buffer.remove(&key),
+            };
         }
     }
 }
 
 /// The variant half of the map class (kernel [`SemanticClass`]): the
 /// wrapped backend plus the striped key/size/empty lock tables. Everything
-/// invariant — registration, locals, sweep order — is [`SemanticCore`]'s.
+/// invariant — registration, buffered state, sweep order — is
+/// [`SemanticCore`]'s.
 pub(crate) struct MapClass<K, V, B> {
     pub(crate) backend: B,
     pub(crate) tables: ClassTables<K>,
@@ -481,14 +516,11 @@ where
     /// Wrap an existing map implementation with an explicit stripe count.
     pub fn wrap_with_stripes(backend: B, nstripes: usize) -> Self {
         TransactionalMap {
-            core: SemanticCore::new(
-                MapClass {
-                    backend,
-                    tables: ClassTables::new(nstripes),
-                    _value: PhantomData,
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(MapClass {
+                backend,
+                tables: ClassTables::new(nstripes),
+                _value: PhantomData,
+            }),
         }
     }
 
@@ -516,7 +548,7 @@ where
         self.core.ensure_registered(tx);
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -541,7 +573,7 @@ where
         self.core.note_key_lock(tx, key.clone());
     }
 
-    fn buffered(&self, tx: &Txn, key: &K) -> Option<BufWrite<V>> {
+    fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
         self.core
             .try_local(tx, |l| l.store_buffer.get(key).cloned())
             .flatten()
@@ -551,7 +583,7 @@ where
     /// committed state is unknown). Blindness must be preserved by further
     /// writes to the key, or the size delta silently loses the unresolved
     /// contribution.
-    fn buffered_with_blind(&self, tx: &Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
+    fn buffered_with_blind(&self, tx: &mut Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
         self.core
             .try_local(tx, |l| {
                 (l.store_buffer.get(key).cloned(), l.blind.contains(key))
@@ -559,12 +591,8 @@ where
             .unwrap_or((None, false))
     }
 
-    /// Buffer a write, maintaining `delta`/`blind`, and register a local
-    /// undo so the mutation rolls back if an enclosing closed-nested frame
-    /// aborts (the encapsulated alternative to Moss-style interleaved undo,
-    /// paper §5.1). The undo goes through the non-creating
-    /// `LocalTable::update`, so it can never resurrect local state that a
-    /// handler already removed.
+    /// Buffer a write, maintaining `delta`/`blind`, with an undo in case an
+    /// enclosing closed-nested frame aborts.
     fn buffer_write(
         &self,
         tx: &mut Txn,
@@ -573,35 +601,8 @@ where
         delta_change: isize,
         blind: bool,
     ) {
-        let id = tx.handle().id();
-        let (prev_entry, was_blind) = self.with_local(tx, |l| {
-            let prev = l.store_buffer.insert(key.clone(), write);
-            let was_blind = if blind {
-                !l.blind.insert(key.clone())
-            } else {
-                l.blind.remove(&key)
-            };
-            l.delta += delta_change;
-            (prev, was_blind)
-        });
-        let core = self.core.clone();
-        let key2 = key.clone();
-        tx.on_local_undo(move || {
-            core.update_local(id, |l| {
-                match prev_entry {
-                    Some(w) => {
-                        l.store_buffer.insert(key2.clone(), w);
-                    }
-                    None => {
-                        l.store_buffer.remove(&key2);
-                    }
-                }
-                if blind && !was_blind {
-                    l.blind.remove(&key2);
-                }
-                l.delta -= delta_change;
-            });
-        });
+        let undo = self.with_local(tx, |l| l.buffer(key, write, delta_change, blind));
+        self.core.local_undo(tx, undo);
     }
 
     // ------------------------------------------------------------------
@@ -678,7 +679,7 @@ where
             self.core.note_point_lock(tx, CachedPoint::Size);
         }
         let backend = &self.core.class().backend;
-        let committed = tx.open_read(|otx| backend.len(otx));
+        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta).max(0) as usize
     }
@@ -707,7 +708,7 @@ where
             self.core.note_point_lock(tx, CachedPoint::Empty);
         }
         let backend = &self.core.class().backend;
-        let committed = tx.open_read(|otx| backend.len(otx));
+        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta) <= 0
     }
@@ -910,13 +911,6 @@ where
     pub fn locked_key_count(&self) -> usize {
         self.core.class().tables.locked_key_count(self.core.stats())
     }
-
-    /// Number of per-transaction local-state entries currently live across
-    /// all shards (diagnostics: nonzero with no transaction in flight means
-    /// a handler leaked an entry).
-    pub fn resident_local_count(&self) -> usize {
-        self.core.resident_locals()
-    }
 }
 
 /// Iterator over a [`TransactionalMap`]; see [`TransactionalMap::iter`].
@@ -993,8 +987,9 @@ where
                 // success the enumeration equals the committed state at this
                 // instant — a valid serialization point.
                 let backend = &self.map.core.class().backend;
-                let live: HashSet<K> =
-                    tx.open_read(|otx| backend.entries(otx).into_iter().map(|(k, _)| k).collect());
+                let live: HashSet<K> = self.map.core.read_settled(tx, |otx| {
+                    backend.entries(otx).into_iter().map(|(k, _)| k).collect()
+                });
                 if live != self.confirmed {
                     stm::abort_and_retry();
                 }

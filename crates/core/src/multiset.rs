@@ -297,14 +297,11 @@ where
     /// Wrap with an explicit stripe count.
     pub fn wrap_with_stripes(backend: B, nstripes: usize) -> Self {
         TransactionalMultiset {
-            core: SemanticCore::new(
-                MultisetClass {
-                    backend,
-                    total: TVar::new(0),
-                    tables: ClassTables::new(nstripes),
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(MultisetClass {
+                backend,
+                total: TVar::new(0),
+                tables: ClassTables::new(nstripes),
+            }),
         }
     }
 
@@ -325,7 +322,7 @@ where
         );
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut MultisetLocal<T>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MultisetLocal<T>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -346,17 +343,13 @@ where
 
     /// Buffer a count delta with a local undo (closed-nested rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
-        let id = tx.handle().id();
         self.with_local(tx, |l| {
             *l.deltas.entry(value.clone()).or_insert(0) += d;
             l.total_delta += d;
         });
-        let core = self.core.clone();
-        tx.on_local_undo(move || {
-            core.update_local(id, |l| {
-                *l.deltas.entry(value.clone()).or_insert(0) -= d;
-                l.total_delta -= d;
-            });
+        self.core.local_undo(tx, move |l| {
+            *l.deltas.entry(value).or_insert(0) -= d;
+            l.total_delta -= d;
         });
     }
 

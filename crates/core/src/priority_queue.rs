@@ -399,17 +399,14 @@ where
     /// Wrap with an explicit stripe count.
     pub fn wrap_with_stripes(backend: B, nstripes: usize) -> Self {
         TransactionalPriorityQueue {
-            core: SemanticCore::new(
-                PqClass {
-                    backend,
-                    total: TVar::new(0),
-                    tables: StripedTables::new(
-                        nstripes,
-                        SortedGlobal::with_kind(RangeIndexKind::FlatScan),
-                    ),
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(PqClass {
+                backend,
+                total: TVar::new(0),
+                tables: StripedTables::new(
+                    nstripes,
+                    SortedGlobal::with_kind(RangeIndexKind::FlatScan),
+                ),
+            }),
         }
     }
 
@@ -423,6 +420,12 @@ where
         self.core.class().tables.stripe_count()
     }
 
+    /// Number of semantic key locks currently outstanding across all
+    /// stripes (diagnostics).
+    pub fn locked_key_count(&self) -> usize {
+        self.core.class().tables.locked_key_count(self.core.stats())
+    }
+
     fn assert_usable(tx: &Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
@@ -430,7 +433,7 @@ where
         );
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut PqLocal<T>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut PqLocal<T>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -453,17 +456,13 @@ where
     /// Buffer a multiplicity delta with a local undo (closed-nested
     /// rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
-        let id = tx.handle().id();
         self.with_local(tx, |l| {
             *l.deltas.entry(value.clone()).or_insert(0) += d;
             l.total_delta += d;
         });
-        let core = self.core.clone();
-        tx.on_local_undo(move || {
-            core.update_local(id, |l| {
-                *l.deltas.entry(value.clone()).or_insert(0) -= d;
-                l.total_delta -= d;
-            });
+        self.core.local_undo(tx, move |l| {
+            *l.deltas.entry(value).or_insert(0) -= d;
+            l.total_delta -= d;
         });
     }
 

@@ -25,8 +25,8 @@
 //!
 //! The queue has no per-key locks, so its whole semantic table (the empty
 //! and full locker sets) *is* a global stripe — one counted mutex — while
-//! the per-transaction `locals` buffers are sharded by transaction id like
-//! every other collection.
+//! the per-transaction buffers live in the transaction, like every other
+//! collection's.
 
 // txlint: semantic-tables
 // txlint: fast-path
@@ -35,7 +35,7 @@ use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
 use crate::locks::{
     doom_others, mode_compatible, DoomCtx, GlobalStripe, ObsMode, Owner, SemanticStats,
-    UpdateEffect, DEFAULT_STRIPES,
+    UpdateEffect,
 };
 use std::collections::HashSet;
 use std::marker::PhantomData;
@@ -158,18 +158,17 @@ pub trait Channel<T> {
     fn peek(&self, tx: &mut Txn) -> Option<T>;
 }
 
-/// Per-transaction local queue state (paper Table 9 plus the frame-abort
-/// `returnBuffer` needed for closed-nesting compensation).
+/// Per-transaction local queue state (paper Table 9, with the frame-abort
+/// "return" mark needed for closed-nesting compensation).
 struct QueueLocal<T> {
     /// Items this transaction enqueued; published by the commit handler.
     add_buffer: Vec<T>,
-    /// Items this transaction dequeued from the shared queue; returned by
-    /// the abort handler.
-    remove_buffer: Vec<T>,
-    /// Items dequeued inside a closed-nested frame that later aborted: they
-    /// must go back to the shared queue whether the top-level transaction
-    /// commits or aborts.
-    return_buffer: Vec<T>,
+    /// Items this transaction dequeued from the shared queue, in poll
+    /// order. The flag marks an item dequeued inside a closed-nested frame
+    /// that later aborted: it must go back to the shared queue whether the
+    /// top-level transaction commits or aborts. The abort handler returns
+    /// every item, so the flags cannot change what an abort leaves behind.
+    remove_buffer: Vec<(T, bool)>,
 }
 
 impl<T> Default for QueueLocal<T> {
@@ -177,8 +176,15 @@ impl<T> Default for QueueLocal<T> {
         QueueLocal {
             add_buffer: Vec::new(),
             remove_buffer: Vec::new(),
-            return_buffer: Vec::new(),
         }
+    }
+}
+
+impl<T> QueueLocal<T> {
+    /// Items this transaction will put back at commit: its additions plus
+    /// the items of aborted frames.
+    fn published(&self) -> usize {
+        self.add_buffer.len() + self.remove_buffer.iter().filter(|(_, ret)| *ret).count()
     }
 }
 
@@ -224,16 +230,21 @@ where
         <B as crate::backend::QueueReadOps<T>>::TRANSACTIONAL_READS
     }
 
-    /// Commit handler: publish the add/return buffers, then doom emptiness
-    /// observers on a zero-crossing publish and fullness observers on a
-    /// permanent consume (Tables 7-8).
+    /// Commit handler: publish the additions and the items of aborted
+    /// frames, then doom emptiness observers on a zero-crossing publish and
+    /// fullness observers on a permanent consume (Tables 7-8).
     fn apply(&self, local: QueueLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        let made_nonempty = !local.add_buffer.is_empty() || !local.return_buffer.is_empty();
+        let made_nonempty = local.published() > 0;
         // Items permanently consumed: fullness observations are invalidated.
-        let consumed = !local.remove_buffer.is_empty();
-        // Items un-consumed by aborted frames go back near the front; new
-        // work appends at the back.
-        for item in local.return_buffer {
+        let consumed = local.remove_buffer.iter().any(|(_, ret)| !ret);
+        // Items un-consumed by aborted frames go back near the front, in
+        // poll order; new work appends at the back.
+        for (item, _) in local
+            .remove_buffer
+            .into_iter()
+            .rev()
+            .filter(|(_, ret)| *ret)
+        {
             self.backend.push_front(htx, item);
         }
         for item in local.add_buffer {
@@ -267,14 +278,14 @@ where
         });
     }
 
-    /// Abort handler (compensation): return everything we dequeued, drop
-    /// everything we only buffered, and release our empty/full locks.
+    /// Abort handler (compensation): return everything we dequeued, in
+    /// poll order at the front, drop everything we only buffered, and
+    /// release our empty/full locks. The return flags (the only thing a
+    /// closed-frame undo of a poll changes) are ignored, so the post-abort
+    /// queue does not depend on which undos ran.
     fn release(&self, local: QueueLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        let restored = !local.remove_buffer.is_empty() || !local.return_buffer.is_empty();
-        for item in local.remove_buffer.into_iter().rev() {
-            self.backend.push_front(htx, item);
-        }
-        for item in local.return_buffer {
+        let restored = !local.remove_buffer.is_empty();
+        for (item, _) in local.remove_buffer.into_iter().rev() {
             self.backend.push_front(htx, item);
         }
         self.tables.with(stats, |tables| {
@@ -375,18 +386,15 @@ where
 {
     fn build(backend: B, capacity: Option<usize>) -> Self {
         TransactionalQueue {
-            core: SemanticCore::new(
-                QueueClass {
-                    backend,
-                    capacity,
-                    tables: GlobalStripe::new(QueueTables {
-                        empty_lockers: HashSet::new(),
-                        full_lockers: HashSet::new(),
-                    }),
-                    _item: PhantomData,
-                },
-                DEFAULT_STRIPES,
-            ),
+            core: SemanticCore::new(QueueClass {
+                backend,
+                capacity,
+                tables: GlobalStripe::new(QueueTables {
+                    empty_lockers: HashSet::new(),
+                    full_lockers: HashSet::new(),
+                }),
+                _item: PhantomData,
+            }),
         }
     }
 
@@ -413,12 +421,12 @@ where
     }
 
     /// First-touch registration, discharged by the kernel (probe, then the
-    /// paired handlers, then the locals entry — in exactly that order).
+    /// paired handlers, then the kernel slot — in exactly that order).
     fn ensure_registered(&self, tx: &mut Txn) {
         self.core.ensure_registered(tx);
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut QueueLocal<T>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut QueueLocal<T>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -455,11 +463,7 @@ where
     fn visible_len(&self, tx: &mut Txn) -> usize {
         let backend = &self.core.class().backend;
         let committed = tx.open_read(|otx| backend.len(otx));
-        committed
-            + self
-                .core
-                .try_local(tx, |l| l.add_buffer.len() + l.return_buffer.len())
-                .unwrap_or(0)
+        committed + self.core.try_local(tx, |l| l.published()).unwrap_or(0)
     }
 
     /// Dequeue with blocking-take semantics in the threaded runtime: if the
@@ -497,17 +501,12 @@ where
                 stm::abort_and_retry();
             }
         }
-        let id = tx.handle().id();
         let index = self.with_local(tx, |l| {
             l.add_buffer.push(item);
             l.add_buffer.len() - 1
         });
-        let core = self.core.clone();
-        tx.on_local_undo(move || {
-            core.update_local(id, |l| {
-                l.add_buffer.truncate(index);
-            });
-        });
+        self.core
+            .local_undo(tx, move |l| l.add_buffer.truncate(index));
     }
 
     fn offer(&self, tx: &mut Txn, item: T) -> bool {
@@ -527,27 +526,19 @@ where
     fn poll(&self, tx: &mut Txn) -> Option<T> {
         Self::assert_usable(tx);
         self.ensure_registered(tx);
-        let id = tx.handle().id();
         // Reduced isolation: remove from the shared queue immediately. A
         // mutating open — this one cannot flatten (`open_read` is read-only
         // by contract) and stays a real open-nested child.
         let backend = &self.core.class().backend;
         if let Some(item) = tx.open(|otx| backend.pop_front(otx)) {
             let index = self.with_local(tx, |l| {
-                l.remove_buffer.push(item.clone());
+                l.remove_buffer.push((item.clone(), false));
                 l.remove_buffer.len() - 1
             });
             // If an enclosing closed frame aborts, the item must still reach
-            // the queue again: move it to the unconditional return buffer.
-            let core = self.core.clone();
-            tx.on_local_undo(move || {
-                core.update_local(id, |l| {
-                    if index < l.remove_buffer.len() {
-                        let it = l.remove_buffer.remove(index);
-                        l.return_buffer.push(it);
-                    }
-                });
-            });
+            // the queue again: mark it for return at commit as well.
+            self.core
+                .local_undo(tx, move |l| l.remove_buffer[index].1 = true);
             return Some(item);
         }
         // Shared queue empty: consume our own pending additions.
@@ -562,13 +553,9 @@ where
             })
             .flatten();
         if let Some(item) = own {
-            let core = self.core.clone();
             let item2 = item.clone();
-            tx.on_local_undo(move || {
-                core.update_local(id, |l| {
-                    l.add_buffer.insert(0, item2.clone());
-                });
-            });
+            self.core
+                .local_undo(tx, move |l| l.add_buffer.insert(0, item2));
             return Some(item);
         }
         // Observed emptiness: semantic read of the "empty" property.

@@ -599,14 +599,11 @@ where
     /// Wrap with both knobs explicit.
     pub fn wrap_full(backend: B, kind: RangeIndexKind, nstripes: usize) -> Self {
         TransactionalSortedMap {
-            core: SemanticCore::new(
-                SortedClass {
-                    backend,
-                    tables: StripedTables::new(nstripes, SortedGlobal::with_kind(kind)),
-                    _value: PhantomData,
-                },
-                nstripes,
-            ),
+            core: SemanticCore::new(SortedClass {
+                backend,
+                tables: StripedTables::new(nstripes, SortedGlobal::with_kind(kind)),
+                _value: PhantomData,
+            }),
         }
     }
 
@@ -618,6 +615,12 @@ where
     /// Number of key stripes in this instance's semantic lock table.
     pub fn stripe_count(&self) -> usize {
         self.core.class().tables.stripe_count()
+    }
+
+    /// Number of semantic key locks currently outstanding across all
+    /// stripes (diagnostics).
+    pub fn locked_key_count(&self) -> usize {
+        self.core.class().tables.locked_key_count(self.core.stats())
     }
 
     fn assert_usable(tx: &Txn) {
@@ -634,7 +637,7 @@ where
         self.core.ensure_registered(tx);
     }
 
-    fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
+    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
         self.core.with_local(tx, f)
     }
 
@@ -654,7 +657,7 @@ where
         self.core.note_key_lock(tx, key.clone());
     }
 
-    fn buffered(&self, tx: &Txn, key: &K) -> Option<BufWrite<V>> {
+    fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
         self.core
             .try_local(tx, |l| l.store_buffer.get(key).cloned())
             .flatten()
@@ -664,7 +667,7 @@ where
     /// committed state is unknown). Blindness must be preserved by further
     /// writes to the key, or the size delta silently loses the unresolved
     /// contribution.
-    fn buffered_with_blind(&self, tx: &Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
+    fn buffered_with_blind(&self, tx: &mut Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
         self.core
             .try_local(tx, |l| {
                 (l.store_buffer.get(key).cloned(), l.blind.contains(key))
@@ -672,6 +675,8 @@ where
             .unwrap_or((None, false))
     }
 
+    /// Buffer a write, maintaining `delta`/`blind`, with an undo in case an
+    /// enclosing closed-nested frame aborts.
     fn buffer_write(
         &self,
         tx: &mut Txn,
@@ -680,35 +685,8 @@ where
         delta_change: isize,
         blind: bool,
     ) {
-        let id = tx.handle().id();
-        let (prev_entry, was_blind) = self.with_local(tx, |l| {
-            let prev = l.store_buffer.insert(key.clone(), write);
-            let was_blind = if blind {
-                !l.blind.insert(key.clone())
-            } else {
-                l.blind.remove(&key)
-            };
-            l.delta += delta_change;
-            (prev, was_blind)
-        });
-        let core = self.core.clone();
-        let key2 = key.clone();
-        tx.on_local_undo(move || {
-            core.update_local(id, |l| {
-                match prev_entry {
-                    Some(w) => {
-                        l.store_buffer.insert(key2.clone(), w);
-                    }
-                    None => {
-                        l.store_buffer.remove(&key2);
-                    }
-                }
-                if blind && !was_blind {
-                    l.blind.remove(&key2);
-                }
-                l.delta -= delta_change;
-            });
-        });
+        let undo = self.with_local(tx, |l| l.buffer(key, write, delta_change, blind));
+        self.core.local_undo(tx, undo);
     }
 
     // ------------------------------------------------------------------
@@ -863,7 +841,7 @@ where
             self.core.note_point_lock(tx, CachedPoint::Size);
         }
         let backend = &self.core.class().backend;
-        let committed = tx.open_read(|otx| backend.len(otx));
+        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta).max(0) as usize
     }
@@ -889,7 +867,7 @@ where
             self.core.note_point_lock(tx, CachedPoint::Empty);
         }
         let backend = &self.core.class().backend;
-        let committed = tx.open_read(|otx| backend.len(otx));
+        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta) <= 0
     }
@@ -922,7 +900,7 @@ where
     }
 
     /// Smallest buffered `Put` with key in `(from, upper]`.
-    fn buffered_next(&self, tx: &Txn, from: &Bound<K>, upper: &Bound<K>) -> Option<(K, V)> {
+    fn buffered_next(&self, tx: &mut Txn, from: &Bound<K>, upper: &Bound<K>) -> Option<(K, V)> {
         self.core
             .try_local(tx, |l| {
                 l.store_buffer
@@ -1045,7 +1023,7 @@ where
     }
 
     /// Largest buffered `Put` with key in `[lower, upper]` bounds.
-    fn buffered_prev(&self, tx: &Txn, upper: &Bound<K>, lower: &Bound<K>) -> Option<(K, V)> {
+    fn buffered_prev(&self, tx: &mut Txn, upper: &Bound<K>, lower: &Bound<K>) -> Option<(K, V)> {
         self.core
             .try_local(tx, |l| {
                 l.store_buffer

@@ -159,8 +159,8 @@ proptest! {
 }
 
 /// Distinct-key soak over the boosted map: disjoint key ranges must commit
-/// first-try with zero semantic-conflict traffic and no leaked locks or
-/// locals — the same zero-doom guarantee the TVar map gives.
+/// first-try with zero semantic-conflict traffic and no leaked locks — the
+/// same zero-doom guarantee the TVar map gives.
 #[test]
 fn boosted_distinct_key_soak_produces_zero_dooms() {
     let map: Arc<TransactionalMap<u64, u64, BoostedHashMap<u64, u64>>> =
@@ -191,7 +191,6 @@ fn boosted_distinct_key_soak_produces_zero_dooms() {
     );
     assert_eq!(map.semantic_stats().total(), 0);
     assert_eq!(map.locked_key_count(), 0);
-    assert_eq!(map.resident_local_count(), 0);
     // Every committed increment landed in the concurrent structure.
     let total: u64 = stm::atomic(|tx| {
         let mut sum = 0;
@@ -209,8 +208,8 @@ fn boosted_distinct_key_soak_produces_zero_dooms() {
     );
 }
 
-/// A doomed-then-aborted transaction over the boosted map leaves no stale
-/// locals, no leaked locks, and no leaked buffered writes.
+/// A doomed-then-aborted transaction over the boosted map leaves no leaked
+/// locks and no leaked buffered writes.
 #[test]
 fn boosted_doomed_abort_leaves_no_stale_state() {
     let map = seeded_boosted(16, &[(1, "seed")]);
@@ -230,7 +229,6 @@ fn boosted_doomed_abort_leaves_no_stale_state() {
         writer.commit();
         assert!(victim.handle().is_doomed(), "round {round}: doom missed");
         victim.abort(stm::AbortCause::Doomed);
-        assert_eq!(map.resident_local_count(), 0, "round {round}");
         assert_eq!(map.locked_key_count(), 0, "round {round}");
         let r = map.clone();
         let leaked = stm::atomic(move |tx| r.get(tx, &2).is_some());

@@ -7,7 +7,8 @@
 //! behavior is identical at 1, 2 and 16 stripes. Those must pass unchanged
 //! before and after the kernel extraction. This file pins the kernel's own
 //! contract: first-touch registration is idempotent and race-free, each
-//! attempt's handlers fire exactly once, and locals always drain.
+//! attempt's handlers fire exactly once, and each handler takes the
+//! attempt's whole buffer, leaving nothing behind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,28 +39,24 @@ impl SemanticClass for ProbeClass {
     }
 }
 
-fn probe_core(nshards: usize) -> SemanticCore<ProbeClass> {
-    SemanticCore::new(
-        ProbeClass {
-            applies: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
-            drained_ops: AtomicU64::new(0),
-        },
-        nshards,
-    )
+fn probe_core() -> SemanticCore<ProbeClass> {
+    SemanticCore::new(ProbeClass {
+        applies: AtomicU64::new(0),
+        releases: AtomicU64::new(0),
+        drained_ops: AtomicU64::new(0),
+    })
 }
 
 /// First-touch registration raced from many threads: every transaction
 /// calls `ensure_registered` repeatedly (first touch plus re-touches) and
 /// buffers a few ops; each transaction must get exactly one commit-handler
-/// invocation, every buffered op must be drained exactly once, and the
-/// sharded local table must end empty.
+/// invocation, and every buffered op must be drained exactly once.
 #[test]
 fn first_touch_registration_race_registers_exactly_once() {
     const THREADS: u64 = 8;
     const TXNS: u64 = 200;
     const OPS: u64 = 3;
-    let core = Arc::new(probe_core(4));
+    let core = Arc::new(probe_core());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let core = core.clone();
@@ -89,18 +86,13 @@ fn first_touch_registration_race_registers_exactly_once() {
         THREADS * TXNS * OPS,
         "every buffered op must be drained exactly once"
     );
-    assert_eq!(
-        core.resident_locals(),
-        0,
-        "handlers must drain the local table"
-    );
 }
 
 /// Aborted attempts run the abort handler exactly once, and never the
-/// commit handler; locals drain either way.
+/// commit handler; the buffer drains either way.
 #[test]
 fn aborts_run_release_exactly_once() {
-    let core = probe_core(2);
+    let core = probe_core();
     const N: usize = 50;
     for _ in 0..N {
         let c = core.clone();
@@ -118,25 +110,31 @@ fn aborts_run_release_exactly_once() {
     assert_eq!(class.applies.load(Ordering::SeqCst), 0);
     assert_eq!(class.releases.load(Ordering::SeqCst), N as u64);
     assert_eq!(class.drained_ops.load(Ordering::SeqCst), N as u64);
-    assert_eq!(core.resident_locals(), 0);
 }
 
-/// A stale local-undo compensation racing a completed handler must not
-/// resurrect the drained entry (the kernel's non-creating `update_local`).
+/// The commit handler takes the attempt's whole slot: a probe that runs
+/// after it (registered later on the same transaction) finds no buffer to
+/// read or mutate, so no later compensation can resurrect drained state.
 #[test]
-fn stale_undo_cannot_resurrect_drained_locals() {
-    let core = probe_core(2);
-    let c = core.clone();
-    let (id, t) = stm::speculate(
+fn probe_after_commit_handler_finds_no_slot() {
+    let core = probe_core();
+    let probed = Arc::new(parking_lot::Mutex::new(None));
+    let (c, p) = (core.clone(), probed.clone());
+    let (_, t) = stm::speculate(
         move |tx| {
             c.ensure_registered(tx);
             c.with_local(tx, |l| l.push(42));
-            tx.handle().id()
+            let (c1, p1) = (c.clone(), p.clone());
+            tx.on_commit_top(move |htx| *p1.lock() = Some(c1.try_local(htx, |l| l.len())));
+            let (c2, p2) = (c.clone(), p.clone());
+            tx.on_abort_top(move |htx| *p2.lock() = Some(c2.try_local(htx, |l| l.len())));
         },
         0,
     )
     .unwrap();
     t.commit();
-    assert_eq!(core.update_local(id, |l| l.push(7)), None);
-    assert_eq!(core.resident_locals(), 0);
+    assert_eq!(*probed.lock(), Some(None), "the slot outlived its handler");
+    let class = core.class();
+    assert_eq!(class.applies.load(Ordering::SeqCst), 1);
+    assert_eq!(class.drained_ops.load(Ordering::SeqCst), 1);
 }

@@ -346,15 +346,13 @@ fn distinct_key_soak_produces_zero_dooms() {
         0,
         "distinct-key soak bumped a semantic conflict counter"
     );
-    // All locks released, all per-transaction state reclaimed.
+    // All locks released.
     assert_eq!(map.locked_key_count(), 0);
-    assert_eq!(map.resident_local_count(), 0);
 }
 
-/// Regression (PR 3 bugfix audit): an abort racing a doom must not leave a
-/// stale `MapLocal` entry in the sharded locals table — the handler's
-/// `remove` and the undo closures' non-creating `update` keep the table
-/// empty after every outcome.
+/// Regression: an abort racing a doom must release every lock the victim
+/// took and publish none of its buffered writes — its buffer leaves with
+/// the aborted attempt, whatever state the doom caught it in.
 #[test]
 fn doomed_then_aborted_transaction_leaves_no_stale_locals() {
     let map: Arc<TransactionalMap<u32, String>> = Arc::new(TransactionalMap::with_stripes(16));
@@ -380,14 +378,8 @@ fn doomed_then_aborted_transaction_leaves_no_stale_locals() {
         writer.commit();
         assert!(victim.handle().is_doomed(), "round {round}: doom missed");
         // The doomed victim aborts: its abort handler must release its key
-        // lock and remove its locals entry even though the doom landed
-        // while the entry was live.
+        // lock even though the doom landed while its buffer was live.
         victim.abort(stm::AbortCause::Doomed);
-        assert_eq!(
-            map.resident_local_count(),
-            0,
-            "round {round}: stale MapLocal entry survived a doomed abort"
-        );
         assert_eq!(
             map.locked_key_count(),
             0,

@@ -28,16 +28,18 @@ use crate::txn::Txn;
 /// handler lane.
 pub(crate) type Handler = Box<dyn FnOnce(&mut Txn) + Send>;
 
-/// A compensation for *thread-local, non-transactional* state mutated inside
-/// a nesting frame (e.g. a collection's store buffer). Runs in reverse
-/// registration order when the registering frame aborts; dropped when the
-/// top-level transaction commits.
+/// A compensation for *transaction-local, non-transactional* state mutated
+/// inside a nesting frame (e.g. a collection's store buffer, which lives in
+/// the transaction's own extension slots). Runs in reverse registration
+/// order when the registering frame aborts, in speculative mode, with the
+/// transaction that registered it — so it can reach state parked on that
+/// transaction; dropped when the top-level transaction commits.
 ///
 /// This is the encapsulated alternative to Moss's interleaved-undo semantics
 /// discussed (and rejected as unnecessary) in paper §5.1: because only the
 /// registering transaction can touch the buffered state, replaying local
 /// undos at frame-abort time is always safe.
-pub(crate) type LocalUndo = Box<dyn FnOnce() + Send>;
+pub(crate) type LocalUndo = Box<dyn FnOnce(&mut Txn) + Send>;
 
 /// Alias kept for API clarity: handlers receive the transaction in direct
 /// mode; the type is the same [`Txn`].

@@ -76,16 +76,6 @@ impl Frame {
     fn write_vars(&self) -> Vec<&dyn AnyVar> {
         self.writes.values().map(|w| w.var.as_ref()).collect()
     }
-
-    /// Run this frame's local undos (reverse order) and drop its handlers —
-    /// the frame-abort protocol.
-    fn abort_locally(&mut self) {
-        while let Some(u) = self.local_undos.pop() {
-            u();
-        }
-        self.commit_handlers.clear();
-        self.abort_handlers.clear();
-    }
 }
 
 /// A transaction context. Obtained from [`crate::atomic`] (top-level),
@@ -103,9 +93,10 @@ pub struct Txn {
     /// Per-attempt extension slots, keyed by an owner-unique tag (the
     /// semantic kernel uses the address of the owning collection core).
     /// This is where layers above the runtime park per-transaction state
-    /// that must die with the attempt — the kernel's registration marker
-    /// and its txn-local semantic-lock cache. Linear scan on purpose: a
-    /// transaction touches a handful of collection instances at most.
+    /// that must die with the attempt — the kernel's registration marker,
+    /// its txn-local semantic-lock cache, and each collection's buffered
+    /// writes and undo log. Linear scan on purpose: a transaction touches a
+    /// handful of collection instances at most.
     ext: Vec<(usize, Box<dyn Any + Send>)>,
     /// True while an [`Txn::open_read`] body runs: `read_var` serves
     /// committed values and records them into `flat_reads` instead of the
@@ -470,11 +461,30 @@ impl Txn {
         self.frames[0].abort_handlers.push(Box::new(h));
     }
 
-    /// Register a compensation for thread-local state mutated in the current
-    /// frame; runs (in reverse order) if this frame aborts.
-    pub fn on_local_undo(&mut self, u: impl FnOnce() + Send + 'static) {
+    /// Register a compensation for transaction-local state mutated in the
+    /// current frame; runs (in reverse order, handed this transaction) if
+    /// this frame aborts.
+    pub fn on_local_undo(&mut self, u: impl FnOnce(&mut Txn) + Send + 'static) {
         self.reject_registration_in_snapshot();
         self.current_frame().local_undos.push(Box::new(u));
+    }
+
+    /// True while a [`Txn::closed`] body runs: a conflict confined to the
+    /// innermost frame can roll back less than the whole attempt, so state
+    /// buffered here needs a local undo. At the root frame the only
+    /// rollback is the whole attempt's, which the abort handlers see.
+    pub fn in_closed_frame(&self) -> bool {
+        self.frames.len() > 1
+    }
+
+    /// Abort with `diag` if this is the child context of [`Txn::open`];
+    /// no-op otherwise. Layers above this crate that park per-attempt state
+    /// in extension slots call this before creating a slot: a child's slots
+    /// die with the child, so state buffered there would be lost.
+    pub fn reject_in_open(&self, diag: &'static str) {
+        if self.is_open_child {
+            self.misuse(diag);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -505,8 +515,8 @@ impl Txn {
                 }
                 Err(payload) => {
                     // This frame is aborting no matter what the payload is.
-                    let mut frame = self.frames.pop().expect("frame stack underflow");
-                    frame.abort_locally();
+                    let frame = self.frames.pop().expect("frame stack underflow");
+                    self.roll_back_frame(frame);
                     match interrupt::classify(payload) {
                         Ok(TxInterrupt::RetryFrame(i)) if i == my_index => {
                             // Damage was confined to us: re-extend over the
@@ -519,6 +529,14 @@ impl Txn {
                     }
                 }
             }
+        }
+    }
+
+    /// The frame-abort protocol: run the popped frame's local undos (reverse
+    /// order) and drop its handlers with it.
+    fn roll_back_frame(&mut self, mut frame: Frame) {
+        while let Some(u) = frame.local_undos.pop() {
+            u(self);
         }
     }
 
@@ -545,8 +563,10 @@ impl Txn {
     ///
     /// Unlike Moss's formulation, the child does *not* see the parent's
     /// uncommitted buffered writes: the collection classes keep their
-    /// uncommitted state in thread-local buffers precisely so that open
-    /// children never need it (paper §5 guidelines).
+    /// uncommitted state in the parent's extension slots precisely so that
+    /// open children never need it (paper §5 guidelines). The child starts
+    /// with no slots of its own, which is why a collection operation inside
+    /// an open body is a misuse abort ([`Txn::reject_in_open`]).
     pub fn open<T>(&mut self, mut f: impl FnMut(&mut Txn) -> T) -> T {
         if self.mode == TxnMode::Direct {
             return f(self); // handler context: effects are already immediate
@@ -732,9 +752,10 @@ impl Txn {
             .map(|(_, s)| s.as_mut())
     }
 
-    /// Remove and return the slot tagged `tag`. Handlers use this to drop
-    /// kernel state (the lock cache) *before* any semantic lock is
-    /// released — the cache-lifetime obligation of docs/PROTOCOL.md.
+    /// Remove and return the slot tagged `tag`. The kernel's handlers use
+    /// this to take the attempt's whole footprint (buffer, undo log, lock
+    /// cache) and drop the cache *before* any semantic lock is released —
+    /// the cache-lifetime obligation of docs/PROTOCOL.md.
     pub fn ext_remove(&mut self, tag: usize) -> Option<Box<dyn Any + Send>> {
         let i = self.ext.iter().position(|(t, _)| *t == tag)?;
         Some(self.ext.swap_remove(i).1)
@@ -905,19 +926,16 @@ impl Txn {
         // A doom may have unwound out of an `open_read` body mid-flight;
         // clear the flag so handler-mode reads behave normally.
         self.flat_mode = false;
-        // Undos touch only this transaction's thread-local buffers (behind
-        // each collection's own mutex), so they need no lane. Frames should
-        // already be collapsed to the root by unwinding, but be robust to
-        // aborts raised with frames still stacked.
+        // Undos touch only this transaction's own buffers, so they need no
+        // lane. Frames should already be collapsed to the root by unwinding,
+        // but be robust to aborts raised with frames still stacked (handlers
+        // of un-merged frames are discarded per the paper).
         while self.frames.len() > 1 {
-            let mut f = self.frames.pop().unwrap();
-            while let Some(u) = f.local_undos.pop() {
-                u();
-            }
-            // Handlers of un-merged frames are discarded per the paper.
+            let f = self.frames.pop().unwrap();
+            self.roll_back_frame(f);
         }
         while let Some(u) = self.frames[0].local_undos.pop() {
-            u();
+            u(self);
         }
         if !self.frames[0].abort_handlers.is_empty() {
             // Compensation runs under the handler lane, serialized with all

@@ -318,7 +318,7 @@ fn handlers_registered_in_aborted_closed_frame_are_discarded() {
                 c4.fetch_add(1, Ordering::SeqCst);
             });
             let u4 = u3.clone();
-            tx.on_local_undo(move || {
+            tx.on_local_undo(move |_| {
                 u4.fetch_add(1, Ordering::SeqCst);
             });
             let _ = v3.read(tx);

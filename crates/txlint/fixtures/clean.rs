@@ -33,7 +33,7 @@ fn sanctioned_nesting() {
 fn paired_handlers(tx: &mut Txn) {
     let taken = queue.poll(tx);
     tx.on_commit_top(move |h| publish(h, taken));
-    tx.on_local_undo(move || restore(taken));
+    tx.on_local_undo(move |_| restore(taken));
 }
 
 fn allocation_free_trace_emission(owner: &TxHandle, stats: &ClassStats, key: &K) {

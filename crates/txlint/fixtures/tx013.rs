@@ -17,6 +17,7 @@ impl LeakySnapshotMap {
     fn snapshot_size(&self) -> usize {
         stm::atomic_read(|tx| {
             self.core.with_local(tx, |s| s.touch()); // TX013: buffered state in snapshot mode
+            self.core.local_undo(tx, |s| s.untouch()); // TX013: buffer undo in snapshot mode
             self.size(tx)
         })
     }

@@ -1333,6 +1333,7 @@ const TX013_LOCKING_METHODS: &[&str] = &[
     "note_key_lock",
     "note_point_lock",
     "with_local",
+    "local_undo",
     "log_undo",
 ];
 
@@ -1438,7 +1439,7 @@ mod tests {
         let paired = "fn f() { atomic(|tx| { tx.on_commit(|h| {}); tx.on_abort(|h| {}); }); }";
         assert!(codes(paired).is_empty());
         let undo =
-            "fn f() { atomic(|tx| { tx.on_commit_top(|h| {}); tx.on_local_undo(|| {}); }); }";
+            "fn f() { atomic(|tx| { tx.on_commit_top(|h| {}); tx.on_local_undo(|_| {}); }); }";
         assert!(codes(undo).is_empty());
     }
 
@@ -1741,6 +1742,13 @@ mod tests {
     fn tx013_buffering_call_in_snapshot_file_fires() {
         let src = "// txlint: snapshot-mode\n\
                    fn f(&self) { stm::atomic_read(|tx| self.core.with_local(tx, |s| s.0 += 1)); }";
+        assert_eq!(codes(src), vec!["TX013"]);
+    }
+
+    #[test]
+    fn tx013_buffer_undo_in_snapshot_file_fires() {
+        let src = "// txlint: snapshot-mode\n\
+                   fn f(&self) { stm::atomic_read(|tx| self.core.local_undo(tx, |s| s.0 -= 1)); }";
         assert_eq!(codes(src), vec!["TX013"]);
     }
 

@@ -16,7 +16,9 @@
 //!   declaration is unsound or disagrees with the dispatch matrix, and
 //!   txlint's TX010 pass re-checks the declaration without running code.
 //! * **Guideline 1** — keep transaction-local state encapsulated: the
-//!   `HistLocal` buffer, reached only via [`SemanticCore::with_local`].
+//!   `HistLocal` buffer, reached only via [`SemanticCore::with_local`]. It
+//!   lives in the transaction itself (the kernel's extension slot), and
+//!   [`SemanticCore::local_undo`] rolls it back if a closed frame aborts.
 //! * **Guideline 2** — register one commit/abort handler pair on first
 //!   touch: [`SemanticCore::ensure_registered`], one call per operation;
 //!   the kernel makes it idempotent and ordering-safe.
@@ -27,12 +29,13 @@
 //!   state what each update *does* ([`UpdateEffect`]); the sweep order and
 //!   the who-to-doom case analysis are the kernel's.
 //! * **Guideline 4/5-abort** — [`SemanticClass::release`]: drop the buffer
-//!   (already drained) and release the lock footprint.
+//!   (handed over as the body last wrote it) and release the lock
+//!   footprint.
 //!
 //! Everything the pre-kernel version of this example re-implemented by hand
-//! — first-touch registration ordering, locals sharding and draining,
-//! stripe sweep order, doom dispatch — is gone: the class is the ~60 lines
-//! below.
+//! — first-touch registration ordering, where the buffer lives and how it
+//! drains, stripe sweep order, doom dispatch — is gone: the class is the
+//! ~60 lines below.
 //!
 //! ```sh
 //! cargo run --release --example custom_class
@@ -139,7 +142,9 @@ impl SemanticClass for HistClass {
     }
 
     /// Abort handler body (guideline 4): writes were only buffered, so the
-    /// compensation is pure release — the kernel already drained the buffer.
+    /// compensation is pure release. The kernel hands over the buffer as
+    /// the body last wrote it (closed frames' writes possibly rolled back);
+    /// only the lock list matters here.
     fn release(&self, local: HistLocal, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
         self.tables.release_sweep(stats, id, local.bin_locks.iter());
     }
@@ -153,13 +158,10 @@ struct TransactionalHistogram {
 impl TransactionalHistogram {
     fn new() -> Self {
         TransactionalHistogram {
-            core: SemanticCore::new(
-                HistClass {
-                    bins: (0..BINS).map(|_| TVar::new(0)).collect(),
-                    tables: ClassTables::new(4),
-                },
-                4,
-            ),
+            core: SemanticCore::new(HistClass {
+                bins: (0..BINS).map(|_| TVar::new(0)).collect(),
+                tables: ClassTables::new(4),
+            }),
         }
     }
 
@@ -169,6 +171,10 @@ impl TransactionalHistogram {
         self.core.ensure_registered(tx);
         self.core
             .with_local(tx, |l| *l.deltas.entry(bin).or_insert(0) += n);
+        // Registered only inside a closed frame, the one place a conflict
+        // can roll back less than the whole attempt.
+        self.core
+            .local_undo(tx, move |l| *l.deltas.entry(bin).or_insert(0) -= n);
     }
 
     /// Read one bin: take the bin's key lock, then read open-nested

@@ -50,14 +50,12 @@ cat BENCH_PR9.json
 cargo bench -q -p bench --bench metrics_overhead >BENCH_PR10.json
 cat BENCH_PR10.json
 
-# Counter-based regression gate: the new report's protocol counters may not
-# blow past the previous PR's where the two are comparable, and the
-# amortization sweep's repeat_* per-txn leaves must stay under their
-# absolute ceilings (ns/op is never gated — 1-CPU hosts are too noisy for
-# wall-clock gates).
-cargo run -q --release -p bench --bin benchdiff -- BENCH_PR7.json BENCH_PR8.json
-cargo run -q --release -p bench --bin benchdiff -- BENCH_PR8.json BENCH_PR9.json
-cargo run -q --release -p bench --bin benchdiff -- BENCH_PR9.json BENCH_PR10.json
+# Counter-based regression gate over every consecutive pair of BENCH_PR<n>.json
+# reports (numeric order): each report's protocol counters may not blow past
+# the previous one's where the two are comparable, and the amortization
+# sweep's repeat_* per-txn leaves must stay under their absolute ceilings
+# (ns/op is never gated — 1-CPU hosts are too noisy for wall-clock gates).
+cargo run -q --release -p bench --bin benchdiff
 
 # Smoke the provenance reporter end to end: traced contended-map soak,
 # export, re-parse and structurally validate the exported trace. The second
