@@ -125,7 +125,7 @@ impl<V: Clone + Send + Sync + 'static> JMap<V> {
     /// wrapped maps leave no memory footprint in the parent).
     pub fn set_label(&self, label: impl Into<String>) {
         if let JMap::Bare(m) = self {
-            stm::label_var(m.header_var_id(), label);
+            m.set_header_label(label);
         }
     }
 }
@@ -223,7 +223,7 @@ impl<V: Clone + Send + Sync + 'static> JSorted<V> {
     /// Label the tree's header for conflict attribution (bare trees only).
     pub fn set_label(&self, label: impl Into<String>) {
         if let JSorted::Bare(m) = self {
-            stm::label_var(m.header_var_id(), label);
+            m.set_header_label(label);
         }
     }
 }

@@ -48,12 +48,16 @@ pub struct TmResult {
     pub useful_cycles: u64,
     /// Lost cycles attributed to the variable whose read/write overlap
     /// caused each memory violation (TAPE-style conflict profiling,
-    /// paper §6.3). Label vars with [`stm::label_var`] to name them.
+    /// paper §6.3). Label vars with [`stm::TVar::set_label`] to name them.
     pub conflict_sources: std::collections::HashMap<VarId, u64>,
 }
 
 impl TmResult {
     /// The top-`n` conflict sources as `(label-or-id, lost cycles)`.
+    ///
+    /// Names resolve only for vars still alive: a label dies with its var,
+    /// so call this while the workload's structures are in scope (a dropped
+    /// var prints as `var#<id>`).
     pub fn top_conflict_sources(&self, n: usize) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = self
             .conflict_sources

@@ -9,11 +9,11 @@
 //! buffered by clone; in practice `T` is either small and `Copy`-like or an
 //! `Arc`-wrapped payload.
 //!
-//! Each var additionally carries a **versioned commit lock** (`vlock`): one
-//! atomic word holding `(version << 1) | locked`. Committers acquire the lock
-//! bit (in `VarId` order across their write set), and publishing a value
-//! stores the new version with the bit clear — so releasing the lock and
-//! stamping the version are a single atomic store, and validators read
+//! Each var's **versioned commit lock** (`vlock`) is the only copy of its
+//! version: one atomic word holding `(version << 1) | locked`. Committers
+//! acquire the lock bit (in `VarId` order across their write set), and
+//! publishing stores the new version with the bit clear — so releasing the
+//! lock and stamping the version are one atomic store, and validators read
 //! version + lock state as one word. See `clock.rs` for the protocol.
 
 use crate::cost;
@@ -21,8 +21,8 @@ use crate::metrics::{self, Total};
 use crate::txn::Txn;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on the per-var history chain. A snapshot pinned so far in the
@@ -31,33 +31,19 @@ use std::sync::Arc;
 pub(crate) const MAX_CHAIN_DEPTH: usize = 8;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
-static LABELS: Mutex<Option<HashMap<VarId, String>>> = Mutex::new(None);
-/// Lock-free gate for the common no-label case: [`var_label`] sits on abort
-/// paths, and most programs never label anything, so they should not take a
-/// global mutex just to learn the table is empty.
-static LABELS_USED: AtomicBool = AtomicBool::new(false);
+static LABELS: Mutex<BTreeMap<VarId, String>> = Mutex::new(BTreeMap::new());
+/// Id-word bit of a labelled var: only those lock the label table to drop.
+const LABELLED: u64 = 1 << 63;
 
-/// Attach a human-readable label to a variable, for conflict attribution
-/// (the TAPE-style profiling of paper §6.3: identifying which shared
-/// locations cause lost work).
-pub fn label_var(id: VarId, label: impl Into<String>) {
-    // Publish the gate before the entry: a reader that sees the flag clear
-    // may miss this label (it raced the registration), but a reader that
-    // looks up after we return always takes the slow path.
-    LABELS_USED.store(true, Ordering::Release);
-    LABELS
-        .lock()
-        .get_or_insert_with(HashMap::new)
-        .insert(id, label.into());
+/// Look up a variable's label (see [`TVar::set_label`]), if it has one and
+/// is still alive.
+pub fn var_label(id: VarId) -> Option<String> {
+    LABELS.lock().get(&id).cloned()
 }
 
-/// Look up a variable's label, if any. Lock-free when no label was ever
-/// registered.
-pub fn var_label(id: VarId) -> Option<String> {
-    if !LABELS_USED.load(Ordering::Acquire) {
-        return None;
-    }
-    LABELS.lock().as_ref().and_then(|m| m.get(&id).cloned())
+/// Number of labels, i.e. of labelled vars still alive (diagnostic).
+pub fn label_count() -> usize {
+    LABELS.lock().len()
 }
 
 /// Globally unique identifier of a [`TVar`]. The simulator intersects
@@ -67,17 +53,19 @@ pub type VarId = u64;
 /// Type-erased view of a `TVar` used by read/write sets and the committer.
 pub(crate) trait AnyVar: Send + Sync {
     fn id(&self) -> VarId;
-    /// Committed version stamp (ignores the lock bit).
-    fn version(&self) -> u64;
     /// Raw `(version << 1) | locked` word, loaded once — the unit of
     /// commit-time validation.
     fn stamp(&self) -> u64;
+    /// Committed version (the stamp without the lock bit).
+    fn version(&self) -> u64 {
+        self.stamp() >> 1
+    }
     /// Try to acquire the commit lock; `false` if another committer holds it.
     fn try_lock_commit(&self) -> bool;
     /// Release the commit lock without publishing (failed commit).
     fn unlock_commit(&self);
     /// Publish a buffered value with the given write version, releasing the
-    /// commit lock in the same store.
+    /// commit lock in the same store. The caller holds the commit lock.
     /// `val` must be the `T` of the underlying var (guaranteed by the logger).
     /// `horizon` is the chain-reclamation horizon for the publishing commit,
     /// sampled once per commit via [`crate::epoch::publish_horizon`] —
@@ -87,42 +75,42 @@ pub(crate) trait AnyVar: Send + Sync {
 }
 
 pub(crate) struct VarCore<T> {
-    id: VarId,
+    /// The var's [`VarId`], plus [`LABELLED`] once it has a label.
+    id: AtomicU64,
     /// `(version << 1) | locked` — see the module docs.
     vlock: AtomicU64,
-    cell: RwLock<(u64, T)>,
-    /// Multi-version history: previously committed `(version, value)` pairs,
-    /// newest first, forming a *contiguous* suffix of this var's committed
-    /// history ending just before `cell`. Maintained only while snapshot
-    /// readers are pinned (see `epoch.rs`); bounded by [`MAX_CHAIN_DEPTH`].
-    ///
-    /// The contiguity invariant is what makes [`VarCore::read_at`] sound:
-    /// every publish either pushes the outgoing head onto the chain or (when
-    /// no reader is pinned) clears the chain, so a chain entry `<= s` is
-    /// always the *latest* committed value at snapshot `s` — never a stale
-    /// value with skipped versions between it and `s`.
-    hist: Mutex<Vec<(u64, T)>>,
-    /// Relaxed mirror of `!hist.is_empty()`, so the no-readers publish path
-    /// pays one load instead of a mutex. Publishes to one var are serialized
-    /// by its commit lock, whose release/acquire pair orders this flag.
-    has_hist: AtomicBool,
+    cell: RwLock<Head<T>>,
 }
 
-impl<T: Clone + Send + Sync + 'static> VarCore<T> {
-    /// Wait out an in-flight publish on this var (reads must not accept a
-    /// value another committer is about to replace without noticing: the
-    /// subsequent version check plus this spin is what keeps the transaction
-    /// body's view opaque).
-    fn await_unlocked(&self) {
-        while self.vlock.load(Ordering::Acquire) & 1 != 0 {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
+/// The committed value and, behind one pointer, its history chain:
+/// previously committed `(version, value)` pairs, newest first, forming a
+/// *contiguous* suffix of this var's committed history ending just before
+/// the head. Maintained only while snapshot readers are pinned (see
+/// `epoch.rs`): allocated by a publish that sees a pin, freed by the next
+/// publish that sees none; bounded by [`MAX_CHAIN_DEPTH`].
+///
+/// The contiguity invariant is what makes [`VarCore::read_at`] sound:
+/// every publish either pushes the outgoing head onto the chain or (when
+/// no reader is pinned) frees the chain, so a chain entry `<= s` is
+/// always the *latest* committed value at snapshot `s` — never a stale
+/// value with skipped versions between it and `s`.
+struct Head<T> {
+    value: T,
+    chain: Option<Box<Chain<T>>>,
+}
 
+struct Chain<T>(Vec<(u64, T)>);
+
+impl<T: Clone + Send + Sync + 'static> VarCore<T> {
     /// Read the newest committed value at or below snapshot version `s`, or
     /// `None` if the chain has been truncated (or never maintained) past it —
     /// the caller then takes the counted validated-path fallback.
+    pub(crate) fn read_at(&self, s: u64) -> Option<T> {
+        self.pair_at(s).map(|(_, v)| v)
+    }
+
+    /// [`read_at`](Self::read_at) with the version of the value read. At
+    /// `s = u64::MAX` it is the validated read of the committed head.
     ///
     /// The head check is gated on the versioned commit lock: accepting a
     /// head stamped `<= s` is sound **only** while the var is unlocked. A
@@ -133,80 +121,39 @@ impl<T: Clone + Send + Sync + 'static> VarCore<T> {
     /// torn-read bug: a snapshot pinned between a committer's `fetch_add`
     /// and its last per-var apply would see already-applied vars at the new
     /// version (`<= s`) and unapplied vars at their old versions (also
-    /// `<= s`) — an inconsistent cut through one atomic write set.
+    /// `<= s`) — an inconsistent cut through one atomic write set (and a
+    /// validated read would accept a value about to be replaced unnoticed).
     ///
     /// The only wait is the bounded spin when a publish is in flight *and*
     /// the committed head is still at or below `s`; every other path is one
     /// stamp load, one `RwLock` read of `cell`, and a stamp re-check.
-    pub(crate) fn read_at(&self, s: u64) -> Option<T> {
+    fn pair_at(&self, s: u64) -> Option<(u64, T)> {
         loop {
             let w = self.vlock.load(Ordering::Acquire);
-            if w & 1 == 0 {
-                if w >> 1 <= s {
-                    let g = self.cell.read();
-                    // Re-check the stamp under the cell guard: a commit may
-                    // have locked *and published* between the stamp load and
-                    // the cell read. Versions never repeat (the clock is a
-                    // monotone fetch_add), so stamp equality proves the pair
-                    // under the guard is still the one the stamp described.
-                    if self.vlock.load(Ordering::Acquire) == w {
-                        return Some(g.1.clone());
-                    }
-                    continue;
-                }
-            } else {
-                // A publish is in flight. If the committed head is already
-                // past `s`, the in-flight version is provably past it too
-                // (per-var versions are monotone), so the chain below stays
-                // the right place to look. Otherwise the pending write may
-                // be `<= s` — taking the head *or* the chain here could
-                // serve a stale value as `latest(v, s)` — so wait out the
-                // short publish window (the committer releases every lock
-                // by publishing or unwinding, so this terminates).
-                if self.cell.read().0 <= s {
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                    continue;
-                }
+            let g = self.cell.read();
+            if w >> 1 > s {
+                // Head and any publish in flight (versions are monotone) are
+                // past `s`. A publish pushes the old head under the lock that
+                // swaps it: the chain is contiguous, a reclaimed entry a miss.
+                return g.chain.as_ref()?.0.iter().find(|e| e.0 <= s).cloned();
             }
-            // Head is newer than the snapshot: look in the chain. A publish
-            // swaps the cell *while holding* the history lock, so having
-            // seen the new head, the outgoing value is already in the chain
-            // (or was deliberately reclaimed, in which case we miss —
-            // counted, never silent).
-            let h = self.hist.lock();
-            return h.iter().find(|e| e.0 <= s).map(|e| e.1.clone());
+            // Versions never repeat (the clock is a monotone fetch_add): an
+            // unchanged stamp proves no publish swapped the value since.
+            if w & 1 == 0 && self.vlock.load(Ordering::Acquire) == w {
+                return Some((w >> 1, g.value.clone()));
+            }
+            // A publish in flight may publish `<= s` too: wait out the short
+            // window (the committer releases by publishing or unwinding).
+            drop(g);
+            std::hint::spin_loop();
+            std::thread::yield_now();
         }
-    }
-
-    /// Current history-chain length (diagnostic; used by the reclamation
-    /// stress tests to assert chains stay bounded).
-    fn chain_len(&self) -> usize {
-        self.hist.lock().len()
-    }
-
-    /// Drop chain entries no live pin can reach: everything strictly older
-    /// than the newest entry at or below `horizon` (future pins sample a
-    /// clock already past every committed version, so they never need the
-    /// chain at all), plus anything beyond the depth bound. Returns the
-    /// number of reclaimed entries.
-    fn truncate_chain(h: &mut Vec<(u64, T)>, horizon: u64) -> usize {
-        let before = h.len();
-        if let Some(i) = h.iter().position(|e| e.0 <= horizon) {
-            h.truncate(i + 1);
-        }
-        h.truncate(MAX_CHAIN_DEPTH);
-        before - h.len()
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
     fn id(&self) -> VarId {
-        self.id
-    }
-
-    fn version(&self) -> u64 {
-        self.vlock.load(Ordering::Acquire) >> 1
+        self.id.load(Ordering::Relaxed) & !LABELLED
     }
 
     fn stamp(&self) -> u64 {
@@ -233,44 +180,45 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
         let v = val
             .downcast_ref::<T>()
             .expect("write-set entry type mismatch");
-        if horizon != u64::MAX {
-            // A snapshot somewhere may still need the outgoing head: push it
-            // onto the chain. The history lock is held across the cell swap
-            // so a snapshot reader that misses the old head in `cell` is
-            // guaranteed to find it in the chain once it takes this lock.
-            // The horizon was sampled once for the whole commit: a pin that
-            // lands mid-batch is safe anyway, because its stabilization loop
-            // (`epoch::pin`) guarantees this commit's version is at or below
-            // the pinned epoch — the new head itself serves that snapshot.
-            let mut h = self.hist.lock();
-            {
-                let mut g = self.cell.write();
-                let old = std::mem::replace(&mut *g, (version, v.clone()));
-                h.insert(0, old);
+        // We hold the lock bit: the word still names the outgoing version.
+        let outgoing = self.vlock.load(Ordering::Relaxed) >> 1;
+        let mut g = self.cell.write();
+        let old = std::mem::replace(&mut g.value, v.clone());
+        let reclaimed = if horizon != u64::MAX {
+            // A snapshot may still need the outgoing head: push it under the
+            // lock that swaps the head. The horizon is sampled once per
+            // commit; a pin landing mid-batch is safe anyway, as its
+            // stabilization loop (`epoch::pin`) puts this commit's version at
+            // or below the pinned epoch. Then drop what no pin can reach:
+            // entries older than the newest one at or below `horizon` (future
+            // pins sample a clock past every version), and any past the bound.
+            let h = &mut g.chain.get_or_insert_with(|| Box::new(Chain(Vec::new()))).0;
+            h.insert(0, (outgoing, old));
+            let before = h.len();
+            if let Some(i) = h.iter().position(|e| e.0 <= horizon) {
+                h.truncate(i + 1);
             }
-            self.has_hist.store(true, Ordering::Relaxed);
-            let reclaimed = Self::truncate_chain(&mut h, horizon);
-            drop(h);
-            metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
+            h.truncate(MAX_CHAIN_DEPTH);
+            before - h.len()
         } else {
-            // No snapshot pinned anywhere: overwrite in place, as before the
-            // multi-version chain existed. Any leftover chain must be cleared
-            // — skipping a push while keeping older entries would leave a
-            // version *gap*, and a later snapshot could then read a stale
-            // entry as if it were the state at its version.
-            if self.has_hist.load(Ordering::Relaxed) {
-                let mut h = self.hist.lock();
-                let reclaimed = h.len();
-                h.clear();
-                self.has_hist.store(false, Ordering::Relaxed);
-                drop(h);
-                metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
-            }
-            let mut g = self.cell.write();
-            *g = (version, v.clone());
-        }
+            // No snapshot pinned anywhere: free the chain. Keeping older
+            // entries without this push would leave a version *gap* a later
+            // snapshot could misread as the state at its version.
+            g.chain.take().map_or(0, |c| c.0.len())
+        };
+        drop(g);
+        metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
         // Stamp + release in one store.
         self.vlock.store(version << 1, Ordering::Release);
+    }
+}
+
+impl<T> Drop for VarCore<T> {
+    fn drop(&mut self) {
+        let id = *self.id.get_mut();
+        if id & LABELLED != 0 {
+            LABELS.lock().remove(&(id & !LABELLED));
+        }
     }
 }
 
@@ -302,23 +250,24 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     pub fn new(value: T) -> Self {
         TVar {
             core: Arc::new(VarCore {
-                id: NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed),
+                id: AtomicU64::new(NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed)),
                 vlock: AtomicU64::new(0),
-                cell: RwLock::new((0, value)),
-                hist: Mutex::new(Vec::new()),
-                has_hist: AtomicBool::new(false),
+                cell: RwLock::new(Head { value, chain: None }),
             }),
         }
     }
 
     /// Unique id of this variable.
     pub fn id(&self) -> VarId {
-        self.core.id
+        self.core.id()
     }
 
-    /// Label this variable for conflict attribution (see [`label_var`]).
+    /// Label this variable for conflict attribution (the TAPE-style
+    /// profiling of paper §6.3: identifying which shared locations cause
+    /// lost work). [`var_label`] resolves it until the var drops.
     pub fn set_label(&self, label: impl Into<String>) {
-        label_var(self.core.id, label);
+        self.core.id.fetch_or(LABELLED, Ordering::Relaxed);
+        LABELS.lock().insert(self.id(), label.into());
     }
 
     /// Transactional read. Returns the transaction's own buffered value if it
@@ -343,8 +292,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// variables.
     #[must_use]
     pub fn read_committed(&self) -> T {
-        self.core.await_unlocked();
-        self.core.cell.read().1.clone()
+        self.committed_pair().1
     }
 
     /// Committed version stamp (diagnostic).
@@ -356,13 +304,13 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// whenever no snapshot reader has been pinned across a recent publish;
     /// never exceeds the compiled-in chain depth bound.
     pub fn chain_len(&self) -> usize {
-        self.core.chain_len()
+        let g = self.core.cell.read();
+        g.chain.as_ref().map_or(0, |c| c.0.len())
     }
 
     pub(crate) fn committed_pair(&self) -> (u64, T) {
-        self.core.await_unlocked();
-        let g = self.core.cell.read();
-        (g.0, g.1.clone())
+        let head = self.core.pair_at(u64::MAX);
+        head.expect("no version is past u64::MAX")
     }
 
     pub(crate) fn any(&self) -> Arc<dyn AnyVar> {
@@ -380,7 +328,7 @@ impl<T: std::fmt::Debug + Clone + Send + Sync + 'static> std::fmt::Debug for TVa
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (ver, val) = self.committed_pair();
         f.debug_struct("TVar")
-            .field("id", &self.core.id)
+            .field("id", &self.id())
             .field("version", &ver)
             .field("value", &val)
             .finish()
@@ -465,6 +413,54 @@ mod tests {
     }
 
     #[test]
+    fn validated_read_started_under_commit_lock_returns_the_new_pair() {
+        // Started under the commit lock, the read waits the publish out.
+        // Started just before it (old stamp loaded, then queued for the cell
+        // the publish swaps under), it must re-check the stamp. Either way it
+        // returns the new value with the new version, never a mixed pair.
+        let v = TVar::new(1u64);
+        let read = |v: TVar<u64>| std::thread::spawn(move || v.committed_pair());
+        assert!(v.any().try_lock_commit(), "simulate a publish in flight");
+        let reader = read(v.clone());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        v.any().apply(&2u64, 7, u64::MAX);
+        assert_eq!(reader.join().unwrap(), (7, 2), "mixed or stale pair");
+        let mut cell = v.core.cell.write();
+        let reader = read(v.clone());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            v.any().try_lock_commit(),
+            "finish the publish as apply does"
+        );
+        cell.value = 3;
+        drop(cell);
+        v.core.vlock.store(9 << 1, Ordering::Release);
+        assert_eq!(reader.join().unwrap(), (9, 3), "stamp not re-checked");
+    }
+
+    #[test]
+    fn snapshot_below_head_reads_chain_while_another_thread_publishes() {
+        // Pinned at S = 2 below the head at 4, reading while a publisher
+        // that sees the pin (horizon 2) extends the chain: always 0.
+        let v = TVar::new(0u64);
+        v.any().apply(&1u64, 4, 2);
+        let any = v.any();
+        let publisher = std::thread::spawn(move || {
+            for value in 3..=8u64 {
+                assert!(any.try_lock_commit());
+                any.apply(&value, value * 2, 2);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        while !publisher.is_finished() {
+            assert_eq!(v.core.read_at(2), Some(0), "latest(v, 2) is 0");
+        }
+        publisher.join().unwrap();
+        assert_eq!(v.chain_len(), 7, "heads 0, 4, .., 14");
+        assert_eq!(v.core.read_at(7), Some(3), "latest(v, 7) is version 6");
+    }
+
+    #[test]
     fn read_at_serves_chain_without_waiting_when_head_is_newer() {
         // An in-flight publish only forces a wait when the committed head
         // is still at or below the snapshot: a head already newer proves
@@ -486,5 +482,8 @@ mod tests {
         assert_eq!(var_label(v.id()), None);
         v.set_label("counter");
         assert_eq!(var_label(v.id()).as_deref(), Some("counter"));
+        let id = v.id();
+        drop(v);
+        assert_eq!(var_label(id), None, "a label dies with its var");
     }
 }

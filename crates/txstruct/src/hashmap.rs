@@ -18,6 +18,11 @@
 //!
 //! The hash function is deterministic (`DefaultHasher` with the default
 //! keys) so simulator runs are reproducible.
+//!
+//! Buckets are immutable `Arc<Vec<_>>` snapshots replaced whole on write.
+//! The empty buckets of a table share one empty `Arc` (a fresh table costs
+//! one allocation per bucket var, not two), and every bucket vector is
+//! sized exactly to its entries.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -68,16 +73,22 @@ fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
     h.finish()
 }
 
-fn new_table<K, V>(capacity: usize) -> Table<K, V>
+/// A table of bucket vars holding `buckets`, each sized exactly, the empty
+/// ones sharing one empty `Arc`.
+fn new_table<K, V>(buckets: impl Iterator<Item = Vec<(K, V)>>) -> Table<K, V>
 where
     K: Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    Arc::new(
-        (0..capacity.max(1))
-            .map(|_| TVar::new(Arc::new(Vec::new())))
-            .collect(),
-    )
+    let empty: Bucket<K, V> = Arc::default();
+    let bucket = |mut b: Vec<(K, V)>| {
+        if b.is_empty() {
+            return Arc::clone(&empty);
+        }
+        b.shrink_to_fit();
+        Arc::new(b)
+    };
+    Arc::new(buckets.map(|b| TVar::new(bucket(b))).collect())
 }
 
 impl<K, V> TxHashMap<K, V>
@@ -96,7 +107,7 @@ where
         let cap = capacity.next_power_of_two();
         TxHashMap {
             header: TVar::new(Header {
-                table: new_table(cap),
+                table: new_table((0..cap).map(|_| Vec::new())),
                 size: 0,
             }),
         }
@@ -136,12 +147,15 @@ where
         let h = self.header.read(tx);
         let idx = (hash_of(&key) as usize) & (h.table.len() - 1);
         let bucket = h.table[idx].read(tx);
-        let mut entries: Vec<(K, V)> = (*bucket).clone();
-        let prev = if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(std::mem::replace(&mut slot.1, value))
-        } else {
-            entries.push((key, value));
-            None
+        let present = bucket.iter().position(|(k, _)| *k == key);
+        let mut entries = Vec::with_capacity(bucket.len() + usize::from(present.is_none()));
+        entries.extend_from_slice(&bucket);
+        let prev = match present {
+            Some(i) => Some(std::mem::replace(&mut entries[i].1, value)),
+            None => {
+                entries.push((key, value));
+                None
+            }
         };
         h.table[idx].write(tx, Arc::new(entries));
         if prev.is_none() {
@@ -190,8 +204,7 @@ where
                 fresh[idx].push((k.clone(), v.clone()));
             }
         }
-        let table: Table<K, V> =
-            Arc::new(fresh.into_iter().map(|b| TVar::new(Arc::new(b))).collect());
+        let table = new_table(fresh.into_iter());
         self.header.write(tx, Header { table, size });
     }
 
@@ -208,9 +221,10 @@ where
     /// Remove all entries.
     pub fn clear(&self, tx: &mut Txn) {
         let h = self.header.read(tx);
+        let empty: Bucket<K, V> = Arc::default();
         for b in h.table.iter() {
             if !b.read(tx).is_empty() {
-                b.write(tx, Arc::new(Vec::new()));
+                b.write(tx, Arc::clone(&empty));
             }
         }
         self.header.write(
@@ -228,14 +242,20 @@ where
         self.header.id()
     }
 
+    /// Label the header variable for conflict attribution.
+    pub fn set_header_label(&self, label: impl Into<String>) {
+        self.header.set_label(label);
+    }
+
     /// Label the header and every current bucket for conflict attribution
     /// (buckets share one label so attribution reports aggregate them).
-    /// Buckets created by later resizes are not labeled.
+    /// Buckets created by later resizes are not labeled; the buckets they
+    /// replace take their labels with them.
     pub fn set_label(&self, label: &str) {
-        stm::label_var(self.header.id(), label.to_string());
+        self.set_header_label(label);
         let h = self.header.read_committed();
         for b in h.table.iter() {
-            stm::label_var(b.id(), format!("{label}.buckets"));
+            b.set_label(format!("{label}.buckets"));
         }
     }
 }

@@ -694,6 +694,11 @@ where
         self.header.id()
     }
 
+    /// Label the header variable for conflict attribution.
+    pub fn set_header_label(&self, label: impl Into<String>) {
+        self.header.set_label(label);
+    }
+
     // ------------------------------------------------------------------
     // Invariant checking (test support)
     // ------------------------------------------------------------------
