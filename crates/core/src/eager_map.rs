@@ -46,8 +46,8 @@ use crate::backend::{MapBackend, UndoOp};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{sweep_commit_footprint, FootprintOp, SemanticClass, SemanticCore};
 use crate::locks::{
-    doom_others, key_hash64, DoomCtx, ObsMode, Owner, SemanticStats, StripedTables, UpdateEffect,
-    DEFAULT_STRIPES,
+    doom_others, key_hash64, DoomCtx, ObsMode, Owner, Owners, SemanticStats, StripedTables,
+    UpdateEffect, DEFAULT_STRIPES,
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -176,7 +176,7 @@ impl<K> Default for EagerLocal<K> {
 /// One stripe of the eager map's key tables: reader sets and exclusive
 /// writer slots for the keys hashing to this stripe.
 struct EagerShard<K> {
-    readers: HashMap<K, HashSet<Owner>>,
+    readers: HashMap<K, Owners>,
     writers: HashMap<K, Owner>,
 }
 
@@ -193,7 +193,7 @@ impl<K> Default for EagerShard<K> {
 /// size delta.
 #[derive(Default)]
 struct EagerGlobal {
-    size_lockers: HashSet<Owner>,
+    size_lockers: Owners,
     /// Sum of uncommitted in-place size changes; subtracted from the
     /// backend's length so readers see the committed size.
     pending_delta: i64,
@@ -249,7 +249,7 @@ where
                 }
                 FootprintOp::Release(k) => {
                     if let Some(rs) = s.readers.get_mut(k) {
-                        rs.retain(|o| o.id() != id);
+                        rs.remove(id);
                         if rs.is_empty() {
                             s.readers.remove(k);
                         }
@@ -258,7 +258,7 @@ where
             },
         );
         self.tables.with_global(stats, |g| {
-            g.size_lockers.retain(|o| o.id() != id);
+            g.size_lockers.remove(id);
             g.pending_delta -= local.delta;
         });
     }

@@ -47,11 +47,15 @@
 //!   abort: the child's slots would die with the child.
 //! * **The txn-local semantic-lock cache.** The slot doubles as a
 //!   per-transaction, per-instance cache of already-acquired `(kind, key)`
-//!   semantic locks ([`SemanticCore::key_lock_cached`] /
-//!   [`SemanticCore::point_lock_cached`]): the first acquisition populates
-//!   it, every later operation on the same key or point lock is a local
-//!   hash probe that never touches a stripe mutex. Both handlers drop the
-//!   cache before releasing any lock, so it provably never outlives the
+//!   semantic locks: the first acquisition populates it, every later
+//!   operation on the same key or point lock is a local probe that never
+//!   touches a stripe mutex. For point locks it is a bitmask
+//!   ([`SemanticCore::point_lock_cached`]). For key locks it is the keyed
+//!   class's own held-key set — the release list the handlers sweep — so
+//!   each held key is stored once, and `SemanticCore::take_key_lock` is the
+//!   one entry point that probes it, takes the stripe lock on a miss, and
+//!   records the key. Both handlers take the slot out of the transaction
+//!   before releasing any lock, so the cache provably never outlives the
 //!   locks it witnesses (cache lifetime ⊆ lock hold).
 //! * **Partial-rollback undos.** [`SemanticCore::local_undo`] registers a
 //!   buffer compensation only inside a closed frame, the one place a
@@ -101,7 +105,6 @@ use crate::locks::{
     bucket_order, key_hash64, KeyLockShard, LocalSet, MapTables, Owner, PointLocks, SemanticStats,
     StripedTables, UpdateEffect,
 };
-use std::any::Any;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -219,16 +222,35 @@ pub trait SemanticClass: Send + Sync + 'static {
     }
 }
 
+/// A keyed class: its transactions take per-key read locks in the class's
+/// striped key tables and keep the keys they hold in their `Local` buffer
+/// (paper Table 3's `keyLocks`). That one held-key set is both the release
+/// list the handlers sweep and the txn-local key-lock cache
+/// [`SemanticCore::take_key_lock`] probes, so each held key is stored once.
+pub(crate) trait KeyedClass: SemanticClass {
+    /// What a key lock is taken on.
+    type Key: Clone + Eq + Hash;
+    /// The global-stripe payload of the class's tables.
+    type Global;
+    /// The striped lock tables whose key stripes hold the class's key locks.
+    fn key_tables(&self) -> &StripedTables<KeyLockShard<Self::Key>, Self::Global>;
+    /// The held-key set inside a transaction's buffer.
+    fn held_keys(local: &mut Self::Local) -> &mut LocalSet<Self::Key>;
+}
+
 /// The per-attempt state a [`SemanticCore`] parks in its transaction
 /// extension slot — the attempt's whole footprint on one instance. Its
 /// presence is the registration marker; the handlers take it in one
-/// `ext_remove` and drop the lock cache strictly before any semantic lock is
-/// released, so a cached entry can never be observed without its lock (the
-/// cache-lifetime obligation, docs/PROTOCOL.md). Fresh attempts start with a
-/// fresh `Txn` and therefore no slot — abort invalidation is structural, and
-/// no other transaction can reach (or resurrect) this state.
+/// `ext_remove` before they release any semantic lock, so no later probe can
+/// find a cached lock — a point bit here, or a held key in `local` — whose
+/// lock is gone (the cache-lifetime obligation, docs/PROTOCOL.md). Fresh
+/// attempts start with a fresh `Txn` and therefore no slot — abort
+/// invalidation is structural, and no other transaction can reach (or
+/// resurrect) this state.
 struct KernelSlot<C: SemanticClass> {
-    cache: LockCache,
+    /// Bitmask of [`CachedPoint`] locks already acquired: the point half of
+    /// the lock cache (the key half is the class's held-key set).
+    points: u8,
     /// The class's buffered state, handed to `apply`/`release` by value.
     local: C::Local,
     /// Compensations for eagerly applied mutations, in logging order.
@@ -240,36 +262,15 @@ struct KernelSlot<C: SemanticClass> {
 impl<C: SemanticClass> Default for KernelSlot<C> {
     fn default() -> Self {
         KernelSlot {
-            cache: LockCache::default(),
+            points: 0,
             local: C::Local::default(),
             undo: Vec::new(),
         }
     }
 }
 
-/// The txn-local semantic-lock cache of one instance.
-#[derive(Default)]
-struct LockCache {
-    /// Bitmask of [`CachedPoint`] locks already acquired.
-    points: u8,
-    /// Key locks already acquired, type-erased: the key type is the
-    /// class's business, not the kernel's. Each core instance uses exactly
-    /// one key type, so the downcast is infallible in a correct class.
-    keys: Option<Box<dyn Any + Send>>,
-}
-
-fn cached_keys<Q: Eq + Hash + Send + 'static>(b: &(dyn Any + Send)) -> &LocalSet<Q> {
-    b.downcast_ref::<LocalSet<Q>>()
-        .expect("one key type per semantic core")
-}
-
-fn cached_keys_mut<Q: Eq + Hash + Send + 'static>(b: &mut (dyn Any + Send)) -> &mut LocalSet<Q> {
-    b.downcast_mut::<LocalSet<Q>>()
-        .expect("one key type per semantic core")
-}
-
 /// Whole-collection point-lock kinds the txn-local lock cache can remember
-/// (one bit each in [`LockCache::points`]).
+/// (one bit each in the kernel slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachedPoint {
     /// The size lock.
@@ -437,11 +438,11 @@ impl<C: SemanticClass> SemanticCore<C> {
         let id = tx.handle().id();
         let inner = Arc::clone(&self.inner);
         tx.on_commit_top(move |htx| {
-            let KernelSlot { cache, local, undo } = Self::take_slot(htx, tag);
-            // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the txn-local
-            // lock cache dies here, before the apply sweep releases a
-            // single semantic lock.
-            drop(cache);
+            // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): taking the slot
+            // out of the transaction ends the lock cache — the point bits
+            // die here, and the held keys move into `apply` as its release
+            // list — before the sweep releases a single semantic lock.
+            let KernelSlot { local, undo, .. } = Self::take_slot(htx, tag);
             // Committed eager mutations stand: the undo log is dead weight,
             // dropped before the apply sweep so nothing replays it.
             drop(undo);
@@ -450,10 +451,8 @@ impl<C: SemanticClass> SemanticCore<C> {
         });
         let inner = Arc::clone(&self.inner);
         tx.on_abort_top(move |htx| {
-            let KernelSlot { cache, local, undo } = Self::take_slot(htx, tag);
-            // Invalidate the lock cache first: nothing after this point may
-            // trust a cached acquisition while the footprint unwinds.
-            drop(cache);
+            // The same slot take ends the lock cache before any release.
+            let KernelSlot { local, undo, .. } = Self::take_slot(htx, tag);
             // Undo before release: drain the compensation log in reverse
             // while transaction `id` still holds every semantic lock it
             // took, so no observer can see a partially rolled-back state
@@ -533,22 +532,18 @@ impl<C: SemanticClass> SemanticCore<C> {
         }
     }
 
-    /// Probe the txn-local lock cache for a key lock this transaction has
-    /// already acquired on this instance. `true` means the `(Key, key)`
-    /// lock is held — the caller must skip the stripe round trip entirely
-    /// (taking it again would be harmless but is exactly the traffic the
-    /// cache exists to remove). On `false` the caller acquires the lock and
-    /// then calls [`Self::note_key_lock`].
+    /// Probe the txn-local cache for a whole-collection point lock
+    /// ([`CachedPoint`]) this transaction already holds on this instance.
+    /// `true` means the lock is held — the caller must skip the stripe round
+    /// trip entirely (taking it again would be harmless but is exactly the
+    /// traffic the cache exists to remove). On `false` the caller acquires
+    /// the lock and then calls [`Self::note_point_lock`].
     ///
     /// Soundness of a hit: an active transaction's semantic locks are never
     /// released by anyone else (doom sweeps retain active owners; release
-    /// happens only in the transaction's own handlers, which also drop this
-    /// cache first), so a cached entry can never outlive the lock it
-    /// witnesses.
-    pub fn key_lock_cached<Q>(&self, tx: &mut Txn, key: &Q) -> bool
-    where
-        Q: Eq + Hash + Clone + Send + 'static,
-    {
+    /// happens only in the transaction's own handlers, which take the slot
+    /// first), so a cached bit can never outlive the lock it witnesses.
+    pub fn point_lock_cached(&self, tx: &mut Txn, p: CachedPoint) -> bool {
         if tx.in_snapshot() {
             // Snapshot skip: report "already held" so the caller never
             // reaches the stripe — snapshot reads are isolated by the TVar
@@ -559,71 +554,28 @@ impl<C: SemanticClass> SemanticCore<C> {
         let Some(slot) = self.slot_mut(tx) else {
             return false;
         };
-        let hit = slot
-            .cache
-            .keys
-            .as_deref()
-            .is_some_and(|k| cached_keys::<Q>(k).contains(key));
+        let hit = slot.points & p.bit() != 0;
         if hit {
-            self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::metrics::cache_hit(self.inner.stats.class_sym());
-            stm::trace::lock_cache_hit(
-                tx.handle().id(),
-                self.inner.stats.class_sym(),
-                LockKind::Key,
-                key_hash64(key),
-            );
+            self.count_cache_hit(tx, p.lock_kind(), 0);
         }
         hit
     }
 
-    /// Remember that this transaction acquired the key lock for `key` on
-    /// this instance. Call strictly **after** the stripe acquisition
-    /// succeeded, so an unwind mid-acquisition can never leave a cached
-    /// entry without a lock behind it.
-    pub fn note_key_lock<Q>(&self, tx: &mut Txn, key: Q)
-    where
-        Q: Eq + Hash + Clone + Send + 'static,
-    {
-        if let Some(slot) = self.slot_mut(tx) {
-            cached_keys_mut::<Q>(
-                slot.cache
-                    .keys
-                    .get_or_insert_with(|| Box::new(LocalSet::<Q>::default()))
-                    .as_mut(),
-            )
-            .insert(key);
-        }
+    /// Count and trace one lock-cache hit: a take answered without a stripe
+    /// visit.
+    fn count_cache_hit(&self, tx: &Txn, kind: LockKind, key_hash: u64) {
+        let stats = &self.inner.stats;
+        stats.bump(&stats.lock_cache_hits, 1);
+        stm::metrics::cache_hit(stats.class_sym());
+        stm::trace::lock_cache_hit(tx.handle().id(), stats.class_sym(), kind, key_hash);
     }
 
-    /// Probe the txn-local cache for a whole-collection point lock
-    /// ([`CachedPoint`]). Same contract as [`Self::key_lock_cached`].
-    pub fn point_lock_cached(&self, tx: &mut Txn, p: CachedPoint) -> bool {
-        if tx.in_snapshot() {
-            // Same snapshot skip as [`Self::key_lock_cached`].
-            return true;
-        }
-        let Some(slot) = self.slot_mut(tx) else {
-            return false;
-        };
-        let hit = slot.cache.points & p.bit() != 0;
-        if hit {
-            self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::metrics::cache_hit(self.inner.stats.class_sym());
-            stm::trace::lock_cache_hit(
-                tx.handle().id(),
-                self.inner.stats.class_sym(),
-                p.lock_kind(),
-                0,
-            );
-        }
-        hit
-    }
-
-    /// Remember a point-lock acquisition (strictly after it succeeded).
+    /// Remember a point-lock acquisition (strictly after it succeeded, so an
+    /// unwind mid-acquisition can never leave a cached bit without a lock
+    /// behind it).
     pub fn note_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
         if let Some(slot) = self.slot_mut(tx) {
-            slot.cache.points |= p.bit();
+            slot.points |= p.bit();
         }
     }
 
@@ -678,6 +630,40 @@ impl<C: SemanticClass> SemanticCore<C> {
     }
 }
 
+// `KeyedClass` is crate-private, and so is the one method this impl adds.
+#[allow(private_bounds)]
+impl<C: KeyedClass> SemanticCore<C> {
+    /// Hold the `(Key, key)` lock for the calling transaction: the one
+    /// key-lock entry point of the keyed classes (guideline 3 — lock, then
+    /// read the committed value open-nested).
+    ///
+    /// The transaction's held-key set is the lock cache. A key already in it
+    /// is a cache hit — counted, traced, and answered without touching a
+    /// stripe. Otherwise the lock is taken in the key's stripe and the key
+    /// recorded, strictly after the take, so an unwind mid-acquisition never
+    /// leaves a held key without its lock. A hit is sound because the set is
+    /// also the release list: the lock goes only when a handler takes the
+    /// set out of the transaction to release it, and no probe can follow.
+    pub(crate) fn take_key_lock(&self, tx: &mut Txn, key: &C::Key) {
+        if tx.in_snapshot() {
+            // Snapshot skip: snapshot reads are isolated by the TVar
+            // version chains, not by semantic locks. Not a cache hit; no
+            // counter or trace event fires.
+            return;
+        }
+        if C::held_keys(&mut self.slot(tx).local).contains(key) {
+            self.count_cache_hit(tx, LockKind::Key, key_hash64(key));
+            return;
+        }
+        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        self.inner
+            .class
+            .key_tables()
+            .with_stripe_for(key, stats, |s| s.take_key_lock(key.clone(), owner, stats));
+        C::held_keys(&mut self.slot(tx).local).insert(key.clone());
+    }
+}
+
 // ----------------------------------------------------------------------
 // Keyed lock tables with the sweep discipline built in
 // ----------------------------------------------------------------------
@@ -703,6 +689,12 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// Number of key stripes (always a power of two).
     pub fn stripe_count(&self) -> usize {
         self.tables.stripe_count()
+    }
+
+    /// The wrapped striped tables (what [`KeyedClass::key_tables`] returns
+    /// for the in-tree keyed classes built on these tables).
+    pub(crate) fn striped(&self) -> &MapTables<K> {
+        &self.tables
     }
 
     /// Body-side: take a key read lock in the stripe `key` hashes to

@@ -21,6 +21,17 @@
 //! are not in any table: they live in the transaction itself (the kernel's
 //! extension slot), so buffering a put touches no shared memory at all.
 //!
+//! Every owner set — a key's lockers, the point-lock sets, the eager map's
+//! readers — is an [`Owners`] list: empty, one owner inline, or a boxed
+//! list once a second transaction joins. A key stripe maps each locked key
+//! to its `Owners` in a [`StripeHasher`] table, so a first key-lock take
+//! costs one two-word table entry and no allocation of its own; the key is
+//! stored once more, in the owner's held-key set, which is both its
+//! release list and its txn-local lock cache (see `kernel.rs`). A stripe
+//! whose last lock is released gives back capacity above a fixed keep
+//! threshold, so one huge enumeration does not pin its high-water mark for
+//! the collection's lifetime.
+//!
 //! Lock *acquisition* happens during the transaction body (after which the
 //! underlying structure is read open-nested — lock-then-read order is what
 //! makes the doom protocol sound); conflict *detection* and lock *release*
@@ -163,10 +174,10 @@ impl Hasher for StripeHasher {
 }
 
 /// [`StripeHasher`] as the hasher of a transaction's private sets — store
-/// buffers, held-lock lists and the lock cache. They live and die inside one
-/// attempt and are probed on every buffered operation, so they take the
-/// stripe hash's speed over SipHash's flooding resistance: a collision only
-/// slows the transaction whose own keys collide.
+/// buffers and held-key sets (which are also the key-lock cache). They live
+/// and die inside one attempt and are probed on every buffered operation,
+/// so they take the stripe hash's speed over SipHash's flooding resistance:
+/// a collision only slows the transaction whose own keys collide.
 pub(crate) type LocalSet<K> = HashSet<K, BuildHasherDefault<StripeHasher>>;
 
 /// Map counterpart of [`LocalSet`].
@@ -500,15 +511,90 @@ impl DoomCtx<'_> {
     }
 }
 
+/// The owners of one semantic lock (paper Table 3's `Set<Owner>`), by
+/// transaction id: nobody, one owner inline, or a boxed list once a second
+/// transaction joins. A key is almost always locked by one transaction at a
+/// time, so taking a key lock allocates nothing. This is the owner set of
+/// every set-shaped lock table — key, size, empty, endpoint and full
+/// lockers, and the eager map's readers.
+///
+/// Invariant: `Many` holds at least two owners; every removal that leaves
+/// fewer moves the rest back inline.
+#[derive(Debug, Default)]
+pub(crate) enum Owners {
+    #[default]
+    Empty,
+    One(Owner),
+    // Boxed so the enum stays two words (a bare `Vec` would make every
+    // table entry a word larger to serve the rare shared key).
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<Owner>>),
+}
+
+impl Owners {
+    /// Add `owner` unless a transaction with its id already holds the lock.
+    pub(crate) fn insert(&mut self, owner: Owner) {
+        *self = match std::mem::take(self) {
+            Owners::Empty => Owners::One(owner),
+            Owners::One(o) if o.id() == owner.id() => Owners::One(o),
+            Owners::One(o) => Owners::Many(Box::new(vec![o, owner])),
+            Owners::Many(mut v) => {
+                if v.iter().all(|o| o.id() != owner.id()) {
+                    v.push(owner);
+                }
+                Owners::Many(v)
+            }
+        };
+    }
+
+    /// The owners, in insertion order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Owner> {
+        match self {
+            Owners::Empty => [].iter(),
+            Owners::One(o) => std::slice::from_ref(o).iter(),
+            Owners::Many(v) => v.iter(),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        matches!(self, Owners::Empty)
+    }
+
+    /// Keep only the owners `keep` accepts.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Owner) -> bool) {
+        match self {
+            Owners::Empty => {}
+            Owners::One(o) => {
+                if !keep(o) {
+                    *self = Owners::Empty;
+                }
+            }
+            Owners::Many(v) => {
+                v.retain(|o| keep(o));
+                if v.len() < 2 {
+                    *self = v.pop().map_or(Owners::Empty, Owners::One);
+                }
+            }
+        }
+    }
+
+    /// Drop transaction `id`'s hold; returns whether it held the lock.
+    pub(crate) fn remove(&mut self, id: u64) -> bool {
+        let mut held = false;
+        self.retain(|o| {
+            held |= o.id() == id;
+            o.id() != id
+        });
+        held
+    }
+}
+
 /// Doom every *other*, still-active owner in `owners`; prune finished ones.
 /// Returns how many dooms landed. This is the single doom-landing point for
 /// set-shaped lock tables (ranges have their own in
 /// [`SortedLockTables::doom_range_lockers`]): each landed doom records the
 /// `doomer → victim` edge described by `ctx` in the trace.
-// `Owner` hashes by `TxHandle` id, which never changes after creation; the
-// handle's atomics do not participate in Hash/Eq.
-#[allow(clippy::mutable_key_type)]
-pub(crate) fn doom_others(owners: &mut HashSet<Owner>, self_id: u64, ctx: &DoomCtx) -> u64 {
+pub(crate) fn doom_others(owners: &mut Owners, self_id: u64, ctx: &DoomCtx) -> u64 {
     let mut doomed = 0;
     owners.retain(|o| {
         if o.id() == self_id {
@@ -534,18 +620,27 @@ pub(crate) fn doom_others(owners: &mut HashSet<Owner>, self_id: u64, ctx: &DoomC
 // Per-stripe and global-stripe lock-table payloads
 // ----------------------------------------------------------------------
 
+/// Capacity, in entries, that a key stripe keeps once its last lock is
+/// released. A stripe that held more — one transaction enumerating a large
+/// map — gives the rest back rather than keeping its high-water mark for the
+/// collection's lifetime; a stripe that never exceeds it never reallocates.
+const STRIPE_KEEP_CAPACITY: usize = 64;
+
 /// One stripe of the `key2lockers` table (paper Table 3, sharded by key
 /// hash). Every key maps to exactly one stripe, so the per-key lock/apply/
-/// doom-scan protocol runs entirely under this stripe's mutex.
+/// doom-scan protocol runs entirely under this stripe's mutex. The table
+/// hashes with the stripe hash: stripe selection already depends on it,
+/// and the backends hash deterministically too, so SipHash's flooding
+/// resistance would buy nothing here.
 #[derive(Debug)]
 pub(crate) struct KeyLockShard<K> {
-    pub key2lockers: HashMap<K, HashSet<Owner>>,
+    key2lockers: HashMap<K, Owners, BuildHasherDefault<StripeHasher>>,
 }
 
 impl<K> Default for KeyLockShard<K> {
     fn default() -> Self {
         KeyLockShard {
-            key2lockers: HashMap::new(),
+            key2lockers: HashMap::default(),
         }
     }
 }
@@ -562,18 +657,25 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
         self.key2lockers.entry(key).or_default().insert(owner);
     }
 
+    /// A stripe left with no locks gives back capacity above
+    /// [`STRIPE_KEEP_CAPACITY`].
+    fn trim(&mut self) {
+        if self.key2lockers.is_empty() {
+            self.key2lockers.shrink_to(STRIPE_KEEP_CAPACITY);
+        }
+    }
+
     /// A committing writer is adding/removing/replacing `key`: doom readers.
     pub(crate) fn doom_key_lockers(&mut self, key: &K, self_id: u64, ctx: &DoomCtx) -> u64 {
-        match self.key2lockers.get_mut(key) {
-            None => 0,
-            Some(owners) => {
-                let n = doom_others(owners, self_id, ctx);
-                if owners.is_empty() {
-                    self.key2lockers.remove(key);
-                }
-                n
-            }
+        let Some(owners) = self.key2lockers.get_mut(key) else {
+            return 0;
+        };
+        let n = doom_others(owners, self_id, ctx);
+        if owners.is_empty() {
+            self.key2lockers.remove(key);
+            self.trim();
         }
+        n
     }
 
     /// Doom every key observer of `key` whose mode is incompatible with
@@ -600,8 +702,8 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
     }
 
     /// Release every key lock held on behalf of `owner_id`. `keys` is the
-    /// owner's thread-local `keyLocks` set filtered to this stripe — kept
-    /// precisely so release does not have to enumerate `key2lockers`
+    /// owner's transaction-local `keyLocks` set filtered to this stripe —
+    /// kept precisely so release does not have to enumerate `key2lockers`
     /// (paper §3.1).
     pub(crate) fn release_keys<'a>(
         &mut self,
@@ -614,13 +716,14 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
         let mut released = 0u64;
         for k in keys {
             if let Some(owners) = self.key2lockers.get_mut(k) {
-                owners.retain(|o| o.id() != owner_id);
+                owners.remove(owner_id);
                 if owners.is_empty() {
                     self.key2lockers.remove(k);
                 }
                 released += 1;
             }
         }
+        self.trim();
         trace::sem_lock_released(owner_id, stats.class_sym(), LockKind::Key, released);
     }
 
@@ -635,8 +738,8 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
 /// zero-crossing lock set).
 #[derive(Debug, Default)]
 pub(crate) struct PointLocks {
-    pub size_lockers: HashSet<Owner>,
-    pub empty_lockers: HashSet<Owner>,
+    pub size_lockers: Owners,
+    pub empty_lockers: Owners,
 }
 
 impl PointLocks {
@@ -700,23 +803,11 @@ impl PointLocks {
 
     /// Release every point lock held on behalf of `owner_id`.
     pub(crate) fn release_owner(&mut self, owner_id: u64, stats: &SemanticStats) {
-        let sizes = self.size_lockers.len();
-        let empties = self.empty_lockers.len();
-        self.size_lockers.retain(|o| o.id() != owner_id);
-        self.empty_lockers.retain(|o| o.id() != owner_id);
+        let sizes = self.size_lockers.remove(owner_id);
+        let empties = self.empty_lockers.remove(owner_id);
         let sym = stats.class_sym();
-        trace::sem_lock_released(
-            owner_id,
-            sym,
-            LockKind::Size,
-            (sizes - self.size_lockers.len()) as u64,
-        );
-        trace::sem_lock_released(
-            owner_id,
-            sym,
-            LockKind::Empty,
-            (empties - self.empty_lockers.len()) as u64,
-        );
+        trace::sem_lock_released(owner_id, sym, LockKind::Size, sizes as u64);
+        trace::sem_lock_released(owner_id, sym, LockKind::Empty, empties as u64);
     }
 }
 
@@ -1019,8 +1110,8 @@ impl<K: Clone + Ord> RangeStore<K> {
 /// Additional lock tables for the `SortedMap` abstraction (paper Table 6:
 /// `firstLockers`, `lastLockers`, `rangeLockers`).
 pub(crate) struct SortedLockTables<K> {
-    pub first_lockers: HashSet<Owner>,
-    pub last_lockers: HashSet<Owner>,
+    pub first_lockers: Owners,
+    pub last_lockers: Owners,
     pub ranges: RangeStore<K>,
 }
 
@@ -1033,8 +1124,8 @@ impl<K: Clone + Ord> Default for SortedLockTables<K> {
 impl<K: Clone + Ord> SortedLockTables<K> {
     pub(crate) fn with_kind(kind: RangeIndexKind) -> Self {
         SortedLockTables {
-            first_lockers: HashSet::new(),
-            last_lockers: HashSet::new(),
+            first_lockers: Owners::Empty,
+            last_lockers: Owners::Empty,
             ranges: RangeStore::new(kind),
         }
     }
@@ -1282,10 +1373,8 @@ impl<K: Clone + Ord> SortedLockTables<K> {
     }
 
     pub(crate) fn release_owner(&mut self, owner_id: u64, stats: &SemanticStats) {
-        let endpoints = self.first_lockers.len() + self.last_lockers.len();
-        self.first_lockers.retain(|o| o.id() != owner_id);
-        self.last_lockers.retain(|o| o.id() != owner_id);
-        let endpoints_released = endpoints - self.first_lockers.len() - self.last_lockers.len();
+        let endpoints_released = self.first_lockers.remove(owner_id) as usize
+            + self.last_lockers.remove(owner_id) as usize;
         let mut ranges_released = 0u64;
         match &mut self.ranges {
             RangeStore::Flat { locks, .. } => {
@@ -1354,6 +1443,39 @@ mod tests {
         assert!(!me.is_doomed());
     }
 
+    /// A second owner spills the key's owner list to the heap; the doom
+    /// sweep and both releases work on the spilled list, and the last
+    /// release removes the key's entry.
+    #[test]
+    fn second_owner_spills_and_last_release_removes_the_entry() {
+        let stats = SemanticStats::default();
+        let wctx = ctx(&stats, ObsMode::Key, UpdateEffect::KeyWrite);
+        let mut shard: KeyLockShard<u32> = KeyLockShard::default();
+        let (first, second, writer) = (owner(), owner(), owner());
+        assert_eq!(std::mem::size_of::<Owners>(), 16, "one owner inline");
+        shard.take_key_lock(7, first.clone(), &stats);
+        assert!(matches!(shard.key2lockers.get(&7), Some(Owners::One(_))));
+        shard.take_key_lock(7, second.clone(), &stats);
+        shard.take_key_lock(7, second.clone(), &stats);
+        assert!(matches!(
+            shard.key2lockers.get(&7),
+            Some(Owners::Many(v)) if v.len() == 2
+        ));
+
+        shard.release_keys(first.id(), [7].iter(), &stats);
+        assert_eq!(
+            shard.locked_key_count(),
+            1,
+            "the second owner still holds 7"
+        );
+        assert_eq!(shard.doom_key_lockers(&7, writer.id(), &wctx), 1);
+        assert!(second.is_doomed() && !first.is_doomed());
+
+        shard.release_keys(second.id(), [7].iter(), &stats);
+        assert_eq!(shard.locked_key_count(), 0);
+        assert_eq!(shard.doom_key_lockers(&7, writer.id(), &wctx), 0);
+    }
+
     #[test]
     fn doom_missing_key_is_zero() {
         let stats = SemanticStats::default();
@@ -1387,15 +1509,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::mutable_key_type)]
     fn finished_owners_are_pruned_not_doomed() {
         let stats = SemanticStats::default();
         let mut t = PointLocks::default();
         let dead = owner();
         // Simulate a completed transaction lingering in the table.
-        let mut set = HashSet::new();
-        set.insert(dead.clone());
-        t.size_lockers = set;
+        t.size_lockers = Owners::One(dead.clone());
         // mark_committed is crate-private to stm; emulate via doom->abort path
         // is not possible here, so use an Active owner and verify doom, then
         // check pruning with the doomed-but-aborted state is covered by the

@@ -51,9 +51,11 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, SemanticClass, SemanticCore};
-use crate::locks::{LocalMap, LocalSet, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
-use std::collections::HashSet;
+use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{
+    LocalMap, LocalSet, MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect,
+    DEFAULT_STRIPES,
+};
 use std::hash::Hash;
 use std::marker::PhantomData;
 use stm::{Txn, TxnMode};
@@ -411,6 +413,24 @@ where
     }
 }
 
+impl<K, V, B> KeyedClass for MapClass<K, V, B>
+where
+    K: Clone + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: MapBackend<K, V>,
+{
+    type Key = K;
+    type Global = PointLocks;
+
+    fn key_tables(&self) -> &MapTables<K> {
+        self.tables.striped()
+    }
+
+    fn held_keys(local: &mut MapLocal<K, V>) -> &mut LocalSet<K> {
+        &mut local.key_locks
+    }
+}
+
 /// A transactional wrapper making any [`MapBackend`] safe and scalable to use
 /// from long-running transactions.
 ///
@@ -552,27 +572,6 @@ where
         self.core.with_local(tx, f)
     }
 
-    /// Take a key read lock (in the key's stripe) and remember it locally
-    /// for cheap release. The txn-local lock cache short-circuits repeat
-    /// acquisitions: only the first touch of a key pays the stripe round
-    /// trip. The cache is noted strictly after both the acquisition and the
-    /// release-list insert, so it is always a subset of `key_locks` — a hit
-    /// can never name a lock the release sweep will not drop.
-    fn take_key_lock(&self, tx: &mut Txn, key: &K) {
-        if self.core.key_lock_cached(tx, key) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        self.core
-            .class()
-            .tables
-            .take_key_lock(self.core.stats(), key.clone(), owner);
-        self.with_local(tx, |l| {
-            l.key_locks.insert(key.clone());
-        });
-        self.core.note_key_lock(tx, key.clone());
-    }
-
     fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
         self.core
             .try_local(tx, |l| l.store_buffer.get(key).cloned())
@@ -621,7 +620,7 @@ where
             Some(BufWrite::Remove) => return None,
             None => {}
         }
-        self.take_key_lock(tx, key);
+        self.core.take_key_lock(tx, key);
         let backend = &self.core.class().backend;
         tx.open_read(|otx| backend.get(otx, key))
     }
@@ -637,7 +636,7 @@ where
             Some(BufWrite::Remove) => return false,
             None => {}
         }
-        self.take_key_lock(tx, key);
+        self.core.take_key_lock(tx, key);
         let backend = &self.core.class().backend;
         tx.open_read(|otx| backend.contains_key(otx, key))
     }
@@ -651,7 +650,7 @@ where
             .try_local(tx, |l| l.blind.iter().cloned().collect())
             .unwrap_or_default();
         for k in blind {
-            self.take_key_lock(tx, &k);
+            self.core.take_key_lock(tx, &k);
             let backend = &self.core.class().backend;
             let committed_present = tx.open_read(|otx| backend.contains_key(otx, &k));
             self.with_local(tx, |l| {
@@ -731,7 +730,7 @@ where
             Some(BufWrite::Put(v)) => Some(v),
             Some(BufWrite::Remove) => None,
             None => {
-                self.take_key_lock(tx, &key);
+                self.core.take_key_lock(tx, &key);
                 let backend = &self.core.class().backend;
                 tx.open_read(|otx| backend.get(otx, &key))
             }
@@ -799,7 +798,7 @@ where
             Some(BufWrite::Put(v)) => Some(v),
             Some(BufWrite::Remove) => None,
             None => {
-                self.take_key_lock(tx, key);
+                self.core.take_key_lock(tx, key);
                 let backend = &self.core.class().backend;
                 tx.open_read(|otx| backend.get(otx, key))
             }
@@ -866,16 +865,24 @@ where
         let backend = &self.core.class().backend;
         let committed_keys: Vec<K> =
             tx.open_read(|otx| backend.entries(otx).into_iter().map(|(k, _)| k).collect());
-        let key_set: HashSet<K> = committed_keys.iter().cloned().collect();
+        // Buffered puts of keys the snapshot lacks are enumerated after it;
+        // the snapshot's key set is built only once there is a put to test.
         let buffered_new: Vec<(K, V)> = self
             .core
             .try_local(tx, |l| {
+                let mut key_set: Option<LocalSet<&K>> = None;
                 l.store_buffer
                     .iter()
                     .filter_map(|(k, w)| match w {
-                        BufWrite::Put(v) if !key_set.contains(k) => Some((k.clone(), v.clone())),
-                        _ => None,
+                        BufWrite::Put(v) => Some((k, v)),
+                        BufWrite::Remove => None,
                     })
+                    .filter(|(k, _)| {
+                        !key_set
+                            .get_or_insert_with(|| committed_keys.iter().collect())
+                            .contains(k)
+                    })
+                    .map(|(k, v)| (k.clone(), v.clone()))
                     .collect()
             })
             .unwrap_or_default();
@@ -883,7 +890,7 @@ where
             map: self.clone(),
             keys: committed_keys,
             pos: 0,
-            confirmed: HashSet::new(),
+            confirmed: LocalSet::default(),
             buffered_new,
             bpos: 0,
             exhausted: false,
@@ -928,7 +935,7 @@ where
     keys: Vec<K>,
     pos: usize,
     /// Snapshot keys confirmed still committed when visited.
-    confirmed: HashSet<K>,
+    confirmed: LocalSet<K>,
     buffered_new: Vec<(K, V)>,
     bpos: usize,
     exhausted: bool,
@@ -948,7 +955,7 @@ where
                 let k = self.keys[self.pos].clone();
                 self.pos += 1;
                 // Lock, then read live (lock-then-read soundness).
-                self.map.take_key_lock(tx, &k);
+                self.map.core.take_key_lock(tx, &k);
                 let backend = &self.map.core.class().backend;
                 let committed = tx.open_read(|otx| backend.get(otx, &k));
                 if committed.is_some() {
@@ -981,16 +988,19 @@ where
                     self.map.core.note_point_lock(tx, CachedPoint::Size);
                 }
                 // Completeness check: keys committed after our snapshot would
-                // silently be missed. Verify the set of confirmed keys equals
-                // the live committed key set; otherwise abort and retry. Every
-                // confirmed key is lock-protected against later change, so on
-                // success the enumeration equals the committed state at this
-                // instant — a valid serialization point.
+                // silently be missed. Verify the live committed key set equals
+                // the set of confirmed keys — as many keys, each confirmed —
+                // otherwise abort and retry. Every confirmed key is
+                // lock-protected against later change, so on success the
+                // enumeration equals the committed state at this instant — a
+                // valid serialization point.
                 let backend = &self.map.core.class().backend;
-                let live: HashSet<K> = self.map.core.read_settled(tx, |otx| {
-                    backend.entries(otx).into_iter().map(|(k, _)| k).collect()
+                let confirmed = &self.confirmed;
+                let complete = self.map.core.read_settled(tx, |otx| {
+                    let live = backend.entries(otx);
+                    live.len() == confirmed.len() && live.iter().all(|(k, _)| confirmed.contains(k))
                 });
-                if live != self.confirmed {
+                if !complete {
                     stm::abort_and_retry();
                 }
             }

@@ -15,9 +15,11 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, SemanticClass, SemanticCore};
-use crate::locks::{ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
-use std::collections::{HashMap, HashSet};
+use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{
+    LocalSet, MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
+};
+use std::collections::HashMap;
 use std::hash::Hash;
 use stm::{TVar, Txn, TxnMode};
 use txstruct::{BoostedHashMap, TxHashMap};
@@ -121,7 +123,7 @@ pub static MULTISET_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph {
 /// this transaction holds, and the buffered change to the total count.
 pub(crate) struct MultisetLocal<T> {
     pub deltas: HashMap<T, i64>,
-    pub key_locks: HashSet<T>,
+    pub key_locks: LocalSet<T>,
     pub total_delta: i64,
 }
 
@@ -129,7 +131,7 @@ impl<T> Default for MultisetLocal<T> {
     fn default() -> Self {
         MultisetLocal {
             deltas: HashMap::new(),
-            key_locks: HashSet::new(),
+            key_locks: LocalSet::default(),
             total_delta: 0,
         }
     }
@@ -211,6 +213,23 @@ where
     /// Abort handler: writes were only buffered — pure lock release.
     fn release(&self, local: MultisetLocal<T>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
         self.tables.release_sweep(stats, id, local.key_locks.iter());
+    }
+}
+
+impl<T, B> KeyedClass for MultisetClass<T, B>
+where
+    T: Clone + Eq + Hash + Send + Sync + 'static,
+    B: MapBackend<T, u64>,
+{
+    type Key = T;
+    type Global = PointLocks;
+
+    fn key_tables(&self) -> &MapTables<T> {
+        self.tables.striped()
+    }
+
+    fn held_keys(local: &mut MultisetLocal<T>) -> &mut LocalSet<T> {
+        &mut local.key_locks
     }
 }
 
@@ -326,21 +345,6 @@ where
         self.core.with_local(tx, f)
     }
 
-    fn take_key_lock(&self, tx: &mut Txn, value: &T) {
-        if self.core.key_lock_cached(tx, value) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        self.core
-            .class()
-            .tables
-            .take_key_lock(self.core.stats(), value.clone(), owner);
-        self.with_local(tx, |l| {
-            l.key_locks.insert(value.clone());
-        });
-        self.core.note_key_lock(tx, value.clone());
-    }
-
     /// Buffer a count delta with a local undo (closed-nested rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
         self.with_local(tx, |l| {
@@ -373,7 +377,7 @@ where
     /// Visible count of `value` under this transaction's element lock:
     /// committed count (open-nested) plus the buffered delta.
     fn visible_count(&self, tx: &mut Txn, value: &T) -> i64 {
-        self.take_key_lock(tx, value);
+        self.core.take_key_lock(tx, value);
         let backend = &self.core.class().backend;
         let committed = tx.open_read(|otx| backend.get(otx, value)).unwrap_or(0) as i64;
         let delta = self

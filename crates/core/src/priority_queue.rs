@@ -17,14 +17,14 @@
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{
-    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, SemanticClass,
-    SemanticCore,
+    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, KeyedClass,
+    SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
+    LocalSet, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
     UpdateEffect, DEFAULT_STRIPES,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 use stm::{TVar, Txn, TxnMode};
 use txstruct::TxTreeMap;
@@ -193,7 +193,7 @@ pub static PRIORITY_QUEUE_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph
 /// the buffered change to the total count.
 pub(crate) struct PqLocal<T> {
     pub deltas: BTreeMap<T, i64>,
-    pub key_locks: HashSet<T>,
+    pub key_locks: LocalSet<T>,
     pub total_delta: i64,
 }
 
@@ -201,7 +201,7 @@ impl<T> Default for PqLocal<T> {
     fn default() -> Self {
         PqLocal {
             deltas: BTreeMap::new(),
-            key_locks: HashSet::new(),
+            key_locks: LocalSet::default(),
             total_delta: 0,
         }
     }
@@ -324,6 +324,23 @@ where
     }
 }
 
+impl<T, B> KeyedClass for PqClass<T, B>
+where
+    T: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    B: SortedMapBackend<T, u64>,
+{
+    type Key = T;
+    type Global = SortedGlobal<T>;
+
+    fn key_tables(&self) -> &SortedTables<T> {
+        &self.tables
+    }
+
+    fn held_keys(local: &mut PqLocal<T>) -> &mut LocalSet<T> {
+        &mut local.key_locks
+    }
+}
+
 /// A transactional min-priority queue with synthesized semantic locks.
 /// Duplicate elements are supported (counted multiplicities).
 ///
@@ -437,22 +454,6 @@ where
         self.core.with_local(tx, f)
     }
 
-    fn take_key_lock(&self, tx: &mut Txn, value: &T) {
-        if self.core.key_lock_cached(tx, value) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        let class = self.core.class();
-        let stats = self.core.stats();
-        class.tables.with_stripe_for(value, stats, |s| {
-            s.take_key_lock(value.clone(), owner, stats);
-        });
-        self.with_local(tx, |l| {
-            l.key_locks.insert(value.clone());
-        });
-        self.core.note_key_lock(tx, value.clone());
-    }
-
     /// Buffer a multiplicity delta with a local undo (closed-nested
     /// rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
@@ -532,7 +533,7 @@ where
             (Some(c), Some(b)) => Some(if b <= c { b } else { c }),
         };
         match &candidate {
-            Some(k) => self.take_key_lock(tx, k),
+            Some(k) => self.core.take_key_lock(tx, k),
             None => {
                 if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
                     let owner = tx.handle().clone();

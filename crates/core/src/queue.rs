@@ -34,10 +34,9 @@ use crate::backend::QueueBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
 use crate::locks::{
-    doom_others, mode_compatible, DoomCtx, GlobalStripe, ObsMode, Owner, SemanticStats,
+    doom_others, mode_compatible, DoomCtx, GlobalStripe, ObsMode, Owners, SemanticStats,
     UpdateEffect,
 };
-use std::collections::HashSet;
 use std::marker::PhantomData;
 use stm::trace::{self, LockKind};
 use stm::{Txn, TxnMode};
@@ -188,11 +187,12 @@ impl<T> QueueLocal<T> {
     }
 }
 
+#[derive(Default)]
 struct QueueTables {
-    empty_lockers: HashSet<Owner>,
+    empty_lockers: Owners,
     /// Holders observed the queue full (bounded queues only) — doomed when
     /// a commit permanently consumes items.
-    full_lockers: HashSet<Owner>,
+    full_lockers: Owners,
 }
 
 /// The variant half of the queue class (kernel [`SemanticClass`]): the
@@ -310,23 +310,11 @@ where
 /// events with per-kind counts (the queue's bespoke table does not go
 /// through [`PointLocks`](crate::locks::PointLocks), so it emits its own).
 fn release_queue_locks(tables: &mut QueueTables, id: u64, stats: &SemanticStats) {
-    let empties = tables.empty_lockers.len();
-    let fulls = tables.full_lockers.len();
-    tables.empty_lockers.retain(|o| o.id() != id);
-    tables.full_lockers.retain(|o| o.id() != id);
+    let empties = tables.empty_lockers.remove(id);
+    let fulls = tables.full_lockers.remove(id);
     let sym = stats.class_sym();
-    trace::sem_lock_released(
-        id,
-        sym,
-        LockKind::Empty,
-        (empties - tables.empty_lockers.len()) as u64,
-    );
-    trace::sem_lock_released(
-        id,
-        sym,
-        LockKind::Full,
-        (fulls - tables.full_lockers.len()) as u64,
-    );
+    trace::sem_lock_released(id, sym, LockKind::Empty, empties as u64);
+    trace::sem_lock_released(id, sym, LockKind::Full, fulls as u64);
 }
 
 /// A transactional work queue wrapping any [`QueueBackend`]; see the module
@@ -389,10 +377,7 @@ where
             core: SemanticCore::new(QueueClass {
                 backend,
                 capacity,
-                tables: GlobalStripe::new(QueueTables {
-                    empty_lockers: HashSet::new(),
-                    full_lockers: HashSet::new(),
-                }),
+                tables: GlobalStripe::new(QueueTables::default()),
                 _item: PhantomData,
             }),
         }

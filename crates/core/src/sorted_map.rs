@@ -35,12 +35,12 @@
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{
-    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, SemanticClass,
-    SemanticCore,
+    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, KeyedClass,
+    SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    key_hash64, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
-    UpdateEffect, DEFAULT_STRIPES,
+    key_hash64, LocalSet, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables,
+    StripedTables, UpdateEffect, DEFAULT_STRIPES,
 };
 use crate::map::{BufWrite, MapLocal};
 use std::hash::Hash;
@@ -504,6 +504,24 @@ where
     }
 }
 
+impl<K, V, B> KeyedClass for SortedClass<K, V, B>
+where
+    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: SortedMapBackend<K, V>,
+{
+    type Key = K;
+    type Global = SortedGlobal<K>;
+
+    fn key_tables(&self) -> &SortedTables<K> {
+        &self.tables
+    }
+
+    fn held_keys(local: &mut MapLocal<K, V>) -> &mut LocalSet<K> {
+        &mut local.key_locks
+    }
+}
+
 /// A transactional wrapper making any [`SortedMapBackend`] safe and scalable
 /// to use from long-running transactions, including ordered iteration and
 /// range views.
@@ -641,22 +659,6 @@ where
         self.core.with_local(tx, f)
     }
 
-    fn take_key_lock(&self, tx: &mut Txn, key: &K) {
-        if self.core.key_lock_cached(tx, key) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        let class = self.core.class();
-        let stats = self.core.stats();
-        class.tables.with_stripe_for(key, stats, |s| {
-            s.take_key_lock(key.clone(), owner, stats);
-        });
-        self.with_local(tx, |l| {
-            l.key_locks.insert(key.clone());
-        });
-        self.core.note_key_lock(tx, key.clone());
-    }
-
     fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
         self.core
             .try_local(tx, |l| l.store_buffer.get(key).cloned())
@@ -702,7 +704,7 @@ where
             Some(BufWrite::Remove) => return None,
             None => {}
         }
-        self.take_key_lock(tx, key);
+        self.core.take_key_lock(tx, key);
         let backend = &self.core.class().backend;
         tx.open_read(|otx| backend.get(otx, key))
     }
@@ -716,7 +718,7 @@ where
             Some(BufWrite::Remove) => return false,
             None => {}
         }
-        self.take_key_lock(tx, key);
+        self.core.take_key_lock(tx, key);
         let backend = &self.core.class().backend;
         tx.open_read(|otx| backend.contains_key(otx, key))
     }
@@ -730,7 +732,7 @@ where
             Some(BufWrite::Put(v)) => Some(v),
             Some(BufWrite::Remove) => None,
             None => {
-                self.take_key_lock(tx, &key);
+                self.core.take_key_lock(tx, &key);
                 let backend = &self.core.class().backend;
                 tx.open_read(|otx| backend.get(otx, &key))
             }
@@ -775,7 +777,7 @@ where
             Some(BufWrite::Put(v)) => Some(v),
             Some(BufWrite::Remove) => None,
             None => {
-                self.take_key_lock(tx, key);
+                self.core.take_key_lock(tx, key);
                 let backend = &self.core.class().backend;
                 tx.open_read(|otx| backend.get(otx, key))
             }
@@ -814,7 +816,7 @@ where
             .try_local(tx, |l| l.blind.iter().cloned().collect())
             .unwrap_or_default();
         for k in blind {
-            self.take_key_lock(tx, &k);
+            self.core.take_key_lock(tx, &k);
             let backend = &self.core.class().backend;
             let committed_present = tx.open_read(|otx| backend.contains_key(otx, &k));
             self.with_local(tx, |l| {
@@ -1007,7 +1009,7 @@ where
                     };
                     match value {
                         Some(v) => {
-                            self.take_key_lock(tx, k);
+                            self.core.take_key_lock(tx, k);
                             return Some((k.clone(), v));
                         }
                         // Candidate vanished between probe and verify.
@@ -1097,7 +1099,7 @@ where
                     };
                     match value {
                         Some(v) => {
-                            self.take_key_lock(tx, k);
+                            self.core.take_key_lock(tx, k);
                             return Some((k.clone(), v));
                         }
                         None => continue,

@@ -1,0 +1,50 @@
+//! The map iterator's completeness check (paper Table 2,
+//! `entrySet.iterator`): an exhausted enumeration must equal the committed
+//! key set at the moment it takes the size lock.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use txcollections::{MapBackend, TransactionalMap};
+
+/// A key committed between `iter()` and exhaustion is missing from the
+/// enumeration's key snapshot and covered by none of its locks: only the
+/// completeness check at exhaustion can notice it. It must force the
+/// enumerating attempt to retry, and the retry must return the new key.
+#[test]
+fn key_committed_mid_iteration_forces_a_retry_that_sees_it() {
+    fn check<B: MapBackend<u32, String>>(m: TransactionalMap<u32, String, B>, backend: &str) {
+        stm::atomic(|tx| {
+            for k in 1..=3 {
+                m.put_discard(tx, k, format!("v{k}"));
+            }
+        });
+        let attempts = AtomicUsize::new(0);
+        let mut keys = stm::atomic(|tx| {
+            let first = attempts.fetch_add(1, Ordering::SeqCst) == 0;
+            let mut it = m.iter(tx);
+            let mut keys: Vec<u32> = it.next(tx).into_iter().map(|(k, _)| k).collect();
+            if first {
+                let w = m.clone();
+                std::thread::spawn(move || stm::atomic(|tx| w.put(tx, 99, "new".into())))
+                    .join()
+                    .expect("writer thread");
+            }
+            while let Some((k, _)) = it.next(tx) {
+                keys.push(k);
+            }
+            keys
+        });
+        keys.sort_unstable();
+        assert_eq!(
+            attempts.load(Ordering::SeqCst),
+            2,
+            "{backend}: the incomplete enumeration must retry once"
+        );
+        assert_eq!(
+            keys,
+            [1, 2, 3, 99],
+            "{backend}: the retry must see the new key"
+        );
+    }
+    check(TransactionalMap::new(), "TVar");
+    check(TransactionalMap::boosted(), "boosted");
+}
