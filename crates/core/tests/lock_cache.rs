@@ -11,8 +11,9 @@
 //! 2. Stripe invariance: repeated-op cells at stripe counts 1, 2, and 16
 //!    agree with the abstract matrix, so caching composes with striping.
 //! 3. Accounting + release: interleaved cached/uncached ops acquire exactly
-//!    one stripe lock per distinct (kind, key) footprint entry, and the
-//!    release sweep leaves zero locked keys after commit AND after abort —
+//!    one stripe lock per distinct (kind, key) footprint entry, on the TVar
+//!    and the boosted backend, with no open-nested commit, and the release
+//!    sweep leaves zero locked keys after commit AND after abort —
 //!    including a doomed-then-retried transaction, whose fresh attempt must
 //!    re-acquire from an empty cache (the stale-cache regression).
 
@@ -22,13 +23,23 @@ use conflict_harness::writer_dooms_reader;
 use proptest::prelude::*;
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use txcollections::{
-    mode_compatible, Channel, ObsMode, TransactionalMap, TransactionalQueue,
+    mode_compatible, Channel, MapBackend, ObsMode, TransactionalMap, TransactionalQueue,
     TransactionalSortedMap, UpdateEffect,
 };
 
 const REPEATS: usize = 3;
+
+/// Held by the test here that runs an open-nested child (the queue cell's
+/// `poll`), and by the tests that assert a window of the process-wide
+/// counters saw no open commit: without it, that child's commit can land
+/// in the window.
+static OPEN_NESTING: Mutex<()> = Mutex::new(());
+
+fn exclusive_open_nesting() -> MutexGuard<'static, ()> {
+    OPEN_NESTING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn seeded_map(nstripes: usize, pairs: &[(u32, &str)]) -> Arc<TransactionalMap<u32, String>> {
     let m = Arc::new(TransactionalMap::with_stripes(nstripes));
@@ -154,6 +165,7 @@ fn drive_cell_repeated(obs: ObsMode, effect: UpdateEffect, overlap: bool) -> Opt
 
 #[test]
 fn repeated_observers_deliver_each_cell_verdict() {
+    let _g = exclusive_open_nesting();
     let mut driven = 0;
     for obs in ObsMode::ALL {
         for effect in UpdateEffect::ALL {
@@ -197,36 +209,87 @@ fn repeated_key_cells_are_stripe_invariant() {
     }
 }
 
+/// Gets per transaction in the amortization sweep. Distinct-key cells read
+/// keys `0..ops`, so every map is seeded with the largest count.
+const SWEEP_OPS: [u32; 3] = [1, 16, 64];
+/// Transactions per sweep cell.
+const SWEEP_TXNS: u64 = 8;
+
 /// One stripe acquisition per distinct footprint entry, cache hits for the
-/// rest, and a clean table after commit.
+/// rest, no open-nested commit, and a clean table after commit — on both
+/// backends.
 #[test]
 fn repeat_ops_acquire_once_and_release_cleanly() {
-    let m = Arc::new(TransactionalMap::new());
-    let m2 = m.clone();
-    stm::atomic(move |tx| {
-        m2.put_discard(tx, 1u32, "a".to_string());
-        m2.put_discard(tx, 2, "b".to_string());
+    let _g = exclusive_open_nesting();
+    repeat_ops_on("tvar", TransactionalMap::with_stripes(16));
+    repeat_ops_on("boosted", TransactionalMap::boosted_with_stripes(16));
+}
+
+/// [`repeat_ops_acquire_once_and_release_cleanly`] on one backend: a mixed
+/// body of repeated key and size reads, then the amortization sweep —
+/// transactions of 1, 16 and 64 `get`s over one repeated key or over
+/// distinct keys.
+fn repeat_ops_on<B: MapBackend<u32, String>>(backend: &str, m: TransactionalMap<u32, String, B>) {
+    stm::atomic(|tx| {
+        for k in 0..SWEEP_OPS[2] {
+            m.put_discard(tx, k, format!("v{k}"));
+        }
     });
     let stats = m.semantic_stats();
-    let acq0 = stats.lock_acquisitions.load(Ordering::Relaxed);
-    let hits0 = stats.lock_cache_hits.load(Ordering::Relaxed);
+    let taken = || {
+        (
+            stats.lock_acquisitions.load(Ordering::Relaxed),
+            stats.lock_cache_hits.load(Ordering::Relaxed),
+        )
+    };
 
-    let m2 = m.clone();
-    stm::atomic(move |tx| {
+    let (acq0, hits0) = taken();
+    stm::atomic(|tx| {
         for _ in 0..4 {
-            let _ = m2.get(tx, &1); // Key(1): one take, three hits
+            let _ = m.get(tx, &1); // Key(1): one take, three hits
         }
-        let _ = m2.get(tx, &2); // Key(2): one take
+        let _ = m.get(tx, &2); // Key(2): one take
         for _ in 0..3 {
-            let _ = m2.size(tx); // Size: one take, two hits
+            let _ = m.size(tx); // Size: one take, two hits
         }
     });
+    let (acq, hits) = taken();
+    assert_eq!(acq - acq0, 3, "{backend}: {{Key(1), Key(2), Size}}");
+    assert_eq!(hits - hits0, 5, "{backend}: repeats are cache hits");
+    assert_eq!(m.locked_key_count(), 0, "{backend}: all released");
 
-    let acq = stats.lock_acquisitions.load(Ordering::Relaxed) - acq0;
-    let hits = stats.lock_cache_hits.load(Ordering::Relaxed) - hits0;
-    assert_eq!(acq, 3, "distinct footprint is {{Key(1), Key(2), Size}}");
-    assert_eq!(hits, 5, "repeats beyond the first are cache hits");
-    assert_eq!(m.locked_key_count(), 0, "commit sweep must release all");
+    for ops in SWEEP_OPS {
+        for repeat in [true, false] {
+            let cell = format!(
+                "{backend}, {ops} ops/txn, {} keys",
+                if repeat { "repeated" } else { "distinct" }
+            );
+            let distinct = if repeat { 1 } else { u64::from(ops) };
+            let (acq0, hits0) = taken();
+            let before = stm::global_stats();
+            for _ in 0..SWEEP_TXNS {
+                stm::atomic(|tx| {
+                    for j in 0..ops {
+                        let _ = m.get(tx, &if repeat { 0 } else { j });
+                    }
+                });
+            }
+            let d = stm::global_stats().diff(&before);
+            let (acq, hits) = taken();
+            assert_eq!(d.open_commits, 0, "{cell}: reads flatten, no child commits");
+            assert_eq!(
+                acq - acq0,
+                SWEEP_TXNS * distinct,
+                "{cell}: one acquisition per distinct key per transaction"
+            );
+            assert_eq!(
+                hits - hits0,
+                SWEEP_TXNS * (u64::from(ops) - distinct),
+                "{cell}: every other op is a cache hit"
+            );
+            assert_eq!(m.locked_key_count(), 0, "{cell}: all released");
+        }
+    }
 }
 
 /// A doomed transaction's retry starts from an empty cache: the fresh
@@ -284,6 +347,7 @@ fn doomed_retry_starts_with_cold_cache() {
 /// count as open-nested commits.
 #[test]
 fn flattened_reads_skip_open_commits() {
+    let _g = exclusive_open_nesting();
     let m = seeded_map(8, &[(1, "a")]);
     let before = stm::global_stats();
     let m2 = m.clone();

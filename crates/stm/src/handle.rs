@@ -185,17 +185,6 @@ impl TxHandle {
         }
     }
 
-    /// Committing-phase entry for the simulator's unchecked commit: the
-    /// simulator's eager violation protocol guarantees no doom is pending at
-    /// a commit event, so this asserts instead of failing.
-    pub(crate) fn begin_commit_unchecked(&self) {
-        debug_assert!(
-            !self.is_doomed(),
-            "simulator committed a doomed transaction"
-        );
-        self.word.store(STATE_COMMITTING, Ordering::Release);
-    }
-
     pub(crate) fn mark_committed(&self) {
         self.word.store(STATE_COMMITTED, Ordering::Release);
     }

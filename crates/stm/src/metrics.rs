@@ -1249,20 +1249,33 @@ mod tests {
     /// lock).
     pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Emission while disabled records nothing. Both windows are read while
+    /// still disabled: an enable would zero every shard and hide a leak.
     #[test]
     fn disabled_emission_is_inert() {
         let _g = TEST_LOCK.lock();
         assert!(!enabled());
-        doom_landed(Sym::UNKNOWN, 3);
-        hist_record_ns(HistKind::CommitLatency, 100);
+        let class = crate::trace::intern("disabled-emission-probe");
+        let before = window();
+        for i in 0..1000 {
+            doom_landed(class, 3);
+            hist_record_ns(HistKind::CommitLatency, i);
+            hist_elapsed(HistKind::SnapshotRead, timer());
+        }
         assert!(timer().is_none());
-        // Nothing above should have registered or counted anything new for
-        // this thread beyond what previous enables left behind: a fresh
-        // enable resets, so the window right after is empty.
-        let _guard = MetricsConfig::default().enable();
-        let w = window();
-        assert_eq!(w.kind_total(MetricKind::Doom), 0);
-        assert_eq!(w.histogram(HistKind::CommitLatency).count(), 0);
+        let after = window();
+        assert_eq!(after.counter(class, 3, MetricKind::Doom), 0);
+        assert_eq!(
+            after.kind_total(MetricKind::Doom),
+            before.kind_total(MetricKind::Doom)
+        );
+        for kind in [HistKind::CommitLatency, HistKind::SnapshotRead] {
+            assert_eq!(
+                after.histogram(kind).count(),
+                before.histogram(kind).count(),
+                "{kind:?} samples recorded while disabled"
+            );
+        }
     }
 
     #[test]

@@ -206,17 +206,25 @@ impl PreparedTxn {
         self.tx.read_offsets()
     }
 
-    /// Publish the buffered writes (through the same per-var `CommitGuard`
-    /// locking as the threaded runtime) and run commit handlers under the
-    /// handler lane.
+    /// Commit through the threaded runtime's own top-level commit: validate
+    /// the read set, win the doom-vs-commit CAS, publish the buffered writes
+    /// and run commit handlers under the handler lane.
     ///
     /// The caller (the simulator) is responsible for the TCC invariant that
-    /// makes validation and the doom-vs-commit CAS unnecessary: every
-    /// earlier-committing conflicting transaction must already have aborted
-    /// this one, and the simulator never interleaves a doom with a commit
-    /// event. Debug builds assert both (valid read set, no pending doom).
+    /// makes both checks pass: every earlier-committing conflicting
+    /// transaction must already have aborted this one, and the simulator
+    /// never interleaves a doom with a commit event.
+    ///
+    /// # Panics
+    ///
+    /// With the abort cause, when the invariant is broken (a stale read or
+    /// a pending doom). Nothing is published: the transaction takes the
+    /// abort path, as [`abort`](PreparedTxn::abort) would, before the panic.
     pub fn commit(mut self) {
-        self.tx.commit_top_unchecked();
+        if let Err(cause) = self.tx.try_commit_top() {
+            self.tx.run_abort_path(cause);
+            panic!("speculated transaction failed to commit: {cause:?}");
+        }
     }
 
     /// Discard the buffered writes, run local undos and abort handlers

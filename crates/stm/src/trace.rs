@@ -14,7 +14,9 @@
 //!
 //! * **Off by default, free when off.** Every emission function starts with
 //!   one relaxed atomic load ([`enabled`]); tier-1 perf is untouched unless a
-//!   [`TraceGuard`] is live (verified by the `trace_overhead` bench).
+//!   [`TraceGuard`] is live. `tests/trace_events.rs` checks that a disabled
+//!   layer records nothing; the repository benchmark's traced pass reports
+//!   what a live guard costs (`bench.trace_overhead`).
 //! * **Zero allocation on the hot path.** Events are fixed-width
 //!   `[u64; 5]` records written into a per-thread ring buffer; strings are
 //!   pre-interned [`Sym`]s (txlint TX009 rejects `format!`/`String` in

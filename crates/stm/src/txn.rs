@@ -834,45 +834,6 @@ impl Txn {
         Ok(())
     }
 
-    /// Commit without read validation. Used by the simulator, whose eager
-    /// TCC-style violation maintains the invariant that a transaction
-    /// reaching its commit event has a valid read set (any conflicting commit
-    /// would already have violated it). Debug builds still assert validity.
-    pub(crate) fn commit_top_unchecked(&mut self) {
-        debug_assert!(!self.is_open_child);
-        debug_assert_eq!(self.frames.len(), 1, "unbalanced nesting at commit");
-        let frame = &self.frames[0];
-        debug_assert!(
-            frame.reads.values().all(|r| r.var.version() == r.version),
-            "simulator invariant violated: stale read at commit"
-        );
-        let has_handlers = !frame.commit_handlers.is_empty();
-        let lane = if has_handlers {
-            Some(clock::lane_lock(self.handle.id()))
-        } else {
-            None
-        };
-        // Same two-phase publish as `try_commit_top`, minus validation and
-        // the doom CAS (the simulator's eager violation protocol already
-        // guarantees both; `begin_commit_unchecked` debug-asserts it).
-        self.handle.begin_commit_unchecked();
-        if !frame.writes.is_empty() {
-            let guard = clock::CommitGuard::lock_write_set(frame.write_vars());
-            guard.publish(|wv, horizon| {
-                for w in frame.writes.values() {
-                    w.var.apply(w.val.as_ref(), wv, horizon);
-                }
-            });
-        }
-        self.handle.mark_committed();
-        if has_handlers {
-            self.run_commit_handlers();
-        }
-        drop(lane);
-        metrics::committed(!has_handlers, None);
-        trace::txn_commit(self.handle.id());
-    }
-
     /// Complete a successful snapshot attempt. There is nothing to validate,
     /// publish, or run — the attempt logged no reads, buffered no writes,
     /// and was barred from registering handlers — so completion is: mark

@@ -1,12 +1,14 @@
 //! Integration tests for the dimensional metrics layer: shard merging,
-//! window differencing under concurrent recording, percentile goldens, and
-//! the flight recorder.
+//! window differencing under concurrent recording, percentile goldens, the
+//! flight recorder, and allocation-free emission.
 //!
 //! Metrics state is process-global (per-thread slab shards plus a shared
 //! registry), so the tests serialize on a file-local mutex. Each
 //! integration-test file is its own process, so this suffices.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use stm::metrics::{
@@ -16,6 +18,46 @@ use stm::trace::{intern, LockKind, Sym};
 use stm::{atomic, TVar};
 
 static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts allocations and reallocations made by the current thread while
+/// `COUNTING` is set.
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the const-initialized cells have no destructor, but an
+    // allocation during thread teardown must never panic in here.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: delegates every operation to `System`; the counter is a
+// thread-local side effect with no influence on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn serialize() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -344,5 +386,39 @@ fn window_counters_key_on_class_and_stripe() {
     classes.sort_by_key(|c| c.0);
     classes.dedup();
     assert_eq!(classes, vec![a, b]);
+    drop(guard);
+}
+
+/// Emission allocates nothing once a thread's shard exists: a warm loop
+/// over every public counter emitter and both histogram entry points, with
+/// metrics enabled, makes zero allocations on this thread. Counters are
+/// open-addressed slab increments and histograms are fixed arrays (the
+/// rule txlint TX014 enforces lexically).
+#[test]
+fn enabled_emission_allocates_nothing() {
+    const ITERS: u64 = 10_000;
+    let _g = serialize();
+    let guard = MetricsConfig::default().enable();
+    // Interning allocates (once per class), and a thread's first emission
+    // claims its shard: both happen before counting starts.
+    let class = intern("alloc-probe");
+    metrics::doom_landed(class, 1);
+    metrics::hist_record_ns(HistKind::CommitLatency, 1);
+
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    for i in 0..ITERS {
+        metrics::doom_landed(class, i % 16);
+        metrics::stripe_blocked(class, i % 16);
+        metrics::cache_hit(class);
+        metrics::hist_record_ns(HistKind::CommitLatency, i);
+        metrics::hist_elapsed(HistKind::SnapshotRead, metrics::timer());
+    }
+    COUNTING.with(|on| on.set(false));
+    assert_eq!(
+        ALLOCS.with(Cell::get),
+        0,
+        "allocations in {ITERS} warm emissions"
+    );
     drop(guard);
 }

@@ -635,3 +635,25 @@ fn speculate_then_abort_discards_and_compensates() {
     assert_eq!(v.read_committed(), 0);
     assert_eq!(compensated.load(Ordering::SeqCst), 1);
 }
+
+/// The simulator commits through the runtime's own top-level commit, so a
+/// speculated transaction doomed before its commit event loses the
+/// doom-vs-commit race: `commit()` aborts it, publishes nothing and panics
+/// with the cause.
+#[test]
+fn commit_of_doomed_speculation_panics_and_publishes_nothing() {
+    let v = Arc::new(TVar::new(0u32));
+    let v2 = v.clone();
+    let (_, prepared) = stm::speculate(move |tx| v2.write(tx, 5), 0).unwrap();
+    let handle = prepared.handle();
+    assert!(handle.doom());
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.commit()))
+        .expect_err("committing a doomed speculation must panic");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(msg.contains("Doomed"), "panic names the cause: {msg:?}");
+    assert_eq!(v.read_committed(), 0, "the buffered write is not published");
+    assert_eq!(handle.state(), TxState::Aborted);
+}

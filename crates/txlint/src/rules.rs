@@ -1330,7 +1330,6 @@ const TX013_LOCKING_METHODS: &[&str] = &[
     "take_range_lock",
     "add_range_lock",
     "extend_range_upper",
-    "note_key_lock",
     "note_point_lock",
     "with_local",
     "local_undo",
