@@ -38,7 +38,7 @@ mod lockmode;
 mod tmmode;
 
 pub use lockmode::{run_lock, LockRecorder, LockResult, LockWorkload};
-pub use tmmode::{run_tm, TmResult, TmWorkload};
+pub use tmmode::{run_tm, TmResult, TmWorkload, UNLABELLED};
 
 /// Charge `cycles` of "surrounding computation" to the current transaction
 /// body (the paper's long-transaction filler between collection operations).

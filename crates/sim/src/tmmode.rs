@@ -2,9 +2,7 @@
 
 use crate::{ABORT_PENALTY, TXN_OVERHEAD};
 use std::cmp::Reverse;
-#[allow(unused_imports)]
-use std::collections::HashMap;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use stm::{AbortCause, PreparedTxn, VarId};
 
 /// A transactional workload driven by the TM engine.
@@ -49,32 +47,39 @@ pub struct TmResult {
     /// Lost cycles attributed to the variable whose read/write overlap
     /// caused each memory violation (TAPE-style conflict profiling,
     /// paper §6.3). Label vars with [`stm::TVar::set_label`] to name them.
-    pub conflict_sources: std::collections::HashMap<VarId, u64>,
+    /// Keys are addresses: [`TmResult::top_conflict_sources`] names them.
+    pub conflict_sources: HashMap<VarId, u64>,
 }
 
+/// The row of [`TmResult::top_conflict_sources`] that sums every var
+/// without a live label; it ranks after every labelled row.
+pub const UNLABELLED: &str = "(unlabelled vars)";
+
 impl TmResult {
-    /// The top-`n` conflict sources as `(label-or-id, lost cycles)`.
+    /// The top-`n` conflict sources as `(label, lost cycles)`: labelled
+    /// sources by lost cycles, then one [`UNLABELLED`] row.
     ///
-    /// Names resolve only for vars still alive: a label dies with its var,
-    /// so call this while the workload's structures are in scope (a dropped
-    /// var prints as `var#<id>`).
+    /// A [`VarId`] is the var's address, so a label names its row exactly
+    /// only for a var labelled before the run and still alive: call this
+    /// while the workload's structures are in scope. Every other var —
+    /// unlabelled, or dropped since — adds to the `UNLABELLED` row, so the
+    /// rows never depend on where the allocator placed a var. That row
+    /// names no location, so it ranks after every labelled source.
     pub fn top_conflict_sources(&self, n: usize) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .conflict_sources
-            .iter()
-            .map(|(id, lost)| {
-                let name = stm::var_label(*id).unwrap_or_else(|| format!("var#{id}"));
-                (name, *lost)
-            })
-            .collect();
         // Labels may be shared by several vars (e.g. all districts' order
         // tables): aggregate.
-        let mut agg: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-        for (name, lost) in v.drain(..) {
+        let mut agg: HashMap<String, u64> = HashMap::new();
+        for (id, lost) in &self.conflict_sources {
+            let name = stm::var_label(*id).unwrap_or_else(|| UNLABELLED.to_owned());
             *agg.entry(name).or_default() += lost;
         }
         let mut out: Vec<(String, u64)> = agg.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out.sort_by(|a, b| {
+            (a.0 == UNLABELLED)
+                .cmp(&(b.0 == UNLABELLED))
+                .then(b.1.cmp(&a.1))
+                .then(a.0.cmp(&b.0))
+        });
         out.truncate(n);
         out
     }
@@ -365,6 +370,27 @@ mod tests {
         // Same per-CPU txn count: 8 CPUs do 8x the work in the same time.
         let speedup = (8.0 * r1.makespan as f64) / r8.makespan as f64;
         assert!(speedup > 7.5, "disjoint speedup only {speedup}");
+    }
+
+    #[test]
+    fn unlabelled_conflict_sources_share_one_row() {
+        let (hot, a, b) = (TVar::new(0u8), TVar::new(0u8), TVar::new(0u8));
+        hot.set_label("hot");
+        let dropped = {
+            let gone = TVar::new(0u8);
+            gone.set_label("gone");
+            gone.id()
+        };
+        let r = TmResult {
+            conflict_sources: [(hot.id(), 5), (a.id(), 3), (b.id(), 4), (dropped, 1)].into(),
+            ..TmResult::default()
+        };
+        assert_eq!(
+            r.top_conflict_sources(8),
+            [("hot".to_owned(), 5), (UNLABELLED.to_owned(), 8)],
+            "vars without a live label aggregate under one name, ranked last"
+        );
+        assert_eq!(r.top_conflict_sources(1), [("hot".to_owned(), 5)]);
     }
 
     #[test]

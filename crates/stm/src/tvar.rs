@@ -3,18 +3,24 @@
 //! txlint: metrics — metrics-emitter argument spans here must not allocate
 //! or format (TX014).
 //!
-//! A [`TVar<T>`] is a shared, versioned cell. All access from inside a
-//! transaction goes through [`TVar::read`] / [`TVar::write`], which log the
-//! access in the current nesting frame of the [`Txn`]. Values are stored and
-//! buffered by clone; in practice `T` is either small and `Copy`-like or an
-//! `Arc`-wrapped payload.
+//! A [`TCell<T>`] is a shared, versioned cell; a [`TVar<T>`] is a `TCell`
+//! in an allocation of its own, while a structure with several vars per
+//! object (a tree node) embeds its cells inline in one `Arc`-owned block.
+//! All access from inside a transaction goes through `read` / `write`,
+//! which log the access in the current nesting frame of the [`Txn`]. Values
+//! are stored and buffered by clone; in practice `T` is either small and
+//! `Copy`-like or an `Arc`-wrapped payload.
 //!
-//! Each var's **versioned commit lock** (`vlock`) is the only copy of its
+//! Each cell's **versioned commit lock** (`vlock`) is the only copy of its
 //! version: one atomic word holding `(version << 1) | locked`. Committers
 //! acquire the lock bit (in `VarId` order across their write set), and
 //! publishing stores the new version with the bit clear — so releasing the
 //! lock and stamping the version are one atomic store, and validators read
 //! version + lock state as one word. See `clock.rs` for the protocol.
+//!
+//! A cell's [`VarId`] is its address. Every read-set, write-set and
+//! flattened-read entry is a [`VarRef`], which keeps the block holding the
+//! cell alive, so no id is reused while a transaction can still compare it.
 
 use crate::cost;
 use crate::metrics::{self, Total};
@@ -22,7 +28,8 @@ use crate::txn::Txn;
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on the per-var history chain. A snapshot pinned so far in the
@@ -30,10 +37,10 @@ use std::sync::Arc;
 /// instead; the bound is what keeps worst-case memory per var constant.
 pub(crate) const MAX_CHAIN_DEPTH: usize = 8;
 
-static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 static LABELS: Mutex<BTreeMap<VarId, String>> = Mutex::new(BTreeMap::new());
-/// Id-word bit of a labelled var: only those lock the label table to drop.
-const LABELLED: u64 = 1 << 63;
+/// Number of entries in [`LABELS`], changed only under its lock: a cell's
+/// drop locks the table only while some var is labelled.
+static LIVE_LABELS: AtomicUsize = AtomicUsize::new(0);
 
 /// Look up a variable's label (see [`TVar::set_label`]), if it has one and
 /// is still alive.
@@ -46,11 +53,15 @@ pub fn label_count() -> usize {
     LABELS.lock().len()
 }
 
-/// Globally unique identifier of a [`TVar`]. The simulator intersects
-/// read/write sets by `VarId`.
+/// Identifier of a [`TVar`] or [`TCell`]: the cell's address, so unique
+/// among live vars. A cell's first word is its own commit lock, so a cell
+/// nested inside another cell's value never shares its address. Once a var
+/// drops, a new one may reuse its id; the simulator intersects read and
+/// write sets by `VarId` only while the transactions holding them keep
+/// their vars alive.
 pub type VarId = u64;
 
-/// Type-erased view of a `TVar` used by read/write sets and the committer.
+/// Type-erased view of a cell used by read/write sets and the committer.
 pub(crate) trait AnyVar: Send + Sync {
     fn id(&self) -> VarId;
     /// Raw `(version << 1) | locked` word, loaded once — the unit of
@@ -74,13 +85,65 @@ pub(crate) trait AnyVar: Send + Sync {
     fn apply(&self, val: &(dyn Any + Send + Sync), version: u64, horizon: u64);
 }
 
-pub(crate) struct VarCore<T> {
-    /// The var's [`VarId`], plus [`LABELLED`] once it has a label.
-    id: AtomicU64,
+/// A type whose [`TCell`]s stay where they are while it is shared, so that
+/// an `Arc<Self>` can pin them.
+///
+/// # Safety
+///
+/// Every `TCell` that a shared `&Self` reaches inside `Self`'s own bytes
+/// must stay at its address, as that same cell, until `Self` drops. A plain
+/// struct of `TCell` fields qualifies. A cell behind interior mutability
+/// does not — in a `Mutex<Option<TCell<T>>>` field it can be replaced or
+/// dropped while a transaction still refers to it.
+pub unsafe trait CellOwner: Send + Sync + 'static {}
+
+/// A transactional variable stored inline in a block that an [`Arc`] owns.
+///
+/// A `TCell` is a [`TVar`] without an allocation of its own: a structure
+/// with several vars per object (a tree node's key, value, color and links)
+/// embeds them as `TCell` fields of one [`CellOwner`] type and shares the
+/// object as an `Arc`, so the object is one allocation however many vars it
+/// holds. Each cell keeps its own [`VarId`], version and commit lock, so a
+/// transaction conflicts on exactly what separate `TVar`s would give it.
+///
+/// Transactional access names the owner: [`read`](Self::read) and
+/// [`write`](Self::write) take the `Arc` whose block holds the cell, and
+/// the transaction keeps that `Arc` alive for as long as it logs the cell.
+/// A `TCell` is not `Clone`; share its owner instead.
+///
+/// ```
+/// use std::sync::Arc;
+/// use stm::{atomic, CellOwner, TCell};
+///
+/// struct Point {
+///     x: TCell<i64>,
+///     y: TCell<i64>,
+/// }
+/// // SAFETY: `Point`'s cells are plain fields, never moved while shared.
+/// unsafe impl CellOwner for Point {}
+///
+/// let p = Arc::new(Point { x: TCell::new(1), y: TCell::new(2) });
+/// atomic(|tx| {
+///     let x = p.x.read(tx, &p);
+///     p.y.write(tx, &p, x + 10);
+/// });
+/// assert_eq!(p.y.read_committed(), 11);
+/// assert_ne!(p.x.id(), p.y.id());
+/// ```
+// `repr(C)` puts `vlock` first: a cell's address is its own lock word, never
+// that of a cell inside its value, which is what keeps ids unique.
+#[repr(C)]
+pub struct TCell<T> {
     /// `(version << 1) | locked` — see the module docs.
     vlock: AtomicU64,
     cell: RwLock<Head<T>>,
 }
+
+// SAFETY: the only cell a shared `&TCell<T>` reaches in its own bytes is
+// itself (its value sits behind a lock private to this module), and moving
+// or dropping it needs `&mut` or ownership, which no one has while an `Arc`
+// shares it.
+unsafe impl<T: Send + Sync + 'static> CellOwner for TCell<T> {}
 
 /// The committed value and, behind one pointer, its history chain:
 /// previously committed `(version, value)` pairs, newest first, forming a
@@ -89,7 +152,7 @@ pub(crate) struct VarCore<T> {
 /// `epoch.rs`): allocated by a publish that sees a pin, freed by the next
 /// publish that sees none; bounded by [`MAX_CHAIN_DEPTH`].
 ///
-/// The contiguity invariant is what makes [`VarCore::read_at`] sound:
+/// The contiguity invariant is what makes [`TCell::read_at`] sound:
 /// every publish either pushes the outgoing head onto the chain or (when
 /// no reader is pinned) frees the chain, so a chain entry `<= s` is
 /// always the *latest* committed value at snapshot `s` — never a stale
@@ -101,7 +164,107 @@ struct Head<T> {
 
 struct Chain<T>(Vec<(u64, T)>);
 
-impl<T: Clone + Send + Sync + 'static> VarCore<T> {
+/// A logged reference to a cell: the cell, and the `Arc` of the block that
+/// holds it, which keeps the cell alive as long as the entry.
+pub(crate) struct VarRef {
+    _owner: Arc<dyn CellOwner>,
+    var: NonNull<dyn AnyVar>,
+}
+
+// SAFETY: `_owner` is an `Arc` of a `Send + Sync` block (`CellOwner`
+// requires both), and `var` is a shared reference into that block to a
+// cell, which is `Send + Sync` (`AnyVar` requires both); `VarRef` hands out
+// nothing but shared access to either.
+unsafe impl Send for VarRef {}
+// SAFETY: as for `Send`: both fields only give shared access to `Sync` data.
+unsafe impl Sync for VarRef {}
+
+impl VarRef {
+    /// Pin `cell` through `owner`: the one place a logged entry is made.
+    ///
+    /// # Panics
+    ///
+    /// If `cell` does not lie inside `*owner`: then `owner` would not keep
+    /// it alive, and the entry could outlive it.
+    pub(crate) fn pin<T, O>(owner: &Arc<O>, cell: &TCell<T>) -> VarRef
+    where
+        T: Clone + Send + Sync + 'static,
+        O: CellOwner,
+    {
+        let start = Arc::as_ptr(owner) as usize;
+        let at = cell as *const TCell<T> as usize;
+        assert!(
+            at >= start && at + size_of::<TCell<T>>() <= start + size_of::<O>(),
+            "TCell accessed through an Arc that does not contain it"
+        );
+        VarRef {
+            _owner: Arc::clone(owner) as Arc<dyn CellOwner>,
+            var: NonNull::from(cell as &dyn AnyVar),
+        }
+    }
+
+    /// The pinned cell.
+    pub(crate) fn get(&self) -> &dyn AnyVar {
+        // SAFETY: `pin` asserted that `var` lies inside `*_owner`, which
+        // this entry keeps alive and shared, and `CellOwner` keeps the cell
+        // at its address, as that cell, for as long as it is shared.
+        unsafe { self.var.as_ref() }
+    }
+}
+
+impl<T> TCell<T> {
+    /// Unique id of this variable among live vars: its address.
+    pub fn id(&self) -> VarId {
+        self as *const Self as usize as VarId
+    }
+}
+
+impl<T: Clone + Send + Sync + 'static> TCell<T> {
+    /// Create a cell with an initial committed value.
+    pub fn new(value: T) -> Self {
+        TCell {
+            vlock: AtomicU64::new(0),
+            cell: RwLock::new(Head { value, chain: None }),
+        }
+    }
+
+    /// Transactional read, as [`TVar::read`]; `owner` is the `Arc` whose
+    /// block holds this cell.
+    ///
+    /// # Panics
+    ///
+    /// If this cell does not lie inside `*owner` and the read is logged, as
+    /// every first read of a cell in a transaction body is.
+    #[must_use = "a read both yields the value and records a dependency; use `let _ =` when only the dependency is wanted"]
+    pub fn read<O: CellOwner>(&self, tx: &mut Txn, owner: &Arc<O>) -> T {
+        cost::add_cost(cost::MEM_ACCESS_COST);
+        tx.read_var(self, owner)
+    }
+
+    /// Transactional write, as [`TVar::write`]; `owner` is the `Arc` whose
+    /// block holds this cell.
+    ///
+    /// # Panics
+    ///
+    /// If this cell does not lie inside `*owner` and the write is logged,
+    /// as every write in a transaction body is.
+    pub fn write<O: CellOwner>(&self, tx: &mut Txn, owner: &Arc<O>, value: T) {
+        cost::add_cost(cost::MEM_ACCESS_COST);
+        tx.write_var(self, owner, value);
+    }
+
+    /// Read the committed value directly, outside any transaction, as
+    /// [`TVar::read_committed`].
+    #[must_use]
+    pub fn read_committed(&self) -> T {
+        self.committed_pair().1
+    }
+
+    pub(crate) fn committed_pair(&self) -> (u64, T) {
+        let head = self.pair_at(u64::MAX);
+        head.expect("no version is past u64::MAX")
+    }
+
     /// Read the newest committed value at or below snapshot version `s`, or
     /// `None` if the chain has been truncated (or never maintained) past it —
     /// the caller then takes the counted validated-path fallback.
@@ -151,9 +314,9 @@ impl<T: Clone + Send + Sync + 'static> VarCore<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
+impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
     fn id(&self) -> VarId {
-        self.id.load(Ordering::Relaxed) & !LABELLED
+        TCell::id(self)
     }
 
     fn stamp(&self) -> u64 {
@@ -213,16 +376,28 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
     }
 }
 
-impl<T> Drop for VarCore<T> {
+impl<T> Drop for TCell<T> {
     fn drop(&mut self) {
-        let id = *self.id.get_mut();
-        if id & LABELLED != 0 {
-            LABELS.lock().remove(&(id & !LABELLED));
+        // A label set on this cell happened before its drop (the last
+        // reference to it was released after), so the count includes it.
+        if LIVE_LABELS.load(Ordering::Relaxed) != 0 {
+            unlabel(self.id());
         }
     }
 }
 
-/// A transactional shared variable holding a `T`.
+/// Remove a dropping var's label, if it has one, before another var can
+/// take its address.
+#[cold]
+fn unlabel(id: VarId) {
+    let mut labels = LABELS.lock();
+    if labels.remove(&id).is_some() {
+        LIVE_LABELS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A transactional shared variable holding a `T`: a [`TCell`] in an
+/// allocation of its own.
 ///
 /// Cloning a `TVar` clones the *reference* (it is an `Arc` internally); both
 /// clones name the same cell.
@@ -234,7 +409,7 @@ impl<T> Drop for VarCore<T> {
 /// assert_eq!(v.read_committed(), 2);
 /// ```
 pub struct TVar<T> {
-    pub(crate) core: Arc<VarCore<T>>,
+    pub(crate) core: Arc<TCell<T>>,
 }
 
 impl<T> Clone for TVar<T> {
@@ -249,15 +424,11 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// Create a new variable with an initial committed value.
     pub fn new(value: T) -> Self {
         TVar {
-            core: Arc::new(VarCore {
-                id: AtomicU64::new(NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed)),
-                vlock: AtomicU64::new(0),
-                cell: RwLock::new(Head { value, chain: None }),
-            }),
+            core: Arc::new(TCell::new(value)),
         }
     }
 
-    /// Unique id of this variable.
+    /// Unique id of this variable among live vars.
     pub fn id(&self) -> VarId {
         self.core.id()
     }
@@ -266,23 +437,23 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// profiling of paper §6.3: identifying which shared locations cause
     /// lost work). [`var_label`] resolves it until the var drops.
     pub fn set_label(&self, label: impl Into<String>) {
-        self.core.id.fetch_or(LABELLED, Ordering::Relaxed);
-        LABELS.lock().insert(self.id(), label.into());
+        let mut labels = LABELS.lock();
+        if labels.insert(self.id(), label.into()).is_none() {
+            LIVE_LABELS.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Transactional read. Returns the transaction's own buffered value if it
     /// has written this var, otherwise a validated committed snapshot.
     #[must_use = "a read both yields the value and records a dependency; use `let _ =` when only the dependency is wanted"]
     pub fn read(&self, tx: &mut Txn) -> T {
-        cost::add_cost(cost::MEM_ACCESS_COST);
-        tx.read_var(self)
+        self.core.read(tx, &self.core)
     }
 
     /// Transactional write (buffered in the current frame's redo log until
     /// commit).
     pub fn write(&self, tx: &mut Txn, value: T) {
-        cost::add_cost(cost::MEM_ACCESS_COST);
-        tx.write_var(self, value);
+        self.core.write(tx, &self.core, value);
     }
 
     /// Read the committed value directly, outside any transaction.
@@ -292,7 +463,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// variables.
     #[must_use]
     pub fn read_committed(&self) -> T {
-        self.committed_pair().1
+        self.core.read_committed()
     }
 
     /// Committed version stamp (diagnostic).
@@ -309,10 +480,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     }
 
     pub(crate) fn committed_pair(&self) -> (u64, T) {
-        let head = self.core.pair_at(u64::MAX);
-        head.expect("no version is past u64::MAX")
+        self.core.committed_pair()
     }
 
+    #[cfg(test)]
     pub(crate) fn any(&self) -> Arc<dyn AnyVar> {
         self.core.clone()
     }
@@ -473,6 +644,55 @@ mod tests {
         assert_eq!(v.core.read_at(3), Some(0), "chain hit, no spin");
         any.unlock_commit();
         assert_eq!(v.core.read_at(4), Some(1));
+    }
+
+    struct Pair {
+        a: TCell<u64>,
+        b: TCell<u64>,
+    }
+    // SAFETY: two plain cell fields.
+    unsafe impl CellOwner for Pair {}
+
+    fn pair() -> Arc<Pair> {
+        Arc::new(Pair {
+            a: TCell::new(1),
+            b: TCell::new(2),
+        })
+    }
+
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[test]
+    fn cells_are_read_and_written_through_their_owner() {
+        let p = pair();
+        crate::atomic(|tx| {
+            let a = p.a.read(tx, &p);
+            p.b.write(tx, &p, a + 10);
+            assert_eq!(p.b.read(tx, &p), 11, "own write seen");
+        });
+        assert_eq!((p.a.read_committed(), p.b.read_committed()), (1, 11));
+        assert_eq!(p.a.version(), 0);
+        assert!(p.b.version() > 0);
+        assert_ne!(p.a.id(), p.b.id());
+    }
+
+    #[test]
+    fn a_cell_accessed_through_an_arc_that_does_not_hold_it_panics() {
+        let (p, q) = (pair(), pair());
+        let lone = TCell::new(0u64);
+        let var = Arc::new(TCell::new(0u64));
+        assert!(panics(|| crate::atomic(|tx| {
+            let _ = p.a.read(tx, &q);
+        })));
+        assert!(panics(|| crate::atomic(|tx| p.b.write(tx, &q, 5))));
+        assert!(panics(|| crate::atomic(|tx| {
+            let _ = lone.read(tx, &var);
+        })));
+        assert!(panics(|| crate::atomic(|tx| var.write(tx, &p, 5))));
+        assert_eq!(q.b.read_committed(), 2, "the foreign write never landed");
+        assert_eq!(var.read_committed(), 0);
     }
 
     #[test]

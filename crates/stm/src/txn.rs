@@ -9,7 +9,7 @@ use crate::handlers::{Handler, LocalUndo};
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::metrics::{self, Total};
 use crate::trace;
-use crate::tvar::{AnyVar, TVar, VarId};
+use crate::tvar::{AnyVar, CellOwner, TCell, VarId, VarRef};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ pub enum TxnMode {
 }
 
 struct ReadEntry {
-    var: Arc<dyn AnyVar>,
+    var: VarRef,
     version: u64,
     /// Virtual-cycle offset within the body at which the read first
     /// happened (simulator timing; meaningless in threaded mode).
@@ -35,7 +35,7 @@ struct ReadEntry {
 }
 
 struct WriteEntry {
-    var: Arc<dyn AnyVar>,
+    var: VarRef,
     val: Arc<dyn Any + Send + Sync>,
 }
 
@@ -74,7 +74,7 @@ impl Frame {
     /// avoids an `Arc` refcount bump per written var per commit attempt —
     /// the frame outlives the [`clock::CommitGuard`] on every path.
     fn write_vars(&self) -> Vec<&dyn AnyVar> {
-        self.writes.values().map(|w| w.var.as_ref()).collect()
+        self.writes.values().map(|w| w.var.get()).collect()
     }
 }
 
@@ -104,7 +104,7 @@ pub struct Txn {
     flat_mode: bool,
     /// Scratch `(var, version)` log for `open_read`, validated when the
     /// body returns; the buffer is reused across calls.
-    flat_reads: Vec<(Arc<dyn AnyVar>, u64)>,
+    flat_reads: Vec<(VarRef, u64)>,
     /// Cached `Arc<TxHandle>` clone reused across this parent's open
     /// children, so `Txn::open` costs one refcount bump per transaction
     /// instead of one per operation.
@@ -244,7 +244,13 @@ impl Txn {
     // Read / write
     // ------------------------------------------------------------------
 
-    pub(crate) fn read_var<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) -> T {
+    /// The one read path, for a [`TCell`] inline in `owner` and for a
+    /// [`crate::TVar`] (its own owner). Entries it logs pin `owner`.
+    pub(crate) fn read_var<T, O>(&mut self, var: &TCell<T>, owner: &Arc<O>) -> T
+    where
+        T: Clone + Send + Sync + 'static,
+        O: CellOwner,
+    {
         if self.mode == TxnMode::Direct {
             return var.read_committed();
         }
@@ -253,7 +259,7 @@ impl Txn {
             // straight off the version chain. No read-set entry, no rv
             // extension, no doom check (a snapshot holds no locks and can
             // never be doomed); a truncated chain abandons the attempt.
-            match var.core.read_at(s) {
+            match var.read_at(s) {
                 Some(val) => {
                     self.snapshot_reads_served += 1;
                     return val;
@@ -272,7 +278,7 @@ impl Txn {
             // *not* see the parent's buffered writes and leaves no entry in
             // the parent's read set.
             let (ver, val) = var.committed_pair();
-            self.flat_reads.push((var.any(), ver));
+            self.flat_reads.push((VarRef::pin(owner, var), ver));
             return val;
         }
         let id = var.id();
@@ -312,7 +318,7 @@ impl Txn {
             self.current_frame().reads.insert(
                 id,
                 ReadEntry {
-                    var: var.any(),
+                    var: VarRef::pin(owner, var),
                     version: ver2,
                     offset,
                 },
@@ -323,7 +329,7 @@ impl Txn {
         self.current_frame().reads.insert(
             id,
             ReadEntry {
-                var: var.any(),
+                var: VarRef::pin(owner, var),
                 version: ver,
                 offset,
             },
@@ -331,11 +337,16 @@ impl Txn {
         val
     }
 
-    pub(crate) fn write_var<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>, val: T) {
+    /// The one write path; see [`Txn::read_var`].
+    pub(crate) fn write_var<T, O>(&mut self, var: &TCell<T>, owner: &Arc<O>, val: T)
+    where
+        T: Clone + Send + Sync + 'static,
+        O: CellOwner,
+    {
         if self.mode == TxnMode::Direct {
             // Handler context (holding the handler lane): lock the var, draw
             // a fresh version, apply-and-release.
-            clock::publish_direct(var.core.as_ref(), &val);
+            clock::publish_direct(var, &val);
             return;
         }
         if self.snapshot.is_some() {
@@ -357,7 +368,7 @@ impl Txn {
         self.current_frame().writes.insert(
             var.id(),
             WriteEntry {
-                var: var.any(),
+                var: VarRef::pin(owner, var),
                 val: Arc::new(val),
             },
         );
@@ -392,7 +403,7 @@ impl Txn {
         let mut invalid_frames: Vec<usize> = Vec::new();
         for (fi, frame) in self.frames.iter().enumerate() {
             for r in frame.reads.values() {
-                if clock::stable_version(r.var.as_ref()) != r.version {
+                if clock::stable_version(r.var.get()) != r.version {
                     invalid_frames.push(fi);
                     break;
                 }
@@ -658,7 +669,7 @@ impl Txn {
             let valid = self
                 .flat_reads
                 .iter()
-                .all(|(var, ver)| clock::read_valid(var.as_ref(), *ver, false));
+                .all(|(var, ver)| clock::read_valid(var.get(), *ver, false));
             if valid {
                 metrics::tally(Total::OpenFlattened);
                 trace::open_flattened(self.handle.id());
@@ -688,7 +699,7 @@ impl Txn {
             // Read-only child: validate against per-var stamps; no locks, no
             // lane, no clock traffic.
             for r in frame.reads.values() {
-                if !clock::read_valid(r.var.as_ref(), r.version, false) {
+                if !clock::read_valid(r.var.get(), r.version, false) {
                     return Err(self.handle);
                 }
             }
@@ -703,7 +714,7 @@ impl Txn {
         let guard = clock::CommitGuard::lock_write_set(frame.write_vars());
         for (id, r) in frame.reads.iter() {
             let own = frame.writes.contains_key(id);
-            if !clock::read_valid(r.var.as_ref(), r.version, own) {
+            if !clock::read_valid(r.var.get(), r.version, own) {
                 // guard + lane drop: locks released, versions unchanged
                 drop(guard);
                 drop(lane);
@@ -712,7 +723,7 @@ impl Txn {
         }
         guard.publish(|wv, horizon| {
             for w in frame.writes.values() {
-                w.var.apply(w.val.as_ref(), wv, horizon);
+                w.var.get().apply(w.val.as_ref(), wv, horizon);
             }
         });
         drop(lane);
@@ -808,7 +819,7 @@ impl Txn {
             };
             for (id, r) in frame.reads.iter() {
                 let own = frame.writes.contains_key(id);
-                if !clock::read_valid(r.var.as_ref(), r.version, own) {
+                if !clock::read_valid(r.var.get(), r.version, own) {
                     return Err(AbortCause::ReadInvalid); // guard + lane drop release everything
                 }
             }
@@ -819,7 +830,7 @@ impl Txn {
             if let Some(guard) = guard {
                 guard.publish(|wv, horizon| {
                     for w in frame.writes.values() {
-                        w.var.apply(w.val.as_ref(), wv, horizon);
+                        w.var.get().apply(w.val.as_ref(), wv, horizon);
                     }
                 });
             }

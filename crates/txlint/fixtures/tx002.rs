@@ -1,4 +1,4 @@
-//! Seeded TX002 violations: TVar access that bypasses or escapes
+//! Seeded TX002 violations: TVar and TCell access that bypasses or escapes
 //! transaction context. NOT compiled — input for `txlint --self-test`.
 
 fn read_around_isolation() {
@@ -15,4 +15,13 @@ fn escaped_txn_handle() {
     let stale = steal_txn_handle();
     cell.read(stale); // TX002: outside any transaction context
     cell.write(stale, 7); // TX002: outside any transaction context
+}
+
+struct Node {
+    key: TCell<u64>,
+}
+
+fn escaped_txn_handle_on_a_cell(node: &Arc<Node>) {
+    let stale = steal_txn_handle();
+    node.key.write(stale, node, 7); // TX002: outside any transaction context
 }

@@ -16,7 +16,7 @@
 //! | code  | violation |
 //! |-------|-----------|
 //! | TX001 | irrevocable side effect (I/O, lock acquisition, channel send, sleep) inside a transaction region, outside any handler region |
-//! | TX002 | TVar access that bypasses or escapes transaction context (`read_committed` inside a transaction; `TVar::read`/`write` outside any transaction region or `Txn`-taking function) |
+//! | TX002 | TVar access that bypasses or escapes transaction context (`read_committed` inside a transaction; `TVar::read`/`write` or `TCell::read`/`write` outside any transaction region or `Txn`-taking function) |
 //! | TX003 | swallowing abort/retry control flow (`catch_unwind` inside a transaction region) |
 //! | TX004 | commit handler registered with no paired abort handler in the same transaction region |
 //! | TX005 | nested top-level `atomic`/`atomic_with`/`speculate` inside a transaction region (use `.closed(..)` / `.open(..)`) |

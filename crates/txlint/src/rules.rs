@@ -100,7 +100,8 @@ struct FileModel<'a> {
     /// Body spans of `fn`s that take a `Txn` parameter — transactional
     /// context for TX002 purposes.
     txn_fn_bodies: Vec<(usize, usize)>,
-    /// Names of locals bound to `TVar::new(..)` or typed `: TVar<..>`.
+    /// Names of locals and fields bound to `TVar::new(..)` /
+    /// `TCell::new(..)` or typed `: TVar<..>` / `: TCell<..>`.
     tvar_locals: HashSet<String>,
 }
 
@@ -207,8 +208,9 @@ fn build_model<'a>(toks: &'a [Tok], brackets: &HashMap<usize, usize>) -> FileMod
             }
         }
 
-        // TVar bindings: `let x = TVar::new(..)`, `x: TVar<..>`.
-        if t.is_ident("TVar") {
+        // Var bindings: `let x = TVar::new(..)`, `x: TVar<..>`, and the
+        // same for `TCell`, whose `read`/`write` also take a `Txn`.
+        if t.is_ident("TVar") || t.is_ident("TCell") {
             // `name = TVar :: new` — name is 2 tokens back past `=`.
             if i >= 2 && toks[i - 1].punct() == Some('=') && toks[i - 2].kind == TokKind::Ident {
                 tvar_locals.insert(toks[i - 2].text.clone());
@@ -404,7 +406,7 @@ fn tx002_tvar_context(path: &Path, m: &FileModel, out: &mut Vec<Finding>) {
                     t,
                     "TX002",
                     format!(
-                        "TVar `.{}(..)` outside any transaction context",
+                        "TVar/TCell `.{}(..)` outside any transaction context",
                         t.text
                     ),
                     "TVar accesses must run inside atomic()/speculate() or a fn taking &mut Txn; a Txn handle used here has escaped its transaction",
@@ -1417,6 +1419,14 @@ mod tests {
         assert_eq!(codes(src), vec!["TX002"]);
         // Inside a Txn-taking fn it is fine.
         let src = "fn f(tx: &mut Txn) { let v = TVar::new(1); v.read(tx); }";
+        assert!(codes(src).is_empty());
+    }
+
+    #[test]
+    fn tx002_tcell_access_outside_context() {
+        let src = "struct N { key: TCell<u64> } fn f(n: &Arc<N>) { n.key.write(stale, n, 1); }";
+        assert_eq!(codes(src), vec!["TX002"]);
+        let src = "fn f(tx: &mut Txn, n: &Arc<N>) { let c = TCell::new(1); c.read(tx, n); }";
         assert!(codes(src).is_empty());
     }
 

@@ -1,11 +1,17 @@
 //! A transactional red–black tree modeled on `java.util.TreeMap`.
 //!
-//! Every node field (color, links, key, value) is a [`stm::TVar`], so
-//! insertions and deletions drag their whole search path *plus all
-//! rebalancing writes* (rotations, recolorings up to the root) into the
+//! Every node field (color, links, key, value) is a transactional var of
+//! its own, so insertions and deletions drag their whole search path *plus
+//! all rebalancing writes* (rotations, recolorings up to the root) into the
 //! enclosing transaction's footprint. This is precisely the behaviour the
 //! paper observes for "Atomos TreeMap" in Figure 2: long transactions
 //! conflict on internal operations that are semantically irrelevant.
+//!
+//! The six vars of a node are [`stm::TCell`]s inline in the node, so a node
+//! is one allocation (256 bytes for `<u64, u64>`), and each access names
+//! the node's `Arc` as the cell's owner. Each cell keeps its own id, version
+//! and commit lock: the footprint is the same as with one `TVar` per field.
+//! The header (root and size) stays one [`stm::TVar`].
 //!
 //! The algorithm is a direct port of OpenJDK's `TreeMap` (CLRS with parent
 //! pointers and null-treated-as-black, no sentinel), including the
@@ -14,7 +20,7 @@
 use std::cmp::Ordering as Ord_;
 use std::ops::Bound;
 use std::sync::{Arc, Weak};
-use stm::{TVar, Txn};
+use stm::{CellOwner, TCell, TVar, Txn};
 
 /// Node color.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,12 +32,21 @@ pub(crate) enum Color {
 }
 
 struct NodeInner<K, V> {
-    key: TVar<K>,
-    value: TVar<V>,
-    color: TVar<Color>,
-    left: TVar<Link<K, V>>,
-    right: TVar<Link<K, V>>,
-    parent: TVar<ParentLink<K, V>>,
+    key: TCell<K>,
+    value: TCell<V>,
+    color: TCell<Color>,
+    left: TCell<Link<K, V>>,
+    right: TCell<Link<K, V>>,
+    parent: TCell<ParentLink<K, V>>,
+}
+
+// SAFETY: the six cells are plain fields and `NodeInner` has no other
+// state, so none of them can move or drop while an `Arc` shares the node.
+unsafe impl<K, V> CellOwner for NodeInner<K, V>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
 }
 
 type NodeRef<K, V> = Arc<NodeInner<K, V>>;
@@ -45,7 +60,7 @@ type ParentLink<K, V> = Option<Weak<NodeInner<K, V>>>;
 /// every lookup (reading `root`) conflicts with every committing
 /// insert/remove (writing `size`/`modCount`). Modeling the header as one
 /// `TVar` reproduces that artifact — on top of the rotation/recoloring
-/// conflicts the per-node `TVar`s already provide.
+/// conflicts the per-field node cells already provide.
 struct TreeHeader<K, V> {
     root: Link<K, V>,
     size: usize,
@@ -79,12 +94,12 @@ where
     V: Clone + Send + Sync + 'static,
 {
     Arc::new(NodeInner {
-        key: TVar::new(key),
-        value: TVar::new(value),
-        color: TVar::new(Color::Black),
-        left: TVar::new(None),
-        right: TVar::new(None),
-        parent: TVar::new(None),
+        key: TCell::new(key),
+        value: TCell::new(value),
+        color: TCell::new(Color::Black),
+        left: TCell::new(None),
+        right: TCell::new(None),
+        parent: TCell::new(None),
     })
 }
 
@@ -140,28 +155,28 @@ where
     fn color_of(tx: &mut Txn, n: &Link<K, V>) -> Color {
         match n {
             None => Color::Black,
-            Some(n) => n.color.read(tx),
+            Some(n) => n.color.read(tx, n),
         }
     }
 
     fn set_color(tx: &mut Txn, n: &Link<K, V>, c: Color) {
         if let Some(n) = n {
-            n.color.write(tx, c);
+            n.color.write(tx, n, c);
         }
     }
 
     fn parent_of(tx: &mut Txn, n: &Link<K, V>) -> Link<K, V> {
         n.as_ref()
-            .and_then(|n| n.parent.read(tx))
+            .and_then(|n| n.parent.read(tx, n))
             .and_then(|w| w.upgrade())
     }
 
     fn left_of(tx: &mut Txn, n: &Link<K, V>) -> Link<K, V> {
-        n.as_ref().and_then(|n| n.left.read(tx))
+        n.as_ref().and_then(|n| n.left.read(tx, n))
     }
 
     fn right_of(tx: &mut Txn, n: &Link<K, V>) -> Link<K, V> {
-        n.as_ref().and_then(|n| n.right.read(tx))
+        n.as_ref().and_then(|n| n.right.read(tx, n))
     }
 
     fn same(a: &Link<K, V>, b: &Link<K, V>) -> bool {
@@ -174,7 +189,7 @@ where
 
     fn set_parent(tx: &mut Txn, child: &Link<K, V>, parent: &Link<K, V>) {
         if let Some(c) = child {
-            c.parent.write(tx, parent.as_ref().map(Arc::downgrade));
+            c.parent.write(tx, c, parent.as_ref().map(Arc::downgrade));
         }
     }
 
@@ -185,10 +200,10 @@ where
     fn get_node(&self, tx: &mut Txn, key: &K) -> Link<K, V> {
         let mut p = self.root_of(tx);
         while let Some(n) = p {
-            let nk = n.key.read(tx);
+            let nk = n.key.read(tx, &n);
             match key.cmp(&nk) {
-                Ord_::Less => p = n.left.read(tx),
-                Ord_::Greater => p = n.right.read(tx),
+                Ord_::Less => p = n.left.read(tx, &n),
+                Ord_::Greater => p = n.right.read(tx, &n),
                 Ord_::Equal => return Some(n),
             }
         }
@@ -197,7 +212,7 @@ where
 
     /// Look up a key.
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        self.get_node(tx, key).map(|n| n.value.read(tx))
+        self.get_node(tx, key).map(|n| n.value.read(tx, &n))
     }
 
     /// Whether a key is present.
@@ -224,32 +239,32 @@ where
             return None;
         };
         loop {
-            let tk = t.key.read(tx);
+            let tk = t.key.read(tx, &t);
             match key.cmp(&tk) {
                 Ord_::Equal => {
-                    let old = t.value.read(tx);
-                    t.value.write(tx, value);
+                    let old = t.value.read(tx, &t);
+                    t.value.write(tx, &t, value);
                     return Some(old);
                 }
-                Ord_::Less => match t.left.read(tx) {
+                Ord_::Less => match t.left.read(tx, &t) {
                     Some(l) => t = l,
                     None => {
                         let n = new_node(key, value);
-                        n.color.write(tx, Color::Red);
-                        n.parent.write(tx, Some(Arc::downgrade(&t)));
-                        t.left.write(tx, Some(n.clone()));
+                        n.color.write(tx, &n, Color::Red);
+                        n.parent.write(tx, &n, Some(Arc::downgrade(&t)));
+                        t.left.write(tx, &t, Some(n.clone()));
                         self.fix_after_insertion(tx, n);
                         self.bump_size(tx, 1);
                         return None;
                     }
                 },
-                Ord_::Greater => match t.right.read(tx) {
+                Ord_::Greater => match t.right.read(tx, &t) {
                     Some(r) => t = r,
                     None => {
                         let n = new_node(key, value);
-                        n.color.write(tx, Color::Red);
-                        n.parent.write(tx, Some(Arc::downgrade(&t)));
-                        t.right.write(tx, Some(n.clone()));
+                        n.color.write(tx, &n, Color::Red);
+                        n.parent.write(tx, &n, Some(Arc::downgrade(&t)));
+                        t.right.write(tx, &t, Some(n.clone()));
                         self.fix_after_insertion(tx, n);
                         self.bump_size(tx, 1);
                         return None;
@@ -263,25 +278,25 @@ where
         let Some(p_node) = p else { return };
         let r = p_node
             .right
-            .read(tx)
+            .read(tx, p_node)
             .expect("rotate_left without right child");
-        let r_left = r.left.read(tx);
-        p_node.right.write(tx, r_left.clone());
+        let r_left = r.left.read(tx, &r);
+        p_node.right.write(tx, p_node, r_left.clone());
         Self::set_parent(tx, &r_left, p);
         let gp = Self::parent_of(tx, p);
         Self::set_parent(tx, &Some(r.clone()), &gp);
         match &gp {
             None => self.set_root(tx, Some(r.clone())),
             Some(g) => {
-                let gl = g.left.read(tx);
+                let gl = g.left.read(tx, g);
                 if Self::same(&gl, p) {
-                    g.left.write(tx, Some(r.clone()));
+                    g.left.write(tx, g, Some(r.clone()));
                 } else {
-                    g.right.write(tx, Some(r.clone()));
+                    g.right.write(tx, g, Some(r.clone()));
                 }
             }
         }
-        r.left.write(tx, p.clone());
+        r.left.write(tx, &r, p.clone());
         Self::set_parent(tx, p, &Some(r));
     }
 
@@ -289,25 +304,25 @@ where
         let Some(p_node) = p else { return };
         let l = p_node
             .left
-            .read(tx)
+            .read(tx, p_node)
             .expect("rotate_right without left child");
-        let l_right = l.right.read(tx);
-        p_node.left.write(tx, l_right.clone());
+        let l_right = l.right.read(tx, &l);
+        p_node.left.write(tx, p_node, l_right.clone());
         Self::set_parent(tx, &l_right, p);
         let gp = Self::parent_of(tx, p);
         Self::set_parent(tx, &Some(l.clone()), &gp);
         match &gp {
             None => self.set_root(tx, Some(l.clone())),
             Some(g) => {
-                let gr = g.right.read(tx);
+                let gr = g.right.read(tx, g);
                 if Self::same(&gr, p) {
-                    g.right.write(tx, Some(l.clone()));
+                    g.right.write(tx, g, Some(l.clone()));
                 } else {
-                    g.left.write(tx, Some(l.clone()));
+                    g.left.write(tx, g, Some(l.clone()));
                 }
             }
         }
-        l.right.write(tx, p.clone());
+        l.right.write(tx, &l, p.clone());
         Self::set_parent(tx, p, &Some(l));
     }
 
@@ -373,15 +388,15 @@ where
     /// Remove a key; returns the previous value.
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
         let node = self.get_node(tx, key)?;
-        let old = node.value.read(tx);
+        let old = node.value.read(tx, &node);
         self.delete_entry(tx, node);
         Some(old)
     }
 
     fn successor_node(tx: &mut Txn, t: &NodeRef<K, V>) -> Link<K, V> {
-        if let Some(r) = t.right.read(tx) {
+        if let Some(r) = t.right.read(tx, t) {
             let mut p = r;
-            while let Some(l) = p.left.read(tx) {
+            while let Some(l) = p.left.read(tx, &p) {
                 p = l;
             }
             return Some(p);
@@ -389,7 +404,7 @@ where
         let mut ch: Link<K, V> = Some(t.clone());
         let mut p = Self::parent_of(tx, &ch);
         while let Some(pn) = &p {
-            let pr = pn.right.read(tx);
+            let pr = pn.right.read(tx, pn);
             if !Self::same(&pr, &ch) {
                 break;
             }
@@ -403,63 +418,64 @@ where
         self.bump_size(tx, -1);
 
         // Interior node: copy successor's entry here, delete successor.
-        if p.left.read(tx).is_some() && p.right.read(tx).is_some() {
+        if p.left.read(tx, &p).is_some() && p.right.read(tx, &p).is_some() {
             let s = Self::successor_node(tx, &p).expect("interior node has a successor");
-            let sk = s.key.read(tx);
-            let sv = s.value.read(tx);
-            p.key.write(tx, sk);
-            p.value.write(tx, sv);
+            let sk = s.key.read(tx, &s);
+            let sv = s.value.read(tx, &s);
+            p.key.write(tx, &p, sk);
+            p.value.write(tx, &p, sv);
             p = s;
         }
 
         let p_link: Link<K, V> = Some(p.clone());
-        let left = p.left.read(tx);
+        let left = p.left.read(tx, &p);
         let replacement = if left.is_some() {
             left
         } else {
-            p.right.read(tx)
+            p.right.read(tx, &p)
         };
 
         if let Some(repl) = replacement {
             // Splice out p.
             let pp = Self::parent_of(tx, &p_link);
-            repl.parent.write(tx, pp.as_ref().map(Arc::downgrade));
+            repl.parent
+                .write(tx, &repl, pp.as_ref().map(Arc::downgrade));
             match &pp {
                 None => self.set_root(tx, Some(repl.clone())),
                 Some(ppn) => {
-                    let ppl = ppn.left.read(tx);
+                    let ppl = ppn.left.read(tx, ppn);
                     if Self::same(&ppl, &p_link) {
-                        ppn.left.write(tx, Some(repl.clone()));
+                        ppn.left.write(tx, ppn, Some(repl.clone()));
                     } else {
-                        ppn.right.write(tx, Some(repl.clone()));
+                        ppn.right.write(tx, ppn, Some(repl.clone()));
                     }
                 }
             }
-            p.left.write(tx, None);
-            p.right.write(tx, None);
-            p.parent.write(tx, None);
-            if p.color.read(tx) == Color::Black {
+            p.left.write(tx, &p, None);
+            p.right.write(tx, &p, None);
+            p.parent.write(tx, &p, None);
+            if p.color.read(tx, &p) == Color::Black {
                 self.fix_after_deletion(tx, Some(repl));
             }
         } else if Self::parent_of(tx, &p_link).is_none() {
             self.set_root(tx, None);
         } else {
             // No children: use p itself as the phantom replacement.
-            if p.color.read(tx) == Color::Black {
+            if p.color.read(tx, &p) == Color::Black {
                 self.fix_after_deletion(tx, p_link.clone());
             }
             let pp = Self::parent_of(tx, &p_link);
             if let Some(ppn) = &pp {
-                let ppl = ppn.left.read(tx);
+                let ppl = ppn.left.read(tx, ppn);
                 if Self::same(&ppl, &p_link) {
-                    ppn.left.write(tx, None);
+                    ppn.left.write(tx, ppn, None);
                 } else {
-                    let ppr = ppn.right.read(tx);
+                    let ppr = ppn.right.read(tx, ppn);
                     if Self::same(&ppr, &p_link) {
-                        ppn.right.write(tx, None);
+                        ppn.right.write(tx, ppn, None);
                     }
                 }
-                p.parent.write(tx, None);
+                p.parent.write(tx, &p, None);
             }
         }
     }
@@ -567,19 +583,19 @@ where
     /// Smallest entry, if any.
     pub fn first_entry(&self, tx: &mut Txn) -> Option<(K, V)> {
         let mut p = self.root_of(tx)?;
-        while let Some(l) = p.left.read(tx) {
+        while let Some(l) = p.left.read(tx, &p) {
             p = l;
         }
-        Some((p.key.read(tx), p.value.read(tx)))
+        Some((p.key.read(tx, &p), p.value.read(tx, &p)))
     }
 
     /// Largest entry, if any.
     pub fn last_entry(&self, tx: &mut Txn) -> Option<(K, V)> {
         let mut p = self.root_of(tx)?;
-        while let Some(r) = p.right.read(tx) {
+        while let Some(r) = p.right.read(tx, &p) {
             p = r;
         }
-        Some((p.key.read(tx), p.value.read(tx)))
+        Some((p.key.read(tx, &p), p.value.read(tx, &p)))
     }
 
     /// Smallest entry with key strictly greater than `key` — the stepwise
@@ -590,15 +606,15 @@ where
         let mut best: Link<K, V> = None;
         let mut p = self.root_of(tx);
         while let Some(n) = p {
-            let nk = n.key.read(tx);
+            let nk = n.key.read(tx, &n);
             if nk > *key {
                 best = Some(n.clone());
-                p = n.left.read(tx);
+                p = n.left.read(tx, &n);
             } else {
-                p = n.right.read(tx);
+                p = n.right.read(tx, &n);
             }
         }
-        best.map(|n| (n.key.read(tx), n.value.read(tx)))
+        best.map(|n| (n.key.read(tx, &n), n.value.read(tx, &n)))
     }
 
     /// Largest entry with key strictly less than `key`.
@@ -606,15 +622,15 @@ where
         let mut best: Link<K, V> = None;
         let mut p = self.root_of(tx);
         while let Some(n) = p {
-            let nk = n.key.read(tx);
+            let nk = n.key.read(tx, &n);
             if nk < *key {
                 best = Some(n.clone());
-                p = n.right.read(tx);
+                p = n.right.read(tx, &n);
             } else {
-                p = n.left.read(tx);
+                p = n.left.read(tx, &n);
             }
         }
-        best.map(|n| (n.key.read(tx), n.value.read(tx)))
+        best.map(|n| (n.key.read(tx, &n), n.value.read(tx, &n)))
     }
 
     /// Largest entry with key `<= key` (floor).
@@ -622,15 +638,15 @@ where
         let mut best: Link<K, V> = None;
         let mut p = self.root_of(tx);
         while let Some(n) = p {
-            let nk = n.key.read(tx);
+            let nk = n.key.read(tx, &n);
             if nk <= *key {
                 best = Some(n.clone());
-                p = n.right.read(tx);
+                p = n.right.read(tx, &n);
             } else {
-                p = n.left.read(tx);
+                p = n.left.read(tx, &n);
             }
         }
-        best.map(|n| (n.key.read(tx), n.value.read(tx)))
+        best.map(|n| (n.key.read(tx, &n), n.value.read(tx, &n)))
     }
 
     /// Smallest entry with key `>= key` (ceiling).
@@ -638,15 +654,15 @@ where
         let mut best: Link<K, V> = None;
         let mut p = self.root_of(tx);
         while let Some(n) = p {
-            let nk = n.key.read(tx);
+            let nk = n.key.read(tx, &n);
             if nk >= *key {
                 best = Some(n.clone());
-                p = n.left.read(tx);
+                p = n.left.read(tx, &n);
             } else {
-                p = n.right.read(tx);
+                p = n.right.read(tx, &n);
             }
         }
-        best.map(|n| (n.key.read(tx), n.value.read(tx)))
+        best.map(|n| (n.key.read(tx, &n), n.value.read(tx, &n)))
     }
 
     /// All entries in key order.
@@ -730,7 +746,7 @@ where
     ) -> Result<usize, String> {
         let Some(node) = n else { return Ok(1) };
         *count += 1;
-        let k = node.key.read(tx);
+        let k = node.key.read(tx, node);
         if let Some(lo) = lo {
             if k <= *lo {
                 return Err("BST order violated (left bound)".into());
@@ -741,9 +757,9 @@ where
                 return Err("BST order violated (right bound)".into());
             }
         }
-        let color = node.color.read(tx);
-        let left = node.left.read(tx);
-        let right = node.right.read(tx);
+        let color = node.color.read(tx, node);
+        let left = node.left.read(tx, node);
+        let right = node.right.read(tx, node);
         if color == Color::Red
             && (Self::color_of(tx, &left) == Color::Red || Self::color_of(tx, &right) == Color::Red)
         {
@@ -876,6 +892,27 @@ mod tests {
         let e = atomic(|tx| t.entries(tx));
         let expect: Vec<(u32, u32)> = model.into_iter().collect();
         assert_eq!(e, expect);
+    }
+
+    #[test]
+    fn a_nodes_six_cells_have_six_ids() {
+        let n = new_node(1u64, 2u64);
+        let ids: std::collections::HashSet<stm::VarId> = [
+            n.key.id(),
+            n.value.id(),
+            n.color.id(),
+            n.left.id(),
+            n.right.id(),
+            n.parent.id(),
+        ]
+        .into();
+        assert_eq!(ids.len(), 6, "two fields of one node share an id");
+        let node = Arc::as_ptr(&n) as stm::VarId;
+        let end = node + std::mem::size_of::<NodeInner<u64, u64>>() as stm::VarId;
+        assert!(
+            ids.iter().all(|&id| (node..end).contains(&id)),
+            "a cell's id is its address inside the node"
+        );
     }
 
     #[test]

@@ -1,25 +1,28 @@
 //! Memory footprint gates for the TVar-built structures.
 //!
 //! Most of the memory of a workload built from `TVar`s is the vars
-//! themselves, so what one var costs, what an empty hash map costs and what
-//! a var keeps alive after a snapshot reader left are gated here with a
-//! counting global allocator (counting only on the measuring thread), and
-//! so is the label table, which must not outlive the vars it names.
+//! themselves, so what one var costs, what a tree node costs, what an empty
+//! hash map costs and what a var keeps alive after a snapshot reader left
+//! are gated here with a counting global allocator (counting only on the
+//! measuring thread), and so is the label table, which must not outlive the
+//! vars it names.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 use stm::{atomic, atomic_read, TVar};
-use txstruct::TxHashMap;
+use txstruct::{TxHashMap, TxTreeMap};
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
     static NET_BYTES: Cell<i64> = const { Cell::new(0) };
+    static NET_BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts allocations, the largest block, and net live bytes (allocated
-/// minus freed) of the current thread while `COUNTING` is set.
+/// Counts allocations, the largest block, and net live blocks and bytes
+/// (allocated minus freed) of the current thread while `COUNTING` is set.
 struct CountingAlloc;
 
 fn record(allocated: usize, freed: usize) {
@@ -32,6 +35,8 @@ fn record(allocated: usize, freed: usize) {
                 let _ = LARGEST.try_with(|m| m.set(m.get().max(allocated)));
             }
             let _ = NET_BYTES.try_with(|b| b.set(b.get() + allocated as i64 - freed as i64));
+            let blocks = i64::from(allocated > 0) - i64::from(freed > 0);
+            let _ = NET_BLOCKS.try_with(|b| b.set(b.get() + blocks));
         }
     });
 }
@@ -58,17 +63,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Held by the test that pins a snapshot and by the test that counts live
+/// blocks: a publish under a pin keeps a history chain, which is not node
+/// memory.
+static PIN_LOCK: Mutex<()> = Mutex::new(());
+
+fn pin_lock() -> MutexGuard<'static, ()> {
+    PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// What `f` did to this thread's heap.
 struct Counted {
     allocs: u64,
     largest: usize,
     net_bytes: i64,
+    net_blocks: i64,
 }
 
 fn counted<R>(f: impl FnOnce() -> R) -> (R, Counted) {
     ALLOCS.with(|n| n.set(0));
     LARGEST.with(|m| m.set(0));
     NET_BYTES.with(|b| b.set(0));
+    NET_BLOCKS.with(|b| b.set(0));
     COUNTING.with(|on| on.set(true));
     let r = f();
     COUNTING.with(|on| on.set(false));
@@ -76,21 +92,54 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, Counted) {
         allocs: ALLOCS.with(Cell::get),
         largest: LARGEST.with(Cell::get),
         net_bytes: NET_BYTES.with(Cell::get),
+        net_blocks: NET_BLOCKS.with(Cell::get),
     };
     (r, c)
 }
 
 #[test]
-fn a_u64_var_is_one_block_of_at_most_72_bytes() {
-    // 72 bytes plus glibc's 8-byte chunk header is one 80-byte chunk.
+fn a_u64_var_is_one_block_of_at_most_56_bytes() {
+    // 56 bytes plus glibc's 8-byte chunk header is one 64-byte chunk.
     let (v, c) = counted(|| TVar::new(0u64));
     println!(
         "TVar::new(0u64): {} allocation(s), {} bytes",
         c.allocs, c.largest
     );
     assert_eq!(c.allocs, 1, "a var is one allocation");
-    assert!(c.largest <= 72, "a u64 var takes {} bytes", c.largest);
+    assert!(c.largest <= 56, "a u64 var takes {} bytes", c.largest);
     assert_eq!(v.read_committed(), 0);
+}
+
+#[test]
+fn a_tree_node_is_one_block_of_at_most_256_bytes() {
+    // A node's six vars (key, value, color and three links) live inline in
+    // the node: what an insert leaves behind is one block per key.
+    const KEYS: u64 = 64;
+    let _no_pin = pin_lock();
+    let t: TxTreeMap<u64, u64> = TxTreeMap::new();
+    // Warm up this thread's transaction state and grow the tree past the
+    // first rotations.
+    for k in 0..KEYS {
+        atomic(|tx| t.insert(tx, k * 2, k));
+    }
+    let ((), c) = counted(|| {
+        for k in 0..KEYS {
+            atomic(|tx| t.insert(tx, k * 2 + 1, k));
+        }
+    });
+    println!(
+        "{KEYS} inserts left {} live block(s), {} live bytes",
+        c.net_blocks, c.net_bytes
+    );
+    assert_eq!(
+        c.net_blocks, KEYS as i64,
+        "inserted keys did not leave one live block each"
+    );
+    assert!(
+        c.net_bytes <= 256 * KEYS as i64,
+        "an inserted key left {} live bytes",
+        c.net_bytes / KEYS as i64
+    );
 }
 
 #[test]
@@ -109,6 +158,7 @@ fn an_empty_hash_map_allocates_once_per_bucket() {
 
 #[test]
 fn a_chain_is_freed_by_the_first_publish_after_the_last_unpin() {
+    let _pin = pin_lock();
     let v = TVar::new(0u64);
     // Publish from another thread while this one holds a snapshot pin, so
     // each publish keeps its outgoing head on the chain.
