@@ -172,6 +172,17 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// returns every removed item whatever its return mark says.
     fn release(&self, local: Self::Local, htx: &mut Txn, id: u64, stats: &SemanticStats);
 
+    /// Whether a handler given `local` may change the underlying structure
+    /// — `apply` writing the buffered updates, or `release` restoring what
+    /// the body took. Only such handlers make [`SemanticCore::read_settled`]
+    /// wait or retry (the abort handler also counts when it replays undo
+    /// entries), so a class that settles reads answers `false` for the
+    /// buffer of a read-only transaction. The default, `true`, is always
+    /// sound.
+    fn writes_backend(&self, _local: &Self::Local) -> bool {
+        true
+    }
+
     /// Replay one undo entry in the abort handler (direct mode, under the
     /// handler lane). The core drains the aborting transaction's undo log
     /// **in reverse logging order**, calling this once per entry, strictly
@@ -304,14 +315,14 @@ impl CachedPoint {
 struct CoreInner<C: SemanticClass> {
     class: C,
     stats: SemanticStats,
-    /// Odd while one of this instance's handlers runs (a seqlock; handlers
-    /// are serialized by the handler lane). See
+    /// Odd while one of this instance's handlers that writes the backend
+    /// runs (a seqlock; handlers are serialized by the handler lane). See
     /// [`SemanticCore::read_settled`].
     handler_seq: AtomicU64,
 }
 
-/// A handler of one instance is running: `handler_seq` is odd from
-/// [`HandlerRun::begin`] until the guard drops, also on unwind.
+/// A handler of one instance is writing its backend: `handler_seq` is odd
+/// from [`HandlerRun::begin`] until the guard drops, also on unwind.
 struct HandlerRun<'a>(&'a AtomicU64);
 
 impl<'a> HandlerRun<'a> {
@@ -446,7 +457,10 @@ impl<C: SemanticClass> SemanticCore<C> {
             // Committed eager mutations stand: the undo log is dead weight,
             // dropped before the apply sweep so nothing replays it.
             drop(undo);
-            let _run = HandlerRun::begin(&inner.handler_seq);
+            let _run = inner
+                .class
+                .writes_backend(&local)
+                .then(|| HandlerRun::begin(&inner.handler_seq));
             inner.class.apply(local, htx, id, &inner.stats);
         });
         let inner = Arc::clone(&self.inner);
@@ -458,7 +472,8 @@ impl<C: SemanticClass> SemanticCore<C> {
             // took, so no observer can see a partially rolled-back state
             // between a compensating write and the lock drop
             // (docs/PROTOCOL.md, "undo-before-release").
-            let _run = HandlerRun::begin(&inner.handler_seq);
+            let _run = (!undo.is_empty() || inner.class.writes_backend(&local))
+                .then(|| HandlerRun::begin(&inner.handler_seq));
             for entry in undo.into_iter().rev() {
                 inner.class.compensate(entry, htx);
             }
@@ -505,16 +520,19 @@ impl<C: SemanticClass> SemanticCore<C> {
             .unwrap_or_default()
     }
 
-    /// Read committed whole-collection state — a size, an enumeration — that
-    /// one of this instance's handlers could be changing key by key: `f`
-    /// runs as a flattened open ([`Txn::open_read`]) and is re-run until no
-    /// handler of this instance ran during it. A commit whose applies net to
-    /// no size change dooms no size observer, so without this an observer
-    /// could read a size the commit passed through but never committed
-    /// (remove one key, then insert another). Take the observation's lock
-    /// first: then every later handler either dooms the observer or leaves
-    /// what it read unchanged. Waits only while a handler of this instance
-    /// runs under the handler lane, which never waits on a body.
+    /// Read committed state that one of this instance's handlers could be
+    /// changing one publish at a time — a size, an enumeration, a search
+    /// path through a tree it rebalances: `f` runs as a flattened open
+    /// ([`Txn::open_read`]) and is re-run until no handler of this instance
+    /// wrote its backend during it ([`SemanticClass::writes_backend`]). A
+    /// commit whose applies net to no size change dooms no size observer, so
+    /// without this an observer could read a size the commit passed through
+    /// but never committed (remove one key, then insert another); a point
+    /// read could follow a half-rotated path past a key no commit removed.
+    /// Take the observation's lock first: then every later handler either
+    /// dooms the observer or leaves what it read unchanged. Waits only while
+    /// a writing handler of this instance runs under the handler lane, which
+    /// never waits on a body.
     pub fn read_settled<R>(&self, tx: &mut Txn, mut f: impl FnMut(&mut Txn) -> R) -> R {
         if tx.mode() == TxnMode::Direct || tx.in_snapshot() {
             return tx.open_read(f);
@@ -1000,6 +1018,10 @@ mod tests {
                 .released_ops
                 .fetch_add(local.len() as u64, Ordering::SeqCst);
         }
+
+        fn writes_backend(&self, local: &Vec<u64>) -> bool {
+            !local.is_empty()
+        }
     }
 
     fn probe_core() -> (SemanticCore<ProbeClass>, Arc<Counts>) {
@@ -1052,6 +1074,34 @@ mod tests {
             1,
             "release gets the buffer as written"
         );
+    }
+
+    /// Settled reads wait out only handlers that may write the backend: a
+    /// read-only transaction's commit or abort leaves the sequence alone.
+    #[test]
+    fn only_backend_writing_handlers_advance_the_settle_sequence() {
+        let (core, _) = probe_core();
+        let run = |ops: Vec<u64>, commit: bool| {
+            let c = core.clone();
+            let (_, t) = stm::speculate(
+                move |tx| {
+                    c.ensure_registered(tx);
+                    c.with_local(tx, |l| l.extend(&ops));
+                },
+                0,
+            )
+            .unwrap();
+            if commit {
+                t.commit();
+            } else {
+                t.abort(stm::AbortCause::Explicit);
+            }
+            load(&core.inner.handler_seq)
+        };
+        assert_eq!(run(vec![], true), 0, "read-only commit");
+        assert_eq!(run(vec![], false), 0, "read-only abort");
+        assert_eq!(run(vec![1], true), 2, "writing commit");
+        assert_eq!(run(vec![1], false), 4, "writing abort");
     }
 
     #[test]

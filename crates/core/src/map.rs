@@ -411,6 +411,12 @@ where
     fn release(&self, local: MapLocal<K, V>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
         self.tables.release_sweep(stats, id, local.key_locks.iter());
     }
+
+    /// Only buffered writes reach the backend: a read-only transaction's
+    /// handlers release locks and leave settled reads alone.
+    fn writes_backend(&self, local: &MapLocal<K, V>) -> bool {
+        !local.store_buffer.is_empty()
+    }
 }
 
 impl<K, V, B> KeyedClass for MapClass<K, V, B>

@@ -26,9 +26,16 @@
 //! complexity-vs-overhead call — or in an interval tree
 //! ([`crate::RangeIndexKind::IntervalTree`], the alternative §3.2 mentions;
 //! the `ablation_rangeindex` bench quantifies the crossover). Iterators read
-//! the underlying tree *stepwise and live* (`next_entry_after` per step,
-//! each in its own open-nested transaction), merging the thread-local store
-//! buffer in key order.
+//! the underlying tree *stepwise and live* (`next_entry_after` per step),
+//! merging the thread-local store buffer in key order.
+//!
+//! Every committed read of the tree — a point read, a step — is a settled
+//! read ([`SemanticCore::read_settled`]): a commit handler rebalances the
+//! tree one direct publish at a time, and a search that validated between
+//! two of those publishes could miss a committed key or return a stale
+//! value, so the read is retried until none of this map's writing handlers
+//! ran during it (docs/PROTOCOL.md, "Whole-collection reads between handler
+//! runs").
 
 // txlint: semantic-tables
 // txlint: fast-path
@@ -502,6 +509,12 @@ where
             g.sorted.release_owner(id, stats);
         });
     }
+
+    /// Only buffered writes reach the backend: a read-only transaction's
+    /// handlers release locks and leave settled reads alone.
+    fn writes_backend(&self, local: &MapLocal<K, V>) -> bool {
+        !local.store_buffer.is_empty()
+    }
 }
 
 impl<K, V, B> KeyedClass for SortedClass<K, V, B>
@@ -659,6 +672,13 @@ where
         self.core.with_local(tx, f)
     }
 
+    /// Read the committed tree as a settled read (see the module docs): no
+    /// handler of this map rebalances it while `f` runs.
+    fn committed<R>(&self, tx: &mut Txn, mut f: impl FnMut(&mut Txn, &B) -> R) -> R {
+        let backend = &self.core.class().backend;
+        self.core.read_settled(tx, |otx| f(otx, backend))
+    }
+
     fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
         self.core
             .try_local(tx, |l| l.store_buffer.get(key).cloned())
@@ -695,7 +715,7 @@ where
     // Map-level operations (same protocol as TransactionalMap)
     // ------------------------------------------------------------------
 
-    /// Look up a key (key lock + open-nested read).
+    /// Look up a key (key lock + settled read).
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
         Self::assert_usable(tx);
         self.ensure_registered(tx);
@@ -705,8 +725,7 @@ where
             None => {}
         }
         self.core.take_key_lock(tx, key);
-        let backend = &self.core.class().backend;
-        tx.open_read(|otx| backend.get(otx, key))
+        self.committed(tx, |otx, b| b.get(otx, key))
     }
 
     /// Whether a key is present (key lock).
@@ -719,8 +738,7 @@ where
             None => {}
         }
         self.core.take_key_lock(tx, key);
-        let backend = &self.core.class().backend;
-        tx.open_read(|otx| backend.contains_key(otx, key))
+        self.committed(tx, |otx, b| b.contains_key(otx, key))
     }
 
     /// Insert or replace; returns the previous value (reads the key).
@@ -733,8 +751,7 @@ where
             Some(BufWrite::Remove) => None,
             None => {
                 self.core.take_key_lock(tx, &key);
-                let backend = &self.core.class().backend;
-                tx.open_read(|otx| backend.get(otx, &key))
+                self.committed(tx, |otx, b| b.get(otx, &key))
             }
         };
         // A blind entry's contribution to the size is still unresolved:
@@ -778,8 +795,7 @@ where
             Some(BufWrite::Remove) => None,
             None => {
                 self.core.take_key_lock(tx, key);
-                let backend = &self.core.class().backend;
-                tx.open_read(|otx| backend.get(otx, key))
+                self.committed(tx, |otx, b| b.get(otx, key))
             }
         };
         let delta_change = if was_blind {
@@ -817,8 +833,7 @@ where
             .unwrap_or_default();
         for k in blind {
             self.core.take_key_lock(tx, &k);
-            let backend = &self.core.class().backend;
-            let committed_present = tx.open_read(|otx| backend.contains_key(otx, &k));
+            let committed_present = self.committed(tx, |otx, b| b.contains_key(otx, &k));
             self.with_local(tx, |l| {
                 if l.blind.remove(&k) {
                     let buffered_present = matches!(l.store_buffer.get(&k), Some(BufWrite::Put(_)));
@@ -842,8 +857,7 @@ where
                 .with_global(stats, |g| g.points.take_size_lock(owner, stats));
             self.core.note_point_lock(tx, CachedPoint::Size);
         }
-        let backend = &self.core.class().backend;
-        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
+        let committed = self.committed(tx, |otx, b| b.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta).max(0) as usize
     }
@@ -868,8 +882,7 @@ where
                 .with_global(stats, |g| g.points.take_empty_lock(owner, stats));
             self.core.note_point_lock(tx, CachedPoint::Empty);
         }
-        let backend = &self.core.class().backend;
-        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
+        let committed = self.committed(tx, |otx, b| b.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed as isize + delta) <= 0
     }
@@ -879,13 +892,12 @@ where
     // ------------------------------------------------------------------
 
     /// Committed next entry after `from`, skipping keys the buffer removes,
-    /// staying under `upper`. Each step is one open-nested descent.
+    /// staying under `upper`. Each step is one settled descent.
     fn committed_next(&self, tx: &mut Txn, from: &Bound<K>, upper: &Bound<K>) -> Option<(K, V)> {
-        let backend = &self.core.class().backend;
         let mut cur = match from {
-            Bound::Unbounded => tx.open_read(|otx| backend.first_entry(otx)),
-            Bound::Included(k) => tx.open_read(|otx| backend.ceiling_entry(otx, k)),
-            Bound::Excluded(k) => tx.open_read(|otx| backend.next_entry_after(otx, k)),
+            Bound::Unbounded => self.committed(tx, |otx, b| b.first_entry(otx)),
+            Bound::Included(k) => self.committed(tx, |otx, b| b.ceiling_entry(otx, k)),
+            Bound::Excluded(k) => self.committed(tx, |otx, b| b.next_entry_after(otx, k)),
         };
         while let Some((k, v)) = cur {
             if !below_upper(&k, upper) {
@@ -893,7 +905,7 @@ where
             }
             match self.buffered(tx, &k) {
                 Some(BufWrite::Remove) => {
-                    cur = tx.open_read(|otx| backend.next_entry_after(otx, &k));
+                    cur = self.committed(tx, |otx, b| b.next_entry_after(otx, &k));
                 }
                 _ => return Some((k, v)),
             }
@@ -921,11 +933,10 @@ where
     /// Largest committed entry at or below `upper`, skipping keys the buffer
     /// removes, staying above `lower` (the mirror of [`Self::committed_next`]).
     fn committed_prev(&self, tx: &mut Txn, upper: &Bound<K>, lower: &Bound<K>) -> Option<(K, V)> {
-        let backend = &self.core.class().backend;
         let mut cur = match upper {
-            Bound::Unbounded => tx.open_read(|otx| backend.last_entry(otx)),
-            Bound::Included(k) => tx.open_read(|otx| backend.floor_entry(otx, k)),
-            Bound::Excluded(k) => tx.open_read(|otx| backend.prev_entry_before(otx, k)),
+            Bound::Unbounded => self.committed(tx, |otx, b| b.last_entry(otx)),
+            Bound::Included(k) => self.committed(tx, |otx, b| b.floor_entry(otx, k)),
+            Bound::Excluded(k) => self.committed(tx, |otx, b| b.prev_entry_before(otx, k)),
         };
         while let Some((k, v)) = cur {
             if !above_lower(&k, lower) {
@@ -933,7 +944,7 @@ where
             }
             match self.buffered(tx, &k) {
                 Some(BufWrite::Remove) => {
-                    cur = tx.open_read(|otx| backend.prev_entry_before(otx, &k));
+                    cur = self.committed(tx, |otx, b| b.prev_entry_before(otx, &k));
                 }
                 _ => return Some((k, v)),
             }

@@ -42,7 +42,7 @@ static LABELS: Mutex<BTreeMap<VarId, String>> = Mutex::new(BTreeMap::new());
 /// drop locks the table only while some var is labelled.
 static LIVE_LABELS: AtomicUsize = AtomicUsize::new(0);
 
-/// Look up a variable's label (see [`TVar::set_label`]), if it has one and
+/// Look up a variable's label (see [`TCell::set_label`]), if it has one and
 /// is still alive.
 pub fn var_label(id: VarId) -> Option<String> {
     LABELS.lock().get(&id).cloned()
@@ -90,12 +90,23 @@ pub(crate) trait AnyVar: Send + Sync {
 ///
 /// # Safety
 ///
-/// Every `TCell` that a shared `&Self` reaches inside `Self`'s own bytes
-/// must stay at its address, as that same cell, until `Self` drops. A plain
-/// struct of `TCell` fields qualifies. A cell behind interior mutability
-/// does not — in a `Mutex<Option<TCell<T>>>` field it can be replaced or
+/// Every `TCell` that a shared `&Self` reaches at an address
+/// [`holds`](Self::holds) admits must stay at that address, as that same
+/// cell, until `Self` drops. With the provided `holds`, which admits
+/// `Self`'s own bytes, a plain struct of `TCell` fields qualifies;
+/// `Box<[TCell<T>]>` admits its slice instead, which a shared box can
+/// neither replace nor resize. A cell behind interior mutability does not
+/// qualify — in a `Mutex<Option<TCell<T>>>` field it can be replaced or
 /// dropped while a transaction still refers to it.
-pub unsafe trait CellOwner: Send + Sync + 'static {}
+pub unsafe trait CellOwner: Send + Sync + 'static {
+    /// Whether the `len` bytes at `addr` lie in memory whose cells this
+    /// owner keeps in place (see the trait's safety section). The default
+    /// admits the owner's own bytes.
+    fn holds(&self, addr: usize, len: usize) -> bool {
+        let start = self as *const Self as *const u8 as usize;
+        addr >= start && addr + len <= start + size_of_val(self)
+    }
+}
 
 /// A transactional variable stored inline in a block that an [`Arc`] owns.
 ///
@@ -103,7 +114,8 @@ pub unsafe trait CellOwner: Send + Sync + 'static {}
 /// with several vars per object (a tree node's key, value, color and links)
 /// embeds them as `TCell` fields of one [`CellOwner`] type and shares the
 /// object as an `Arc`, so the object is one allocation however many vars it
-/// holds. Each cell keeps its own [`VarId`], version and commit lock, so a
+/// holds; a table of cells shares them as one `Arc<Box<[TCell<T>]>>`
+/// instead. Each cell keeps its own [`VarId`], version and commit lock, so a
 /// transaction conflicts on exactly what separate `TVar`s would give it.
 ///
 /// Transactional access names the owner: [`read`](Self::read) and
@@ -145,6 +157,18 @@ pub struct TCell<T> {
 // shares it.
 unsafe impl<T: Send + Sync + 'static> CellOwner for TCell<T> {}
 
+// SAFETY: `holds` admits exactly the slice, and the only cells a shared box
+// reaches there are its elements (a cell's value sits behind a lock private
+// to this module). Replacing or resizing the slice needs `&mut` or ownership
+// of the box, which no one has while an `Arc` shares it, so they stay in
+// place until the box drops.
+unsafe impl<T: Send + Sync + 'static> CellOwner for Box<[TCell<T>]> {
+    fn holds(&self, addr: usize, len: usize) -> bool {
+        let start = self.as_ptr() as usize;
+        addr >= start && addr + len <= start + size_of_val(&**self)
+    }
+}
+
 /// The committed value and, behind one pointer, its history chain:
 /// previously committed `(version, value)` pairs, newest first, forming a
 /// *contiguous* suffix of this var's committed history ending just before
@@ -184,17 +208,15 @@ impl VarRef {
     ///
     /// # Panics
     ///
-    /// If `cell` does not lie inside `*owner`: then `owner` would not keep
-    /// it alive, and the entry could outlive it.
+    /// If `owner` does not hold `cell` ([`CellOwner::holds`]): then `owner`
+    /// would not keep it alive, and the entry could outlive it.
     pub(crate) fn pin<T, O>(owner: &Arc<O>, cell: &TCell<T>) -> VarRef
     where
         T: Clone + Send + Sync + 'static,
         O: CellOwner,
     {
-        let start = Arc::as_ptr(owner) as usize;
-        let at = cell as *const TCell<T> as usize;
         assert!(
-            at >= start && at + size_of::<TCell<T>>() <= start + size_of::<O>(),
+            owner.holds(cell as *const TCell<T> as usize, size_of::<TCell<T>>()),
             "TCell accessed through an Arc that does not contain it"
         );
         VarRef {
@@ -205,8 +227,8 @@ impl VarRef {
 
     /// The pinned cell.
     pub(crate) fn get(&self) -> &dyn AnyVar {
-        // SAFETY: `pin` asserted that `var` lies inside `*_owner`, which
-        // this entry keeps alive and shared, and `CellOwner` keeps the cell
+        // SAFETY: `pin` asserted that `*_owner` holds `var`, and this entry
+        // keeps the owner alive and shared; `CellOwner` keeps a held cell
         // at its address, as that cell, for as long as it is shared.
         unsafe { self.var.as_ref() }
     }
@@ -216,6 +238,23 @@ impl<T> TCell<T> {
     /// Unique id of this variable among live vars: its address.
     pub fn id(&self) -> VarId {
         self as *const Self as usize as VarId
+    }
+
+    /// Label this variable for conflict attribution (the TAPE-style
+    /// profiling of paper §6.3: identifying which shared locations cause
+    /// lost work). [`var_label`] resolves it until the var drops.
+    pub fn set_label(&self, label: impl Into<String>) {
+        let mut labels = LABELS.lock();
+        if labels.insert(self.id(), label.into()).is_none() {
+            LIVE_LABELS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The committed value of a cell no transaction can reach: `&mut self`
+    /// means the cell is not shared yet, or no longer. A value set here is
+    /// committed at the cell's current version.
+    pub fn get_mut(&mut self) -> &mut T {
+        &mut self.cell.get_mut().value
     }
 }
 
@@ -433,14 +472,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
         self.core.id()
     }
 
-    /// Label this variable for conflict attribution (the TAPE-style
-    /// profiling of paper §6.3: identifying which shared locations cause
-    /// lost work). [`var_label`] resolves it until the var drops.
+    /// Label this variable for conflict attribution, as
+    /// [`TCell::set_label`].
     pub fn set_label(&self, label: impl Into<String>) {
-        let mut labels = LABELS.lock();
-        if labels.insert(self.id(), label.into()).is_none() {
-            LIVE_LABELS.fetch_add(1, Ordering::Relaxed);
-        }
+        self.core.set_label(label);
     }
 
     /// Transactional read. Returns the transaction's own buffered value if it
@@ -664,6 +699,10 @@ mod tests {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
     }
 
+    fn row(n: u64) -> Arc<Box<[TCell<u64>]>> {
+        Arc::new((0..n).map(TCell::new).collect())
+    }
+
     #[test]
     fn cells_are_read_and_written_through_their_owner() {
         let p = pair();
@@ -676,11 +715,19 @@ mod tests {
         assert_eq!(p.a.version(), 0);
         assert!(p.b.version() > 0);
         assert_ne!(p.a.id(), p.b.id());
+        // A boxed slice holds its cells outside the box's own bytes.
+        let r = row(4);
+        crate::atomic(|tx| {
+            let x = r[1].read(tx, &r);
+            r[3].write(tx, &r, x + 10);
+        });
+        assert_eq!(r[3].read_committed(), 11);
     }
 
     #[test]
     fn a_cell_accessed_through_an_arc_that_does_not_hold_it_panics() {
         let (p, q) = (pair(), pair());
+        let (r, s) = (row(4), row(4));
         let lone = TCell::new(0u64);
         let var = Arc::new(TCell::new(0u64));
         assert!(panics(|| crate::atomic(|tx| {
@@ -691,8 +738,15 @@ mod tests {
             let _ = lone.read(tx, &var);
         })));
         assert!(panics(|| crate::atomic(|tx| var.write(tx, &p, 5))));
+        assert!(panics(|| crate::atomic(|tx| {
+            let _ = r[0].read(tx, &s);
+        })));
+        assert!(panics(|| crate::atomic(|tx| r[2].write(tx, &p, 5))));
+        assert!(panics(|| crate::atomic(|tx| p.a.write(tx, &r, 5))));
         assert_eq!(q.b.read_committed(), 2, "the foreign write never landed");
         assert_eq!(var.read_committed(), 0);
+        assert_eq!(r[2].read_committed(), 2);
+        assert_eq!(p.a.read_committed(), 1);
     }
 
     #[test]

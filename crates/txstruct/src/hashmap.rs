@@ -19,22 +19,49 @@
 //! The hash function is deterministic (`DefaultHasher` with the default
 //! keys) so simulator runs are reproducible.
 //!
-//! Buckets are immutable `Arc<Vec<_>>` snapshots replaced whole on write.
-//! The empty buckets of a table share one empty `Arc` (a fresh table costs
-//! one allocation per bucket var, not two), and every bucket vector is
-//! sized exactly to its entries.
+//! A table is one block: its bucket vars are [`stm::TCell`]s in one boxed
+//! slice, shared as an `Arc` that each access names as the cells' owner.
+//! Each bucket keeps its own id, version and commit lock, so the footprint
+//! is the same as with one `TVar` per bucket. A bucket is an immutable
+//! `Arc<[_]>` snapshot of exactly its entries, replaced whole on write; the
+//! empty buckets share one empty slice.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::iter;
 use std::sync::Arc;
-use stm::{TVar, Txn};
+use stm::{TCell, TVar, Txn};
 
-type Bucket<K, V> = Arc<Vec<(K, V)>>;
-type Table<K, V> = Arc<Vec<TVar<Bucket<K, V>>>>;
+type Bucket<K, V> = Arc<[(K, V)]>;
+
+/// The bucket vars of one table size, in one block.
+type Table<K, V> = Box<[TCell<Bucket<K, V>>]>;
+
+/// `cap` empty buckets.
+fn empty_table<K, V>(cap: usize) -> Table<K, V>
+where
+    K: Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    let empty: Bucket<K, V> = Arc::default();
+    (0..cap).map(|_| TCell::new(Arc::clone(&empty))).collect()
+}
+
+/// The bucket var `key` hashes to.
+fn bucket_cell<'t, K: Hash, V>(table: &'t Table<K, V>, key: &K) -> &'t TCell<Bucket<K, V>> {
+    &table[index(key, table.len())]
+}
+
+/// The bucket of `key` in a table of `cap` buckets.
+fn index<K: Hash + ?Sized>(key: &K, cap: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() as usize) & (cap - 1)
+}
 
 /// The object-header line: table pointer + size, one conflict unit.
 struct Header<K, V> {
-    table: Table<K, V>,
+    table: Arc<Table<K, V>>,
     size: usize,
 }
 
@@ -67,30 +94,6 @@ impl<K, V> Clone for TxHashMap<K, V> {
     }
 }
 
-fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// A table of bucket vars holding `buckets`, each sized exactly, the empty
-/// ones sharing one empty `Arc`.
-fn new_table<K, V>(buckets: impl Iterator<Item = Vec<(K, V)>>) -> Table<K, V>
-where
-    K: Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    let empty: Bucket<K, V> = Arc::default();
-    let bucket = |mut b: Vec<(K, V)>| {
-        if b.is_empty() {
-            return Arc::clone(&empty);
-        }
-        b.shrink_to_fit();
-        Arc::new(b)
-    };
-    Arc::new(buckets.map(|b| TVar::new(bucket(b))).collect())
-}
-
 impl<K, V> TxHashMap<K, V>
 where
     K: Clone + Eq + Hash + Send + Sync + 'static,
@@ -104,10 +107,9 @@ where
     /// Create an empty map with at least `capacity` buckets (rounded up to a
     /// power of two). Pre-sizing avoids resize storms in benchmarks.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two();
         TxHashMap {
             header: TVar::new(Header {
-                table: new_table((0..cap).map(|_| Vec::new())),
+                table: Arc::new(empty_table(capacity.next_power_of_two())),
                 size: 0,
             }),
         }
@@ -126,9 +128,8 @@ where
 
     /// Look up a key. Reads the header (table pointer) plus one bucket.
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        let h = self.header.read(tx);
-        let idx = (hash_of(key) as usize) & (h.table.len() - 1);
-        let bucket = h.table[idx].read(tx);
+        let t = self.header.read(tx).table;
+        let bucket = bucket_cell(&t, key).read(tx, &t);
         bucket
             .iter()
             .find(|(k, _)| k == key)
@@ -145,66 +146,78 @@ where
     /// of the map, as in the paper.
     pub fn insert(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
         let h = self.header.read(tx);
-        let idx = (hash_of(&key) as usize) & (h.table.len() - 1);
-        let bucket = h.table[idx].read(tx);
-        let present = bucket.iter().position(|(k, _)| *k == key);
-        let mut entries = Vec::with_capacity(bucket.len() + usize::from(present.is_none()));
-        entries.extend_from_slice(&bucket);
-        let prev = match present {
-            Some(i) => Some(std::mem::replace(&mut entries[i].1, value)),
-            None => {
-                entries.push((key, value));
-                None
-            }
-        };
-        h.table[idx].write(tx, Arc::new(entries));
-        if prev.is_none() {
+        let t = &h.table;
+        let cell = bucket_cell(t, &key);
+        let bucket = cell.read(tx, t);
+        let Some(i) = bucket.iter().position(|(k, _)| *k == key) else {
+            let entries = bucket.iter().cloned().chain(iter::once((key, value)));
+            cell.write(tx, t, entries.collect());
             let size = h.size + 1;
-            if size * LOAD_FACTOR_DEN > h.table.len() * LOAD_FACTOR_NUM {
-                self.resize(tx, &h.table, size, h.table.len() * 2);
+            if size * LOAD_FACTOR_DEN > t.len() * LOAD_FACTOR_NUM {
+                self.resize(tx, t, size, t.len() * 2);
             } else {
-                self.header.write(
-                    tx,
-                    Header {
-                        table: h.table.clone(),
-                        size,
-                    },
-                );
+                let table = Arc::clone(t);
+                self.header.write(tx, Header { table, size });
             }
-        }
-        prev
+            return None;
+        };
+        let (k, prev) = &bucket[i];
+        let (before, after) = (&bucket[..i], &bucket[i + 1..]);
+        let entries = before.iter().cloned().chain(iter::once((k.clone(), value)));
+        cell.write(tx, t, entries.chain(after.iter().cloned()).collect());
+        Some(prev.clone())
     }
 
     /// Remove a key; returns the previous value.
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
         let h = self.header.read(tx);
-        let idx = (hash_of(key) as usize) & (h.table.len() - 1);
-        let bucket = h.table[idx].read(tx);
+        let t = &h.table;
+        let cell = bucket_cell(t, key);
+        let bucket = cell.read(tx, t);
         let pos = bucket.iter().position(|(k, _)| k == key)?;
-        let mut entries: Vec<(K, V)> = (*bucket).clone();
-        let (_, v) = entries.swap_remove(pos);
-        h.table[idx].write(tx, Arc::new(entries));
+        // As `Vec::swap_remove`: the last entry takes the removed one's place.
+        let last = bucket.len() - 1;
+        let (moved, rest) = if pos == last {
+            (&[][..], &[][..])
+        } else {
+            (&bucket[last..], &bucket[pos + 1..last])
+        };
+        let entries = bucket[..pos].iter().chain(moved).chain(rest).cloned();
+        cell.write(tx, t, entries.collect());
+        let table = Arc::clone(t);
         self.header.write(
             tx,
             Header {
-                table: h.table.clone(),
+                table,
                 size: h.size - 1,
             },
         );
-        Some(v)
+        Some(bucket[pos].1.clone())
     }
 
-    /// Rehash into a table of `new_cap` buckets. Touches every bucket — a
-    /// deliberate conflict storm, as in any in-place hash map.
-    fn resize(&self, tx: &mut Txn, old: &Table<K, V>, size: usize, new_cap: usize) {
-        let mut fresh = vec![Vec::new(); new_cap];
-        for b in old.iter() {
-            for (k, v) in b.read(tx).iter() {
-                let idx = (hash_of(k) as usize) & (new_cap - 1);
-                fresh[idx].push((k.clone(), v.clone()));
+    /// Rehash into a table of `new_cap` buckets, a multiple of the old
+    /// count. Touches every bucket — a deliberate conflict storm, as in any
+    /// in-place hash map. Old bucket `i` feeds only the new buckets
+    /// congruent to `i`, so each is filled as its old bucket is read.
+    fn resize(&self, tx: &mut Txn, old: &Arc<Table<K, V>>, size: usize, new_cap: usize) {
+        let mut fresh = empty_table(new_cap);
+        let mut dest = Vec::new();
+        for (i, cell) in old.iter().enumerate() {
+            let bucket = cell.read(tx, old);
+            dest.clear();
+            dest.extend(bucket.iter().map(|(k, _)| index(k, new_cap)));
+            for j in (i..new_cap).step_by(old.len()) {
+                let n = dest.iter().filter(|&&d| d == j).count();
+                if n > 0 {
+                    let mut moving = bucket.iter().zip(&dest).filter(|&(_, &d)| d == j);
+                    // A `Range`-driven iterator has an exact length, so the
+                    // bucket is allocated once, at its final size.
+                    let entries = (0..n).map(|_| moving.next().expect("counted").0.clone());
+                    *fresh[j].get_mut() = entries.collect();
+                }
             }
         }
-        let table = new_table(fresh.into_iter());
+        let table = Arc::new(fresh);
         self.header.write(tx, Header { table, size });
     }
 
@@ -212,8 +225,8 @@ where
     pub fn entries(&self, tx: &mut Txn) -> Vec<(K, V)> {
         let h = self.header.read(tx);
         let mut out = Vec::with_capacity(h.size);
-        for b in h.table.iter() {
-            out.extend(b.read(tx).iter().cloned());
+        for cell in h.table.iter() {
+            out.extend(cell.read(tx, &h.table).iter().cloned());
         }
         out
     }
@@ -222,18 +235,13 @@ where
     pub fn clear(&self, tx: &mut Txn) {
         let h = self.header.read(tx);
         let empty: Bucket<K, V> = Arc::default();
-        for b in h.table.iter() {
-            if !b.read(tx).is_empty() {
-                b.write(tx, Arc::clone(&empty));
+        for cell in h.table.iter() {
+            if !cell.read(tx, &h.table).is_empty() {
+                cell.write(tx, &h.table, Arc::clone(&empty));
             }
         }
-        self.header.write(
-            tx,
-            Header {
-                table: h.table.clone(),
-                size: 0,
-            },
-        );
+        let table = h.table;
+        self.header.write(tx, Header { table, size: 0 });
     }
 
     /// Id of the header variable (the "size field" conflict unit), for
@@ -254,8 +262,8 @@ where
     pub fn set_label(&self, label: &str) {
         self.set_header_label(label);
         let h = self.header.read_committed();
-        for b in h.table.iter() {
-            b.set_label(format!("{label}.buckets"));
+        for cell in h.table.iter() {
+            cell.set_label(format!("{label}.buckets"));
         }
     }
 }
@@ -371,6 +379,28 @@ mod tests {
             assert_eq!(outside, None);
         });
         assert_eq!(atomic(|tx| m.get(tx, &7)), Some(7));
+    }
+
+    #[test]
+    fn a_bucket_read_through_another_tables_arc_panics() {
+        let a: Arc<Table<u64, u64>> = Arc::new(empty_table(4));
+        let b: Arc<Table<u64, u64>> = Arc::new(empty_table(4));
+        let panics = |cell: &TCell<Bucket<u64, u64>>, owner: &Arc<Table<u64, u64>>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                atomic(|tx| cell.read(tx, owner).len())
+            }))
+            .is_err()
+        };
+        assert!(!panics(&a[3], &a));
+        assert!(panics(&a[3], &b));
+        assert!(panics(&b[0], &a));
+    }
+
+    #[test]
+    fn a_tables_bucket_cells_have_distinct_ids() {
+        let t: Table<u64, u64> = empty_table(64);
+        let ids: std::collections::HashSet<stm::VarId> = t.iter().map(TCell::id).collect();
+        assert_eq!(ids.len(), 64);
     }
 
     #[test]

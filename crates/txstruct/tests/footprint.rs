@@ -1,14 +1,17 @@
 //! Memory footprint gates for the TVar-built structures.
 //!
 //! Most of the memory of a workload built from `TVar`s is the vars
-//! themselves, so what one var costs, what a tree node costs, what an empty
-//! hash map costs and what a var keeps alive after a snapshot reader left
-//! are gated here with a counting global allocator (counting only on the
-//! measuring thread), and so is the label table, which must not outlive the
-//! vars it names.
+//! themselves, so what one var costs, what a tree node costs, what a hash
+//! map's table and buckets cost and what a var keeps alive after a snapshot
+//! reader left are gated here with a counting global allocator (counting
+//! only on the measuring thread), and so is the label table, which must not
+//! outlive the vars it names.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
 use stm::{atomic, atomic_read, TVar};
 use txstruct::{TxHashMap, TxTreeMap};
@@ -63,9 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Held by the test that pins a snapshot and by the test that counts live
-/// blocks: a publish under a pin keeps a history chain, which is not node
-/// memory.
+/// Held by the test that pins a snapshot and by the tests that count live
+/// blocks or a commit's allocations: a publish under a pin keeps a history
+/// chain, which is neither node nor bucket memory.
 static PIN_LOCK: Mutex<()> = Mutex::new(());
 
 fn pin_lock() -> MutexGuard<'static, ()> {
@@ -143,17 +146,86 @@ fn a_tree_node_is_one_block_of_at_most_256_bytes() {
 }
 
 #[test]
-fn an_empty_hash_map_allocates_once_per_bucket() {
-    // 8192 bucket vars, plus the shared empty bucket, the table and the
-    // header: empty buckets must not each own an empty vector.
+fn an_empty_hash_map_is_a_constant_number_of_blocks() {
+    // The header, the table and its one block of bucket vars (the empty
+    // buckets share one empty slice): nothing per bucket.
     let (m, c) = counted(|| TxHashMap::<u64, u64>::with_capacity(8192));
     println!("TxHashMap::with_capacity(8192): {} allocations", c.allocs);
+    assert!(c.allocs <= 4, "{} allocations for 8192 buckets", c.allocs);
+    assert!(atomic(|tx| m.is_empty(tx)));
+}
+
+/// The bucket `key` falls in among `cap` buckets: the map hashes keys with
+/// a default `DefaultHasher`, so that its layout is reproducible.
+fn bucket_of(key: u64, cap: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() as usize) & (cap - 1)
+}
+
+#[test]
+fn a_fresh_key_in_an_empty_bucket_is_one_block() {
+    const CAP: usize = 8192;
+    const KEYS: usize = 64;
+    let _no_pin = pin_lock();
+    let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(CAP);
+    // Warm up this thread's transaction state on a bucket no key below
+    // shares.
+    let mut used = HashSet::from([bucket_of(u64::MAX, CAP)]);
+    atomic(|tx| m.insert(tx, u64::MAX, 0));
+    let keys: Vec<u64> = (0..)
+        .filter(|&k| used.insert(bucket_of(k, CAP)))
+        .take(KEYS)
+        .collect();
+    let ((), c) = counted(|| {
+        for &k in &keys {
+            atomic(|tx| m.insert(tx, k, k));
+        }
+    });
+    println!(
+        "{KEYS} fresh keys left {} live block(s), {} live bytes",
+        c.net_blocks, c.net_bytes
+    );
+    assert_eq!(
+        c.net_blocks, KEYS as i64,
+        "fresh keys did not leave one live block each"
+    );
     assert!(
-        c.allocs <= 8200,
-        "{} allocations for 8192 buckets",
+        c.net_bytes <= 32 * KEYS as i64,
+        "a fresh key left {} live bytes",
+        c.net_bytes / KEYS as i64
+    );
+}
+
+#[test]
+fn a_resize_allocates_once_per_non_empty_bucket() {
+    const CAP: usize = 1024;
+    // 3/4 full is the most a table holds: the next new key resizes it.
+    let full = (CAP * 3 / 4) as u64;
+    let _no_pin = pin_lock();
+    let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(CAP);
+    atomic(|tx| {
+        for k in 0..full {
+            m.insert(tx, k, k);
+        }
+    });
+    let (prev, c) = counted(|| atomic(|tx| m.insert(tx, full, full)));
+    assert_eq!(prev, None);
+    let non_empty = (0..=full)
+        .map(|k| bucket_of(k, 2 * CAP))
+        .collect::<HashSet<_>>()
+        .len() as u64;
+    println!(
+        "a resize to {} buckets ({non_empty} non-empty): {} allocations",
+        2 * CAP,
         c.allocs
     );
-    assert!(atomic(|tx| m.is_empty(tx)));
+    assert!(
+        c.allocs <= non_empty + 64,
+        "{} allocations for {non_empty} non-empty buckets",
+        c.allocs
+    );
+    assert_eq!(atomic(|tx| m.len(tx)), full as usize + 1);
 }
 
 #[test]
