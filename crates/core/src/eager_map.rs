@@ -46,12 +46,12 @@ use crate::backend::{MapBackend, UndoOp};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{sweep_commit_footprint, FootprintOp, SemanticClass, SemanticCore};
 use crate::locks::{
-    doom_others, key_hash64, DoomCtx, ObsMode, Owner, Owners, SemanticStats, StripedTables,
-    UpdateEffect, DEFAULT_STRIPES,
+    doom_others, DoomCtx, ObsMode, Owner, Owners, SemanticStats, StripedTables, UpdateEffect,
+    DEFAULT_STRIPES,
 };
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::marker::PhantomData;
+use stm::hash::{key_hash64, StripeMap, StripeSet};
 use stm::trace::{self, LockKind};
 use stm::{TxState, Txn, TxnMode};
 use txstruct::{BoostedHashMap, TxHashMap};
@@ -150,12 +150,12 @@ pub enum EagerPolicy {
 }
 
 struct EagerLocal<K> {
-    read_keys: HashSet<K>,
-    write_keys: HashSet<K>,
+    read_keys: StripeSet<K>,
+    write_keys: StripeSet<K>,
     /// Keys whose pre-transaction state is already captured in the kernel
     /// undo log — only the **first** in-place write of a key logs an
     /// [`UndoOp`]; later writes are undone by the same entry.
-    undone_keys: HashSet<K>,
+    undone_keys: StripeSet<K>,
     /// Net size change applied in place by this transaction.
     delta: i64,
     holds_size_lock: bool,
@@ -164,9 +164,9 @@ struct EagerLocal<K> {
 impl<K> Default for EagerLocal<K> {
     fn default() -> Self {
         EagerLocal {
-            read_keys: HashSet::new(),
-            write_keys: HashSet::new(),
-            undone_keys: HashSet::new(),
+            read_keys: StripeSet::default(),
+            write_keys: StripeSet::default(),
+            undone_keys: StripeSet::default(),
             delta: 0,
             holds_size_lock: false,
         }
@@ -176,15 +176,15 @@ impl<K> Default for EagerLocal<K> {
 /// One stripe of the eager map's key tables: reader sets and exclusive
 /// writer slots for the keys hashing to this stripe.
 struct EagerShard<K> {
-    readers: HashMap<K, Owners>,
-    writers: HashMap<K, Owner>,
+    readers: StripeMap<K, Owners>,
+    writers: StripeMap<K, Owner>,
 }
 
 impl<K> Default for EagerShard<K> {
     fn default() -> Self {
         EagerShard {
-            readers: HashMap::new(),
-            writers: HashMap::new(),
+            readers: StripeMap::default(),
+            writers: StripeMap::default(),
         }
     }
 }

@@ -22,14 +22,14 @@ use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::interval::IntervalTree;
 use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
 use crate::locks::{
-    bounds_overlap, key_hash64, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables,
+    bounds_overlap, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables,
     StripedTables, UpdateEffect, DEFAULT_STRIPES,
 };
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use stm::hash::{key_hash64, StripeMap};
 use stm::{TVar, Txn, TxnMode};
 
 // txlint: conflict-graph
@@ -173,7 +173,7 @@ fn span_hash<K: Hash>(lower: &Bound<K>) -> u64 {
 /// transaction itself inserted simply drops the buffered insertion.
 pub(crate) struct IntervalMapLocal<K, V> {
     pub adds: Vec<(u64, Bound<K>, Bound<K>, V)>,
-    pub removes: HashMap<u64, (Bound<K>, Bound<K>)>,
+    pub removes: StripeMap<u64, (Bound<K>, Bound<K>)>,
     pub delta: isize,
 }
 
@@ -181,7 +181,7 @@ impl<K, V> Default for IntervalMapLocal<K, V> {
     fn default() -> Self {
         IntervalMapLocal {
             adds: Vec::new(),
-            removes: HashMap::new(),
+            removes: StripeMap::default(),
             delta: 0,
         }
     }

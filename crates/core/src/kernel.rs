@@ -102,12 +102,13 @@
 // txlint: semantic-kernel
 
 use crate::locks::{
-    bucket_order, key_hash64, KeyLockShard, LocalSet, MapTables, Owner, PointLocks, SemanticStats,
-    StripedTables, UpdateEffect,
+    bucket_order, KeyLockShard, MapTables, Owner, PointLocks, SemanticStats, StripedTables,
+    UpdateEffect,
 };
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use stm::hash::{key_hash64, StripeSet};
 use stm::trace::LockKind;
 use stm::{Txn, TxnMode};
 
@@ -246,7 +247,7 @@ pub(crate) trait KeyedClass: SemanticClass {
     /// The striped lock tables whose key stripes hold the class's key locks.
     fn key_tables(&self) -> &StripedTables<KeyLockShard<Self::Key>, Self::Global>;
     /// The held-key set inside a transaction's buffer.
-    fn held_keys(local: &mut Self::Local) -> &mut LocalSet<Self::Key>;
+    fn held_keys(local: &mut Self::Local) -> &mut StripeSet<Self::Key>;
 }
 
 /// The per-attempt state a [`SemanticCore`] parks in its transaction

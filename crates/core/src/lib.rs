@@ -127,8 +127,8 @@ pub use kernel::{
     CachedPoint, ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
 };
 pub use locks::{
-    key_hash64, mode_compatible, mode_compatible_spec, stripe_index, ObsMode, Owner,
-    RangeIndexKind, SemanticStats, StripeHasher, UpdateEffect, DEFAULT_STRIPES,
+    mode_compatible, mode_compatible_spec, ObsMode, Owner, RangeIndexKind, SemanticStats,
+    UpdateEffect, DEFAULT_STRIPES,
 };
 pub use map::{TransactionalMap, TxMapIter, MAP_CONFLICT_GRAPH};
 pub use multiset::{TransactionalMultiset, MULTISET_CONFLICT_GRAPH};
@@ -138,6 +138,7 @@ pub use set::{TransactionalSet, TransactionalSortedSet, SET_CONFLICT_GRAPH};
 pub use sorted_map::{
     SortedMapView, TransactionalSortedMap, TxSortedIter, SORTED_MAP_CONFLICT_GRAPH,
 };
+pub use stm::hash::{key_hash64, stripe_index, StripeHasher};
 
 use stm::Txn;
 

@@ -24,7 +24,7 @@
 //! Every owner set — a key's lockers, the point-lock sets, the eager map's
 //! readers — is an [`Owners`] list: empty, one owner inline, or a boxed
 //! list once a second transaction joins. A key stripe maps each locked key
-//! to its `Owners` in a [`StripeHasher`] table, so a first key-lock take
+//! to its `Owners` in a [`StripeMap`] table, so a first key-lock take
 //! costs one two-word table entry and no allocation of its own; the key is
 //! stored once more, in the owner's held-key set, which is both its
 //! release list and its txn-local lock cache (see `kernel.rs`). A stripe
@@ -99,11 +99,11 @@
 
 use crate::interval::IntervalTree;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use stm::hash::{key_hash64, stripe_index, StripeMap};
 use stm::metrics::{self, Total};
 use stm::trace::{self, LockKind};
 use stm::{TxHandle, TxState};
@@ -111,96 +111,6 @@ use stm::{TxHandle, TxState};
 /// Default number of key stripes in a collection's semantic lock table
 /// (power of two; tune per instance with the `with_stripes` constructors).
 pub const DEFAULT_STRIPES: usize = 16;
-
-/// The stripe hash function: a deterministic multiply-rotate mixer (the
-/// FxHash recurrence) instead of SipHash. Stripe selection runs on every
-/// key-lock take — the body-side hot path — and needs speed and run-to-run
-/// stability, not flooding resistance: a stripe collision only shares a
-/// short mutex hold, it can never create or hide a semantic conflict
-/// (see `tests/stripe_invariance.rs`).
-#[derive(Default)]
-pub struct StripeHasher(u64);
-
-/// Odd multiplier with high-entropy bits (the golden-ratio constant used by
-/// FxHash); multiplication diffuses each input bit upward, and
-/// [`stripe_index`] folds the well-mixed high half back down before masking.
-const STRIPE_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-impl StripeHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(STRIPE_SEED);
-    }
-}
-
-impl Hasher for StripeHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.mix(n as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.mix(n as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.mix(n as u64);
-        self.mix((n >> 64) as u64);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-/// [`StripeHasher`] as the hasher of a transaction's private sets — store
-/// buffers and held-key sets (which are also the key-lock cache). They live
-/// and die inside one attempt and are probed on every buffered operation,
-/// so they take the stripe hash's speed over SipHash's flooding resistance:
-/// a collision only slows the transaction whose own keys collide.
-pub(crate) type LocalSet<K> = HashSet<K, BuildHasherDefault<StripeHasher>>;
-
-/// Map counterpart of [`LocalSet`].
-pub(crate) type LocalMap<K, V> = HashMap<K, V, BuildHasherDefault<StripeHasher>>;
-
-/// The stripe index `key` hashes to in a table of `nstripes` stripes
-/// (callers pass a power of two; the production tables normalize). Public
-/// so tests and diagnostics can predict stripe placement — this is the one
-/// definition of the key→stripe map.
-pub fn stripe_index<K: Hash + ?Sized>(key: &K, nstripes: usize) -> usize {
-    let h = key_hash64(key);
-    // Fold the high half down: the multiply mixes bits upward only, so the
-    // raw low bits of an integer key's hash depend only on its low bits.
-    ((h ^ (h >> 32)) & (nstripes as u64 - 1)) as usize
-}
-
-/// The full 64-bit stripe hash of a key — the value [`stripe_index`] folds
-/// and masks, and the `key_hash` recorded on trace events (a stable,
-/// deterministic key fingerprint that avoids formatting keys on the
-/// emission path).
-pub fn key_hash64<K: Hash + ?Sized>(key: &K) -> u64 {
-    BuildHasherDefault::<StripeHasher>::default().hash_one(key)
-}
 
 /// How a `TransactionalSortedMap` indexes its range locks (paper §3.2: the
 /// flat scanned set is the paper's choice; the interval tree is the
@@ -629,18 +539,18 @@ const STRIPE_KEEP_CAPACITY: usize = 64;
 /// One stripe of the `key2lockers` table (paper Table 3, sharded by key
 /// hash). Every key maps to exactly one stripe, so the per-key lock/apply/
 /// doom-scan protocol runs entirely under this stripe's mutex. The table
-/// hashes with the stripe hash: stripe selection already depends on it,
-/// and the backends hash deterministically too, so SipHash's flooding
-/// resistance would buy nothing here.
+/// hashes with `StripeHasher`, like every internal table (`stm::hash`):
+/// stripe selection already depends on that hash, so a keyed hash here
+/// would add a second pass and no flooding resistance.
 #[derive(Debug)]
 pub(crate) struct KeyLockShard<K> {
-    key2lockers: HashMap<K, Owners, BuildHasherDefault<StripeHasher>>,
+    key2lockers: StripeMap<K, Owners>,
 }
 
 impl<K> Default for KeyLockShard<K> {
     fn default() -> Self {
         KeyLockShard {
-            key2lockers: HashMap::default(),
+            key2lockers: StripeMap::default(),
         }
     }
 }
@@ -1077,9 +987,9 @@ pub(crate) enum RangeStore<K> {
     Tree {
         tree: IntervalTree<K, Owner>,
         /// Owner id -> that owner's (lower, id) pairs, for O(own) release.
-        by_owner: HashMap<u64, Vec<(Bound<K>, u64)>>,
+        by_owner: StripeMap<u64, Vec<(Bound<K>, u64)>>,
         /// Lock id -> lower bound (the tree's lookup key), for extension.
-        by_id: HashMap<u64, Bound<K>>,
+        by_id: StripeMap<u64, Bound<K>>,
     },
 }
 
@@ -1100,8 +1010,8 @@ impl<K: Clone + Ord> RangeStore<K> {
             },
             RangeIndexKind::IntervalTree => RangeStore::Tree {
                 tree: IntervalTree::new(),
-                by_owner: HashMap::new(),
-                by_id: HashMap::new(),
+                by_owner: StripeMap::default(),
+                by_id: StripeMap::default(),
             },
         }
     }

@@ -52,12 +52,10 @@
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    LocalMap, LocalSet, MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect,
-    DEFAULT_STRIPES,
-};
+use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::hash::Hash;
 use std::marker::PhantomData;
+use stm::hash::{StripeMap, StripeSet};
 use stm::{Txn, TxnMode};
 use txstruct::{BoostedHashMap, TxHashMap};
 
@@ -274,22 +272,22 @@ pub(crate) enum BufWrite<V> {
 /// thread-local — the same encapsulation, robust to handler execution
 /// context.
 pub(crate) struct MapLocal<K, V> {
-    pub key_locks: LocalSet<K>,
-    pub store_buffer: LocalMap<K, BufWrite<V>>,
+    pub key_locks: StripeSet<K>,
+    pub store_buffer: StripeMap<K, BufWrite<V>>,
     /// Size delta of buffered writes whose prior presence is known.
     pub delta: isize,
     /// Keys written blindly (`put_discard`/`remove_discard`): their effect on
     /// the size is unknown until resolved or until commit.
-    pub blind: LocalSet<K>,
+    pub blind: StripeSet<K>,
 }
 
 impl<K, V> Default for MapLocal<K, V> {
     fn default() -> Self {
         MapLocal {
-            key_locks: LocalSet::default(),
-            store_buffer: LocalMap::default(),
+            key_locks: StripeSet::default(),
+            store_buffer: StripeMap::default(),
             delta: 0,
-            blind: LocalSet::default(),
+            blind: StripeSet::default(),
         }
     }
 }
@@ -367,8 +365,7 @@ where
     /// stripe, size/empty dooms in the global stripe last (the kernel's
     /// sweep discipline).
     fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        let size_before = self.backend.len(htx) as isize;
-        let mut size_after = size_before;
+        let mut net: isize = 0;
         let global = self.tables.commit_sweep(
             stats,
             id,
@@ -378,7 +375,7 @@ where
                 BufWrite::Put(v) => {
                     let old = self.backend.insert(htx, k.clone(), v.clone());
                     if old.is_none() {
-                        size_after += 1;
+                        net += 1;
                     }
                     // put conflicts with any reader of this key (Table 2).
                     cx.doom(UpdateEffect::KeyWrite, k);
@@ -386,20 +383,28 @@ where
                 BufWrite::Remove => {
                     let old = self.backend.remove(htx, k);
                     if old.is_some() {
-                        size_after -= 1;
+                        net -= 1;
                         // Removing nothing conflicts with nobody (Table 1).
                         cx.doom(UpdateEffect::KeyWrite, k);
                     }
                 }
             },
         );
+        // The handler lane keeps every other commit's applies out of this
+        // sweep, so the length now is this commit's size after, and the
+        // size before is that minus the net change. Only a net change needs
+        // it. A boosted backend's length locks every shard, so it is read
+        // only then; a TVar backend's is one var read, which the simulated
+        // figures charge to every commit, so it is always read.
+        let size_after = (net != 0 || <B as crate::backend::MapReadOps<K, V>>::TRANSACTIONAL_READS)
+            .then(|| self.backend.len(htx) as isize);
         // Global stripe last: every key apply above happens-before this
         // hold, so a size/empty observer locking after this scan reads the
         // fully applied post-commit state.
         global.finish(|g| {
-            if size_after != size_before {
+            if let Some(after) = size_after.filter(|_| net != 0) {
                 g.doom(UpdateEffect::SizeChange);
-                if (size_before == 0) != (size_after == 0) {
+                if (after - net == 0) != (after == 0) {
                     g.doom(UpdateEffect::ZeroCross);
                 }
             }
@@ -432,7 +437,7 @@ where
         self.tables.striped()
     }
 
-    fn held_keys(local: &mut MapLocal<K, V>) -> &mut LocalSet<K> {
+    fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
     }
 }
@@ -876,7 +881,7 @@ where
         let buffered_new: Vec<(K, V)> = self
             .core
             .try_local(tx, |l| {
-                let mut key_set: Option<LocalSet<&K>> = None;
+                let mut key_set: Option<StripeSet<&K>> = None;
                 l.store_buffer
                     .iter()
                     .filter_map(|(k, w)| match w {
@@ -896,7 +901,7 @@ where
             map: self.clone(),
             keys: committed_keys,
             pos: 0,
-            confirmed: LocalSet::default(),
+            confirmed: 0,
             buffered_new,
             bpos: 0,
             exhausted: false,
@@ -907,7 +912,8 @@ where
     /// (fully enumerates, so it takes the size lock).
     pub fn entries(&self, tx: &mut Txn) -> Vec<(K, V)> {
         let mut it = self.iter(tx);
-        let mut out = Vec::new();
+        // Every snapshot key and buffered new key yields at most one entry.
+        let mut out = Vec::with_capacity(it.keys.len() + it.buffered_new.len());
         while let Some(e) = it.next(tx) {
             out.push(e);
         }
@@ -940,8 +946,8 @@ where
     map: TransactionalMap<K, V, B>,
     keys: Vec<K>,
     pos: usize,
-    /// Snapshot keys confirmed still committed when visited.
-    confirmed: LocalSet<K>,
+    /// How many snapshot keys were still committed when visited.
+    confirmed: usize,
     buffered_new: Vec<(K, V)>,
     bpos: usize,
     exhausted: bool,
@@ -965,7 +971,7 @@ where
                 let backend = &self.map.core.class().backend;
                 let committed = tx.open_read(|otx| backend.get(otx, &k));
                 if committed.is_some() {
-                    self.confirmed.insert(k.clone());
+                    self.confirmed += 1;
                 }
                 let visible = match self.map.buffered(tx, &k) {
                     Some(BufWrite::Put(v)) => Some(v),
@@ -994,18 +1000,20 @@ where
                     self.map.core.note_point_lock(tx, CachedPoint::Size);
                 }
                 // Completeness check: keys committed after our snapshot would
-                // silently be missed. Verify the live committed key set equals
-                // the set of confirmed keys — as many keys, each confirmed —
-                // otherwise abort and retry. Every confirmed key is
-                // lock-protected against later change, so on success the
-                // enumeration equals the committed state at this instant — a
-                // valid serialization point.
+                // silently be missed. Each confirmed key was key-locked before
+                // it was read, so a commit that removes it dooms this attempt,
+                // and a doomed attempt never commits. In an attempt that
+                // commits, every confirmed key is still committed here, so
+                // equal counts mean equal key sets: the enumeration equals the
+                // committed state at this instant, a valid serialization
+                // point. Otherwise abort and retry (docs/PROTOCOL.md,
+                // "Enumeration completeness by count").
                 let backend = &self.map.core.class().backend;
-                let confirmed = &self.confirmed;
-                let complete = self.map.core.read_settled(tx, |otx| {
-                    let live = backend.entries(otx);
-                    live.len() == confirmed.len() && live.iter().all(|(k, _)| confirmed.contains(k))
-                });
+                let confirmed = self.confirmed;
+                let complete = self
+                    .map
+                    .core
+                    .read_settled(tx, |otx| backend.len(otx) == confirmed);
                 if !complete {
                     stm::abort_and_retry();
                 }

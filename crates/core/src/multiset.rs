@@ -16,11 +16,9 @@
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    LocalSet, MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
-use std::collections::HashMap;
+use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::hash::Hash;
+use stm::hash::{StripeMap, StripeSet};
 use stm::{TVar, Txn, TxnMode};
 use txstruct::{BoostedHashMap, TxHashMap};
 
@@ -122,16 +120,16 @@ pub static MULTISET_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph {
 /// Per-transaction local state: buffered count deltas, the element locks
 /// this transaction holds, and the buffered change to the total count.
 pub(crate) struct MultisetLocal<T> {
-    pub deltas: HashMap<T, i64>,
-    pub key_locks: LocalSet<T>,
+    pub deltas: StripeMap<T, i64>,
+    pub key_locks: StripeSet<T>,
     pub total_delta: i64,
 }
 
 impl<T> Default for MultisetLocal<T> {
     fn default() -> Self {
         MultisetLocal {
-            deltas: HashMap::new(),
-            key_locks: LocalSet::default(),
+            deltas: StripeMap::default(),
+            key_locks: StripeSet::default(),
             total_delta: 0,
         }
     }
@@ -228,7 +226,7 @@ where
         self.tables.striped()
     }
 
-    fn held_keys(local: &mut MultisetLocal<T>) -> &mut LocalSet<T> {
+    fn held_keys(local: &mut MultisetLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
     }
 }

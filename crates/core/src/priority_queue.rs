@@ -21,11 +21,12 @@ use crate::kernel::{
     SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    LocalSet, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
+    ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
     UpdateEffect, DEFAULT_STRIPES,
 };
 use std::collections::BTreeMap;
 use std::hash::Hash;
+use stm::hash::StripeSet;
 use stm::{TVar, Txn, TxnMode};
 use txstruct::TxTreeMap;
 
@@ -193,7 +194,7 @@ pub static PRIORITY_QUEUE_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph
 /// the buffered change to the total count.
 pub(crate) struct PqLocal<T> {
     pub deltas: BTreeMap<T, i64>,
-    pub key_locks: LocalSet<T>,
+    pub key_locks: StripeSet<T>,
     pub total_delta: i64,
 }
 
@@ -201,7 +202,7 @@ impl<T> Default for PqLocal<T> {
     fn default() -> Self {
         PqLocal {
             deltas: BTreeMap::new(),
-            key_locks: LocalSet::default(),
+            key_locks: StripeSet::default(),
             total_delta: 0,
         }
     }
@@ -336,7 +337,7 @@ where
         &self.tables
     }
 
-    fn held_keys(local: &mut PqLocal<T>) -> &mut LocalSet<T> {
+    fn held_keys(local: &mut PqLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
     }
 }

@@ -46,13 +46,14 @@ use crate::kernel::{
     SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    key_hash64, LocalSet, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables,
-    StripedTables, UpdateEffect, DEFAULT_STRIPES,
+    ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
+    UpdateEffect, DEFAULT_STRIPES,
 };
 use crate::map::{BufWrite, MapLocal};
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::Bound;
+use stm::hash::{key_hash64, StripeSet};
 use stm::{Txn, TxnMode};
 use txstruct::TxTreeMap;
 
@@ -530,7 +531,7 @@ where
         &self.tables
     }
 
-    fn held_keys(local: &mut MapLocal<K, V>) -> &mut LocalSet<K> {
+    fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
     }
 }

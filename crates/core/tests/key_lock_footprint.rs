@@ -98,8 +98,8 @@ const GET_BUDGET: u64 = 64;
 /// Keys in the enumerated map: a long transaction's whole-map read.
 const ENTRIES: u64 = 65_536;
 /// Peak live heap per enumerated key: the snapshot key list, the returned
-/// entries, one `key2lockers` entry and two local-set slots per key.
-const PEAK_BYTES_PER_KEY: i64 = 200;
+/// entries, one `key2lockers` entry and one held-key set slot per key.
+const PEAK_BYTES_PER_KEY: i64 = 128;
 /// Live heap the enumeration may leave behind once it has committed and
 /// released every lock: what the stripes keep for their next locks.
 const RETAINED_BYTES: i64 = 256 * 1024;

@@ -2,7 +2,8 @@
 
 use crate::{ABORT_PENALTY, TXN_OVERHEAD};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
+use stm::hash::VarIdSet;
 use stm::{AbortCause, PreparedTxn, VarId};
 
 /// A transactional workload driven by the TM engine.
@@ -164,7 +165,7 @@ pub fn run_tm(cpus: usize, workload: &dyn TmWorkload) -> TmResult {
         // Commit (TCC: committer always wins). The commit phase — applying
         // redo logs and running commit handlers — occupies the CPU too, so
         // its counted cost delays this CPU's next transaction.
-        let writes: HashSet<VarId> = inf.writes.iter().copied().collect();
+        let writes: VarIdSet = inf.writes.iter().copied().collect();
         stm::reset_cost();
         inf.prepared.commit();
         let commit_cost = stm::take_cost();

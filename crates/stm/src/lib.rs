@@ -68,6 +68,7 @@ mod cost;
 mod epoch;
 mod handle;
 mod handlers;
+pub mod hash;
 mod interrupt;
 pub mod metrics;
 mod runtime;

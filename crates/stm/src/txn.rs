@@ -6,12 +6,12 @@
 use crate::clock;
 use crate::handle::TxHandle;
 use crate::handlers::{Handler, LocalUndo};
+use crate::hash::VarIdMap;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::metrics::{self, Total};
 use crate::trace;
 use crate::tvar::{AnyVar, CellOwner, TCell, VarId, VarRef};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How reads and writes behave.
@@ -50,8 +50,8 @@ pub(crate) enum FrameKind {
 
 pub(crate) struct Frame {
     kind: FrameKind,
-    reads: HashMap<VarId, ReadEntry>,
-    writes: HashMap<VarId, WriteEntry>,
+    reads: VarIdMap<ReadEntry>,
+    writes: VarIdMap<WriteEntry>,
     commit_handlers: Vec<Handler>,
     abort_handlers: Vec<Handler>,
     local_undos: Vec<LocalUndo>,
@@ -61,8 +61,8 @@ impl Frame {
     fn new(kind: FrameKind) -> Self {
         Frame {
             kind,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
+            reads: VarIdMap::default(),
+            writes: VarIdMap::default(),
             commit_handlers: Vec::new(),
             abort_handlers: Vec::new(),
             local_undos: Vec::new(),

@@ -12,18 +12,27 @@
 //! the transaction when delegating to this type.
 //!
 //! Structure: a power-of-two array of shards, each a
-//! [`parking_lot::Mutex`]`<HashMap<K, V>>`. Point operations lock exactly
-//! one shard for a few nanoseconds; whole-map operations (`len`,
+//! [`parking_lot::Mutex`]`<`[`StripeMap`]`<K, V>>`. Point operations lock
+//! exactly one shard for a few nanoseconds; whole-map operations (`len`,
 //! `entries`) visit shards in ascending index order (one lock held at a
 //! time), which is consistent *enough* because the semantic layer
 //! serializes every committed mutation through the stm handler lane and
 //! dooms any observer whose semantic lock the mutation invalidates — the
 //! same two-case argument that covers the TVar backends (see
 //! `docs/PROTOCOL.md`).
+//!
+//! Hashing: a point operation makes one [`StripeHasher`] pass to choose
+//! the shard ([`stripe_index`], which folds the hash's high half into the
+//! low bits it masks) and one more inside the shard's table, which keys
+//! its buckets with the same unfolded hash. Keys of one shard agree on the
+//! folded low bits, not on the raw ones, so they still spread over the
+//! shard's buckets.
+//!
+//! [`StripeHasher`]: stm::hash::StripeHasher
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
+use stm::hash::{stripe_index, StripeMap};
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -32,8 +41,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// `txcollections` wrapper (e.g. `TransactionalMap::boosted()`) to use it
 /// from transactions.
 pub struct BoostedHashMap<K, V> {
-    shards: Box<[Mutex<HashMap<K, V>>]>,
-    mask: usize,
+    shards: Box<[Mutex<StripeMap<K, V>>]>,
 }
 
 impl<K, V> BoostedHashMap<K, V>
@@ -49,11 +57,8 @@ where
     /// minimum 1).
     pub fn with_shards(nshards: usize) -> Self {
         let n = nshards.max(1).next_power_of_two();
-        let shards: Vec<Mutex<HashMap<K, V>>> =
-            (0..n).map(|_| Mutex::new(HashMap::new())).collect();
         BoostedHashMap {
-            shards: shards.into_boxed_slice(),
-            mask: n - 1,
+            shards: (0..n).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -62,10 +67,8 @@ where
         self.shards.len()
     }
 
-    fn shard_of(&self, key: &K) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & self.mask
+    fn shard_of(&self, key: &K) -> &Mutex<StripeMap<K, V>> {
+        &self.shards[stripe_index(key, self.shards.len())]
     }
 
     /// Look up a key.
@@ -74,24 +77,23 @@ where
     where
         V: Clone,
     {
-        self.shards[self.shard_of(key)].lock().get(key).cloned()
+        self.shard_of(key).lock().get(key).cloned()
     }
 
     /// Whether a key is present.
     #[must_use]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.shards[self.shard_of(key)].lock().contains_key(key)
+        self.shard_of(key).lock().contains_key(key)
     }
 
     /// Insert or replace; returns the previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        let s = self.shard_of(&key);
-        self.shards[s].lock().insert(key, value)
+        self.shard_of(&key).lock().insert(key, value)
     }
 
     /// Remove a key; returns the previous value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_of(key)].lock().remove(key)
+        self.shard_of(key).lock().remove(key)
     }
 
     /// Number of entries: per-shard counts summed shard-by-shard (ascending,

@@ -17,7 +17,9 @@
 //!   transaction happens to trip it.
 //!
 //! The hash function is deterministic (`DefaultHasher` with the default
-//! keys) so simulator runs are reproducible.
+//! keys) so simulator runs are reproducible. It stays SipHash while the
+//! repository's other tables use `stm::hash`: the bucket index decides
+//! which keys share a conflict unit, and Figs. 1–3 measure exactly that.
 //!
 //! A table is one block: its bucket vars are [`stm::TCell`]s in one boxed
 //! slice, shared as an `Arc` that each access names as the cells' owner.

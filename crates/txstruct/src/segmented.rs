@@ -34,6 +34,8 @@ impl<K, V> Clone for SegmentedTxHashMap<K, V> {
     }
 }
 
+/// The segment hash. SipHash, like `TxHashMap`'s bucket index: the
+/// segment choice decides which keys share a conflict unit.
 fn spread<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);

@@ -66,9 +66,7 @@ fn main() {
                     // succeeds (the closure re-executes after the abort).
                     let mut fail_once = rng() % 16 == 0;
                     let got = atomic(|tx| {
-                        let Some(tri) = queue.poll(tx) else {
-                            return None;
-                        };
+                        let tri = queue.poll(tx)?;
                         // "Refine": a triangle of badness > 1 splits into two
                         // better ones, enqueued atomically with the take.
                         if tri.badness > 1 {

@@ -6,8 +6,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo clippy --workspace --tests --benches -- -D warnings"
-cargo clippy --workspace --tests --benches -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
