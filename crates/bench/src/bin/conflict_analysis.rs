@@ -1,6 +1,6 @@
 //! TAPE-style conflict analysis of the SPECjbb workload (paper §6.3).
 //!
-//! The paper: "Using techniques described in [TAPE], we were able to
+//! The paper: "Using techniques described in \[TAPE\], we were able to
 //! identify several global counters such as the District.nextOrder ID
 //! generator as the main sources of lost work due to conflicts." This
 //! binary reproduces that methodology: it attributes every memory violation

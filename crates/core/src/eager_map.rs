@@ -53,7 +53,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 use stm::hash::{key_hash64, StripeMap, StripeSet};
 use stm::trace::{self, LockKind};
-use stm::{TxState, Txn, TxnMode};
+use stm::{TxState, Txn};
 use txstruct::{BoostedHashMap, TxHashMap};
 
 // txlint: conflict-graph
@@ -402,23 +402,6 @@ where
         self.core.stats()
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "EagerTransactionalMap operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    /// First-touch registration, discharged by the kernel (probe, then the
-    /// paired handlers, then the kernel slot — in exactly that order).
-    fn ensure_registered(&self, tx: &mut Txn) {
-        self.core.ensure_registered(tx);
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut EagerLocal<K>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
     /// Is this owner (by id) an *other, still-active* transaction?
     fn is_other_active(owner: &Owner, self_id: u64) -> bool {
         owner.id() != self_id && owner.state() == TxState::Active
@@ -432,8 +415,7 @@ where
     /// lock (its in-place value is uncommitted), this transaction aborts and
     /// retries rather than read dirty data.
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         let self_id = tx.handle().id();
         let owner = tx.handle().clone();
         let class = self.core.class();
@@ -457,7 +439,7 @@ where
         if blocked {
             stm::abort_and_retry();
         }
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             l.read_keys.insert(key.clone());
         });
         // Read locks are re-taken on every call rather than cached: caching
@@ -477,9 +459,8 @@ where
     /// plus this transaction's own delta. Takes the size lock (global
     /// stripe).
     pub fn size(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        let own = self.with_local(tx, |l| {
+        self.core.ensure_registered(tx);
+        let own = self.core.with_local(tx, |l| {
             l.holds_size_lock = true;
             l.delta
         });
@@ -556,7 +537,7 @@ where
         if blocked {
             stm::abort_and_retry();
         }
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             l.write_keys.insert(key.clone());
         });
     }
@@ -577,21 +558,23 @@ where
             let doomed = doom_others(&mut g.size_lockers, self_id, &ctx);
             stats.bump(&stats.size_conflicts, doomed);
         });
-        self.with_local(tx, |l| l.delta += change);
+        self.core.with_local(tx, |l| l.delta += change);
     }
 
     /// Insert or replace **in place**; returns the previous value. The undo
     /// log restores it if the transaction aborts.
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, &key);
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.insert(otx, k2.clone(), value.clone()));
         // Only the first in-place write of a key needs an undo entry; later
         // writes are undone by the same restore.
-        if self.with_local(tx, |l| l.undone_keys.insert(key.clone())) {
+        if self
+            .core
+            .with_local(tx, |l| l.undone_keys.insert(key.clone()))
+        {
             match &old {
                 Some(v) => self
                     .core
@@ -607,14 +590,16 @@ where
 
     /// Remove **in place**; returns the previous value.
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, key);
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.remove(otx, &k2));
         if let Some(v) = &old {
-            if self.with_local(tx, |l| l.undone_keys.insert(key.clone())) {
+            if self
+                .core
+                .with_local(tx, |l| l.undone_keys.insert(key.clone()))
+            {
                 self.core
                     .log_undo(tx, UndoOp::Restore(key.clone(), v.clone()));
             }

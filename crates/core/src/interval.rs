@@ -1,13 +1,10 @@
-//! An interval tree for range-lock stabbing queries.
+//! An interval tree: the entry store of `TransactionalIntervalMap`.
 //!
-//! Paper §3.2 stores range locks in a flat set and scans it on every
-//! committed update: "An alternative would have been to use an interval
-//! tree to store the range locks, but the extra complexity and potential
-//! overhead seemed unnecessary for the common case." This module implements
-//! that alternative so the trade-off can be measured
-//! (`ablation_rangeindex` bench): a treap keyed by lower endpoint,
-//! augmented with the subtree's maximum upper endpoint, giving
-//! `O(log n + hits)` stabbing queries instead of `O(n)` scans.
+//! A treap keyed by lower endpoint, augmented with the subtree's maximum
+//! upper endpoint, giving `O(log n + hits)` stabbing and intersection
+//! queries instead of `O(n)` scans. (Paper §3.2 names an interval tree as
+//! the alternative store for range locks; range locks stay in the paper's
+//! flat scanned list.)
 //!
 //! Endpoints are `std::ops::Bound`; the two wrapper types implement the two
 //! different orders bounds need (a lower `Unbounded` sorts first, an upper
@@ -383,56 +380,6 @@ impl<K: Clone + Ord, T> IntervalTree<K, T> {
         out
     }
 
-    /// Update the upper bound of interval `id` (its lower bound is the
-    /// lookup key). Used by growing iterator range locks.
-    pub fn extend_upper(&mut self, lower: &Bound<K>, id: u64, upper: Bound<K>) {
-        fn go<K: Clone + Ord, T>(
-            node: &mut Option<Box<Node<K, T>>>,
-            target: &(LowerEnd<K>, u64),
-            upper: &Bound<K>,
-        ) -> bool {
-            let Some(n) = node else { return false };
-            let found = match n.key_owned().cmp(target) {
-                Ordering::Equal => {
-                    n.upper = upper.clone();
-                    true
-                }
-                Ordering::Greater => go(&mut n.left, target, upper),
-                Ordering::Less => go(&mut n.right, target, upper),
-            };
-            if found {
-                n.refresh_max();
-            }
-            found
-        }
-        go(&mut self.root, &(LowerEnd(lower.clone()), id), &upper);
-    }
-
-    /// Remove every interval whose payload fails `keep`; returns removed
-    /// count. (Used to prune locks of finished transactions.)
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) -> usize {
-        fn collect<K: Clone + Ord, T>(
-            node: &Option<Box<Node<K, T>>>,
-            keep: &mut impl FnMut(&T) -> bool,
-            out: &mut Vec<(Bound<K>, u64)>,
-        ) {
-            if let Some(n) = node {
-                collect(&n.left, keep, out);
-                if !keep(&n.payload) {
-                    out.push((n.lower.clone(), n.id));
-                }
-                collect(&n.right, keep, out);
-            }
-        }
-        let mut doomed = Vec::new();
-        collect(&self.root, &mut keep, &mut doomed);
-        let n = doomed.len();
-        for (lower, id) in doomed {
-            self.remove(&lower, id);
-        }
-        n
-    }
-
     /// All `(id, lower, upper)` triples, in lower-bound order (testing).
     pub fn entries(&self) -> Vec<(u64, Bound<K>, Bound<K>)> {
         fn walk<K: Clone + Ord, T>(
@@ -492,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_extend() {
+    fn remove_by_id() {
         let mut t = IntervalTree::new();
         let a = t.insert(Included(0), Included(5), "a");
         let b = t.insert(Included(3), Included(8), "b");
@@ -500,8 +447,6 @@ mod tests {
         assert_eq!(t.remove(&Included(0), a), Some("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(ids_at_str(&t, 4), vec![b]);
-        t.extend_upper(&Included(3), b, Included(20));
-        assert_eq!(ids_at_str(&t, 15), vec![b]);
     }
 
     fn ids_at_str(tree: &IntervalTree<i32, &str>, p: i32) -> Vec<u64> {
@@ -509,17 +454,6 @@ mod tests {
         tree.stab(&p, &mut |id, _| v.push(id));
         v.sort_unstable();
         v
-    }
-
-    #[test]
-    fn retain_prunes() {
-        let mut t: IntervalTree<i32, u32> = IntervalTree::new();
-        for i in 0..10 {
-            t.insert(Included(i), Included(i + 5), i as u32);
-        }
-        let removed = t.retain(|p| p % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(t.len(), 5);
     }
 
     #[test]

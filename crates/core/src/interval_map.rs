@@ -22,15 +22,15 @@ use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::interval::IntervalTree;
 use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
 use crate::locks::{
-    bounds_overlap, ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables,
-    StripedTables, UpdateEffect, DEFAULT_STRIPES,
+    bounds_overlap, ObsMode, SemanticStats, SortedGlobal, SortedTables, StripedTables,
+    UpdateEffect, DEFAULT_STRIPES,
 };
 use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm::hash::{key_hash64, StripeMap};
-use stm::{TVar, Txn, TxnMode};
+use stm::{TVar, Txn};
 
 // txlint: conflict-graph
 /// The interval map's declared conflict graph. `insert` is blind (the new
@@ -343,10 +343,7 @@ where
             core: SemanticCore::new(IntervalMapClass {
                 store: TVar::new(Arc::new(IntervalTree::new())),
                 next_id: AtomicU64::new(1),
-                tables: StripedTables::new(
-                    nstripes,
-                    SortedGlobal::with_kind(RangeIndexKind::FlatScan),
-                ),
+                tables: StripedTables::new(nstripes, SortedGlobal::default()),
             }),
         }
     }
@@ -368,17 +365,6 @@ where
             .class()
             .tables
             .with_global(stats, |g| g.sorted.ranges.len())
-    }
-
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalIntervalMap operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut IntervalMapLocal<K, V>) -> R) -> R {
-        self.core.with_local(tx, f)
     }
 
     fn take_range_lock(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) {
@@ -412,7 +398,6 @@ where
     ///
     /// Panics if `lo >= hi` (the span would be empty).
     pub fn insert(&self, tx: &mut Txn, lo: K, hi: K, value: V) -> u64 {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         assert!(
             lo < hi,
@@ -420,7 +405,7 @@ where
         );
         let id = self.core.class().next_id.fetch_add(1, Ordering::Relaxed);
         let (lower, upper) = (Bound::Included(lo), Bound::Excluded(hi));
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             l.adds.push((id, lower, upper, value));
             l.delta += 1;
         });
@@ -436,7 +421,6 @@ where
     /// with any committing write of an intersecting span — including
     /// another `remove` of the same entry (the reflexive edge).
     pub fn remove(&self, tx: &mut Txn, id: u64) -> bool {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         // Already removed by us, or our own buffered insert (which we can
         // just drop — a txn-local entry needs no lock).
@@ -477,7 +461,7 @@ where
         if self.find_span(tx, id).is_none() {
             return false;
         }
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             l.removes.insert(id, (lower, upper));
             l.delta -= 1;
         });
@@ -513,7 +497,6 @@ where
     /// All visible entries whose span contains `point`, as `(id, value)`
     /// pairs (range lock on the degenerate span `[point, point]`).
     pub fn stab(&self, tx: &mut Txn, point: &K) -> Vec<(u64, V)> {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         self.take_range_lock(
             tx,
@@ -531,7 +514,6 @@ where
     /// All visible entries whose span intersects `[lo, hi)`, as
     /// `(id, value)` pairs (range lock on the queried span).
     pub fn overlapping(&self, tx: &mut Txn, lo: K, hi: K) -> Vec<(u64, V)> {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         let (lower, upper) = (Bound::Included(lo), Bound::Excluded(hi));
         self.take_range_lock(tx, lower.clone(), upper.clone());
@@ -570,17 +552,14 @@ where
 
     /// Number of visible entries (size lock).
     pub fn len(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_size_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
+                self.core
+                    .class()
+                    .tables
+                    .with_global(stats, |g| g.points.take_size_lock(owner, stats))
+            });
         let committed = self.snapshot(tx).len() as isize;
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed + delta).max(0) as usize
@@ -594,17 +573,14 @@ where
     /// Emptiness as a primitive with its own zero-crossing lock (§5.1):
     /// conflicts only when the entry count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_empty_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
+                self.core
+                    .class()
+                    .tables
+                    .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
+            });
         let committed = self.snapshot(tx).len() as isize;
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed + delta) <= 0

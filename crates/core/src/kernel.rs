@@ -49,12 +49,13 @@
 //!   per-transaction, per-instance cache of already-acquired `(kind, key)`
 //!   semantic locks: the first acquisition populates it, every later
 //!   operation on the same key or point lock is a local probe that never
-//!   touches a stripe mutex. For point locks it is a bitmask
-//!   ([`SemanticCore::point_lock_cached`]). For key locks it is the keyed
-//!   class's own held-key set — the release list the handlers sweep — so
-//!   each held key is stored once, and `SemanticCore::take_key_lock` is the
-//!   one entry point that probes it, takes the stripe lock on a miss, and
-//!   records the key. Both handlers take the slot out of the transaction
+//!   touches a stripe mutex. For point locks it is a bitmask, and
+//!   [`SemanticCore::take_point_lock`] is the one entry point that probes
+//!   it, takes the lock on a miss, and sets the bit. For key locks it is the
+//!   keyed class's own held-key set — the release list the handlers sweep —
+//!   so each held key is stored once, and `SemanticCore::take_key_lock` is
+//!   the one entry point that probes it, takes the stripe lock on a miss,
+//!   and records the key. Both handlers take the slot out of the transaction
 //!   before releasing any lock, so the cache provably never outlives the
 //!   locks it witnesses (cache lifetime ⊆ lock hold).
 //! * **Partial-rollback undos.** [`SemanticCore::local_undo`] registers a
@@ -421,11 +422,13 @@ impl<C: SemanticClass> SemanticCore<C> {
     /// any other semantic-tables file.
     ///
     /// A first touch inside a `tx.open` body is a misuse abort: the child's
-    /// slots die with the child, so its buffered state would be lost.
+    /// slots die with the child, so its buffered state would be lost. A call
+    /// from a commit or abort handler panics, naming the class.
     pub fn ensure_registered(&self, tx: &mut Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
-            "semantic-class operations cannot run inside commit/abort handlers"
+            "`{}` operations cannot run inside commit/abort handlers",
+            self.inner.class.name()
         );
         if tx.in_snapshot() {
             // The snapshot skip: a snapshot transaction takes no semantic
@@ -551,23 +554,36 @@ impl<C: SemanticClass> SemanticCore<C> {
         }
     }
 
-    /// Probe the txn-local cache for a whole-collection point lock
-    /// ([`CachedPoint`]) this transaction already holds on this instance.
-    /// `true` means the lock is held — the caller must skip the stripe round
-    /// trip entirely (taking it again would be harmless but is exactly the
-    /// traffic the cache exists to remove). On `false` the caller acquires
-    /// the lock and then calls [`Self::note_point_lock`].
+    /// Hold the whole-collection point lock `p` ([`CachedPoint`]) for the
+    /// calling transaction: the point-lock twin of `take_key_lock`. Strictly
+    /// in this order: the snapshot skip (a snapshot transaction takes no
+    /// semantic lock), the cache probe (a hit is counted and traced, and no
+    /// stripe is visited), then `take(owner, stats)` to acquire the lock,
+    /// then the cache bit — set only after the take returns, so an unwind
+    /// mid-acquisition can never leave a cached bit without a lock behind it.
     ///
     /// Soundness of a hit: an active transaction's semantic locks are never
     /// released by anyone else (doom sweeps retain active owners; release
     /// happens only in the transaction's own handlers, which take the slot
     /// first), so a cached bit can never outlive the lock it witnesses.
-    pub fn point_lock_cached(&self, tx: &mut Txn, p: CachedPoint) -> bool {
+    pub fn take_point_lock(
+        &self,
+        tx: &mut Txn,
+        p: CachedPoint,
+        take: impl FnOnce(Owner, &SemanticStats),
+    ) {
+        if self.point_lock_cached(tx, p) {
+            return;
+        }
+        take(tx.handle().clone(), &self.inner.stats);
+        self.note_point_lock(tx, p);
+    }
+
+    /// Whether the calling transaction already holds `p` on this instance
+    /// (counting and tracing a hit). A snapshot transaction answers `true`
+    /// without counting: it never reaches a stripe.
+    fn point_lock_cached(&self, tx: &mut Txn, p: CachedPoint) -> bool {
         if tx.in_snapshot() {
-            // Snapshot skip: report "already held" so the caller never
-            // reaches the stripe — snapshot reads are isolated by the TVar
-            // version chains, not by semantic locks. Not a cache hit; no
-            // counter or trace event fires.
             return true;
         }
         let Some(slot) = self.slot_mut(tx) else {
@@ -589,10 +605,8 @@ impl<C: SemanticClass> SemanticCore<C> {
         stm::trace::lock_cache_hit(tx.handle().id(), stats.class_sym(), kind, key_hash);
     }
 
-    /// Remember a point-lock acquisition (strictly after it succeeded, so an
-    /// unwind mid-acquisition can never leave a cached bit without a lock
-    /// behind it).
-    pub fn note_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
+    /// Remember a point-lock acquisition in the slot's bitmask.
+    fn note_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
         if let Some(slot) = self.slot_mut(tx) {
             slot.points |= p.bit();
         }
@@ -689,7 +703,7 @@ impl<C: KeyedClass> SemanticCore<C> {
 
 /// The striped semantic-lock tables of a keyed collection class: key-lock
 /// shards for per-key read locks plus one global stripe of point locks
-/// (size and emptiness). Wraps the crate's [`StripedTables`] so the
+/// (size and emptiness). Wraps the crate's `StripedTables` so the
 /// handler-side sweep order — touched stripes ascending, global last,
 /// release last — is supplied by the kernel instead of restated per class.
 pub struct ClassTables<K> {

@@ -127,8 +127,8 @@ pub use kernel::{
     CachedPoint, ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
 };
 pub use locks::{
-    mode_compatible, mode_compatible_spec, ObsMode, Owner, RangeIndexKind, SemanticStats,
-    UpdateEffect, DEFAULT_STRIPES,
+    mode_compatible, mode_compatible_spec, ObsMode, Owner, SemanticStats, UpdateEffect,
+    DEFAULT_STRIPES,
 };
 pub use map::{TransactionalMap, TxMapIter, MAP_CONFLICT_GRAPH};
 pub use multiset::{TransactionalMultiset, MULTISET_CONFLICT_GRAPH};

@@ -97,7 +97,6 @@
 //! txlint: metrics — metrics-emitter argument spans here must not allocate
 //! or format (TX014).
 
-use crate::interval::IntervalTree;
 use parking_lot::Mutex;
 use std::hash::Hash;
 use std::ops::Bound;
@@ -111,20 +110,6 @@ use stm::{TxHandle, TxState};
 /// Default number of key stripes in a collection's semantic lock table
 /// (power of two; tune per instance with the `with_stripes` constructors).
 pub const DEFAULT_STRIPES: usize = 16;
-
-/// How a `TransactionalSortedMap` indexes its range locks (paper §3.2: the
-/// flat scanned set is the paper's choice; the interval tree is the
-/// alternative it mentions — measured in the `ablation_rangeindex` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RangeIndexKind {
-    /// A flat `Vec` scanned linearly at every committed update (paper
-    /// default: simple, fast for few outstanding ranges).
-    #[default]
-    FlatScan,
-    /// An augmented treap with `O(log n + hits)` stabbing queries (pays off
-    /// with many concurrent iterators).
-    IntervalTree,
-}
 
 /// The owner of a semantic lock: a top-level transaction attempt.
 pub type Owner = Arc<TxHandle>;
@@ -917,11 +902,11 @@ pub(crate) struct SortedGlobal<K> {
     pub sorted: SortedLockTables<K>,
 }
 
-impl<K: Clone + Ord> SortedGlobal<K> {
-    pub(crate) fn with_kind(kind: RangeIndexKind) -> Self {
+impl<K> Default for SortedGlobal<K> {
+    fn default() -> Self {
         SortedGlobal {
             points: PointLocks::default(),
-            sorted: SortedLockTables::with_kind(kind),
+            sorted: SortedLockTables::default(),
         }
     }
 }
@@ -977,69 +962,31 @@ pub(crate) fn bounds_overlap<K: Ord>(
     lower_below_upper(lo1, hi2) && lower_below_upper(lo2, hi1)
 }
 
-/// The range-lock store: flat scanned list (paper default) or interval
-/// tree (the §3.2 alternative).
-pub(crate) enum RangeStore<K> {
-    Flat {
-        locks: Vec<RangeLock<K>>,
-        next_id: u64,
-    },
-    Tree {
-        tree: IntervalTree<K, Owner>,
-        /// Owner id -> that owner's (lower, id) pairs, for O(own) release.
-        by_owner: StripeMap<u64, Vec<(Bound<K>, u64)>>,
-        /// Lock id -> lower bound (the tree's lookup key), for extension.
-        by_id: StripeMap<u64, Bound<K>>,
-    },
-}
-
-impl<K: Clone + Ord> RangeStore<K> {
-    /// Range locks currently held (diagnostics).
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            RangeStore::Flat { locks, .. } => locks.len(),
-            RangeStore::Tree { by_id, .. } => by_id.len(),
-        }
-    }
-
-    fn new(kind: RangeIndexKind) -> Self {
-        match kind {
-            RangeIndexKind::FlatScan => RangeStore::Flat {
-                locks: Vec::new(),
-                next_id: 0,
-            },
-            RangeIndexKind::IntervalTree => RangeStore::Tree {
-                tree: IntervalTree::new(),
-                by_owner: StripeMap::default(),
-                by_id: StripeMap::default(),
-            },
-        }
-    }
-}
-
 /// Additional lock tables for the `SortedMap` abstraction (paper Table 6:
-/// `firstLockers`, `lastLockers`, `rangeLockers`).
+/// `firstLockers`, `lastLockers`, `rangeLockers`). Range locks sit in a flat
+/// list scanned at every committed update — the paper's §3.2 choice: "An
+/// alternative would have been to use an interval tree to store the range
+/// locks, but the extra complexity and potential overhead seemed
+/// unnecessary for the common case."
 pub(crate) struct SortedLockTables<K> {
     pub first_lockers: Owners,
     pub last_lockers: Owners,
-    pub ranges: RangeStore<K>,
+    pub ranges: Vec<RangeLock<K>>,
+    next_range_id: u64,
 }
 
-impl<K: Clone + Ord> Default for SortedLockTables<K> {
+impl<K> Default for SortedLockTables<K> {
     fn default() -> Self {
-        Self::with_kind(RangeIndexKind::FlatScan)
+        SortedLockTables {
+            first_lockers: Owners::Empty,
+            last_lockers: Owners::Empty,
+            ranges: Vec::new(),
+            next_range_id: 0,
+        }
     }
 }
 
 impl<K: Clone + Ord> SortedLockTables<K> {
-    pub(crate) fn with_kind(kind: RangeIndexKind) -> Self {
-        SortedLockTables {
-            first_lockers: Owners::Empty,
-            last_lockers: Owners::Empty,
-            ranges: RangeStore::new(kind),
-        }
-    }
-
     pub(crate) fn take_first_lock(&mut self, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
         trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
@@ -1063,48 +1010,21 @@ impl<K: Clone + Ord> SortedLockTables<K> {
     ) -> u64 {
         stats.bump(&stats.lock_acquisitions, 1);
         trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Range, 0);
-        match &mut self.ranges {
-            RangeStore::Flat { locks, next_id } => {
-                let id = *next_id;
-                *next_id += 1;
-                locks.push(RangeLock {
-                    id,
-                    owner,
-                    lower,
-                    upper,
-                });
-                id
-            }
-            RangeStore::Tree {
-                tree,
-                by_owner,
-                by_id,
-            } => {
-                let owner_id = owner.id();
-                let id = tree.insert(lower.clone(), upper, owner);
-                by_owner
-                    .entry(owner_id)
-                    .or_default()
-                    .push((lower.clone(), id));
-                by_id.insert(id, lower);
-                id
-            }
-        }
+        let id = self.next_range_id;
+        self.next_range_id += 1;
+        self.ranges.push(RangeLock {
+            id,
+            owner,
+            lower,
+            upper,
+        });
+        id
     }
 
     /// Extend the upper bound of a previously registered range lock.
     pub(crate) fn extend_range_upper(&mut self, id: u64, upper: Bound<K>) {
-        match &mut self.ranges {
-            RangeStore::Flat { locks, .. } => {
-                if let Some(r) = locks.iter_mut().find(|r| r.id == id) {
-                    r.upper = upper;
-                }
-            }
-            RangeStore::Tree { tree, by_id, .. } => {
-                if let Some(lower) = by_id.get(&id) {
-                    tree.extend_upper(&lower.clone(), id, upper);
-                }
-            }
+        if let Some(r) = self.ranges.iter_mut().find(|r| r.id == id) {
+            r.upper = upper;
         }
     }
 
@@ -1113,38 +1033,7 @@ impl<K: Clone + Ord> SortedLockTables<K> {
     /// [`doom_others`] (overlap is per-lock), so it lands dooms and emits
     /// edges itself via `ctx`.
     pub(crate) fn doom_range_lockers(&mut self, key: &K, self_id: u64, ctx: &DoomCtx) -> u64 {
-        let mut doomed = 0;
-        match &mut self.ranges {
-            RangeStore::Flat { locks, .. } => {
-                locks.retain(|r| {
-                    if r.owner.id() == self_id {
-                        return true;
-                    }
-                    match r.owner.state() {
-                        TxState::Active => {
-                            if in_range(key, &r.lower, &r.upper) && r.owner.doom_from(self_id) {
-                                doomed += 1;
-                                ctx.emit(self_id, r.owner.id());
-                            }
-                            true
-                        }
-                        _ => false,
-                    }
-                });
-            }
-            RangeStore::Tree { tree, .. } => {
-                tree.stab(key, &mut |_, owner| {
-                    if owner.id() != self_id
-                        && owner.state() == TxState::Active
-                        && owner.doom_from(self_id)
-                    {
-                        doomed += 1;
-                        ctx.emit(self_id, owner.id());
-                    }
-                });
-            }
-        }
-        doomed
+        self.doom_ranges(self_id, ctx, |r| in_range(key, &r.lower, &r.upper))
     }
 
     /// A committing writer touched every key in `[lower, upper]`: doom
@@ -1159,39 +1048,35 @@ impl<K: Clone + Ord> SortedLockTables<K> {
         self_id: u64,
         ctx: &DoomCtx,
     ) -> u64 {
+        self.doom_ranges(self_id, ctx, |r| {
+            bounds_overlap(&r.lower, &r.upper, lower, upper)
+        })
+    }
+
+    /// Doom every other active owner of a range lock `hit` selects, and drop
+    /// the locks of owners no longer active.
+    fn doom_ranges(
+        &mut self,
+        self_id: u64,
+        ctx: &DoomCtx,
+        mut hit: impl FnMut(&RangeLock<K>) -> bool,
+    ) -> u64 {
         let mut doomed = 0;
-        match &mut self.ranges {
-            RangeStore::Flat { locks, .. } => {
-                locks.retain(|r| {
-                    if r.owner.id() == self_id {
-                        return true;
-                    }
-                    match r.owner.state() {
-                        TxState::Active => {
-                            if bounds_overlap(&r.lower, &r.upper, lower, upper)
-                                && r.owner.doom_from(self_id)
-                            {
-                                doomed += 1;
-                                ctx.emit(self_id, r.owner.id());
-                            }
-                            true
-                        }
-                        _ => false,
-                    }
-                });
+        self.ranges.retain(|r| {
+            if r.owner.id() == self_id {
+                return true;
             }
-            RangeStore::Tree { tree, .. } => {
-                tree.intersecting(lower, upper, &mut |_, owner| {
-                    if owner.id() != self_id
-                        && owner.state() == TxState::Active
-                        && owner.doom_from(self_id)
-                    {
+            match r.owner.state() {
+                TxState::Active => {
+                    if hit(r) && r.owner.doom_from(self_id) {
                         doomed += 1;
-                        ctx.emit(self_id, owner.id());
+                        ctx.emit(self_id, r.owner.id());
                     }
-                });
+                    true
+                }
+                _ => false,
             }
-        }
+        });
         doomed
     }
 
@@ -1285,31 +1170,9 @@ impl<K: Clone + Ord> SortedLockTables<K> {
     pub(crate) fn release_owner(&mut self, owner_id: u64, stats: &SemanticStats) {
         let endpoints_released = self.first_lockers.remove(owner_id) as usize
             + self.last_lockers.remove(owner_id) as usize;
-        let mut ranges_released = 0u64;
-        match &mut self.ranges {
-            RangeStore::Flat { locks, .. } => {
-                locks.retain(|r| {
-                    let keep = r.owner.id() != owner_id;
-                    if !keep {
-                        ranges_released += 1;
-                    }
-                    keep
-                });
-            }
-            RangeStore::Tree {
-                tree,
-                by_owner,
-                by_id,
-            } => {
-                if let Some(mine) = by_owner.remove(&owner_id) {
-                    for (lower, id) in mine {
-                        tree.remove(&lower, id);
-                        by_id.remove(&id);
-                        ranges_released += 1;
-                    }
-                }
-            }
-        }
+        let held = self.ranges.len();
+        self.ranges.retain(|r| r.owner.id() != owner_id);
+        let ranges_released = (held - self.ranges.len()) as u64;
         let sym = stats.class_sym();
         trace::sem_lock_released(owner_id, sym, LockKind::Endpoint, endpoints_released as u64);
         trace::sem_lock_released(owner_id, sym, LockKind::Range, ranges_released);

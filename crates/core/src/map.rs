@@ -49,14 +49,15 @@
 
 // txlint: semantic-tables
 // txlint: fast-path
-use crate::backend::MapBackend;
+use crate::backend::{MapBackend, MapReadOps};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
 use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use stm::hash::{StripeMap, StripeSet};
-use stm::{Txn, TxnMode};
+use stm::Txn;
 use txstruct::{BoostedHashMap, TxHashMap};
 
 // txlint: conflict-graph
@@ -257,7 +258,7 @@ pub static MAP_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph {
     ],
 };
 
-/// A buffered write in the thread-local store buffer (the paper's "special
+/// A buffered write in the transaction's store buffer (the paper's "special
 /// value for removed keys" is the `Remove` variant).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum BufWrite<V> {
@@ -267,18 +268,54 @@ pub(crate) enum BufWrite<V> {
     Remove,
 }
 
+impl<V> BufWrite<V> {
+    /// The value the write leaves visible: `None` for a removal.
+    pub(crate) fn value(&self) -> Option<&V> {
+        match self {
+            BufWrite::Put(v) => Some(v),
+            BufWrite::Remove => None,
+        }
+    }
+}
+
+/// One store-buffer entry: a buffered write plus what the transaction knows
+/// of the key's committed presence. A *blind* write (`put_discard` /
+/// `remove_discard`, paper §5.1) buffers without reading the key, so its
+/// entry starts out blind (`committed == None`): its effect on the size
+/// stays unknown until a size or emptiness observation resolves it.
+pub(crate) struct Pending<V> {
+    pub write: BufWrite<V>,
+    /// Whether the key is committed, as read under its key lock (so the
+    /// answer holds for every attempt that commits); `None` while blind.
+    committed: Option<bool>,
+}
+
+impl<V> Pending<V> {
+    /// This entry's share of the buffer's tallies: its size delta (known
+    /// once its committed presence is) and whether it is still blind.
+    fn tally(&self) -> (isize, usize) {
+        match self.committed {
+            Some(was) => (
+                isize::from(self.write.value().is_some()) - isize::from(was),
+                0,
+            ),
+            None => (0, 1),
+        }
+    }
+}
+
 /// Per-transaction local state (paper Table 3: `keyLocks`, `storeBuffer`,
 /// `delta`). Lives in the transaction's kernel slot rather than in a
 /// thread-local — the same encapsulation, robust to handler execution
 /// context.
 pub(crate) struct MapLocal<K, V> {
     pub key_locks: StripeSet<K>,
-    pub store_buffer: StripeMap<K, BufWrite<V>>,
-    /// Size delta of buffered writes whose prior presence is known.
-    pub delta: isize,
-    /// Keys written blindly (`put_discard`/`remove_discard`): their effect on
-    /// the size is unknown until resolved or until commit.
-    pub blind: StripeSet<K>,
+    pub store_buffer: StripeMap<K, Pending<V>>,
+    /// Size delta of the buffered writes: the sum of the entries' deltas.
+    delta: isize,
+    /// Entries still blind, so that a size observation with none left
+    /// scans nothing.
+    unresolved: usize,
 }
 
 impl<K, V> Default for MapLocal<K, V> {
@@ -287,40 +324,67 @@ impl<K, V> Default for MapLocal<K, V> {
             key_locks: StripeSet::default(),
             store_buffer: StripeMap::default(),
             delta: 0,
-            blind: StripeSet::default(),
+            unresolved: 0,
         }
     }
 }
 
 impl<K: Clone + Eq + Hash, V> MapLocal<K, V> {
-    /// Buffer `write` for `key`, maintaining `delta`/`blind`, and return the
-    /// undo that restores the previous buffer state (for
-    /// [`SemanticCore::local_undo`]). Blindness must be preserved by further
-    /// writes to the key, or the size delta silently loses the unresolved
-    /// contribution.
-    pub(crate) fn buffer(
+    /// Move the tallies from an entry's old share to its new one.
+    fn retally(&mut self, old: (isize, usize), new: (isize, usize)) {
+        self.delta += new.0 - old.0;
+        self.unresolved = self.unresolved + new.1 - old.1;
+    }
+
+    /// The buffer step: make `key`'s entry what `next` makes of the current
+    /// one, in one probe of the buffer (its entry API), with the tallies
+    /// kept in step. With `undo`, return the key and the replaced entry,
+    /// which [`Self::restore`] puts back if an enclosing closed frame rolls
+    /// back; only then is the key cloned; a root-frame write moves it in.
+    fn buffer(
         &mut self,
         key: K,
-        write: BufWrite<V>,
-        delta_change: isize,
-        blind: bool,
-    ) -> impl FnOnce(&mut Self) {
-        let prev = self.store_buffer.insert(key.clone(), write);
-        let was_blind = if blind {
-            !self.blind.insert(key.clone())
-        } else {
-            self.blind.remove(&key)
-        };
-        self.delta += delta_change;
-        move |l: &mut Self| {
-            if blind && !was_blind {
-                l.blind.remove(&key);
+        undo: bool,
+        next: impl FnOnce(Option<&Pending<V>>) -> Pending<V>,
+    ) -> Option<(K, Option<Pending<V>>)> {
+        let undo_key = undo.then(|| key.clone());
+        let (old_tally, new_tally, old) = match self.store_buffer.entry(key) {
+            Entry::Occupied(mut e) => {
+                let new = next(Some(e.get()));
+                (e.get().tally(), new.tally(), Some(e.insert(new)))
             }
-            l.delta -= delta_change;
-            match prev {
-                Some(w) => l.store_buffer.insert(key, w),
-                None => l.store_buffer.remove(&key),
-            };
+            Entry::Vacant(e) => {
+                let new = next(None);
+                let tally = new.tally();
+                e.insert(new);
+                ((0, 0), tally, None)
+            }
+        };
+        self.retally(old_tally, new_tally);
+        undo_key.map(|k| (k, old))
+    }
+
+    /// Undo one buffer step: make `old` `key`'s entry again. The tallies
+    /// follow the entries, so a blind entry resolved since the step comes
+    /// back blind (or goes) correctly too.
+    fn restore(&mut self, key: K, old: Option<Pending<V>>) {
+        let old_tally = old.as_ref().map_or((0, 0), Pending::tally);
+        let replaced = match old {
+            Some(e) => self.store_buffer.insert(key, e),
+            None => self.store_buffer.remove(&key),
+        };
+        self.retally(replaced.as_ref().map_or((0, 0), Pending::tally), old_tally);
+    }
+
+    /// Record `key`'s committed presence in its entry, if still blind.
+    fn resolve(&mut self, key: &K, committed: bool) {
+        let Some(e) = self.store_buffer.get_mut(key) else {
+            return;
+        };
+        if e.committed.is_none() {
+            e.committed = Some(committed);
+            let tally = e.tally();
+            self.retally((0, 1), tally);
         }
     }
 }
@@ -369,7 +433,7 @@ where
         let global = self.tables.commit_sweep(
             stats,
             id,
-            local.store_buffer.iter(),
+            local.store_buffer.iter().map(|(k, e)| (k, &e.write)),
             local.key_locks.iter(),
             |k, w, cx| match w {
                 BufWrite::Put(v) => {
@@ -439,6 +503,198 @@ where
 
     fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
+    }
+}
+
+impl<K, V, B> MapKind for MapClass<K, V, B>
+where
+    K: Clone + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: MapBackend<K, V>,
+{
+    type Value = V;
+    type Backend = B;
+
+    fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// A flattened open: no handler rebalances a hash map, so a point read
+    /// needs no settling.
+    fn read_point<R>(_core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R {
+        tx.open_read(f)
+    }
+
+    fn points(global: &mut PointLocks) -> &mut PointLocks {
+        global
+    }
+}
+
+/// What the hash map and the sorted map do differently in the point
+/// operations they share: how a committed point read is made, and where
+/// the size and emptiness locks live. Each shared operation — the
+/// buffered-entry lookup, the buffer step, `get`, `contains_key`, the
+/// reading and the blind writes, blind-write resolution, `size` and
+/// `is_empty_primitive` — has one body, on [`SemanticCore`] below.
+pub(crate) trait MapKind:
+    KeyedClass<Local = MapLocal<<Self as KeyedClass>::Key, <Self as MapKind>::Value>> + Sized
+{
+    /// The map's value type.
+    type Value: Clone + Send + 'static;
+    /// The wrapped map's type.
+    type Backend: MapBackend<Self::Key, Self::Value>;
+    /// The wrapped map.
+    fn backend(&self) -> &Self::Backend;
+    /// Read committed state for a point operation, the key's lock held.
+    fn read_point<R>(core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R;
+    /// The size and emptiness locks in the global stripe's payload.
+    fn points(global: &mut Self::Global) -> &mut PointLocks;
+}
+
+// `MapKind` is crate-private, and so are the operations this impl adds.
+#[allow(private_bounds)]
+impl<C: MapKind> SemanticCore<C>
+where
+    C::Key: Send + 'static,
+{
+    /// The buffered-entry lookup: `f` of the value this transaction's own
+    /// write to `key` leaves visible, or `None` if it has not written `key`.
+    pub(crate) fn buffered<R>(
+        &self,
+        tx: &mut Txn,
+        key: &C::Key,
+        f: impl FnOnce(Option<&C::Value>) -> R,
+    ) -> Option<R> {
+        self.try_local(tx, |l| l.store_buffer.get(key).map(|e| f(e.write.value())))
+            .flatten()
+    }
+
+    /// The buffer step ([`MapLocal::buffer`]), with its undo registered
+    /// inside a closed frame.
+    fn buffer(
+        &self,
+        tx: &mut Txn,
+        key: C::Key,
+        next: impl FnOnce(Option<&Pending<C::Value>>) -> Pending<C::Value>,
+    ) {
+        let undo = tx.in_closed_frame();
+        if let Some((key, old)) = self.with_local(tx, |l| l.buffer(key, undo, next)) {
+            self.local_undo(tx, move |l| l.restore(key, old));
+        }
+    }
+
+    /// Take `key`'s lock, then read the committed map for it (lock, then
+    /// read: see the module docs).
+    pub(crate) fn read_committed<R>(
+        &self,
+        tx: &mut Txn,
+        key: &C::Key,
+        mut f: impl FnMut(&mut Txn, &C::Backend) -> R,
+    ) -> R {
+        self.take_key_lock(tx, key);
+        let backend = self.class().backend();
+        C::read_point(self, tx, |otx| f(otx, backend))
+    }
+
+    pub(crate) fn get(&self, tx: &mut Txn, key: &C::Key) -> Option<C::Value> {
+        self.ensure_registered(tx);
+        self.buffered(tx, key, |v| v.cloned())
+            .unwrap_or_else(|| self.read_committed(tx, key, |otx, b| b.get(otx, key)))
+    }
+
+    pub(crate) fn contains_key(&self, tx: &mut Txn, key: &C::Key) -> bool {
+        self.ensure_registered(tx);
+        self.buffered(tx, key, |v| v.is_some())
+            .unwrap_or_else(|| self.read_committed(tx, key, |otx, b| b.contains_key(otx, key)))
+    }
+
+    /// `put`/`remove`: buffer `write` over the value this transaction sees
+    /// for `key` — its own write, or else the committed value, read under
+    /// the key lock — and return that value.
+    pub(crate) fn write_read(
+        &self,
+        tx: &mut Txn,
+        key: C::Key,
+        write: BufWrite<C::Value>,
+    ) -> Option<C::Value> {
+        self.ensure_registered(tx);
+        let old = self
+            .buffered(tx, &key, |v| v.cloned())
+            .unwrap_or_else(|| self.read_committed(tx, &key, |otx, b| b.get(otx, &key)));
+        let present = old.is_some();
+        // A buffered entry keeps what it knew of the committed state (still
+        // nothing, if blind); an unbuffered key was just read.
+        self.buffer(tx, key, |cur| Pending {
+            write,
+            committed: cur.map_or(Some(present), |e| e.committed),
+        });
+        old
+    }
+
+    /// `put_discard`/`remove_discard`: buffer `write` without reading `key`
+    /// — no key lock, one probe of the buffer.
+    pub(crate) fn write_blind(&self, tx: &mut Txn, key: C::Key, write: BufWrite<C::Value>) {
+        self.ensure_registered(tx);
+        self.buffer(tx, key, |cur| Pending {
+            write,
+            committed: cur.and_then(|e| e.committed),
+        });
+    }
+
+    /// Resolve blind writes: a size observation needs to know whether each
+    /// blindly written key was committed, which is itself a key read (so it
+    /// takes the key lock the blind write deliberately avoided, or finds it
+    /// already held).
+    fn resolve_blind(&self, tx: &mut Txn) {
+        // The scan stops at the last blind entry; with none, it never starts.
+        let blind: Vec<C::Key> = self
+            .try_local(tx, |l| {
+                l.store_buffer
+                    .iter()
+                    .filter(|(_, e)| e.committed.is_none())
+                    .take(l.unresolved)
+                    .map(|(k, _)| k.clone())
+                    .collect()
+            })
+            .unwrap_or_default();
+        for k in blind {
+            let present = self.read_committed(tx, &k, |otx, b| b.contains_key(otx, &k));
+            self.with_local(tx, |l| l.resolve(&k, present));
+        }
+    }
+
+    pub(crate) fn size(&self, tx: &mut Txn) -> usize {
+        self.observed_size(tx, CachedPoint::Size).max(0) as usize
+    }
+
+    pub(crate) fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
+        self.observed_size(tx, CachedPoint::Empty) <= 0
+    }
+
+    /// The size this transaction sees, under the size or the zero-crossing
+    /// lock (`lock`): blind writes resolved, then the committed length (a
+    /// settled read) plus the buffer's delta.
+    fn observed_size(&self, tx: &mut Txn, lock: CachedPoint) -> isize {
+        self.ensure_registered(tx);
+        self.resolve_blind(tx);
+        self.take_size_point(tx, lock);
+        let backend = self.class().backend();
+        let committed = self.read_settled(tx, |otx| backend.len(otx));
+        committed as isize + self.try_local(tx, |l| l.delta).unwrap_or(0)
+    }
+
+    /// Hold the size or the zero-crossing lock (`lock`), in the global
+    /// stripe.
+    fn take_size_point(&self, tx: &mut Txn, lock: CachedPoint) {
+        self.take_point_lock(tx, lock, |owner, stats| {
+            self.class().key_tables().with_global(stats, |g| {
+                let points = C::points(g);
+                match lock {
+                    CachedPoint::Size => points.take_size_lock(owner, stats),
+                    _ => points.take_empty_lock(owner, stats),
+                }
+            })
+        });
     }
 }
 
@@ -565,56 +821,6 @@ where
         self.core.class().tables.stripe_count()
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalMap operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    /// First-touch registration and handler ordering are the kernel's
-    /// obligation now: [`SemanticCore::ensure_registered`] is the single
-    /// place the commit/abort handler pair is wired up (txlint TX008).
-    fn ensure_registered(&self, tx: &mut Txn) {
-        self.core.ensure_registered(tx);
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
-    fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
-        self.core
-            .try_local(tx, |l| l.store_buffer.get(key).cloned())
-            .flatten()
-    }
-
-    /// Buffered entry plus whether it is blind (its presence relative to the
-    /// committed state is unknown). Blindness must be preserved by further
-    /// writes to the key, or the size delta silently loses the unresolved
-    /// contribution.
-    fn buffered_with_blind(&self, tx: &mut Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
-        self.core
-            .try_local(tx, |l| {
-                (l.store_buffer.get(key).cloned(), l.blind.contains(key))
-            })
-            .unwrap_or((None, false))
-    }
-
-    /// Buffer a write, maintaining `delta`/`blind`, with an undo in case an
-    /// enclosing closed-nested frame aborts.
-    fn buffer_write(
-        &self,
-        tx: &mut Txn,
-        key: K,
-        write: BufWrite<V>,
-        delta_change: isize,
-        blind: bool,
-    ) {
-        let undo = self.with_local(tx, |l| l.buffer(key, write, delta_change, blind));
-        self.core.local_undo(tx, undo);
-    }
-
     // ------------------------------------------------------------------
     // Read operations (Table 2, upper half)
     // ------------------------------------------------------------------
@@ -624,74 +830,22 @@ where
     /// child, without the child); consults the store buffer for this
     /// transaction's own writes.
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered(tx, key) {
-            Some(BufWrite::Put(v)) => return Some(v),
-            Some(BufWrite::Remove) => return None,
-            None => {}
-        }
-        self.core.take_key_lock(tx, key);
-        let backend = &self.core.class().backend;
-        tx.open_read(|otx| backend.get(otx, key))
+        self.core.get(tx, key)
     }
 
     /// Whether a key is present (key lock on the argument — note that even
     /// observing *absence* conflicts with a later `put` of that key,
     /// Table 1).
     pub fn contains_key(&self, tx: &mut Txn, key: &K) -> bool {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered(tx, key) {
-            Some(BufWrite::Put(_)) => return true,
-            Some(BufWrite::Remove) => return false,
-            None => {}
-        }
-        self.core.take_key_lock(tx, key);
-        let backend = &self.core.class().backend;
-        tx.open_read(|otx| backend.contains_key(otx, key))
-    }
-
-    /// Resolve blind writes: a size observation needs to know whether each
-    /// blindly written key was previously present, which is itself a key
-    /// read (so it takes the key lock the blind write deliberately avoided).
-    fn resolve_blind(&self, tx: &mut Txn) {
-        let blind: Vec<K> = self
-            .core
-            .try_local(tx, |l| l.blind.iter().cloned().collect())
-            .unwrap_or_default();
-        for k in blind {
-            self.core.take_key_lock(tx, &k);
-            let backend = &self.core.class().backend;
-            let committed_present = tx.open_read(|otx| backend.contains_key(otx, &k));
-            self.with_local(tx, |l| {
-                if l.blind.remove(&k) {
-                    let buffered_present = matches!(l.store_buffer.get(&k), Some(BufWrite::Put(_)));
-                    l.delta += buffered_present as isize - committed_present as isize;
-                }
-            });
-        }
+        self.core.contains_key(tx, key)
     }
 
     /// Number of entries as seen by this transaction. Takes the **size
     /// lock** (global stripe): any committing transaction that changes the
-    /// size dooms us.
+    /// size dooms us. Blind writes are resolved first: each blindly written
+    /// key is read under its key lock.
     pub fn size(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_size_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
-        let backend = &self.core.class().backend;
-        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
-        let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
-        (committed as isize + delta).max(0) as usize
+        self.core.size(tx)
     }
 
     /// `size() == 0`, implemented as a derivative of [`Self::size`]: takes
@@ -706,21 +860,7 @@ where
     /// lock** (paper §5.1): conflicts only when the size moves to or from
     /// zero, so `if !is_empty { put(unique_key) }` transactions commute.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_empty_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
-        let backend = &self.core.class().backend;
-        let committed = self.core.read_settled(tx, |otx| backend.len(otx));
-        let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
-        (committed as isize + delta) <= 0
+        self.core.is_empty_primitive(tx)
     }
 
     // ------------------------------------------------------------------
@@ -734,27 +874,7 @@ where
     /// write itself is buffered until commit. Use [`Self::put_discard`] when
     /// the old value is not needed.
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        let (buffered, was_blind) = self.buffered_with_blind(tx, &key);
-        let old = match buffered {
-            Some(BufWrite::Put(v)) => Some(v),
-            Some(BufWrite::Remove) => None,
-            None => {
-                self.core.take_key_lock(tx, &key);
-                let backend = &self.core.class().backend;
-                tx.open_read(|otx| backend.get(otx, &key))
-            }
-        };
-        // A blind entry's contribution to the size is still unresolved:
-        // keep it blind and leave the delta deferred.
-        let delta_change = if was_blind {
-            0
-        } else {
-            1 - isize::from(old.is_some())
-        };
-        self.buffer_write(tx, key, BufWrite::Put(value), delta_change, was_blind);
-        old
+        self.core.write_read(tx, key, BufWrite::Put(value))
     }
 
     /// Insert or replace **without reading the old value** — the
@@ -762,100 +882,19 @@ where
     /// same key (the `"LastModified"` idiom) do not conflict with each other,
     /// only with readers of that key.
     pub fn put_discard(&self, tx: &mut Txn, key: K, value: V) {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        // If prior presence is already known locally, keep delta exact;
-        // blind entries stay blind (deferred) across overwrites.
-        match self.buffered_with_blind(tx, &key) {
-            (Some(BufWrite::Put(_)), blind) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 0, blind);
-            }
-            (Some(BufWrite::Remove), true) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 0, true);
-            }
-            (Some(BufWrite::Remove), false) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 1, false);
-            }
-            (None, _) => {
-                let known_lock = self
-                    .core
-                    .try_local(tx, |l| l.key_locks.contains(&key))
-                    .unwrap_or(false);
-                if known_lock {
-                    // We already read this key earlier: presence is known.
-                    let backend = &self.core.class().backend;
-                    let present = tx.open_read(|otx| backend.contains_key(otx, &key));
-                    self.buffer_write(
-                        tx,
-                        key,
-                        BufWrite::Put(value),
-                        1 - isize::from(present),
-                        false,
-                    );
-                } else {
-                    self.buffer_write(tx, key, BufWrite::Put(value), 0, true);
-                }
-            }
-        }
+        self.core.write_blind(tx, key, BufWrite::Put(value))
     }
 
     /// Remove a key; returns the previous value (and therefore reads the
     /// key — takes a key lock).
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        let (buffered, was_blind) = self.buffered_with_blind(tx, key);
-        let old = match buffered {
-            Some(BufWrite::Put(v)) => Some(v),
-            Some(BufWrite::Remove) => None,
-            None => {
-                self.core.take_key_lock(tx, key);
-                let backend = &self.core.class().backend;
-                tx.open_read(|otx| backend.get(otx, key))
-            }
-        };
-        let delta_change = if was_blind {
-            0
-        } else {
-            -isize::from(old.is_some())
-        };
-        self.buffer_write(tx, key.clone(), BufWrite::Remove, delta_change, was_blind);
-        old
+        self.core.write_read(tx, key.clone(), BufWrite::Remove)
     }
 
     /// Remove without reading the old value (blind; see
     /// [`Self::put_discard`]).
     pub fn remove_discard(&self, tx: &mut Txn, key: &K) {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered_with_blind(tx, key) {
-            (Some(BufWrite::Put(_)), true) => {
-                self.buffer_write(tx, key.clone(), BufWrite::Remove, 0, true);
-            }
-            (Some(BufWrite::Put(_)), false) => {
-                self.buffer_write(tx, key.clone(), BufWrite::Remove, -1, false);
-            }
-            (Some(BufWrite::Remove), _) => {}
-            (None, _) => {
-                let known_lock = self
-                    .core
-                    .try_local(tx, |l| l.key_locks.contains(key))
-                    .unwrap_or(false);
-                if known_lock {
-                    let backend = &self.core.class().backend;
-                    let present = tx.open_read(|otx| backend.contains_key(otx, key));
-                    self.buffer_write(
-                        tx,
-                        key.clone(),
-                        BufWrite::Remove,
-                        -isize::from(present),
-                        false,
-                    );
-                } else {
-                    self.buffer_write(tx, key.clone(), BufWrite::Remove, 0, true);
-                }
-            }
-        }
+        self.core.write_blind(tx, key.clone(), BufWrite::Remove)
     }
 
     // ------------------------------------------------------------------
@@ -871,8 +910,7 @@ where
     /// size lock and verifies the enumeration is still complete; if entries
     /// appeared concurrently the transaction aborts and retries.
     pub fn iter(&self, tx: &mut Txn) -> TxMapIter<K, V, B> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         let backend = &self.core.class().backend;
         let committed_keys: Vec<K> =
             tx.open_read(|otx| backend.entries(otx).into_iter().map(|(k, _)| k).collect());
@@ -884,10 +922,7 @@ where
                 let mut key_set: Option<StripeSet<&K>> = None;
                 l.store_buffer
                     .iter()
-                    .filter_map(|(k, w)| match w {
-                        BufWrite::Put(v) => Some((k, v)),
-                        BufWrite::Remove => None,
-                    })
+                    .filter_map(|(k, e)| Some((k, e.write.value()?)))
                     .filter(|(k, _)| {
                         !key_set
                             .get_or_insert_with(|| committed_keys.iter().collect())
@@ -967,18 +1002,12 @@ where
                 let k = self.keys[self.pos].clone();
                 self.pos += 1;
                 // Lock, then read live (lock-then-read soundness).
-                self.map.core.take_key_lock(tx, &k);
-                let backend = &self.map.core.class().backend;
-                let committed = tx.open_read(|otx| backend.get(otx, &k));
+                let core = &self.map.core;
+                let committed = core.read_committed(tx, &k, |otx, b| b.get(otx, &k));
                 if committed.is_some() {
                     self.confirmed += 1;
                 }
-                let visible = match self.map.buffered(tx, &k) {
-                    Some(BufWrite::Put(v)) => Some(v),
-                    Some(BufWrite::Remove) => None,
-                    None => committed,
-                };
-                match visible {
+                match core.buffered(tx, &k, |v| v.cloned()).unwrap_or(committed) {
                     Some(v) => return Some((k, v)),
                     None => continue, // concurrently/by-us removed: skip
                 }
@@ -990,15 +1019,7 @@ where
             }
             if !self.exhausted {
                 self.exhausted = true;
-                if !self.map.core.point_lock_cached(tx, CachedPoint::Size) {
-                    let owner = tx.handle().clone();
-                    self.map
-                        .core
-                        .class()
-                        .tables
-                        .take_size_lock(self.map.core.stats(), owner);
-                    self.map.core.note_point_lock(tx, CachedPoint::Size);
-                }
+                self.map.core.take_size_point(tx, CachedPoint::Size);
                 // Completeness check: keys committed after our snapshot would
                 // silently be missed. Each confirmed key was key-locked before
                 // it was read, so a commit that removes it dooms this attempt,

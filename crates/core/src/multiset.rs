@@ -19,7 +19,7 @@ use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, Semanti
 use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::hash::Hash;
 use stm::hash::{StripeMap, StripeSet};
-use stm::{TVar, Txn, TxnMode};
+use stm::{TVar, Txn};
 use txstruct::{BoostedHashMap, TxHashMap};
 
 // txlint: conflict-graph
@@ -332,20 +332,9 @@ where
         self.core.class().tables.stripe_count()
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalMultiset operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MultisetLocal<T>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
     /// Buffer a count delta with a local undo (closed-nested rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             *l.deltas.entry(value.clone()).or_insert(0) += d;
             l.total_delta += d;
         });
@@ -364,7 +353,6 @@ where
 
     /// Add `n` occurrences (blind, buffered).
     pub fn add_n(&self, tx: &mut Txn, value: T, n: u64) {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         if n == 0 {
             return;
@@ -390,7 +378,6 @@ where
     /// it conflicts with any write of the same element — including another
     /// `remove_one` (the reflexive edge in the graph).
     pub fn remove_one(&self, tx: &mut Txn, value: &T) -> bool {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         if self.visible_count(tx, value) == 0 {
             return false;
@@ -401,7 +388,6 @@ where
 
     /// Number of occurrences of `value` (element lock).
     pub fn count(&self, tx: &mut Txn, value: &T) -> u64 {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         self.visible_count(tx, value) as u64
     }
@@ -414,16 +400,11 @@ where
     /// Total number of occurrences across all elements (size lock:
     /// conflicts with any committing count change).
     pub fn len(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_size_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
+                self.core.class().tables.take_size_lock(stats, owner)
+            });
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);
@@ -438,16 +419,11 @@ where
     /// Emptiness as a primitive with its own zero-crossing lock (§5.1):
     /// conflicts only when the total count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_empty_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
+                self.core.class().tables.take_empty_lock(stats, owner)
+            });
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);

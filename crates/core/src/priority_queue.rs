@@ -21,13 +21,13 @@ use crate::kernel::{
     SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
-    UpdateEffect, DEFAULT_STRIPES,
+    ObsMode, SemanticStats, SortedGlobal, SortedTables, StripedTables, UpdateEffect,
+    DEFAULT_STRIPES,
 };
 use std::collections::BTreeMap;
 use std::hash::Hash;
 use stm::hash::StripeSet;
-use stm::{TVar, Txn, TxnMode};
+use stm::{TVar, Txn};
 use txstruct::TxTreeMap;
 
 // txlint: conflict-graph
@@ -420,10 +420,7 @@ where
             core: SemanticCore::new(PqClass {
                 backend,
                 total: TVar::new(0),
-                tables: StripedTables::new(
-                    nstripes,
-                    SortedGlobal::with_kind(RangeIndexKind::FlatScan),
-                ),
+                tables: StripedTables::new(nstripes, SortedGlobal::default()),
             }),
         }
     }
@@ -444,21 +441,10 @@ where
         self.core.class().tables.locked_key_count(self.core.stats())
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalPriorityQueue operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut PqLocal<T>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
     /// Buffer a multiplicity delta with a local undo (closed-nested
     /// rollback).
     fn buffer_delta(&self, tx: &mut Txn, value: T, d: i64) {
-        self.with_local(tx, |l| {
+        self.core.with_local(tx, |l| {
             *l.deltas.entry(value.clone()).or_insert(0) += d;
             l.total_delta += d;
         });
@@ -472,7 +458,6 @@ where
     /// semantic lock, so concurrent inserts always commute, even of equal
     /// elements.
     pub fn insert(&self, tx: &mut Txn, value: T) {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         self.buffer_delta(tx, value, 1);
     }
@@ -488,15 +473,13 @@ where
     /// the `Empty` lock, when there is no result — is taken before
     /// returning.
     fn visible_min(&self, tx: &mut Txn) -> Option<T> {
-        let stats = self.core.stats();
-        if !self.core.point_lock_cached(tx, CachedPoint::First) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.sorted.take_first_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::First);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::First, |owner, stats| {
+                self.core
+                    .class()
+                    .tables
+                    .with_global(stats, |g| g.sorted.take_first_lock(owner, stats))
+            });
 
         // Committed side: counts stored in the backend are always >= 1, but
         // this transaction's own buffered deltas may cancel them.
@@ -536,14 +519,13 @@ where
         match &candidate {
             Some(k) => self.core.take_key_lock(tx, k),
             None => {
-                if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-                    let owner = tx.handle().clone();
-                    self.core
-                        .class()
-                        .tables
-                        .with_global(stats, |g| g.points.take_empty_lock(owner, stats));
-                    self.core.note_point_lock(tx, CachedPoint::Empty);
-                }
+                self.core
+                    .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
+                        self.core
+                            .class()
+                            .tables
+                            .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
+                    });
             }
         }
         candidate
@@ -552,7 +534,6 @@ where
     /// Smallest visible element without removing it (`First` lock plus the
     /// result's element lock; `Empty` lock when the queue is empty).
     pub fn peek_min(&self, tx: &mut Txn) -> Option<T> {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         self.visible_min(tx)
     }
@@ -560,7 +541,6 @@ where
     /// Remove and return the smallest visible element (peek's observations
     /// plus a buffered decrement of the result).
     pub fn pop_min(&self, tx: &mut Txn) -> Option<T> {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
         let min = self.visible_min(tx)?;
         self.buffer_delta(tx, min.clone(), -1);
@@ -569,17 +549,14 @@ where
 
     /// Total number of queued elements, duplicates included (size lock).
     pub fn len(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_size_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
+                self.core
+                    .class()
+                    .tables
+                    .with_global(stats, |g| g.points.take_size_lock(owner, stats))
+            });
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);
@@ -594,17 +571,14 @@ where
     /// Emptiness as a primitive with its own zero-crossing lock (§5.1):
     /// conflicts only when the total count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        Self::assert_usable(tx);
         self.core.ensure_registered(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_empty_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
+        self.core
+            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
+                self.core
+                    .class()
+                    .tables
+                    .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
+            });
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);

@@ -39,7 +39,7 @@ use crate::locks::{
 };
 use std::marker::PhantomData;
 use stm::trace::{self, LockKind};
-use stm::{Txn, TxnMode};
+use stm::Txn;
 use txstruct::TxVecDeque;
 
 // txlint: conflict-graph
@@ -398,49 +398,26 @@ where
         self.core.stats()
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalQueue operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    /// First-touch registration, discharged by the kernel (probe, then the
-    /// paired handlers, then the kernel slot — in exactly that order).
-    fn ensure_registered(&self, tx: &mut Txn) {
-        self.core.ensure_registered(tx);
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut QueueLocal<T>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
     fn take_empty_lock(&self, tx: &mut Txn) {
-        if self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        let stats = self.core.stats();
-        stats.bump(&stats.lock_acquisitions, 1);
-        self.core.class().tables.with(stats, |t| {
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
-            t.empty_lockers.insert(owner);
-        });
-        self.core.note_point_lock(tx, CachedPoint::Empty);
+        self.core
+            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
+                stats.bump(&stats.lock_acquisitions, 1);
+                self.core.class().tables.with(stats, |t| {
+                    trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
+                    t.empty_lockers.insert(owner);
+                });
+            });
     }
 
     fn take_full_lock(&self, tx: &mut Txn) {
-        if self.core.point_lock_cached(tx, CachedPoint::Full) {
-            return;
-        }
-        let owner = tx.handle().clone();
-        let stats = self.core.stats();
-        stats.bump(&stats.lock_acquisitions, 1);
-        self.core.class().tables.with(stats, |t| {
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Full, 0);
-            t.full_lockers.insert(owner);
-        });
-        self.core.note_point_lock(tx, CachedPoint::Full);
+        self.core
+            .take_point_lock(tx, CachedPoint::Full, |owner, stats| {
+                stats.bump(&stats.lock_acquisitions, 1);
+                self.core.class().tables.with(stats, |t| {
+                    trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Full, 0);
+                    t.full_lockers.insert(owner);
+                });
+            });
     }
 
     /// The number of items this transaction would see: committed queue plus
@@ -475,8 +452,7 @@ where
     B: QueueBackend<T>,
 {
     fn put(&self, tx: &mut Txn, item: T) {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         if let Some(cap) = self.core.class().capacity {
             if self.visible_len(tx) >= cap {
                 // Blocking semantics in the threaded runtime: observe
@@ -486,7 +462,7 @@ where
                 stm::abort_and_retry();
             }
         }
-        let index = self.with_local(tx, |l| {
+        let index = self.core.with_local(tx, |l| {
             l.add_buffer.push(item);
             l.add_buffer.len() - 1
         });
@@ -495,8 +471,7 @@ where
     }
 
     fn offer(&self, tx: &mut Txn, item: T) -> bool {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         if let Some(cap) = self.core.class().capacity {
             if self.visible_len(tx) >= cap {
                 // Observed fullness: semantic read of the "full" property.
@@ -509,14 +484,13 @@ where
     }
 
     fn poll(&self, tx: &mut Txn) -> Option<T> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         // Reduced isolation: remove from the shared queue immediately. A
         // mutating open — this one cannot flatten (`open_read` is read-only
         // by contract) and stays a real open-nested child.
         let backend = &self.core.class().backend;
         if let Some(item) = tx.open(|otx| backend.pop_front(otx)) {
-            let index = self.with_local(tx, |l| {
+            let index = self.core.with_local(tx, |l| {
                 l.remove_buffer.push((item.clone(), false));
                 l.remove_buffer.len() - 1
             });
@@ -549,8 +523,7 @@ where
     }
 
     fn peek(&self, tx: &mut Txn) -> Option<T> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         let backend = &self.core.class().backend;
         if let Some(item) = tx.open_read(|otx| backend.peek_front(otx)) {
             // A non-null peek never conflicts (Table 7: the queue is

@@ -22,12 +22,15 @@
 //! enters the global stripe once for the range/endpoint/size dooms — so
 //! order-based observers still see a totally ordered table.
 //!
-//! Range locks live, by default, in a flat scanned list — the paper's
-//! complexity-vs-overhead call — or in an interval tree
-//! ([`crate::RangeIndexKind::IntervalTree`], the alternative §3.2 mentions;
-//! the `ablation_rangeindex` bench quantifies the crossover). Iterators read
-//! the underlying tree *stepwise and live* (`next_entry_after` per step),
-//! merging the thread-local store buffer in key order.
+//! Range locks live in a flat scanned list — the paper's
+//! complexity-vs-overhead call (§3.2). Iterators read the underlying tree
+//! *stepwise and live* (`next_entry_after` per step), merging the
+//! transaction's store buffer in key order.
+//!
+//! The point operations (`get`, `put`, `put_discard`, `remove`, `size`, ...)
+//! are the hash map's: one body in `map.rs`, run through [`MapKind`], which
+//! supplies only the sorted map's committed point read and where its size
+//! and emptiness locks live.
 //!
 //! Every committed read of the tree — a point read, a step — is a settled
 //! read ([`SemanticCore::read_settled`]): a commit handler rebalances the
@@ -46,15 +49,15 @@ use crate::kernel::{
     SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    ObsMode, RangeIndexKind, SemanticStats, SortedGlobal, SortedTables, StripedTables,
-    UpdateEffect, DEFAULT_STRIPES,
+    ObsMode, PointLocks, SemanticStats, SortedGlobal, SortedTables, StripedTables, UpdateEffect,
+    DEFAULT_STRIPES,
 };
-use crate::map::{BufWrite, MapLocal};
+use crate::map::{BufWrite, MapKind, MapLocal};
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::Bound;
 use stm::hash::{key_hash64, StripeSet};
-use stm::{Txn, TxnMode};
+use stm::Txn;
 use txstruct::TxTreeMap;
 
 // txlint: conflict-graph
@@ -425,7 +428,11 @@ where
         // (phase 2). Writes apply in key order, not the buffer's hash
         // order, so the tree's shape — and every rotation and conflict that
         // follows from it — is the same in every process.
-        let mut writes: Vec<_> = local.store_buffer.iter().collect();
+        let mut writes: Vec<_> = local
+            .store_buffer
+            .iter()
+            .map(|(k, e)| (k, &e.write))
+            .collect();
         writes.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut changed_keys: Vec<&K> = Vec::new();
         sweep_commit_footprint(
@@ -536,6 +543,29 @@ where
     }
 }
 
+impl<K, V, B> MapKind for SortedClass<K, V, B>
+where
+    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: SortedMapBackend<K, V>,
+{
+    type Value = V;
+    type Backend = B;
+
+    fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// A settled read: see the module docs.
+    fn read_point<R>(core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R {
+        core.read_settled(tx, f)
+    }
+
+    fn points(global: &mut SortedGlobal<K>) -> &mut PointLocks {
+        &mut global.points
+    }
+}
+
 /// A transactional wrapper making any [`SortedMapBackend`] safe and scalable
 /// to use from long-running transactions, including ordered iteration and
 /// range views.
@@ -612,28 +642,17 @@ where
     B: SortedMapBackend<K, V>,
 {
     /// Wrap an existing sorted map implementation ([`DEFAULT_STRIPES`] key
-    /// stripes, flat-scan range index).
+    /// stripes).
     pub fn wrap(backend: B) -> Self {
-        Self::wrap_with_range_index(backend, RangeIndexKind::FlatScan)
+        Self::wrap_with_stripes(backend, DEFAULT_STRIPES)
     }
 
-    /// Wrap with an explicit range-lock index (paper §3.2 discusses the
-    /// flat-scan default vs an interval tree; see `RangeIndexKind`).
-    pub fn wrap_with_range_index(backend: B, kind: RangeIndexKind) -> Self {
-        Self::wrap_full(backend, kind, DEFAULT_STRIPES)
-    }
-
-    /// Wrap with an explicit key-stripe count (flat-scan range index).
+    /// Wrap with an explicit key-stripe count.
     pub fn wrap_with_stripes(backend: B, nstripes: usize) -> Self {
-        Self::wrap_full(backend, RangeIndexKind::FlatScan, nstripes)
-    }
-
-    /// Wrap with both knobs explicit.
-    pub fn wrap_full(backend: B, kind: RangeIndexKind, nstripes: usize) -> Self {
         TransactionalSortedMap {
             core: SemanticCore::new(SortedClass {
                 backend,
-                tables: StripedTables::new(nstripes, SortedGlobal::with_kind(kind)),
+                tables: StripedTables::new(nstripes, SortedGlobal::default()),
                 _value: PhantomData,
             }),
         }
@@ -655,24 +674,6 @@ where
         self.core.class().tables.locked_key_count(self.core.stats())
     }
 
-    fn assert_usable(tx: &Txn) {
-        assert!(
-            tx.mode() == TxnMode::Speculative,
-            "TransactionalSortedMap operations cannot run inside commit/abort handlers"
-        );
-    }
-
-    /// First-touch registration and handler ordering are the kernel's
-    /// obligation: [`SemanticCore::ensure_registered`] wires the handler
-    /// pair (txlint TX008 forbids doing it here).
-    fn ensure_registered(&self, tx: &mut Txn) {
-        self.core.ensure_registered(tx);
-    }
-
-    fn with_local<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut MapLocal<K, V>) -> R) -> R {
-        self.core.with_local(tx, f)
-    }
-
     /// Read the committed tree as a settled read (see the module docs): no
     /// handler of this map rebalances it while `f` runs.
     fn committed<R>(&self, tx: &mut Txn, mut f: impl FnMut(&mut Txn, &B) -> R) -> R {
@@ -680,187 +681,49 @@ where
         self.core.read_settled(tx, |otx| f(otx, backend))
     }
 
-    fn buffered(&self, tx: &mut Txn, key: &K) -> Option<BufWrite<V>> {
-        self.core
-            .try_local(tx, |l| l.store_buffer.get(key).cloned())
-            .flatten()
-    }
-
-    /// Buffered entry plus whether it is blind (its presence relative to the
-    /// committed state is unknown). Blindness must be preserved by further
-    /// writes to the key, or the size delta silently loses the unresolved
-    /// contribution.
-    fn buffered_with_blind(&self, tx: &mut Txn, key: &K) -> (Option<BufWrite<V>>, bool) {
-        self.core
-            .try_local(tx, |l| {
-                (l.store_buffer.get(key).cloned(), l.blind.contains(key))
-            })
-            .unwrap_or((None, false))
-    }
-
-    /// Buffer a write, maintaining `delta`/`blind`, with an undo in case an
-    /// enclosing closed-nested frame aborts.
-    fn buffer_write(
-        &self,
-        tx: &mut Txn,
-        key: K,
-        write: BufWrite<V>,
-        delta_change: isize,
-        blind: bool,
-    ) {
-        let undo = self.with_local(tx, |l| l.buffer(key, write, delta_change, blind));
-        self.core.local_undo(tx, undo);
+    /// Whether this transaction's own write removes `key`.
+    fn removed_here(&self, tx: &mut Txn, key: &K) -> bool {
+        self.core.buffered(tx, key, |v| v.is_none()) == Some(true)
     }
 
     // ------------------------------------------------------------------
-    // Map-level operations (same protocol as TransactionalMap)
+    // Map-level operations (TransactionalMap's, one body in map.rs)
     // ------------------------------------------------------------------
 
     /// Look up a key (key lock + settled read).
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered(tx, key) {
-            Some(BufWrite::Put(v)) => return Some(v),
-            Some(BufWrite::Remove) => return None,
-            None => {}
-        }
-        self.core.take_key_lock(tx, key);
-        self.committed(tx, |otx, b| b.get(otx, key))
+        self.core.get(tx, key)
     }
 
     /// Whether a key is present (key lock).
     pub fn contains_key(&self, tx: &mut Txn, key: &K) -> bool {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered(tx, key) {
-            Some(BufWrite::Put(_)) => return true,
-            Some(BufWrite::Remove) => return false,
-            None => {}
-        }
-        self.core.take_key_lock(tx, key);
-        self.committed(tx, |otx, b| b.contains_key(otx, key))
+        self.core.contains_key(tx, key)
     }
 
     /// Insert or replace; returns the previous value (reads the key).
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        let (buffered, was_blind) = self.buffered_with_blind(tx, &key);
-        let old = match buffered {
-            Some(BufWrite::Put(v)) => Some(v),
-            Some(BufWrite::Remove) => None,
-            None => {
-                self.core.take_key_lock(tx, &key);
-                self.committed(tx, |otx, b| b.get(otx, &key))
-            }
-        };
-        // A blind entry's contribution to the size is still unresolved:
-        // keep it blind and leave the delta deferred.
-        let delta_change = if was_blind {
-            0
-        } else {
-            1 - isize::from(old.is_some())
-        };
-        self.buffer_write(tx, key, BufWrite::Put(value), delta_change, was_blind);
-        old
+        self.core.write_read(tx, key, BufWrite::Put(value))
     }
 
     /// Insert or replace without reading the old value (§5.1 extension).
     pub fn put_discard(&self, tx: &mut Txn, key: K, value: V) {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered_with_blind(tx, &key) {
-            (Some(BufWrite::Put(_)), blind) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 0, blind);
-            }
-            (Some(BufWrite::Remove), true) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 0, true);
-            }
-            (Some(BufWrite::Remove), false) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 1, false);
-            }
-            (None, _) => {
-                self.buffer_write(tx, key, BufWrite::Put(value), 0, true);
-            }
-        }
+        self.core.write_blind(tx, key, BufWrite::Put(value))
     }
 
     /// Remove a key; returns the previous value (reads the key).
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        let (buffered, was_blind) = self.buffered_with_blind(tx, key);
-        let old = match buffered {
-            Some(BufWrite::Put(v)) => Some(v),
-            Some(BufWrite::Remove) => None,
-            None => {
-                self.core.take_key_lock(tx, key);
-                self.committed(tx, |otx, b| b.get(otx, key))
-            }
-        };
-        let delta_change = if was_blind {
-            0
-        } else {
-            -isize::from(old.is_some())
-        };
-        self.buffer_write(tx, key.clone(), BufWrite::Remove, delta_change, was_blind);
-        old
+        self.core.write_read(tx, key.clone(), BufWrite::Remove)
     }
 
     /// Remove without reading the old value (blind; see
     /// [`Self::put_discard`]).
     pub fn remove_discard(&self, tx: &mut Txn, key: &K) {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        match self.buffered_with_blind(tx, key) {
-            (Some(BufWrite::Put(_)), true) => {
-                self.buffer_write(tx, key.clone(), BufWrite::Remove, 0, true);
-            }
-            (Some(BufWrite::Put(_)), false) => {
-                self.buffer_write(tx, key.clone(), BufWrite::Remove, -1, false);
-            }
-            (Some(BufWrite::Remove), _) => {}
-            (None, _) => {
-                self.buffer_write(tx, key.clone(), BufWrite::Remove, 0, true);
-            }
-        }
-    }
-
-    fn resolve_blind(&self, tx: &mut Txn) {
-        let blind: Vec<K> = self
-            .core
-            .try_local(tx, |l| l.blind.iter().cloned().collect())
-            .unwrap_or_default();
-        for k in blind {
-            self.core.take_key_lock(tx, &k);
-            let committed_present = self.committed(tx, |otx, b| b.contains_key(otx, &k));
-            self.with_local(tx, |l| {
-                if l.blind.remove(&k) {
-                    let buffered_present = matches!(l.store_buffer.get(&k), Some(BufWrite::Put(_)));
-                    l.delta += buffered_present as isize - committed_present as isize;
-                }
-            });
-        }
+        self.core.write_blind(tx, key.clone(), BufWrite::Remove)
     }
 
     /// Number of entries (size lock, global stripe).
     pub fn size(&self, tx: &mut Txn) -> usize {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_size_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
-        let committed = self.committed(tx, |otx, b| b.len(otx));
-        let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
-        (committed as isize + delta).max(0) as usize
+        self.core.size(tx)
     }
 
     /// `size() == 0` (size lock); see `TransactionalMap::is_empty_primitive`
@@ -871,21 +734,7 @@ where
 
     /// Emptiness with its own zero-crossing lock (§5.1).
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
-            self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.points.take_empty_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
-        let committed = self.committed(tx, |otx, b| b.len(otx));
-        let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
-        (committed as isize + delta) <= 0
+        self.core.is_empty_primitive(tx)
     }
 
     // ------------------------------------------------------------------
@@ -904,12 +753,10 @@ where
             if !below_upper(&k, upper) {
                 return None;
             }
-            match self.buffered(tx, &k) {
-                Some(BufWrite::Remove) => {
-                    cur = self.committed(tx, |otx, b| b.next_entry_after(otx, &k));
-                }
-                _ => return Some((k, v)),
+            if !self.removed_here(tx, &k) {
+                return Some((k, v));
             }
+            cur = self.committed(tx, |otx, b| b.next_entry_after(otx, &k));
         }
         None
     }
@@ -920,13 +767,10 @@ where
             .try_local(tx, |l| {
                 l.store_buffer
                     .iter()
-                    .filter_map(|(k, w)| match w {
-                        BufWrite::Put(v) if above_lower(k, from) && below_upper(k, upper) => {
-                            Some((k.clone(), v.clone()))
-                        }
-                        _ => None,
-                    })
-                    .min_by(|a, b| a.0.cmp(&b.0))
+                    .filter(|&(k, _)| above_lower(k, from) && below_upper(k, upper))
+                    .filter_map(|(k, e)| Some((k, e.write.value()?)))
+                    .min_by(|a, b| a.0.cmp(b.0))
+                    .map(|(k, v)| (k.clone(), v.clone()))
             })
             .flatten()
     }
@@ -943,12 +787,10 @@ where
             if !above_lower(&k, lower) {
                 return None;
             }
-            match self.buffered(tx, &k) {
-                Some(BufWrite::Remove) => {
-                    cur = self.committed(tx, |otx, b| b.prev_entry_before(otx, &k));
-                }
-                _ => return Some((k, v)),
+            if !self.removed_here(tx, &k) {
+                return Some((k, v));
             }
+            cur = self.committed(tx, |otx, b| b.prev_entry_before(otx, &k));
         }
         None
     }
@@ -963,17 +805,15 @@ where
     /// the query restarts — the returned observation is therefore always
     /// covered by a lock that predates it (lock-then-read soundness).
     pub fn first_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        if matches!(lower, Bound::Unbounded) && !self.core.point_lock_cached(tx, CachedPoint::First)
-        {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
+        self.core.ensure_registered(tx);
+        if matches!(lower, Bound::Unbounded) {
             self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.sorted.take_first_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::First);
+                .take_point_lock(tx, CachedPoint::First, |owner, stats| {
+                    self.core
+                        .class()
+                        .tables
+                        .with_global(stats, |g| g.sorted.take_first_lock(owner, stats))
+                });
         }
         for _attempt in 0..64 {
             let committed = self.committed_next(tx, &lower, &upper);
@@ -1014,11 +854,10 @@ where
                         None => None,
                     };
                     // Buffer override for the candidate key.
-                    let value = match self.buffered(tx, k) {
-                        Some(BufWrite::Put(v)) => Some(v),
-                        Some(BufWrite::Remove) => None,
-                        None => committed_now,
-                    };
+                    let value = self
+                        .core
+                        .buffered(tx, k, |v| v.cloned())
+                        .unwrap_or(committed_now);
                     match value {
                         Some(v) => {
                             self.core.take_key_lock(tx, k);
@@ -1042,13 +881,10 @@ where
             .try_local(tx, |l| {
                 l.store_buffer
                     .iter()
-                    .filter_map(|(k, w)| match w {
-                        BufWrite::Put(v) if above_lower(k, lower) && below_upper(k, upper) => {
-                            Some((k.clone(), v.clone()))
-                        }
-                        _ => None,
-                    })
-                    .max_by(|a, b| a.0.cmp(&b.0))
+                    .filter(|&(k, _)| above_lower(k, lower) && below_upper(k, upper))
+                    .filter_map(|(k, e)| Some((k, e.write.value()?)))
+                    .max_by(|a, b| a.0.cmp(b.0))
+                    .map(|(k, v)| (k.clone(), v.clone()))
             })
             .flatten()
     }
@@ -1058,17 +894,15 @@ where
     /// protocol (the last lock when `upper` is unbounded, a range lock
     /// `[candidate, upper]` otherwise).
     pub fn last_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
-        if matches!(upper, Bound::Unbounded) && !self.core.point_lock_cached(tx, CachedPoint::Last)
-        {
-            let owner = tx.handle().clone();
-            let stats = self.core.stats();
+        self.core.ensure_registered(tx);
+        if matches!(upper, Bound::Unbounded) {
             self.core
-                .class()
-                .tables
-                .with_global(stats, |g| g.sorted.take_last_lock(owner, stats));
-            self.core.note_point_lock(tx, CachedPoint::Last);
+                .take_point_lock(tx, CachedPoint::Last, |owner, stats| {
+                    self.core
+                        .class()
+                        .tables
+                        .with_global(stats, |g| g.sorted.take_last_lock(owner, stats))
+                });
         }
         for _attempt in 0..64 {
             let committed = self.committed_prev(tx, &upper, &lower);
@@ -1104,11 +938,10 @@ where
                         Some(_) => continue, // a larger committed key appeared
                         None => None,
                     };
-                    let value = match self.buffered(tx, k) {
-                        Some(BufWrite::Put(v)) => Some(v),
-                        Some(BufWrite::Remove) => None,
-                        None => committed_now,
-                    };
+                    let value = self
+                        .core
+                        .buffered(tx, k, |v| v.cloned())
+                        .unwrap_or(committed_now);
                     match value {
                         Some(v) => {
                             self.core.take_key_lock(tx, k);
@@ -1180,8 +1013,7 @@ where
         lower: Bound<K>,
         upper: Bound<K>,
     ) -> TxSortedIter<K, V, B> {
-        Self::assert_usable(tx);
-        self.ensure_registered(tx);
+        self.core.ensure_registered(tx);
         TxSortedIter {
             map: self.clone(),
             lower,
@@ -1323,11 +1155,11 @@ where
                         Some(_) => continue,
                         None => None,
                     };
-                    let value = match self.map.buffered(tx, &k) {
-                        Some(BufWrite::Put(v)) => Some(v),
-                        Some(BufWrite::Remove) => None,
-                        None => committed_now,
-                    };
+                    let value = self
+                        .map
+                        .core
+                        .buffered(tx, &k, |v| v.cloned())
+                        .unwrap_or(committed_now);
                     match value {
                         Some(v) => {
                             self.last = Some(k.clone());
@@ -1341,18 +1173,15 @@ where
                     // Exhaustion: lock the whole remaining range, then make
                     // sure nothing appeared before the lock landed.
                     self.extend_lock(tx, self.upper.clone());
-                    if matches!(self.upper, Bound::Unbounded)
-                        && !self.map.core.point_lock_cached(tx, CachedPoint::Last)
-                    {
+                    if matches!(self.upper, Bound::Unbounded) {
                         // Observed that nothing follows: the last-key lock
                         // of Table 5's `hasNext == false` row.
-                        let owner = tx.handle().clone();
-                        let class = self.map.core.class();
-                        let stats = self.map.core.stats();
-                        class
-                            .tables
-                            .with_global(stats, |g| g.sorted.take_last_lock(owner, stats));
-                        self.map.core.note_point_lock(tx, CachedPoint::Last);
+                        let core = &self.map.core;
+                        core.take_point_lock(tx, CachedPoint::Last, |owner, stats| {
+                            core.class()
+                                .tables
+                                .with_global(stats, |g| g.sorted.take_last_lock(owner, stats))
+                        });
                     }
                     let verify = self.map.committed_next(tx, &from, &self.upper);
                     if verify.is_some() {

@@ -8,7 +8,9 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, Ordering};
 use stm::atomic;
-use txcollections::{Channel, TransactionalMap, TransactionalQueue, TransactionalSortedMap};
+use txcollections::{
+    Channel, MapBackend, TransactionalMap, TransactionalQueue, TransactionalSortedMap,
+};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -19,6 +21,55 @@ enum MapOp {
     RemoveDiscard(u16),
     Size,
     Contains(u16),
+}
+
+/// Run `ops` in one transaction on `map` (preloaded with `preload`)
+/// beside a `BTreeMap` model: every answer and the committed result must
+/// match.
+fn map_matches_model<B: MapBackend<u16, u32>>(
+    map: TransactionalMap<u16, u32, B>,
+    preload: &BTreeMap<u16, u32>,
+    ops: &[MapOp],
+) -> Result<(), TestCaseError> {
+    atomic(|tx| {
+        for (k, v) in preload {
+            map.put_discard(tx, *k, *v);
+        }
+    });
+    let mut model: BTreeMap<u16, u32> = preload.clone();
+    atomic(|tx| {
+        let mut m = preload.clone();
+        for op in ops {
+            match op {
+                MapOp::Get(k) => assert_eq!(map.get(tx, k), m.get(k).copied()),
+                MapOp::Put(k, v) => {
+                    assert_eq!(map.put(tx, *k, *v), m.insert(*k, *v));
+                }
+                MapOp::PutDiscard(k, v) => {
+                    map.put_discard(tx, *k, *v);
+                    m.insert(*k, *v);
+                }
+                MapOp::Remove(k) => {
+                    assert_eq!(map.remove(tx, k), m.remove(k));
+                }
+                MapOp::RemoveDiscard(k) => {
+                    map.remove_discard(tx, k);
+                    m.remove(k);
+                }
+                MapOp::Size => assert_eq!(map.size(tx), m.len()),
+                MapOp::Contains(k) => {
+                    assert_eq!(map.contains_key(tx, k), m.contains_key(k))
+                }
+            }
+        }
+        model = m;
+    });
+    // Committed state equals the model after commit.
+    let mut got = atomic(|tx| map.entries(tx));
+    got.sort_unstable();
+    let want: Vec<(u16, u32)> = model.into_iter().collect();
+    prop_assert_eq!(got, want);
+    Ok(())
 }
 
 fn map_op() -> impl Strategy<Value = MapOp> {
@@ -38,51 +89,16 @@ proptest! {
 
     /// A whole random program inside ONE transaction must behave like a
     /// plain map — the store buffer, delta, and blind-write machinery are
-    /// invisible to the user.
+    /// invisible to the user — on the TVar and the boosted backend.
     #[test]
     fn transactional_map_matches_model_in_one_txn(
         preload in prop::collection::btree_map(any::<u16>().prop_map(|k| k % 48), any::<u32>(), 0..20),
         ops in prop::collection::vec(map_op(), 1..40),
     ) {
-        let map: TransactionalMap<u16, u32> = TransactionalMap::new();
-        atomic(|tx| {
-            for (k, v) in &preload {
-                map.put_discard(tx, *k, *v);
-            }
-        });
-        let mut model: BTreeMap<u16, u32> = preload.clone();
-        atomic(|tx| {
-            let mut m = preload.clone();
-            for op in &ops {
-                match op {
-                    MapOp::Get(k) => assert_eq!(map.get(tx, k), m.get(k).copied()),
-                    MapOp::Put(k, v) => {
-                        assert_eq!(map.put(tx, *k, *v), m.insert(*k, *v));
-                    }
-                    MapOp::PutDiscard(k, v) => {
-                        map.put_discard(tx, *k, *v);
-                        m.insert(*k, *v);
-                    }
-                    MapOp::Remove(k) => {
-                        assert_eq!(map.remove(tx, k), m.remove(k));
-                    }
-                    MapOp::RemoveDiscard(k) => {
-                        map.remove_discard(tx, k);
-                        m.remove(k);
-                    }
-                    MapOp::Size => assert_eq!(map.size(tx), m.len()),
-                    MapOp::Contains(k) => {
-                        assert_eq!(map.contains_key(tx, k), m.contains_key(k))
-                    }
-                }
-            }
-            model = m;
-        });
-        // Committed state equals the model after commit.
-        let mut got = atomic(|tx| map.entries(tx));
-        got.sort_unstable();
-        let want: Vec<(u16, u32)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
+        // Both backends: the TVar map validates its reads, the boosted map
+        // (`TRANSACTIONAL_READS == false`) serves them straight.
+        map_matches_model(TransactionalMap::new(), &preload, &ops)?;
+        map_matches_model(TransactionalMap::boosted(), &preload, &ops)?;
     }
 
     /// Same for the sorted map, which must additionally iterate in key

@@ -6,7 +6,8 @@
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
-use txcollections::{key_hash64, stripe_index, TransactionalMap};
+use stm::Txn;
+use txcollections::{key_hash64, stripe_index, TransactionalMap, TransactionalSortedMap};
 use txstruct::{BoostedHashMap, TxHashMap};
 
 thread_local! {
@@ -16,7 +17,7 @@ thread_local! {
 }
 
 /// A `u64` key that records, on every `Hash` call, which hasher ran it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Counted(u64);
 
 impl Hash for Counted {
@@ -118,6 +119,80 @@ fn boosted_transactional_map_ops_and_commits_make_no_siphash_pass() {
         assert!(get.other.is_empty() && put.other.is_empty() && commit.other.is_empty());
     }
     assert_eq!(stm::atomic(|tx| map.size(tx)), 128);
+}
+
+/// The passes of one blind `put` of an unbuffered key, in a transaction
+/// whose store buffer already holds one key and has room for another (so
+/// no growth rehashes it) — after `get` has taken a key lock, when
+/// `hold_lock`.
+fn blind_put_passes(
+    put: impl Fn(&mut Txn, Counted),
+    get: impl Fn(&mut Txn, &Counted),
+    hold_lock: bool,
+) -> Passes {
+    let mut measured = Passes::default();
+    stm::atomic(|tx| {
+        put(tx, Counted(1_000));
+        if hold_lock {
+            get(tx, &Counted(0));
+        }
+        take_passes();
+        put(tx, Counted(1_001));
+        measured = take_passes();
+    });
+    measured
+}
+
+/// A blind write is one store-buffer entry: `put_discard` of an unbuffered
+/// key hashes it once, for the buffer's entry probe, on every map kind and
+/// whether or not the transaction holds key locks.
+#[test]
+fn blind_put_of_an_unbuffered_key_hashes_it_once() {
+    let tvar: TransactionalMap<Counted, u64> = TransactionalMap::new();
+    let boosted: TransactionalMap<Counted, u64, _> = TransactionalMap::boosted();
+    let sorted: TransactionalSortedMap<Counted, u64> = TransactionalSortedMap::new();
+    for hold_lock in [false, true] {
+        let maps = [
+            (
+                "TVar map",
+                blind_put_passes(
+                    |tx, k| tvar.put_discard(tx, k, 0),
+                    |tx, k| {
+                        let _ = tvar.get(tx, k);
+                    },
+                    hold_lock,
+                ),
+            ),
+            (
+                "boosted map",
+                blind_put_passes(
+                    |tx, k| boosted.put_discard(tx, k, 0),
+                    |tx, k| {
+                        let _ = boosted.get(tx, k);
+                    },
+                    hold_lock,
+                ),
+            ),
+            (
+                "sorted map",
+                blind_put_passes(
+                    |tx, k| sorted.put_discard(tx, k, 0),
+                    |tx, k| {
+                        let _ = sorted.get(tx, k);
+                    },
+                    hold_lock,
+                ),
+            ),
+        ];
+        for (map, p) in maps {
+            assert_eq!(
+                (p.sip, p.stripe),
+                (0, 1),
+                "{map}, key lock held: {hold_lock}: {p:?}"
+            );
+            assert!(p.other.is_empty(), "{map}: {p:?}");
+        }
+    }
 }
 
 #[test]

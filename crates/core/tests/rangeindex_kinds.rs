@@ -1,15 +1,13 @@
-//! The sorted-map semantics must be identical under both range-lock
-//! indexes (paper §3.2's flat set and the interval-tree alternative):
-//! re-run the key Table 4/5 scenarios against each kind.
+//! The sorted map's range locks live in the paper's flat scanned list
+//! (§3.2): re-run the key Table 4/5 range scenarios against it.
 
 mod conflict_harness;
 use conflict_harness::assert_cell;
 use std::ops::Bound;
-use txcollections::{RangeIndexKind, TransactionalSortedMap};
-use txstruct::TxTreeMap;
+use txcollections::TransactionalSortedMap;
 
-fn seeded(kind: RangeIndexKind, keys: &[i64]) -> TransactionalSortedMap<i64, i64> {
-    let m = TransactionalSortedMap::wrap_with_range_index(TxTreeMap::new(), kind);
+fn seeded(keys: &[i64]) -> TransactionalSortedMap<i64, i64> {
+    let m = TransactionalSortedMap::new();
     stm::atomic(|tx| {
         for &k in keys {
             m.put_discard(tx, k, k * 10);
@@ -18,9 +16,10 @@ fn seeded(kind: RangeIndexKind, keys: &[i64]) -> TransactionalSortedMap<i64, i64
     m
 }
 
-fn exercise(kind: RangeIndexKind) {
+#[test]
+fn flat_scan_semantics() {
     // In-range insert conflicts.
-    let m = seeded(kind, &[10, 20, 30, 40]);
+    let m = seeded(&[10, 20, 30, 40]);
     let (r, w) = (m.clone(), m.clone());
     assert_cell(
         true,
@@ -33,7 +32,7 @@ fn exercise(kind: RangeIndexKind) {
         },
     );
     // Out-of-range insert commutes.
-    let m = seeded(kind, &[10, 20, 30, 40]);
+    let m = seeded(&[10, 20, 30, 40]);
     let (r, w) = (m.clone(), m.clone());
     assert_cell(
         false,
@@ -46,7 +45,7 @@ fn exercise(kind: RangeIndexKind) {
         },
     );
     // Growing lock: put past the cursor commutes; put inside conflicts.
-    let m = seeded(kind, &[10, 20, 30, 40, 50]);
+    let m = seeded(&[10, 20, 30, 40, 50]);
     let (r, w) = (m.clone(), m.clone());
     assert_cell(
         false,
@@ -60,7 +59,7 @@ fn exercise(kind: RangeIndexKind) {
             w.put(tx, 45, 450);
         },
     );
-    let m = seeded(kind, &[10, 20, 30, 40, 50]);
+    let m = seeded(&[10, 20, 30, 40, 50]);
     let (r, w) = (m.clone(), m.clone());
     assert_cell(
         true,
@@ -75,7 +74,7 @@ fn exercise(kind: RangeIndexKind) {
         },
     );
     // Exhaustion covers the whole range.
-    let m = seeded(kind, &[10, 20]);
+    let m = seeded(&[10, 20]);
     let (r, w) = (m.clone(), m.clone());
     assert_cell(
         true,
@@ -87,8 +86,8 @@ fn exercise(kind: RangeIndexKind) {
             w.put(tx, 99, 990);
         },
     );
-    // Abort releases the tree-stored locks too.
-    let m = seeded(kind, &[10, 20]);
+    // Abort releases the range locks too.
+    let m = seeded(&[10, 20]);
     let m2 = m.clone();
     let (_, t) = stm::speculate(
         move |tx| {
@@ -109,14 +108,4 @@ fn exercise(kind: RangeIndexKind) {
             w.put(tx, 15, 150);
         },
     );
-}
-
-#[test]
-fn flat_scan_semantics() {
-    exercise(RangeIndexKind::FlatScan);
-}
-
-#[test]
-fn interval_tree_semantics() {
-    exercise(RangeIndexKind::IntervalTree);
 }

@@ -114,7 +114,7 @@ impl TxHandle {
     /// Returns `true` if the doom landed while the transaction was still
     /// active. Dooming a committed transaction has no effect — the caller
     /// already serialized after it. The CAS loop races against the victim's
-    /// own [`begin_commit`](Self::begin_commit): once the victim has entered
+    /// own `begin_commit`: once the victim has entered
     /// its committing phase the doom fails, so "doomed" and "published" are
     /// mutually exclusive outcomes of a single atomic word.
     #[must_use = "whether the doom landed; a false return means the target already finished"]

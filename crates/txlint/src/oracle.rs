@@ -15,9 +15,10 @@
 //!
 //! Since the lock matrices became *synthesized* from declared conflict
 //! graphs, the oracle also validates the synthesis pipeline
-//! ([`check_declared_graphs`]): every in-tree [`ConflictGraph`] declaration
-//! must be well-formed, its synthesized matrix must agree with the
-//! hand-written [`mode_compatible_spec`] on every cell the graph reaches,
+//! ([`check_declared_graphs`]): every in-tree
+//! [`ConflictGraph`](txcollections::ConflictGraph) declaration must be
+//! well-formed, its synthesized matrix must agree with the hand-written
+//! [`mode_compatible_spec`] on every cell the graph reaches,
 //! and the generated production [`mode_compatible`] must equal the spec on
 //! all 84 `(mode, effect, overlap)` cells.
 

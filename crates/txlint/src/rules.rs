@@ -1332,7 +1332,7 @@ const TX013_LOCKING_METHODS: &[&str] = &[
     "take_range_lock",
     "add_range_lock",
     "extend_range_upper",
-    "note_point_lock",
+    "take_point_lock",
     "with_local",
     "local_undo",
     "log_undo",

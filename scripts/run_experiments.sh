@@ -14,7 +14,7 @@ for fig in fig1_testmap fig2_testsortedmap fig3_testcompound fig4_specjbb confli
     cargo run -p bench --release --bin "$fig" | tee "$OUT/$fig.txt"
 done
 
-for ab in ablation_segmented ablation_isempty ablation_putreturn ablation_eager ablation_rangeindex; do
+for ab in ablation_segmented ablation_isempty ablation_putreturn ablation_eager; do
     echo "== $ab =="
     cargo bench -p bench --bench "$ab" | tee "$OUT/$ab.txt"
 done

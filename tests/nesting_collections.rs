@@ -184,6 +184,32 @@ fn no_double_application_after_frame_retry() {
     );
 }
 
+/// A blind write that a size observation resolved inside a closed frame
+/// comes back blind when the frame rolls back, so the retry resolves it
+/// again and the size counts it once, on both map kinds.
+#[test]
+fn closed_frame_abort_restores_blind_entries() {
+    let map: TransactionalMap<u32, u32> = TransactionalMap::new();
+    let sorted: TransactionalSortedMap<u32, u32> = TransactionalSortedMap::new();
+    atomic(|tx| {
+        map.put_discard(tx, 1, 1);
+        sorted.put_discard(tx, 1, 1);
+    });
+    atomic(|tx| {
+        let attempts = closed_with_one_retry(tx, |tx, attempt| {
+            map.put_discard(tx, 2, 2);
+            sorted.put_discard(tx, 2, 2);
+            assert_eq!(map.size(tx), 2, "hash map, frame attempt {attempt}");
+            assert_eq!(sorted.size(tx), 2, "sorted map, frame attempt {attempt}");
+        });
+        assert_eq!(attempts, 2);
+        assert_eq!(map.size(tx), 2, "hash map after the frame");
+        assert_eq!(sorted.size(tx), 2, "sorted map after the frame");
+    });
+    assert_eq!(atomic(|tx| map.size(tx)), 2);
+    assert_eq!(atomic(|tx| sorted.size(tx)), 2);
+}
+
 /// Sorted map: the aborted attempt's put, remove and blind overwrite are
 /// rolled back; the root write and the surviving attempt's write commit
 /// once; every key lock (including the aborted attempt's) is released.
@@ -328,4 +354,56 @@ fn collection_operation_inside_open_body_is_a_misuse_abort() {
     assert!(msg.contains("tx.open"), "unexpected diagnostic: {msg:?}");
     assert_eq!(map.locked_key_count(), 0, "a misuse abort left a lock held");
     assert_eq!(atomic(|tx| map.entries(tx)), vec![(1, 1)]);
+}
+
+/// The panic message of a transaction whose commit handler runs `call`
+/// (its abort handler has nothing to compensate).
+fn commit_handler_panic(call: impl Fn(&mut Txn) + Clone + Send + 'static) -> String {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        atomic(|tx| {
+            tx.on_commit_top(call.clone());
+            tx.on_abort_top(|_| {});
+        })
+    }));
+    let payload = outcome.expect_err("a handler-side collection call must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// A collection call from a commit handler is a programming error: the
+/// handler runs in direct mode, after the point of no return. The kernel's
+/// one mode assert fires and its message names the class.
+#[test]
+fn collection_operation_inside_commit_handler_panics_naming_the_class() {
+    let map: TransactionalMap<u32, u32> = TransactionalMap::new();
+    let sorted: TransactionalSortedMap<u32, u32> = TransactionalSortedMap::new();
+    let queue: TransactionalQueue<u32> = TransactionalQueue::new();
+    let messages = [
+        (
+            "map",
+            commit_handler_panic(move |htx| {
+                let _ = map.get(htx, &1);
+            }),
+        ),
+        (
+            "sorted_map",
+            commit_handler_panic(move |htx| sorted.put_discard(htx, 1, 1)),
+        ),
+        (
+            "queue",
+            commit_handler_panic(move |htx| {
+                let _ = queue.poll(htx);
+            }),
+        ),
+    ];
+    for (class, msg) in messages {
+        assert!(
+            msg.contains(&format!(
+                "`{class}` operations cannot run inside commit/abort handlers"
+            )),
+            "unexpected diagnostic: {msg:?}"
+        );
+    }
 }
