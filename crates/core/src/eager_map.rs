@@ -21,8 +21,8 @@
 //! The reader/writer key tables are striped like the optimistic map's:
 //! each key's reader set and writer slot live in the key's stripe, so the
 //! entire reader-vs-writer negotiation for a key is one short stripe hold;
-//! the size-lock set and the pending in-place size delta live in the global
-//! stripe.
+//! the size locks live in the global stripe, and the pending in-place size
+//! delta changes only under it.
 //!
 //! The class preserves the same external semantics (atomicity, isolation,
 //! abstract-datatype serializability) — the `eager_vs_lazy` test suite and
@@ -44,13 +44,16 @@
 // txlint: fast-path
 use crate::backend::{MapBackend, UndoOp};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{sweep_commit_footprint, FootprintOp, SemanticClass, SemanticCore};
+use crate::kernel::{
+    sweep_commit_footprint, FootprintOp, GlobalPhase, SemanticClass, SemanticCore,
+};
 use crate::locks::{
     doom_others, DoomCtx, ObsMode, Owner, Owners, SemanticStats, StripedTables, UpdateEffect,
     DEFAULT_STRIPES,
 };
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicI64, Ordering};
 use stm::hash::{key_hash64, StripeMap, StripeSet};
 use stm::trace::{self, LockKind};
 use stm::{TxState, Txn};
@@ -158,7 +161,6 @@ struct EagerLocal<K> {
     undone_keys: StripeSet<K>,
     /// Net size change applied in place by this transaction.
     delta: i64,
-    holds_size_lock: bool,
 }
 
 impl<K> Default for EagerLocal<K> {
@@ -168,7 +170,6 @@ impl<K> Default for EagerLocal<K> {
             write_keys: StripeSet::default(),
             undone_keys: StripeSet::default(),
             delta: 0,
-            holds_size_lock: false,
         }
     }
 }
@@ -189,22 +190,18 @@ impl<K> Default for EagerShard<K> {
     }
 }
 
-/// Global-stripe payload: size observers and the uncommitted in-place
-/// size delta.
-#[derive(Default)]
-struct EagerGlobal {
-    size_lockers: Owners,
-    /// Sum of uncommitted in-place size changes; subtracted from the
-    /// backend's length so readers see the committed size.
-    pending_delta: i64,
-}
-
 /// The variant half of the eager map (kernel [`SemanticClass`]): the wrapped
-/// backend, the contention policy, and the striped reader/writer tables.
+/// backend, the contention policy, the striped reader/writer tables, and
+/// the uncommitted in-place size delta.
 struct EagerClass<K, V, B> {
     backend: B,
     policy: EagerPolicy,
-    tables: StripedTables<EagerShard<K>, EagerGlobal>,
+    tables: StripedTables<EagerShard<K>, K>,
+    /// Sum of uncommitted in-place size changes; subtracted from the
+    /// backend's length so readers see the committed size. Read and written
+    /// only under the global stripe, so it moves together with the size
+    /// locks there, and that mutex orders every access (hence `Relaxed`).
+    pending_delta: AtomicI64,
     _value: PhantomData<fn() -> V>,
 }
 
@@ -214,16 +211,18 @@ where
 {
     /// Release every lock `id` holds: per-stripe reader/writer entries
     /// (stripes ascending via the kernel sweep, writer slots handled before
-    /// reader sets within each stripe), then the global stripe's size lock
-    /// and pending delta, last. `doom_write_key_readers` additionally dooms
-    /// remaining readers of the written keys (commit path only).
-    fn release_owner(
+    /// reader sets within each stripe), then, in the global phase, last,
+    /// the pending delta and the size lock. `doom_write_key_readers`
+    /// additionally dooms remaining readers of the written keys (commit
+    /// path only).
+    fn release_footprint(
         &self,
         local: &EagerLocal<K>,
         id: u64,
         stats: &SemanticStats,
         doom_write_key_readers: bool,
     ) {
+        let mut released = 0u64;
         sweep_commit_footprint(
             &self.tables,
             stats,
@@ -239,17 +238,17 @@ where
                                 effect: UpdateEffect::KeyWrite,
                                 key_hash: key_hash64(k),
                             };
-                            let doomed = doom_others(rs, id, &ctx);
-                            stats.bump(&stats.key_conflicts, doomed);
+                            doom_others(rs, id, &ctx);
                         }
                     }
-                    if s.writers.get(k).map(|o| o.id() == id).unwrap_or(false) {
+                    if s.writers.get(k).is_some_and(|o| o.id() == id) {
                         s.writers.remove(k);
+                        released += 1;
                     }
                 }
                 FootprintOp::Release(k) => {
                     if let Some(rs) = s.readers.get_mut(k) {
-                        rs.remove(id);
+                        released += u64::from(rs.remove(id));
                         if rs.is_empty() {
                             s.readers.remove(k);
                         }
@@ -257,9 +256,9 @@ where
                 }
             },
         );
-        self.tables.with_global(stats, |g| {
-            g.size_lockers.remove(id);
-            g.pending_delta -= local.delta;
+        trace::sem_lock_released(id, stats.class_sym(), LockKind::Key, released);
+        GlobalPhase::new(self.tables.global(), stats, id).finish(|_| {
+            self.pending_delta.fetch_sub(local.delta, Ordering::Relaxed);
         });
     }
 }
@@ -296,7 +295,7 @@ where
     /// doomed-then-revived bookkeeping race is cheap to close), and release
     /// everything.
     fn apply(&self, local: EagerLocal<K>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.release_owner(&local, id, stats, true);
+        self.release_footprint(&local, id, stats, true);
     }
 
     /// One undo entry, replayed by the kernel in reverse logging order
@@ -311,7 +310,7 @@ where
     /// Abort handler: the kernel has already drained the undo log through
     /// [`Self::compensate`]; all that is left is releasing the footprint.
     fn release(&self, local: EagerLocal<K>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.release_owner(&local, id, stats, false);
+        self.release_footprint(&local, id, stats, false);
     }
 }
 
@@ -391,7 +390,8 @@ where
             core: SemanticCore::new(EagerClass {
                 backend,
                 policy,
-                tables: StripedTables::new(nstripes, EagerGlobal::default()),
+                tables: StripedTables::new(nstripes),
+                pending_delta: AtomicI64::new(0),
                 _value: PhantomData,
             }),
         }
@@ -460,18 +460,15 @@ where
     /// stripe).
     pub fn size(&self, tx: &mut Txn) -> usize {
         self.core.ensure_registered(tx);
-        let own = self.core.with_local(tx, |l| {
-            l.holds_size_lock = true;
-            l.delta
-        });
+        let own = self.core.with_local(tx, |l| l.delta);
         let owner = tx.handle().clone();
         let class = self.core.class();
         let stats = self.core.stats();
+        // Taken on every call, not through the lock cache: the pending delta
+        // is read in the same global-stripe hold.
         let pending = class.tables.with_global(stats, |g| {
-            stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
-            g.size_lockers.insert(owner);
-            g.pending_delta
+            g.take(ObsMode::Size, owner, stats);
+            class.pending_delta.load(Ordering::Relaxed)
         });
         let backend = &class.backend;
         let raw = tx.open_read(|otx| backend.len(otx)) as i64;
@@ -518,8 +515,7 @@ where
                                 effect: UpdateEffect::KeyWrite,
                                 key_hash: key_hash64(key),
                             };
-                            let doomed = doom_others(rs, self_id, &ctx);
-                            stats.bump(&stats.key_conflicts, doomed);
+                            doom_others(rs, self_id, &ctx);
                         }
                     }
                 }
@@ -546,17 +542,11 @@ where
     /// size observers (early, pessimistic).
     fn size_changed(&self, tx: &mut Txn, change: i64) {
         let self_id = tx.handle().id();
+        let class = self.core.class();
         let stats = self.core.stats();
-        self.core.class().tables.with_global(stats, |g| {
-            g.pending_delta += change;
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::Size,
-                effect: UpdateEffect::SizeChange,
-                key_hash: 0,
-            };
-            let doomed = doom_others(&mut g.size_lockers, self_id, &ctx);
-            stats.bump(&stats.size_conflicts, doomed);
+        class.tables.with_global(stats, |g| {
+            class.pending_delta.fetch_add(change, Ordering::Relaxed);
+            g.doom(UpdateEffect::SizeChange, self_id, stats);
         });
         self.core.with_local(tx, |l| l.delta += change);
     }

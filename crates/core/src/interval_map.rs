@@ -5,8 +5,8 @@
 //! stabbing (`stab`) and intersection (`overlapping`) reads. The class
 //! exercises the span-valued slice of the lock protocol: readers take
 //! **range locks** on the interval they observe, and a committing writer
-//! dooms them with interval-vs-interval intersection
-//! ([`doom_update_span`](crate::locks)) — point-stab dooming would be
+//! dooms them with interval-vs-interval intersection (a span doom in the
+//! kernel's global phase) — point-stab dooming would be
 //! unsound here, because a reader's range can sit strictly inside a
 //! written span without containing either endpoint. The committed store
 //! is a persistent-by-cloning [`IntervalTree`] behind a `TVar`: the
@@ -20,16 +20,15 @@
 // txlint: fast-path
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::interval::IntervalTree;
-use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
+use crate::kernel::{ClassTables, GlobalClass, GlobalPhase, SemanticClass, SemanticCore};
 use crate::locks::{
-    bounds_overlap, ObsMode, SemanticStats, SortedGlobal, SortedTables, StripedTables,
-    UpdateEffect, DEFAULT_STRIPES,
+    bounds_overlap, GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
 };
 use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use stm::hash::{key_hash64, StripeMap};
+use stm::hash::StripeMap;
 use stm::{TVar, Txn};
 
 // txlint: conflict-graph
@@ -159,15 +158,6 @@ fn below_upper<K: Ord>(k: &K, upper: &Bound<K>) -> bool {
     }
 }
 
-/// Hash of a span for trace attribution: the lower bound's key when there
-/// is one (spans in this class always have one).
-fn span_hash<K: Hash>(lower: &Bound<K>) -> u64 {
-    match lower {
-        Bound::Included(k) | Bound::Excluded(k) => key_hash64(k),
-        Bound::Unbounded => 0,
-    }
-}
-
 /// Per-transaction local state: buffered insertions and removals plus the
 /// buffered change to the entry count. A removal of an id this
 /// transaction itself inserted simply drops the buffered insertion.
@@ -198,7 +188,7 @@ where
 {
     pub(crate) store: TVar<Arc<IntervalTree<K, (u64, V)>>>,
     pub(crate) next_id: AtomicU64,
-    pub(crate) tables: SortedTables<K>,
+    pub(crate) tables: ClassTables<K>,
 }
 
 impl<K, V> SemanticClass for IntervalMapClass<K, V>
@@ -242,26 +232,16 @@ where
                 self.store.write(htx, Arc::new(tree));
             }
         }
-        self.tables.with_global(stats, |g| {
+        GlobalPhase::new(self.tables.global_stripe(), stats, id).finish(|g| {
             for (lo, hi) in &changed_spans {
-                g.sorted
-                    .doom_update_span(UpdateEffect::KeyWrite, lo, hi, span_hash(lo), id, stats);
+                g.doom_span(UpdateEffect::KeyWrite, lo, hi);
             }
-            if len_after != len_before {
-                let (by_size, _) = g.points.doom_update(UpdateEffect::SizeChange, id, stats);
-                stats.bump(&stats.size_conflicts, by_size);
-                if (len_before == 0) != (len_after == 0) {
-                    let (_, by_empty) = g.points.doom_update(UpdateEffect::ZeroCross, id, stats);
-                    stats.bump(&stats.empty_conflicts, by_empty);
-                }
-            }
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
+            g.size_moved(len_before, len_after);
         });
     }
 
     /// Abort handler: writes were only buffered — pure lock release in the
-    /// global stripe.
+    /// global phase.
     fn release(
         &self,
         _local: IntervalMapLocal<K, V>,
@@ -269,10 +249,19 @@ where
         id: u64,
         stats: &SemanticStats,
     ) {
-        self.tables.with_global(stats, |g| {
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
-        });
+        GlobalPhase::new(self.tables.global_stripe(), stats, id).finish(|_| {});
+    }
+}
+
+impl<K, V> GlobalClass for IntervalMapClass<K, V>
+where
+    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type RangeKey = K;
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global_stripe()
     }
 }
 
@@ -343,7 +332,7 @@ where
             core: SemanticCore::new(IntervalMapClass {
                 store: TVar::new(Arc::new(IntervalTree::new())),
                 next_id: AtomicU64::new(1),
-                tables: StripedTables::new(nstripes, SortedGlobal::default()),
+                tables: ClassTables::new(nstripes),
             }),
         }
     }
@@ -363,23 +352,8 @@ where
         let stats = self.core.stats();
         self.core
             .class()
-            .tables
-            .with_global(stats, |g| g.sorted.ranges.len())
-    }
-
-    fn take_range_lock(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) {
-        if tx.in_snapshot() {
-            // Snapshot skip: range locks are not representable in the
-            // kernel's point/key cache, so the gate lives here. A snapshot
-            // read is isolated by the store's version chain; taking the
-            // lock would leak it (snapshot transactions run no handlers).
-            return;
-        }
-        let owner = tx.handle().clone();
-        let stats = self.core.stats();
-        self.core.class().tables.with_global(stats, |g| {
-            g.sorted.add_range_lock(owner, lower, upper, stats);
-        });
+            .global_stripe()
+            .with(stats, |g| g.range_count())
     }
 
     /// Committed-tree snapshot via one flattened read (validated against
@@ -457,7 +431,7 @@ where
         let Some((lower, upper)) = span else {
             return false;
         };
-        self.take_range_lock(tx, lower.clone(), upper.clone());
+        self.core.take_range_lock(tx, lower.clone(), upper.clone());
         if self.find_span(tx, id).is_none() {
             return false;
         }
@@ -498,7 +472,7 @@ where
     /// pairs (range lock on the degenerate span `[point, point]`).
     pub fn stab(&self, tx: &mut Txn, point: &K) -> Vec<(u64, V)> {
         self.core.ensure_registered(tx);
-        self.take_range_lock(
+        self.core.take_range_lock(
             tx,
             Bound::Included(point.clone()),
             Bound::Included(point.clone()),
@@ -516,7 +490,7 @@ where
     pub fn overlapping(&self, tx: &mut Txn, lo: K, hi: K) -> Vec<(u64, V)> {
         self.core.ensure_registered(tx);
         let (lower, upper) = (Bound::Included(lo), Bound::Excluded(hi));
-        self.take_range_lock(tx, lower.clone(), upper.clone());
+        self.core.take_range_lock(tx, lower.clone(), upper.clone());
         let tree = self.snapshot(tx);
         let mut out: Vec<(u64, V)> = Vec::new();
         tree.intersecting(&lower, &upper, &mut |_, (iid, v)| {
@@ -553,13 +527,7 @@ where
     /// Number of visible entries (size lock).
     pub fn len(&self, tx: &mut Txn) -> usize {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
-                self.core
-                    .class()
-                    .tables
-                    .with_global(stats, |g| g.points.take_size_lock(owner, stats))
-            });
+        self.core.take_point_lock(tx, ObsMode::Size);
         let committed = self.snapshot(tx).len() as isize;
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed + delta).max(0) as usize
@@ -574,13 +542,7 @@ where
     /// conflicts only when the entry count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
-                self.core
-                    .class()
-                    .tables
-                    .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
-            });
+        self.core.take_point_lock(tx, ObsMode::Empty);
         let committed = self.snapshot(tx).len() as isize;
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
         (committed + delta) <= 0

@@ -49,15 +49,17 @@
 //!   per-transaction, per-instance cache of already-acquired `(kind, key)`
 //!   semantic locks: the first acquisition populates it, every later
 //!   operation on the same key or point lock is a local probe that never
-//!   touches a stripe mutex. For point locks it is a bitmask, and
-//!   [`SemanticCore::take_point_lock`] is the one entry point that probes
-//!   it, takes the lock on a miss, and sets the bit. For key locks it is the
-//!   keyed class's own held-key set — the release list the handlers sweep —
-//!   so each held key is stored once, and `SemanticCore::take_key_lock` is
-//!   the one entry point that probes it, takes the stripe lock on a miss,
-//!   and records the key. Both handlers take the slot out of the transaction
-//!   before releasing any lock, so the cache provably never outlives the
-//!   locks it witnesses (cache lifetime ⊆ lock hold).
+//!   touches a stripe mutex. For whole-collection point locks it is a
+//!   bitmask, and [`SemanticCore::take_point_lock`] is the one entry point
+//!   that probes it, takes the lock in the class's global stripe
+//!   ([`GlobalClass::global_stripe`]) on a miss, and sets the bit. For key
+//!   locks it is the keyed class's own held-key set — the release list the
+//!   handlers sweep — so each held key is stored once, and
+//!   `SemanticCore::take_key_lock` is the one entry point that probes it,
+//!   takes the stripe lock on a miss, and records the key. Both handlers
+//!   take the slot out of the transaction before releasing any lock, so the
+//!   cache provably never outlives the locks it witnesses (cache lifetime ⊆
+//!   lock hold).
 //! * **Partial-rollback undos.** [`SemanticCore::local_undo`] registers a
 //!   buffer compensation only inside a closed frame, the one place a
 //!   conflict can roll back less than the whole attempt; at the root frame
@@ -72,15 +74,17 @@
 //!   lock tables in the proved order: touched key stripes strictly
 //!   ascending (grouped by a comparison-free [`bucket_order`] counting
 //!   sort, one stripe held at a time, applies before releases within a
-//!   stripe), then the global point-lock stripe **last**, with the owner's
-//!   point locks released at the very end. [`ClassTables::commit_sweep`]
-//!   returns a [`GlobalPhase`] token that the type system forces the class
-//!   to `finish` — the global phase cannot be skipped or run early.
+//!   stripe), then the global stripe **last**, with the owner's
+//!   whole-collection locks released at the very end. Every class's
+//!   handlers end in a [`GlobalPhase`] — [`ClassTables::commit_sweep`]
+//!   returns one, and the type system forces the class to `finish` it — so
+//!   the global phase cannot be skipped or run early, and its `finish` is
+//!   the only code that releases a whole-collection lock.
 //! * **The doom-protocol case analysis.** [`KeyCtx::doom`] and
 //!   [`PointCtx::doom`] route an [`UpdateEffect`] through the paper's
-//!   observation-mode compatibility table (`mode_compatible`) and charge
-//!   the right [`SemanticStats`] counter, so classes state *what* an update
-//!   does, never *who* to doom.
+//!   observation-mode compatibility table (`mode_compatible`), and every
+//!   landed doom charges its mode's [`SemanticStats`] counter, so classes
+//!   state *what* an update does, never *who* to doom.
 //!
 //! # Mapping of the paper's §5 guidelines onto this API
 //!
@@ -91,9 +95,11 @@
 //! 2. *Register one handler pair on first touch* — call
 //!    [`SemanticCore::ensure_registered`] at the top of every operation;
 //!    the core makes it idempotent and ordering-safe.
-//! 3. *Take semantic locks before reading committed state* — lock through
-//!    [`ClassTables`] (or your own tables), then read inside `Txn::open`
-//!    so the parent carries no memory dependency on the structure.
+//! 3. *Take semantic locks before reading committed state* — lock keys
+//!    through [`ClassTables`] (or your own tables) and whole-collection
+//!    properties through [`SemanticCore::take_point_lock`], then read inside
+//!    `Txn::open` so the parent carries no memory dependency on the
+//!    structure.
 //! 4. *Write underlying state only at commit* — mutate the backend inside
 //!    [`SemanticClass::apply`]; body-side operations only buffer.
 //! 5. *Compensate on abort* — [`SemanticClass::release`] undoes in-place
@@ -103,10 +109,11 @@
 // txlint: semantic-kernel
 
 use crate::locks::{
-    bucket_order, KeyLockShard, MapTables, Owner, PointLocks, SemanticStats, StripedTables,
-    UpdateEffect,
+    bucket_order, GlobalLocks, GlobalStripe, KeyLockShard, MapTables, ObsMode, Owner,
+    SemanticStats, StripedTables, UpdateEffect,
 };
 use std::hash::Hash;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm::hash::{key_hash64, StripeSet};
@@ -235,6 +242,20 @@ pub trait SemanticClass: Send + Sync + 'static {
     }
 }
 
+/// A class with whole-collection locks — size, emptiness, the endpoints,
+/// fullness, key ranges. They live in one global stripe per instance,
+/// which [`SemanticCore::take_point_lock`] reaches through
+/// [`Self::global_stripe`] (as keyed classes expose their key stripes), and
+/// the class's handlers end in its [`GlobalPhase`].
+pub trait GlobalClass: SemanticClass {
+    /// What the class's range locks are taken on: its key type (any type,
+    /// `()` say, for a class that takes no range locks).
+    type RangeKey;
+    /// The instance's global stripe ([`ClassTables::global_stripe`] for a
+    /// class built on [`ClassTables`]).
+    fn global_stripe(&self) -> &GlobalStripe<Self::RangeKey>;
+}
+
 /// A keyed class: its transactions take per-key read locks in the class's
 /// striped key tables and keep the keys they hold in their `Local` buffer
 /// (paper Table 3's `keyLocks`). That one held-key set is both the release
@@ -243,10 +264,8 @@ pub trait SemanticClass: Send + Sync + 'static {
 pub(crate) trait KeyedClass: SemanticClass {
     /// What a key lock is taken on.
     type Key: Clone + Eq + Hash;
-    /// The global-stripe payload of the class's tables.
-    type Global;
     /// The striped lock tables whose key stripes hold the class's key locks.
-    fn key_tables(&self) -> &StripedTables<KeyLockShard<Self::Key>, Self::Global>;
+    fn key_tables(&self) -> &MapTables<Self::Key>;
     /// The held-key set inside a transaction's buffer.
     fn held_keys(local: &mut Self::Local) -> &mut StripeSet<Self::Key>;
 }
@@ -261,8 +280,9 @@ pub(crate) trait KeyedClass: SemanticClass {
 /// invalidation is structural, and no other transaction can reach (or
 /// resurrect) this state.
 struct KernelSlot<C: SemanticClass> {
-    /// Bitmask of [`CachedPoint`] locks already acquired: the point half of
-    /// the lock cache (the key half is the class's held-key set).
+    /// Whole-collection locks already acquired, one bit per mode at
+    /// [`ObsMode::code`]: the point half of the lock cache (the key half is
+    /// the class's held-key set).
     points: u8,
     /// The class's buffered state, handed to `apply`/`release` by value.
     local: C::Local,
@@ -278,38 +298,6 @@ impl<C: SemanticClass> Default for KernelSlot<C> {
             points: 0,
             local: C::Local::default(),
             undo: Vec::new(),
-        }
-    }
-}
-
-/// Whole-collection point-lock kinds the txn-local lock cache can remember
-/// (one bit each in the kernel slot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachedPoint {
-    /// The size lock.
-    Size = 0,
-    /// The zero-crossing emptiness lock.
-    Empty = 1,
-    /// A sorted collection's first-endpoint lock.
-    First = 2,
-    /// A sorted collection's last-endpoint lock.
-    Last = 3,
-    /// A bounded queue's fullness lock.
-    Full = 4,
-}
-
-impl CachedPoint {
-    fn bit(self) -> u8 {
-        1 << self as u8
-    }
-
-    /// The trace-layer lock kind a cache hit on this point reports.
-    fn lock_kind(self) -> LockKind {
-        match self {
-            CachedPoint::Size => LockKind::Size,
-            CachedPoint::Empty => LockKind::Empty,
-            CachedPoint::First | CachedPoint::Last => LockKind::Endpoint,
-            CachedPoint::Full => LockKind::Full,
         }
     }
 }
@@ -554,48 +542,6 @@ impl<C: SemanticClass> SemanticCore<C> {
         }
     }
 
-    /// Hold the whole-collection point lock `p` ([`CachedPoint`]) for the
-    /// calling transaction: the point-lock twin of `take_key_lock`. Strictly
-    /// in this order: the snapshot skip (a snapshot transaction takes no
-    /// semantic lock), the cache probe (a hit is counted and traced, and no
-    /// stripe is visited), then `take(owner, stats)` to acquire the lock,
-    /// then the cache bit — set only after the take returns, so an unwind
-    /// mid-acquisition can never leave a cached bit without a lock behind it.
-    ///
-    /// Soundness of a hit: an active transaction's semantic locks are never
-    /// released by anyone else (doom sweeps retain active owners; release
-    /// happens only in the transaction's own handlers, which take the slot
-    /// first), so a cached bit can never outlive the lock it witnesses.
-    pub fn take_point_lock(
-        &self,
-        tx: &mut Txn,
-        p: CachedPoint,
-        take: impl FnOnce(Owner, &SemanticStats),
-    ) {
-        if self.point_lock_cached(tx, p) {
-            return;
-        }
-        take(tx.handle().clone(), &self.inner.stats);
-        self.note_point_lock(tx, p);
-    }
-
-    /// Whether the calling transaction already holds `p` on this instance
-    /// (counting and tracing a hit). A snapshot transaction answers `true`
-    /// without counting: it never reaches a stripe.
-    fn point_lock_cached(&self, tx: &mut Txn, p: CachedPoint) -> bool {
-        if tx.in_snapshot() {
-            return true;
-        }
-        let Some(slot) = self.slot_mut(tx) else {
-            return false;
-        };
-        let hit = slot.points & p.bit() != 0;
-        if hit {
-            self.count_cache_hit(tx, p.lock_kind(), 0);
-        }
-        hit
-    }
-
     /// Count and trace one lock-cache hit: a take answered without a stripe
     /// visit.
     fn count_cache_hit(&self, tx: &Txn, kind: LockKind, key_hash: u64) {
@@ -603,13 +549,6 @@ impl<C: SemanticClass> SemanticCore<C> {
         stats.bump(&stats.lock_cache_hits, 1);
         stm::metrics::cache_hit(stats.class_sym());
         stm::trace::lock_cache_hit(tx.handle().id(), stats.class_sym(), kind, key_hash);
-    }
-
-    /// Remember a point-lock acquisition in the slot's bitmask.
-    fn note_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
-        if let Some(slot) = self.slot_mut(tx) {
-            slot.points |= p.bit();
-        }
     }
 
     /// Run `f` on the calling transaction's local state, registering the
@@ -663,6 +602,82 @@ impl<C: SemanticClass> SemanticCore<C> {
     }
 }
 
+impl<C: GlobalClass> SemanticCore<C> {
+    /// Hold the whole-collection lock of observation mode `mode` (`Size`,
+    /// `Empty`, `First`, `Last` or `Full`) for the calling transaction: the
+    /// point-lock twin of `take_key_lock`. Strictly in this order: the
+    /// snapshot skip (a snapshot transaction takes no semantic lock), the
+    /// cache probe (a hit is counted and traced, and no stripe is visited),
+    /// the take in the class's global stripe, then the cache bit — set only
+    /// after the take returns, so an unwind mid-acquisition can never leave
+    /// a cached bit without a lock behind it.
+    ///
+    /// Soundness of a hit: an active transaction's semantic locks are never
+    /// released by anyone else (doom sweeps retain active owners; release
+    /// happens only in the transaction's own handlers, which take the slot
+    /// first), so a cached bit can never outlive the lock it witnesses.
+    ///
+    /// # Panics
+    ///
+    /// If `mode` is `Key` or `Range`: those locks are not whole-collection
+    /// locks.
+    pub fn take_point_lock(&self, tx: &mut Txn, mode: ObsMode) {
+        if tx.in_snapshot() {
+            return;
+        }
+        let bit = 1u8 << mode.code();
+        if self.slot_mut(tx).is_some_and(|slot| slot.points & bit != 0) {
+            self.count_cache_hit(tx, mode.lock_kind(), 0);
+            return;
+        }
+        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        self.inner
+            .class
+            .global_stripe()
+            .with(stats, |g| g.take(mode, owner, stats));
+        if let Some(slot) = self.slot_mut(tx) {
+            slot.points |= bit;
+        }
+    }
+}
+
+impl<C: GlobalClass> SemanticCore<C>
+where
+    C::RangeKey: Ord,
+{
+    /// Hold a range lock on `[lower, upper]` for the calling transaction and
+    /// return its id, which [`Self::extend_range_lock`] grows. Range locks
+    /// are not cached: each take is a new lock. A snapshot transaction takes
+    /// none (`None`): its reads are isolated by the version chains, and it
+    /// runs no handler that would release the lock.
+    pub(crate) fn take_range_lock(
+        &self,
+        tx: &mut Txn,
+        lower: Bound<C::RangeKey>,
+        upper: Bound<C::RangeKey>,
+    ) -> Option<u64> {
+        if tx.in_snapshot() {
+            return None;
+        }
+        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        Some(
+            self.inner
+                .class
+                .global_stripe()
+                .with(stats, |g| g.add_range_lock(owner, lower, upper, stats)),
+        )
+    }
+
+    /// Move the upper bound of range lock `id` to `upper`.
+    pub(crate) fn extend_range_lock(&self, id: u64, upper: Bound<C::RangeKey>) {
+        let stats = &self.inner.stats;
+        self.inner
+            .class
+            .global_stripe()
+            .with(stats, |g| g.extend_range_upper(id, upper));
+    }
+}
+
 // `KeyedClass` is crate-private, and so is the one method this impl adds.
 #[allow(private_bounds)]
 impl<C: KeyedClass> SemanticCore<C> {
@@ -702,10 +717,11 @@ impl<C: KeyedClass> SemanticCore<C> {
 // ----------------------------------------------------------------------
 
 /// The striped semantic-lock tables of a keyed collection class: key-lock
-/// shards for per-key read locks plus one global stripe of point locks
-/// (size and emptiness). Wraps the crate's `StripedTables` so the
-/// handler-side sweep order — touched stripes ascending, global last,
-/// release last — is supplied by the kernel instead of restated per class.
+/// shards for per-key read locks plus the global stripe of whole-collection
+/// locks (size, emptiness, endpoints, fullness, key ranges). Wraps the
+/// crate's `StripedTables` so the handler-side sweep order — touched stripes
+/// ascending, global last, release last — is supplied by the kernel instead
+/// of restated per class.
 pub struct ClassTables<K> {
     tables: MapTables<K>,
 }
@@ -715,8 +731,14 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// `1` recovers the single-table behavior of the unstriped design).
     pub fn new(nstripes: usize) -> Self {
         ClassTables {
-            tables: StripedTables::new(nstripes, PointLocks::default()),
+            tables: StripedTables::new(nstripes),
         }
+    }
+
+    /// The global stripe (what [`GlobalClass::global_stripe`] returns for a
+    /// class built on these tables).
+    pub fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global()
     }
 
     /// Number of key stripes (always a power of two).
@@ -737,20 +759,6 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
             .with_stripe_for(&key, stats, |s| s.take_key_lock(key.clone(), owner, stats));
     }
 
-    /// Body-side: take the size lock (global stripe) — conflicts with any
-    /// committing size change.
-    pub fn take_size_lock(&self, stats: &SemanticStats, owner: Owner) {
-        self.tables
-            .with_global(stats, |g| g.take_size_lock(owner, stats));
-    }
-
-    /// Body-side: take the zero-crossing emptiness lock (global stripe,
-    /// paper §5.1) — conflicts only when the size moves to or from zero.
-    pub fn take_empty_lock(&self, stats: &SemanticStats, owner: Owner) {
-        self.tables
-            .with_global(stats, |g| g.take_empty_lock(owner, stats));
-    }
-
     /// Semantic key locks currently outstanding across all stripes
     /// (diagnostics).
     pub fn locked_key_count(&self, stats: &SemanticStats) -> usize {
@@ -766,7 +774,7 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// [`GlobalPhase`] **must** be [`finish`](GlobalPhase::finish)ed: the
     /// global stripe ranks after every key stripe in the lock order, and
     /// the token is how the kernel guarantees a class cannot run it early,
-    /// skip it, or forget to release its point locks.
+    /// skip it, or forget to release its whole-collection locks.
     pub fn commit_sweep<'t, 'a, W>(
         &'t self,
         stats: &'t SemanticStats,
@@ -792,17 +800,14 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
                 FootprintOp::Release(k) => shard.release_keys(id, std::iter::once(k), stats),
             },
         );
-        GlobalPhase {
-            tables: &self.tables,
-            stats,
-            id,
-        }
+        GlobalPhase::new(self.tables.global(), stats, id)
     }
 
     /// Abort-handler sweep: release transaction `id`'s key locks (touched
-    /// stripes ascending, one held at a time), then its point locks in the
-    /// global stripe, last. The compensating half of guideline 5 for
-    /// buffered-update classes, which have no in-place effects to undo.
+    /// stripes ascending, one held at a time), then its whole-collection
+    /// locks in the global phase, last. The compensating half of guideline
+    /// 5 for buffered-update classes, which have no in-place effects to
+    /// undo.
     pub fn release_sweep<'a>(
         &self,
         stats: &SemanticStats,
@@ -814,14 +819,13 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
         sweep_release_footprint(&self.tables, stats, key_locks, |shard, keys| {
             shard.release_keys(id, keys.iter().copied(), stats)
         });
-        self.tables
-            .with_global(stats, |g| g.release_owner(id, stats));
+        GlobalPhase::new(self.tables.global(), stats, id).finish(|_| {});
     }
 }
 
 /// Per-key doom context handed to [`ClassTables::commit_sweep`]'s apply
 /// callback: the key's stripe is held, and dooms route through the paper's
-/// compatibility table with stats charged automatically.
+/// compatibility table, each landed one charged to `key_conflicts`.
 pub struct KeyCtx<'s, K> {
     shard: &'s mut KeyLockShard<K>,
     stats: &'s SemanticStats,
@@ -833,69 +837,112 @@ impl<K: Clone + Eq + Hash> KeyCtx<'_, K> {
     /// incompatible with (charged to `key_conflicts`). Returns how many
     /// dooms landed.
     pub fn doom(&mut self, effect: UpdateEffect, key: &K) -> u64 {
-        let doomed = self.shard.doom_update(effect, key, self.id, self.stats);
-        self.stats.bump(&self.stats.key_conflicts, doomed);
-        doomed
+        self.shard.doom_update(effect, key, self.id, self.stats)
     }
 }
 
-/// Proof token for the global-stripe phase of a commit sweep: returned by
+/// Proof token for the global phase of a handler — the step every class's
+/// commit and abort handlers end in: returned by
 /// [`ClassTables::commit_sweep`] after every key stripe has been applied
 /// and released, and consumed by [`Self::finish`]. Holding it is holding
-/// the obligation "global stripe last, own point locks released last" —
-/// the compiler will not let a class drop it on the floor.
-#[must_use = "the commit sweep's global phase must run: call .finish(..) so \
-              point-lock dooms happen after every key apply and the owner's \
-              point locks are released"]
+/// the obligation "global stripe last, own whole-collection locks released
+/// last" — the compiler will not let a class drop it on the floor, and
+/// `finish` is the only code that releases those locks.
+#[must_use = "the handler's global phase must run: call .finish(..) so \
+              whole-collection dooms happen after every key apply and the \
+              owner's whole-collection locks are released"]
 pub struct GlobalPhase<'t, K> {
-    tables: &'t MapTables<K>,
+    global: &'t GlobalStripe<K>,
     stats: &'t SemanticStats,
     id: u64,
 }
 
-impl<K> GlobalPhase<'_, K> {
-    /// Enter the global stripe (strictly after every key-stripe hold —
-    /// a size/empty observer locking after this scan reads the fully
-    /// applied post-commit state), run `point` to doom point-lock holders,
-    /// then release the owner's point locks, last.
-    pub fn finish(self, point: impl FnOnce(&mut PointCtx<'_>)) {
-        self.tables.with_global(self.stats, |g| {
+impl<'t, K> GlobalPhase<'t, K> {
+    /// The global phase of transaction `id` on `global`, for a handler
+    /// whose key-stripe visits (if any) are over.
+    pub(crate) fn new(global: &'t GlobalStripe<K>, stats: &'t SemanticStats, id: u64) -> Self {
+        GlobalPhase { global, stats, id }
+    }
+
+    /// Enter the global stripe (strictly after every key-stripe hold — a
+    /// whole-collection observer locking after this scan reads the fully
+    /// applied post-commit state), run `doom` to doom the holders of
+    /// whole-collection locks the update invalidates, then release every
+    /// whole-collection lock transaction `id` holds, last.
+    pub fn finish(self, doom: impl FnOnce(&mut PointCtx<'_, K>)) {
+        self.global.with(self.stats, |g| {
             let mut cx = PointCtx {
-                points: g,
+                locks: g,
                 stats: self.stats,
                 id: self.id,
             };
-            point(&mut cx);
-            g.release_owner(self.id, self.stats);
+            doom(&mut cx);
+            g.release(self.id, self.stats);
         });
     }
 }
 
-/// Point-lock doom context for the global phase of a commit sweep: dooms
-/// route through the compatibility table ([`UpdateEffect::SizeChange`]
-/// reaches size lockers, [`UpdateEffect::ZeroCross`] reaches both size and
-/// emptiness lockers) with stats charged automatically.
-pub struct PointCtx<'g> {
-    points: &'g mut PointLocks,
+/// Doom context of a global phase: dooms route through the compatibility
+/// table (a [`UpdateEffect::SizeChange`] reaches size lockers, a
+/// [`UpdateEffect::ZeroCross`] emptiness lockers), each landed one charged
+/// to its mode's conflict counter.
+pub struct PointCtx<'g, K> {
+    locks: &'g mut GlobalLocks<K>,
     stats: &'g SemanticStats,
     id: u64,
 }
 
-impl PointCtx<'_> {
-    /// Doom every other active point-lock holder `effect` is incompatible
-    /// with (charged to `size_conflicts`/`empty_conflicts`). Returns how
-    /// many dooms landed.
+impl<K> PointCtx<'_, K> {
+    /// Doom every other active holder of a whole-collection lock whose mode
+    /// `effect` invalidates. Returns how many dooms landed.
     pub fn doom(&mut self, effect: UpdateEffect) -> u64 {
-        let (by_size, by_empty) = self.points.doom_update(effect, self.id, self.stats);
-        self.stats.bump(&self.stats.size_conflicts, by_size);
-        self.stats.bump(&self.stats.empty_conflicts, by_empty);
-        by_size + by_empty
+        self.locks.doom(effect, self.id, self.stats)
+    }
+
+    /// The size moved from `before` to `after`: doom size observers if it
+    /// changed, and emptiness observers if it crossed zero. Returns how many
+    /// dooms landed.
+    pub fn size_moved(&mut self, before: usize, after: usize) -> u64 {
+        if before == after {
+            return 0;
+        }
+        let mut doomed = self.doom(UpdateEffect::SizeChange);
+        if (before == 0) != (after == 0) {
+            doomed += self.doom(UpdateEffect::ZeroCross);
+        }
+        doomed
+    }
+}
+
+impl<K: Ord + Hash> PointCtx<'_, K> {
+    /// Doom the other owners of range locks covering `key`, which the
+    /// update wrote.
+    pub(crate) fn doom_ranges_at(&mut self, effect: UpdateEffect, key: &K) -> u64 {
+        self.locks
+            .doom_ranges_at(effect, key, key_hash64(key), self.id, self.stats)
+    }
+
+    /// Doom the other owners of range locks intersecting `[lower, upper]`,
+    /// every key of which the update wrote. The dooms are attributed to
+    /// the lower bound's key.
+    pub(crate) fn doom_span(
+        &mut self,
+        effect: UpdateEffect,
+        lower: &Bound<K>,
+        upper: &Bound<K>,
+    ) -> u64 {
+        let span_hash = match lower {
+            Bound::Included(k) | Bound::Excluded(k) => key_hash64(k),
+            Bound::Unbounded => 0,
+        };
+        self.locks
+            .doom_span(effect, lower, upper, span_hash, self.id, self.stats)
     }
 }
 
 // ----------------------------------------------------------------------
-// The generic stripe-sweep engine (crate-internal: classes with bespoke
-// global payloads — sorted maps, eager maps — drive it directly)
+// The generic stripe-sweep engine (crate-internal: the eager map, whose
+// key stripes hold reader sets and writer slots, drives it directly)
 // ----------------------------------------------------------------------
 
 /// One entry of a committing transaction's footprint: a buffered write to
@@ -968,8 +1015,8 @@ pub(crate) fn sweep_commit_footprint<'a, K, W, S, G>(
 
 /// Abort-side counterpart: group `keys` by stripe and hand `visit` each
 /// stripe's batch under that stripe, touched stripes strictly ascending.
-/// The caller runs its own global-stripe release afterwards (last).
-pub(crate) fn sweep_release_footprint<'a, K, S, G>(
+/// The caller's global phase runs afterwards (last).
+fn sweep_release_footprint<'a, K, S, G>(
     tables: &StripedTables<S, G>,
     stats: &SemanticStats,
     keys: impl IntoIterator<Item = &'a K>,
@@ -1301,7 +1348,9 @@ mod tests {
                 for k in 0..32u64 {
                     tables.take_key_lock(&stats, k, owner.clone());
                 }
-                tables.take_size_lock(&stats, owner);
+                tables
+                    .global_stripe()
+                    .with(&stats, |g| g.take(ObsMode::Size, owner, &stats));
             },
             0,
         )

@@ -124,11 +124,11 @@ pub use conflict_graph::{
 pub use eager_map::{EagerPolicy, EagerTransactionalMap, EAGER_MAP_CONFLICT_GRAPH};
 pub use interval_map::{TransactionalIntervalMap, INTERVAL_MAP_CONFLICT_GRAPH};
 pub use kernel::{
-    CachedPoint, ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
+    ClassTables, GlobalClass, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
 };
 pub use locks::{
-    mode_compatible, mode_compatible_spec, ObsMode, Owner, SemanticStats, UpdateEffect,
-    DEFAULT_STRIPES,
+    mode_compatible, mode_compatible_spec, GlobalStripe, ObsMode, Owner, SemanticStats,
+    UpdateEffect, DEFAULT_STRIPES,
 };
 pub use map::{TransactionalMap, TxMapIter, MAP_CONFLICT_GRAPH};
 pub use multiset::{TransactionalMultiset, MULTISET_CONFLICT_GRAPH};

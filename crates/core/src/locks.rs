@@ -14,12 +14,13 @@
 //! (power-of-two, default [`DEFAULT_STRIPES`]) stripes by key hash, each
 //! stripe guarded by its own short [`parking_lot::Mutex`] — the
 //! coarse-table→striped-table move that made ConcurrentHashMap-style
-//! structures scale. Point locks on whole-collection properties
-//! (`size_lockers`, `empty_lockers`, the sorted map's endpoint and range
-//! tables) live in a dedicated **global stripe**, so size/empty/endpoint/
-//! range semantics stay totally ordered. The per-transaction write buffers
-//! are not in any table: they live in the transaction itself (the kernel's
-//! extension slot), so buffering a put touches no shared memory at all.
+//! structures scale. Every class's locks on whole-collection properties —
+//! size, emptiness, the endpoints, fullness and key ranges — live in one
+//! table of the same shape, [`GlobalLocks`], in a dedicated **global
+//! stripe**, so those semantics stay totally ordered. The per-transaction
+//! write buffers are not in any table: they live in the transaction itself
+//! (the kernel's extension slot), so buffering a put touches no shared
+//! memory at all.
 //!
 //! Every owner set — a key's lockers, the point-lock sets, the eager map's
 //! readers — is an [`Owners`] list: empty, one owner inline, or a boxed
@@ -309,6 +310,9 @@ pub struct SemanticStats {
     /// Dooms due to the empty lock (peek/poll-null vs put, and the
     /// `isEmpty`-as-primitive zero-crossing lock of §5.1).
     pub empty_conflicts: AtomicU64,
+    /// Dooms due to a bounded queue's full lock (offer-false or a blocked
+    /// put vs a consuming commit).
+    pub full_conflicts: AtomicU64,
     /// Semantic-table lock acquisitions (key stripe or global stripe) that
     /// found the mutex held and had to block — the contention the striped
     /// table exists to remove.
@@ -334,12 +338,23 @@ pub struct SemanticStats {
 impl SemanticStats {
     /// Sum of all semantic conflicts (contention counters excluded).
     pub fn total(&self) -> u64 {
-        self.key_conflicts.load(Ordering::Relaxed)
-            + self.size_conflicts.load(Ordering::Relaxed)
-            + self.range_conflicts.load(Ordering::Relaxed)
-            + self.first_conflicts.load(Ordering::Relaxed)
-            + self.last_conflicts.load(Ordering::Relaxed)
-            + self.empty_conflicts.load(Ordering::Relaxed)
+        ObsMode::ALL
+            .iter()
+            .map(|&mode| self.conflicts(mode).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// The conflict counter of observation mode `mode`.
+    fn conflicts(&self, mode: ObsMode) -> &AtomicU64 {
+        match mode {
+            ObsMode::Key => &self.key_conflicts,
+            ObsMode::Size => &self.size_conflicts,
+            ObsMode::Empty => &self.empty_conflicts,
+            ObsMode::First => &self.first_conflicts,
+            ObsMode::Last => &self.last_conflicts,
+            ObsMode::Range => &self.range_conflicts,
+            ObsMode::Full => &self.full_conflicts,
+        }
     }
 
     pub(crate) fn bump(&self, which: &AtomicU64, n: u64) {
@@ -377,12 +392,14 @@ pub(crate) struct DoomCtx<'a> {
 }
 
 impl DoomCtx<'_> {
-    /// Record the edge `doomer → victim` in the trace. The `compatible`
-    /// field re-evaluates [`mode_compatible`] for the pair (with overlap
-    /// true for the keyed modes, matching how the dispatch points gate) so
-    /// the trace is self-certifying: a doom edge always carries the verdict
-    /// that justified it.
+    /// Account one landed doom: charge the observation mode's conflict
+    /// counter and record the edge `doomer → victim` in the trace. The
+    /// `compatible` field re-evaluates [`mode_compatible`] for the pair
+    /// (with overlap true for the keyed modes, matching how the dispatch
+    /// points gate) so the trace is self-certifying: a doom edge always
+    /// carries the verdict that justified it.
     pub(crate) fn emit(&self, doomer: u64, victim: u64) {
+        self.stats.bump(self.stats.conflicts(self.obs), 1);
         let overlap = matches!(self.obs, ObsMode::Key | ObsMode::Range);
         trace::doom_edge(
             doomer,
@@ -410,8 +427,8 @@ impl DoomCtx<'_> {
 /// transaction id: nobody, one owner inline, or a boxed list once a second
 /// transaction joins. A key is almost always locked by one transaction at a
 /// time, so taking a key lock allocates nothing. This is the owner set of
-/// every set-shaped lock table — key, size, empty, endpoint and full
-/// lockers, and the eager map's readers.
+/// every set-shaped lock table — key lockers, each whole-collection mode's
+/// lockers in [`GlobalLocks`], and the eager map's readers.
 ///
 /// Invariant: `Many` holds at least two owners; every removal that leaves
 /// fewer moves the rest back inline.
@@ -487,8 +504,8 @@ impl Owners {
 /// Doom every *other*, still-active owner in `owners`; prune finished ones.
 /// Returns how many dooms landed. This is the single doom-landing point for
 /// set-shaped lock tables (ranges have their own in
-/// [`SortedLockTables::doom_range_lockers`]): each landed doom records the
-/// `doomer → victim` edge described by `ctx` in the trace.
+/// [`GlobalLocks::doom_ranges`]): each landed doom is accounted through
+/// `ctx` ([`DoomCtx::emit`]).
 pub(crate) fn doom_others(owners: &mut Owners, self_id: u64, ctx: &DoomCtx) -> u64 {
     let mut doomed = 0;
     owners.retain(|o| {
@@ -628,110 +645,40 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
     }
 }
 
-/// The whole-collection point locks of the map abstraction — the global
-/// stripe's payload (paper Table 3 `sizeLockers`, plus the §5.1 `isEmpty`
-/// zero-crossing lock set).
-#[derive(Debug, Default)]
-pub(crate) struct PointLocks {
-    pub size_lockers: Owners,
-    pub empty_lockers: Owners,
-}
-
-impl PointLocks {
-    pub(crate) fn take_size_lock(&mut self, owner: Owner, stats: &SemanticStats) {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
-        self.size_lockers.insert(owner);
-    }
-
-    pub(crate) fn take_empty_lock(&mut self, owner: Owner, stats: &SemanticStats) {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
-        self.empty_lockers.insert(owner);
-    }
-
-    /// A committing writer changed the size: doom size observers.
-    pub(crate) fn doom_size_lockers(&mut self, self_id: u64, ctx: &DoomCtx) -> u64 {
-        doom_others(&mut self.size_lockers, self_id, ctx)
-    }
-
-    /// A committing writer made the size cross zero: doom emptiness
-    /// observers (the `isEmpty`-as-primitive lock).
-    pub(crate) fn doom_empty_lockers(&mut self, self_id: u64, ctx: &DoomCtx) -> u64 {
-        doom_others(&mut self.empty_lockers, self_id, ctx)
-    }
-
-    /// Doom every point-lock observer whose mode is incompatible with
-    /// `effect` per [`mode_compatible`]. Returns `(size_doomed,
-    /// empty_doomed)` so callers can attribute the dooms to per-mode
-    /// [`SemanticStats`] counters.
-    pub(crate) fn doom_update(
-        &mut self,
-        effect: UpdateEffect,
-        self_id: u64,
-        stats: &SemanticStats,
-    ) -> (u64, u64) {
-        let by_size = if !mode_compatible(ObsMode::Size, effect, false) {
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::Size,
-                effect,
-                key_hash: 0,
-            };
-            self.doom_size_lockers(self_id, &ctx)
-        } else {
-            0
-        };
-        let by_empty = if !mode_compatible(ObsMode::Empty, effect, false) {
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::Empty,
-                effect,
-                key_hash: 0,
-            };
-            self.doom_empty_lockers(self_id, &ctx)
-        } else {
-            0
-        };
-        (by_size, by_empty)
-    }
-
-    /// Release every point lock held on behalf of `owner_id`.
-    pub(crate) fn release_owner(&mut self, owner_id: u64, stats: &SemanticStats) {
-        let sizes = self.size_lockers.remove(owner_id);
-        let empties = self.empty_lockers.remove(owner_id);
-        let sym = stats.class_sym();
-        trace::sem_lock_released(owner_id, sym, LockKind::Size, sizes as u64);
-        trace::sem_lock_released(owner_id, sym, LockKind::Empty, empties as u64);
-    }
-}
-
 // ----------------------------------------------------------------------
 // The striped table container (ordered-acquisition surface)
 // ----------------------------------------------------------------------
 
-/// A single counted mutex around a point-lock table — the **global stripe**.
+/// The **global stripe** of a collection instance: one counted mutex
+/// around the table of its whole-collection locks (size, emptiness,
+/// endpoints, fullness and key ranges; the range locks are taken on `K`).
 ///
 /// Every entry is tallied in [`SemanticStats::global_stripe_entries`] (and
 /// the process-wide [`stm::StatsSnapshot`]), and a contended acquisition in
 /// [`SemanticStats::stripe_lock_spins`], so the serialized fraction of
 /// semantic-lock traffic is observable.
-pub(crate) struct GlobalStripe<G> {
-    inner: Mutex<G>,
+pub struct GlobalStripe<K> {
+    inner: Mutex<GlobalLocks<K>>,
 }
 
-impl<G> GlobalStripe<G> {
-    pub(crate) fn new(payload: G) -> Self {
+impl<K> Default for GlobalStripe<K> {
+    fn default() -> Self {
         GlobalStripe {
-            inner: Mutex::new(payload),
+            inner: Mutex::new(GlobalLocks::default()),
         }
     }
+}
 
+impl<K> GlobalStripe<K> {
     /// Run `f` under the global stripe. In the striped lock order this
     /// mutex ranks **after every key stripe**: callers must not hold any
     /// stripe when entering (all helpers here guarantee that structurally —
     /// each visit closes its stripe before the next acquisition).
-    pub(crate) fn with<R>(&self, stats: &SemanticStats, f: impl FnOnce(&mut G) -> R) -> R {
+    pub(crate) fn with<R>(
+        &self,
+        stats: &SemanticStats,
+        f: impl FnOnce(&mut GlobalLocks<K>) -> R,
+    ) -> R {
         stats.global_stripe_entries.fetch_add(1, Ordering::Relaxed);
         metrics::tally(Total::GlobalStripeEntries);
         let mut guard = match self.inner.try_lock() {
@@ -753,7 +700,8 @@ impl<G> GlobalStripe<G> {
 }
 
 /// The striped semantic lock table: `N` key stripes (payload `S`, one per
-/// hash shard) plus the global stripe (payload `G`, the point locks).
+/// hash shard) plus the global stripe (whose range locks are taken on
+/// `K`).
 ///
 /// This type is the **only** surface through which collection code touches
 /// stripes — acquisition order is encoded here once ([`Self::with_stripe_for`]
@@ -761,9 +709,9 @@ impl<G> GlobalStripe<G> {
 /// a handler's multi-stripe sweep, [`Self::with_global`] last), and txlint
 /// TX007 flags any raw `stripes[i].lock()` in files carrying the
 /// semantic-tables marker.
-pub(crate) struct StripedTables<S, G> {
+pub(crate) struct StripedTables<S, K> {
     stripes: Box<[Mutex<S>]>,
-    global: GlobalStripe<G>,
+    global: GlobalStripe<K>,
 }
 
 /// Round a requested stripe count to the implementation grid: at least 1,
@@ -798,20 +746,20 @@ pub(crate) fn bucket_order(
     order
 }
 
-impl<S: Default, G> StripedTables<S, G> {
+impl<S: Default, K> StripedTables<S, K> {
     /// Create with `nstripes` key stripes (rounded up to a power of two)
-    /// and the given global-stripe payload.
-    pub(crate) fn new(nstripes: usize, global: G) -> Self {
+    /// and an empty global stripe.
+    pub(crate) fn new(nstripes: usize) -> Self {
         let n = normalize_stripes(nstripes);
         let stripes: Box<[Mutex<S>]> = (0..n).map(|_| Mutex::new(S::default())).collect();
         StripedTables {
             stripes,
-            global: GlobalStripe::new(global),
+            global: GlobalStripe::default(),
         }
     }
 }
 
-impl<S, G> StripedTables<S, G> {
+impl<S, K> StripedTables<S, K> {
     /// Number of key stripes (always a power of two).
     pub(crate) fn stripe_count(&self) -> usize {
         self.stripes.len()
@@ -819,7 +767,7 @@ impl<S, G> StripedTables<S, G> {
 
     /// The stripe index a key hashes to ([`stripe_index`] at this table's
     /// stripe count — deterministic, stable across runs).
-    pub(crate) fn stripe_of<K: Hash>(&self, key: &K) -> usize {
+    pub(crate) fn stripe_of<Q: Hash>(&self, key: &Q) -> usize {
         stripe_index(key, self.stripes.len())
     }
 
@@ -841,9 +789,9 @@ impl<S, G> StripedTables<S, G> {
     /// Body-side single-stripe visit: run `f` under the stripe `key` hashes
     /// to. The caller must hold no other stripe (all callers are leaf
     /// operations; the closure must not re-enter the table).
-    pub(crate) fn with_stripe_for<K: Hash, R>(
+    pub(crate) fn with_stripe_for<Q: Hash, R>(
         &self,
-        key: &K,
+        key: &Q,
         stats: &SemanticStats,
         f: impl FnOnce(&mut S) -> R,
     ) -> R {
@@ -872,14 +820,23 @@ impl<S, G> StripedTables<S, G> {
         }
     }
 
-    /// Run `f` under the global stripe (point locks). Ranks after every key
-    /// stripe in the lock order: never called with a stripe held.
-    pub(crate) fn with_global<R>(&self, stats: &SemanticStats, f: impl FnOnce(&mut G) -> R) -> R {
+    /// The global stripe. Ranks after every key stripe in the lock order:
+    /// never entered with a stripe held.
+    pub(crate) fn global(&self) -> &GlobalStripe<K> {
+        &self.global
+    }
+
+    /// Run `f` under the global stripe.
+    pub(crate) fn with_global<R>(
+        &self,
+        stats: &SemanticStats,
+        f: impl FnOnce(&mut GlobalLocks<K>) -> R,
+    ) -> R {
         self.global.with(stats, f)
     }
 }
 
-impl<K: Clone + Eq + Hash, G> StripedTables<KeyLockShard<K>, G> {
+impl<K: Clone + Eq + Hash> StripedTables<KeyLockShard<K>, K> {
     /// Semantic key locks currently outstanding across all stripes
     /// (diagnostics).
     pub(crate) fn locked_key_count(&self, stats: &SemanticStats) -> usize {
@@ -891,28 +848,8 @@ impl<K: Clone + Eq + Hash, G> StripedTables<KeyLockShard<K>, G> {
     }
 }
 
-/// Striped table of the hash-map abstraction: key stripes + map point locks.
-pub(crate) type MapTables<K> = StripedTables<KeyLockShard<K>, PointLocks>;
-
-/// Global-stripe payload of the sorted-map abstraction: the map point locks
-/// plus the endpoint/range tables of paper Table 6. All order-based
-/// semantics live here so they stay totally ordered.
-pub(crate) struct SortedGlobal<K> {
-    pub points: PointLocks,
-    pub sorted: SortedLockTables<K>,
-}
-
-impl<K> Default for SortedGlobal<K> {
-    fn default() -> Self {
-        SortedGlobal {
-            points: PointLocks::default(),
-            sorted: SortedLockTables::default(),
-        }
-    }
-}
-
-/// Striped table of the sorted-map abstraction.
-pub(crate) type SortedTables<K> = StripedTables<KeyLockShard<K>, SortedGlobal<K>>;
+/// Striped table of a keyed class: key stripes plus the global stripe.
+pub(crate) type MapTables<K> = StripedTables<KeyLockShard<K>, K>;
 
 /// A range lock: owner has observed all keys in the interval. Identified by
 /// a stable id so iterators can grow their range as they advance even while
@@ -962,43 +899,113 @@ pub(crate) fn bounds_overlap<K: Ord>(
     lower_below_upper(lo1, hi2) && lower_below_upper(lo2, hi1)
 }
 
-/// Additional lock tables for the `SortedMap` abstraction (paper Table 6:
-/// `firstLockers`, `lastLockers`, `rangeLockers`). Range locks sit in a flat
-/// list scanned at every committed update — the paper's §3.2 choice: "An
-/// alternative would have been to use an interval tree to store the range
-/// locks, but the extra complexity and potential overhead seemed
-/// unnecessary for the common case."
-pub(crate) struct SortedLockTables<K> {
-    pub first_lockers: Owners,
-    pub last_lockers: Owners,
-    pub ranges: Vec<RangeLock<K>>,
+/// The whole-collection observation modes, in the order a commit dooms
+/// their holders.
+const POINT_MODES: [ObsMode; 5] = [
+    ObsMode::First,
+    ObsMode::Last,
+    ObsMode::Size,
+    ObsMode::Empty,
+    ObsMode::Full,
+];
+
+/// The whole-collection locks of one collection instance — the global
+/// stripe's payload, and one table for every class (paper Tables 3, 6 and
+/// 9: `sizeLockers`, `emptyLockers`, `firstLockers`, `lastLockers` and
+/// `rangeLockers`, plus a bounded queue's full lockers). Bodies take point
+/// locks with [`Self::take`] and range locks with [`Self::add_range_lock`];
+/// a committing writer dooms through [`Self::doom`] and the range dooms;
+/// the kernel's global phase releases an owner's locks with
+/// [`Self::release`], the only release there is.
+///
+/// Range locks sit in a flat list scanned at every committed update — the
+/// paper's §3.2 choice: "An alternative would have been to use an interval
+/// tree to store the range locks, but the extra complexity and potential
+/// overhead seemed unnecessary for the common case."
+pub(crate) struct GlobalLocks<K> {
+    /// The holders of each whole-collection lock, in [`POINT_MODES`] order.
+    points: [Owners; 5],
+    ranges: Vec<RangeLock<K>>,
     next_range_id: u64,
 }
 
-impl<K> Default for SortedLockTables<K> {
+impl<K> Default for GlobalLocks<K> {
     fn default() -> Self {
-        SortedLockTables {
-            first_lockers: Owners::Empty,
-            last_lockers: Owners::Empty,
+        GlobalLocks {
+            points: Default::default(),
             ranges: Vec::new(),
             next_range_id: 0,
         }
     }
 }
 
-impl<K: Clone + Ord> SortedLockTables<K> {
-    pub(crate) fn take_first_lock(&mut self, owner: Owner, stats: &SemanticStats) {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
-        self.first_lockers.insert(owner);
+impl<K> GlobalLocks<K> {
+    fn owners(&mut self, mode: ObsMode) -> &mut Owners {
+        let at = POINT_MODES.iter().position(|&m| m == mode);
+        &mut self.points[at.expect("key and range locks are not whole-collection locks")]
     }
 
-    pub(crate) fn take_last_lock(&mut self, owner: Owner, stats: &SemanticStats) {
+    /// Hold the whole-collection lock of `mode` for `owner`.
+    pub(crate) fn take(&mut self, mode: ObsMode, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
-        self.last_lockers.insert(owner);
+        trace::sem_lock_acquired(owner.id(), stats.class_sym(), mode.lock_kind(), 0);
+        self.owners(mode).insert(owner);
     }
 
+    /// Doom every other active holder of a whole-collection lock whose mode
+    /// `effect` invalidates per [`mode_compatible`]. Returns how many dooms
+    /// landed.
+    pub(crate) fn doom(
+        &mut self,
+        effect: UpdateEffect,
+        self_id: u64,
+        stats: &SemanticStats,
+    ) -> u64 {
+        let mut doomed = 0;
+        for (&obs, owners) in POINT_MODES.iter().zip(&mut self.points) {
+            if !mode_compatible(obs, effect, false) {
+                let ctx = DoomCtx {
+                    stats,
+                    obs,
+                    effect,
+                    key_hash: 0,
+                };
+                doomed += doom_others(owners, self_id, &ctx);
+            }
+        }
+        doomed
+    }
+
+    /// Release every lock `owner_id` holds here, tracing how many of each
+    /// kind.
+    pub(crate) fn release(&mut self, owner_id: u64, stats: &SemanticStats) {
+        let mut held = |mode| u64::from(self.owners(mode).remove(owner_id));
+        let size = held(ObsMode::Size);
+        let empty = held(ObsMode::Empty);
+        let endpoints = held(ObsMode::First) + held(ObsMode::Last);
+        let full = held(ObsMode::Full);
+        let before = self.ranges.len();
+        self.ranges.retain(|r| r.owner.id() != owner_id);
+        let ranges = (before - self.ranges.len()) as u64;
+        let sym = stats.class_sym();
+        for (kind, n) in [
+            (LockKind::Size, size),
+            (LockKind::Empty, empty),
+            (LockKind::Endpoint, endpoints),
+            (LockKind::Range, ranges),
+            (LockKind::Full, full),
+        ] {
+            trace::sem_lock_released(owner_id, sym, kind, n);
+        }
+    }
+
+    /// Number of range locks outstanding (diagnostics).
+    pub(crate) fn range_count(&self) -> usize {
+        self.ranges.len()
+    }
+}
+
+impl<K: Ord> GlobalLocks<K> {
     /// Register a range lock and return its stable id so an iterator can
     /// grow it as it advances.
     pub(crate) fn add_range_lock(
@@ -1028,39 +1035,65 @@ impl<K: Clone + Ord> SortedLockTables<K> {
         }
     }
 
-    /// A committing writer touched `key`: doom owners of covering ranges.
-    /// The range store is the one lock table whose dooms do not go through
-    /// [`doom_others`] (overlap is per-lock), so it lands dooms and emits
-    /// edges itself via `ctx`.
-    pub(crate) fn doom_range_lockers(&mut self, key: &K, self_id: u64, ctx: &DoomCtx) -> u64 {
-        self.doom_ranges(self_id, ctx, |r| in_range(key, &r.lower, &r.upper))
+    /// A committing writer published `effect` on `key` (whose
+    /// [`key_hash64`] is `key_hash`): doom the owners of the range locks
+    /// covering it. Returns how many dooms landed.
+    pub(crate) fn doom_ranges_at(
+        &mut self,
+        effect: UpdateEffect,
+        key: &K,
+        key_hash: u64,
+        self_id: u64,
+        stats: &SemanticStats,
+    ) -> u64 {
+        self.doom_ranges(effect, key_hash, self_id, stats, |r| {
+            in_range(key, &r.lower, &r.upper)
+        })
     }
 
-    /// A committing writer touched every key in `[lower, upper]`: doom
-    /// owners of range locks that *intersect* the written span. The
-    /// interval-map class publishes interval-valued writes, for which the
-    /// point-stab of [`doom_range_lockers`] is unsound (a reader's range
-    /// strictly inside the written interval would never be stabbed).
+    /// A committing writer published `effect` on every key in `[lower,
+    /// upper]`: doom the owners of range locks that *intersect* the written
+    /// span. The interval-map class publishes interval-valued writes, for
+    /// which the point stab of [`Self::doom_ranges_at`] is unsound (a
+    /// reader's range strictly inside the written interval would never be
+    /// stabbed). `span_hash` attributes the dooms in the trace.
     pub(crate) fn doom_span(
         &mut self,
+        effect: UpdateEffect,
         lower: &Bound<K>,
         upper: &Bound<K>,
+        span_hash: u64,
         self_id: u64,
-        ctx: &DoomCtx,
+        stats: &SemanticStats,
     ) -> u64 {
-        self.doom_ranges(self_id, ctx, |r| {
+        self.doom_ranges(effect, span_hash, self_id, stats, |r| {
             bounds_overlap(&r.lower, &r.upper, lower, upper)
         })
     }
 
-    /// Doom every other active owner of a range lock `hit` selects, and drop
-    /// the locks of owners no longer active.
+    /// If `effect` can invalidate a range observation at all (per
+    /// [`mode_compatible`]; overlap is `hit`'s to decide, per lock), doom
+    /// every other active owner of a range lock `hit` selects, and drop the
+    /// locks of owners no longer active. The range list is the one lock
+    /// table whose dooms do not go through [`doom_others`], so it lands them
+    /// and accounts them itself.
     fn doom_ranges(
         &mut self,
+        effect: UpdateEffect,
+        key_hash: u64,
         self_id: u64,
-        ctx: &DoomCtx,
+        stats: &SemanticStats,
         mut hit: impl FnMut(&RangeLock<K>) -> bool,
     ) -> u64 {
+        if mode_compatible(ObsMode::Range, effect, true) {
+            return 0;
+        }
+        let ctx = DoomCtx {
+            stats,
+            obs: ObsMode::Range,
+            effect,
+            key_hash,
+        };
         let mut doomed = 0;
         self.ranges.retain(|r| {
             if r.owner.id() == self_id {
@@ -1078,104 +1111,6 @@ impl<K: Clone + Ord> SortedLockTables<K> {
             }
         });
         doomed
-    }
-
-    /// Span-valued counterpart of [`SortedLockTables::doom_update`] for the
-    /// `Range`-mode slice only: gate the intersection dooms on
-    /// [`mode_compatible`] and charge them to the range-conflict counter.
-    pub(crate) fn doom_update_span(
-        &mut self,
-        effect: UpdateEffect,
-        lower: &Bound<K>,
-        upper: &Bound<K>,
-        span_hash: u64,
-        self_id: u64,
-        stats: &SemanticStats,
-    ) -> u64 {
-        if mode_compatible(ObsMode::Range, effect, true) {
-            return 0;
-        }
-        let ctx = DoomCtx {
-            stats,
-            obs: ObsMode::Range,
-            effect,
-            key_hash: span_hash,
-        };
-        let doomed = self.doom_span(lower, upper, self_id, &ctx);
-        stats.bump(&stats.range_conflicts, doomed);
-        doomed
-    }
-
-    pub(crate) fn doom_first_lockers(&mut self, self_id: u64, ctx: &DoomCtx) -> u64 {
-        doom_others(&mut self.first_lockers, self_id, ctx)
-    }
-
-    pub(crate) fn doom_last_lockers(&mut self, self_id: u64, ctx: &DoomCtx) -> u64 {
-        doom_others(&mut self.last_lockers, self_id, ctx)
-    }
-
-    /// Sorted-side counterpart of [`KeyLockShard::doom_update`]: dooms
-    /// range/first/last observers incompatible with `effect` per
-    /// [`mode_compatible`]. Returns `(range_doomed, first_doomed,
-    /// last_doomed)`. `key_hash` is [`key_hash64`] of `key`, computed by
-    /// the caller — `K` is only `Ord` here.
-    pub(crate) fn doom_update(
-        &mut self,
-        effect: UpdateEffect,
-        key: Option<&K>,
-        key_hash: u64,
-        self_id: u64,
-        stats: &SemanticStats,
-    ) -> (u64, u64, u64) {
-        let mut by_range = 0;
-        if let Some(k) = key {
-            // Overlap for Range mode is evaluated per lock inside
-            // doom_range_lockers; mode_compatible gates whether the effect
-            // class can invalidate ranges at all.
-            if !mode_compatible(ObsMode::Range, effect, true) {
-                let ctx = DoomCtx {
-                    stats,
-                    obs: ObsMode::Range,
-                    effect,
-                    key_hash,
-                };
-                by_range = self.doom_range_lockers(k, self_id, &ctx);
-            }
-        }
-        let by_first = if !mode_compatible(ObsMode::First, effect, false) {
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::First,
-                effect,
-                key_hash: 0,
-            };
-            self.doom_first_lockers(self_id, &ctx)
-        } else {
-            0
-        };
-        let by_last = if !mode_compatible(ObsMode::Last, effect, false) {
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::Last,
-                effect,
-                key_hash: 0,
-            };
-            self.doom_last_lockers(self_id, &ctx)
-        } else {
-            0
-        };
-        (by_range, by_first, by_last)
-    }
-
-    pub(crate) fn release_owner(&mut self, owner_id: u64, stats: &SemanticStats) {
-        let endpoints_released = self.first_lockers.remove(owner_id) as usize
-            + self.last_lockers.remove(owner_id) as usize;
-        let held = self.ranges.len();
-        self.ranges.retain(|r| r.owner.id() != owner_id);
-        let ranges_released = (held - self.ranges.len()) as u64;
-        let sym = stats.class_sym();
-        trace::sem_lock_released(owner_id, sym, LockKind::Endpoint, endpoints_released as u64);
-        trace::sem_lock_released(owner_id, sym, LockKind::Range, ranges_released);
     }
 }
 
@@ -1263,57 +1198,50 @@ mod tests {
     fn release_removes_all_owner_locks() {
         let stats = SemanticStats::default();
         let mut shard: KeyLockShard<u32> = KeyLockShard::default();
-        let mut points = PointLocks::default();
+        let mut points: GlobalLocks<u32> = GlobalLocks::default();
         let me = owner();
         shard.take_key_lock(1, me.clone(), &stats);
         shard.take_key_lock(2, me.clone(), &stats);
-        points.take_size_lock(me.clone(), &stats);
+        points.take(ObsMode::Size, me.clone(), &stats);
         let keys: Vec<u32> = vec![1, 2];
         shard.release_keys(me.id(), keys.iter(), &stats);
-        points.release_owner(me.id(), &stats);
+        points.release(me.id(), &stats);
         assert_eq!(shard.locked_key_count(), 0);
-        assert_eq!(
-            points.doom_size_lockers(
-                u64::MAX,
-                &ctx(&stats, ObsMode::Size, UpdateEffect::SizeChange)
-            ),
-            0
-        );
+        assert_eq!(points.doom(UpdateEffect::SizeChange, u64::MAX, &stats), 0);
     }
 
     #[test]
     fn finished_owners_are_pruned_not_doomed() {
         let stats = SemanticStats::default();
-        let mut t = PointLocks::default();
+        let mut t: GlobalLocks<u32> = GlobalLocks::default();
         let dead = owner();
         // Simulate a completed transaction lingering in the table.
-        t.size_lockers = Owners::One(dead.clone());
+        *t.owners(ObsMode::Size) = Owners::One(dead.clone());
         // mark_committed is crate-private to stm; emulate via doom->abort path
         // is not possible here, so use an Active owner and verify doom, then
         // check pruning with the doomed-but-aborted state is covered by the
         // integration tests.
-        let n = t.doom_size_lockers(
-            u64::MAX,
-            &ctx(&stats, ObsMode::Size, UpdateEffect::SizeChange),
-        );
+        let n = t.doom(UpdateEffect::SizeChange, u64::MAX, &stats);
         assert_eq!(n, 1);
     }
 
     #[test]
     fn range_lock_covers_and_grows() {
         let stats = SemanticStats::default();
-        let rctx = ctx(&stats, ObsMode::Range, UpdateEffect::KeyWrite);
-        let mut t: SortedLockTables<u32> = SortedLockTables::default();
+        let mut t: GlobalLocks<u32> = GlobalLocks::default();
         let me = owner();
         let victim = owner();
+        let doom_at = |t: &mut GlobalLocks<u32>, k: u32| {
+            t.doom_ranges_at(UpdateEffect::KeyWrite, &k, 0, me.id(), &stats)
+        };
         let idx = t.add_range_lock(
             victim.clone(),
             Bound::Included(10),
             Bound::Included(20),
             &stats,
         );
-        assert_eq!(t.doom_range_lockers(&5, me.id(), &rctx), 0);
-        assert_eq!(t.doom_range_lockers(&15, me.id(), &rctx), 1);
+        assert_eq!(doom_at(&mut t, 5), 0);
+        assert_eq!(doom_at(&mut t, 15), 1);
         assert!(victim.is_doomed());
 
         let victim2 = owner();
@@ -1324,7 +1252,7 @@ mod tests {
             &stats,
         );
         t.extend_range_upper(id2, Bound::Included(40));
-        assert_eq!(t.doom_range_lockers(&40, me.id(), &rctx), 1);
+        assert_eq!(doom_at(&mut t, 40), 1);
         assert!(victim2.is_doomed());
         let _ = idx;
     }
@@ -1332,15 +1260,11 @@ mod tests {
     #[test]
     fn range_owner_not_self_doomed() {
         let stats = SemanticStats::default();
-        let mut t: SortedLockTables<u32> = SortedLockTables::default();
+        let mut t: GlobalLocks<u32> = GlobalLocks::default();
         let me = owner();
         t.add_range_lock(me.clone(), Bound::Unbounded, Bound::Unbounded, &stats);
         assert_eq!(
-            t.doom_range_lockers(
-                &1,
-                me.id(),
-                &ctx(&stats, ObsMode::Range, UpdateEffect::KeyWrite)
-            ),
+            t.doom_ranges_at(UpdateEffect::KeyWrite, &1, 0, me.id(), &stats),
             0
         );
         assert!(!me.is_doomed());
@@ -1366,41 +1290,50 @@ mod tests {
         assert!(mode_compatible(O::Full, E::KeyWrite, false));
     }
 
+    /// The conflict counters of the size and emptiness modes.
+    fn size_empty(stats: &SemanticStats) -> (u64, u64) {
+        (
+            stats.size_conflicts.load(Ordering::Relaxed),
+            stats.empty_conflicts.load(Ordering::Relaxed),
+        )
+    }
+
     #[test]
     fn doom_update_routes_through_mode_compatibility() {
         let stats = SemanticStats::default();
         let mut shard: KeyLockShard<u32> = KeyLockShard::default();
-        let mut points = PointLocks::default();
+        let mut points: GlobalLocks<u32> = GlobalLocks::default();
         let me = owner();
         let key_watcher = owner();
         let size_watcher = owner();
         let empty_watcher = owner();
         shard.take_key_lock(7, key_watcher.clone(), &stats);
-        points.take_size_lock(size_watcher.clone(), &stats);
-        points.take_empty_lock(empty_watcher.clone(), &stats);
+        points.take(ObsMode::Size, size_watcher.clone(), &stats);
+        points.take(ObsMode::Empty, empty_watcher.clone(), &stats);
 
         // A value-replacing put: dooms the key watcher only.
         let k = shard.doom_update(UpdateEffect::KeyWrite, &7, me.id(), &stats);
-        let (s, e) = points.doom_update(UpdateEffect::KeyWrite, me.id(), &stats);
-        assert_eq!((k, s, e), (1, 0, 0));
+        let p = points.doom(UpdateEffect::KeyWrite, me.id(), &stats);
+        assert_eq!((k, p), (1, 0));
+        assert_eq!(stats.key_conflicts.load(Ordering::Relaxed), 1);
         assert!(key_watcher.is_doomed());
         assert!(!size_watcher.is_doomed() && !empty_watcher.is_doomed());
 
         // A size change without zero crossing: dooms the size watcher only.
-        let (s, e) = points.doom_update(UpdateEffect::SizeChange, me.id(), &stats);
-        assert_eq!((s, e), (1, 0));
+        assert_eq!(points.doom(UpdateEffect::SizeChange, me.id(), &stats), 1);
+        assert_eq!(size_empty(&stats), (1, 0));
         assert!(!empty_watcher.is_doomed());
 
         // Zero crossing: dooms the emptiness watcher.
-        let (_, e) = points.doom_update(UpdateEffect::ZeroCross, me.id(), &stats);
-        assert_eq!(e, 1);
+        assert_eq!(points.doom(UpdateEffect::ZeroCross, me.id(), &stats), 1);
+        assert_eq!(size_empty(&stats), (1, 1));
         assert!(empty_watcher.is_doomed());
     }
 
     #[test]
     fn sorted_doom_update_endpoints_and_ranges() {
         let stats = SemanticStats::default();
-        let mut t: SortedLockTables<u32> = SortedLockTables::default();
+        let mut t: GlobalLocks<u32> = GlobalLocks::default();
         let me = owner();
         let ranger = owner();
         let firster = owner();
@@ -1410,20 +1343,24 @@ mod tests {
             Bound::Included(20),
             &stats,
         );
-        t.take_first_lock(firster.clone(), &stats);
+        t.take(ObsMode::First, firster.clone(), &stats);
 
-        let (r, f, l) = t.doom_update(
+        let r = t.doom_ranges_at(
             UpdateEffect::KeyWrite,
-            Some(&15),
+            &15,
             key_hash64(&15),
             me.id(),
             &stats,
         );
-        assert_eq!((r, f, l), (1, 0, 0));
+        let p = t.doom(UpdateEffect::KeyWrite, me.id(), &stats);
+        assert_eq!((r, p), (1, 0));
         assert!(ranger.is_doomed() && !firster.is_doomed());
 
-        let (r, f, _) = t.doom_update(UpdateEffect::FirstChange, None, 0, me.id(), &stats);
+        let r = t.doom_ranges_at(UpdateEffect::FirstChange, &15, 0, me.id(), &stats);
+        let f = t.doom(UpdateEffect::FirstChange, me.id(), &stats);
         assert_eq!((r, f), (0, 1));
+        assert_eq!(stats.range_conflicts.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.first_conflicts.load(Ordering::Relaxed), 1);
         assert!(firster.is_doomed());
     }
 
@@ -1450,14 +1387,14 @@ mod tests {
 
     #[test]
     fn stripe_of_is_stable_and_in_range() {
-        let t: MapTables<u64> = StripedTables::new(16, PointLocks::default());
+        let t: MapTables<u64> = StripedTables::new(16);
         for k in 0..1000u64 {
             let s = t.stripe_of(&k);
             assert!(s < 16);
             assert_eq!(s, t.stripe_of(&k), "stripe assignment must be stable");
         }
         // With one stripe, everything maps to stripe 0.
-        let t1: MapTables<u64> = StripedTables::new(1, PointLocks::default());
+        let t1: MapTables<u64> = StripedTables::new(1);
         for k in 0..100u64 {
             assert_eq!(t1.stripe_of(&k), 0);
         }
@@ -1466,7 +1403,7 @@ mod tests {
     #[test]
     fn ascending_sweep_visits_sorted_deduped() {
         let stats = SemanticStats::default();
-        let t: MapTables<u64> = StripedTables::new(8, PointLocks::default());
+        let t: MapTables<u64> = StripedTables::new(8);
         let mut visited = Vec::new();
         t.for_stripes_ascending([5usize, 1, 5, 7, 1, 0], &stats, |i, _| visited.push(i));
         assert_eq!(visited, vec![0, 1, 5, 7]);
@@ -1475,7 +1412,7 @@ mod tests {
     #[test]
     fn striped_key_lock_and_doom_round_trip() {
         let stats = SemanticStats::default();
-        let t: MapTables<u32> = StripedTables::new(4, PointLocks::default());
+        let t: MapTables<u32> = StripedTables::new(4);
         let me = owner();
         let victim = owner();
         t.with_stripe_for(&9, &stats, |s| s.take_key_lock(9, victim.clone(), &stats));
@@ -1489,10 +1426,10 @@ mod tests {
     #[test]
     fn global_stripe_entries_are_counted() {
         let stats = SemanticStats::default();
-        let t: MapTables<u32> = StripedTables::new(4, PointLocks::default());
+        let t: MapTables<u32> = StripedTables::new(4);
         let me = owner();
-        t.with_global(&stats, |g| g.take_size_lock(me.clone(), &stats));
-        t.with_global(&stats, |g| g.release_owner(me.id(), &stats));
+        t.with_global(&stats, |g| g.take(ObsMode::Size, me.clone(), &stats));
+        t.with_global(&stats, |g| g.release(me.id(), &stats));
         assert_eq!(stats.global_stripe_entries.load(Ordering::Relaxed), 2);
     }
 }

@@ -51,8 +51,10 @@
 // txlint: fast-path
 use crate::backend::{MapBackend, MapReadOps};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
+use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{
+    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
+};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -390,8 +392,8 @@ impl<K: Clone + Eq + Hash, V> MapLocal<K, V> {
 }
 
 /// The variant half of the map class (kernel [`SemanticClass`]): the
-/// wrapped backend plus the striped key/size/empty lock tables. Everything
-/// invariant — registration, buffered state, sweep order — is
+/// wrapped backend plus the striped key and whole-collection lock tables.
+/// Everything invariant — registration, buffered state, sweep order — is
 /// [`SemanticCore`]'s.
 pub(crate) struct MapClass<K, V, B> {
     pub(crate) backend: B,
@@ -461,16 +463,13 @@ where
         // only then; a TVar backend's is one var read, which the simulated
         // figures charge to every commit, so it is always read.
         let size_after = (net != 0 || <B as crate::backend::MapReadOps<K, V>>::TRANSACTIONAL_READS)
-            .then(|| self.backend.len(htx) as isize);
+            .then(|| self.backend.len(htx));
         // Global stripe last: every key apply above happens-before this
         // hold, so a size/empty observer locking after this scan reads the
         // fully applied post-commit state.
         global.finish(|g| {
-            if let Some(after) = size_after.filter(|_| net != 0) {
-                g.doom(UpdateEffect::SizeChange);
-                if (after - net == 0) != (after == 0) {
-                    g.doom(UpdateEffect::ZeroCross);
-                }
+            if let Some(after) = size_after {
+                g.size_moved((after as isize - net) as usize, after);
             }
         });
     }
@@ -495,7 +494,6 @@ where
     B: MapBackend<K, V>,
 {
     type Key = K;
-    type Global = PointLocks;
 
     fn key_tables(&self) -> &MapTables<K> {
         self.tables.striped()
@@ -503,6 +501,19 @@ where
 
     fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
+    }
+}
+
+impl<K, V, B> GlobalClass for MapClass<K, V, B>
+where
+    K: Clone + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: MapBackend<K, V>,
+{
+    type RangeKey = K;
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global_stripe()
     }
 }
 
@@ -524,20 +535,18 @@ where
     fn read_point<R>(_core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R {
         tx.open_read(f)
     }
-
-    fn points(global: &mut PointLocks) -> &mut PointLocks {
-        global
-    }
 }
 
 /// What the hash map and the sorted map do differently in the point
-/// operations they share: how a committed point read is made, and where
-/// the size and emptiness locks live. Each shared operation — the
-/// buffered-entry lookup, the buffer step, `get`, `contains_key`, the
-/// reading and the blind writes, blind-write resolution, `size` and
-/// `is_empty_primitive` — has one body, on [`SemanticCore`] below.
+/// operations they share: how a committed point read is made. Each shared
+/// operation — the buffered-entry lookup, the buffer step, `get`,
+/// `contains_key`, the reading and the blind writes, blind-write
+/// resolution, `size` and `is_empty_primitive` — has one body, on
+/// [`SemanticCore`] below.
 pub(crate) trait MapKind:
-    KeyedClass<Local = MapLocal<<Self as KeyedClass>::Key, <Self as MapKind>::Value>> + Sized
+    KeyedClass<Local = MapLocal<<Self as KeyedClass>::Key, <Self as MapKind>::Value>>
+    + GlobalClass
+    + Sized
 {
     /// The map's value type.
     type Value: Clone + Send + 'static;
@@ -547,8 +556,6 @@ pub(crate) trait MapKind:
     fn backend(&self) -> &Self::Backend;
     /// Read committed state for a point operation, the key's lock held.
     fn read_point<R>(core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R;
-    /// The size and emptiness locks in the global stripe's payload.
-    fn points(global: &mut Self::Global) -> &mut PointLocks;
 }
 
 // `MapKind` is crate-private, and so are the operations this impl adds.
@@ -664,37 +671,23 @@ where
     }
 
     pub(crate) fn size(&self, tx: &mut Txn) -> usize {
-        self.observed_size(tx, CachedPoint::Size).max(0) as usize
+        self.observed_size(tx, ObsMode::Size).max(0) as usize
     }
 
     pub(crate) fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
-        self.observed_size(tx, CachedPoint::Empty) <= 0
+        self.observed_size(tx, ObsMode::Empty) <= 0
     }
 
     /// The size this transaction sees, under the size or the zero-crossing
     /// lock (`lock`): blind writes resolved, then the committed length (a
     /// settled read) plus the buffer's delta.
-    fn observed_size(&self, tx: &mut Txn, lock: CachedPoint) -> isize {
+    fn observed_size(&self, tx: &mut Txn, lock: ObsMode) -> isize {
         self.ensure_registered(tx);
         self.resolve_blind(tx);
-        self.take_size_point(tx, lock);
+        self.take_point_lock(tx, lock);
         let backend = self.class().backend();
         let committed = self.read_settled(tx, |otx| backend.len(otx));
         committed as isize + self.try_local(tx, |l| l.delta).unwrap_or(0)
-    }
-
-    /// Hold the size or the zero-crossing lock (`lock`), in the global
-    /// stripe.
-    fn take_size_point(&self, tx: &mut Txn, lock: CachedPoint) {
-        self.take_point_lock(tx, lock, |owner, stats| {
-            self.class().key_tables().with_global(stats, |g| {
-                let points = C::points(g);
-                match lock {
-                    CachedPoint::Size => points.take_size_lock(owner, stats),
-                    _ => points.take_empty_lock(owner, stats),
-                }
-            })
-        });
     }
 }
 
@@ -1019,7 +1012,7 @@ where
             }
             if !self.exhausted {
                 self.exhausted = true;
-                self.map.core.take_size_point(tx, CachedPoint::Size);
+                self.map.core.take_point_lock(tx, ObsMode::Size);
                 // Completeness check: keys committed after our snapshot would
                 // silently be missed. Each confirmed key was key-locked before
                 // it was read, so a commit that removes it dooms this attempt,

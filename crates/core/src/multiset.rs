@@ -15,8 +15,10 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{MapTables, ObsMode, PointLocks, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
+use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{
+    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
+};
 use std::hash::Hash;
 use stm::hash::{StripeMap, StripeSet};
 use stm::{TVar, Txn};
@@ -199,12 +201,7 @@ where
             self.total.write(htx, total_after);
         }
         global.finish(|g| {
-            if total_after != total_before {
-                g.doom(UpdateEffect::SizeChange);
-                if (total_before == 0) != (total_after == 0) {
-                    g.doom(UpdateEffect::ZeroCross);
-                }
-            }
+            g.size_moved(total_before as usize, total_after as usize);
         });
     }
 
@@ -220,7 +217,6 @@ where
     B: MapBackend<T, u64>,
 {
     type Key = T;
-    type Global = PointLocks;
 
     fn key_tables(&self) -> &MapTables<T> {
         self.tables.striped()
@@ -228,6 +224,18 @@ where
 
     fn held_keys(local: &mut MultisetLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
+    }
+}
+
+impl<T, B> GlobalClass for MultisetClass<T, B>
+where
+    T: Clone + Eq + Hash + Send + Sync + 'static,
+    B: MapBackend<T, u64>,
+{
+    type RangeKey = T;
+
+    fn global_stripe(&self) -> &GlobalStripe<T> {
+        self.tables.global_stripe()
     }
 }
 
@@ -401,10 +409,7 @@ where
     /// conflicts with any committing count change).
     pub fn len(&self, tx: &mut Txn) -> usize {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
-                self.core.class().tables.take_size_lock(stats, owner)
-            });
+        self.core.take_point_lock(tx, ObsMode::Size);
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);
@@ -420,10 +425,7 @@ where
     /// conflicts only when the total count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
-                self.core.class().tables.take_empty_lock(stats, owner)
-            });
+        self.core.take_point_lock(tx, ObsMode::Empty);
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);

@@ -16,13 +16,9 @@
 // txlint: fast-path
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{
-    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, KeyedClass,
-    SemanticClass, SemanticCore,
-};
+use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
 use crate::locks::{
-    ObsMode, SemanticStats, SortedGlobal, SortedTables, StripedTables, UpdateEffect,
-    DEFAULT_STRIPES,
+    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
 };
 use std::collections::BTreeMap;
 use std::hash::Hash;
@@ -214,7 +210,7 @@ impl<T> Default for PqLocal<T> {
 pub(crate) struct PqClass<T, B> {
     pub(crate) backend: B,
     pub(crate) total: TVar<u64>,
-    pub(crate) tables: SortedTables<T>,
+    pub(crate) tables: ClassTables<T>,
 }
 
 impl<T, B> SemanticClass for PqClass<T, B>
@@ -252,30 +248,25 @@ where
         let total_before = self.total.read(htx);
         let mut applied: i64 = 0;
 
-        sweep_commit_footprint(
-            &self.tables,
+        let global = self.tables.commit_sweep(
             stats,
+            id,
             local.deltas.iter(),
             local.key_locks.iter(),
-            |shard, op| match op {
-                FootprintOp::Apply(k, &d) => {
-                    if d != 0 {
-                        let cur = self.backend.get(htx, k).unwrap_or(0) as i64;
-                        let new = (cur + d).max(0);
-                        if new != cur {
-                            if new == 0 {
-                                let _ = self.backend.remove(htx, k);
-                            } else {
-                                let _ = self.backend.insert(htx, k.clone(), new as u64);
-                            }
-                            applied += new - cur;
-                            let doomed = shard.doom_update(UpdateEffect::KeyWrite, k, id, stats);
-                            stats.bump(&stats.key_conflicts, doomed);
-                        }
-                    }
+            |k, &d, cx| {
+                if d == 0 {
+                    return;
                 }
-                FootprintOp::Release(k) => {
-                    shard.release_keys(id, std::iter::once(k), stats);
+                let cur = self.backend.get(htx, k).unwrap_or(0) as i64;
+                let new = (cur + d).max(0);
+                if new != cur {
+                    if new == 0 {
+                        let _ = self.backend.remove(htx, k);
+                    } else {
+                        let _ = self.backend.insert(htx, k.clone(), new as u64);
+                    }
+                    applied += new - cur;
+                    cx.doom(UpdateEffect::KeyWrite, k);
                 }
             },
         );
@@ -289,39 +280,18 @@ where
         // The class takes no range locks, so only endpoint and point dooms
         // are needed here.
         let min_after = self.backend.first_entry(htx).map(|(k, _)| k);
-        self.tables.with_global(stats, |g| {
+        global.finish(|g| {
             if min_before != min_after {
-                let (_, by_first, _) =
-                    g.sorted
-                        .doom_update(UpdateEffect::FirstChange, None, 0, id, stats);
-                stats.bump(&stats.first_conflicts, by_first);
+                g.doom(UpdateEffect::FirstChange);
             }
-            if total_after != total_before {
-                let (by_size, _) = g.points.doom_update(UpdateEffect::SizeChange, id, stats);
-                stats.bump(&stats.size_conflicts, by_size);
-                if (total_before == 0) != (total_after == 0) {
-                    let (_, by_empty) = g.points.doom_update(UpdateEffect::ZeroCross, id, stats);
-                    stats.bump(&stats.empty_conflicts, by_empty);
-                }
-            }
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
+            g.size_moved(total_before as usize, total_after as usize);
         });
     }
 
     /// Abort handler: writes were only buffered — pure lock release, key
-    /// stripes ascending then the global stripe last.
+    /// stripes ascending then the global phase last.
     fn release(&self, local: PqLocal<T>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        sweep_release_footprint(
-            &self.tables,
-            stats,
-            local.key_locks.iter(),
-            |shard, keys| shard.release_keys(id, keys.iter().copied(), stats),
-        );
-        self.tables.with_global(stats, |g| {
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
-        });
+        self.tables.release_sweep(stats, id, local.key_locks.iter());
     }
 }
 
@@ -331,14 +301,25 @@ where
     B: SortedMapBackend<T, u64>,
 {
     type Key = T;
-    type Global = SortedGlobal<T>;
 
-    fn key_tables(&self) -> &SortedTables<T> {
-        &self.tables
+    fn key_tables(&self) -> &MapTables<T> {
+        self.tables.striped()
     }
 
     fn held_keys(local: &mut PqLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
+    }
+}
+
+impl<T, B> GlobalClass for PqClass<T, B>
+where
+    T: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    B: SortedMapBackend<T, u64>,
+{
+    type RangeKey = T;
+
+    fn global_stripe(&self) -> &GlobalStripe<T> {
+        self.tables.global_stripe()
     }
 }
 
@@ -420,7 +401,7 @@ where
             core: SemanticCore::new(PqClass {
                 backend,
                 total: TVar::new(0),
-                tables: StripedTables::new(nstripes, SortedGlobal::default()),
+                tables: ClassTables::new(nstripes),
             }),
         }
     }
@@ -473,13 +454,7 @@ where
     /// the `Empty` lock, when there is no result — is taken before
     /// returning.
     fn visible_min(&self, tx: &mut Txn) -> Option<T> {
-        self.core
-            .take_point_lock(tx, CachedPoint::First, |owner, stats| {
-                self.core
-                    .class()
-                    .tables
-                    .with_global(stats, |g| g.sorted.take_first_lock(owner, stats))
-            });
+        self.core.take_point_lock(tx, ObsMode::First);
 
         // Committed side: counts stored in the backend are always >= 1, but
         // this transaction's own buffered deltas may cancel them.
@@ -518,15 +493,7 @@ where
         };
         match &candidate {
             Some(k) => self.core.take_key_lock(tx, k),
-            None => {
-                self.core
-                    .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
-                        self.core
-                            .class()
-                            .tables
-                            .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
-                    });
-            }
+            None => self.core.take_point_lock(tx, ObsMode::Empty),
         }
         candidate
     }
@@ -550,13 +517,7 @@ where
     /// Total number of queued elements, duplicates included (size lock).
     pub fn len(&self, tx: &mut Txn) -> usize {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Size, |owner, stats| {
-                self.core
-                    .class()
-                    .tables
-                    .with_global(stats, |g| g.points.take_size_lock(owner, stats))
-            });
+        self.core.take_point_lock(tx, ObsMode::Size);
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);
@@ -572,13 +533,7 @@ where
     /// conflicts only when the total count moves to or from zero.
     pub fn is_empty_primitive(&self, tx: &mut Txn) -> bool {
         self.core.ensure_registered(tx);
-        self.core
-            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
-                self.core
-                    .class()
-                    .tables
-                    .with_global(stats, |g| g.points.take_empty_lock(owner, stats))
-            });
+        self.core.take_point_lock(tx, ObsMode::Empty);
         let total = self.core.class().total.clone();
         let committed = tx.open_read(move |otx| total.read(otx)) as i64;
         let delta = self.core.try_local(tx, |l| l.total_delta).unwrap_or(0);

@@ -24,21 +24,18 @@
 //! or abort that makes the queue non-empty (Tables 7–8).
 //!
 //! The queue has no per-key locks, so its whole semantic table (the empty
-//! and full locker sets) *is* a global stripe — one counted mutex — while
-//! the per-transaction buffers live in the transaction, like every other
+//! and full locker sets) *is* a global stripe — one counted mutex around
+//! the same whole-collection lock table every class has — while the
+//! per-transaction buffers live in the transaction, like every other
 //! collection's.
 
 // txlint: semantic-tables
 // txlint: fast-path
 use crate::backend::QueueBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, SemanticClass, SemanticCore};
-use crate::locks::{
-    doom_others, mode_compatible, DoomCtx, GlobalStripe, ObsMode, Owners, SemanticStats,
-    UpdateEffect,
-};
+use crate::kernel::{GlobalClass, GlobalPhase, SemanticClass, SemanticCore};
+use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect};
 use std::marker::PhantomData;
-use stm::trace::{self, LockKind};
 use stm::Txn;
 use txstruct::TxVecDeque;
 
@@ -187,24 +184,16 @@ impl<T> QueueLocal<T> {
     }
 }
 
-#[derive(Default)]
-struct QueueTables {
-    empty_lockers: Owners,
-    /// Holders observed the queue full (bounded queues only) — doomed when
-    /// a commit permanently consumes items.
-    full_lockers: Owners,
-}
-
 /// The variant half of the queue class (kernel [`SemanticClass`]): the
 /// wrapped backend, the optional capacity bound, and the queue's whole
-/// semantic table — the empty/full locker sets behind one counted mutex
-/// (the queue has no per-key locks, so its table *is* a global stripe).
+/// semantic table — its empty and full lockers, in a global stripe (the
+/// queue has no per-key locks, so its table *is* a global stripe).
 struct QueueClass<T, B> {
     backend: B,
     /// `None` = unbounded (the paper's queue); `Some(n)` = bounded Channel
     /// with full-lock semantics symmetric to the empty lock.
     capacity: Option<usize>,
-    tables: GlobalStripe<QueueTables>,
+    tables: GlobalStripe<()>,
     _item: PhantomData<fn() -> T>,
 }
 
@@ -250,31 +239,16 @@ where
         for item in local.add_buffer {
             self.backend.push_back(htx, item);
         }
-        self.tables.with(stats, |tables| {
-            // Route the dooms through the Tables 7-8 oracle: an emptiness
-            // observation is invalidated exactly by a zero-crossing publish,
-            // a fullness observation exactly by permanent consumption.
-            if made_nonempty && !mode_compatible(ObsMode::Empty, UpdateEffect::ZeroCross, false) {
-                let ctx = DoomCtx {
-                    stats,
-                    obs: ObsMode::Empty,
-                    effect: UpdateEffect::ZeroCross,
-                    key_hash: 0,
-                };
-                let doomed = doom_others(&mut tables.empty_lockers, id, &ctx);
-                stats.bump(&stats.empty_conflicts, doomed);
+        // The Tables 7-8 oracle routes the dooms: an emptiness observation
+        // is invalidated exactly by a zero-crossing publish, a fullness
+        // observation exactly by permanent consumption.
+        GlobalPhase::new(&self.tables, stats, id).finish(|g| {
+            if made_nonempty {
+                g.doom(UpdateEffect::ZeroCross);
             }
-            if consumed && !mode_compatible(ObsMode::Full, UpdateEffect::Consume, false) {
-                let ctx = DoomCtx {
-                    stats,
-                    obs: ObsMode::Full,
-                    effect: UpdateEffect::Consume,
-                    key_hash: 0,
-                };
-                let doomed = doom_others(&mut tables.full_lockers, id, &ctx);
-                stats.bump(&stats.empty_conflicts, doomed);
+            if consumed {
+                g.doom(UpdateEffect::Consume);
             }
-            release_queue_locks(tables, id, stats);
         });
     }
 
@@ -288,33 +262,26 @@ where
         for (item, _) in local.remove_buffer.into_iter().rev() {
             self.backend.push_front(htx, item);
         }
-        self.tables.with(stats, |tables| {
+        GlobalPhase::new(&self.tables, stats, id).finish(|g| {
             if restored {
                 // The queue may have gone from empty back to non-empty:
                 // emptiness observers are no longer serializable.
-                let ctx = DoomCtx {
-                    stats,
-                    obs: ObsMode::Empty,
-                    effect: UpdateEffect::ZeroCross,
-                    key_hash: 0,
-                };
-                let doomed = doom_others(&mut tables.empty_lockers, id, &ctx);
-                stats.bump(&stats.empty_conflicts, doomed);
+                g.doom(UpdateEffect::ZeroCross);
             }
-            release_queue_locks(tables, id, stats);
         });
     }
 }
 
-/// Drop transaction `id`'s empty/full locks, emitting the trace release
-/// events with per-kind counts (the queue's bespoke table does not go
-/// through [`PointLocks`](crate::locks::PointLocks), so it emits its own).
-fn release_queue_locks(tables: &mut QueueTables, id: u64, stats: &SemanticStats) {
-    let empties = tables.empty_lockers.remove(id);
-    let fulls = tables.full_lockers.remove(id);
-    let sym = stats.class_sym();
-    trace::sem_lock_released(id, sym, LockKind::Empty, empties as u64);
-    trace::sem_lock_released(id, sym, LockKind::Full, fulls as u64);
+impl<T, B> GlobalClass for QueueClass<T, B>
+where
+    T: Clone + Send + Sync + 'static,
+    B: QueueBackend<T>,
+{
+    type RangeKey = ();
+
+    fn global_stripe(&self) -> &GlobalStripe<()> {
+        &self.tables
+    }
 }
 
 /// A transactional work queue wrapping any [`QueueBackend`]; see the module
@@ -377,7 +344,7 @@ where
             core: SemanticCore::new(QueueClass {
                 backend,
                 capacity,
-                tables: GlobalStripe::new(QueueTables::default()),
+                tables: GlobalStripe::default(),
                 _item: PhantomData,
             }),
         }
@@ -393,31 +360,10 @@ where
         Self::build(backend, Some(capacity))
     }
 
-    /// Semantic-conflict counters (only `empty_conflicts` is used here).
+    /// Semantic-conflict counters (only `empty_conflicts` and
+    /// `full_conflicts` are used here).
     pub fn semantic_stats(&self) -> &SemanticStats {
         self.core.stats()
-    }
-
-    fn take_empty_lock(&self, tx: &mut Txn) {
-        self.core
-            .take_point_lock(tx, CachedPoint::Empty, |owner, stats| {
-                stats.bump(&stats.lock_acquisitions, 1);
-                self.core.class().tables.with(stats, |t| {
-                    trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
-                    t.empty_lockers.insert(owner);
-                });
-            });
-    }
-
-    fn take_full_lock(&self, tx: &mut Txn) {
-        self.core
-            .take_point_lock(tx, CachedPoint::Full, |owner, stats| {
-                stats.bump(&stats.lock_acquisitions, 1);
-                self.core.class().tables.with(stats, |t| {
-                    trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Full, 0);
-                    t.full_lockers.insert(owner);
-                });
-            });
     }
 
     /// The number of items this transaction would see: committed queue plus
@@ -458,7 +404,7 @@ where
                 // Blocking semantics in the threaded runtime: observe
                 // fullness (full lock) and retry the whole transaction; a
                 // consuming commit dooms/wakes us.
-                self.take_full_lock(tx);
+                self.core.take_point_lock(tx, ObsMode::Full);
                 stm::abort_and_retry();
             }
         }
@@ -475,7 +421,7 @@ where
         if let Some(cap) = self.core.class().capacity {
             if self.visible_len(tx) >= cap {
                 // Observed fullness: semantic read of the "full" property.
-                self.take_full_lock(tx);
+                self.core.take_point_lock(tx, ObsMode::Full);
                 return false;
             }
         }
@@ -518,7 +464,7 @@ where
             return Some(item);
         }
         // Observed emptiness: semantic read of the "empty" property.
-        self.take_empty_lock(tx);
+        self.core.take_point_lock(tx, ObsMode::Empty);
         None
     }
 
@@ -538,7 +484,7 @@ where
         if own.is_some() {
             return own;
         }
-        self.take_empty_lock(tx);
+        self.core.take_point_lock(tx, ObsMode::Empty);
         None
     }
 }

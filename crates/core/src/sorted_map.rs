@@ -44,19 +44,15 @@
 // txlint: fast-path
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{
-    sweep_commit_footprint, sweep_release_footprint, CachedPoint, FootprintOp, KeyedClass,
-    SemanticClass, SemanticCore,
-};
+use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
 use crate::locks::{
-    ObsMode, PointLocks, SemanticStats, SortedGlobal, SortedTables, StripedTables, UpdateEffect,
-    DEFAULT_STRIPES,
+    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
 };
 use crate::map::{BufWrite, MapKind, MapLocal};
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::ops::Bound;
-use stm::hash::{key_hash64, StripeSet};
+use stm::hash::StripeSet;
 use stm::Txn;
 use txstruct::TxTreeMap;
 
@@ -381,7 +377,7 @@ pub static SORTED_MAP_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph {
 /// carries the order-based range/endpoint locks.
 pub(crate) struct SortedClass<K, V, B> {
     pub(crate) backend: B,
-    pub(crate) tables: SortedTables<K>,
+    pub(crate) tables: ClassTables<K>,
     _value: PhantomData<fn() -> V>,
 }
 
@@ -418,7 +414,7 @@ where
         // stable without holding any table lock.
         let first_before = self.backend.first_entry(htx).map(|(k, _)| k);
         let last_before = self.backend.last_entry(htx).map(|(k, _)| k);
-        let size_before = self.backend.len(htx) as isize;
+        let size_before = self.backend.len(htx);
         let mut size_after = size_before;
 
         // Phase 1 — key stripes, ascending (kernel sweep): apply each
@@ -435,32 +431,25 @@ where
             .collect();
         writes.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut changed_keys: Vec<&K> = Vec::new();
-        sweep_commit_footprint(
-            &self.tables,
+        let global = self.tables.commit_sweep(
             stats,
+            id,
             writes,
             local.key_locks.iter(),
-            |shard, op| match op {
-                FootprintOp::Apply(k, BufWrite::Put(v)) => {
-                    let old = self.backend.insert(htx, k.clone(), v.clone());
-                    if old.is_none() {
+            |k, w, cx| match w {
+                BufWrite::Put(v) => {
+                    if self.backend.insert(htx, k.clone(), v.clone()).is_none() {
                         size_after += 1;
                     }
-                    let doomed = shard.doom_update(UpdateEffect::KeyWrite, k, id, stats);
-                    stats.bump(&stats.key_conflicts, doomed);
+                    cx.doom(UpdateEffect::KeyWrite, k);
                     changed_keys.push(k);
                 }
-                FootprintOp::Apply(k, BufWrite::Remove) => {
-                    let old = self.backend.remove(htx, k);
-                    if old.is_some() {
+                BufWrite::Remove => {
+                    if self.backend.remove(htx, k).is_some() {
                         size_after -= 1;
-                        let doomed = shard.doom_update(UpdateEffect::KeyWrite, k, id, stats);
-                        stats.bump(&stats.key_conflicts, doomed);
+                        cx.doom(UpdateEffect::KeyWrite, k);
                         changed_keys.push(k);
                     }
-                }
-                FootprintOp::Release(k) => {
-                    shard.release_keys(id, std::iter::once(k), stats);
                 }
             },
         );
@@ -470,52 +459,25 @@ where
         // scan read the fully applied post-commit state.
         let first_after = self.backend.first_entry(htx).map(|(k, _)| k);
         let last_after = self.backend.last_entry(htx).map(|(k, _)| k);
-        self.tables.with_global(stats, |g| {
+        global.finish(|g| {
             for k in &changed_keys {
-                let (by_range, _, _) =
-                    g.sorted
-                        .doom_update(UpdateEffect::KeyWrite, Some(k), key_hash64(k), id, stats);
-                stats.bump(&stats.range_conflicts, by_range);
+                g.doom_ranges_at(UpdateEffect::KeyWrite, k);
             }
             if first_before != first_after {
-                let (_, by_first, _) =
-                    g.sorted
-                        .doom_update(UpdateEffect::FirstChange, None, 0, id, stats);
-                stats.bump(&stats.first_conflicts, by_first);
+                g.doom(UpdateEffect::FirstChange);
             }
             if last_before != last_after {
-                let (_, _, by_last) =
-                    g.sorted
-                        .doom_update(UpdateEffect::LastChange, None, 0, id, stats);
-                stats.bump(&stats.last_conflicts, by_last);
+                g.doom(UpdateEffect::LastChange);
             }
-            if size_after != size_before {
-                let (by_size, _) = g.points.doom_update(UpdateEffect::SizeChange, id, stats);
-                stats.bump(&stats.size_conflicts, by_size);
-                if (size_before == 0) != (size_after == 0) {
-                    let (_, by_empty) = g.points.doom_update(UpdateEffect::ZeroCross, id, stats);
-                    stats.bump(&stats.empty_conflicts, by_empty);
-                }
-            }
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
+            g.size_moved(size_before, size_after);
         });
     }
 
     /// Abort handler (compensating transaction): release key locks stripe
-    /// by stripe ascending (kernel sweep), then every point/range/endpoint
-    /// lock in the global stripe, last.
+    /// by stripe ascending, then every point/range/endpoint lock in the
+    /// global phase, last (the kernel's sweep).
     fn release(&self, local: MapLocal<K, V>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        sweep_release_footprint(
-            &self.tables,
-            stats,
-            local.key_locks.iter(),
-            |shard, keys| shard.release_keys(id, keys.iter().copied(), stats),
-        );
-        self.tables.with_global(stats, |g| {
-            g.points.release_owner(id, stats);
-            g.sorted.release_owner(id, stats);
-        });
+        self.tables.release_sweep(stats, id, local.key_locks.iter());
     }
 
     /// Only buffered writes reach the backend: a read-only transaction's
@@ -532,14 +494,26 @@ where
     B: SortedMapBackend<K, V>,
 {
     type Key = K;
-    type Global = SortedGlobal<K>;
 
-    fn key_tables(&self) -> &SortedTables<K> {
-        &self.tables
+    fn key_tables(&self) -> &MapTables<K> {
+        self.tables.striped()
     }
 
     fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
+    }
+}
+
+impl<K, V, B> GlobalClass for SortedClass<K, V, B>
+where
+    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: SortedMapBackend<K, V>,
+{
+    type RangeKey = K;
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global_stripe()
     }
 }
 
@@ -559,10 +533,6 @@ where
     /// A settled read: see the module docs.
     fn read_point<R>(core: &SemanticCore<Self>, tx: &mut Txn, f: impl FnMut(&mut Txn) -> R) -> R {
         core.read_settled(tx, f)
-    }
-
-    fn points(global: &mut SortedGlobal<K>) -> &mut PointLocks {
-        &mut global.points
     }
 }
 
@@ -652,7 +622,7 @@ where
         TransactionalSortedMap {
             core: SemanticCore::new(SortedClass {
                 backend,
-                tables: StripedTables::new(nstripes, SortedGlobal::default()),
+                tables: ClassTables::new(nstripes),
                 _value: PhantomData,
             }),
         }
@@ -807,13 +777,7 @@ where
     pub fn first_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
         self.core.ensure_registered(tx);
         if matches!(lower, Bound::Unbounded) {
-            self.core
-                .take_point_lock(tx, CachedPoint::First, |owner, stats| {
-                    self.core
-                        .class()
-                        .tables
-                        .with_global(stats, |g| g.sorted.take_first_lock(owner, stats))
-                });
+            self.core.take_point_lock(tx, ObsMode::First);
         }
         for _attempt in 0..64 {
             let committed = self.committed_next(tx, &lower, &upper);
@@ -831,18 +795,10 @@ where
                 Some(k) => Bound::Included(k.clone()),
                 None => upper.clone(),
             };
-            // Snapshot skip: the observed prefix is already stable (served
-            // from the version chains), and a snapshot transaction runs no
-            // release sweep, so a range lock taken here would leak.
-            if !tx.in_snapshot() {
-                let owner = tx.handle().clone();
-                let lo = lower.clone();
-                let up = lock_upper.clone();
-                let stats = self.core.stats();
-                self.core.class().tables.with_global(stats, |g| {
-                    g.sorted.add_range_lock(owner, lo, up, stats);
-                });
-            }
+            // A snapshot transaction takes none: the observed prefix is
+            // already stable (served from the version chains).
+            self.core
+                .take_range_lock(tx, lower.clone(), lock_upper.clone());
             // Verify under the lock.
             let verify = self.committed_next(tx, &lower, &lock_upper);
             match (&candidate, verify) {
@@ -896,13 +852,7 @@ where
     pub fn last_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
         self.core.ensure_registered(tx);
         if matches!(upper, Bound::Unbounded) {
-            self.core
-                .take_point_lock(tx, CachedPoint::Last, |owner, stats| {
-                    self.core
-                        .class()
-                        .tables
-                        .with_global(stats, |g| g.sorted.take_last_lock(owner, stats))
-                });
+            self.core.take_point_lock(tx, ObsMode::Last);
         }
         for _attempt in 0..64 {
             let committed = self.committed_prev(tx, &upper, &lower);
@@ -919,16 +869,8 @@ where
                 Some(k) => Bound::Included(k.clone()),
                 None => lower.clone(),
             };
-            // Snapshot skip: see `first_in_range`.
-            if !tx.in_snapshot() {
-                let owner = tx.handle().clone();
-                let lo = lock_lower.clone();
-                let up = upper.clone();
-                let stats = self.core.stats();
-                self.core.class().tables.with_global(stats, |g| {
-                    g.sorted.add_range_lock(owner, lo, up, stats);
-                });
-            }
+            self.core
+                .take_range_lock(tx, lock_lower.clone(), upper.clone());
             let verify = self.committed_prev(tx, &upper, &lock_lower);
             match (&candidate, verify) {
                 (None, None) => return None,
@@ -1086,27 +1028,14 @@ where
     V: Clone + Send + Sync + 'static,
     B: SortedMapBackend<K, V>,
 {
-    fn extend_lock(&mut self, tx: &Txn, upper: Bound<K>) {
-        // Snapshot skip: the growing range lock exists to doom writers that
-        // insert into the iterated prefix, but a snapshot iteration is
-        // isolated by the version chains and has no sweep to release the
-        // lock — taking it would leak it. See `first_in_range`.
-        if tx.in_snapshot() {
-            return;
-        }
-        let class = self.map.core.class();
-        let stats = self.map.core.stats();
+    fn extend_lock(&mut self, tx: &mut Txn, upper: Bound<K>) {
+        // The growing range lock exists to doom writers that insert into
+        // the iterated prefix; a snapshot iteration is isolated by the
+        // version chains and takes none (its `range_id` stays `None`).
+        let core = &self.map.core;
         match self.range_id {
-            Some(id) => class.tables.with_global(stats, |g| {
-                g.sorted.extend_range_upper(id, upper);
-            }),
-            None => {
-                let owner = tx.handle().clone();
-                let lower = self.lower.clone();
-                self.range_id = Some(class.tables.with_global(stats, |g| {
-                    g.sorted.add_range_lock(owner, lower, upper, stats)
-                }));
-            }
+            Some(id) => core.extend_range_lock(id, upper),
+            None => self.range_id = core.take_range_lock(tx, self.lower.clone(), upper),
         }
     }
 
@@ -1176,12 +1105,7 @@ where
                     if matches!(self.upper, Bound::Unbounded) {
                         // Observed that nothing follows: the last-key lock
                         // of Table 5's `hasNext == false` row.
-                        let core = &self.map.core;
-                        core.take_point_lock(tx, CachedPoint::Last, |owner, stats| {
-                            core.class()
-                                .tables
-                                .with_global(stats, |g| g.sorted.take_last_lock(owner, stats))
-                        });
+                        self.map.core.take_point_lock(tx, ObsMode::Last);
                     }
                     let verify = self.map.committed_next(tx, &from, &self.upper);
                     if verify.is_some() {

@@ -154,6 +154,31 @@ fn abort_compensation_dooms_emptiness_observers() {
     assert_eq!(stm::atomic(|tx| q.committed_len(tx)), 1);
 }
 
+/// A bounded queue's fullness doom — `offer() = false` vs a consuming
+/// commit — is a `Full`-mode conflict, counted as one and not as an
+/// emptiness conflict.
+#[test]
+fn fullness_dooms_are_charged_to_full_conflicts() {
+    let q: TransactionalQueue<i32> = TransactionalQueue::bounded(1);
+    stm::atomic(|tx| q.put(tx, 1));
+    let (r, w) = (q.clone(), q.clone());
+    assert_cell(
+        true,
+        "offer()=false vs poll — freed capacity invalidates the fullness observation",
+        move |tx| {
+            assert!(!r.offer(tx, 2));
+        },
+        move |tx| {
+            assert_eq!(w.poll(tx), Some(1));
+        },
+    );
+    let stats = q.semantic_stats();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(load(&stats.full_conflicts), 1);
+    assert_eq!(load(&stats.empty_conflicts), 0);
+    assert_eq!(stats.total(), 1);
+}
+
 // ---------------------------------------------------------------------
 // Table 9: state inventory — addBuffer / removeBuffer behaviour
 // ---------------------------------------------------------------------

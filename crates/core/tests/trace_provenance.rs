@@ -12,7 +12,9 @@ use std::time::Duration;
 use stm::trace::{snapshot, LockKind, TraceConfig, TraceEvent};
 use stm::{atomic, AbortCause};
 use txcollections::{
-    key_hash64, mode_compatible, ObsMode, TransactionalMap, TransactionalSortedMap, UpdateEffect,
+    key_hash64, mode_compatible, Channel, EagerPolicy, EagerTransactionalMap, ObsMode,
+    TransactionalIntervalMap, TransactionalMap, TransactionalMultiset, TransactionalPriorityQueue,
+    TransactionalQueue, TransactionalSortedMap, UpdateEffect,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -234,4 +236,117 @@ fn threaded_doom_edge_agrees_with_abort_attribution() {
         "the victim's abort must attribute the same culprit: {:?}",
         snap.events
     );
+}
+
+/// The lock kinds the trace says transaction `txn` acquired and released,
+/// each sorted and deduplicated.
+fn lock_kinds(events: &[TraceEvent], txn: u64) -> (Vec<LockKind>, Vec<LockKind>) {
+    let (mut acquired, mut released) = (Vec::new(), Vec::new());
+    for e in events {
+        match e {
+            TraceEvent::SemLockAcquired { txn: t, kind, .. } if *t == txn => acquired.push(*kind),
+            TraceEvent::SemLockReleased { txn: t, kind, .. } if *t == txn => released.push(*kind),
+            _ => {}
+        }
+    }
+    for kinds in [&mut acquired, &mut released] {
+        kinds.sort_by_key(|k| *k as u8);
+        kinds.dedup();
+    }
+    (acquired, released)
+}
+
+/// Run `body` once committed and once aborted, and check that each attempt
+/// released every lock kind it acquired — which must be exactly `kinds`.
+fn releases_every_kind(class: &str, kinds: &[LockKind], body: impl Fn(&mut stm::Txn)) {
+    for commit in [true, false] {
+        let guard = TraceConfig::default().enable();
+        let (_, t) = stm::speculate(&body, 0).expect("speculation must succeed");
+        let id = t.handle().id();
+        if commit {
+            t.commit();
+        } else {
+            t.abort(AbortCause::Explicit);
+        }
+        let snap = snapshot();
+        drop(guard);
+        let (acquired, released) = lock_kinds(&snap.events, id);
+        assert_eq!(
+            acquired, kinds,
+            "{class} (commit={commit}): lock kinds acquired"
+        );
+        assert_eq!(
+            released, acquired,
+            "{class} (commit={commit}): every acquired lock kind must be released"
+        );
+    }
+}
+
+/// Every class's commit and abort handlers release — and trace the release
+/// of — every kind of lock the transaction took.
+#[test]
+fn every_class_releases_every_lock_kind_it_acquired() {
+    let _g = serialize();
+    use LockKind::{Empty, Endpoint, Full, Key, Range, Size};
+
+    let m: TransactionalMap<u32, u32> = TransactionalMap::new();
+    releases_every_kind("map", &[Key, Size, Empty], |tx| {
+        m.get(tx, &1);
+        m.size(tx);
+        m.is_empty_primitive(tx);
+        m.put_discard(tx, 2, 2);
+    });
+
+    let sm: TransactionalSortedMap<u32, u32> = TransactionalSortedMap::new();
+    atomic(|tx| sm.put_discard(tx, 10, 10));
+    releases_every_kind("sorted_map", &[Key, Size, Empty, Endpoint, Range], |tx| {
+        sm.first_key(tx);
+        sm.last_key(tx);
+        sm.entries(tx);
+        sm.size(tx);
+        sm.is_empty_primitive(tx);
+        sm.put_discard(tx, 20, 20);
+    });
+
+    let ms: TransactionalMultiset<u32> = TransactionalMultiset::new();
+    releases_every_kind("multiset", &[Key, Size, Empty], |tx| {
+        ms.count(tx, &1);
+        ms.len(tx);
+        ms.is_empty_primitive(tx);
+        ms.add(tx, 2);
+    });
+
+    let pq: TransactionalPriorityQueue<u32> = TransactionalPriorityQueue::new();
+    atomic(|tx| pq.insert(tx, 5));
+    releases_every_kind("priority_queue", &[Key, Size, Empty, Endpoint], |tx| {
+        pq.peek_min(tx);
+        pq.len(tx);
+        pq.is_empty_primitive(tx);
+        pq.insert(tx, 7);
+    });
+
+    let im: TransactionalIntervalMap<u32, u32> = TransactionalIntervalMap::new();
+    releases_every_kind("interval_map", &[Size, Empty, Range], |tx| {
+        im.stab(tx, &3);
+        im.len(tx);
+        im.is_empty_primitive(tx);
+        im.insert(tx, 8, 9, 1);
+    });
+
+    let q: TransactionalQueue<u32> = TransactionalQueue::bounded(1);
+    releases_every_kind("queue", &[Empty, Full], |tx| {
+        assert_eq!(q.poll(tx), None);
+        q.put(tx, 1);
+        assert!(!q.offer(tx, 2));
+        // Take the own item back, so a committed attempt leaves the queue
+        // empty for the aborted one.
+        assert_eq!(q.poll(tx), Some(1));
+    });
+
+    let em: EagerTransactionalMap<u32, u32> = EagerTransactionalMap::new(EagerPolicy::WriterWaits);
+    releases_every_kind("eager_map", &[Key, Size], |tx| {
+        em.get(tx, &1);
+        em.size(tx);
+        em.put(tx, 2, 2);
+    });
 }

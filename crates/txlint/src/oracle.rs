@@ -4,10 +4,12 @@
 //! concrete reader operation against a concrete committing update, with the
 //! paper's verdict on whether they conflict. The oracle replays every row
 //! against [`txcollections::mode_compatible`], the single function the
-//! production doom protocol dispatches through (via
-//! `MapLockTables::doom_update` / `SortedLockTables::doom_update` and the
-//! queue commit handler). Any divergence between these rows and that
-//! function is a bug in one of them.
+//! production doom protocol dispatches through (via the key stripes'
+//! `KeyLockShard::doom_update` and the whole-collection table's
+//! `GlobalLocks::doom` and range dooms, which every class's commit and
+//! abort handlers reach through the kernel's `KeyCtx` and `PointCtx`). Any
+//! divergence between these rows and that function is a bug in one of
+//! them.
 //!
 //! The same rows are checked *dynamically* by
 //! `crates/core/tests/oracle_matrix.rs`, which drives real two-transaction

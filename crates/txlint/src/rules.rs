@@ -1324,11 +1324,6 @@ fn snapshot_mode_marker() -> String {
 /// abort, but snapshot-mode files must not even contain the call.
 const TX013_LOCKING_METHODS: &[&str] = &[
     "take_key_lock",
-    "take_size_lock",
-    "take_empty_lock",
-    "take_full_lock",
-    "take_first_lock",
-    "take_last_lock",
     "take_range_lock",
     "add_range_lock",
     "extend_range_upper",

@@ -23,14 +23,18 @@
 //!   touch: [`SemanticCore::ensure_registered`], one call per operation;
 //!   the kernel makes it idempotent and ordering-safe.
 //! * **Guideline 3** — take semantic locks before reading committed state,
-//!   then read open-nested: `count`/`total` below.
+//!   then read open-nested: `count`/`total` below. Whole-collection locks
+//!   (`total`'s size lock) go through [`SemanticCore::take_point_lock`],
+//!   which caches them per transaction; the class only says where its
+//!   global stripe is ([`GlobalClass`]).
 //! * **Guideline 5-commit** — [`SemanticClass::apply`]: the kernel hands
 //!   you the drained buffer inside the commit handler; you apply it and
 //!   state what each update *does* ([`UpdateEffect`]); the sweep order and
 //!   the who-to-doom case analysis are the kernel's.
 //! * **Guideline 4/5-abort** — [`SemanticClass::release`]: drop the buffer
 //!   (handed over as the body last wrote it) and release the lock
-//!   footprint.
+//!   footprint. Both handlers end in the kernel's global phase, the only
+//!   code that releases a whole-collection lock.
 //!
 //! Everything the pre-kernel version of this example re-implemented by hand
 //! — first-touch registration ordering, where the buffer lives and how it
@@ -44,8 +48,8 @@
 use std::collections::{HashMap, HashSet};
 use stm::{atomic, TVar, Txn};
 use txcollections::{
-    edge, op, ClassTables, ConflictGraph, ObsMode, Overlap, SemanticClass, SemanticCore,
-    SemanticStats, UpdateEffect,
+    edge, op, ClassTables, ConflictGraph, GlobalClass, GlobalStripe, ObsMode, Overlap,
+    SemanticClass, SemanticCore, SemanticStats, UpdateEffect,
 };
 
 const BINS: usize = 16;
@@ -150,6 +154,16 @@ impl SemanticClass for HistClass {
     }
 }
 
+/// Where the histogram's whole-collection locks live: the global stripe of
+/// its tables (it takes no range locks, so their key type is moot).
+impl GlobalClass for HistClass {
+    type RangeKey = usize;
+
+    fn global_stripe(&self) -> &GlobalStripe<usize> {
+        self.tables.global_stripe()
+    }
+}
+
 #[derive(Clone)]
 struct TransactionalHistogram {
     core: SemanticCore<HistClass>,
@@ -197,11 +211,8 @@ impl TransactionalHistogram {
     /// Read the total: size lock + open-nested sweep.
     fn total(&self, tx: &mut Txn) -> u64 {
         self.core.ensure_registered(tx);
-        let class = self.core.class();
-        class
-            .tables
-            .take_size_lock(self.core.stats(), tx.handle().clone());
-        let bins = class.bins.clone();
+        self.core.take_point_lock(tx, ObsMode::Size);
+        let bins = self.core.class().bins.clone();
         let committed: u64 = tx.open(move |otx| bins.iter().map(|b| b.read(otx)).sum());
         committed + self.core.with_local(tx, |l| l.deltas.values().sum::<u64>())
     }

@@ -18,9 +18,13 @@ pub use txstruct;
 /// and wrap it in a [`SemanticCore`] to get the paper's §5 protocol —
 /// first-touch registration, sharded local state, stripe-sweep ordering and
 /// doom dispatch — without re-implementing any of it. [`ClassTables`] adds
-/// ready-made key/size/empty lock tables for keyed classes; dooms raised
-/// during [`ClassTables::commit_sweep`] go through [`KeyCtx`], and the
-/// global phase that the [`GlobalPhase`] token forces to run last dooms
-/// point-lock holders through [`PointCtx`]. See `examples/custom_class.rs`
-/// for the full walkthrough.
-pub use txcollections::{ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore};
+/// ready-made key tables and a global stripe of whole-collection locks for
+/// keyed classes; a class names that stripe through [`GlobalClass`] so
+/// [`SemanticCore::take_point_lock`] can take and cache its locks. Dooms
+/// raised during [`ClassTables::commit_sweep`] go through [`KeyCtx`], and
+/// the global phase that the [`GlobalPhase`] token forces to run last dooms
+/// whole-collection lock holders through [`PointCtx`] and releases the
+/// owner's locks. See `examples/custom_class.rs` for the full walkthrough.
+pub use txcollections::{
+    ClassTables, GlobalClass, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
+};
