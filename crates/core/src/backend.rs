@@ -91,9 +91,10 @@ pub trait MapReadOps<K, V>: Send + Sync + 'static {
     fn is_empty(&self, tx: &mut Txn) -> bool {
         self.len(tx) == 0
     }
-    /// Snapshot of all entries (arbitrary order).
+    /// Snapshot of all keys (arbitrary order): what a map enumeration
+    /// visits, each key's value read again by `get`.
     #[must_use]
-    fn entries(&self, tx: &mut Txn) -> Vec<(K, V)>;
+    fn keys(&self, tx: &mut Txn) -> Vec<K>;
 }
 
 /// Body-side observation surface of an ordered map backend (the stepwise
@@ -258,8 +259,8 @@ macro_rules! delegate_map_backend {
             fn len(&self, tx: &mut Txn) -> usize {
                 delegate_map_backend!(@call $mode, $backend::len, self, tx)
             }
-            fn entries(&self, tx: &mut Txn) -> Vec<(K, V)> {
-                delegate_map_backend!(@call $mode, $backend::entries, self, tx)
+            fn keys(&self, tx: &mut Txn) -> Vec<K> {
+                delegate_map_backend!(@call $mode, $backend::keys, self, tx)
             }
         }
         impl<K, V> MapApplyOps<K, V> for $backend<K, V>

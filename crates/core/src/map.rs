@@ -905,8 +905,7 @@ where
     pub fn iter(&self, tx: &mut Txn) -> TxMapIter<K, V, B> {
         self.core.ensure_registered(tx);
         let backend = &self.core.class().backend;
-        let committed_keys: Vec<K> =
-            tx.open_read(|otx| backend.entries(otx).into_iter().map(|(k, _)| k).collect());
+        let committed_keys: Vec<K> = tx.open_read(|otx| backend.keys(otx));
         // Buffered puts of keys the snapshot lacks are enumerated after it;
         // the snapshot's key set is built only once there is a put to test.
         let buffered_new: Vec<(K, V)> = self

@@ -28,8 +28,8 @@ impl<K, V, B: MapReadOps<K, V>> MapReadOps<K, V> for LenCounting<B> {
         self.lens.fetch_add(1, Ordering::SeqCst);
         self.inner.len(tx)
     }
-    fn entries(&self, tx: &mut Txn) -> Vec<(K, V)> {
-        self.inner.entries(tx)
+    fn keys(&self, tx: &mut Txn) -> Vec<K> {
+        self.inner.keys(tx)
     }
 }
 

@@ -101,3 +101,35 @@ fn visited_key_swapped_mid_iteration_dooms_the_attempt() {
     check(TransactionalMap::new(), "TVar");
     check(TransactionalMap::boosted(), "boosted");
 }
+
+/// `entries()` snapshots the keys without their values, then reads each
+/// value live under its key lock: one clone per value, on both backends.
+#[test]
+fn entries_clones_each_value_once() {
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+    struct Counted;
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted
+        }
+    }
+    fn check<B: MapBackend<u32, Counted>>(m: TransactionalMap<u32, Counted, B>, backend: &str) {
+        const N: usize = 1_000;
+        stm::atomic(|tx| {
+            for k in 0..N as u32 {
+                m.put_discard(tx, k, Counted);
+            }
+        });
+        CLONES.store(0, Ordering::Relaxed);
+        let entries = stm::atomic(|tx| m.entries(tx));
+        assert_eq!(entries.len(), N);
+        assert_eq!(
+            CLONES.load(Ordering::Relaxed),
+            N,
+            "{backend}: entries() must clone each value once"
+        );
+    }
+    check(TransactionalMap::new(), "TVar");
+    check(TransactionalMap::boosted(), "boosted");
+}

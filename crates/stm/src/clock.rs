@@ -22,10 +22,10 @@
 //!    in `VarId` order (globally consistent order ⇒ deadlock-free) via
 //!    [`CommitGuard::lock_write_set`];
 //! 2. validates its read set against the per-var version stamps with
-//!    [`read_valid`] — failing fast (no spinning) if a read-set var is locked
-//!    by another committer, which both avoids hold-and-wait cycles between
-//!    committers and is almost always the right call (a held lock means the
-//!    version is about to change);
+//!    [`CommitGuard::read_valid`] — failing fast (no spinning) if a read-set
+//!    var is locked by another committer, which both avoids hold-and-wait
+//!    cycles between committers and is almost always the right call (a held
+//!    lock means the version is about to change);
 //! 3. wins the doom-vs-commit race (`TxHandle::begin_commit`, top-level
 //!    only);
 //! 4. draws a fresh write version with one clock `fetch_add` and applies the
@@ -60,7 +60,7 @@
 
 use crate::metrics::{self, Total};
 use crate::trace;
-use crate::tvar::AnyVar;
+use crate::tvar::{AnyVar, MAX_VERSION};
 use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,8 +78,15 @@ pub(crate) fn now() -> u64 {
 /// Call only while holding the commit locks of every var about to be stamped
 /// with it: a reader that observes a version above its horizon must be able
 /// to rely on lock-then-validate to resynchronize.
+///
+/// # Panics
+///
+/// Past [`MAX_VERSION`], the largest version a cell word holds, rather
+/// than wrap (2^52 commits).
 pub(crate) fn fresh_version() -> u64 {
-    GLOBAL_CLOCK.fetch_add(1, Ordering::AcqRel) + 1
+    let v = GLOBAL_CLOCK.fetch_add(1, Ordering::AcqRel) + 1;
+    assert!(v <= MAX_VERSION, "the version clock is exhausted");
+    v
 }
 
 /// Acquire the handler lane. Taken by commit/abort handler execution and by
@@ -124,86 +131,189 @@ pub(crate) fn lock_var_spin(var: &dyn AnyVar) {
     }
 }
 
-/// Commit-time read validation against a var's `(version, locked)` stamp,
-/// loaded as one word so a concurrent publish cannot slip between a version
-/// check and a lock check.
+/// Read validation against a var's version and commit-lock fields, loaded
+/// as one word so a concurrent publish cannot slip between a version check
+/// and a lock check. The word's reader count is not read, so a registered
+/// reader never fails a validation.
 ///
 /// Valid iff the version still matches the recorded one **and** the var is
-/// not commit-locked by another transaction. `locked_by_self` is true when
-/// the var is in the caller's own (already locked) write set.
-pub(crate) fn read_valid(var: &dyn AnyVar, recorded: u64, locked_by_self: bool) -> bool {
-    let stamp = var.stamp();
-    (stamp >> 1) == recorded && (stamp & 1 == 0 || locked_by_self)
+/// not commit-locked. A committer validates through
+/// [`CommitGuard::read_valid`] instead, which admits its own locks.
+pub(crate) fn read_valid(var: &dyn AnyVar, recorded: u64) -> bool {
+    var.stamp() == (recorded, false)
 }
 
 /// A var's committed version, waiting out any in-flight publish. Used by
 /// timestamp extension, which holds no locks and therefore may spin.
 pub(crate) fn stable_version(var: &dyn AnyVar) -> u64 {
-    let mut stamp = var.stamp();
-    while stamp & 1 != 0 {
+    let (mut version, mut locked) = var.stamp();
+    while locked {
         std::hint::spin_loop();
         std::thread::yield_now();
-        stamp = var.stamp();
+        (version, locked) = var.stamp();
     }
-    stamp >> 1
+    version
 }
 
 /// A direct-mode (handler) write: lock the var, draw a fresh version, apply.
-/// The apply releases the lock. Callers hold the handler lane, never any var
-/// commit lock, so the spin cannot deadlock.
-pub(crate) fn publish_direct(var: &dyn AnyVar, val: &(dyn Any + Send + Sync)) {
+/// The apply releases the lock and leaves the outgoing value in `val` (see
+/// [`AnyVar::apply`]). Callers hold the handler lane, never any var commit
+/// lock, so the spin cannot deadlock.
+pub(crate) fn publish_direct(var: &dyn AnyVar, val: &mut (dyn Any + Send + Sync)) {
     lock_var_spin(var);
     let wv = fresh_version();
     var.apply(val, wv, crate::epoch::publish_horizon());
 }
 
+/// One write-set entry as a commit publishes it: the var and its buffered
+/// value, which [`AnyVar::apply`] moves into the var.
+pub(crate) type Write<'a> = (&'a dyn AnyVar, &'a mut (dyn Any + Send + Sync));
+
 /// Ownership of a write set's commit locks: phase one of the two-phase
 /// commit. Dropping the guard before [`publish`](Self::publish) (validation
 /// failure, doom) releases every lock with versions unchanged.
 ///
-/// The guard *borrows* the write set's vars from the committing frame — the
-/// frame outlives every commit attempt, so taking an `Arc` refcount per var
-/// per attempt would be pure overhead on the commit hot path.
+/// The guard *borrows* the write set from the committing frame — the frame
+/// outlives every commit attempt, so taking an `Arc` refcount per var per
+/// attempt would be pure overhead on the commit hot path.
 pub(crate) struct CommitGuard<'a> {
-    locked: Vec<&'a dyn AnyVar>,
-    armed: bool,
+    /// The write set in `VarId` order.
+    locked: Vec<Write<'a>>,
+    /// The write version once [`publish`](Self::publish) has drawn it,
+    /// `u64::MAX` before: a var whose version is below it is still locked
+    /// by this guard.
+    version: u64,
 }
 
 impl<'a> CommitGuard<'a> {
-    /// Acquire the commit locks of `vars` in `VarId` order (the globally
-    /// consistent order that makes concurrent committers deadlock-free).
-    pub(crate) fn lock_write_set(mut vars: Vec<&'a dyn AnyVar>) -> CommitGuard<'a> {
-        vars.sort_unstable_by_key(|v| v.id());
-        for v in &vars {
-            lock_var_spin(*v);
+    /// Acquire the commit locks of `writes` in `VarId` order (the globally
+    /// consistent order that makes concurrent committers deadlock-free). An
+    /// empty write set locks nothing and allocates nothing.
+    pub(crate) fn lock_write_set(mut writes: Vec<Write<'a>>) -> CommitGuard<'a> {
+        writes.sort_unstable_by_key(|w| w.0.id());
+        for w in &writes {
+            lock_var_spin(w.0);
         }
         CommitGuard {
-            locked: vars,
-            armed: true,
+            locked: writes,
+            version: u64::MAX,
         }
     }
 
-    /// Phase two: draw the write version and apply the write set.
-    /// `apply_all` must stamp every locked var with the version it is given
-    /// (each `apply` releases that var's lock) and thread the horizon into
-    /// every `apply`. The reclamation horizon is sampled **once per commit**
-    /// here — while snapshot readers are pinned, `min_pinned()` is an
-    /// O(threads) slot scan, and paying it per published var would tax every
-    /// writer with `O(write_set × threads)` for a single long-lived reader.
-    pub(crate) fn publish(mut self, apply_all: impl FnOnce(u64, u64)) {
-        let wv = fresh_version();
+    /// Commit-time validation of a read: [`read_valid`], except that the
+    /// var may be locked by this guard. The write set is searched only for
+    /// a read var that is locked.
+    pub(crate) fn read_valid(&self, var: &dyn AnyVar, recorded: u64) -> bool {
+        let (version, locked) = var.stamp();
+        version == recorded
+            && (!locked
+                || self
+                    .locked
+                    .binary_search_by_key(&var.id(), |w| w.0.id())
+                    .is_ok())
+    }
+
+    /// Phase two: draw the write version and apply the write set, each
+    /// `apply` releasing its var's lock; a read-only commit draws nothing.
+    /// The reclamation horizon is sampled **once per commit** here — while
+    /// snapshot readers are pinned, `min_pinned()` is an O(threads) slot
+    /// scan, and paying it per published var would tax every writer with
+    /// `O(write_set × threads)` for a single long-lived reader.
+    pub(crate) fn publish(mut self) {
+        if self.locked.is_empty() {
+            return;
+        }
+        self.version = fresh_version();
         let horizon = crate::epoch::publish_horizon();
-        apply_all(wv, horizon);
-        self.armed = false;
+        for (var, val) in &mut self.locked {
+            var.apply(&mut **val, self.version, horizon);
+        }
+        self.locked.clear();
     }
 }
 
 impl Drop for CommitGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            for v in &self.locked {
+        // Unwinding out of `publish`, a var already stamped with this
+        // commit's version is released, and another committer may hold it
+        // by now; releasing it again would hand that committer's lock to a
+        // third. Every var still below the version is this guard's to
+        // release. Before `publish` that is every var.
+        for (v, _) in &self.locked {
+            if v.version() < self.version {
                 v.unlock_commit();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tvar::{TVar, VarId};
+    use std::sync::atomic::AtomicBool;
+
+    /// A var that sorts after every cell and whose publish, like a commit
+    /// racing the unwind, locks `victim` once its lock is free and then
+    /// panics.
+    struct Hijack<'a> {
+        victim: &'a dyn AnyVar,
+        locked: AtomicBool,
+    }
+
+    impl AnyVar for Hijack<'_> {
+        fn id(&self) -> VarId {
+            VarId::MAX
+        }
+        fn stamp(&self) -> (u64, bool) {
+            (0, self.locked.load(Ordering::Acquire))
+        }
+        fn try_lock_commit(&self) -> bool {
+            !self.locked.swap(true, Ordering::AcqRel)
+        }
+        fn unlock_commit(&self) {
+            assert!(self.locked.swap(false, Ordering::AcqRel));
+        }
+        fn apply(&self, _: &mut (dyn Any + Send + Sync), _: u64, _: u64) {
+            assert!(self.victim.try_lock_commit(), "the victim is published");
+            panic!("publish unwinds");
+        }
+    }
+
+    #[test]
+    fn an_unwinding_publish_releases_only_the_locks_it_still_holds() {
+        let a = TVar::new(0u64);
+        let victim = a.any();
+        let b = Hijack {
+            victim: &*victim,
+            locked: AtomicBool::new(false),
+        };
+        let (mut va, mut vb) = (Some(1u64), Some(2u64));
+        let guard = CommitGuard::lock_write_set(vec![(&*victim, &mut va), (&b, &mut vb)]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| guard.publish()));
+        assert!(unwound.is_err());
+        let (version, locked) = victim.stamp();
+        assert!(version > 0, "the victim was published");
+        assert!(locked, "the unwind released the other committer's lock");
+        assert!(
+            !b.locked.load(Ordering::Acquire),
+            "the unpublished var stayed locked"
+        );
+        assert_eq!(va, Some(0), "the outgoing value moved into the write set");
+        victim.unlock_commit();
+        assert_eq!(a.read_committed(), 1);
+    }
+
+    #[test]
+    fn a_guard_dropped_before_its_publish_releases_every_lock() {
+        let (a, b) = (TVar::new(0u64), TVar::new(0u64));
+        let (any_a, any_b) = (a.any(), b.any());
+        let (mut va, mut vb) = (Some(1u64), Some(2u64));
+        let guard = CommitGuard::lock_write_set(vec![(&*any_a, &mut va), (&*any_b, &mut vb)]);
+        assert!(guard.read_valid(&*any_a, 0), "own lock");
+        assert!(!read_valid(&*any_a, 0), "another's lock");
+        drop(guard);
+        assert_eq!((any_a.stamp(), any_b.stamp()), ((0, false), (0, false)));
+        assert_eq!((va, vb), (Some(1), Some(2)), "nothing was published");
     }
 }

@@ -111,17 +111,19 @@ pub fn key_hash64<K: Hash + ?Sized>(key: &K) -> u64 {
     BuildHasherDefault::<StripeHasher>::default().hash_one(key)
 }
 
-/// [`StripeHasher`] with [`stripe_index`]'s fold applied at `finish`, for
-/// tables keyed by [`VarId`]. A var's id is its 8-aligned address, so the
-/// raw product's low three bits, the bits a `HashMap` starts its probe
-/// from, would always be zero.
+/// [`StripeHasher`] with a stronger `finish`, for tables keyed by
+/// [`VarId`]. A var's id is its 8-aligned address, so the raw product's low
+/// three bits, the bits a `HashMap` starts its probe from, would always be
+/// zero; [`stripe_index`]'s fold alone still clusters ids at power-of-two
+/// strides of 128 bytes and more (cells in 256-byte-aligned blocks). A
+/// second multiply between two folds spreads every stride alike.
 #[derive(Default)]
 pub struct VarIdHasher(StripeHasher);
 
 impl Hasher for VarIdHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        fold(self.0.finish())
+        fold(fold(self.0.finish()).wrapping_mul(STRIPE_SEED))
     }
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
@@ -157,9 +159,11 @@ mod tests {
     #[test]
     fn aligned_var_ids_spread_over_the_low_bits() {
         let var_set = BuildHasherDefault::<VarIdHasher>::default();
-        // 8-aligned addresses at strides from adjacent words up to a tree
-        // node's 272-byte heap chunk.
-        for stride in [8u64, 56, 64, 272] {
+        // 8-aligned addresses at strides from adjacent words up to 512
+        // bytes: inline cells 24 bytes apart, nodes in 176- and 224-byte
+        // heap chunks (a 160-byte tree node, a 208-byte `jbb` order node),
+        // and the power-of-two strides that one fold alone clusters.
+        for stride in [8u64, 24, 32, 56, 64, 128, 176, 224, 256, 272, 512] {
             let ids = || (0..1024u64).map(move |i| 0x7f3a_5c21_8000 + i * stride);
             let raw = low_bit_buckets(ids(), 10, |id| key_hash64(&id));
             let folded = low_bit_buckets(ids(), 10, |id| var_set.hash_one(id));

@@ -7,16 +7,23 @@
 //! in an allocation of its own, while a structure with several vars per
 //! object (a tree node) embeds its cells inline in one `Arc`-owned block.
 //! All access from inside a transaction goes through `read` / `write`,
-//! which log the access in the current nesting frame of the [`Txn`]. Values
-//! are stored and buffered by clone; in practice `T` is either small and
-//! `Copy`-like or an `Arc`-wrapped payload.
+//! which log the access in the current nesting frame of the [`Txn`]. A read
+//! clones the value; a commit moves each buffered value into its var. In
+//! practice `T` is either small and `Copy`-like or an `Arc`-wrapped payload.
 //!
-//! Each cell's **versioned commit lock** (`vlock`) is the only copy of its
-//! version: one atomic word holding `(version << 1) | locked`. Committers
-//! acquire the lock bit (in `VarId` order across their write set), and
-//! publishing stores the new version with the bit clear — so releasing the
-//! lock and stamping the version are one atomic store, and validators read
-//! version + lock state as one word. See `clock.rs` for the protocol.
+//! Each cell's **word** (`vlock`) is the only copy of its version and the
+//! only guard of its value. One atomic `u64` holds four fields, low bits
+//! first: the commit-lock bit, the swap bit, a saturating count of
+//! registered readers, and the version in the top 52 bits. Committers
+//! acquire the lock bit (in `VarId` order across their write set). A
+//! reader of the value registers in the word by CAS; a publish sets the
+//! swap bit, waits until no reader is registered, swaps the value, and
+//! stamps the new version with every other field clear — so releasing the
+//! lock, ending the swap and stamping the version are one atomic store.
+//! Validators read only the version and lock fields, so a reader's
+//! registration never fails a validation or a lock attempt. See
+//! `clock.rs` for the commit protocol and [`TCell::pair_at`] for who waits
+//! where.
 //!
 //! A cell's [`VarId`] is its address. Every read-set, write-set and
 //! flattened-read entry is a [`VarRef`], which keeps the block holding the
@@ -25,8 +32,9 @@
 use crate::cost;
 use crate::metrics::{self, Total};
 use crate::txn::Txn;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,6 +44,24 @@ use std::sync::Arc;
 /// past that its entry fell off the end takes the counted fallback path
 /// instead; the bound is what keeps worst-case memory per var constant.
 pub(crate) const MAX_CHAIN_DEPTH: usize = 8;
+
+/// The cell word's commit-lock bit.
+const LOCKED: u64 = 1;
+/// The cell word's swap bit: set only by [`AnyVar::apply`], while it holds
+/// the commit lock and replaces the head.
+const SWAP: u64 = 1 << 1;
+/// One registered reader in the cell word.
+const READER: u64 = 1 << 2;
+/// The reader-count field, 10 bits wide. A reader that finds it full waits,
+/// so the width bounds how many readers share a head at once, never
+/// correctness.
+const READERS: u64 = 0x3ff * READER;
+/// Where the version starts in the cell word.
+const VERSION_SHIFT: u32 = 12;
+
+/// The largest version a cell word holds: the clock panics rather than
+/// draw one past it (`clock::fresh_version`).
+pub(crate) const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
 
 static LABELS: Mutex<BTreeMap<VarId, String>> = Mutex::new(BTreeMap::new());
 /// Number of entries in [`LABELS`], changed only under its lock: a cell's
@@ -54,8 +80,8 @@ pub fn label_count() -> usize {
 }
 
 /// Identifier of a [`TVar`] or [`TCell`]: the cell's address, so unique
-/// among live vars. A cell's first word is its own commit lock, so a cell
-/// nested inside another cell's value never shares its address. Once a var
+/// among live vars. A cell starts with its own word, so a cell nested
+/// inside another cell's value never shares its address. Once a var
 /// drops, a new one may reuse its id; the simulator intersects read and
 /// write sets by `VarId` only while the transactions holding them keep
 /// their vars alive.
@@ -64,25 +90,31 @@ pub type VarId = u64;
 /// Type-erased view of a cell used by read/write sets and the committer.
 pub(crate) trait AnyVar: Send + Sync {
     fn id(&self) -> VarId;
-    /// Raw `(version << 1) | locked` word, loaded once — the unit of
-    /// commit-time validation.
-    fn stamp(&self) -> u64;
-    /// Committed version (the stamp without the lock bit).
+    /// The committed version and whether the commit lock is held, loaded
+    /// as one word — the unit of commit-time validation. The word's swap
+    /// bit and reader count are left out, so a reader's registration never
+    /// fails a validation.
+    fn stamp(&self) -> (u64, bool);
+    /// Committed version.
     fn version(&self) -> u64 {
-        self.stamp() >> 1
+        self.stamp().0
     }
-    /// Try to acquire the commit lock; `false` if another committer holds it.
+    /// Try to acquire the commit lock; `false` if another committer holds
+    /// it. Registered readers never make it fail.
     fn try_lock_commit(&self) -> bool;
     /// Release the commit lock without publishing (failed commit).
     fn unlock_commit(&self);
     /// Publish a buffered value with the given write version, releasing the
     /// commit lock in the same store. The caller holds the commit lock.
-    /// `val` must be the `T` of the underlying var (guaranteed by the logger).
+    /// `val` must be a `Some` of `Option<T>` for the `T` of the underlying
+    /// var (guaranteed by the logger). The value moves into the var, and the
+    /// outgoing one moves into `val` unless the history chain keeps it, so a
+    /// publish neither clones nor drops a value of the caller's.
     /// `horizon` is the chain-reclamation horizon for the publishing commit,
     /// sampled once per commit via [`crate::epoch::publish_horizon`] —
     /// `u64::MAX` means no snapshot reader is pinned and history maintenance
     /// can be skipped entirely.
-    fn apply(&self, val: &(dyn Any + Send + Sync), version: u64, horizon: u64);
+    fn apply(&self, val: &mut (dyn Any + Send + Sync), version: u64, horizon: u64);
 }
 
 /// A type whose [`TCell`]s stay where they are while it is shared, so that
@@ -142,26 +174,35 @@ pub unsafe trait CellOwner: Send + Sync + 'static {
 /// assert_eq!(p.y.read_committed(), 11);
 /// assert_ne!(p.x.id(), p.y.id());
 /// ```
-// `repr(C)` puts `vlock` first: a cell's address is its own lock word, never
-// that of a cell inside its value, which is what keeps ids unique.
+// `repr(C)` puts `vlock` first: a cell's address is its own word, never that
+// of a cell inside its value, which is what keeps ids unique.
 #[repr(C)]
 pub struct TCell<T> {
-    /// `(version << 1) | locked` — see the module docs.
+    /// Lock bit, swap bit, reader count and version — see the module docs.
     vlock: AtomicU64,
-    cell: RwLock<Head<T>>,
+    /// Read only under a [`Registration`], written only by `apply`.
+    head: UnsafeCell<Head<T>>,
 }
 
+const _: () = assert!(size_of::<TCell<u64>>() == 24);
+
+// SAFETY: the head is read only through a `Registration`, which clones `T`
+// from a shared `&T` while other readers may do the same (hence `T: Sync`),
+// and written only by `apply` while no reader is registered, which moves
+// values in and out from the publishing thread (hence `T: Send`).
+unsafe impl<T: Send + Sync> Sync for TCell<T> {}
+
 // SAFETY: the only cell a shared `&TCell<T>` reaches in its own bytes is
-// itself (its value sits behind a lock private to this module), and moving
-// or dropping it needs `&mut` or ownership, which no one has while an `Arc`
-// shares it.
+// itself (its value sits in an `UnsafeCell` private to this module), and
+// moving or dropping it needs `&mut` or ownership, which no one has while
+// an `Arc` shares it.
 unsafe impl<T: Send + Sync + 'static> CellOwner for TCell<T> {}
 
 // SAFETY: `holds` admits exactly the slice, and the only cells a shared box
-// reaches there are its elements (a cell's value sits behind a lock private
-// to this module). Replacing or resizing the slice needs `&mut` or ownership
-// of the box, which no one has while an `Arc` shares it, so they stay in
-// place until the box drops.
+// reaches there are its elements (a cell's value sits in an `UnsafeCell`
+// private to this module). Replacing or resizing the slice needs `&mut` or
+// ownership of the box, which no one has while an `Arc` shares it, so they
+// stay in place until the box drops.
 unsafe impl<T: Send + Sync + 'static> CellOwner for Box<[TCell<T>]> {
     fn holds(&self, addr: usize, len: usize) -> bool {
         let start = self.as_ptr() as usize;
@@ -187,6 +228,39 @@ struct Head<T> {
 }
 
 struct Chain<T>(Vec<(u64, T)>);
+
+/// A reader registered in a cell word. While it lives no publish swaps the
+/// head, so the head and the version in `word` belong together. Dropping it
+/// deregisters, also when `T::clone` unwinds.
+struct Registration<'a, T> {
+    cell: &'a TCell<T>,
+    /// The word the registering CAS replaced.
+    word: u64,
+}
+
+impl<T> Registration<'_, T> {
+    /// The head's version.
+    fn version(&self) -> u64 {
+        self.word >> VERSION_SHIFT
+    }
+
+    fn head(&self) -> &Head<T> {
+        // SAFETY: `apply` writes the head only while its swap bit is set and
+        // no reader is registered, and a reader registers only by a CAS
+        // against a word with the swap bit clear. This registration lasts
+        // as long as the borrow, so the head does not change under it.
+        unsafe { &*self.cell.head.get() }
+    }
+}
+
+impl<T> Drop for Registration<'_, T> {
+    fn drop(&mut self) {
+        // Release: the head reads happen before a publisher that sees the
+        // count drained replaces the head.
+        let w = self.cell.vlock.fetch_sub(READER, Ordering::Release);
+        debug_assert!(w & READERS != 0, "a reader left an empty count");
+    }
+}
 
 /// A logged reference to a cell: the cell, and the `Arc` of the block that
 /// holds it, which keeps the cell alive as long as the entry.
@@ -254,7 +328,41 @@ impl<T> TCell<T> {
     /// means the cell is not shared yet, or no longer. A value set here is
     /// committed at the cell's current version.
     pub fn get_mut(&mut self) -> &mut T {
-        &mut self.cell.get_mut().value
+        &mut self.head.get_mut().value
+    }
+
+    /// Register as a reader of the head, for a read at snapshot `s`. Waits
+    /// while the cell is commit-locked with its head at or below `s` (see
+    /// [`pair_at`](Self::pair_at)), while a publish swaps the head, and
+    /// while the reader count is full.
+    fn register(&self, s: u64) -> Registration<'_, T> {
+        let mut w = self.vlock.load(Ordering::Relaxed);
+        loop {
+            let gated = w & LOCKED != 0 && w >> VERSION_SHIFT <= s;
+            if gated || w & SWAP != 0 || w & READERS == READERS {
+                std::hint::spin_loop();
+                std::thread::yield_now();
+                w = self.vlock.load(Ordering::Relaxed);
+                continue;
+            }
+            // Acquire: the head the last publish stored before its word.
+            // Release: a committer that locks the word after this CAS then
+            // draws its version after the caller sampled `s`, so past `s`.
+            match self.vlock.compare_exchange_weak(
+                w,
+                w + READER,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    return Registration {
+                        cell: self,
+                        word: w,
+                    }
+                }
+                Err(now) => w = now,
+            }
+        }
     }
 }
 
@@ -263,7 +371,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     pub fn new(value: T) -> Self {
         TCell {
             vlock: AtomicU64::new(0),
-            cell: RwLock::new(Head { value, chain: None }),
+            head: UnsafeCell::new(Head { value, chain: None }),
         }
     }
 
@@ -314,8 +422,8 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// [`read_at`](Self::read_at) with the version of the value read. At
     /// `s = u64::MAX` it is the validated read of the committed head.
     ///
-    /// The head check is gated on the versioned commit lock: accepting a
-    /// head stamped `<= s` is sound **only** while the var is unlocked. A
+    /// The head check is gated on the commit lock: accepting a head
+    /// stamped `<= s` is sound **only** while the var is unlocked. A
     /// committer draws its write version with the clock `fetch_add` *after*
     /// locking its whole write set, so a commit that could still publish a
     /// version `<= s` drew it before our snapshot sampled the clock — and
@@ -326,30 +434,23 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// `<= s`) — an inconsistent cut through one atomic write set (and a
     /// validated read would accept a value about to be replaced unnoticed).
     ///
-    /// The only wait is the bounded spin when a publish is in flight *and*
-    /// the committed head is still at or below `s`; every other path is one
-    /// stamp load, one `RwLock` read of `cell`, and a stamp re-check.
+    /// The read registers in the cell word by one CAS against a word that
+    /// passes the gate. No publish swaps the head or restamps the word while
+    /// a reader is registered, so the version that CAS saw is the head's,
+    /// and the gate held when the head was read. A reader waits in three
+    /// places: commit-locked with the head at or below `s` (the committer
+    /// releases by publishing or unwinding), during a publish's swap, and
+    /// while the reader count is full; each wait is short and bounded.
     fn pair_at(&self, s: u64) -> Option<(u64, T)> {
-        loop {
-            let w = self.vlock.load(Ordering::Acquire);
-            let g = self.cell.read();
-            if w >> 1 > s {
-                // Head and any publish in flight (versions are monotone) are
-                // past `s`. A publish pushes the old head under the lock that
-                // swaps it: the chain is contiguous, a reclaimed entry a miss.
-                return g.chain.as_ref()?.0.iter().find(|e| e.0 <= s).cloned();
-            }
-            // Versions never repeat (the clock is a monotone fetch_add): an
-            // unchanged stamp proves no publish swapped the value since.
-            if w & 1 == 0 && self.vlock.load(Ordering::Acquire) == w {
-                return Some((w >> 1, g.value.clone()));
-            }
-            // A publish in flight may publish `<= s` too: wait out the short
-            // window (the committer releases by publishing or unwinding).
-            drop(g);
-            std::hint::spin_loop();
-            std::thread::yield_now();
+        let reader = self.register(s);
+        let head = reader.head();
+        if reader.version() > s {
+            // Head and any publish in flight (versions are monotone) are
+            // past `s`. A publish pushes the old head before it restamps the
+            // word: the chain is contiguous, a reclaimed entry a miss.
+            return head.chain.as_ref()?.0.iter().find(|e| e.0 <= s).cloned();
         }
+        Some((reader.version(), head.value.clone()))
     }
 }
 
@@ -358,60 +459,79 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
         TCell::id(self)
     }
 
-    fn stamp(&self) -> u64 {
-        self.vlock.load(Ordering::Acquire)
+    fn stamp(&self) -> (u64, bool) {
+        let w = self.vlock.load(Ordering::Acquire);
+        (w >> VERSION_SHIFT, w & LOCKED != 0)
     }
 
     fn try_lock_commit(&self) -> bool {
-        let w = self.vlock.load(Ordering::Acquire);
-        if w & 1 != 0 {
-            return false;
-        }
-        self.vlock
-            .compare_exchange(w, w | 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        self.vlock.fetch_or(LOCKED, Ordering::AcqRel) & LOCKED == 0
     }
 
     fn unlock_commit(&self) {
-        let w = self.vlock.load(Ordering::Acquire);
-        debug_assert!(w & 1 != 0, "unlock_commit on an unlocked var");
-        self.vlock.store(w & !1, Ordering::Release);
+        let w = self.vlock.fetch_and(!LOCKED, Ordering::Release);
+        debug_assert!(w & LOCKED != 0, "unlock_commit on an unlocked var");
     }
 
-    fn apply(&self, val: &(dyn Any + Send + Sync), version: u64, horizon: u64) {
-        let v = val
-            .downcast_ref::<T>()
+    fn apply(&self, val: &mut (dyn Any + Send + Sync), version: u64, horizon: u64) {
+        let slot = val
+            .downcast_mut::<Option<T>>()
             .expect("write-set entry type mismatch");
+        let new = slot.take().expect("a buffered value is published once");
+        debug_assert!(version <= MAX_VERSION, "version past the cell word");
+        // Bar new readers, then wait until the registered ones are gone.
+        let mut w = self.vlock.fetch_or(SWAP, Ordering::Acquire);
+        debug_assert!(w & LOCKED != 0, "apply without the commit lock");
+        while w & READERS != 0 {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+            w = self.vlock.load(Ordering::Acquire);
+        }
         // We hold the lock bit: the word still names the outgoing version.
-        let outgoing = self.vlock.load(Ordering::Relaxed) >> 1;
-        let mut g = self.cell.write();
-        let old = std::mem::replace(&mut g.value, v.clone());
-        let reclaimed = if horizon != u64::MAX {
-            // A snapshot may still need the outgoing head: push it under the
-            // lock that swaps the head. The horizon is sampled once per
-            // commit; a pin landing mid-batch is safe anyway, as its
+        let outgoing = w >> VERSION_SHIFT;
+        // SAFETY: the caller holds the commit lock, so no other `apply` runs
+        // on this cell. The swap bit is set and no reader is registered, and
+        // none registers while the bit is set, so nothing else refers to the
+        // head until the store below clears the bit.
+        let head = unsafe { &mut *self.head.get() };
+        let old = std::mem::replace(&mut head.value, new);
+        // Until the store, the swap runs no code of `T`'s, so no panic can
+        // leave the swap bit set: what the publish reclaims is moved out
+        // here and dropped on return, after the store lets readers back in.
+        let (reclaimed, _tail, _freed) = if horizon != u64::MAX {
+            // A snapshot may still need the outgoing head: push it before
+            // the store that restamps the word. The horizon is sampled once
+            // per commit; a pin landing mid-batch is safe anyway, as its
             // stabilization loop (`epoch::pin`) puts this commit's version at
-            // or below the pinned epoch. Then drop what no pin can reach:
+            // or below the pinned epoch. Then cut what no pin can reach:
             // entries older than the newest one at or below `horizon` (future
             // pins sample a clock past every version), and any past the bound.
-            let h = &mut g.chain.get_or_insert_with(|| Box::new(Chain(Vec::new()))).0;
+            let h = &mut head
+                .chain
+                .get_or_insert_with(|| Box::new(Chain(Vec::new())))
+                .0;
             h.insert(0, (outgoing, old));
-            let before = h.len();
-            if let Some(i) = h.iter().position(|e| e.0 <= horizon) {
-                h.truncate(i + 1);
-            }
-            h.truncate(MAX_CHAIN_DEPTH);
-            before - h.len()
+            let keep = h
+                .iter()
+                .position(|e| e.0 <= horizon)
+                .map_or(h.len(), |i| i + 1);
+            let tail = h.split_off(keep.min(MAX_CHAIN_DEPTH));
+            (tail.len(), tail, None)
         } else {
             // No snapshot pinned anywhere: free the chain. Keeping older
             // entries without this push would leave a version *gap* a later
-            // snapshot could misread as the state at its version.
-            g.chain.take().map_or(0, |c| c.0.len())
+            // snapshot could misread as the state at its version. The
+            // outgoing value goes back to the write set, which drops it once
+            // the whole commit is published.
+            *slot = Some(old);
+            let chain = head.chain.take();
+            (chain.as_ref().map_or(0, |c| c.0.len()), Vec::new(), chain)
         };
-        drop(g);
+        // Stamp, end the swap and release the lock in one store: no reader
+        // is registered, and none registers until the store lands.
+        self.vlock
+            .store(version << VERSION_SHIFT, Ordering::Release);
         metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
-        // Stamp + release in one store.
-        self.vlock.store(version << 1, Ordering::Release);
     }
 }
 
@@ -510,8 +630,9 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// whenever no snapshot reader has been pinned across a recent publish;
     /// never exceeds the compiled-in chain depth bound.
     pub fn chain_len(&self) -> usize {
-        let g = self.core.cell.read();
-        g.chain.as_ref().map_or(0, |c| c.0.len())
+        // Registered as a validated read, it waits out a publish in flight.
+        let reader = self.core.register(u64::MAX);
+        reader.head().chain.as_ref().map_or(0, |c| c.0.len())
     }
 
     pub(crate) fn committed_pair(&self) -> (u64, T) {
@@ -544,6 +665,8 @@ impl<T: std::fmt::Debug + Clone + Send + Sync + 'static> std::fmt::Debug for TVa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn fresh_var_has_version_zero() {
@@ -561,11 +684,43 @@ mod tests {
         assert_eq!(a.id(), a2.id());
     }
 
+    /// Spin until the cell word shows `bits`.
+    fn await_word(v: &TVar<u64>, bits: u64) {
+        while v.core.vlock.load(Ordering::Acquire) & bits != bits {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spawn `f` in `s` and return once it runs, after giving it the CPU a
+    /// fixed number of times, so a thread that could wrongly finish by now
+    /// has every chance to.
+    fn spawn_running<'s, R: Send + 's>(
+        s: &'s std::thread::Scope<'s, '_>,
+        f: impl FnOnce() -> R + Send + 's,
+    ) -> std::thread::ScopedJoinHandle<'s, R> {
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let barrier = Arc::clone(&started);
+        let h = s.spawn(move || {
+            barrier.wait();
+            f()
+        });
+        started.wait();
+        for _ in 0..1_000 {
+            std::thread::yield_now();
+        }
+        h
+    }
+
+    fn readers(v: &TVar<u64>) -> u64 {
+        (v.core.vlock.load(Ordering::Acquire) & READERS) / READER
+    }
+
     #[test]
     fn apply_updates_value_and_version() {
         let v = TVar::new(1i32);
         let any = v.any();
-        any.apply(&42i32, 9, u64::MAX);
+        assert!(any.try_lock_commit());
+        any.apply(&mut Some(42i32), 9, u64::MAX);
         assert_eq!(v.read_committed(), 42);
         assert_eq!(v.version(), 9);
     }
@@ -576,15 +731,110 @@ mod tests {
         let any = v.any();
         assert!(any.try_lock_commit());
         assert!(!any.try_lock_commit(), "lock is exclusive");
-        assert_eq!(any.stamp() & 1, 1);
-        assert_eq!(any.version(), 0, "version unchanged while locked");
+        assert_eq!(any.stamp(), (0, true), "version unchanged while locked");
         any.unlock_commit();
-        assert_eq!(any.stamp(), 0);
+        assert_eq!(any.stamp(), (0, false));
         // A publish through apply releases and stamps in one store.
         assert!(any.try_lock_commit());
-        any.apply(&9u8, 3, u64::MAX);
-        assert_eq!(any.stamp(), 3 << 1);
+        any.apply(&mut Some(9u8), 3, u64::MAX);
+        assert_eq!(any.stamp(), (3, false));
         assert_eq!(v.read_committed(), 9);
+    }
+
+    #[test]
+    fn a_registered_reader_fails_no_validation_and_no_lock_attempt() {
+        let v = TVar::new(1u64);
+        let any = v.any();
+        let reader = v.core.register(u64::MAX);
+        assert_eq!(readers(&v), 1);
+        assert!(clock::read_valid(&*any, 0), "a reader is no lock");
+        assert_eq!(clock::stable_version(&*any), 0);
+        assert!(any.try_lock_commit(), "a reader does not hold the lock");
+        assert!(!clock::read_valid(&*any, 0), "another's lock");
+        any.unlock_commit();
+        let mut slot = Some(2u64);
+        let guard = clock::CommitGuard::lock_write_set(vec![(&*any, &mut slot)]);
+        assert!(guard.read_valid(&*any, 0), "own lock");
+        drop(guard);
+        assert!(clock::read_valid(&*any, 0));
+        assert_eq!((reader.version(), reader.head().value), (0, 1));
+        drop(reader);
+        assert_eq!(readers(&v), 0);
+    }
+
+    #[test]
+    fn a_reader_that_finds_the_count_full_waits_for_a_slot() {
+        let v = TVar::new(1u64);
+        let held: Vec<_> = (0..READERS / READER)
+            .map(|_| v.core.register(u64::MAX))
+            .collect();
+        assert_eq!(readers(&v), READERS / READER);
+        std::thread::scope(|s| {
+            let late = spawn_running(s, || v.read_committed());
+            assert!(!late.is_finished(), "registered past a full count");
+            drop(held);
+            assert_eq!(late.join().unwrap(), 1);
+        });
+        assert_eq!(readers(&v), 0);
+    }
+
+    #[test]
+    fn a_clone_that_panics_deregisters_its_reader() {
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        struct PanicOnce(u64);
+        impl Clone for PanicOnce {
+            fn clone(&self) -> Self {
+                if ARMED.swap(false, Ordering::Relaxed) {
+                    panic!("clone panics once");
+                }
+                PanicOnce(self.0)
+            }
+        }
+        let v = TVar::new(PanicOnce(1));
+        ARMED.store(true, Ordering::Relaxed);
+        assert!(panics(|| {
+            let _ = v.read_committed();
+        }));
+        let word = v.core.vlock.load(Ordering::Acquire);
+        assert_eq!(word & READERS, 0, "the unwinding reader stayed registered");
+        // The next publish finds no reader to wait for.
+        crate::atomic(|tx| v.write(tx, PanicOnce(2)));
+        assert_eq!(v.read_committed().0, 2);
+    }
+
+    #[test]
+    fn a_drop_that_panics_in_a_reclaimed_entry_leaves_the_word_released() {
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        struct PanicOnDrop(u64);
+        impl Clone for PanicOnDrop {
+            fn clone(&self) -> Self {
+                PanicOnDrop(self.0)
+            }
+        }
+        impl Drop for PanicOnDrop {
+            fn drop(&mut self) {
+                if ARMED.swap(false, Ordering::Relaxed) {
+                    panic!("drop panics once");
+                }
+            }
+        }
+        let v = TVar::new(PanicOnDrop(0));
+        let any = v.any();
+        // Horizon 0 keeps the outgoing head: the chain is [(0, 0)].
+        assert!(any.try_lock_commit());
+        any.apply(&mut Some(PanicOnDrop(1)), 4, 0);
+        // Horizon 4 cuts (0, 0) behind the pushed (4, 1), and its drop panics.
+        ARMED.store(true, Ordering::Relaxed);
+        assert!(any.try_lock_commit());
+        assert!(panics(|| any.apply(&mut Some(PanicOnDrop(2)), 6, 4)));
+        let word = v.core.vlock.load(Ordering::Acquire);
+        assert_eq!(
+            word & (LOCKED | SWAP | READERS),
+            0,
+            "the unwind kept the word"
+        );
+        assert_eq!((v.version(), v.read_committed().0), (6, 2));
+        assert_eq!(v.chain_len(), 1);
     }
 
     #[test]
@@ -601,47 +851,48 @@ mod tests {
         assert!(any_a.try_lock_commit());
         assert!(any_b.try_lock_commit());
         let wv = 5;
-        any_a.apply(&1i32, wv, u64::MAX);
+        any_a.apply(&mut Some(1i32), wv, u64::MAX);
         assert_eq!(a.core.read_at(wv), Some(1), "applied var shows new value");
-        let reader = {
-            let core = Arc::clone(&b.core);
-            std::thread::spawn(move || core.read_at(wv))
-        };
-        // Let the reader reach the spin window while `b` is still locked;
-        // a torn read_at returns Some(0) here without waiting.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        any_b.apply(&2i32, wv, u64::MAX);
-        assert_eq!(
-            reader.join().unwrap(),
-            Some(2),
-            "snapshot saw a torn write set"
-        );
+        std::thread::scope(|s| {
+            // A torn read_at returns Some(0) here without waiting.
+            let reader = spawn_running(s, || b.core.read_at(wv));
+            assert!(!reader.is_finished(), "read a commit-locked head <= s");
+            any_b.apply(&mut Some(2i32), wv, u64::MAX);
+            assert_eq!(
+                reader.join().unwrap(),
+                Some(2),
+                "snapshot saw a torn write set"
+            );
+        });
     }
 
     #[test]
-    fn validated_read_started_under_commit_lock_returns_the_new_pair() {
-        // Started under the commit lock, the read waits the publish out.
-        // Started just before it (old stamp loaded, then queued for the cell
-        // the publish swaps under), it must re-check the stamp. Either way it
-        // returns the new value with the new version, never a mixed pair.
+    fn a_publish_waits_for_registered_readers_and_bars_new_ones() {
         let v = TVar::new(1u64);
-        let read = |v: TVar<u64>| std::thread::spawn(move || v.committed_pair());
-        assert!(v.any().try_lock_commit(), "simulate a publish in flight");
-        let reader = read(v.clone());
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        v.any().apply(&2u64, 7, u64::MAX);
-        assert_eq!(reader.join().unwrap(), (7, 2), "mixed or stale pair");
-        let mut cell = v.core.cell.write();
-        let reader = read(v.clone());
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(
-            v.any().try_lock_commit(),
-            "finish the publish as apply does"
-        );
-        cell.value = 3;
-        drop(cell);
-        v.core.vlock.store(9 << 1, Ordering::Release);
-        assert_eq!(reader.join().unwrap(), (9, 3), "stamp not re-checked");
+        let any = v.any();
+        std::thread::scope(|s| {
+            // Started under the commit lock, a validated read waits the
+            // publish out and returns the new value with the new version.
+            assert!(any.try_lock_commit(), "simulate a publish in flight");
+            let reader = spawn_running(s, || v.committed_pair());
+            assert!(!reader.is_finished(), "read a commit-locked head");
+            any.apply(&mut Some(2u64), 7, u64::MAX);
+            assert_eq!(reader.join().unwrap(), (7, 2), "mixed or stale pair");
+            // Registered before a publish, a reader holds off its swap...
+            let held = v.core.register(u64::MAX);
+            assert!(any.try_lock_commit());
+            let publisher = s.spawn(|| any.apply(&mut Some(3u64), 9, u64::MAX));
+            await_word(&v, LOCKED | SWAP);
+            // ...and a reader arriving during the swap waits for its end.
+            let late = spawn_running(s, || v.committed_pair());
+            assert!(!publisher.is_finished(), "swapped under a reader");
+            assert!(!late.is_finished(), "registered during a swap");
+            assert_eq!((held.version(), held.head().value), (7, 2));
+            drop(held);
+            publisher.join().unwrap();
+            assert_eq!(late.join().unwrap(), (9, 3), "mixed or stale pair");
+        });
+        assert_eq!(readers(&v), 0);
     }
 
     #[test]
@@ -649,12 +900,13 @@ mod tests {
         // Pinned at S = 2 below the head at 4, reading while a publisher
         // that sees the pin (horizon 2) extends the chain: always 0.
         let v = TVar::new(0u64);
-        v.any().apply(&1u64, 4, 2);
+        assert!(v.any().try_lock_commit());
+        v.any().apply(&mut Some(1u64), 4, 2);
         let any = v.any();
         let publisher = std::thread::spawn(move || {
             for value in 3..=8u64 {
                 assert!(any.try_lock_commit());
-                any.apply(&value, value * 2, 2);
+                any.apply(&mut Some(value), value * 2, 2);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         });
@@ -674,7 +926,8 @@ mod tests {
         let v = TVar::new(0u32);
         let any = v.any();
         // horizon 0 retains the outgoing head on the chain: [(0, 0)].
-        any.apply(&1u32, 4, 0);
+        assert!(any.try_lock_commit());
+        any.apply(&mut Some(1u32), 4, 0);
         assert!(any.try_lock_commit(), "simulate a publish in flight");
         assert_eq!(v.core.read_at(3), Some(0), "chain hit, no spin");
         any.unlock_commit();

@@ -10,7 +10,7 @@ use crate::hash::VarIdMap;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::metrics::{self, Total};
 use crate::trace;
-use crate::tvar::{AnyVar, CellOwner, TCell, VarId, VarRef};
+use crate::tvar::{CellOwner, TCell, VarId, VarRef};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -36,7 +36,10 @@ struct ReadEntry {
 
 struct WriteEntry {
     var: VarRef,
-    val: Arc<dyn Any + Send + Sync>,
+    /// An `Option<T>` of the var's `T`: the buffered value until a commit
+    /// moves it into the var, then the outgoing value or `None`, dropped
+    /// with the frame (see `AnyVar::apply`).
+    val: Box<dyn Any + Send + Sync>,
 }
 
 /// Why a frame exists.
@@ -68,14 +71,18 @@ impl Frame {
             local_undos: Vec::new(),
         }
     }
+}
 
-    /// Borrowed view of the write set's vars for commit locking. One Vec is
-    /// unavoidable (the locks must be sorted by `VarId`), but borrowing
-    /// avoids an `Arc` refcount bump per written var per commit attempt —
-    /// the frame outlives the [`clock::CommitGuard`] on every path.
-    fn write_vars(&self) -> Vec<&dyn AnyVar> {
-        self.writes.values().map(|w| w.var.get()).collect()
-    }
+/// Borrowed view of a write set for commit locking and publishing. One Vec
+/// is unavoidable (the locks must be sorted by `VarId`), but borrowing
+/// avoids an `Arc` refcount bump per written var per commit attempt — the
+/// frame outlives the [`clock::CommitGuard`] on every path. An empty write
+/// set allocates nothing.
+fn write_set(writes: &mut VarIdMap<WriteEntry>) -> Vec<clock::Write<'_>> {
+    writes
+        .values_mut()
+        .map(|w| (w.var.get(), &mut *w.val))
+        .collect()
 }
 
 /// A transaction context. Obtained from [`crate::atomic`] (top-level),
@@ -287,7 +294,8 @@ impl Txn {
             if let Some(w) = frame.writes.get(&id) {
                 return w
                     .val
-                    .downcast_ref::<T>()
+                    .downcast_ref::<Option<T>>()
+                    .and_then(Option::as_ref)
                     .expect("write-set type mismatch")
                     .clone();
             }
@@ -346,7 +354,7 @@ impl Txn {
         if self.mode == TxnMode::Direct {
             // Handler context (holding the handler lane): lock the var, draw
             // a fresh version, apply-and-release.
-            clock::publish_direct(var, &val);
+            clock::publish_direct(var, &mut Some(val));
             return;
         }
         if self.snapshot.is_some() {
@@ -369,7 +377,7 @@ impl Txn {
             var.id(),
             WriteEntry {
                 var: VarRef::pin(owner, var),
-                val: Arc::new(val),
+                val: Box::new(Some(val)),
             },
         );
     }
@@ -669,7 +677,7 @@ impl Txn {
             let valid = self
                 .flat_reads
                 .iter()
-                .all(|(var, ver)| clock::read_valid(var.get(), *ver, false));
+                .all(|(var, ver)| clock::read_valid(var.get(), *ver));
             if valid {
                 metrics::tally(Total::OpenFlattened);
                 trace::open_flattened(self.handle.id());
@@ -694,12 +702,12 @@ impl Txn {
         if self.handle.is_doomed() {
             interrupt::throw(TxInterrupt::Retry(AbortCause::Doomed));
         }
-        let frame = &self.frames[0];
+        let frame = &mut self.frames[0];
         if frame.writes.is_empty() {
             // Read-only child: validate against per-var stamps; no locks, no
             // lane, no clock traffic.
             for r in frame.reads.values() {
-                if !clock::read_valid(r.var.get(), r.version, false) {
+                if !clock::read_valid(r.var.get(), r.version) {
                     return Err(self.handle);
                 }
             }
@@ -711,21 +719,16 @@ impl Txn {
         // lane-holder's direct writes spin on var locks, so the lane must
         // never be awaited while var locks are held).
         let lane = clock::lane_lock(self.handle.id());
-        let guard = clock::CommitGuard::lock_write_set(frame.write_vars());
-        for (id, r) in frame.reads.iter() {
-            let own = frame.writes.contains_key(id);
-            if !clock::read_valid(r.var.get(), r.version, own) {
+        let guard = clock::CommitGuard::lock_write_set(write_set(&mut frame.writes));
+        for r in frame.reads.values() {
+            if !guard.read_valid(r.var.get(), r.version) {
                 // guard + lane drop: locks released, versions unchanged
                 drop(guard);
                 drop(lane);
                 return Err(self.handle);
             }
         }
-        guard.publish(|wv, horizon| {
-            for w in frame.writes.values() {
-                w.var.get().apply(w.val.as_ref(), wv, horizon);
-            }
-        });
+        guard.publish();
         drop(lane);
         let frame = self.frames.pop().unwrap();
         Ok((frame, self.handle))
@@ -799,7 +802,7 @@ impl Txn {
         debug_assert!(!self.is_open_child);
         debug_assert_eq!(self.frames.len(), 1, "unbalanced nesting at commit");
         let commit_t0 = metrics::timer();
-        let frame = &self.frames[0];
+        let frame = &mut self.frames[0];
         let has_handlers = !frame.commit_handlers.is_empty();
         // Lane before var locks, never the reverse: a lane-holder's direct
         // writes spin on var locks, so waiting for the lane while holding a
@@ -812,28 +815,20 @@ impl Txn {
         {
             // Scope the guard (it borrows the frame) so the frame borrow is
             // provably dead before the handlers need `&mut self`.
-            let guard = if frame.writes.is_empty() {
-                None
-            } else {
-                Some(clock::CommitGuard::lock_write_set(frame.write_vars()))
-            };
-            for (id, r) in frame.reads.iter() {
-                let own = frame.writes.contains_key(id);
-                if !clock::read_valid(r.var.get(), r.version, own) {
+            let guard = clock::CommitGuard::lock_write_set(write_set(&mut frame.writes));
+            for r in frame.reads.values() {
+                if !guard.read_valid(r.var.get(), r.version) {
                     return Err(AbortCause::ReadInvalid); // guard + lane drop release everything
                 }
             }
             if self.handle.begin_commit().is_err() {
                 return Err(AbortCause::Doomed);
             }
-            // Point of no return: a doom can no longer land.
-            if let Some(guard) = guard {
-                guard.publish(|wv, horizon| {
-                    for w in frame.writes.values() {
-                        w.var.get().apply(w.val.as_ref(), wv, horizon);
-                    }
-                });
-            }
+            // Point of no return: a doom can no longer land. The publish
+            // clones no value (each buffered value moves in, see
+            // `AnyVar::apply`), so a panicking `Clone` cannot leave the
+            // write set half published.
+            guard.publish();
         }
         self.handle.mark_committed();
         if has_handlers {

@@ -124,6 +124,20 @@ where
         }
         out
     }
+
+    /// Snapshot of all keys (arbitrary order), collected shard-by-shard
+    /// like [`entries`](Self::entries), cloning no value.
+    #[must_use]
+    pub fn keys(&self) -> Vec<K>
+    where
+        K: Clone,
+    {
+        let mut out = Vec::new();
+        for s in self.shards.iter() {
+            out.extend(s.lock().keys().cloned());
+        }
+        out
+    }
 }
 
 impl<K, V> Default for BoostedHashMap<K, V>

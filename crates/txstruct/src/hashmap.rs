@@ -233,6 +233,17 @@ where
         out
     }
 
+    /// Snapshot all keys (bucket order; not sorted). Reads what
+    /// [`entries`](Self::entries) reads, and clones no value.
+    pub fn keys(&self, tx: &mut Txn) -> Vec<K> {
+        let h = self.header.read(tx);
+        let mut out = Vec::with_capacity(h.size);
+        for cell in h.table.iter() {
+            out.extend(cell.read(tx, &h.table).iter().map(|(k, _)| k.clone()));
+        }
+        out
+    }
+
     /// Remove all entries.
     pub fn clear(&self, tx: &mut Txn) {
         let h = self.header.read(tx);

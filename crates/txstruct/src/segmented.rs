@@ -122,6 +122,15 @@ where
         }
         out
     }
+
+    /// Snapshot all keys, cloning no value.
+    pub fn keys(&self, tx: &mut Txn) -> Vec<K> {
+        let mut out = Vec::new();
+        for s in &self.segments {
+            out.extend(s.keys(tx));
+        }
+        out
+    }
 }
 
 #[cfg(test)]

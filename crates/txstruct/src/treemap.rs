@@ -8,7 +8,7 @@
 //! conflict on internal operations that are semantically irrelevant.
 //!
 //! The six vars of a node are [`stm::TCell`]s inline in the node, so a node
-//! is one allocation (256 bytes for `<u64, u64>`), and each access names
+//! is one allocation (160 bytes for `<u64, u64>`), and each access names
 //! the node's `Arc` as the cell's owner. Each cell keeps its own id, version
 //! and commit lock: the footprint is the same as with one `TVar` per field.
 //! The header (root and size) stays one [`stm::TVar`].
@@ -668,6 +668,12 @@ where
     /// All entries in key order.
     pub fn entries(&self, tx: &mut Txn) -> Vec<(K, V)> {
         self.range_entries(tx, Bound::Unbounded, Bound::Unbounded)
+    }
+
+    /// All keys in order. Reads what [`entries`](Self::entries) reads: the
+    /// walk from one key to the next reads each node's value too.
+    pub fn keys(&self, tx: &mut Txn) -> Vec<K> {
+        self.entries(tx).into_iter().map(|(k, _)| k).collect()
     }
 
     /// Entries within the given key bounds, in order.
