@@ -5,7 +5,7 @@
 //! classes wrap existing data structures, without the need for custom
 //! implementations or knowledge of data structure internals" (paper
 //! abstract). These traits are the wrapper's only view of the wrapped
-//! structure, and they mirror the three ways the wrapper ever touches it:
+//! structure, and they mirror the two ways the wrapper ever touches it:
 //!
 //! 1. **Speculative reads** ([`MapReadOps`], [`SortedReadOps`],
 //!    [`QueueReadOps`]) — body-side observations, performed after the
@@ -21,12 +21,12 @@
 //!    run from commit handlers in direct mode under the handler lane (or,
 //!    for eager classes, from the body with logged compensation). A TVar
 //!    backend publishes these through the direct-mode write path; a boosted
-//!    backend mutates its own concurrent structure in place.
-//! 3. **Undo** ([`MapUndo`]) — the compensation surface: an eager class
-//!    logs one [`UndoOp`] per first in-place write and the abort path
-//!    replays the log in reverse through [`MapUndo::compensate`]. TVar
-//!    backends get undo for free (speculative rollback discards buffered
-//!    state), which is why only eagerly-applied mutations ever log.
+//!    backend mutates its own concurrent structure in place. They are also
+//!    the undo surface: an eager class logs one [`UndoOp`] per first
+//!    in-place write, and its abort path replays the log in reverse through
+//!    `insert`/`remove`. TVar backends get undo for free (speculative
+//!    rollback discards buffered state), which is why only
+//!    eagerly-applied mutations ever log.
 //!
 //! The umbrella aliases [`MapBackend`], [`SortedMapBackend`] and
 //! [`QueueBackend`] are blanket-implemented from the layers, so a concrete
@@ -48,7 +48,7 @@
 //! Backends are deliberately ignorant of the semantic lock tables: the
 //! wrapper stripes its lock table by key hash (`locks::StripedTables`) and
 //! serializes every committed mutation through the handler lane, so a
-//! backend only ever sees the three surfaces above — no stripe, and no
+//! backend only ever sees the two surfaces above — no stripe, and no
 //! stripe count, is visible at this interface. Wrapping the same backend
 //! with 1 stripe or 16 yields identical committed histories.
 
@@ -168,10 +168,6 @@ pub trait QueueApplyOps<T>: QueueReadOps<T> {
     fn pop_front(&self, tx: &mut Txn) -> Option<T>;
 }
 
-// ----------------------------------------------------------------------
-// Layer 3: undo
-// ----------------------------------------------------------------------
-
 /// One logged compensation entry for an eagerly-applied map mutation: what
 /// to do on abort to restore the committed state the mutation clobbered.
 /// Only the *first* in-place write of a key needs an entry; later writes
@@ -184,38 +180,16 @@ pub enum UndoOp<K, V> {
     Delete(K),
 }
 
-/// The compensation surface of a map backend: replay an [`UndoOp`] against
-/// the structure. The abort path drains the transaction's undo log in
-/// **reverse** through this method, before any semantic lock is released
-/// and under the handler lane (see `docs/PROTOCOL.md`).
-///
-/// The default body compensates through the apply layer, which is correct
-/// for any backend whose `insert`/`remove` are their own inverses at the
-/// entry level; a backend with cheaper internal restoration may override.
-pub trait MapUndo<K, V>: MapApplyOps<K, V> {
-    /// Apply one compensation entry.
-    fn compensate(&self, tx: &mut Txn, op: UndoOp<K, V>) {
-        match op {
-            UndoOp::Restore(k, v) => {
-                let _ = self.insert(tx, k, v);
-            }
-            UndoOp::Delete(k) => {
-                let _ = self.remove(tx, &k);
-            }
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Umbrella aliases (blanket-implemented; collections bound on these)
 // ----------------------------------------------------------------------
 
 /// An unordered map usable as the committed store of a `TransactionalMap`:
-/// the three layers combined. Blanket-implemented — concrete backends
-/// implement the layer traits only.
-pub trait MapBackend<K, V>: MapUndo<K, V> {}
+/// the read and apply layers combined. Blanket-implemented — concrete
+/// backends implement the layer traits only.
+pub trait MapBackend<K, V>: MapApplyOps<K, V> {}
 
-impl<B, K, V> MapBackend<K, V> for B where B: MapUndo<K, V> {}
+impl<B, K, V> MapBackend<K, V> for B where B: MapApplyOps<K, V> {}
 
 /// An ordered map usable as the committed store of a
 /// `TransactionalSortedMap`: the map layers plus the ordered read surface.
@@ -232,8 +206,8 @@ impl<B, T> QueueBackend<T> for B where B: QueueApplyOps<T> {}
 // Declarative delegation: one line per (structure, seam) pair
 // ----------------------------------------------------------------------
 
-/// Implement the map layers ([`MapReadOps`] + [`MapApplyOps`] + [`MapUndo`])
-/// for a concrete structure by delegating each operation to the inherent
+/// Implement the map layers ([`MapReadOps`] + [`MapApplyOps`]) for a
+/// concrete structure by delegating each operation to the inherent
 /// method of the same name.
 ///
 /// The leading mode token says how the transaction is threaded:
@@ -274,12 +248,6 @@ macro_rules! delegate_map_backend {
             fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
                 delegate_map_backend!(@call $mode, $backend::remove, self, tx, key)
             }
-        }
-        impl<K, V> MapUndo<K, V> for $backend<K, V>
-        where
-            K: $($kb)* + Send + Sync + 'static,
-            V: $($vb)* + Send + Sync + 'static,
-        {
         }
     };
     (@treads tx) => {

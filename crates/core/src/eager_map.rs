@@ -21,8 +21,13 @@
 //! The reader/writer key tables are striped like the optimistic map's:
 //! each key's reader set and writer slot live in the key's stripe, so the
 //! entire reader-vs-writer negotiation for a key is one short stripe hold;
-//! the size locks live in the global stripe, and the pending in-place size
-//! delta changes only under it.
+//! the size locks live in the global stripe, beside the set of **size
+//! writers**: the transactions whose uncommitted in-place writes changed
+//! the size. A writer joins that set before such a write (dooming the size
+//! lockers) and leaves it in its handler's global phase, after any
+//! compensation; `size` waits while another one is active, as `get` waits
+//! out a foreign write lock, so the backend length it reads is a committed
+//! size.
 //!
 //! The class preserves the same external semantics (atomicity, isolation,
 //! abstract-datatype serializability) — the `eager_vs_lazy` test suite and
@@ -48,14 +53,13 @@ use crate::kernel::{
     sweep_commit_footprint, FootprintOp, GlobalPhase, SemanticClass, SemanticCore,
 };
 use crate::locks::{
-    doom_others, DoomCtx, ObsMode, Owner, Owners, SemanticStats, StripedTables, UpdateEffect,
+    doom_others, GlobalStripe, ObsMode, Owner, Owners, SemanticStats, StripedTables, UpdateEffect,
     DEFAULT_STRIPES,
 };
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicI64, Ordering};
 use stm::hash::{key_hash64, StripeMap, StripeSet};
-use stm::trace::{self, LockKind};
+use stm::trace::LockKind;
 use stm::{TxState, Txn};
 use txstruct::{BoostedHashMap, TxHashMap};
 
@@ -159,8 +163,8 @@ struct EagerLocal<K> {
     /// undo log — only the **first** in-place write of a key logs an
     /// [`UndoOp`]; later writes are undone by the same entry.
     undone_keys: StripeSet<K>,
-    /// Net size change applied in place by this transaction.
-    delta: i64,
+    /// Whether this transaction has joined the size writers.
+    size_writer: bool,
 }
 
 impl<K> Default for EagerLocal<K> {
@@ -169,7 +173,7 @@ impl<K> Default for EagerLocal<K> {
             read_keys: StripeSet::default(),
             write_keys: StripeSet::default(),
             undone_keys: StripeSet::default(),
-            delta: 0,
+            size_writer: false,
         }
     }
 }
@@ -191,17 +195,12 @@ impl<K> Default for EagerShard<K> {
 }
 
 /// The variant half of the eager map (kernel [`SemanticClass`]): the wrapped
-/// backend, the contention policy, the striped reader/writer tables, and
-/// the uncommitted in-place size delta.
+/// backend, the contention policy, and the striped reader/writer tables,
+/// whose global stripe holds the size locks and the size writers.
 struct EagerClass<K, V, B> {
     backend: B,
     policy: EagerPolicy,
     tables: StripedTables<EagerShard<K>, K>,
-    /// Sum of uncommitted in-place size changes; subtracted from the
-    /// backend's length so readers see the committed size. Read and written
-    /// only under the global stripe, so it moves together with the size
-    /// locks there, and that mutex orders every access (hence `Relaxed`).
-    pending_delta: AtomicI64,
     _value: PhantomData<fn() -> V>,
 }
 
@@ -212,32 +211,25 @@ where
     /// Release every lock `id` holds: per-stripe reader/writer entries
     /// (stripes ascending via the kernel sweep, writer slots handled before
     /// reader sets within each stripe), then, in the global phase, last,
-    /// the pending delta and the size lock. `doom_write_key_readers`
+    /// the size lock and the size writing. `doom_write_key_readers`
     /// additionally dooms remaining readers of the written keys (commit
     /// path only).
-    fn release_footprint(
-        &self,
-        local: &EagerLocal<K>,
-        id: u64,
-        stats: &SemanticStats,
-        doom_write_key_readers: bool,
-    ) {
+    fn release_footprint(&self, local: &EagerLocal<K>, id: u64, doom_write_key_readers: bool) {
         let mut released = 0u64;
         sweep_commit_footprint(
             &self.tables,
-            stats,
             local.write_keys.iter().map(|k| (k, &())),
             local.read_keys.iter(),
             |s, op| match op {
                 FootprintOp::Apply(k, _) => {
                     if doom_write_key_readers {
+                        let global = s.global();
                         if let Some(rs) = s.readers.get_mut(k) {
-                            let ctx = DoomCtx {
-                                stats,
-                                obs: ObsMode::Key,
-                                effect: UpdateEffect::KeyWrite,
-                                key_hash: key_hash64(k),
-                            };
+                            let ctx = global.doom_ctx(
+                                ObsMode::Key,
+                                UpdateEffect::KeyWrite,
+                                key_hash64(k),
+                            );
                             doom_others(rs, id, &ctx);
                         }
                     }
@@ -256,10 +248,9 @@ where
                 }
             },
         );
-        trace::sem_lock_released(id, stats.class_sym(), LockKind::Key, released);
-        GlobalPhase::new(self.tables.global(), stats, id).finish(|_| {
-            self.pending_delta.fetch_sub(local.delta, Ordering::Relaxed);
-        });
+        let global = self.tables.global();
+        global.released(id, LockKind::Key, released);
+        GlobalPhase::new(global, id).finish(|_| {});
     }
 }
 
@@ -271,9 +262,14 @@ where
 {
     type Local = EagerLocal<K>;
     type Undo = UndoOp<K, V>;
+    type RangeKey = K;
 
     fn name(&self) -> &'static str {
         "eager_map"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global()
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -294,23 +290,30 @@ where
     /// (none can exist — they abort on seeing the write lock — but a
     /// doomed-then-revived bookkeeping race is cheap to close), and release
     /// everything.
-    fn apply(&self, local: EagerLocal<K>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.release_footprint(&local, id, stats, true);
+    fn apply(&self, local: EagerLocal<K>, htx: &mut Txn) {
+        self.release_footprint(&local, htx.handle().id(), true);
     }
 
     /// One undo entry, replayed by the kernel in reverse logging order
     /// **before** [`Self::release`] — this transaction's exclusive write
-    /// locks are still held, so no reader can observe the window between a
-    /// compensating write and the lock drop. Delegates to the backend's
-    /// undo surface ([`crate::backend::MapUndo::compensate`]).
+    /// locks are still held, and it is still a size writer, so no reader can
+    /// observe the window between a compensating write and the lock drop.
+    /// The backend's own `insert`/`remove` put the entry back.
     fn compensate(&self, undo: UndoOp<K, V>, htx: &mut Txn) {
-        self.backend.compensate(htx, undo);
+        match undo {
+            UndoOp::Restore(k, v) => {
+                let _ = self.backend.insert(htx, k, v);
+            }
+            UndoOp::Delete(k) => {
+                let _ = self.backend.remove(htx, &k);
+            }
+        }
     }
 
     /// Abort handler: the kernel has already drained the undo log through
     /// [`Self::compensate`]; all that is left is releasing the footprint.
-    fn release(&self, local: EagerLocal<K>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.release_footprint(&local, id, stats, false);
+    fn release(&self, local: EagerLocal<K>, htx: &mut Txn) {
+        self.release_footprint(&local, htx.handle().id(), false);
     }
 }
 
@@ -391,7 +394,6 @@ where
                 backend,
                 policy,
                 tables: StripedTables::new(nstripes),
-                pending_delta: AtomicI64::new(0),
                 _value: PhantomData,
             }),
         }
@@ -419,20 +421,14 @@ where
         let self_id = tx.handle().id();
         let owner = tx.handle().clone();
         let class = self.core.class();
-        let stats = self.core.stats();
-        let blocked = class.tables.with_stripe_for(key, stats, |s| {
+        let blocked = class.tables.with_stripe_for(key, |s| {
             if let Some(w) = s.writers.get(key) {
                 if Self::is_other_active(w, self_id) {
                     return true;
                 }
             }
-            stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(
-                owner.id(),
-                stats.class_sym(),
-                LockKind::Key,
-                key_hash64(key),
-            );
+            s.global()
+                .acquired(owner.id(), LockKind::Key, key_hash64(key));
             s.readers.entry(key.clone()).or_default().insert(owner);
             false
         });
@@ -455,24 +451,31 @@ where
         self.get(tx, key).is_some()
     }
 
-    /// Committed size: the backend length minus all pending in-place deltas,
-    /// plus this transaction's own delta. Takes the size lock (global
-    /// stripe).
+    /// Size as this transaction sees it: the backend length, which holds
+    /// this transaction's own in-place writes and, once no other size
+    /// writer is active, nobody else's uncommitted ones. Pessimistic: while
+    /// another transaction's in-place writes may have changed the size, this
+    /// transaction aborts and retries, as [`Self::get`] does on a foreign
+    /// write lock. Otherwise it takes the size lock (global stripe), in the
+    /// same hold: a writer joining later dooms it.
     pub fn size(&self, tx: &mut Txn) -> usize {
         self.core.ensure_registered(tx);
-        let own = self.core.with_local(tx, |l| l.delta);
         let owner = tx.handle().clone();
         let class = self.core.class();
-        let stats = self.core.stats();
-        // Taken on every call, not through the lock cache: the pending delta
-        // is read in the same global-stripe hold.
-        let pending = class.tables.with_global(stats, |g| {
-            g.take(ObsMode::Size, owner, stats);
-            class.pending_delta.load(Ordering::Relaxed)
+        // Taken on every call, not through the lock cache: the size writers
+        // are checked in the same global-stripe hold.
+        let blocked = class.tables.with_global(|g| {
+            if g.other_size_writer(owner.id()) {
+                return true;
+            }
+            g.take(ObsMode::Size, owner);
+            false
         });
+        if blocked {
+            stm::abort_and_retry();
+        }
         let backend = &class.backend;
-        let raw = tx.open_read(|otx| backend.len(otx)) as i64;
-        (raw - pending + own).max(0) as usize
+        tx.open_read(|otx| backend.len(otx))
     }
 
     /// Whether the map is empty (derived; takes the size lock).
@@ -491,8 +494,7 @@ where
         let owner = tx.handle().clone();
         let class = self.core.class();
         let policy = class.policy;
-        let stats = self.core.stats();
-        let blocked = class.tables.with_stripe_for(key, stats, |s| {
+        let blocked = class.tables.with_stripe_for(key, |s| {
             if let Some(w) = s.writers.get(key) {
                 if Self::is_other_active(w, self_id) {
                     // Two in-place writers on one key can never coexist.
@@ -508,25 +510,19 @@ where
                 match policy {
                     EagerPolicy::WriterWaits => return true,
                     EagerPolicy::DoomReaders => {
+                        let ctx = s.global().doom_ctx(
+                            ObsMode::Key,
+                            UpdateEffect::KeyWrite,
+                            key_hash64(key),
+                        );
                         if let Some(rs) = s.readers.get_mut(key) {
-                            let ctx = DoomCtx {
-                                stats,
-                                obs: ObsMode::Key,
-                                effect: UpdateEffect::KeyWrite,
-                                key_hash: key_hash64(key),
-                            };
                             doom_others(rs, self_id, &ctx);
                         }
                     }
                 }
             }
-            stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(
-                owner.id(),
-                stats.class_sym(),
-                LockKind::Key,
-                key_hash64(key),
-            );
+            s.global()
+                .acquired(owner.id(), LockKind::Key, key_hash64(key));
             s.writers.insert(key.clone(), owner);
             false
         });
@@ -538,17 +534,23 @@ where
         });
     }
 
-    /// Account an in-place size change: adjust the pending delta and doom
-    /// size observers (early, pessimistic).
-    fn size_changed(&self, tx: &mut Txn, change: i64) {
-        let self_id = tx.handle().id();
+    /// Join the size writers ahead of an in-place write of `key` that
+    /// changes the size — one that flips whether `key` is present:
+    /// `removes` says which way the write flips it. Joining dooms the size
+    /// observers (early, pessimistic). The caller holds `key`'s exclusive
+    /// write lock, so the presence read here holds until its write lands.
+    fn join_if_resizing(&self, tx: &mut Txn, key: &K, removes: bool) {
+        if self.core.with_local(tx, |l| l.size_writer) {
+            return;
+        }
         let class = self.core.class();
-        let stats = self.core.stats();
-        class.tables.with_global(stats, |g| {
-            class.pending_delta.fetch_add(change, Ordering::Relaxed);
-            g.doom(UpdateEffect::SizeChange, self_id, stats);
-        });
-        self.core.with_local(tx, |l| l.delta += change);
+        let backend = &class.backend;
+        if tx.open_read(|otx| backend.contains_key(otx, key)) != removes {
+            return;
+        }
+        let owner = tx.handle().clone();
+        class.tables.with_global(|g| g.join_size_writers(owner));
+        self.core.with_local(tx, |l| l.size_writer = true);
     }
 
     /// Insert or replace **in place**; returns the previous value. The undo
@@ -556,6 +558,7 @@ where
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
         self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, &key);
+        self.join_if_resizing(tx, &key, false);
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.insert(otx, k2.clone(), value.clone()));
@@ -572,9 +575,6 @@ where
                 None => self.core.log_undo(tx, UndoOp::Delete(key.clone())),
             }
         }
-        if old.is_none() {
-            self.size_changed(tx, 1);
-        }
         old
     }
 
@@ -582,6 +582,7 @@ where
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
         self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, key);
+        self.join_if_resizing(tx, key, true);
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.remove(otx, &k2));
@@ -593,7 +594,6 @@ where
                 self.core
                     .log_undo(tx, UndoOp::Restore(key.clone(), v.clone()));
             }
-            self.size_changed(tx, -1);
         }
         old
     }
@@ -720,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn size_hides_uncommitted_deltas() {
+    fn size_waits_out_uncommitted_in_place_writes() {
         let m: EagerTransactionalMap<u32, u32> =
             EagerTransactionalMap::new(EagerPolicy::DoomReaders);
         atomic(|tx| {
@@ -730,16 +730,26 @@ mod tests {
         let (_, writer) = stm::speculate(
             move |tx| {
                 m2.put(tx, 2, 2); // in place, uncommitted
-                assert_eq!(m2.size(tx), 2, "own delta must count");
+                m2.put(tx, 1, 3); // replaces: the size stays 2
+                assert_eq!(m2.size(tx), 2, "own writes must count");
             },
             0,
         )
         .unwrap();
-        // An outside observer sees the committed size only.
-        let observed = atomic(|tx| m.size(tx));
-        assert_eq!(observed, 1, "uncommitted in-place insert leaked into size");
+        // An outside observer cannot read a size the writer may still undo.
+        let m3 = m.clone();
+        assert_eq!(
+            stm::speculate(move |tx| m3.size(tx), 0).err(),
+            Some(stm::AbortCause::Explicit),
+            "a size read must wait out an uncommitted in-place insert"
+        );
         writer.commit();
         assert_eq!(atomic(|tx| m.size(tx)), 2);
+        // A value-replacing writer is no size writer: size reads go on.
+        let m4 = m.clone();
+        let (_, replacer) = stm::speculate(move |tx| m4.put(tx, 1, 4), 0).unwrap();
+        assert_eq!(atomic(|tx| m.size(tx)), 2);
+        replacer.abort(stm::AbortCause::Explicit);
     }
 
     #[test]

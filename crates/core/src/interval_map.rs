@@ -20,10 +20,8 @@
 // txlint: fast-path
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::interval::IntervalTree;
-use crate::kernel::{ClassTables, GlobalClass, GlobalPhase, SemanticClass, SemanticCore};
-use crate::locks::{
-    bounds_overlap, GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
+use crate::kernel::{GlobalPhase, SemanticClass, SemanticCore};
+use crate::locks::{bounds_overlap, GlobalStripe, ObsMode, SemanticStats, UpdateEffect};
 use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,9 +176,9 @@ impl<K, V> Default for IntervalMapLocal<K, V> {
 }
 
 /// The variant half of the interval-map class: the committed tree behind
-/// a `TVar`, the id allocator, and the lock tables (only the global
-/// stripe is used — every observation here is span- or
-/// collection-valued, so nothing is attributable to a key shard).
+/// a `TVar`, the id allocator, and the global stripe, which is the class's
+/// whole lock table — every observation here is span- or
+/// collection-valued, so nothing is attributable to a key shard.
 pub(crate) struct IntervalMapClass<K, V>
 where
     K: Clone + Ord + Send + Sync + 'static,
@@ -188,7 +186,7 @@ where
 {
     pub(crate) store: TVar<Arc<IntervalTree<K, (u64, V)>>>,
     pub(crate) next_id: AtomicU64,
-    pub(crate) tables: ClassTables<K>,
+    pub(crate) global: GlobalStripe<K>,
 }
 
 impl<K, V> SemanticClass for IntervalMapClass<K, V>
@@ -198,9 +196,14 @@ where
 {
     type Local = IntervalMapLocal<K, V>;
     type Undo = ();
+    type RangeKey = K;
 
     fn name(&self) -> &'static str {
         "interval_map"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        &self.global
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -211,7 +214,7 @@ where
     /// and insertions, republish it, then doom span observers
     /// interval-vs-interval and the size/empty observers — all under the
     /// global stripe (this class holds no key-stripe locks).
-    fn apply(&self, local: IntervalMapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: IntervalMapLocal<K, V>, htx: &mut Txn) {
         let snapshot = self.store.read(htx);
         let len_before = snapshot.len();
         let mut changed_spans: Vec<(Bound<K>, Bound<K>)> = Vec::new();
@@ -232,7 +235,7 @@ where
                 self.store.write(htx, Arc::new(tree));
             }
         }
-        GlobalPhase::new(self.tables.global_stripe(), stats, id).finish(|g| {
+        GlobalPhase::new(&self.global, htx.handle().id()).finish(|g| {
             for (lo, hi) in &changed_spans {
                 g.doom_span(UpdateEffect::KeyWrite, lo, hi);
             }
@@ -242,26 +245,8 @@ where
 
     /// Abort handler: writes were only buffered — pure lock release in the
     /// global phase.
-    fn release(
-        &self,
-        _local: IntervalMapLocal<K, V>,
-        _htx: &mut Txn,
-        id: u64,
-        stats: &SemanticStats,
-    ) {
-        GlobalPhase::new(self.tables.global_stripe(), stats, id).finish(|_| {});
-    }
-}
-
-impl<K, V> GlobalClass for IntervalMapClass<K, V>
-where
-    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    type RangeKey = K;
-
-    fn global_stripe(&self) -> &GlobalStripe<K> {
-        self.tables.global_stripe()
+    fn release(&self, _local: IntervalMapLocal<K, V>, htx: &mut Txn) {
+        GlobalPhase::new(&self.global, htx.handle().id()).finish(|_| {});
     }
 }
 
@@ -318,21 +303,14 @@ where
     K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Create an empty interval map.
+    /// Create an empty interval map. It has no key stripes: every lock it
+    /// takes is span- or collection-valued and lives in the global stripe.
     pub fn new() -> Self {
-        Self::with_stripes(DEFAULT_STRIPES)
-    }
-
-    /// Create with an explicit stripe count. The key stripes are unused by
-    /// this class (every lock is span- or collection-valued and lives in
-    /// the global stripe), so striping cannot change observable behavior;
-    /// the knob exists for constructor parity with the other classes.
-    pub fn with_stripes(nstripes: usize) -> Self {
         TransactionalIntervalMap {
             core: SemanticCore::new(IntervalMapClass {
                 store: TVar::new(Arc::new(IntervalTree::new())),
                 next_id: AtomicU64::new(1),
-                tables: ClassTables::new(nstripes),
+                global: GlobalStripe::default(),
             }),
         }
     }
@@ -342,18 +320,9 @@ where
         self.core.stats()
     }
 
-    /// Stripe count of the (unused-by-this-class) key-lock table.
-    pub fn stripe_count(&self) -> usize {
-        self.core.class().tables.stripe_count()
-    }
-
     /// Number of span (range) locks currently outstanding (diagnostics).
     pub fn locked_range_count(&self) -> usize {
-        let stats = self.core.stats();
-        self.core
-            .class()
-            .global_stripe()
-            .with(stats, |g| g.range_count())
+        self.core.class().global.with(|g| g.range_count())
     }
 
     /// Committed-tree snapshot via one flattened read (validated against

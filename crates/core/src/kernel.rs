@@ -52,10 +52,10 @@
 //!   touches a stripe mutex. For whole-collection point locks it is a
 //!   bitmask, and [`SemanticCore::take_point_lock`] is the one entry point
 //!   that probes it, takes the lock in the class's global stripe
-//!   ([`GlobalClass::global_stripe`]) on a miss, and sets the bit. For key
+//!   ([`SemanticClass::global_stripe`]) on a miss, and sets the bit. For key
 //!   locks it is the keyed class's own held-key set — the release list the
 //!   handlers sweep — so each held key is stored once, and
-//!   `SemanticCore::take_key_lock` is the one entry point that probes it,
+//!   [`SemanticCore::take_key_lock`] is the one entry point that probes it,
 //!   takes the stripe lock on a miss, and records the key. Both handlers
 //!   take the slot out of the transaction before releasing any lock, so the
 //!   cache provably never outlives the locks it witnesses (cache lifetime ⊆
@@ -85,6 +85,10 @@
 //!   observation-mode compatibility table (`mode_compatible`), and every
 //!   landed doom charges its mode's [`SemanticStats`] counter, so classes
 //!   state *what* an update does, never *who* to doom.
+//! * **The counters.** Each instance's [`SemanticStats`] live in its global
+//!   stripe, and every lock table of the instance charges them itself, so
+//!   a class never sees them: its handlers get the buffer and the
+//!   transaction, nothing else.
 //!
 //! # Mapping of the paper's §5 guidelines onto this API
 //!
@@ -96,10 +100,10 @@
 //!    [`SemanticCore::ensure_registered`] at the top of every operation;
 //!    the core makes it idempotent and ordering-safe.
 //! 3. *Take semantic locks before reading committed state* — lock keys
-//!    through [`ClassTables`] (or your own tables) and whole-collection
-//!    properties through [`SemanticCore::take_point_lock`], then read inside
-//!    `Txn::open` so the parent carries no memory dependency on the
-//!    structure.
+//!    through [`SemanticCore::take_key_lock`] (a [`KeyedClass`] on
+//!    [`ClassTables`]) and whole-collection properties through
+//!    [`SemanticCore::take_point_lock`], then read inside `Txn::open` so the
+//!    parent carries no memory dependency on the structure.
 //! 4. *Write underlying state only at commit* — mutate the backend inside
 //!    [`SemanticClass::apply`]; body-side operations only buffer.
 //! 5. *Compensate on abort* — [`SemanticClass::release`] undoes in-place
@@ -109,8 +113,8 @@
 // txlint: semantic-kernel
 
 use crate::locks::{
-    bucket_order, GlobalLocks, GlobalStripe, KeyLockShard, MapTables, ObsMode, Owner,
-    SemanticStats, StripedTables, UpdateEffect,
+    bucket_order, GlobalLocks, GlobalStripe, Held, KeyLockShard, MapTables, ObsMode, SemanticStats,
+    StripedTables, UpdateEffect,
 };
 use std::hash::Hash;
 use std::ops::Bound;
@@ -124,10 +128,10 @@ use stm::{Txn, TxnMode};
 // The per-class surface
 // ----------------------------------------------------------------------
 
-/// What varies between transactional collection classes: the buffer type
-/// and the two handler bodies. Everything else — registration, where the
-/// per-attempt state lives, sweep order, doom dispatch — is
-/// [`SemanticCore`]'s.
+/// What varies between transactional collection classes: the buffer type,
+/// the two handler bodies and where the instance's global stripe is.
+/// Everything else — registration, where the per-attempt state lives, sweep
+/// order, doom dispatch, the counters — is [`SemanticCore`]'s.
 ///
 /// `apply` and `release` run in **direct mode** under the stm handler lane
 /// (serialized against all other handlers), with the attempt's `Local`
@@ -151,6 +155,10 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// `type Undo = ();`.
     type Undo: Send + 'static;
 
+    /// What the class's range locks are taken on: its key type (any type,
+    /// `()` say, for a class that takes no range locks).
+    type RangeKey;
+
     /// Short, stable class name ("map", "queue", ...) stamped on every
     /// trace event this instance emits, so `txtop` can attribute semantic
     /// conflicts to a collection class. Interned once at core construction;
@@ -159,16 +167,25 @@ pub trait SemanticClass: Send + Sync + 'static {
         "anon"
     }
 
+    /// The instance's global stripe: its whole-collection locks (size,
+    /// emptiness, the endpoints, fullness, key ranges), which
+    /// [`SemanticCore::take_point_lock`] takes and caches, and its
+    /// [`SemanticStats`], which every lock table of the instance charges
+    /// and [`SemanticCore::new`] names after [`Self::name`]. A class built
+    /// on [`ClassTables`] returns [`ClassTables::global_stripe`].
+    fn global_stripe(&self) -> &GlobalStripe<Self::RangeKey>;
+
     /// Commit handler body: apply `local`'s buffered writes to the
     /// underlying structure through `htx` (direct mode) and doom every
     /// transaction holding a semantic lock the update invalidates, then
-    /// release transaction `id`'s own locks.
-    fn apply(&self, local: Self::Local, htx: &mut Txn, id: u64, stats: &SemanticStats);
+    /// release the committing transaction's own locks. Handlers run on that
+    /// transaction itself: `htx.handle().id()` names the locks it holds.
+    fn apply(&self, local: Self::Local, htx: &mut Txn);
 
     /// Abort handler body (the compensating transaction): undo any
-    /// in-place effects recorded in `local` and release transaction `id`'s
-    /// locks. Buffered-update classes have nothing to undo and only
-    /// release.
+    /// in-place effects recorded in `local` and release the aborting
+    /// transaction's (`htx`'s) locks. Buffered-update classes have nothing
+    /// to undo and only release.
     ///
     /// A whole-attempt abort passes `local` as the body last wrote it: no
     /// undo is registered for a root-frame write. Undos
@@ -179,7 +196,7 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// whether or not a closed frame's writes are still in `local`: the
     /// in-tree classes read only their held-lock lists, and the queue
     /// returns every removed item whatever its return mark says.
-    fn release(&self, local: Self::Local, htx: &mut Txn, id: u64, stats: &SemanticStats);
+    fn release(&self, local: Self::Local, htx: &mut Txn);
 
     /// Whether a handler given `local` may change the underlying structure
     /// — `apply` writing the buffered updates, or `release` restoring what
@@ -242,30 +259,17 @@ pub trait SemanticClass: Send + Sync + 'static {
     }
 }
 
-/// A class with whole-collection locks — size, emptiness, the endpoints,
-/// fullness, key ranges. They live in one global stripe per instance,
-/// which [`SemanticCore::take_point_lock`] reaches through
-/// [`Self::global_stripe`] (as keyed classes expose their key stripes), and
-/// the class's handlers end in its [`GlobalPhase`].
-pub trait GlobalClass: SemanticClass {
-    /// What the class's range locks are taken on: its key type (any type,
-    /// `()` say, for a class that takes no range locks).
-    type RangeKey;
-    /// The instance's global stripe ([`ClassTables::global_stripe`] for a
-    /// class built on [`ClassTables`]).
-    fn global_stripe(&self) -> &GlobalStripe<Self::RangeKey>;
-}
-
 /// A keyed class: its transactions take per-key read locks in the class's
-/// striped key tables and keep the keys they hold in their `Local` buffer
-/// (paper Table 3's `keyLocks`). That one held-key set is both the release
-/// list the handlers sweep and the txn-local key-lock cache
-/// [`SemanticCore::take_key_lock`] probes, so each held key is stored once.
-pub(crate) trait KeyedClass: SemanticClass {
+/// [`ClassTables`] through [`SemanticCore::take_key_lock`] and keep the
+/// keys they hold in their `Local` buffer (paper Table 3's `keyLocks`).
+/// That one held-key set is both the release list the handlers sweep and
+/// the txn-local key-lock cache the take probes, so each held key is stored
+/// once.
+pub trait KeyedClass: SemanticClass {
     /// What a key lock is taken on.
     type Key: Clone + Eq + Hash;
-    /// The striped lock tables whose key stripes hold the class's key locks.
-    fn key_tables(&self) -> &MapTables<Self::Key>;
+    /// The lock tables whose key stripes hold the class's key locks.
+    fn key_tables(&self) -> &ClassTables<Self::Key>;
     /// The held-key set inside a transaction's buffer.
     fn held_keys(local: &mut Self::Local) -> &mut StripeSet<Self::Key>;
 }
@@ -304,7 +308,6 @@ impl<C: SemanticClass> Default for KernelSlot<C> {
 
 struct CoreInner<C: SemanticClass> {
     class: C,
-    stats: SemanticStats,
     /// Odd while one of this instance's handlers that writes the backend
     /// runs (a seqlock; handlers are serialized by the handler lane). See
     /// [`SemanticCore::read_settled`].
@@ -330,7 +333,8 @@ impl Drop for HandlerRun<'_> {
 
 /// The invariant half of every transactional class: first-touch handler
 /// registration, the per-attempt slot holding the class's buffered state,
-/// and the per-instance conflict counters. Cheap to clone (one `Arc`).
+/// and the lock-taking entry points, which cache their locks in that slot.
+/// Cheap to clone (one `Arc`).
 pub struct SemanticCore<C: SemanticClass> {
     inner: Arc<CoreInner<C>>,
 }
@@ -344,17 +348,15 @@ impl<C: SemanticClass> Clone for SemanticCore<C> {
 }
 
 impl<C: SemanticClass> SemanticCore<C> {
-    /// Build a core around `class`.
+    /// Build a core around `class`, naming its counters after the class.
     pub fn new(class: C) -> Self {
-        let stats = SemanticStats::default();
-        stats.set_class(class.name());
+        class.global_stripe().stats().set_class(class.name());
         if let Some(graph) = class.conflict_graph() {
             Self::validate_graph(graph);
         }
         SemanticCore {
             inner: Arc::new(CoreInner {
                 class,
-                stats,
                 handler_seq: AtomicU64::new(0),
             }),
         }
@@ -392,9 +394,9 @@ impl<C: SemanticClass> SemanticCore<C> {
         &self.inner.class
     }
 
-    /// Semantic-conflict counters for this instance.
+    /// Semantic-conflict counters for this instance (its global stripe's).
     pub fn stats(&self) -> &SemanticStats {
-        &self.inner.stats
+        self.inner.class.global_stripe().stats()
     }
 
     /// Register the single commit/abort handler pair and park the
@@ -438,7 +440,6 @@ impl<C: SemanticClass> SemanticCore<C> {
             "collection operation inside a tx.open body: the open child's state dies with it \
              — call the collection from the enclosing transaction",
         );
-        let id = tx.handle().id();
         let inner = Arc::clone(&self.inner);
         tx.on_commit_top(move |htx| {
             // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): taking the slot
@@ -453,14 +454,14 @@ impl<C: SemanticClass> SemanticCore<C> {
                 .class
                 .writes_backend(&local)
                 .then(|| HandlerRun::begin(&inner.handler_seq));
-            inner.class.apply(local, htx, id, &inner.stats);
+            inner.class.apply(local, htx);
         });
         let inner = Arc::clone(&self.inner);
         tx.on_abort_top(move |htx| {
             // The same slot take ends the lock cache before any release.
             let KernelSlot { local, undo, .. } = Self::take_slot(htx, tag);
             // Undo before release: drain the compensation log in reverse
-            // while transaction `id` still holds every semantic lock it
+            // while the transaction still holds every semantic lock it
             // took, so no observer can see a partially rolled-back state
             // between a compensating write and the lock drop
             // (docs/PROTOCOL.md, "undo-before-release").
@@ -469,7 +470,7 @@ impl<C: SemanticClass> SemanticCore<C> {
             for entry in undo.into_iter().rev() {
                 inner.class.compensate(entry, htx);
             }
-            inner.class.release(local, htx, id, &inner.stats);
+            inner.class.release(local, htx);
         });
         // Slot last: an unwind between handler registration and this insert
         // leaves no slot (a closed-frame retry re-registers) and the
@@ -545,7 +546,7 @@ impl<C: SemanticClass> SemanticCore<C> {
     /// Count and trace one lock-cache hit: a take answered without a stripe
     /// visit.
     fn count_cache_hit(&self, tx: &Txn, kind: LockKind, key_hash: u64) {
-        let stats = &self.inner.stats;
+        let stats = self.stats();
         stats.bump(&stats.lock_cache_hits, 1);
         stm::metrics::cache_hit(stats.class_sym());
         stm::trace::lock_cache_hit(tx.handle().id(), stats.class_sym(), kind, key_hash);
@@ -602,7 +603,7 @@ impl<C: SemanticClass> SemanticCore<C> {
     }
 }
 
-impl<C: GlobalClass> SemanticCore<C> {
+impl<C: SemanticClass> SemanticCore<C> {
     /// Hold the whole-collection lock of observation mode `mode` (`Size`,
     /// `Empty`, `First`, `Last` or `Full`) for the calling transaction: the
     /// point-lock twin of `take_key_lock`. Strictly in this order: the
@@ -630,18 +631,18 @@ impl<C: GlobalClass> SemanticCore<C> {
             self.count_cache_hit(tx, mode.lock_kind(), 0);
             return;
         }
-        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        let owner = tx.handle().clone();
         self.inner
             .class
             .global_stripe()
-            .with(stats, |g| g.take(mode, owner, stats));
+            .with(|g| g.take(mode, owner));
         if let Some(slot) = self.slot_mut(tx) {
             slot.points |= bit;
         }
     }
 }
 
-impl<C: GlobalClass> SemanticCore<C>
+impl<C: SemanticClass> SemanticCore<C>
 where
     C::RangeKey: Ord,
 {
@@ -659,40 +660,40 @@ where
         if tx.in_snapshot() {
             return None;
         }
-        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        let owner = tx.handle().clone();
         Some(
             self.inner
                 .class
                 .global_stripe()
-                .with(stats, |g| g.add_range_lock(owner, lower, upper, stats)),
+                .with(|g| g.add_range_lock(owner, lower, upper)),
         )
     }
 
     /// Move the upper bound of range lock `id` to `upper`.
     pub(crate) fn extend_range_lock(&self, id: u64, upper: Bound<C::RangeKey>) {
-        let stats = &self.inner.stats;
         self.inner
             .class
             .global_stripe()
-            .with(stats, |g| g.extend_range_upper(id, upper));
+            .with(|g| g.extend_range_upper(id, upper));
     }
 }
 
-// `KeyedClass` is crate-private, and so is the one method this impl adds.
-#[allow(private_bounds)]
 impl<C: KeyedClass> SemanticCore<C> {
     /// Hold the `(Key, key)` lock for the calling transaction: the one
     /// key-lock entry point of the keyed classes (guideline 3 — lock, then
     /// read the committed value open-nested).
     ///
-    /// The transaction's held-key set is the lock cache. A key already in it
-    /// is a cache hit — counted, traced, and answered without touching a
-    /// stripe. Otherwise the lock is taken in the key's stripe and the key
-    /// recorded, strictly after the take, so an unwind mid-acquisition never
-    /// leaves a held key without its lock. A hit is sound because the set is
-    /// also the release list: the lock goes only when a handler takes the
-    /// set out of the transaction to release it, and no probe can follow.
-    pub(crate) fn take_key_lock(&self, tx: &mut Txn, key: &C::Key) {
+    /// The transaction's held-key set is the lock cache. Strictly in this
+    /// order: the snapshot skip, the cache probe (a key already held is a
+    /// hit — counted, traced, and answered without touching a stripe), the
+    /// take in the key's stripe, then the record of the key. Recording after
+    /// the take means an unwind mid-acquisition never leaves a held key
+    /// without its lock; recording before the caller's open read means a
+    /// doom that unwinds that read still finds the key on the release list.
+    /// A hit is sound because the set is also the release list: the lock
+    /// goes only when a handler takes the set out of the transaction to
+    /// release it, and no probe can follow.
+    pub fn take_key_lock(&self, tx: &mut Txn, key: &C::Key) {
         if tx.in_snapshot() {
             // Snapshot skip: snapshot reads are isolated by the TVar
             // version chains, not by semantic locks. Not a cache hit; no
@@ -703,11 +704,12 @@ impl<C: KeyedClass> SemanticCore<C> {
             self.count_cache_hit(tx, LockKind::Key, key_hash64(key));
             return;
         }
-        let (stats, owner) = (&self.inner.stats, tx.handle().clone());
+        let owner = tx.handle().clone();
         self.inner
             .class
             .key_tables()
-            .with_stripe_for(key, stats, |s| s.take_key_lock(key.clone(), owner, stats));
+            .tables
+            .with_stripe_for(key, |s| s.take_key_lock(key.clone(), owner));
         C::held_keys(&mut self.slot(tx).local).insert(key.clone());
     }
 }
@@ -718,10 +720,11 @@ impl<C: KeyedClass> SemanticCore<C> {
 
 /// The striped semantic-lock tables of a keyed collection class: key-lock
 /// shards for per-key read locks plus the global stripe of whole-collection
-/// locks (size, emptiness, endpoints, fullness, key ranges). Wraps the
-/// crate's `StripedTables` so the handler-side sweep order — touched stripes
-/// ascending, global last, release last — is supplied by the kernel instead
-/// of restated per class.
+/// locks (size, emptiness, endpoints, fullness, key ranges), which also
+/// owns the instance's counters. Wraps the crate's `StripedTables` so the
+/// handler-side sweep order — touched stripes ascending, global last,
+/// release last — is supplied by the kernel instead of restated per class.
+/// Key locks are taken through [`SemanticCore::take_key_lock`].
 pub struct ClassTables<K> {
     tables: MapTables<K>,
 }
@@ -735,8 +738,8 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
         }
     }
 
-    /// The global stripe (what [`GlobalClass::global_stripe`] returns for a
-    /// class built on these tables).
+    /// The global stripe (what [`SemanticClass::global_stripe`] returns for
+    /// a class built on these tables).
     pub fn global_stripe(&self) -> &GlobalStripe<K> {
         self.tables.global()
     }
@@ -746,23 +749,10 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
         self.tables.stripe_count()
     }
 
-    /// The wrapped striped tables (what [`KeyedClass::key_tables`] returns
-    /// for the in-tree keyed classes built on these tables).
-    pub(crate) fn striped(&self) -> &MapTables<K> {
-        &self.tables
-    }
-
-    /// Body-side: take a key read lock in the stripe `key` hashes to
-    /// (guideline 3 — lock, then read the committed value open-nested).
-    pub fn take_key_lock(&self, stats: &SemanticStats, key: K, owner: Owner) {
-        self.tables
-            .with_stripe_for(&key, stats, |s| s.take_key_lock(key.clone(), owner, stats));
-    }
-
     /// Semantic key locks currently outstanding across all stripes
     /// (diagnostics).
-    pub fn locked_key_count(&self, stats: &SemanticStats) -> usize {
-        self.tables.locked_key_count(stats)
+    pub fn locked_key_count(&self) -> usize {
+        self.tables.locked_key_count()
     }
 
     /// Commit-handler sweep over transaction `id`'s footprint: `writes`
@@ -777,7 +767,6 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// skip it, or forget to release its whole-collection locks.
     pub fn commit_sweep<'t, 'a, W>(
         &'t self,
-        stats: &'t SemanticStats,
         id: u64,
         writes: impl IntoIterator<Item = (&'a K, &'a W)>,
         key_locks: impl IntoIterator<Item = &'a K>,
@@ -787,20 +776,17 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
         K: 'a,
         W: 'a,
     {
-        sweep_commit_footprint(
-            &self.tables,
-            stats,
-            writes,
-            key_locks,
-            |shard, op| match op {
-                FootprintOp::Apply(k, w) => {
-                    let mut cx = KeyCtx { shard, stats, id };
-                    apply(k, w, &mut cx);
-                }
-                FootprintOp::Release(k) => shard.release_keys(id, std::iter::once(k), stats),
-            },
-        );
-        GlobalPhase::new(self.tables.global(), stats, id)
+        sweep_commit_footprint(&self.tables, writes, key_locks, |shard, op| match op {
+            FootprintOp::Apply(k, w) => {
+                let mut cx = KeyCtx {
+                    shard: shard.reborrow(),
+                    id,
+                };
+                apply(k, w, &mut cx);
+            }
+            FootprintOp::Release(k) => shard.release_keys(id, std::iter::once(k)),
+        });
+        GlobalPhase::new(self.tables.global(), id)
     }
 
     /// Abort-handler sweep: release transaction `id`'s key locks (touched
@@ -808,18 +794,14 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
     /// locks in the global phase, last. The compensating half of guideline
     /// 5 for buffered-update classes, which have no in-place effects to
     /// undo.
-    pub fn release_sweep<'a>(
-        &self,
-        stats: &SemanticStats,
-        id: u64,
-        key_locks: impl IntoIterator<Item = &'a K>,
-    ) where
+    pub fn release_sweep<'a>(&self, id: u64, key_locks: impl IntoIterator<Item = &'a K>)
+    where
         K: 'a,
     {
-        sweep_release_footprint(&self.tables, stats, key_locks, |shard, keys| {
-            shard.release_keys(id, keys.iter().copied(), stats)
+        sweep_release_footprint(&self.tables, key_locks, |shard, keys| {
+            shard.release_keys(id, keys.iter().copied())
         });
-        GlobalPhase::new(self.tables.global(), stats, id).finish(|_| {});
+        GlobalPhase::new(self.tables.global(), id).finish(|_| {});
     }
 }
 
@@ -827,8 +809,7 @@ impl<K: Clone + Eq + Hash> ClassTables<K> {
 /// callback: the key's stripe is held, and dooms route through the paper's
 /// compatibility table, each landed one charged to `key_conflicts`.
 pub struct KeyCtx<'s, K> {
-    shard: &'s mut KeyLockShard<K>,
-    stats: &'s SemanticStats,
+    shard: Held<'s, KeyLockShard<K>, K>,
     id: u64,
 }
 
@@ -837,7 +818,7 @@ impl<K: Clone + Eq + Hash> KeyCtx<'_, K> {
     /// incompatible with (charged to `key_conflicts`). Returns how many
     /// dooms landed.
     pub fn doom(&mut self, effect: UpdateEffect, key: &K) -> u64 {
-        self.shard.doom_update(effect, key, self.id, self.stats)
+        self.shard.doom_update(effect, key, self.id)
     }
 }
 
@@ -853,15 +834,14 @@ impl<K: Clone + Eq + Hash> KeyCtx<'_, K> {
               owner's whole-collection locks are released"]
 pub struct GlobalPhase<'t, K> {
     global: &'t GlobalStripe<K>,
-    stats: &'t SemanticStats,
     id: u64,
 }
 
 impl<'t, K> GlobalPhase<'t, K> {
     /// The global phase of transaction `id` on `global`, for a handler
     /// whose key-stripe visits (if any) are over.
-    pub(crate) fn new(global: &'t GlobalStripe<K>, stats: &'t SemanticStats, id: u64) -> Self {
-        GlobalPhase { global, stats, id }
+    pub(crate) fn new(global: &'t GlobalStripe<K>, id: u64) -> Self {
+        GlobalPhase { global, id }
     }
 
     /// Enter the global stripe (strictly after every key-stripe hold — a
@@ -870,14 +850,12 @@ impl<'t, K> GlobalPhase<'t, K> {
     /// whole-collection locks the update invalidates, then release every
     /// whole-collection lock transaction `id` holds, last.
     pub fn finish(self, doom: impl FnOnce(&mut PointCtx<'_, K>)) {
-        self.global.with(self.stats, |g| {
-            let mut cx = PointCtx {
-                locks: g,
-                stats: self.stats,
+        self.global.with(|g| {
+            doom(&mut PointCtx {
+                locks: g.reborrow(),
                 id: self.id,
-            };
-            doom(&mut cx);
-            g.release(self.id, self.stats);
+            });
+            g.release(self.id);
         });
     }
 }
@@ -887,8 +865,7 @@ impl<'t, K> GlobalPhase<'t, K> {
 /// [`UpdateEffect::ZeroCross`] emptiness lockers), each landed one charged
 /// to its mode's conflict counter.
 pub struct PointCtx<'g, K> {
-    locks: &'g mut GlobalLocks<K>,
-    stats: &'g SemanticStats,
+    locks: Held<'g, GlobalLocks<K>, K>,
     id: u64,
 }
 
@@ -896,7 +873,7 @@ impl<K> PointCtx<'_, K> {
     /// Doom every other active holder of a whole-collection lock whose mode
     /// `effect` invalidates. Returns how many dooms landed.
     pub fn doom(&mut self, effect: UpdateEffect) -> u64 {
-        self.locks.doom(effect, self.id, self.stats)
+        self.locks.doom(effect, self.id)
     }
 
     /// The size moved from `before` to `after`: doom size observers if it
@@ -919,7 +896,7 @@ impl<K: Ord + Hash> PointCtx<'_, K> {
     /// update wrote.
     pub(crate) fn doom_ranges_at(&mut self, effect: UpdateEffect, key: &K) -> u64 {
         self.locks
-            .doom_ranges_at(effect, key, key_hash64(key), self.id, self.stats)
+            .doom_ranges_at(effect, key, key_hash64(key), self.id)
     }
 
     /// Doom the other owners of range locks intersecting `[lower, upper]`,
@@ -936,7 +913,7 @@ impl<K: Ord + Hash> PointCtx<'_, K> {
             Bound::Unbounded => 0,
         };
         self.locks
-            .doom_span(effect, lower, upper, span_hash, self.id, self.stats)
+            .doom_span(effect, lower, upper, span_hash, self.id)
     }
 }
 
@@ -974,10 +951,9 @@ impl<K, W> Copy for FootprintOp<'_, K, W> {}
 /// applies before releases within a stripe.
 pub(crate) fn sweep_commit_footprint<'a, K, W, S, G>(
     tables: &StripedTables<S, G>,
-    stats: &SemanticStats,
     writes: impl IntoIterator<Item = (&'a K, &'a W)>,
     unlocks: impl IntoIterator<Item = &'a K>,
-    mut visit: impl FnMut(&mut S, FootprintOp<'a, K, W>),
+    mut visit: impl FnMut(&mut Held<'_, S, G>, FootprintOp<'a, K, W>),
 ) where
     K: Hash + 'a,
     W: 'a,
@@ -1001,7 +977,7 @@ pub(crate) fn sweep_commit_footprint<'a, K, W, S, G>(
         }
     }
     let mut cursor = 0;
-    tables.for_stripes_ascending(touched.iter().copied(), stats, |si, shard| {
+    tables.for_stripes_ascending(touched.iter().copied(), |si, shard| {
         while let Some(&i) = order.get(cursor) {
             let (b, op) = foot[i as usize];
             if (b >> 1) as usize != si {
@@ -1018,9 +994,8 @@ pub(crate) fn sweep_commit_footprint<'a, K, W, S, G>(
 /// The caller's global phase runs afterwards (last).
 fn sweep_release_footprint<'a, K, S, G>(
     tables: &StripedTables<S, G>,
-    stats: &SemanticStats,
     keys: impl IntoIterator<Item = &'a K>,
-    mut visit: impl FnMut(&mut S, &[&'a K]),
+    mut visit: impl FnMut(&mut Held<'_, S, G>, &[&'a K]),
 ) where
     K: Hash + 'a,
 {
@@ -1038,7 +1013,7 @@ fn sweep_release_footprint<'a, K, S, G>(
         }
     }
     let mut cursor = 0;
-    tables.for_stripes_ascending(touched.iter().copied(), stats, |si, shard| {
+    tables.for_stripes_ascending(touched.iter().copied(), |si, shard| {
         let start = cursor;
         while cursor < order.len() && keyed[order[cursor] as usize].0 as usize == si {
             cursor += 1;
@@ -1061,20 +1036,25 @@ mod tests {
     }
 
     /// Minimal probe class: records into its shared [`Counts`].
-    struct ProbeClass(Arc<Counts>);
+    struct ProbeClass(Arc<Counts>, GlobalStripe<()>);
 
     impl SemanticClass for ProbeClass {
         type Local = Vec<u64>;
         type Undo = ();
+        type RangeKey = ();
 
-        fn apply(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+        fn global_stripe(&self) -> &GlobalStripe<()> {
+            &self.1
+        }
+
+        fn apply(&self, local: Vec<u64>, _htx: &mut Txn) {
             self.0.applies.fetch_add(1, Ordering::SeqCst);
             self.0
                 .applied_ops
                 .fetch_add(local.len() as u64, Ordering::SeqCst);
         }
 
-        fn release(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+        fn release(&self, local: Vec<u64>, _htx: &mut Txn) {
             self.0.releases.fetch_add(1, Ordering::SeqCst);
             self.0
                 .released_ops
@@ -1088,7 +1068,8 @@ mod tests {
 
     fn probe_core() -> (SemanticCore<ProbeClass>, Arc<Counts>) {
         let counts = Arc::new(Counts::default());
-        (SemanticCore::new(ProbeClass(counts.clone())), counts)
+        let class = ProbeClass(counts.clone(), GlobalStripe::default());
+        (SemanticCore::new(class), counts)
     }
 
     fn load(c: &AtomicU64) -> u64 {
@@ -1267,17 +1248,23 @@ mod tests {
     /// core hands them back, plus whether `release` had already run.
     struct UndoProbe {
         events: Arc<parking_lot::Mutex<Vec<String>>>,
+        global: GlobalStripe<()>,
     }
 
     impl SemanticClass for UndoProbe {
         type Local = ();
         type Undo = u64;
+        type RangeKey = ();
 
-        fn apply(&self, _local: (), _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+        fn global_stripe(&self) -> &GlobalStripe<()> {
+            &self.global
+        }
+
+        fn apply(&self, _local: (), _htx: &mut Txn) {
             self.events.lock().push("apply".into());
         }
 
-        fn release(&self, _local: (), _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+        fn release(&self, _local: (), _htx: &mut Txn) {
             self.events.lock().push("release".into());
         }
 
@@ -1293,6 +1280,7 @@ mod tests {
         let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let core = SemanticCore::new(UndoProbe {
             events: events.clone(),
+            global: GlobalStripe::default(),
         });
         (core, events)
     }
@@ -1341,27 +1329,27 @@ mod tests {
         // Drive ClassTables directly: take key + size locks as one txn,
         // commit-sweep as that txn, and verify everything is released.
         let tables: ClassTables<u64> = ClassTables::new(4);
-        let stats = SemanticStats::default();
         let (_, t) = stm::speculate(
             |tx| {
                 let owner = tx.handle().clone();
                 for k in 0..32u64 {
-                    tables.take_key_lock(&stats, k, owner.clone());
+                    tables
+                        .tables
+                        .with_stripe_for(&k, |s| s.take_key_lock(k, owner.clone()));
                 }
                 tables
                     .global_stripe()
-                    .with(&stats, |g| g.take(ObsMode::Size, owner, &stats));
+                    .with(|g| g.take(ObsMode::Size, owner));
             },
             0,
         )
         .unwrap();
         let id = t.handle().id();
-        assert_eq!(tables.locked_key_count(&stats), 32);
+        assert_eq!(tables.locked_key_count(), 32);
         let keys: Vec<u64> = (0..32).collect();
         let writes: Vec<(u64, u32)> = vec![(1, 10), (2, 20)];
         let mut applied = 0;
         let global = tables.commit_sweep(
-            &stats,
             id,
             writes.iter().map(|(k, w)| (k, w)),
             keys.iter(),
@@ -1374,7 +1362,7 @@ mod tests {
             g.doom(UpdateEffect::SizeChange);
         });
         assert_eq!(applied, 2);
-        assert_eq!(tables.locked_key_count(&stats), 0);
+        assert_eq!(tables.locked_key_count(), 0);
         t.commit();
     }
 }

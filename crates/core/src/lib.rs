@@ -114,7 +114,7 @@ mod snapshot;
 mod sorted_map;
 
 pub use backend::{
-    MapApplyOps, MapBackend, MapReadOps, MapUndo, QueueApplyOps, QueueBackend, QueueReadOps,
+    MapApplyOps, MapBackend, MapReadOps, QueueApplyOps, QueueBackend, QueueReadOps,
     SortedMapBackend, SortedReadOps, UndoOp,
 };
 pub use conflict_graph::{
@@ -124,7 +124,7 @@ pub use conflict_graph::{
 pub use eager_map::{EagerPolicy, EagerTransactionalMap, EAGER_MAP_CONFLICT_GRAPH};
 pub use interval_map::{TransactionalIntervalMap, INTERVAL_MAP_CONFLICT_GRAPH};
 pub use kernel::{
-    ClassTables, GlobalClass, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
+    ClassTables, GlobalPhase, KeyCtx, KeyedClass, PointCtx, SemanticClass, SemanticCore,
 };
 pub use locks::{
     mode_compatible, mode_compatible_spec, GlobalStripe, ObsMode, Owner, SemanticStats,

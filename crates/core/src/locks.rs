@@ -17,10 +17,13 @@
 //! structures scale. Every class's locks on whole-collection properties —
 //! size, emptiness, the endpoints, fullness and key ranges — live in one
 //! table of the same shape, [`GlobalLocks`], in a dedicated **global
-//! stripe**, so those semantics stay totally ordered. The per-transaction
-//! write buffers are not in any table: they live in the transaction itself
-//! (the kernel's extension slot), so buffering a put touches no shared
-//! memory at all.
+//! stripe**, so those semantics stay totally ordered. The global stripe also
+//! owns the instance's [`SemanticStats`]: a table is entered only as a
+//! [`Held`] table, which carries them, so each table charges its own takes,
+//! dooms, releases and contention without a counter being passed in. The
+//! per-transaction write buffers are not in any table: they live in the
+//! transaction itself (the kernel's extension slot), so buffering a put
+//! touches no shared memory at all.
 //!
 //! Every owner set — a key's lockers, the point-lock sets, the eager map's
 //! readers — is an [`Owners`] list: empty, one owner inline, or a boxed
@@ -98,9 +101,9 @@
 //! txlint: metrics — metrics-emitter argument spans here must not allocate
 //! or format (TX014).
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::hash::Hash;
-use std::ops::Bound;
+use std::ops::{Bound, Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use stm::hash::{key_hash64, stripe_index, StripeMap};
@@ -287,7 +290,9 @@ pub fn mode_compatible_spec(obs: ObsMode, effect: UpdateEffect, overlap: bool) -
 }
 
 /// Counters of semantic conflict detections and lock-table contention, per
-/// collection instance.
+/// collection instance. They are owned by the instance's global stripe
+/// ([`GlobalStripe::stats`]), and every lock table of the instance charges
+/// them.
 ///
 /// The `*_conflicts` counters each correspond to at least one transaction
 /// doomed because a committing writer changed an abstract property the
@@ -380,8 +385,9 @@ impl SemanticStats {
 
 /// Provenance of a doom sweep: which class/mode-pair/key a batch of dooms is
 /// about, threaded into [`doom_others`] so every landed doom emits one trace
-/// `DoomEdge` with the conflicting mode pair. Carries no allocation; built
-/// on the stack at each doom dispatch point.
+/// `DoomEdge` with the conflicting mode pair and charges the instance's
+/// counters. Carries no allocation; built on the stack at each doom
+/// dispatch point by [`GlobalStripe::doom_ctx`].
 #[derive(Clone, Copy)]
 pub(crate) struct DoomCtx<'a> {
     pub stats: &'a SemanticStats,
@@ -558,17 +564,6 @@ impl<K> Default for KeyLockShard<K> {
 }
 
 impl<K: Clone + Eq + Hash> KeyLockShard<K> {
-    pub(crate) fn take_key_lock(&mut self, key: K, owner: Owner, stats: &SemanticStats) {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(
-            owner.id(),
-            stats.class_sym(),
-            LockKind::Key,
-            key_hash64(&key),
-        );
-        self.key2lockers.entry(key).or_default().insert(owner);
-    }
-
     /// A stripe left with no locks gives back capacity above
     /// [`STRIPE_KEEP_CAPACITY`].
     fn trim(&mut self) {
@@ -590,58 +585,50 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
         n
     }
 
+    /// Number of distinct keys currently locked in this stripe.
+    pub(crate) fn locked_key_count(&self) -> usize {
+        self.key2lockers.len()
+    }
+}
+
+impl<K: Clone + Eq + Hash> Held<'_, KeyLockShard<K>, K> {
+    pub(crate) fn take_key_lock(&mut self, key: K, owner: Owner) {
+        self.global
+            .acquired(owner.id(), LockKind::Key, key_hash64(&key));
+        self.table.key2lockers.entry(key).or_default().insert(owner);
+    }
+
     /// Doom every key observer of `key` whose mode is incompatible with
     /// `effect` per [`mode_compatible`] — the key-side dispatch point of
     /// the doom protocol. Returns how many dooms landed.
-    pub(crate) fn doom_update(
-        &mut self,
-        effect: UpdateEffect,
-        key: &K,
-        self_id: u64,
-        stats: &SemanticStats,
-    ) -> u64 {
-        if !mode_compatible(ObsMode::Key, effect, true) {
-            let ctx = DoomCtx {
-                stats,
-                obs: ObsMode::Key,
-                effect,
-                key_hash: key_hash64(key),
-            };
-            self.doom_key_lockers(key, self_id, &ctx)
-        } else {
-            0
+    pub(crate) fn doom_update(&mut self, effect: UpdateEffect, key: &K, self_id: u64) -> u64 {
+        if mode_compatible(ObsMode::Key, effect, true) {
+            return 0;
         }
+        let ctx = self.global.doom_ctx(ObsMode::Key, effect, key_hash64(key));
+        self.table.doom_key_lockers(key, self_id, &ctx)
     }
 
     /// Release every key lock held on behalf of `owner_id`. `keys` is the
     /// owner's transaction-local `keyLocks` set filtered to this stripe —
     /// kept precisely so release does not have to enumerate `key2lockers`
     /// (paper §3.1).
-    pub(crate) fn release_keys<'a>(
-        &mut self,
-        owner_id: u64,
-        keys: impl Iterator<Item = &'a K>,
-        stats: &SemanticStats,
-    ) where
+    pub(crate) fn release_keys<'a>(&mut self, owner_id: u64, keys: impl Iterator<Item = &'a K>)
+    where
         K: 'a,
     {
         let mut released = 0u64;
         for k in keys {
-            if let Some(owners) = self.key2lockers.get_mut(k) {
+            if let Some(owners) = self.table.key2lockers.get_mut(k) {
                 owners.remove(owner_id);
                 if owners.is_empty() {
-                    self.key2lockers.remove(k);
+                    self.table.key2lockers.remove(k);
                 }
                 released += 1;
             }
         }
-        self.trim();
-        trace::sem_lock_released(owner_id, stats.class_sym(), LockKind::Key, released);
-    }
-
-    /// Number of distinct keys currently locked in this stripe.
-    pub(crate) fn locked_key_count(&self) -> usize {
-        self.key2lockers.len()
+        self.table.trim();
+        self.global.released(owner_id, LockKind::Key, released);
     }
 }
 
@@ -651,51 +638,133 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
 
 /// The **global stripe** of a collection instance: one counted mutex
 /// around the table of its whole-collection locks (size, emptiness,
-/// endpoints, fullness and key ranges; the range locks are taken on `K`).
+/// endpoints, fullness and key ranges; the range locks are taken on `K`),
+/// and the owner of the instance's [`SemanticStats`]. Every class has
+/// exactly one, and every lock table of the instance — its key stripes
+/// included — charges these counters: a table is only ever reached as a
+/// held table, which carries its instance's global stripe.
 ///
 /// Every entry is tallied in [`SemanticStats::global_stripe_entries`] (and
-/// the process-wide [`stm::StatsSnapshot`]), and a contended acquisition in
-/// [`SemanticStats::stripe_lock_spins`], so the serialized fraction of
-/// semantic-lock traffic is observable.
+/// the process-wide [`stm::StatsSnapshot`]), and a contended acquisition of
+/// any of the instance's stripes in [`SemanticStats::stripe_lock_spins`],
+/// so the serialized fraction of semantic-lock traffic is observable.
 pub struct GlobalStripe<K> {
-    inner: Mutex<GlobalLocks<K>>,
+    locks: Mutex<GlobalLocks<K>>,
+    stats: SemanticStats,
 }
 
 impl<K> Default for GlobalStripe<K> {
     fn default() -> Self {
         GlobalStripe {
-            inner: Mutex::new(GlobalLocks::default()),
+            locks: Mutex::new(GlobalLocks::default()),
+            stats: SemanticStats::default(),
         }
     }
 }
 
 impl<K> GlobalStripe<K> {
+    /// The instance's semantic-conflict and lock-table counters.
+    pub fn stats(&self) -> &SemanticStats {
+        &self.stats
+    }
+
     /// Run `f` under the global stripe. In the striped lock order this
     /// mutex ranks **after every key stripe**: callers must not hold any
     /// stripe when entering (all helpers here guarantee that structurally —
     /// each visit closes its stripe before the next acquisition).
-    pub(crate) fn with<R>(
-        &self,
-        stats: &SemanticStats,
-        f: impl FnOnce(&mut GlobalLocks<K>) -> R,
-    ) -> R {
-        stats.global_stripe_entries.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut Held<'_, GlobalLocks<K>, K>) -> R) -> R {
+        self.stats
+            .global_stripe_entries
+            .fetch_add(1, Ordering::Relaxed);
         metrics::tally(Total::GlobalStripeEntries);
-        let mut guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                // Global-stripe contention: stripe index u64::MAX by
-                // convention (see `trace::TraceEvent::SemLockBlocked`).
-                trace::sem_lock_blocked(stats.class_sym(), u64::MAX);
-                metrics::stripe_blocked(stats.class_sym(), u64::MAX);
-                let wait_t0 = metrics::timer();
-                let g = self.inner.lock();
-                metrics::hist_elapsed(metrics::HistKind::SemLockWait, wait_t0);
-                g
-            }
-        };
-        f(&mut guard)
+        // Global-stripe contention: stripe index u64::MAX by convention (see
+        // `trace::TraceEvent::SemLockBlocked`).
+        let mut guard = self.lock_counted(&self.locks, u64::MAX);
+        f(&mut Held {
+            table: &mut guard,
+            global: self,
+        })
+    }
+
+    /// Lock `mutex`, stripe `stripe` of this instance, charging a contended
+    /// acquisition to [`SemanticStats::stripe_lock_spins`].
+    fn lock_counted<'m, T>(&self, mutex: &'m Mutex<T>, stripe: u64) -> MutexGuard<'m, T> {
+        mutex.try_lock().unwrap_or_else(|| {
+            let sym = self.stats.class_sym();
+            self.stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
+            trace::sem_lock_blocked(sym, stripe);
+            metrics::stripe_blocked(sym, stripe);
+            let wait_t0 = metrics::timer();
+            let g = mutex.lock();
+            metrics::hist_elapsed(metrics::HistKind::SemLockWait, wait_t0);
+            g
+        })
+    }
+
+    /// Charge one semantic-lock acquisition by transaction `owner` and
+    /// trace it.
+    pub(crate) fn acquired(&self, owner: u64, kind: LockKind, key_hash: u64) {
+        self.stats.bump(&self.stats.lock_acquisitions, 1);
+        trace::sem_lock_acquired(owner, self.stats.class_sym(), kind, key_hash);
+    }
+
+    /// Trace the release of `n` locks of `kind` held by transaction `owner`.
+    pub(crate) fn released(&self, owner: u64, kind: LockKind, n: u64) {
+        trace::sem_lock_released(owner, self.stats.class_sym(), kind, n);
+    }
+
+    /// The context of a doom sweep over `obs` locks for an update that
+    /// publishes `effect` on the key hashing to `key_hash`.
+    pub(crate) fn doom_ctx(
+        &self,
+        obs: ObsMode,
+        effect: UpdateEffect,
+        key_hash: u64,
+    ) -> DoomCtx<'_> {
+        DoomCtx {
+            stats: &self.stats,
+            obs,
+            effect,
+            key_hash,
+        }
+    }
+}
+
+/// A lock table entered under its stripe's mutex, together with the global
+/// stripe that owns the counters every take, doom and release through it
+/// charges. The table is reachable only this way, so no counter reference
+/// is ever passed along. Dereferences to the table.
+pub(crate) struct Held<'a, T, K> {
+    table: &'a mut T,
+    global: &'a GlobalStripe<K>,
+}
+
+impl<'a, T, K> Held<'a, T, K> {
+    /// The global stripe whose counters this table charges.
+    pub(crate) fn global(&self) -> &'a GlobalStripe<K> {
+        self.global
+    }
+
+    /// The same hold, for a nested visit.
+    pub(crate) fn reborrow(&mut self) -> Held<'_, T, K> {
+        Held {
+            table: &mut *self.table,
+            global: self.global,
+        }
+    }
+}
+
+impl<T, K> Deref for Held<'_, T, K> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.table
+    }
+}
+
+impl<T, K> DerefMut for Held<'_, T, K> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.table
     }
 }
 
@@ -771,19 +840,13 @@ impl<S, K> StripedTables<S, K> {
         stripe_index(key, self.stripes.len())
     }
 
-    fn lock_stripe(&self, idx: usize, stats: &SemanticStats) -> parking_lot::MutexGuard<'_, S> {
-        match self.stripes[idx].try_lock() {
-            Some(g) => g,
-            None => {
-                stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                trace::sem_lock_blocked(stats.class_sym(), idx as u64);
-                metrics::stripe_blocked(stats.class_sym(), idx as u64);
-                let wait_t0 = metrics::timer();
-                let g = self.stripes[idx].lock();
-                metrics::hist_elapsed(metrics::HistKind::SemLockWait, wait_t0);
-                g
-            }
-        }
+    /// Run `f` under stripe `idx`.
+    fn visit<R>(&self, idx: usize, f: impl FnOnce(&mut Held<'_, S, K>) -> R) -> R {
+        let mut guard = self.global.lock_counted(&self.stripes[idx], idx as u64);
+        f(&mut Held {
+            table: &mut guard,
+            global: &self.global,
+        })
     }
 
     /// Body-side single-stripe visit: run `f` under the stripe `key` hashes
@@ -792,11 +855,9 @@ impl<S, K> StripedTables<S, K> {
     pub(crate) fn with_stripe_for<Q: Hash, R>(
         &self,
         key: &Q,
-        stats: &SemanticStats,
-        f: impl FnOnce(&mut S) -> R,
+        f: impl FnOnce(&mut Held<'_, S, K>) -> R,
     ) -> R {
-        let mut guard = self.lock_stripe(self.stripe_of(key), stats);
-        f(&mut guard)
+        self.visit(self.stripe_of(key), f)
     }
 
     /// Handler-side multi-stripe sweep: visit each listed stripe exactly
@@ -808,15 +869,13 @@ impl<S, K> StripedTables<S, K> {
     pub(crate) fn for_stripes_ascending(
         &self,
         indices: impl IntoIterator<Item = usize>,
-        stats: &SemanticStats,
-        mut f: impl FnMut(usize, &mut S),
+        mut f: impl FnMut(usize, &mut Held<'_, S, K>),
     ) {
         let mut idxs: Vec<usize> = indices.into_iter().collect();
         idxs.sort_unstable();
         idxs.dedup();
         for i in idxs {
-            let mut guard = self.lock_stripe(i, stats);
-            f(i, &mut guard);
+            self.visit(i, |held| f(i, held));
         }
     }
 
@@ -829,21 +888,18 @@ impl<S, K> StripedTables<S, K> {
     /// Run `f` under the global stripe.
     pub(crate) fn with_global<R>(
         &self,
-        stats: &SemanticStats,
-        f: impl FnOnce(&mut GlobalLocks<K>) -> R,
+        f: impl FnOnce(&mut Held<'_, GlobalLocks<K>, K>) -> R,
     ) -> R {
-        self.global.with(stats, f)
+        self.global.with(f)
     }
 }
 
 impl<K: Clone + Eq + Hash> StripedTables<KeyLockShard<K>, K> {
     /// Semantic key locks currently outstanding across all stripes
     /// (diagnostics).
-    pub(crate) fn locked_key_count(&self, stats: &SemanticStats) -> usize {
+    pub(crate) fn locked_key_count(&self) -> usize {
         let mut n = 0;
-        self.for_stripes_ascending(0..self.stripe_count(), stats, |_, s| {
-            n += s.locked_key_count()
-        });
+        self.for_stripes_ascending(0..self.stripe_count(), |_, s| n += s.locked_key_count());
         n
     }
 }
@@ -912,11 +968,11 @@ const POINT_MODES: [ObsMode; 5] = [
 /// The whole-collection locks of one collection instance — the global
 /// stripe's payload, and one table for every class (paper Tables 3, 6 and
 /// 9: `sizeLockers`, `emptyLockers`, `firstLockers`, `lastLockers` and
-/// `rangeLockers`, plus a bounded queue's full lockers). Bodies take point
-/// locks with [`Self::take`] and range locks with [`Self::add_range_lock`];
-/// a committing writer dooms through [`Self::doom`] and the range dooms;
-/// the kernel's global phase releases an owner's locks with
-/// [`Self::release`], the only release there is.
+/// `rangeLockers`, plus a bounded queue's full lockers and the eager map's
+/// size writers). Bodies take point locks with [`Held::take`] and range
+/// locks with [`Held::add_range_lock`]; a committing writer dooms through
+/// [`Held::doom`] and the range dooms; the kernel's global phase releases
+/// an owner's locks with [`Held::release`], the only release there is.
 ///
 /// Range locks sit in a flat list scanned at every committed update — the
 /// paper's §3.2 choice: "An alternative would have been to use an interval
@@ -925,6 +981,10 @@ const POINT_MODES: [ObsMode; 5] = [
 pub(crate) struct GlobalLocks<K> {
     /// The holders of each whole-collection lock, in [`POINT_MODES`] order.
     points: [Owners; 5],
+    /// Transactions whose uncommitted in-place writes may have changed the
+    /// size (the eager map's): a size read waits while another one is
+    /// active.
+    size_writers: Owners,
     ranges: Vec<RangeLock<K>>,
     next_range_id: u64,
 }
@@ -933,6 +993,7 @@ impl<K> Default for GlobalLocks<K> {
     fn default() -> Self {
         GlobalLocks {
             points: Default::default(),
+            size_writers: Owners::Empty,
             ranges: Vec::new(),
             next_range_id: 0,
         }
@@ -945,87 +1006,16 @@ impl<K> GlobalLocks<K> {
         &mut self.points[at.expect("key and range locks are not whole-collection locks")]
     }
 
-    /// Hold the whole-collection lock of `mode` for `owner`.
-    pub(crate) fn take(&mut self, mode: ObsMode, owner: Owner, stats: &SemanticStats) {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), mode.lock_kind(), 0);
-        self.owners(mode).insert(owner);
-    }
-
-    /// Doom every other active holder of a whole-collection lock whose mode
-    /// `effect` invalidates per [`mode_compatible`]. Returns how many dooms
-    /// landed.
-    pub(crate) fn doom(
-        &mut self,
-        effect: UpdateEffect,
-        self_id: u64,
-        stats: &SemanticStats,
-    ) -> u64 {
-        let mut doomed = 0;
-        for (&obs, owners) in POINT_MODES.iter().zip(&mut self.points) {
-            if !mode_compatible(obs, effect, false) {
-                let ctx = DoomCtx {
-                    stats,
-                    obs,
-                    effect,
-                    key_hash: 0,
-                };
-                doomed += doom_others(owners, self_id, &ctx);
-            }
-        }
-        doomed
-    }
-
-    /// Release every lock `owner_id` holds here, tracing how many of each
-    /// kind.
-    pub(crate) fn release(&mut self, owner_id: u64, stats: &SemanticStats) {
-        let mut held = |mode| u64::from(self.owners(mode).remove(owner_id));
-        let size = held(ObsMode::Size);
-        let empty = held(ObsMode::Empty);
-        let endpoints = held(ObsMode::First) + held(ObsMode::Last);
-        let full = held(ObsMode::Full);
-        let before = self.ranges.len();
-        self.ranges.retain(|r| r.owner.id() != owner_id);
-        let ranges = (before - self.ranges.len()) as u64;
-        let sym = stats.class_sym();
-        for (kind, n) in [
-            (LockKind::Size, size),
-            (LockKind::Empty, empty),
-            (LockKind::Endpoint, endpoints),
-            (LockKind::Range, ranges),
-            (LockKind::Full, full),
-        ] {
-            trace::sem_lock_released(owner_id, sym, kind, n);
-        }
+    /// Whether an active transaction other than `self_id` is a size writer.
+    pub(crate) fn other_size_writer(&self, self_id: u64) -> bool {
+        self.size_writers
+            .iter()
+            .any(|o| o.id() != self_id && o.state() == TxState::Active)
     }
 
     /// Number of range locks outstanding (diagnostics).
     pub(crate) fn range_count(&self) -> usize {
         self.ranges.len()
-    }
-}
-
-impl<K: Ord> GlobalLocks<K> {
-    /// Register a range lock and return its stable id so an iterator can
-    /// grow it as it advances.
-    pub(crate) fn add_range_lock(
-        &mut self,
-        owner: Owner,
-        lower: Bound<K>,
-        upper: Bound<K>,
-        stats: &SemanticStats,
-    ) -> u64 {
-        stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Range, 0);
-        let id = self.next_range_id;
-        self.next_range_id += 1;
-        self.ranges.push(RangeLock {
-            id,
-            owner,
-            lower,
-            upper,
-        });
-        id
     }
 
     /// Extend the upper bound of a previously registered range lock.
@@ -1033,6 +1023,77 @@ impl<K: Ord> GlobalLocks<K> {
         if let Some(r) = self.ranges.iter_mut().find(|r| r.id == id) {
             r.upper = upper;
         }
+    }
+}
+
+impl<K> Held<'_, GlobalLocks<K>, K> {
+    /// Hold the whole-collection lock of `mode` for `owner`.
+    pub(crate) fn take(&mut self, mode: ObsMode, owner: Owner) {
+        self.global.acquired(owner.id(), mode.lock_kind(), 0);
+        self.table.owners(mode).insert(owner);
+    }
+
+    /// Doom every other active holder of a whole-collection lock whose mode
+    /// `effect` invalidates per [`mode_compatible`]. Returns how many dooms
+    /// landed.
+    pub(crate) fn doom(&mut self, effect: UpdateEffect, self_id: u64) -> u64 {
+        let mut doomed = 0;
+        for (&obs, owners) in POINT_MODES.iter().zip(&mut self.table.points) {
+            if !mode_compatible(obs, effect, false) {
+                doomed += doom_others(owners, self_id, &self.global.doom_ctx(obs, effect, 0));
+            }
+        }
+        doomed
+    }
+
+    /// Make `owner` a size writer ahead of an in-place write that changes
+    /// the size, dooming the size observers as a size change does. Returns
+    /// how many dooms landed.
+    pub(crate) fn join_size_writers(&mut self, owner: Owner) -> u64 {
+        let id = owner.id();
+        self.table.size_writers.insert(owner);
+        self.doom(UpdateEffect::SizeChange, id)
+    }
+
+    /// Release every lock `owner_id` holds here, tracing how many of each
+    /// kind, and end its size writing.
+    pub(crate) fn release(&mut self, owner_id: u64) {
+        let locks = &mut self.table;
+        let mut held = |mode| u64::from(locks.owners(mode).remove(owner_id));
+        let size = held(ObsMode::Size);
+        let empty = held(ObsMode::Empty);
+        let endpoints = held(ObsMode::First) + held(ObsMode::Last);
+        let full = held(ObsMode::Full);
+        locks.size_writers.remove(owner_id);
+        let before = locks.ranges.len();
+        locks.ranges.retain(|r| r.owner.id() != owner_id);
+        let ranges = (before - locks.ranges.len()) as u64;
+        for (kind, n) in [
+            (LockKind::Size, size),
+            (LockKind::Empty, empty),
+            (LockKind::Endpoint, endpoints),
+            (LockKind::Range, ranges),
+            (LockKind::Full, full),
+        ] {
+            self.global.released(owner_id, kind, n);
+        }
+    }
+}
+
+impl<K: Ord> Held<'_, GlobalLocks<K>, K> {
+    /// Register a range lock and return its stable id so an iterator can
+    /// grow it as it advances.
+    pub(crate) fn add_range_lock(&mut self, owner: Owner, lower: Bound<K>, upper: Bound<K>) -> u64 {
+        self.global.acquired(owner.id(), LockKind::Range, 0);
+        let id = self.table.next_range_id;
+        self.table.next_range_id += 1;
+        self.table.ranges.push(RangeLock {
+            id,
+            owner,
+            lower,
+            upper,
+        });
+        id
     }
 
     /// A committing writer published `effect` on `key` (whose
@@ -1044,9 +1105,8 @@ impl<K: Ord> GlobalLocks<K> {
         key: &K,
         key_hash: u64,
         self_id: u64,
-        stats: &SemanticStats,
     ) -> u64 {
-        self.doom_ranges(effect, key_hash, self_id, stats, |r| {
+        self.doom_ranges(effect, key_hash, self_id, |r| {
             in_range(key, &r.lower, &r.upper)
         })
     }
@@ -1064,9 +1124,8 @@ impl<K: Ord> GlobalLocks<K> {
         upper: &Bound<K>,
         span_hash: u64,
         self_id: u64,
-        stats: &SemanticStats,
     ) -> u64 {
-        self.doom_ranges(effect, span_hash, self_id, stats, |r| {
+        self.doom_ranges(effect, span_hash, self_id, |r| {
             bounds_overlap(&r.lower, &r.upper, lower, upper)
         })
     }
@@ -1082,20 +1141,14 @@ impl<K: Ord> GlobalLocks<K> {
         effect: UpdateEffect,
         key_hash: u64,
         self_id: u64,
-        stats: &SemanticStats,
         mut hit: impl FnMut(&RangeLock<K>) -> bool,
     ) -> u64 {
         if mode_compatible(ObsMode::Range, effect, true) {
             return 0;
         }
-        let ctx = DoomCtx {
-            stats,
-            obs: ObsMode::Range,
-            effect,
-            key_hash,
-        };
+        let ctx = self.global.doom_ctx(ObsMode::Range, effect, key_hash);
         let mut doomed = 0;
-        self.ranges.retain(|r| {
+        self.table.ranges.retain(|r| {
             if r.owner.id() == self_id {
                 return true;
             }
@@ -1122,30 +1175,28 @@ mod tests {
         TxHandle::new(0)
     }
 
-    /// Build a doom context for unit tests (tracing is off here, so the
-    /// emission side is inert; `trace_provenance.rs` covers it live).
-    fn ctx<'a>(stats: &'a SemanticStats, obs: ObsMode, effect: UpdateEffect) -> DoomCtx<'a> {
-        DoomCtx {
-            stats,
-            obs,
-            effect,
-            key_hash: 0,
-        }
+    /// `table` held as a table of `global`'s instance, charging its
+    /// counters (tracing is off here, so the emission side is inert;
+    /// `trace_provenance.rs` covers it live).
+    fn held<'a, T>(table: &'a mut T, global: &'a GlobalStripe<u32>) -> Held<'a, T, u32> {
+        Held { table, global }
+    }
+
+    /// The doom context of a key write on `global`'s instance.
+    fn key_write(global: &GlobalStripe<u32>) -> DoomCtx<'_> {
+        global.doom_ctx(ObsMode::Key, UpdateEffect::KeyWrite, 0)
     }
 
     #[test]
     fn key_lock_doom_hits_only_other_active_owners() {
-        let stats = SemanticStats::default();
-        let mut t: KeyLockShard<u32> = KeyLockShard::default();
+        let global = GlobalStripe::default();
+        let mut shard: KeyLockShard<u32> = KeyLockShard::default();
+        let mut t = held(&mut shard, &global);
         let me = owner();
         let victim = owner();
-        t.take_key_lock(7, me.clone(), &stats);
-        t.take_key_lock(7, victim.clone(), &stats);
-        let doomed = t.doom_key_lockers(
-            &7,
-            me.id(),
-            &ctx(&stats, ObsMode::Key, UpdateEffect::KeyWrite),
-        );
+        t.take_key_lock(7, me.clone());
+        t.take_key_lock(7, victim.clone());
+        let doomed = t.doom_key_lockers(&7, me.id(), &key_write(&global));
         assert_eq!(doomed, 1);
         assert!(victim.is_doomed());
         assert!(!me.is_doomed());
@@ -1156,21 +1207,22 @@ mod tests {
     /// release removes the key's entry.
     #[test]
     fn second_owner_spills_and_last_release_removes_the_entry() {
-        let stats = SemanticStats::default();
-        let wctx = ctx(&stats, ObsMode::Key, UpdateEffect::KeyWrite);
-        let mut shard: KeyLockShard<u32> = KeyLockShard::default();
+        let global = GlobalStripe::default();
+        let wctx = key_write(&global);
+        let mut table: KeyLockShard<u32> = KeyLockShard::default();
+        let mut shard = held(&mut table, &global);
         let (first, second, writer) = (owner(), owner(), owner());
         assert_eq!(std::mem::size_of::<Owners>(), 16, "one owner inline");
-        shard.take_key_lock(7, first.clone(), &stats);
+        shard.take_key_lock(7, first.clone());
         assert!(matches!(shard.key2lockers.get(&7), Some(Owners::One(_))));
-        shard.take_key_lock(7, second.clone(), &stats);
-        shard.take_key_lock(7, second.clone(), &stats);
+        shard.take_key_lock(7, second.clone());
+        shard.take_key_lock(7, second.clone());
         assert!(matches!(
             shard.key2lockers.get(&7),
             Some(Owners::Many(v)) if v.len() == 2
         ));
 
-        shard.release_keys(first.id(), [7].iter(), &stats);
+        shard.release_keys(first.id(), [7].iter());
         assert_eq!(
             shard.locked_key_count(),
             1,
@@ -1179,41 +1231,40 @@ mod tests {
         assert_eq!(shard.doom_key_lockers(&7, writer.id(), &wctx), 1);
         assert!(second.is_doomed() && !first.is_doomed());
 
-        shard.release_keys(second.id(), [7].iter(), &stats);
+        shard.release_keys(second.id(), [7].iter());
         assert_eq!(shard.locked_key_count(), 0);
         assert_eq!(shard.doom_key_lockers(&7, writer.id(), &wctx), 0);
     }
 
     #[test]
     fn doom_missing_key_is_zero() {
-        let stats = SemanticStats::default();
+        let global = GlobalStripe::default();
         let mut t: KeyLockShard<u32> = KeyLockShard::default();
-        assert_eq!(
-            t.doom_key_lockers(&1, 0, &ctx(&stats, ObsMode::Key, UpdateEffect::KeyWrite)),
-            0
-        );
+        assert_eq!(t.doom_key_lockers(&1, 0, &key_write(&global)), 0);
     }
 
     #[test]
     fn release_removes_all_owner_locks() {
-        let stats = SemanticStats::default();
+        let global = GlobalStripe::default();
         let mut shard: KeyLockShard<u32> = KeyLockShard::default();
-        let mut points: GlobalLocks<u32> = GlobalLocks::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let (mut shard, mut points) = (held(&mut shard, &global), held(&mut locks, &global));
         let me = owner();
-        shard.take_key_lock(1, me.clone(), &stats);
-        shard.take_key_lock(2, me.clone(), &stats);
-        points.take(ObsMode::Size, me.clone(), &stats);
+        shard.take_key_lock(1, me.clone());
+        shard.take_key_lock(2, me.clone());
+        points.take(ObsMode::Size, me.clone());
         let keys: Vec<u32> = vec![1, 2];
-        shard.release_keys(me.id(), keys.iter(), &stats);
-        points.release(me.id(), &stats);
+        shard.release_keys(me.id(), keys.iter());
+        points.release(me.id());
         assert_eq!(shard.locked_key_count(), 0);
-        assert_eq!(points.doom(UpdateEffect::SizeChange, u64::MAX, &stats), 0);
+        assert_eq!(points.doom(UpdateEffect::SizeChange, u64::MAX), 0);
     }
 
     #[test]
     fn finished_owners_are_pruned_not_doomed() {
-        let stats = SemanticStats::default();
-        let mut t: GlobalLocks<u32> = GlobalLocks::default();
+        let global = GlobalStripe::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let mut t = held(&mut locks, &global);
         let dead = owner();
         // Simulate a completed transaction lingering in the table.
         *t.owners(ObsMode::Size) = Owners::One(dead.clone());
@@ -1221,36 +1272,27 @@ mod tests {
         // is not possible here, so use an Active owner and verify doom, then
         // check pruning with the doomed-but-aborted state is covered by the
         // integration tests.
-        let n = t.doom(UpdateEffect::SizeChange, u64::MAX, &stats);
+        let n = t.doom(UpdateEffect::SizeChange, u64::MAX);
         assert_eq!(n, 1);
     }
 
     #[test]
     fn range_lock_covers_and_grows() {
-        let stats = SemanticStats::default();
-        let mut t: GlobalLocks<u32> = GlobalLocks::default();
+        let global = GlobalStripe::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let mut t = held(&mut locks, &global);
         let me = owner();
         let victim = owner();
-        let doom_at = |t: &mut GlobalLocks<u32>, k: u32| {
-            t.doom_ranges_at(UpdateEffect::KeyWrite, &k, 0, me.id(), &stats)
+        let doom_at = |t: &mut Held<GlobalLocks<u32>, u32>, k: u32| {
+            t.doom_ranges_at(UpdateEffect::KeyWrite, &k, 0, me.id())
         };
-        let idx = t.add_range_lock(
-            victim.clone(),
-            Bound::Included(10),
-            Bound::Included(20),
-            &stats,
-        );
+        let idx = t.add_range_lock(victim.clone(), Bound::Included(10), Bound::Included(20));
         assert_eq!(doom_at(&mut t, 5), 0);
         assert_eq!(doom_at(&mut t, 15), 1);
         assert!(victim.is_doomed());
 
         let victim2 = owner();
-        let id2 = t.add_range_lock(
-            victim2.clone(),
-            Bound::Included(30),
-            Bound::Excluded(31),
-            &stats,
-        );
+        let id2 = t.add_range_lock(victim2.clone(), Bound::Included(30), Bound::Excluded(31));
         t.extend_range_upper(id2, Bound::Included(40));
         assert_eq!(doom_at(&mut t, 40), 1);
         assert!(victim2.is_doomed());
@@ -1259,14 +1301,12 @@ mod tests {
 
     #[test]
     fn range_owner_not_self_doomed() {
-        let stats = SemanticStats::default();
-        let mut t: GlobalLocks<u32> = GlobalLocks::default();
+        let global = GlobalStripe::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let mut t = held(&mut locks, &global);
         let me = owner();
-        t.add_range_lock(me.clone(), Bound::Unbounded, Bound::Unbounded, &stats);
-        assert_eq!(
-            t.doom_ranges_at(UpdateEffect::KeyWrite, &1, 0, me.id(), &stats),
-            0
-        );
+        t.add_range_lock(me.clone(), Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(t.doom_ranges_at(UpdateEffect::KeyWrite, &1, 0, me.id()), 0);
         assert!(!me.is_doomed());
     }
 
@@ -1291,74 +1331,66 @@ mod tests {
     }
 
     /// The conflict counters of the size and emptiness modes.
-    fn size_empty(stats: &SemanticStats) -> (u64, u64) {
+    fn size_empty(global: &GlobalStripe<u32>) -> (u64, u64) {
         (
-            stats.size_conflicts.load(Ordering::Relaxed),
-            stats.empty_conflicts.load(Ordering::Relaxed),
+            global.stats().size_conflicts.load(Ordering::Relaxed),
+            global.stats().empty_conflicts.load(Ordering::Relaxed),
         )
     }
 
     #[test]
     fn doom_update_routes_through_mode_compatibility() {
-        let stats = SemanticStats::default();
+        let global = GlobalStripe::default();
         let mut shard: KeyLockShard<u32> = KeyLockShard::default();
-        let mut points: GlobalLocks<u32> = GlobalLocks::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let (mut shard, mut points) = (held(&mut shard, &global), held(&mut locks, &global));
         let me = owner();
         let key_watcher = owner();
         let size_watcher = owner();
         let empty_watcher = owner();
-        shard.take_key_lock(7, key_watcher.clone(), &stats);
-        points.take(ObsMode::Size, size_watcher.clone(), &stats);
-        points.take(ObsMode::Empty, empty_watcher.clone(), &stats);
+        shard.take_key_lock(7, key_watcher.clone());
+        points.take(ObsMode::Size, size_watcher.clone());
+        points.take(ObsMode::Empty, empty_watcher.clone());
 
         // A value-replacing put: dooms the key watcher only.
-        let k = shard.doom_update(UpdateEffect::KeyWrite, &7, me.id(), &stats);
-        let p = points.doom(UpdateEffect::KeyWrite, me.id(), &stats);
+        let k = shard.doom_update(UpdateEffect::KeyWrite, &7, me.id());
+        let p = points.doom(UpdateEffect::KeyWrite, me.id());
         assert_eq!((k, p), (1, 0));
-        assert_eq!(stats.key_conflicts.load(Ordering::Relaxed), 1);
+        assert_eq!(global.stats().key_conflicts.load(Ordering::Relaxed), 1);
         assert!(key_watcher.is_doomed());
         assert!(!size_watcher.is_doomed() && !empty_watcher.is_doomed());
 
         // A size change without zero crossing: dooms the size watcher only.
-        assert_eq!(points.doom(UpdateEffect::SizeChange, me.id(), &stats), 1);
-        assert_eq!(size_empty(&stats), (1, 0));
+        assert_eq!(points.doom(UpdateEffect::SizeChange, me.id()), 1);
+        assert_eq!(size_empty(&global), (1, 0));
         assert!(!empty_watcher.is_doomed());
 
         // Zero crossing: dooms the emptiness watcher.
-        assert_eq!(points.doom(UpdateEffect::ZeroCross, me.id(), &stats), 1);
-        assert_eq!(size_empty(&stats), (1, 1));
+        assert_eq!(points.doom(UpdateEffect::ZeroCross, me.id()), 1);
+        assert_eq!(size_empty(&global), (1, 1));
         assert!(empty_watcher.is_doomed());
     }
 
     #[test]
     fn sorted_doom_update_endpoints_and_ranges() {
-        let stats = SemanticStats::default();
-        let mut t: GlobalLocks<u32> = GlobalLocks::default();
+        let global = GlobalStripe::default();
+        let mut locks: GlobalLocks<u32> = GlobalLocks::default();
+        let mut t = held(&mut locks, &global);
         let me = owner();
         let ranger = owner();
         let firster = owner();
-        t.add_range_lock(
-            ranger.clone(),
-            Bound::Included(10),
-            Bound::Included(20),
-            &stats,
-        );
-        t.take(ObsMode::First, firster.clone(), &stats);
+        t.add_range_lock(ranger.clone(), Bound::Included(10), Bound::Included(20));
+        t.take(ObsMode::First, firster.clone());
 
-        let r = t.doom_ranges_at(
-            UpdateEffect::KeyWrite,
-            &15,
-            key_hash64(&15),
-            me.id(),
-            &stats,
-        );
-        let p = t.doom(UpdateEffect::KeyWrite, me.id(), &stats);
+        let r = t.doom_ranges_at(UpdateEffect::KeyWrite, &15, key_hash64(&15), me.id());
+        let p = t.doom(UpdateEffect::KeyWrite, me.id());
         assert_eq!((r, p), (1, 0));
         assert!(ranger.is_doomed() && !firster.is_doomed());
 
-        let r = t.doom_ranges_at(UpdateEffect::FirstChange, &15, 0, me.id(), &stats);
-        let f = t.doom(UpdateEffect::FirstChange, me.id(), &stats);
+        let r = t.doom_ranges_at(UpdateEffect::FirstChange, &15, 0, me.id());
+        let f = t.doom(UpdateEffect::FirstChange, me.id());
         assert_eq!((r, f), (0, 1));
+        let stats = global.stats();
         assert_eq!(stats.range_conflicts.load(Ordering::Relaxed), 1);
         assert_eq!(stats.first_conflicts.load(Ordering::Relaxed), 1);
         assert!(firster.is_doomed());
@@ -1402,34 +1434,30 @@ mod tests {
 
     #[test]
     fn ascending_sweep_visits_sorted_deduped() {
-        let stats = SemanticStats::default();
         let t: MapTables<u64> = StripedTables::new(8);
         let mut visited = Vec::new();
-        t.for_stripes_ascending([5usize, 1, 5, 7, 1, 0], &stats, |i, _| visited.push(i));
+        t.for_stripes_ascending([5usize, 1, 5, 7, 1, 0], |i, _| visited.push(i));
         assert_eq!(visited, vec![0, 1, 5, 7]);
     }
 
     #[test]
     fn striped_key_lock_and_doom_round_trip() {
-        let stats = SemanticStats::default();
         let t: MapTables<u32> = StripedTables::new(4);
         let me = owner();
         let victim = owner();
-        t.with_stripe_for(&9, &stats, |s| s.take_key_lock(9, victim.clone(), &stats));
-        let doomed = t.with_stripe_for(&9, &stats, |s| {
-            s.doom_update(UpdateEffect::KeyWrite, &9, me.id(), &stats)
-        });
+        t.with_stripe_for(&9, |s| s.take_key_lock(9, victim.clone()));
+        let doomed = t.with_stripe_for(&9, |s| s.doom_update(UpdateEffect::KeyWrite, &9, me.id()));
         assert_eq!(doomed, 1);
         assert!(victim.is_doomed());
     }
 
     #[test]
     fn global_stripe_entries_are_counted() {
-        let stats = SemanticStats::default();
         let t: MapTables<u32> = StripedTables::new(4);
         let me = owner();
-        t.with_global(&stats, |g| g.take(ObsMode::Size, me.clone(), &stats));
-        t.with_global(&stats, |g| g.release(me.id(), &stats));
-        assert_eq!(stats.global_stripe_entries.load(Ordering::Relaxed), 2);
+        t.with_global(|g| g.take(ObsMode::Size, me.clone()));
+        t.with_global(|g| g.release(me.id()));
+        let entries = &t.global().stats().global_stripe_entries;
+        assert_eq!(entries.load(Ordering::Relaxed), 2);
     }
 }

@@ -51,10 +51,8 @@
 // txlint: fast-path
 use crate::backend::{MapBackend, MapReadOps};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
+use crate::kernel::{ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -409,9 +407,14 @@ where
 {
     type Local = MapLocal<K, V>;
     type Undo = ();
+    type RangeKey = K;
 
     fn name(&self) -> &'static str {
         "map"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global_stripe()
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -430,11 +433,10 @@ where
     /// holders, per-key applies and dooms under one hold of the key's
     /// stripe, size/empty dooms in the global stripe last (the kernel's
     /// sweep discipline).
-    fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn) {
         let mut net: isize = 0;
         let global = self.tables.commit_sweep(
-            stats,
-            id,
+            htx.handle().id(),
             local.store_buffer.iter().map(|(k, e)| (k, &e.write)),
             local.key_locks.iter(),
             |k, w, cx| match w {
@@ -476,8 +478,9 @@ where
 
     /// Abort handler (compensating transaction): discard buffered state,
     /// release locks — stripes ascending, global stripe last.
-    fn release(&self, local: MapLocal<K, V>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.tables.release_sweep(stats, id, local.key_locks.iter());
+    fn release(&self, local: MapLocal<K, V>, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.key_locks.iter());
     }
 
     /// Only buffered writes reach the backend: a read-only transaction's
@@ -495,25 +498,12 @@ where
 {
     type Key = K;
 
-    fn key_tables(&self) -> &MapTables<K> {
-        self.tables.striped()
+    fn key_tables(&self) -> &ClassTables<K> {
+        &self.tables
     }
 
     fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
-    }
-}
-
-impl<K, V, B> GlobalClass for MapClass<K, V, B>
-where
-    K: Clone + Eq + Hash + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    B: MapBackend<K, V>,
-{
-    type RangeKey = K;
-
-    fn global_stripe(&self) -> &GlobalStripe<K> {
-        self.tables.global_stripe()
     }
 }
 
@@ -544,9 +534,7 @@ where
 /// resolution, `size` and `is_empty_primitive` — has one body, on
 /// [`SemanticCore`] below.
 pub(crate) trait MapKind:
-    KeyedClass<Local = MapLocal<<Self as KeyedClass>::Key, <Self as MapKind>::Value>>
-    + GlobalClass
-    + Sized
+    KeyedClass<Local = MapLocal<<Self as KeyedClass>::Key, <Self as MapKind>::Value>> + Sized
 {
     /// The map's value type.
     type Value: Clone + Send + 'static;
@@ -955,7 +943,7 @@ where
     /// Number of semantic key locks currently outstanding across all
     /// stripes (diagnostics).
     pub fn locked_key_count(&self) -> usize {
-        self.core.class().tables.locked_key_count(self.core.stats())
+        self.core.class().tables.locked_key_count()
     }
 }
 

@@ -15,10 +15,8 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
+use crate::kernel::{ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::hash::Hash;
 use stm::hash::{StripeMap, StripeSet};
 use stm::{TVar, Txn};
@@ -152,9 +150,14 @@ where
 {
     type Local = MultisetLocal<T>;
     type Undo = ();
+    type RangeKey = T;
 
     fn name(&self) -> &'static str {
         "multiset"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<T> {
+        self.tables.global_stripe()
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -171,12 +174,11 @@ where
     /// visibility was checked under the element lock, so a negative clamp
     /// only fires for doomed racers), doom observers of each changed
     /// element, then publish the total-count change in the global stripe.
-    fn apply(&self, local: MultisetLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: MultisetLocal<T>, htx: &mut Txn) {
         let total_before = self.total.read(htx);
         let mut applied: i64 = 0;
         let global = self.tables.commit_sweep(
-            stats,
-            id,
+            htx.handle().id(),
             local.deltas.iter(),
             local.key_locks.iter(),
             |k, &d, cx| {
@@ -206,8 +208,9 @@ where
     }
 
     /// Abort handler: writes were only buffered — pure lock release.
-    fn release(&self, local: MultisetLocal<T>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.tables.release_sweep(stats, id, local.key_locks.iter());
+    fn release(&self, local: MultisetLocal<T>, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.key_locks.iter());
     }
 }
 
@@ -218,24 +221,12 @@ where
 {
     type Key = T;
 
-    fn key_tables(&self) -> &MapTables<T> {
-        self.tables.striped()
+    fn key_tables(&self) -> &ClassTables<T> {
+        &self.tables
     }
 
     fn held_keys(local: &mut MultisetLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
-    }
-}
-
-impl<T, B> GlobalClass for MultisetClass<T, B>
-where
-    T: Clone + Eq + Hash + Send + Sync + 'static,
-    B: MapBackend<T, u64>,
-{
-    type RangeKey = T;
-
-    fn global_stripe(&self) -> &GlobalStripe<T> {
-        self.tables.global_stripe()
     }
 }
 
@@ -434,6 +425,6 @@ where
 
     /// Number of element locks currently registered (testing/diagnostics).
     pub fn locked_key_count(&self) -> usize {
-        self.core.class().tables.locked_key_count(self.core.stats())
+        self.core.class().tables.locked_key_count()
     }
 }

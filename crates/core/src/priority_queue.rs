@@ -16,10 +16,8 @@
 // txlint: fast-path
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
+use crate::kernel::{ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::collections::BTreeMap;
 use std::hash::Hash;
 use stm::hash::StripeSet;
@@ -220,9 +218,14 @@ where
 {
     type Local = PqLocal<T>;
     type Undo = ();
+    type RangeKey = T;
 
     fn name(&self) -> &'static str {
         "priority_queue"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<T> {
+        self.tables.global_stripe()
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -241,7 +244,7 @@ where
     /// endpoint/size/empty dooms. Counts are clamped at zero — visibility
     /// was checked under the element lock, so a negative clamp only fires
     /// for doomed racers.
-    fn apply(&self, local: PqLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: PqLocal<T>, htx: &mut Txn) {
         // The handler lane serializes handlers and writing open-nested
         // commits, so these pre-apply reads are stable without table locks.
         let min_before = self.backend.first_entry(htx).map(|(k, _)| k);
@@ -249,8 +252,7 @@ where
         let mut applied: i64 = 0;
 
         let global = self.tables.commit_sweep(
-            stats,
-            id,
+            htx.handle().id(),
             local.deltas.iter(),
             local.key_locks.iter(),
             |k, &d, cx| {
@@ -290,8 +292,9 @@ where
 
     /// Abort handler: writes were only buffered — pure lock release, key
     /// stripes ascending then the global phase last.
-    fn release(&self, local: PqLocal<T>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.tables.release_sweep(stats, id, local.key_locks.iter());
+    fn release(&self, local: PqLocal<T>, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.key_locks.iter());
     }
 }
 
@@ -302,24 +305,12 @@ where
 {
     type Key = T;
 
-    fn key_tables(&self) -> &MapTables<T> {
-        self.tables.striped()
+    fn key_tables(&self) -> &ClassTables<T> {
+        &self.tables
     }
 
     fn held_keys(local: &mut PqLocal<T>) -> &mut StripeSet<T> {
         &mut local.key_locks
-    }
-}
-
-impl<T, B> GlobalClass for PqClass<T, B>
-where
-    T: Clone + Ord + Eq + Hash + Send + Sync + 'static,
-    B: SortedMapBackend<T, u64>,
-{
-    type RangeKey = T;
-
-    fn global_stripe(&self) -> &GlobalStripe<T> {
-        self.tables.global_stripe()
     }
 }
 
@@ -419,7 +410,7 @@ where
     /// Number of semantic key locks currently outstanding across all
     /// stripes (diagnostics).
     pub fn locked_key_count(&self) -> usize {
-        self.core.class().tables.locked_key_count(self.core.stats())
+        self.core.class().tables.locked_key_count()
     }
 
     /// Buffer a multiplicity delta with a local undo (closed-nested

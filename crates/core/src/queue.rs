@@ -33,7 +33,7 @@
 // txlint: fast-path
 use crate::backend::QueueBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{GlobalClass, GlobalPhase, SemanticClass, SemanticCore};
+use crate::kernel::{GlobalPhase, SemanticClass, SemanticCore};
 use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect};
 use std::marker::PhantomData;
 use stm::Txn;
@@ -193,7 +193,7 @@ struct QueueClass<T, B> {
     /// `None` = unbounded (the paper's queue); `Some(n)` = bounded Channel
     /// with full-lock semantics symmetric to the empty lock.
     capacity: Option<usize>,
-    tables: GlobalStripe<()>,
+    global: GlobalStripe<()>,
     _item: PhantomData<fn() -> T>,
 }
 
@@ -204,9 +204,14 @@ where
 {
     type Local = QueueLocal<T>;
     type Undo = ();
+    type RangeKey = ();
 
     fn name(&self) -> &'static str {
         "queue"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<()> {
+        &self.global
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -222,7 +227,7 @@ where
     /// Commit handler: publish the additions and the items of aborted
     /// frames, then doom emptiness observers on a zero-crossing publish and
     /// fullness observers on a permanent consume (Tables 7-8).
-    fn apply(&self, local: QueueLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: QueueLocal<T>, htx: &mut Txn) {
         let made_nonempty = local.published() > 0;
         // Items permanently consumed: fullness observations are invalidated.
         let consumed = local.remove_buffer.iter().any(|(_, ret)| !ret);
@@ -242,7 +247,7 @@ where
         // The Tables 7-8 oracle routes the dooms: an emptiness observation
         // is invalidated exactly by a zero-crossing publish, a fullness
         // observation exactly by permanent consumption.
-        GlobalPhase::new(&self.tables, stats, id).finish(|g| {
+        GlobalPhase::new(&self.global, htx.handle().id()).finish(|g| {
             if made_nonempty {
                 g.doom(UpdateEffect::ZeroCross);
             }
@@ -257,30 +262,18 @@ where
     /// release our empty/full locks. The return flags (the only thing a
     /// closed-frame undo of a poll changes) are ignored, so the post-abort
     /// queue does not depend on which undos ran.
-    fn release(&self, local: QueueLocal<T>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn release(&self, local: QueueLocal<T>, htx: &mut Txn) {
         let restored = !local.remove_buffer.is_empty();
         for (item, _) in local.remove_buffer.into_iter().rev() {
             self.backend.push_front(htx, item);
         }
-        GlobalPhase::new(&self.tables, stats, id).finish(|g| {
+        GlobalPhase::new(&self.global, htx.handle().id()).finish(|g| {
             if restored {
                 // The queue may have gone from empty back to non-empty:
                 // emptiness observers are no longer serializable.
                 g.doom(UpdateEffect::ZeroCross);
             }
         });
-    }
-}
-
-impl<T, B> GlobalClass for QueueClass<T, B>
-where
-    T: Clone + Send + Sync + 'static,
-    B: QueueBackend<T>,
-{
-    type RangeKey = ();
-
-    fn global_stripe(&self) -> &GlobalStripe<()> {
-        &self.tables
     }
 }
 
@@ -344,7 +337,7 @@ where
             core: SemanticCore::new(QueueClass {
                 backend,
                 capacity,
-                tables: GlobalStripe::default(),
+                global: GlobalStripe::default(),
                 _item: PhantomData,
             }),
         }

@@ -44,10 +44,8 @@
 // txlint: fast-path
 use crate::backend::SortedMapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{ClassTables, GlobalClass, KeyedClass, SemanticClass, SemanticCore};
-use crate::locks::{
-    GlobalStripe, MapTables, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES,
-};
+use crate::kernel::{ClassTables, KeyedClass, SemanticClass, SemanticCore};
+use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use crate::map::{BufWrite, MapKind, MapLocal};
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -389,9 +387,14 @@ where
 {
     type Local = MapLocal<K, V>;
     type Undo = ();
+    type RangeKey = K;
 
     fn name(&self) -> &'static str {
         "sorted_map"
+    }
+
+    fn global_stripe(&self) -> &GlobalStripe<K> {
+        self.tables.global_stripe()
     }
 
     fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
@@ -408,7 +411,7 @@ where
     /// observers — per-key applies and key dooms under each key's stripe
     /// (ascending, the kernel's sweep), then the global stripe **last** for
     /// the range/endpoint/size dooms and the point-lock release.
-    fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn) {
         // The handler lane serializes every handler and every writing
         // open-nested commit, so these pre-apply endpoint/size reads are
         // stable without holding any table lock.
@@ -432,8 +435,7 @@ where
         writes.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut changed_keys: Vec<&K> = Vec::new();
         let global = self.tables.commit_sweep(
-            stats,
-            id,
+            htx.handle().id(),
             writes,
             local.key_locks.iter(),
             |k, w, cx| match w {
@@ -476,8 +478,9 @@ where
     /// Abort handler (compensating transaction): release key locks stripe
     /// by stripe ascending, then every point/range/endpoint lock in the
     /// global phase, last (the kernel's sweep).
-    fn release(&self, local: MapLocal<K, V>, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.tables.release_sweep(stats, id, local.key_locks.iter());
+    fn release(&self, local: MapLocal<K, V>, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.key_locks.iter());
     }
 
     /// Only buffered writes reach the backend: a read-only transaction's
@@ -495,25 +498,12 @@ where
 {
     type Key = K;
 
-    fn key_tables(&self) -> &MapTables<K> {
-        self.tables.striped()
+    fn key_tables(&self) -> &ClassTables<K> {
+        &self.tables
     }
 
     fn held_keys(local: &mut MapLocal<K, V>) -> &mut StripeSet<K> {
         &mut local.key_locks
-    }
-}
-
-impl<K, V, B> GlobalClass for SortedClass<K, V, B>
-where
-    K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    B: SortedMapBackend<K, V>,
-{
-    type RangeKey = K;
-
-    fn global_stripe(&self) -> &GlobalStripe<K> {
-        self.tables.global_stripe()
     }
 }
 
@@ -641,7 +631,7 @@ where
     /// Number of semantic key locks currently outstanding across all
     /// stripes (diagnostics).
     pub fn locked_key_count(&self) -> usize {
-        self.core.class().tables.locked_key_count(self.core.stats())
+        self.core.class().tables.locked_key_count()
     }
 
     /// Read the committed tree as a settled read (see the module docs): no

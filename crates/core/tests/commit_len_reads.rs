@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use stm::{atomic, Txn};
-use txcollections::{MapApplyOps, MapReadOps, MapUndo, TransactionalMap};
+use txcollections::{MapApplyOps, MapReadOps, TransactionalMap};
 use txstruct::{BoostedHashMap, TxHashMap};
 
 /// A backend that counts its `len` calls and delegates everything else.
@@ -41,8 +41,6 @@ impl<K, V, B: MapApplyOps<K, V>> MapApplyOps<K, V> for LenCounting<B> {
         self.inner.remove(tx, key)
     }
 }
-
-impl<K, V, B: MapApplyOps<K, V>> MapUndo<K, V> for LenCounting<B> {}
 
 /// `len` calls made by each of five commits on a map wrapping `backend`:
 /// inserting, replace-only, net-zero (one remove, one insert), removing

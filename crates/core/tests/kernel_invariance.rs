@@ -7,32 +7,42 @@
 //! behavior is identical at 1, 2 and 16 stripes. Those must pass unchanged
 //! before and after the kernel extraction. This file pins the kernel's own
 //! contract: first-touch registration is idempotent and race-free, each
-//! attempt's handlers fire exactly once, and each handler takes the
-//! attempt's whole buffer, leaving nothing behind.
+//! attempt's handlers fire exactly once, each handler takes the attempt's
+//! whole buffer, leaving nothing behind, and a key lock taken through the
+//! kernel is on the release list before any read a doom could unwind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use stm::{atomic, Txn};
-use txcollections::{SemanticClass, SemanticCore, SemanticStats};
+use std::sync::{Arc, Barrier};
+use stm::hash::StripeSet;
+use stm::{atomic, AbortCause, TVar, Txn};
+use txcollections::{
+    ClassTables, GlobalStripe, KeyedClass, SemanticClass, SemanticCore, UpdateEffect,
+};
 
 /// Probe class: counts handler invocations and the ops they drained.
 struct ProbeClass {
     applies: AtomicU64,
     releases: AtomicU64,
     drained_ops: AtomicU64,
+    global: GlobalStripe<()>,
 }
 
 impl SemanticClass for ProbeClass {
     type Local = Vec<u64>;
     type Undo = ();
+    type RangeKey = ();
 
-    fn apply(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+    fn global_stripe(&self) -> &GlobalStripe<()> {
+        &self.global
+    }
+
+    fn apply(&self, local: Vec<u64>, _htx: &mut Txn) {
         self.applies.fetch_add(1, Ordering::SeqCst);
         self.drained_ops
             .fetch_add(local.len() as u64, Ordering::SeqCst);
     }
 
-    fn release(&self, local: Vec<u64>, _htx: &mut Txn, _id: u64, _stats: &SemanticStats) {
+    fn release(&self, local: Vec<u64>, _htx: &mut Txn) {
         self.releases.fetch_add(1, Ordering::SeqCst);
         self.drained_ops
             .fetch_add(local.len() as u64, Ordering::SeqCst);
@@ -44,6 +54,7 @@ fn probe_core() -> SemanticCore<ProbeClass> {
         applies: AtomicU64::new(0),
         releases: AtomicU64::new(0),
         drained_ops: AtomicU64::new(0),
+        global: GlobalStripe::default(),
     })
 }
 
@@ -137,4 +148,109 @@ fn probe_after_commit_handler_finds_no_slot() {
     let class = core.class();
     assert_eq!(class.applies.load(Ordering::SeqCst), 1);
     assert_eq!(class.drained_ops.load(Ordering::SeqCst), 1);
+}
+
+/// Keyed probe class, defined outside the crate: counting bins, each add
+/// buffered blind and applied at commit, each read made under the bin's
+/// key lock.
+struct Bins {
+    vars: Vec<TVar<u64>>,
+    tables: ClassTables<u64>,
+}
+
+/// A transaction's buffered adds and held bin locks.
+#[derive(Default)]
+struct BinsLocal {
+    adds: Vec<(u64, ())>,
+    held: StripeSet<u64>,
+}
+
+impl SemanticClass for Bins {
+    type Local = BinsLocal;
+    type Undo = ();
+    type RangeKey = u64;
+
+    fn global_stripe(&self) -> &GlobalStripe<u64> {
+        self.tables.global_stripe()
+    }
+
+    fn apply(&self, local: BinsLocal, htx: &mut Txn) {
+        let writes = local.adds.iter().map(|(bin, w)| (bin, w));
+        self.tables
+            .commit_sweep(
+                htx.handle().id(),
+                writes,
+                local.held.iter(),
+                |&bin, _, cx| {
+                    let var = &self.vars[bin as usize];
+                    let n = var.read(htx);
+                    var.write(htx, n + 1);
+                    cx.doom(UpdateEffect::KeyWrite, &bin);
+                },
+            )
+            .finish(|_| {});
+    }
+
+    fn release(&self, local: BinsLocal, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.held.iter());
+    }
+}
+
+impl KeyedClass for Bins {
+    type Key = u64;
+
+    fn key_tables(&self) -> &ClassTables<u64> {
+        &self.tables
+    }
+
+    fn held_keys(local: &mut BinsLocal) -> &mut StripeSet<u64> {
+        &mut local.held
+    }
+}
+
+/// A class outside the crate takes a bin lock through the kernel; a writer
+/// on that bin commits between the take and the reader's open read, and
+/// dooms it, so the read unwinds. The abort must still release the lock:
+/// the kernel records the bin before returning from the take. (Recording
+/// it after the read — the order a hand-rolled take invites — leaves the
+/// lock in the table.)
+#[test]
+fn a_doom_before_the_read_leaves_no_key_lock_behind() {
+    let core = SemanticCore::new(Bins {
+        vars: (0..4).map(|_| TVar::new(0)).collect(),
+        tables: ClassTables::new(4),
+    });
+    let (locked, written) = (Barrier::new(2), Barrier::new(2));
+    let read = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (reader, locked, written) = (core.clone(), &locked, &written);
+            stm::speculate(
+                move |tx| {
+                    reader.take_key_lock(tx, &1);
+                    locked.wait();
+                    written.wait();
+                    let var = reader.class().vars[1].clone();
+                    tx.open_read(move |otx| var.read(otx))
+                },
+                0,
+            )
+            .err()
+        });
+        locked.wait();
+        atomic(|tx| core.with_local(tx, |l| l.adds.push((1, ()))));
+        written.wait();
+        reader.join().expect("reader thread")
+    });
+    assert_eq!(
+        read,
+        Some(AbortCause::Doomed),
+        "the writer dooms the reader"
+    );
+    assert_eq!(atomic(|tx| core.class().vars[1].read(tx)), 1);
+    assert_eq!(
+        core.class().tables.locked_key_count(),
+        0,
+        "the aborted reader's bin lock is still in the table"
+    );
 }

@@ -391,5 +391,5 @@ fn eager_map_counts() {
             conflicts: [2, 1, 0, 0, 0, 0],
         }
     );
-    assert_eq!(window(&before), [3, 1, 1, 1, 0, 12, 5, 10, 5, 6]);
+    assert_eq!(window(&before), [3, 1, 1, 1, 0, 12, 5, 10, 5, 10]);
 }

@@ -227,7 +227,7 @@ fn synthesized_class_verdicts_are_stripe_invariant() {
         );
 
         // Interval map: span overlap conflicts, disjoint spans commute.
-        let im = Arc::new(TransactionalIntervalMap::with_stripes(n));
+        let im = Arc::new(TransactionalIntervalMap::new());
         let i2 = im.clone();
         stm::atomic(move |tx| {
             i2.insert(tx, 10u32, 20u32, "seed");

@@ -60,19 +60,6 @@ pub(crate) fn classify(payload: Box<dyn Any + Send>) -> Result<TxInterrupt, Box<
     }
 }
 
-/// Run `f`, catching only our own interrupts; user panics resume unwinding
-/// after `on_unwind` has been given a chance to clean up.
-#[allow(dead_code)]
-pub(crate) fn catch<T>(f: impl FnOnce() -> T) -> Result<T, TxInterrupt> {
-    match panic::catch_unwind(panic::AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => match classify(payload) {
-            Ok(i) => Err(i),
-            Err(user) => panic::resume_unwind(user),
-        },
-    }
-}
-
 /// Abort the current transaction attempt and retry it from the top.
 ///
 /// This is the program-directed self-abort of paper §4 ("some systems provide
@@ -87,29 +74,4 @@ pub fn abort_and_retry() -> ! {
 /// handlers. Use this for consistency-violation bail-outs.
 pub fn user_abort() -> ! {
     throw(TxInterrupt::UserAbort)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catch_returns_value() {
-        assert_eq!(catch(|| 41 + 1), Ok(42));
-    }
-
-    #[test]
-    fn catch_intercepts_interrupts() {
-        let r = catch(|| -> () { throw(TxInterrupt::Retry(AbortCause::Explicit)) });
-        match r {
-            Err(TxInterrupt::Retry(AbortCause::Explicit)) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn catch_passes_user_panics_through() {
-        let r = panic::catch_unwind(|| catch(|| panic!("boom")));
-        assert!(r.is_err());
-    }
 }

@@ -190,11 +190,6 @@ impl Txn {
         self.mode
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn set_mode(&mut self, mode: TxnMode) {
-        self.mode = mode;
-    }
-
     /// True for a snapshot transaction (see [`crate::atomic_read`]). The
     /// semantic kernel checks this to skip lock acquisition and registration
     /// entirely; write-shaped entry points reject such transactions.

@@ -23,10 +23,12 @@
 //!   touch: [`SemanticCore::ensure_registered`], one call per operation;
 //!   the kernel makes it idempotent and ordering-safe.
 //! * **Guideline 3** — take semantic locks before reading committed state,
-//!   then read open-nested: `count`/`total` below. Whole-collection locks
-//!   (`total`'s size lock) go through [`SemanticCore::take_point_lock`],
-//!   which caches them per transaction; the class only says where its
-//!   global stripe is ([`GlobalClass`]).
+//!   then read open-nested: `count`/`total` below. Bin locks go through
+//!   [`SemanticCore::take_key_lock`] (the class says where its key tables
+//!   and held bins are, [`KeyedClass`]), whole-collection locks (`total`'s
+//!   size lock) through [`SemanticCore::take_point_lock`]; both cache per
+//!   transaction, and a bin is on the release list before the read a doom
+//!   could unwind.
 //! * **Guideline 5-commit** — [`SemanticClass::apply`]: the kernel hands
 //!   you the drained buffer inside the commit handler; you apply it and
 //!   state what each update *does* ([`UpdateEffect`]); the sweep order and
@@ -38,18 +40,20 @@
 //!
 //! Everything the pre-kernel version of this example re-implemented by hand
 //! — first-touch registration ordering, where the buffer lives and how it
-//! drains, stripe sweep order, doom dispatch — is gone: the class is the
-//! ~60 lines below.
+//! drains, lock caching, stripe sweep order, doom dispatch, the counters —
+//! is gone: the class (its buffer, `HistClass` and the two trait impls) is
+//! under 60 lines of code below, and the histogram's operations about 40.
 //!
 //! ```sh
 //! cargo run --release --example custom_class
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use stm::hash::StripeSet;
 use stm::{atomic, TVar, Txn};
 use txcollections::{
-    edge, op, ClassTables, ConflictGraph, GlobalClass, GlobalStripe, ObsMode, Overlap,
-    SemanticClass, SemanticCore, SemanticStats, UpdateEffect,
+    edge, op, ClassTables, ConflictGraph, GlobalStripe, KeyedClass, ObsMode, Overlap,
+    SemanticClass, SemanticCore, UpdateEffect,
 };
 
 const BINS: usize = 16;
@@ -93,7 +97,7 @@ static HIST_CONFLICT_GRAPH: ConflictGraph<'static> = ConflictGraph {
 #[derive(Default)]
 struct HistLocal {
     deltas: HashMap<usize, u64>,
-    bin_locks: HashSet<usize>,
+    bin_locks: StripeSet<usize>,
 }
 
 /// The variant half: the underlying bins and the semantic-lock tables.
@@ -105,9 +109,16 @@ struct HistClass {
 impl SemanticClass for HistClass {
     type Local = HistLocal;
     type Undo = ();
+    // No range locks: the key type is moot.
+    type RangeKey = usize;
 
     fn name(&self) -> &'static str {
         "histogram"
+    }
+
+    /// Where the whole-collection locks and the counters live.
+    fn global_stripe(&self) -> &GlobalStripe<usize> {
+        self.tables.global_stripe()
     }
 
     /// Declaring the graph makes `SemanticCore::new` synthesize the lock
@@ -123,11 +134,10 @@ impl SemanticClass for HistClass {
     /// `total()` observers (size-lock holders). The sweep order — touched
     /// stripes ascending, global stripe last, own locks released last — is
     /// the kernel's, not ours.
-    fn apply(&self, local: HistLocal, htx: &mut Txn, id: u64, stats: &SemanticStats) {
+    fn apply(&self, local: HistLocal, htx: &mut Txn) {
         let grew = local.deltas.values().any(|&d| d > 0);
         let global = self.tables.commit_sweep(
-            stats,
-            id,
+            htx.handle().id(),
             local.deltas.iter(),
             local.bin_locks.iter(),
             |&bin, &d, cx| {
@@ -149,18 +159,23 @@ impl SemanticClass for HistClass {
     /// compensation is pure release. The kernel hands over the buffer as
     /// the body last wrote it (closed frames' writes possibly rolled back);
     /// only the lock list matters here.
-    fn release(&self, local: HistLocal, _htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        self.tables.release_sweep(stats, id, local.bin_locks.iter());
+    fn release(&self, local: HistLocal, htx: &mut Txn) {
+        self.tables
+            .release_sweep(htx.handle().id(), local.bin_locks.iter());
     }
 }
 
-/// Where the histogram's whole-collection locks live: the global stripe of
-/// its tables (it takes no range locks, so their key type is moot).
-impl GlobalClass for HistClass {
-    type RangeKey = usize;
+/// Bins are the keys: their locks live in the tables' key stripes, and the
+/// transaction's held bins are both its lock cache and its release list.
+impl KeyedClass for HistClass {
+    type Key = usize;
 
-    fn global_stripe(&self) -> &GlobalStripe<usize> {
-        self.tables.global_stripe()
+    fn key_tables(&self) -> &ClassTables<usize> {
+        &self.tables
+    }
+
+    fn held_keys(local: &mut HistLocal) -> &mut StripeSet<usize> {
+        &mut local.bin_locks
     }
 }
 
@@ -195,17 +210,13 @@ impl TransactionalHistogram {
     /// (guideline 1/3), merging the local buffer.
     fn count(&self, tx: &mut Txn, bin: usize) -> u64 {
         self.core.ensure_registered(tx);
-        let class = self.core.class();
-        class
-            .tables
-            .take_key_lock(self.core.stats(), bin, tx.handle().clone());
-        let var = class.bins[bin].clone();
+        self.core.take_key_lock(tx, &bin);
+        let var = self.core.class().bins[bin].clone();
         let committed = tx.open(move |otx| var.read(otx));
         committed
-            + self.core.with_local(tx, |l| {
-                l.bin_locks.insert(bin);
-                l.deltas.get(&bin).copied().unwrap_or(0)
-            })
+            + self
+                .core
+                .with_local(tx, |l| l.deltas.get(&bin).copied().unwrap_or(0))
     }
 
     /// Read the total: size lock + open-nested sweep.
