@@ -8,6 +8,9 @@
 //! counters the script leaves are pinned exactly: they are what the
 //! benchmark's `core.locks.*` and `core.kernel.*` metrics read, so a
 //! refactor of the lock tables must leave every one of them where it was.
+//! A doom is charged once, to the mode of the sweep that landed it: a
+//! victim that later sweeps meet again is neither charged nor traced
+//! again, so each instance's conflicts sum to the dooms it issued.
 //!
 //! The process-wide counters are shared by every test in this binary, so
 //! the tests serialize on a file-local mutex.
@@ -128,7 +131,7 @@ fn map_counts() {
             cache_hits: 2,
             global_entries: 7,
             stripe_spins: 0,
-            conflicts: [1, 1, 0, 0, 0, 1],
+            conflicts: [1, 0, 0, 0, 0, 0],
         }
     );
     assert_eq!(window(&before), [2, 1, 1, 1, 2, 7, 4, 4, 0, 9]);
@@ -175,7 +178,7 @@ fn sorted_map_counts() {
             cache_hits: 2,
             global_entries: 23,
             stripe_spins: 0,
-            conflicts: [1, 1, 5, 1, 1, 0],
+            conflicts: [1, 0, 0, 0, 0, 0],
         }
     );
     assert_eq!(window(&before), [3, 1, 1, 1, 2, 23, 5, 5, 0, 30]);
@@ -213,7 +216,7 @@ fn multiset_counts() {
             cache_hits: 2,
             global_entries: 7,
             stripe_spins: 0,
-            conflicts: [1, 1, 0, 0, 0, 1],
+            conflicts: [1, 0, 0, 0, 0, 0],
         }
     );
     assert_eq!(window(&before), [2, 1, 1, 1, 2, 7, 4, 4, 0, 7]);
@@ -250,7 +253,7 @@ fn priority_queue_counts() {
             cache_hits: 3,
             global_entries: 10,
             stripe_spins: 0,
-            conflicts: [0, 1, 0, 1, 0, 1],
+            conflicts: [0, 0, 0, 1, 0, 0],
         }
     );
     assert_eq!(window(&before), [2, 1, 1, 1, 3, 10, 4, 4, 0, 7]);
@@ -289,7 +292,7 @@ fn interval_map_counts() {
             cache_hits: 0,
             global_entries: 12,
             stripe_spins: 0,
-            conflicts: [0, 1, 1, 0, 0, 1],
+            conflicts: [0, 0, 1, 0, 0, 0],
         }
     );
     assert_eq!(window(&before), [2, 1, 1, 1, 0, 12, 4, 4, 0, 8]);
@@ -388,7 +391,7 @@ fn eager_map_counts() {
             cache_hits: 0,
             global_entries: 12,
             stripe_spins: 0,
-            conflicts: [2, 1, 0, 0, 0, 0],
+            conflicts: [0, 1, 0, 0, 0, 0],
         }
     );
     assert_eq!(window(&before), [3, 1, 1, 1, 0, 12, 5, 10, 5, 10]);

@@ -5,6 +5,7 @@
 //! Trace state is process-global, so the tests serialize on a file-local
 //! mutex (each integration-test file is its own process).
 
+use std::ops::Bound;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
@@ -147,16 +148,26 @@ fn sorted_map_endpoint_conflict_names_its_class() {
     let (r, w) = (m.clone(), m.clone());
     let (victim, doomer) = doomed_pair(
         move |tx| {
-            assert_eq!(r.first_key(tx), Some(5));
+            // The first lock, and a range lock on the empty `..3`.
+            assert_eq!(
+                r.first_in_range(tx, Bound::Unbounded, Bound::Excluded(3)),
+                None
+            );
         },
         move |tx| {
-            // New least key: publishes FirstChange.
-            w.put(tx, 0, 1);
+            // A new least key outside `..3`: only the endpoint table dooms.
+            w.put(tx, 4, 1);
         },
     );
 
     let snap = snapshot();
     drop(guard);
+    let edges = snap
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::DoomEdge { victim: v, .. } if *v == victim))
+        .count();
+    assert_eq!(edges, 1, "one doom, one edge: {:?}", snap.events);
     assert!(
         snap.events.iter().any(|e| matches!(
             e,

@@ -47,7 +47,8 @@ pub struct TmResult {
     pub useful_cycles: u64,
     /// Lost cycles attributed to the variable whose read/write overlap
     /// caused each memory violation (TAPE-style conflict profiling,
-    /// paper §6.3). Label vars with [`stm::TVar::set_label`] to name them.
+    /// paper §6.3). Label vars with [`stm::TVar::set_label`] or whole
+    /// blocks of cells with [`stm::label_owner`] to name them.
     /// Keys are addresses: [`TmResult::top_conflict_sources`] names them.
     pub conflict_sources: HashMap<VarId, u64>,
 }

@@ -69,9 +69,9 @@ pub struct TxHandle {
     /// contention managers use it as a priority hint.
     retries: AtomicU32,
     /// Attempt id of the transaction whose doom landed on this one (0 when
-    /// never doomed or doomed without attribution). Written before the doom
-    /// CAS, so any observer of the doom bit sees it; racing doomers may
-    /// overwrite each other, which is benign — each was a real conflict.
+    /// never doomed or doomed without attribution). Written only by the
+    /// doom whose CAS set the doom bit, right after it, so it never names a
+    /// doomer whose call returned `false` (which traced no doom edge).
     culprit: AtomicU64,
 }
 
@@ -111,13 +111,14 @@ impl TxHandle {
 
     /// Request that this transaction abort (program-directed abort).
     ///
-    /// Returns `true` if the doom landed while the transaction was still
-    /// active. Dooming a committed transaction has no effect — the caller
-    /// already serialized after it. The CAS loop races against the victim's
-    /// own `begin_commit`: once the victim has entered
-    /// its committing phase the doom fails, so "doomed" and "published" are
-    /// mutually exclusive outcomes of a single atomic word.
-    #[must_use = "whether the doom landed; a false return means the target already finished"]
+    /// Returns `true` if this call's doom landed: the transaction was still
+    /// active and not yet doomed. Dooming a committed transaction has no
+    /// effect — the caller already serialized after it — and dooming a
+    /// doomed one adds nothing, so each doom is counted once. The CAS loop
+    /// races against the victim's own `begin_commit`: once the victim has
+    /// entered its committing phase the doom fails, so "doomed" and
+    /// "published" are mutually exclusive outcomes of a single atomic word.
+    #[must_use = "whether this doom landed; a false return means the target already finished or was already doomed"]
     pub fn doom(&self) -> bool {
         self.doom_from(0)
     }
@@ -126,20 +127,15 @@ impl TxHandle {
     /// the committing transaction issuing the doom, recorded as this
     /// victim's [`culprit`](Self::culprit) so the abort path (and the trace
     /// layer) can attribute the abort. Pass 0 for an unattributed doom.
-    #[must_use = "whether the doom landed; a false return means the target already finished"]
+    #[must_use = "whether this doom landed; a false return means the target already finished or was already doomed"]
     pub fn doom_from(&self, doomer: u64) -> bool {
         let mut w = self.word.load(Ordering::Acquire);
         loop {
-            if w & STATE_MASK != STATE_ACTIVE {
+            if w & STATE_MASK != STATE_ACTIVE || w & DOOM_BIT != 0 {
+                // Finished, committing, or already doomed: the first doomer
+                // keeps the attribution.
                 return false;
             }
-            if w & DOOM_BIT != 0 {
-                // Already doomed: the first doomer keeps the attribution.
-                return true;
-            }
-            // Store the culprit before the CAS so the release on a
-            // successful CAS publishes it to whoever observes the doom bit.
-            self.culprit.store(doomer, Ordering::Relaxed);
             match self.word.compare_exchange_weak(
                 w,
                 w | DOOM_BIT,
@@ -147,6 +143,7 @@ impl TxHandle {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
+                    self.culprit.store(doomer, Ordering::Relaxed);
                     metrics::tally(Total::DoomsIssued);
                     return true;
                 }
@@ -157,7 +154,8 @@ impl TxHandle {
 
     /// Attempt id of the transaction that doomed this one (0 when never
     /// doomed or doomed without attribution). Meaningful only after
-    /// [`is_doomed`](Self::is_doomed) returns true.
+    /// [`is_doomed`](Self::is_doomed) returns true; a read in the instant
+    /// between the doom's CAS and its record finds 0, never another doomer.
     pub fn culprit(&self) -> u64 {
         self.culprit.load(Ordering::Relaxed)
     }
@@ -256,8 +254,9 @@ mod tests {
         assert_eq!(victim.culprit(), 0);
         assert!(victim.doom_from(42));
         assert_eq!(victim.culprit(), 42);
-        // A second doom still reports success but keeps the attribution.
-        assert!(victim.doom_from(99));
+        // A second doom does not land again, and keeps the attribution.
+        assert!(!victim.doom_from(99));
+        assert!(victim.is_doomed());
         assert_eq!(victim.culprit(), 42);
     }
 

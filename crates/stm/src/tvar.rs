@@ -28,6 +28,11 @@
 //! A cell's [`VarId`] is its address. Every read-set, write-set and
 //! flattened-read entry is a [`VarRef`], which keeps the block holding the
 //! cell alive, so no id is reused while a transaction can still compare it.
+//!
+//! A label names a whole owner block for conflict attribution
+//! ([`label_owner`], [`var_label`]): the label table holds one entry per
+//! labelled block, whatever number of cells it holds, and answers only while
+//! the owner lives, so no cell's drop reaches it.
 
 use crate::cost;
 use crate::metrics::{self, Total};
@@ -36,9 +41,10 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Upper bound on the per-var history chain. A snapshot pinned so far in the
 /// past that its entry fell off the end takes the counted fallback path
@@ -63,20 +69,80 @@ const VERSION_SHIFT: u32 = 12;
 /// draw one past it (`clock::fresh_version`).
 pub(crate) const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
 
-static LABELS: Mutex<BTreeMap<VarId, String>> = Mutex::new(BTreeMap::new());
-/// Number of entries in [`LABELS`], changed only under its lock: a cell's
-/// drop locks the table only while some var is labelled.
-static LIVE_LABELS: AtomicUsize = AtomicUsize::new(0);
+/// The label table: one entry per labelled owner block, keyed by the
+/// first address of the cells it holds. No two entries overlap.
+static LABELS: Mutex<Labels> = Mutex::new(Labels {
+    blocks: BTreeMap::new(),
+    prune_at: MIN_PRUNE_AT,
+});
 
-/// Look up a variable's label (see [`TCell::set_label`]), if it has one and
-/// is still alive.
-pub fn var_label(id: VarId) -> Option<String> {
-    LABELS.lock().get(&id).cloned()
+/// Table size below which an insertion never prunes dead entries.
+const MIN_PRUNE_AT: usize = 64;
+
+struct Labels {
+    blocks: BTreeMap<VarId, Label>,
+    /// Table size at which the next insertion drops the dead entries.
+    prune_at: usize,
 }
 
-/// Number of labels, i.e. of labelled vars still alive (diagnostic).
+struct Label {
+    /// One past the block's last address.
+    end: VarId,
+    /// The block's owner; the label resolves only while it lives.
+    owner: Weak<dyn CellOwner>,
+    name: String,
+}
+
+impl Label {
+    fn live(&self) -> bool {
+        self.owner.strong_count() > 0
+    }
+}
+
+/// Label every cell `owner` holds ([`CellOwner::cells`]) for conflict
+/// attribution, the TAPE-style profiling of paper §6.3 (identifying which
+/// shared locations cause lost work): [`var_label`] names each of them
+/// while the owner lives. A block costs one entry however many cells it
+/// holds, and labelling it again replaces its name.
+///
+/// The new entry replaces every entry whose block it overlaps: this owner's
+/// own, or one of a dead owner whose memory this one reuses (live owners of
+/// this crate's kinds never share memory), so no dead entry can hide a live
+/// label. The other dead entries are dropped as the table grows.
+pub fn label_owner<O: CellOwner>(owner: &Arc<O>, name: impl Into<String>) {
+    let cells = owner.cells();
+    let (start, end) = (cells.start as VarId, cells.end as VarId);
+    let mut labels = LABELS.lock();
+    // Entries never overlap, so only the last one starting before `end`
+    // can reach into the block; repeat until it ends at or before `start`.
+    while let Some(s) = labels
+        .blocks
+        .range(..end)
+        .next_back()
+        .and_then(|(&s, l)| (l.end > start).then_some(s))
+    {
+        labels.blocks.remove(&s);
+    }
+    if labels.blocks.len() >= labels.prune_at {
+        labels.blocks.retain(|_, l| l.live());
+        labels.prune_at = (2 * labels.blocks.len()).max(MIN_PRUNE_AT);
+    }
+    let owner = Arc::downgrade(owner) as Weak<dyn CellOwner>;
+    let name = name.into();
+    labels.blocks.insert(start, Label { end, owner, name });
+}
+
+/// The label of the block holding var `id` (see [`label_owner`]), if it has
+/// one and its owner is still alive.
+pub fn var_label(id: VarId) -> Option<String> {
+    let labels = LABELS.lock();
+    let (_, l) = labels.blocks.range(..=id).next_back()?;
+    (id < l.end && l.live()).then(|| l.name.clone())
+}
+
+/// Number of labels whose owner is still alive (diagnostic).
 pub fn label_count() -> usize {
-    LABELS.lock().len()
+    LABELS.lock().blocks.values().filter(|l| l.live()).count()
 }
 
 /// Identifier of a [`TVar`] or [`TCell`]: the cell's address, so unique
@@ -122,21 +188,20 @@ pub(crate) trait AnyVar: Send + Sync {
 ///
 /// # Safety
 ///
-/// Every `TCell` that a shared `&Self` reaches at an address
-/// [`holds`](Self::holds) admits must stay at that address, as that same
-/// cell, until `Self` drops. With the provided `holds`, which admits
-/// `Self`'s own bytes, a plain struct of `TCell` fields qualifies;
-/// `Box<[TCell<T>]>` admits its slice instead, which a shared box can
-/// neither replace nor resize. A cell behind interior mutability does not
-/// qualify — in a `Mutex<Option<TCell<T>>>` field it can be replaced or
-/// dropped while a transaction still refers to it.
+/// Every `TCell` that a shared `&Self` reaches in [`cells`](Self::cells)
+/// must stay at that address, as that same cell, until `Self` drops. With
+/// the provided `cells`, `Self`'s own bytes, a plain struct of `TCell`
+/// fields qualifies; `Box<[TCell<T>]>` names its slice instead, which a
+/// shared box can neither replace nor resize. A cell behind interior
+/// mutability does not qualify — in a `Mutex<Option<TCell<T>>>` field it
+/// can be replaced or dropped while a transaction still refers to it.
 pub unsafe trait CellOwner: Send + Sync + 'static {
-    /// Whether the `len` bytes at `addr` lie in memory whose cells this
-    /// owner keeps in place (see the trait's safety section). The default
-    /// admits the owner's own bytes.
-    fn holds(&self, addr: usize, len: usize) -> bool {
+    /// The addresses of the memory whose cells this owner keeps in place
+    /// (see the trait's safety section). The default is the owner's own
+    /// bytes.
+    fn cells(&self) -> Range<usize> {
         let start = self as *const Self as *const u8 as usize;
-        addr >= start && addr + len <= start + size_of_val(self)
+        start..start + size_of_val(self)
     }
 }
 
@@ -198,15 +263,15 @@ unsafe impl<T: Send + Sync> Sync for TCell<T> {}
 // an `Arc` shares it.
 unsafe impl<T: Send + Sync + 'static> CellOwner for TCell<T> {}
 
-// SAFETY: `holds` admits exactly the slice, and the only cells a shared box
+// SAFETY: `cells` is exactly the slice, and the only cells a shared box
 // reaches there are its elements (a cell's value sits in an `UnsafeCell`
 // private to this module). Replacing or resizing the slice needs `&mut` or
 // ownership of the box, which no one has while an `Arc` shares it, so they
 // stay in place until the box drops.
 unsafe impl<T: Send + Sync + 'static> CellOwner for Box<[TCell<T>]> {
-    fn holds(&self, addr: usize, len: usize) -> bool {
+    fn cells(&self) -> Range<usize> {
         let start = self.as_ptr() as usize;
-        addr >= start && addr + len <= start + size_of_val(&**self)
+        start..start + size_of_val(&**self)
     }
 }
 
@@ -282,15 +347,16 @@ impl VarRef {
     ///
     /// # Panics
     ///
-    /// If `owner` does not hold `cell` ([`CellOwner::holds`]): then `owner`
+    /// If `owner` does not hold `cell` ([`CellOwner::cells`]): then `owner`
     /// would not keep it alive, and the entry could outlive it.
     pub(crate) fn pin<T, O>(owner: &Arc<O>, cell: &TCell<T>) -> VarRef
     where
         T: Clone + Send + Sync + 'static,
         O: CellOwner,
     {
+        let (cells, addr) = (owner.cells(), cell as *const TCell<T> as usize);
         assert!(
-            owner.holds(cell as *const TCell<T> as usize, size_of::<TCell<T>>()),
+            cells.start <= addr && addr + size_of::<TCell<T>>() <= cells.end,
             "TCell accessed through an Arc that does not contain it"
         );
         VarRef {
@@ -312,16 +378,6 @@ impl<T> TCell<T> {
     /// Unique id of this variable among live vars: its address.
     pub fn id(&self) -> VarId {
         self as *const Self as usize as VarId
-    }
-
-    /// Label this variable for conflict attribution (the TAPE-style
-    /// profiling of paper §6.3: identifying which shared locations cause
-    /// lost work). [`var_label`] resolves it until the var drops.
-    pub fn set_label(&self, label: impl Into<String>) {
-        let mut labels = LABELS.lock();
-        if labels.insert(self.id(), label.into()).is_none() {
-            LIVE_LABELS.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// The committed value of a cell no transaction can reach: `&mut self`
@@ -394,7 +450,7 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// # Panics
     ///
     /// If this cell does not lie inside `*owner` and the write is logged,
-    /// as every write in a transaction body is.
+    /// as every first write of a cell in a nesting frame is.
     pub fn write<O: CellOwner>(&self, tx: &mut Txn, owner: &Arc<O>, value: T) {
         cost::add_cost(cost::MEM_ACCESS_COST);
         tx.write_var(self, owner, value);
@@ -535,26 +591,6 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
     }
 }
 
-impl<T> Drop for TCell<T> {
-    fn drop(&mut self) {
-        // A label set on this cell happened before its drop (the last
-        // reference to it was released after), so the count includes it.
-        if LIVE_LABELS.load(Ordering::Relaxed) != 0 {
-            unlabel(self.id());
-        }
-    }
-}
-
-/// Remove a dropping var's label, if it has one, before another var can
-/// take its address.
-#[cold]
-fn unlabel(id: VarId) {
-    let mut labels = LABELS.lock();
-    if labels.remove(&id).is_some() {
-        LIVE_LABELS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// A transactional shared variable holding a `T`: a [`TCell`] in an
 /// allocation of its own.
 ///
@@ -592,10 +628,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
         self.core.id()
     }
 
-    /// Label this variable for conflict attribution, as
-    /// [`TCell::set_label`].
+    /// Label this variable for conflict attribution: [`var_label`] names it
+    /// while the var lives ([`label_owner`] of its own cell).
     pub fn set_label(&self, label: impl Into<String>) {
-        self.core.set_label(label);
+        label_owner(&self.core, label);
     }
 
     /// Transactional read. Returns the transaction's own buffered value if it
@@ -1000,6 +1036,59 @@ mod tests {
         assert_eq!(var.read_committed(), 0);
         assert_eq!(r[2].read_committed(), 2);
         assert_eq!(p.a.read_committed(), 1);
+    }
+
+    /// A run of a shared row's cells, labelled as an owner of its own.
+    struct Window {
+        row: Arc<Box<[TCell<u64>]>>,
+        range: Range<usize>,
+    }
+
+    // SAFETY: the window's cells lie in the row, which it keeps alive and
+    // shared, so they stay in place until the window drops.
+    unsafe impl CellOwner for Window {
+        fn cells(&self) -> Range<usize> {
+            let (base, size) = (self.row.as_ptr() as usize, size_of::<TCell<u64>>());
+            base + self.range.start * size..base + self.range.end * size
+        }
+    }
+
+    #[test]
+    fn a_dead_label_never_hides_a_live_one() {
+        let r = row(16);
+        let window = |range| {
+            Arc::new(Window {
+                row: r.clone(),
+                range,
+            })
+        };
+        let inner = window(4..8);
+        label_owner(&inner, "inner");
+        assert_eq!(var_label(r[5].id()).as_deref(), Some("inner"));
+        assert_eq!(var_label(r[8].id()), None);
+        drop(inner);
+        assert_eq!(var_label(r[5].id()), None, "a label outlived its owner");
+        // Left in place, the dead entry starting inside the new block would
+        // answer for cells 4..8.
+        let outer = window(0..16);
+        label_owner(&outer, "outer");
+        assert!(r
+            .iter()
+            .all(|c| var_label(c.id()).as_deref() == Some("outer")));
+        label_owner(&outer, "renamed");
+        assert_eq!(var_label(r[5].id()).as_deref(), Some("renamed"));
+    }
+
+    #[test]
+    fn dead_labels_are_pruned_as_the_table_grows() {
+        for i in 0..1_000u64 {
+            TVar::new(i).set_label("short-lived");
+        }
+        let len = LABELS.lock().blocks.len();
+        assert!(
+            len <= 2 * MIN_PRUNE_AT,
+            "{len} entries after 1,000 dead labels"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::metrics::{self, Total};
 use crate::trace;
 use crate::tvar::{CellOwner, TCell, VarId, VarRef};
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// How reads and writes behave.
@@ -368,13 +369,22 @@ impl Txn {
             );
         }
         self.check_doom();
-        self.current_frame().writes.insert(
-            var.id(),
-            WriteEntry {
-                var: VarRef::pin(owner, var),
-                val: Box::new(Some(val)),
-            },
-        );
+        match self.current_frame().writes.entry(var.id()) {
+            // A rewrite replaces the buffered value in place: the entry
+            // already pins the owner and keeps its slot in the write set.
+            Entry::Occupied(w) => {
+                *w.into_mut()
+                    .val
+                    .downcast_mut::<Option<T>>()
+                    .expect("write-set type mismatch") = Some(val);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(WriteEntry {
+                    var: VarRef::pin(owner, var),
+                    val: Box::new(Some(val)),
+                });
+            }
+        }
     }
 
     fn current_frame(&mut self) -> &mut Frame {

@@ -268,16 +268,15 @@ where
         self.header.set_label(label);
     }
 
-    /// Label the header and every current bucket for conflict attribution
-    /// (buckets share one label so attribution reports aggregate them).
-    /// Buckets created by later resizes are not labeled; the buckets they
-    /// replace take their labels with them.
+    /// Label the header `label` and the current bucket block
+    /// `"{label}.buckets"` for conflict attribution: two labels, one per
+    /// block, and every bucket shares the block's so attribution reports
+    /// aggregate them. A later resize's block is not labelled; the block it
+    /// replaces keeps its label only while it lives.
     pub fn set_label(&self, label: &str) {
         self.set_header_label(label);
-        let h = self.header.read_committed();
-        for cell in h.table.iter() {
-            cell.set_label(format!("{label}.buckets"));
-        }
+        let table = self.header.read_committed().table;
+        stm::label_owner(&table, format!("{label}.buckets"));
     }
 }
 

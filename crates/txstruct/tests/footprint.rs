@@ -2,10 +2,11 @@
 //!
 //! Most of the memory of a workload built from `TVar`s is the vars
 //! themselves, so what one var costs, what a tree node costs, what a hash
-//! map's table and buckets cost and what a var keeps alive after a snapshot
-//! reader left are gated here with a counting global allocator (counting
-//! only on the measuring thread), and so is the label table, which must not
-//! outlive the vars it names.
+//! map's table and buckets cost, what a var keeps alive after a snapshot
+//! reader left and what a rewrite of a buffered var costs are gated here
+//! with a counting global allocator (counting only on the measuring
+//! thread), and so is the label table, which keeps one entry per labelled
+//! block and names nothing once its owner is gone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,6 +74,13 @@ static PIN_LOCK: Mutex<()> = Mutex::new(());
 
 fn pin_lock() -> MutexGuard<'static, ()> {
     PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Held by the tests that count labels: the label table is process-wide.
+static LABEL_LOCK: Mutex<()> = Mutex::new(());
+
+fn label_lock() -> MutexGuard<'static, ()> {
+    LABEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// What `f` did to this thread's heap.
@@ -267,13 +275,99 @@ fn a_chain_is_freed_by_the_first_publish_after_the_last_unpin() {
 }
 
 #[test]
+fn a_rewrite_allocates_nothing() {
+    // A rewrite replaces the buffered value in its redo-log entry.
+    const WRITES: u64 = 1_000;
+    let _no_pin = pin_lock();
+    let v = TVar::new(0u64);
+    atomic(|tx| v.write(tx, 1));
+    let ((), once) = counted(|| atomic(|tx| v.write(tx, 2)));
+    let ((), many) = counted(|| {
+        atomic(|tx| {
+            for i in 0..WRITES {
+                v.write(tx, i);
+            }
+        })
+    });
+    println!(
+        "a transaction writing one var once: {} allocation(s); {WRITES} times: {}",
+        once.allocs, many.allocs
+    );
+    assert!(
+        many.allocs <= once.allocs,
+        "{WRITES} writes of one var made {} allocations, one write {}",
+        many.allocs,
+        once.allocs
+    );
+    assert_eq!(v.read_committed(), WRITES - 1);
+}
+
+/// The ids of a map's header and of every bucket of its current table.
+fn var_ids(m: &TxHashMap<u64, u64>) -> Vec<stm::VarId> {
+    atomic(|tx| {
+        let _ = m.entries(tx);
+        tx.read_ids()
+    })
+}
+
+#[test]
+fn a_labelled_table_is_two_labels_and_a_handful_of_allocations() {
+    const CAP: usize = 1024;
+    let _labels = label_lock();
+    let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(CAP);
+    let start = stm::label_count();
+    let ((), c) = counted(|| m.set_label("stock"));
+    let added = stm::label_count() - start;
+    println!(
+        "labelling {CAP} buckets: {added} label(s), {} allocation(s)",
+        c.allocs
+    );
+    assert_eq!(added, 2, "the header and the bucket block");
+    assert!(c.allocs <= 8, "{} allocations to label a table", c.allocs);
+}
+
+#[test]
+fn every_bucket_resolves_while_its_table_lives_and_none_after() {
+    const CAP: usize = 1024;
+    let _labels = label_lock();
+    let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(CAP);
+    m.set_label("stock");
+    let ids = var_ids(&m);
+    assert_eq!(ids.len(), CAP + 1);
+    for &id in &ids {
+        let name = if id == m.header_var_id() {
+            "stock"
+        } else {
+            "stock.buckets"
+        };
+        assert_eq!(stm::var_label(id).as_deref(), Some(name));
+    }
+    let buckets = ids.iter().filter(|&&id| id != m.header_var_id());
+    let old = *buckets.clone().min().unwrap()..=*buckets.max().unwrap();
+    drop(m);
+    // A fresh table of the same size may take the dead one's memory; its
+    // cells are unlabelled all the same.
+    let mut reused = 0;
+    for _ in 0..8 {
+        let fresh: TxHashMap<u64, u64> = TxHashMap::with_capacity(CAP);
+        let ids = var_ids(&fresh);
+        reused += usize::from(ids.iter().any(|id| old.contains(id)));
+        for &id in &ids {
+            assert_eq!(stm::var_label(id), None, "a dead table's label resolved");
+        }
+    }
+    println!("{reused} of 8 fresh tables reused the dropped table's memory");
+}
+
+#[test]
 fn labels_die_with_their_vars() {
+    let _labels = label_lock();
     let start = stm::label_count();
     for i in 0..100 {
         let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(64);
         m.set_label(&format!("map{i}"));
-        // The header and its 64 buckets.
-        assert_eq!(stm::label_count(), start + 65);
+        // The header and its block of 64 buckets.
+        assert_eq!(stm::label_count(), start + 2);
     }
     assert_eq!(stm::label_count(), start, "dropped maps left labels behind");
 }
