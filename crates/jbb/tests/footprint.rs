@@ -49,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
-fn a_new_order_leaves_at_most_420_live_bytes() {
+fn a_new_order_leaves_at_most_320_live_bytes() {
     const WARM: usize = 300;
     const ORDERS: usize = 1_000;
     let w = TmWarehouse::new(TmConfig::Transactional);
@@ -66,6 +66,6 @@ fn a_new_order_leaves_at_most_420_live_bytes() {
     COUNTING.with(|on| on.set(false));
     let per_order = NET_BYTES.with(Cell::get) / ORDERS as i64;
     println!("{ORDERS} new orders left {per_order} live bytes each");
-    assert!(per_order <= 420, "a new order left {per_order} live bytes");
+    assert!(per_order <= 320, "a new order left {per_order} live bytes");
     w.check_invariants().unwrap();
 }

@@ -139,7 +139,7 @@ impl Hasher for VarIdHasher {
 pub type VarIdSet = HashSet<VarId, BuildHasherDefault<VarIdHasher>>;
 
 /// A map from [`VarId`]s keyed with [`VarIdHasher`]: a frame's read and
-/// write sets.
+/// write sets, and the chain table.
 pub(crate) type VarIdMap<V> = HashMap<VarId, V, BuildHasherDefault<VarIdHasher>>;
 
 #[cfg(test)]
@@ -160,10 +160,11 @@ mod tests {
     fn aligned_var_ids_spread_over_the_low_bits() {
         let var_set = BuildHasherDefault::<VarIdHasher>::default();
         // 8-aligned addresses at strides from adjacent words up to 512
-        // bytes: inline cells 24 bytes apart, nodes in 176- and 224-byte
-        // heap chunks (a 160-byte tree node, a 208-byte `jbb` order node),
-        // and the power-of-two strides that one fold alone clusters.
-        for stride in [8u64, 24, 32, 56, 64, 128, 176, 224, 256, 272, 512] {
+        // bytes: inline cells 16 and 24 bytes apart (a `u64` cell, a bucket
+        // cell), nodes in 128- and 176-byte heap chunks (a 112-byte tree
+        // node, a 160-byte `jbb` order node), and the power-of-two strides
+        // that one fold alone clusters.
+        for stride in [8u64, 16, 24, 32, 56, 64, 128, 176, 224, 256, 272, 512] {
             let ids = || (0..1024u64).map(move |i| 0x7f3a_5c21_8000 + i * stride);
             let raw = low_bit_buckets(ids(), 10, |id| key_hash64(&id));
             let folded = low_bit_buckets(ids(), 10, |id| var_set.hash_one(id));

@@ -12,18 +12,28 @@
 //! practice `T` is either small and `Copy`-like or an `Arc`-wrapped payload.
 //!
 //! Each cell's **word** (`vlock`) is the only copy of its version and the
-//! only guard of its value. One atomic `u64` holds four fields, low bits
-//! first: the commit-lock bit, the swap bit, a saturating count of
-//! registered readers, and the version in the top 52 bits. Committers
-//! acquire the lock bit (in `VarId` order across their write set). A
-//! reader of the value registers in the word by CAS; a publish sets the
-//! swap bit, waits until no reader is registered, swaps the value, and
-//! stamps the new version with every other field clear — so releasing the
-//! lock, ending the swap and stamping the version are one atomic store.
-//! Validators read only the version and lock fields, so a reader's
-//! registration never fails a validation or a lock attempt. See
+//! only guard of its value. One atomic `u64` holds five fields, low bits
+//! first: the commit-lock bit, the swap bit, the chain bit, a saturating
+//! count of registered readers, and the version in the top 52 bits.
+//! Committers acquire the lock bit (in `VarId` order across their write
+//! set). A reader of the value registers in the word by CAS; a publish sets
+//! the swap bit, waits until no reader is registered, swaps the value, and
+//! stamps the new version and the chain bit with every other field clear —
+//! so releasing the lock, ending the swap and stamping the version are one
+//! atomic store. Validators read only the version and lock fields, so a
+//! reader's registration never fails a validation or a lock attempt. See
 //! `clock.rs` for the commit protocol and [`TCell::pair_at`] for who waits
 //! where.
+//!
+//! A cell's snapshot history lives outside it, in the **chain table**: one
+//! mutex-guarded map keyed by [`VarId`], which holds an entry exactly for
+//! the cells whose word has the chain bit. Only a publish while a snapshot
+//! is pinned creates, extends or cuts a chain, and the first publish after
+//! the last unpin frees it; every other publish, read and drop leaves the
+//! table alone. No code of `T` runs under the table lock: a reader clones a
+//! chain entry after releasing it, and what a publish or a drop takes out
+//! of the table drops after it, because a chain's values (a tree node's
+//! link, say) can own chained cells whose drops re-enter the table.
 //!
 //! A cell's [`VarId`] is its address. Every read-set, write-set and
 //! flattened-read entry is a [`VarRef`], which keeps the block holding the
@@ -35,12 +45,14 @@
 //! the owner lives, so no cell's drop reaches it.
 
 use crate::cost;
+use crate::hash::VarIdMap;
 use crate::metrics::{self, Total};
 use crate::txn::Txn;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,20 +66,70 @@ pub(crate) const MAX_CHAIN_DEPTH: usize = 8;
 /// The cell word's commit-lock bit.
 const LOCKED: u64 = 1;
 /// The cell word's swap bit: set only by [`AnyVar::apply`], while it holds
-/// the commit lock and replaces the head.
+/// the commit lock and replaces the value.
 const SWAP: u64 = 1 << 1;
+/// The cell word's chain bit: the chain table holds this cell's history.
+/// Only [`AnyVar::apply`] sets or clears it, in the store that stamps the
+/// version, so a registered reader's word says whether a chain is there.
+/// The table files a chain under its cell's address, so a cell that moves
+/// keeps the bit but not the chain (see "Moving a cell" at [`TCell`]).
+const CHAINED: u64 = 1 << 2;
 /// One registered reader in the cell word.
-const READER: u64 = 1 << 2;
-/// The reader-count field, 10 bits wide. A reader that finds it full waits,
-/// so the width bounds how many readers share a head at once, never
+const READER: u64 = 1 << 3;
+/// The reader-count field, 9 bits wide. A reader that finds it full waits,
+/// so the width bounds how many readers share a value at once, never
 /// correctness.
-const READERS: u64 = 0x3ff * READER;
+const READERS: u64 = 0x1ff * READER;
 /// Where the version starts in the cell word.
 const VERSION_SHIFT: u32 = 12;
 
 /// The largest version a cell word holds: the clock panics rather than
 /// draw one past it (`clock::fresh_version`).
 pub(crate) const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
+
+/// A cell's snapshot history: previously committed `(version, value)`
+/// pairs, newest first, forming a *contiguous* suffix of its committed
+/// history ending just before the value in the cell. Kept only while
+/// snapshot readers are pinned (see `epoch.rs`): made by a publish that
+/// sees a pin, freed by the next publish that sees none, and bounded by
+/// [`MAX_CHAIN_DEPTH`].
+///
+/// The contiguity is what makes [`TCell::read_at`] sound: every publish
+/// either pushes the outgoing value onto the chain or (when no reader is
+/// pinned) frees the chain, so a chain entry `<= s` is always the *latest*
+/// committed value at snapshot `s`, never a stale value with skipped
+/// versions between it and `s`.
+type Chain<T> = Vec<(u64, T)>;
+
+/// A chain-table entry: a cell's boxed [`Chain`]. The box's heap block
+/// stays in place when the map grows, shrinks or drops other entries.
+type Entry = Box<dyn Any + Send + Sync>;
+
+/// The chain table: one entry per cell whose word has the chain bit, keyed
+/// by its id. The lock guards the map, not the chains: a chain changes only
+/// under its cell's swap bit with no reader registered, and no code of `T`
+/// runs under the lock.
+static CHAINS: Mutex<VarIdMap<Entry>> =
+    Mutex::new(VarIdMap::with_hasher(BuildHasherDefault::new()));
+
+/// Where cell `id`'s entry points, if it has one; the table lock is held
+/// for the lookup only.
+fn find_chain(id: VarId) -> Option<NonNull<dyn Any + Send + Sync>> {
+    CHAINS.lock().get(&id).map(|e| NonNull::from(&**e))
+}
+
+/// Take cell `id`'s entry out of the table, to drop once the table lock is
+/// released. A map a burst of chains grew gives its slots back as its
+/// chains are freed.
+fn take_chain(id: VarId) -> Option<Entry> {
+    let mut chains = CHAINS.lock();
+    let entry = chains.remove(&id);
+    let len = chains.len();
+    if len < chains.capacity() / 4 {
+        chains.shrink_to(2 * len);
+    }
+    entry
+}
 
 /// The label table: one entry per labelled owner block, keyed by the
 /// first address of the cells it holds. No two entries overlap.
@@ -220,6 +282,27 @@ pub unsafe trait CellOwner: Send + Sync + 'static {
 /// the transaction keeps that `Arc` alive for as long as it logs the cell.
 /// A `TCell` is not `Clone`; share its owner instead.
 ///
+/// # Moving a cell
+///
+/// A cell's snapshot history is filed in the chain table under the cell's
+/// address, so it does not move with the cell. A cell that was published
+/// while a snapshot was pinned keeps such a chain until its next publish
+/// with no snapshot pinned. Moving it meanwhile, which takes the `&mut` or
+/// the ownership that `Arc::get_mut` or `Arc::try_unwrap` give back once no
+/// one else shares its owner, has two effects:
+///
+/// - The chain stays at the old address, values and all, until a cell
+///   there starts a chain of its own or is dropped with one.
+/// - The moved cell reads below its head from whatever chain is filed at
+///   its new address, and its next publish under a pin extends that chain.
+///   Where there is none, such a read falls back to the validated path.
+///   Where another moved cell left its chain, as when two chained fields
+///   are swapped with `std::mem::swap`, the moved cell serves that other
+///   cell's history, so a snapshot read of it can return a value that had
+///   already been replaced at the snapshot.
+///
+/// A cell that never moves once it has been written has neither effect.
+///
 /// ```
 /// use std::sync::Arc;
 /// use stm::{atomic, CellOwner, TCell};
@@ -243,18 +326,21 @@ pub unsafe trait CellOwner: Send + Sync + 'static {
 // of a cell inside its value, which is what keeps ids unique.
 #[repr(C)]
 pub struct TCell<T> {
-    /// Lock bit, swap bit, reader count and version — see the module docs.
+    /// Lock bit, swap bit, chain bit, reader count and version — see the
+    /// module docs.
     vlock: AtomicU64,
-    /// Read only under a [`Registration`], written only by `apply`.
-    head: UnsafeCell<Head<T>>,
+    /// The committed value: read only under a [`Registration`], written
+    /// only by `apply`.
+    value: UnsafeCell<T>,
 }
 
-const _: () = assert!(size_of::<TCell<u64>>() == 24);
+const _: () = assert!(size_of::<TCell<u64>>() == 16);
 
-// SAFETY: the head is read only through a `Registration`, which clones `T`
-// from a shared `&T` while other readers may do the same (hence `T: Sync`),
-// and written only by `apply` while no reader is registered, which moves
-// values in and out from the publishing thread (hence `T: Send`).
+// SAFETY: the value and the chain are read only through a `Registration`,
+// which clones `T` from a shared `&T` while other readers may do the same
+// (hence `T: Sync`), and written only by `apply` while no reader is
+// registered, which moves values in and out from the publishing thread
+// (hence `T: Send`).
 unsafe impl<T: Send + Sync> Sync for TCell<T> {}
 
 // SAFETY: the only cell a shared `&TCell<T>` reaches in its own bytes is
@@ -275,28 +361,10 @@ unsafe impl<T: Send + Sync + 'static> CellOwner for Box<[TCell<T>]> {
     }
 }
 
-/// The committed value and, behind one pointer, its history chain:
-/// previously committed `(version, value)` pairs, newest first, forming a
-/// *contiguous* suffix of this var's committed history ending just before
-/// the head. Maintained only while snapshot readers are pinned (see
-/// `epoch.rs`): allocated by a publish that sees a pin, freed by the next
-/// publish that sees none; bounded by [`MAX_CHAIN_DEPTH`].
-///
-/// The contiguity invariant is what makes [`TCell::read_at`] sound:
-/// every publish either pushes the outgoing head onto the chain or (when
-/// no reader is pinned) frees the chain, so a chain entry `<= s` is
-/// always the *latest* committed value at snapshot `s` — never a stale
-/// value with skipped versions between it and `s`.
-struct Head<T> {
-    value: T,
-    chain: Option<Box<Chain<T>>>,
-}
-
-struct Chain<T>(Vec<(u64, T)>);
-
 /// A reader registered in a cell word. While it lives no publish swaps the
-/// head, so the head and the version in `word` belong together. Dropping it
-/// deregisters, also when `T::clone` unwinds.
+/// value or changes the chain, so they and the version and chain bit in
+/// `word` belong together. Dropping it deregisters, also when `T::clone`
+/// unwinds.
 struct Registration<'a, T> {
     cell: &'a TCell<T>,
     /// The word the registering CAS replaced.
@@ -304,24 +372,44 @@ struct Registration<'a, T> {
 }
 
 impl<T> Registration<'_, T> {
-    /// The head's version.
+    /// The value's version.
     fn version(&self) -> u64 {
         self.word >> VERSION_SHIFT
     }
 
-    fn head(&self) -> &Head<T> {
-        // SAFETY: `apply` writes the head only while its swap bit is set and
-        // no reader is registered, and a reader registers only by a CAS
+    fn value(&self) -> &T {
+        // SAFETY: `apply` writes the value only while its swap bit is set
+        // and no reader is registered, and a reader registers only by a CAS
         // against a word with the swap bit clear. This registration lasts
-        // as long as the borrow, so the head does not change under it.
-        unsafe { &*self.cell.head.get() }
+        // as long as the borrow, so the value does not change under it.
+        unsafe { &*self.cell.value.get() }
+    }
+}
+
+impl<T: Send + Sync + 'static> Registration<'_, T> {
+    /// The cell's history chain, if its word has the chain bit. Only the
+    /// lookup holds the table lock.
+    fn chain(&self) -> Option<&[(u64, T)]> {
+        if self.word & CHAINED == 0 {
+            return None;
+        }
+        let entry = find_chain(self.cell.id())?;
+        // SAFETY: no other live cell has this id, so only this cell changes
+        // or removes the entry under it: its `apply`, with the swap bit set
+        // and no reader registered, and its drop, with `&mut`. So while this
+        // registration lasts the chain stays as it is, and where it is:
+        // other cells' insertions and removals move the entry's box within
+        // the map, not the block it points to.
+        unsafe { entry.as_ref() }
+            .downcast_ref::<Chain<T>>()
+            .map(Vec::as_slice)
     }
 }
 
 impl<T> Drop for Registration<'_, T> {
     fn drop(&mut self) {
-        // Release: the head reads happen before a publisher that sees the
-        // count drained replaces the head.
+        // Release: the value and chain reads happen before a publisher that
+        // sees the count drained replaces them.
         let w = self.cell.vlock.fetch_sub(READER, Ordering::Release);
         debug_assert!(w & READERS != 0, "a reader left an empty count");
     }
@@ -382,14 +470,16 @@ impl<T> TCell<T> {
 
     /// The committed value of a cell no transaction can reach: `&mut self`
     /// means the cell is not shared yet, or no longer. A value set here is
-    /// committed at the cell's current version.
+    /// committed at the cell's current version. The same `&mut` can move
+    /// the cell, which leaves its snapshot history behind (see "Moving a
+    /// cell" at [`TCell`]).
     pub fn get_mut(&mut self) -> &mut T {
-        &mut self.head.get_mut().value
+        self.value.get_mut()
     }
 
-    /// Register as a reader of the head, for a read at snapshot `s`. Waits
-    /// while the cell is commit-locked with its head at or below `s` (see
-    /// [`pair_at`](Self::pair_at)), while a publish swaps the head, and
+    /// Register as a reader of the value, for a read at snapshot `s`. Waits
+    /// while the cell is commit-locked with its value at or below `s` (see
+    /// [`pair_at`](Self::pair_at)), while a publish swaps the value, and
     /// while the reader count is full.
     fn register(&self, s: u64) -> Registration<'_, T> {
         let mut w = self.vlock.load(Ordering::Relaxed);
@@ -401,7 +491,8 @@ impl<T> TCell<T> {
                 w = self.vlock.load(Ordering::Relaxed);
                 continue;
             }
-            // Acquire: the head the last publish stored before its word.
+            // Acquire: the value and chain the last publish stored before
+            // its word.
             // Release: a committer that locks the word after this CAS then
             // draws its version after the caller sampled `s`, so past `s`.
             match self.vlock.compare_exchange_weak(
@@ -422,12 +513,23 @@ impl<T> TCell<T> {
     }
 }
 
+impl<T> Drop for TCell<T> {
+    fn drop(&mut self) {
+        // Only a chained cell has an entry, so every other drop leaves the
+        // table alone. The chain drops after the lock is released: its
+        // values can own chained cells, whose drops come back here.
+        if *self.vlock.get_mut() & CHAINED != 0 {
+            drop(take_chain(self.id()));
+        }
+    }
+}
+
 impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// Create a cell with an initial committed value.
     pub fn new(value: T) -> Self {
         TCell {
             vlock: AtomicU64::new(0),
-            head: UnsafeCell::new(Head { value, chain: None }),
+            value: UnsafeCell::new(value),
         }
     }
 
@@ -499,14 +601,44 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     /// while the reader count is full; each wait is short and bounded.
     fn pair_at(&self, s: u64) -> Option<(u64, T)> {
         let reader = self.register(s);
-        let head = reader.head();
         if reader.version() > s {
             // Head and any publish in flight (versions are monotone) are
             // past `s`. A publish pushes the old head before it restamps the
             // word: the chain is contiguous, a reclaimed entry a miss.
-            return head.chain.as_ref()?.0.iter().find(|e| e.0 <= s).cloned();
+            return reader.chain()?.iter().find(|e| e.0 <= s).cloned();
         }
-        Some((reader.version(), head.value.clone()))
+        Some((reader.version(), reader.value().clone()))
+    }
+
+    /// Push `outgoing` onto this cell's chain, or start a chain with it if
+    /// `chained` is false, then cut what no pin can reach: entries older
+    /// than the newest one at or below `horizon` (future pins sample a clock
+    /// past every version), and any past the depth bound. Returns the cut
+    /// entries and any stale entry the new chain replaced, for the caller
+    /// to drop after the table lock is released. The caller is `apply`,
+    /// with the swap bit set and no reader registered.
+    fn push_chain(
+        &self,
+        chained: bool,
+        outgoing: (u64, T),
+        horizon: u64,
+    ) -> (Chain<T>, Option<Entry>) {
+        let id = self.id();
+        let mut chains = CHAINS.lock();
+        let chain = chains.get_mut(&id).filter(|_| chained);
+        let Some(chain) = chain.and_then(|c| c.downcast_mut::<Chain<T>>()) else {
+            // The bit is clear, or the cell moved here and finds no chain of
+            // its type (see "Moving a cell" at `TCell`): start a chain. An
+            // entry under this id was left by a cell that moved away or was
+            // forgotten, and gives way.
+            return (Vec::new(), chains.insert(id, Box::new(vec![outgoing])));
+        };
+        chain.insert(0, outgoing);
+        let keep = chain
+            .iter()
+            .position(|e| e.0 <= horizon)
+            .map_or(chain.len(), |i| i + 1);
+        (chain.split_off(keep.min(MAX_CHAIN_DEPTH)), None)
     }
 }
 
@@ -548,31 +680,20 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
         // SAFETY: the caller holds the commit lock, so no other `apply` runs
         // on this cell. The swap bit is set and no reader is registered, and
         // none registers while the bit is set, so nothing else refers to the
-        // head until the store below clears the bit.
-        let head = unsafe { &mut *self.head.get() };
-        let old = std::mem::replace(&mut head.value, new);
+        // value or the chain until the store below clears the bit.
+        let old = std::mem::replace(unsafe { &mut *self.value.get() }, new);
         // Until the store, the swap runs no code of `T`'s, so no panic can
-        // leave the swap bit set: what the publish reclaims is moved out
-        // here and dropped on return, after the store lets readers back in.
-        let (reclaimed, _tail, _freed) = if horizon != u64::MAX {
-            // A snapshot may still need the outgoing head: push it before
+        // leave the swap bit set, and none runs under the table lock: what the
+        // publish takes out of the chain or the table is moved out here and
+        // dropped on return, after the store lets readers back in.
+        let (chained, reclaimed, _cut, _entry) = if horizon != u64::MAX {
+            // A snapshot may still need the outgoing value: push it before
             // the store that restamps the word. The horizon is sampled once
             // per commit; a pin landing mid-batch is safe anyway, as its
             // stabilization loop (`epoch::pin`) puts this commit's version at
-            // or below the pinned epoch. Then cut what no pin can reach:
-            // entries older than the newest one at or below `horizon` (future
-            // pins sample a clock past every version), and any past the bound.
-            let h = &mut head
-                .chain
-                .get_or_insert_with(|| Box::new(Chain(Vec::new())))
-                .0;
-            h.insert(0, (outgoing, old));
-            let keep = h
-                .iter()
-                .position(|e| e.0 <= horizon)
-                .map_or(h.len(), |i| i + 1);
-            let tail = h.split_off(keep.min(MAX_CHAIN_DEPTH));
-            (tail.len(), tail, None)
+            // or below the pinned epoch.
+            let (cut, stale) = self.push_chain(w & CHAINED != 0, (outgoing, old), horizon);
+            (CHAINED, cut.len(), cut, stale)
         } else {
             // No snapshot pinned anywhere: free the chain. Keeping older
             // entries without this push would leave a version *gap* a later
@@ -580,13 +701,21 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
             // outgoing value goes back to the write set, which drops it once
             // the whole commit is published.
             *slot = Some(old);
-            let chain = head.chain.take();
-            (chain.as_ref().map_or(0, |c| c.0.len()), Vec::new(), chain)
+            let freed = if w & CHAINED != 0 {
+                take_chain(self.id())
+            } else {
+                None
+            };
+            let len = freed
+                .as_deref()
+                .and_then(|c| c.downcast_ref::<Chain<T>>())
+                .map_or(0, Vec::len);
+            (0, len, Vec::new(), freed)
         };
         // Stamp, end the swap and release the lock in one store: no reader
         // is registered, and none registers until the store lands.
         self.vlock
-            .store(version << VERSION_SHIFT, Ordering::Release);
+            .store(version << VERSION_SHIFT | chained, Ordering::Release);
         metrics::tally_n(Total::ChainEntriesReclaimed, reclaimed as u64);
     }
 }
@@ -668,7 +797,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     pub fn chain_len(&self) -> usize {
         // Registered as a validated read, it waits out a publish in flight.
         let reader = self.core.register(u64::MAX);
-        reader.head().chain.as_ref().map_or(0, |c| c.0.len())
+        reader.chain().map_or(0, <[_]>::len)
     }
 
     pub(crate) fn committed_pair(&self) -> (u64, T) {
@@ -793,7 +922,7 @@ mod tests {
         assert!(guard.read_valid(&*any, 0), "own lock");
         drop(guard);
         assert!(clock::read_valid(&*any, 0));
-        assert_eq!((reader.version(), reader.head().value), (0, 1));
+        assert_eq!((reader.version(), *reader.value()), (0, 1));
         drop(reader);
         assert_eq!(readers(&v), 0);
     }
@@ -923,7 +1052,7 @@ mod tests {
             let late = spawn_running(s, || v.committed_pair());
             assert!(!publisher.is_finished(), "swapped under a reader");
             assert!(!late.is_finished(), "registered during a swap");
-            assert_eq!((held.version(), held.head().value), (7, 2));
+            assert_eq!((held.version(), *held.value()), (7, 2));
             drop(held);
             publisher.join().unwrap();
             assert_eq!(late.join().unwrap(), (9, 3), "mixed or stale pair");
@@ -970,6 +1099,117 @@ mod tests {
         assert_eq!(v.core.read_at(4), Some(1));
     }
 
+    /// Entries the chain table holds for cell `id`: 0 or 1.
+    fn entries(id: VarId) -> usize {
+        usize::from(CHAINS.lock().contains_key(&id))
+    }
+
+    #[test]
+    fn a_cell_chained_under_a_pin_leaves_no_entry_once_dropped() {
+        let v = TVar::new(0u64);
+        let id = v.id();
+        // Publish from another thread while this one holds a snapshot pin,
+        // so each publish keeps its outgoing value on the var's chain.
+        let seen = crate::atomic_read(|tx| {
+            let x = v.read(tx);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 1..=3 {
+                        crate::atomic(|tx| v.write(tx, i));
+                    }
+                });
+            });
+            x
+        });
+        assert_eq!(seen, 0);
+        assert!(v.chain_len() > 0, "no chain was built under the pin");
+        assert_eq!(entries(id), 1);
+        // No publish follows the unpin: the drop alone removes the entry.
+        drop(v);
+        assert_eq!(entries(id), 0, "a dropped cell left its chain behind");
+    }
+
+    #[test]
+    fn unpinned_publishes_of_an_unchained_var_make_no_entry() {
+        let v = TVar::new(0u64);
+        let any = v.any();
+        // Horizon `u64::MAX` is what every publish samples while no
+        // snapshot is pinned.
+        for i in 1..=10_000u64 {
+            assert!(any.try_lock_commit());
+            any.apply(&mut Some(i), i, u64::MAX);
+        }
+        assert_eq!((v.version(), v.read_committed()), (10_000, 10_000));
+        assert_eq!(v.core.vlock.load(Ordering::Acquire) & CHAINED, 0);
+        assert_eq!(entries(v.id()), 0, "an unpinned publish made a chain");
+        assert_eq!(v.chain_len(), 0);
+    }
+
+    /// A node of a linked structure, as a tree node is: its link is a cell
+    /// holding another node's `Arc`.
+    struct Node {
+        next: TCell<Option<Arc<Node>>>,
+    }
+    // SAFETY: one plain cell field.
+    unsafe impl CellOwner for Node {}
+
+    #[test]
+    fn nodes_unlinked_under_a_pin_drop_within_a_deadline() {
+        let mut nodes: Vec<_> = (0..8)
+            .map(|_| {
+                Arc::new(Node {
+                    next: TCell::new(None),
+                })
+            })
+            .collect();
+        crate::atomic(|tx| {
+            for w in nodes.windows(2) {
+                w[0].next.write(tx, &w[0], Some(Arc::clone(&w[1])));
+            }
+        });
+        // Another thread unlinks every node while this one holds a pin, so
+        // each link's chain keeps the next node's `Arc`.
+        crate::atomic_read(|tx| {
+            let _ = nodes[0].next.read(tx, &nodes[0]);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for n in &nodes {
+                        crate::atomic(|tx| n.next.write(tx, n, None));
+                    }
+                });
+            });
+        });
+        let weak: Vec<_> = nodes.iter().map(Arc::downgrade).collect();
+        let ids: Vec<_> = nodes.iter().map(|n| n.next.id()).collect();
+        let head = nodes.swap_remove(0);
+        drop(nodes);
+        // Now each node after the first lives only on its predecessor's
+        // chain. An unpinned publish frees the first chain, and the drops
+        // it starts free the others, each taking the table lock again.
+        let (done, finished) = std::sync::mpsc::channel();
+        let freer = std::thread::spawn(move || {
+            let any: &dyn AnyVar = &head.next;
+            assert!(any.try_lock_commit());
+            any.apply(&mut Some(None::<Arc<Node>>), any.version() + 1, u64::MAX);
+            drop(head);
+            let _ = done.send(());
+        });
+        // A chain dropped under the table lock deadlocks the freer, which
+        // then holds the lock for good, so every other test that takes it
+        // would hang too: end the whole run at the deadline.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            eprintln!("nodes_unlinked_under_a_pin_drop_within_a_deadline: no chain freed");
+            std::process::exit(1);
+        }
+        freer.join().unwrap();
+        assert!(weak.iter().all(|w| w.strong_count() == 0), "a node leaked");
+        assert!(
+            ids.iter().all(|&id| entries(id) == 0),
+            "an entry outlived its cell"
+        );
+    }
+
     struct Pair {
         a: TCell<u64>,
         b: TCell<u64>,
@@ -990,6 +1230,65 @@ mod tests {
 
     fn row(n: u64) -> Arc<Box<[TCell<u64>]>> {
         Arc::new((0..n).map(TCell::new).collect())
+    }
+
+    #[test]
+    fn a_moved_chained_cell_leaves_its_chain_at_its_old_address() {
+        let mut p = pair();
+        let ids = (p.a.id(), p.b.id());
+        // Published at horizon 0, as under a pin at 0, each cell keeps its
+        // outgoing head: `a`'s chain is [(0, 1)], `b`'s [(0, 2)].
+        let (a, b): (&dyn AnyVar, &dyn AnyVar) = (&p.a, &p.b);
+        assert!(a.try_lock_commit() && b.try_lock_commit());
+        a.apply(&mut Some(10u64), 4, 0);
+        b.apply(&mut Some(20u64), 5, 0);
+        assert_eq!((p.a.read_at(0), p.b.read_at(0)), (Some(1), Some(2)));
+        // Swapped in place, each cell keeps its word and value but reads
+        // below its head from the chain at its new address: the other
+        // cell's history.
+        let q = Arc::get_mut(&mut p).expect("the pair is not shared");
+        std::mem::swap(&mut q.a, &mut q.b);
+        assert_eq!((p.a.read_committed(), p.b.read_committed()), (20, 10));
+        assert_eq!(
+            (p.a.read_at(0), p.b.read_at(0)),
+            (Some(1), Some(2)),
+            "a chain moved with its cell"
+        );
+        // Moved out and dropped, a cell takes no entry with it: its chain
+        // stays until a cell at the old address starts one of its own. An
+        // unpinned publish of the fresh cell there leaves it in place.
+        let q = Arc::get_mut(&mut p).expect("the pair is not shared");
+        drop(std::mem::replace(&mut q.a, TCell::new(0)));
+        let a: &dyn AnyVar = &p.a;
+        assert!(a.try_lock_commit());
+        a.apply(&mut Some(30u64), 6, u64::MAX);
+        assert_eq!(entries(ids.0), 1, "the chain left with its cell");
+        assert!(a.try_lock_commit());
+        a.apply(&mut Some(40u64), 7, 0);
+        assert_eq!(
+            (p.a.read_at(0), p.a.read_at(6)),
+            (None, Some(30)),
+            "the new chain is not its own"
+        );
+        drop(p);
+        assert_eq!((entries(ids.0), entries(ids.1)), (0, 0));
+    }
+
+    #[test]
+    fn the_chain_table_gives_back_the_slots_of_freed_chains() {
+        // A burst of 10,000 chains, as writes under a long pin make, then
+        // their cells' drops.
+        let vars: Vec<_> = (0..10_000u64).map(TVar::new).collect();
+        for v in &vars {
+            let any: &dyn AnyVar = &*v.core;
+            assert!(any.try_lock_commit());
+            any.apply(&mut Some(1u64), 1, 0);
+        }
+        assert!(CHAINS.lock().capacity() >= 10_000);
+        drop(vars);
+        // Other tests may hold a few chains meanwhile, never hundreds.
+        let slots = CHAINS.lock().capacity();
+        assert!(slots < 1_000, "{slots} slots kept after the burst");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! conflict on internal operations that are semantically irrelevant.
 //!
 //! The six vars of a node are [`stm::TCell`]s inline in the node, so a node
-//! is one allocation (160 bytes for `<u64, u64>`), and each access names
+//! is one allocation (112 bytes for `<u64, u64>`), and each access names
 //! the node's `Arc` as the cell's owner. Each cell keeps its own id, version
 //! and commit lock: the footprint is the same as with one `TVar` per field.
 //! The header (root and size) stays one [`stm::TVar`].

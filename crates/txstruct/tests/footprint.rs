@@ -109,23 +109,23 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, Counted) {
 }
 
 #[test]
-fn a_u64_var_is_one_block_of_at_most_40_bytes() {
-    // The `Arc`'s two counts and a 24-byte cell; 40 bytes plus glibc's
-    // 8-byte chunk header is one 48-byte chunk.
+fn a_u64_var_is_one_block_of_at_most_32_bytes() {
+    // The `Arc`'s two counts and a 16-byte cell (its word and its value);
+    // 32 bytes plus glibc's 8-byte chunk header is one 48-byte chunk.
     let (v, c) = counted(|| TVar::new(0u64));
     println!(
         "TVar::new(0u64): {} allocation(s), {} bytes",
         c.allocs, c.largest
     );
     assert_eq!(c.allocs, 1, "a var is one allocation");
-    assert!(c.largest <= 40, "a u64 var takes {} bytes", c.largest);
+    assert!(c.largest <= 32, "a u64 var takes {} bytes", c.largest);
     assert_eq!(v.read_committed(), 0);
 }
 
 #[test]
-fn a_tree_node_is_one_block_of_at_most_160_bytes() {
+fn a_tree_node_is_one_block_of_at_most_112_bytes() {
     // A node's six vars (key, value, color and three links) live inline in
-    // the node, 24 bytes each: what an insert leaves behind is one block
+    // the node, 16 bytes each: what an insert leaves behind is one block
     // per key.
     const KEYS: u64 = 64;
     let _no_pin = pin_lock();
@@ -149,7 +149,7 @@ fn a_tree_node_is_one_block_of_at_most_160_bytes() {
         "inserted keys did not leave one live block each"
     );
     assert!(
-        c.net_bytes <= 160 * KEYS as i64,
+        c.net_bytes <= 112 * KEYS as i64,
         "an inserted key left {} live bytes",
         c.net_bytes / KEYS as i64
     );
