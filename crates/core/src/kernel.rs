@@ -25,26 +25,24 @@
 //! [`SemanticCore`] owns everything invariant:
 //!
 //! * **Idempotent first-touch registration.** On the first operation a
-//!   top-level transaction performs on an instance, the core registers one
-//!   commit/abort handler pair and parks a [`KernelSlot`] in the
-//!   transaction's extension map — in exactly the order extension-slot
-//!   probe → commit handler → abort handler → slot insert. The probe is a
-//!   scan of the transaction's own extension vector (zero shared-memory
-//!   traffic); and because the handlers are registered *before* the slot
-//!   exists, an unwind between the two steps cannot leave a marked
-//!   transaction with no abort handler to clean up. Collections used to
-//!   restate this obligation each; now it is discharged here once (and
-//!   txlint TX008 rejects any direct handler registration outside this
-//!   file).
+//!   top-level transaction performs on an instance, the core enlists one
+//!   [`KernelSlot`] in the transaction ([`Txn::enlist`]): a typed
+//!   participant that holds the attempt's state and whose `commit` and
+//!   `abort` are the instance's one handler pair. The probe is a scan of
+//!   the transaction's own participant list (zero shared-memory traffic),
+//!   and enlisting is one step, so no unwind can leave state without the
+//!   handlers that drain it. txlint TX008 rejects any direct enlistment or
+//!   handler registration outside this file.
 //! * **The attempt's footprint lives in the transaction.** The slot holds
 //!   the class's `Local` buffer, the eager undo log and the lock cache, so
 //!   buffering a write is a local probe of the transaction's own state —
 //!   paper §3.1 keeps this state thread-local for the same reason. The
-//!   handlers take the whole slot in one `ext_remove` and hand the buffer
-//!   to the class by value; a fresh attempt starts with a fresh `Txn` and
-//!   no slot, so nothing can outlive, leak from or be resurrected into an
-//!   attempt. A collection operation inside a `tx.open` body is a misuse
-//!   abort: the child's slots would die with the child.
+//!   runtime takes every participant out of the transaction before it runs
+//!   any, and the slot hands the buffer to the class by value; a fresh
+//!   attempt starts with a fresh `Txn` and no slot, so nothing can outlive,
+//!   leak from or be resurrected into an attempt. A collection operation
+//!   inside a `tx.open` body is a misuse abort: the child could enlist no
+//!   participant of its own.
 //! * **The txn-local semantic-lock cache.** The slot doubles as a
 //!   per-transaction, per-instance cache of already-acquired `(kind, key)`
 //!   semantic locks: the first acquisition populates it, every later
@@ -56,8 +54,8 @@
 //!   locks it is the keyed class's own held-key set — the release list the
 //!   handlers sweep — so each held key is stored once, and
 //!   [`SemanticCore::take_key_lock`] is the one entry point that probes it,
-//!   takes the stripe lock on a miss, and records the key. Both handlers
-//!   take the slot out of the transaction before releasing any lock, so the
+//!   takes the stripe lock on a miss, and records the key. The slot is out
+//!   of the transaction before either handler releases any lock, so the
 //!   cache provably never outlives the locks it witnesses (cache lifetime ⊆
 //!   lock hold).
 //! * **Partial-rollback undos.** [`SemanticCore::local_undo`] registers a
@@ -98,7 +96,8 @@
 //!    [`SemanticCore::local_undo`].
 //! 2. *Register one handler pair on first touch* — call
 //!    [`SemanticCore::ensure_registered`] at the top of every operation;
-//!    the core makes it idempotent and ordering-safe.
+//!    the core makes it idempotent and enlists the pair with the state it
+//!    drains in one step.
 //! 3. *Take semantic locks before reading committed state* — lock keys
 //!    through [`SemanticCore::take_key_lock`] (a [`KeyedClass`] on
 //!    [`ClassTables`]) and whole-collection properties through
@@ -122,7 +121,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stm::hash::{key_hash64, StripeSet};
 use stm::trace::LockKind;
-use stm::{Txn, TxnMode};
+use stm::{Participant, Txn, TxnMode};
 
 // ----------------------------------------------------------------------
 // The per-class surface
@@ -142,8 +141,8 @@ use stm::{Txn, TxnMode};
 pub trait SemanticClass: Send + Sync + 'static {
     /// Per-transaction buffered state (paper Table 3): held semantic locks
     /// plus pending writes. Created at `Default` when a transaction first
-    /// touches the instance, and lives in that transaction until a handler
-    /// takes it.
+    /// touches the instance, and lives in that transaction until the
+    /// runtime takes it out to run a handler.
     type Local: Default + Send + 'static;
 
     /// One logged compensation entry for an **eagerly applied** mutation —
@@ -274,16 +273,19 @@ pub trait KeyedClass: SemanticClass {
     fn held_keys(local: &mut Self::Local) -> &mut StripeSet<Self::Key>;
 }
 
-/// The per-attempt state a [`SemanticCore`] parks in its transaction
-/// extension slot — the attempt's whole footprint on one instance. Its
-/// presence is the registration marker; the handlers take it in one
-/// `ext_remove` before they release any semantic lock, so no later probe can
-/// find a cached lock — a point bit here, or a held key in `local` — whose
-/// lock is gone (the cache-lifetime obligation, docs/PROTOCOL.md). Fresh
-/// attempts start with a fresh `Txn` and therefore no slot — abort
-/// invalidation is structural, and no other transaction can reach (or
-/// resurrect) this state.
+/// The participant a [`SemanticCore`] enlists in a transaction on first
+/// touch — the attempt's whole footprint on one instance, and the commit
+/// and abort handler that drain it. Its presence is the registration
+/// marker. The runtime takes it out of the transaction before it runs
+/// either handler, so no later probe can find a cached lock — a point bit
+/// here, or a held key in `local` — whose lock is gone (the cache-lifetime
+/// obligation, docs/PROTOCOL.md). Fresh attempts start with a fresh `Txn`
+/// and therefore no slot — abort invalidation is structural, and no other
+/// transaction can reach (or resurrect) this state.
 struct KernelSlot<C: SemanticClass> {
+    /// The instance whose class drains this slot; also pins the allocation
+    /// [`SemanticCore::tag`] names until the slot has run.
+    core: Arc<CoreInner<C>>,
     /// Whole-collection locks already acquired, one bit per mode at
     /// [`ObsMode::code`]: the point half of the lock cache (the key half is
     /// the class's held-key set).
@@ -296,13 +298,37 @@ struct KernelSlot<C: SemanticClass> {
     undo: Vec<C::Undo>,
 }
 
-impl<C: SemanticClass> Default for KernelSlot<C> {
-    fn default() -> Self {
-        KernelSlot {
-            points: 0,
-            local: C::Local::default(),
-            undo: Vec::new(),
+impl<C: SemanticClass> Participant for KernelSlot<C> {
+    fn commit(self: Box<Self>, htx: &mut Txn) {
+        // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the runtime took
+        // this slot out of the transaction, which ended the lock cache — the
+        // point bits die here, and the held keys move into `apply` as its
+        // release list — before the sweep releases a single semantic lock.
+        // Committed eager mutations stand: the undo log is dead weight,
+        // dropped with the box, and nothing replays it.
+        let KernelSlot { core, local, .. } = *self;
+        let _run = core
+            .class
+            .writes_backend(&local)
+            .then(|| HandlerRun::begin(&core.handler_seq));
+        core.class.apply(local, htx);
+    }
+
+    fn abort(self: Box<Self>, htx: &mut Txn) {
+        let KernelSlot {
+            core, local, undo, ..
+        } = *self;
+        // Undo before release: drain the compensation log in reverse while
+        // the transaction still holds every semantic lock it took, so no
+        // observer can see a partially rolled-back state between a
+        // compensating write and the lock drop (docs/PROTOCOL.md,
+        // "undo-before-release").
+        let _run = (!undo.is_empty() || core.class.writes_backend(&local))
+            .then(|| HandlerRun::begin(&core.handler_seq));
+        for entry in undo.into_iter().rev() {
+            core.class.compensate(entry, htx);
         }
+        core.class.release(local, htx);
     }
 }
 
@@ -331,10 +357,10 @@ impl Drop for HandlerRun<'_> {
     }
 }
 
-/// The invariant half of every transactional class: first-touch handler
-/// registration, the per-attempt slot holding the class's buffered state,
-/// and the lock-taking entry points, which cache their locks in that slot.
-/// Cheap to clone (one `Arc`).
+/// The invariant half of every transactional class: first-touch enlistment
+/// of the per-attempt slot holding the class's buffered state and handler
+/// pair, and the lock-taking entry points, which cache their locks in that
+/// slot. Cheap to clone (one `Arc`).
 pub struct SemanticCore<C: SemanticClass> {
     inner: Arc<CoreInner<C>>,
 }
@@ -399,21 +425,19 @@ impl<C: SemanticClass> SemanticCore<C> {
         self.inner.class.global_stripe().stats()
     }
 
-    /// Register the single commit/abort handler pair and park the
-    /// attempt's `KernelSlot` on first use by this top-level transaction
-    /// (paper §5 guideline 2). Call at the top of every operation;
-    /// idempotent. The probe is a scan of the transaction's own extension
-    /// slots, so the repeat-call case costs no shared-memory traffic.
-    ///
-    /// Handlers are registered **before** the slot is inserted: an unwind
-    /// during registration cannot leave a marked transaction whose state no
-    /// abort handler will clean up. This ordering obligation lives here and
-    /// nowhere else — txlint TX008 rejects direct handler registration in
-    /// any other semantic-tables file.
+    /// Enlist the attempt's `KernelSlot` — its buffer and its commit/abort
+    /// handler pair — on first use by this top-level transaction (paper §5
+    /// guideline 2). Call at the top of every operation; idempotent. The
+    /// probe is a scan of the transaction's own participants, so the
+    /// repeat-call case costs no shared-memory traffic. Enlisting is one
+    /// step, so no unwind can leave the buffer without its handlers; txlint
+    /// TX008 rejects direct enlistment or handler registration in any other
+    /// semantic-tables file.
     ///
     /// A first touch inside a `tx.open` body is a misuse abort: the child's
-    /// slots die with the child, so its buffered state would be lost. A call
-    /// from a commit or abort handler panics, naming the class.
+    /// participants would die with the child, so its buffered state would
+    /// be lost. A call from a commit or abort handler panics, naming the
+    /// class.
     pub fn ensure_registered(&self, tx: &mut Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
@@ -432,85 +456,41 @@ impl<C: SemanticClass> SemanticCore<C> {
             }
             return;
         }
-        let tag = self.tag();
-        if tx.ext_contains(tag) {
-            return;
+        if self.slot_mut(tx).is_none() {
+            tx.enlist(
+                self.tag(),
+                Box::new(KernelSlot {
+                    core: Arc::clone(&self.inner),
+                    points: 0,
+                    local: C::Local::default(),
+                    undo: Vec::new(),
+                }),
+            );
         }
-        tx.reject_in_open(
-            "collection operation inside a tx.open body: the open child's state dies with it \
-             — call the collection from the enclosing transaction",
-        );
-        let inner = Arc::clone(&self.inner);
-        tx.on_commit_top(move |htx| {
-            // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): taking the slot
-            // out of the transaction ends the lock cache — the point bits
-            // die here, and the held keys move into `apply` as its release
-            // list — before the sweep releases a single semantic lock.
-            let KernelSlot { local, undo, .. } = Self::take_slot(htx, tag);
-            // Committed eager mutations stand: the undo log is dead weight,
-            // dropped before the apply sweep so nothing replays it.
-            drop(undo);
-            let _run = inner
-                .class
-                .writes_backend(&local)
-                .then(|| HandlerRun::begin(&inner.handler_seq));
-            inner.class.apply(local, htx);
-        });
-        let inner = Arc::clone(&self.inner);
-        tx.on_abort_top(move |htx| {
-            // The same slot take ends the lock cache before any release.
-            let KernelSlot { local, undo, .. } = Self::take_slot(htx, tag);
-            // Undo before release: drain the compensation log in reverse
-            // while the transaction still holds every semantic lock it
-            // took, so no observer can see a partially rolled-back state
-            // between a compensating write and the lock drop
-            // (docs/PROTOCOL.md, "undo-before-release").
-            let _run = (!undo.is_empty() || inner.class.writes_backend(&local))
-                .then(|| HandlerRun::begin(&inner.handler_seq));
-            for entry in undo.into_iter().rev() {
-                inner.class.compensate(entry, htx);
-            }
-            inner.class.release(local, htx);
-        });
-        // Slot last: an unwind between handler registration and this insert
-        // leaves no slot (a closed-frame retry re-registers) and the
-        // already-registered handlers take an empty default footprint.
-        tx.ext_insert(tag, Box::new(KernelSlot::<C>::default()));
     }
 
-    /// The owner-unique extension tag of this core instance: its inner
+    /// The owner-unique participant tag of this core instance: its inner
     /// allocation's address. Stable for the life of the core, and safe
-    /// against address reuse within an attempt because the registered
-    /// handlers hold `Arc` clones that pin the allocation until they run.
+    /// against address reuse within an attempt because the enlisted slot
+    /// holds an `Arc` clone that pins the allocation until it runs.
     fn tag(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
 
-    fn slot_in(tx: &mut Txn, tag: usize) -> Option<&mut KernelSlot<C>> {
-        tx.ext_get_mut(tag)
-            .map(|s| s.downcast_mut::<KernelSlot<C>>().expect("kernel slot type"))
-    }
-
     fn slot_mut<'t>(&self, tx: &'t mut Txn) -> Option<&'t mut KernelSlot<C>> {
-        Self::slot_in(tx, self.tag())
+        tx.participant(self.tag())
     }
 
-    /// The attempt's slot, registering on first touch (the handlers that
-    /// will drain it exist before it does).
-    fn slot<'t>(&self, tx: &'t mut Txn) -> &'t mut KernelSlot<C> {
-        if !tx.ext_contains(self.tag()) {
-            self.ensure_registered(tx);
+    /// Run `f` on the attempt's slot, enlisting it on first touch; a
+    /// repeat touch is one probe.
+    fn with_slot<R>(&self, tx: &mut Txn, f: impl FnOnce(&mut KernelSlot<C>) -> R) -> R {
+        if let Some(slot) = self.slot_mut(tx) {
+            return f(slot);
         }
-        self.slot_mut(tx)
-            .expect("registered transaction has a kernel slot")
-    }
-
-    /// Handler side: take the attempt's whole footprint out of `htx` (an
-    /// empty default if an unwind beat the slot insert).
-    fn take_slot(htx: &mut Txn, tag: usize) -> KernelSlot<C> {
-        htx.ext_remove(tag)
-            .map(|s| *s.downcast::<KernelSlot<C>>().expect("kernel slot type"))
-            .unwrap_or_default()
+        self.ensure_registered(tx);
+        f(self
+            .slot_mut(tx)
+            .expect("registered transaction has a kernel slot"))
     }
 
     /// Read committed state that one of this instance's handlers could be
@@ -559,7 +539,7 @@ impl<C: SemanticClass> SemanticCore<C> {
             "collection mutation inside a snapshot transaction (stm::atomic_read): snapshot \
              transactions are read-only — run writes under stm::atomic",
         );
-        f(&mut self.slot(tx).local)
+        self.with_slot(tx, |slot| f(&mut slot.local))
     }
 
     /// Run `f` on the calling transaction's local state **only if the
@@ -584,7 +564,7 @@ impl<C: SemanticClass> SemanticCore<C> {
         }
         let tag = self.tag();
         tx.on_local_undo(move |tx| {
-            if let Some(slot) = Self::slot_in(tx, tag) {
+            if let Some(slot) = tx.participant::<KernelSlot<C>>(tag) {
                 undo(&mut slot.local);
             }
         });
@@ -599,7 +579,7 @@ impl<C: SemanticClass> SemanticCore<C> {
             "eager collection mutation inside a snapshot transaction (stm::atomic_read): \
              snapshot transactions are read-only — run writes under stm::atomic",
         );
-        self.slot(tx).undo.push(entry);
+        self.with_slot(tx, |slot| slot.undo.push(entry));
     }
 }
 
@@ -615,8 +595,9 @@ impl<C: SemanticClass> SemanticCore<C> {
     ///
     /// Soundness of a hit: an active transaction's semantic locks are never
     /// released by anyone else (doom sweeps retain active owners; release
-    /// happens only in the transaction's own handlers, which take the slot
-    /// first), so a cached bit can never outlive the lock it witnesses.
+    /// happens only in the transaction's own handlers, which run once the
+    /// slot is out of the transaction), so a cached bit can never outlive
+    /// the lock it witnesses.
     ///
     /// # Panics
     ///
@@ -700,7 +681,7 @@ impl<C: KeyedClass> SemanticCore<C> {
             // counter or trace event fires.
             return;
         }
-        if C::held_keys(&mut self.slot(tx).local).contains(key) {
+        if self.with_slot(tx, |slot| C::held_keys(&mut slot.local).contains(key)) {
             self.count_cache_hit(tx, LockKind::Key, key_hash64(key));
             return;
         }
@@ -710,7 +691,7 @@ impl<C: KeyedClass> SemanticCore<C> {
             .key_tables()
             .tables
             .with_stripe_for(key, |s| s.take_key_lock(key.clone(), owner));
-        C::held_keys(&mut self.slot(tx).local).insert(key.clone());
+        self.with_slot(tx, |slot| C::held_keys(&mut slot.local).insert(key.clone()));
     }
 }
 
@@ -1157,10 +1138,10 @@ mod tests {
         assert_eq!(load(&n.applied_ops), 1);
     }
 
-    /// Both handlers take the attempt's whole slot: a probe registered
-    /// after them (so it runs after them) finds nothing left to read or
-    /// mutate, so nothing can outlive or be resurrected into a drained
-    /// attempt.
+    /// The runtime takes the attempt's whole slot out of the transaction
+    /// before any handler runs: a probe handler finds nothing left to read
+    /// or mutate, whether it was registered after the first touch or before
+    /// it, so nothing can outlive or be resurrected into a drained attempt.
     #[test]
     fn probe_after_either_handler_finds_no_slot() {
         for commit in [true, false] {
@@ -1169,11 +1150,15 @@ mod tests {
             let (c, s) = (core.clone(), seen.clone());
             let (_, t) = stm::speculate(
                 move |tx| {
+                    let probe_pair = |tx: &mut Txn| {
+                        let (c1, s1) = (c.clone(), s.clone());
+                        tx.on_commit_top(move |htx| s1.lock().push(c1.try_local(htx, |l| l.len())));
+                        let (c2, s2) = (c.clone(), s.clone());
+                        tx.on_abort_top(move |htx| s2.lock().push(c2.try_local(htx, |l| l.len())));
+                    };
+                    probe_pair(tx);
                     c.with_local(tx, |l| l.push(42));
-                    let (c1, s1) = (c.clone(), s.clone());
-                    tx.on_commit_top(move |htx| s1.lock().push(c1.try_local(htx, |l| l.len())));
-                    let (c2, s2) = (c.clone(), s.clone());
-                    tx.on_abort_top(move |htx| s2.lock().push(c2.try_local(htx, |l| l.len())));
+                    probe_pair(tx);
                 },
                 0,
             )
@@ -1183,7 +1168,7 @@ mod tests {
             } else {
                 t.abort(stm::AbortCause::Explicit);
             }
-            assert_eq!(*seen.lock(), vec![None], "commit={commit}");
+            assert_eq!(*seen.lock(), vec![None, None], "commit={commit}");
             assert_eq!(load(&n.applied_ops) + load(&n.released_ops), 1);
         }
     }

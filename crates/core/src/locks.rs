@@ -22,7 +22,7 @@
 //! [`Held`] table, which carries them, so each table charges its own takes,
 //! dooms, releases and contention without a counter being passed in. The
 //! per-transaction write buffers are not in any table: they live in the
-//! transaction itself (the kernel's extension slot), so buffering a put
+//! transaction itself (the kernel's participant), so buffering a put
 //! touches no shared memory at all.
 //!
 //! Every owner set — a key's lockers, the point-lock sets, the eager map's

@@ -42,21 +42,24 @@
 //!
 //! ## The handler lane
 //!
-//! Commit/abort *handlers* — the part of the system the collections' doom
-//! protocol needs serialized — run under a dedicated mutex, the [`lane_lock`]
-//! **handler lane**. Only transactions that actually registered handlers (and
-//! open-nested commits that publish writes, which are the other source of
+//! Commit/abort *handlers* and *participants* — the part of the system the
+//! collections' doom protocol needs serialized — run under a dedicated
+//! mutex, the [`lane_lock`] **handler lane**. Only transactions that
+//! actually registered handlers or enlisted participants (and open-nested
+//! commits that publish writes, which are the other source of
 //! direct-mode-visible mutation) ever take it; a plain memory transaction
 //! commits without touching any shared lock except its own write set's.
 //!
-//! Lock order (see `docs/PROTOCOL.md` for the full proof):
-//! **var locks → clock → handler lane → table mutex**, with the release
-//! discipline that a top-level committer fully releases its var locks
-//! (publishing is what releases them) *before* acquiring the lane, and a
-//! writing open-nested commit acquires the lane *before* its var locks.
-//! Nobody ever waits for the lane while holding a var lock, and var locks
-//! are only ever held for bounded, non-blocking critical sections, so the
-//! lane-holder's direct writes (which spin on var locks) always terminate.
+//! Lock order (see `docs/PROTOCOL.md` for the full proof), in the
+//! may-hold-while-acquiring sense: **handler lane → the collections'
+//! lock-table stripes → var locks**, with the clock a wait-free `fetch_add`
+//! drawn while var locks are held. Every lane taker — a top-level committer
+//! with handlers or participants, and a writing open-nested commit —
+//! acquires the lane *before* it locks its write set, and holds it through
+//! its publish (and, at top level, through its handlers). Nobody ever waits
+//! for the lane while holding a var lock, and var locks are only ever held
+//! for bounded, non-blocking critical sections, so the lane-holder's direct
+//! writes (which spin on var locks) always terminate.
 
 use crate::metrics::{self, Total};
 use crate::trace;
@@ -89,8 +92,9 @@ pub(crate) fn fresh_version() -> u64 {
     v
 }
 
-/// Acquire the handler lane. Taken by commit/abort handler execution and by
-/// writing open-nested commits; never while holding any var commit lock.
+/// Acquire the handler lane. Taken by commit/abort handler and participant
+/// execution and by writing open-nested commits; never while holding any
+/// var commit lock.
 /// `txn` is the holding attempt's id, recorded on the trace lane-occupancy
 /// events (enter after acquisition, exit on drop).
 pub(crate) fn lane_lock(txn: u64) -> LaneGuard {

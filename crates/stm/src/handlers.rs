@@ -1,4 +1,4 @@
-//! Commit and abort handlers.
+//! Commit and abort handlers, and commit participants.
 //!
 //! Handlers are the cleanup/publication mechanism of multi-level transactions
 //! (paper §4, "Commit and abort handlers"). A handler receives the
@@ -17,12 +17,14 @@
 //!
 //! Handlers registered inside a nested frame are *discarded* if that frame
 //! aborts and *promoted to the parent frame* if it commits, exactly per the
-//! paper. The transactional collection classes register their single
-//! commit/abort handler pair directly on the top-level frame
-//! ([`crate::Txn::on_commit_top`]) because their lock owners are top-level
-//! handles.
+//! paper. The transactional collection classes instead enlist one
+//! [`Participant`] per touched instance ([`crate::Txn::enlist`]): its state
+//! lives in the transaction for the whole attempt, and its `commit` or
+//! `abort` is the paper's single handler pair for that instance, run under
+//! the lane like the closure handlers and before them.
 
 use crate::txn::Txn;
+use std::any::Any;
 
 /// A commit or abort handler. Runs exactly once, in direct mode, under the
 /// handler lane.
@@ -30,8 +32,8 @@ pub(crate) type Handler = Box<dyn FnOnce(&mut Txn) + Send>;
 
 /// A compensation for *transaction-local, non-transactional* state mutated
 /// inside a nesting frame (e.g. a collection's store buffer, which lives in
-/// the transaction's own extension slots). Runs in reverse registration
-/// order when the registering frame aborts, in speculative mode, with the
+/// the transaction's own participant). Runs in reverse registration order
+/// when the registering frame aborts, in speculative mode, with the
 /// transaction that registered it — so it can reach state parked on that
 /// transaction; dropped when the top-level transaction commits.
 ///
@@ -41,6 +43,20 @@ pub(crate) type Handler = Box<dyn FnOnce(&mut Txn) + Send>;
 /// undos at frame-abort time is always safe.
 pub(crate) type LocalUndo = Box<dyn FnOnce(&mut Txn) + Send>;
 
-/// Alias kept for API clarity: handlers receive the transaction in direct
-/// mode; the type is the same [`Txn`].
-pub type HandlerCtx = Txn;
+/// Per-attempt state that one top-level transaction keeps for one resource —
+/// a collection instance's buffered writes and held locks — together with
+/// the commit and abort handler that drain it (paper §5 guideline 2).
+///
+/// Enlisted once per attempt ([`Txn::enlist`]) and reachable from the body
+/// through [`Txn::participant`]. Exactly one of `commit` and `abort` runs,
+/// once, in direct mode under the handler lane, after the runtime has taken
+/// every participant out of the transaction: no probe made from a handler
+/// finds one. Participants run in enlistment order, before the closure
+/// handlers.
+pub trait Participant: Any + Send {
+    /// The transaction committed: publish the buffered state through `htx`.
+    fn commit(self: Box<Self>, htx: &mut Txn);
+    /// The attempt aborted (its memory is already rolled back): compensate
+    /// and release what the state holds.
+    fn abort(self: Box<Self>, htx: &mut Txn);
+}

@@ -17,17 +17,19 @@
 //!   transaction commits or aborts; handlers registered inside a nested frame
 //!   via [`Txn::on_commit`] / [`Txn::on_abort`] are promoted to the parent on
 //!   nested commit and discarded on nested abort, exactly as the paper
-//!   specifies.
+//!   specifies. A collection instance instead enlists one typed
+//!   [`Participant`] per attempt ([`Txn::enlist`]), which holds its buffered
+//!   state and whose `commit` or `abort` is its handler pair.
 //! * **Program-directed (remote) abort** — every top-level transaction owns a
 //!   [`TxHandle`]; another transaction's commit handler may call
 //!   [`TxHandle::doom`] to abort it, which is how semantic lock conflicts are
 //!   enforced.
 //! * **Two-phase commit** — validation happens before the point of no return;
-//!   commit handlers run in the commit phase, serialized under a dedicated
-//!   **handler lane** so that their direct updates can never conflict with
-//!   another transaction's handlers ("the commit handler ... can be replayed
-//!   without rolling back the parent" degenerates to conflict-freedom under
-//!   the lane).
+//!   commit handlers and participants run in the commit phase, serialized
+//!   under a dedicated **handler lane** so that their direct updates can
+//!   never conflict with another transaction's handlers ("the commit
+//!   handler ... can be replayed without rolling back the parent"
+//!   degenerates to conflict-freedom under the lane).
 //!
 //! The concurrency-control algorithm is TL2-flavored: a global fetch-and-add
 //! version clock, a per-[`TVar`] versioned commit lock, a read-set validated
@@ -79,7 +81,7 @@ mod txn;
 pub use contention::{BackoffPolicy, ContentionManager};
 pub use cost::{add_cost, current_cost, reset_cost, take_cost, MEM_ACCESS_COST};
 pub use handle::{TxHandle, TxState};
-pub use handlers::HandlerCtx;
+pub use handlers::Participant;
 pub use interrupt::{abort_and_retry, user_abort, AbortCause};
 pub use metrics::{global_stats, StatsSnapshot};
 pub use runtime::{atomic, atomic_read, atomic_with, speculate, PreparedTxn, RunOpts};

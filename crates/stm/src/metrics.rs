@@ -315,7 +315,8 @@ totals! {
     lock_cache_hits: LockCacheHits,
     /// Closed-nested partial rollbacks (frame re-executions).
     frame_retries: FrameRetries,
-    /// Commit/abort handler invocations.
+    /// Commit/abort handler invocations; a participant's `commit` or
+    /// `abort` counts as one run.
     handler_runs: HandlerRuns,
     /// Commit-path contention: per-var commit-lock acquisitions that found
     /// the lock held and had to spin.

@@ -28,8 +28,10 @@ pub struct RunOpts {
 /// `f` must be re-executable: it may run several times, and all its effects
 /// on transactional state are isolated until commit. Effects on
 /// *non*-transactional state should be compensated via
-/// [`Txn::on_local_undo`] / [`Txn::on_abort_top`] (this is what the
-/// transactional collection classes do internally).
+/// [`Txn::on_local_undo`] / [`Txn::on_abort_top`], or kept in a
+/// [`crate::Participant`] whose `abort` compensates (this is what the
+/// transactional collection classes do: each touched instance enlists one
+/// through [`Txn::enlist`]).
 ///
 /// Calling `atomic` from inside another `atomic` creates an *independent*
 /// transaction, not a nested one — use [`Txn::closed`] or [`Txn::open`] for
@@ -208,7 +210,7 @@ impl PreparedTxn {
 
     /// Commit through the threaded runtime's own top-level commit: validate
     /// the read set, win the doom-vs-commit CAS, publish the buffered writes
-    /// and run commit handlers under the handler lane.
+    /// and run participants and commit handlers under the handler lane.
     ///
     /// The caller (the simulator) is responsible for the TCC invariant that
     /// makes both checks pass: every earlier-committing conflicting
@@ -227,8 +229,8 @@ impl PreparedTxn {
         }
     }
 
-    /// Discard the buffered writes, run local undos and abort handlers
-    /// (compensating any open-nested effects).
+    /// Discard the buffered writes, run local undos, then participants and
+    /// abort handlers (compensating any open-nested effects).
     pub fn abort(mut self, cause: AbortCause) {
         self.tx.run_abort_path(cause);
     }

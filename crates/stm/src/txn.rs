@@ -5,7 +5,7 @@
 
 use crate::clock;
 use crate::handle::TxHandle;
-use crate::handlers::{Handler, LocalUndo};
+use crate::handlers::{Handler, LocalUndo, Participant};
 use crate::hash::VarIdMap;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::metrics::{self, Total};
@@ -98,14 +98,11 @@ pub struct Txn {
     frames: Vec<Frame>,
     /// True for the child context of [`Txn::open`].
     is_open_child: bool,
-    /// Per-attempt extension slots, keyed by an owner-unique tag (the
-    /// semantic kernel uses the address of the owning collection core).
-    /// This is where layers above the runtime park per-transaction state
-    /// that must die with the attempt — the kernel's registration marker,
-    /// its txn-local semantic-lock cache, and each collection's buffered
-    /// writes and undo log. Linear scan on purpose: a transaction touches a
+    /// This attempt's participants in enlistment order, each under an
+    /// owner-unique tag (the semantic kernel uses the address of the owning
+    /// collection core). Linear scan on purpose: a transaction touches a
     /// handful of collection instances at most.
-    ext: Vec<(usize, Box<dyn Any + Send>)>,
+    participants: Vec<(usize, Box<dyn Participant>)>,
     /// True while an [`Txn::open_read`] body runs: `read_var` serves
     /// committed values and records them into `flat_reads` instead of the
     /// frame read set (the flattened read-only open).
@@ -136,7 +133,7 @@ impl Txn {
             rv: clock::now(),
             frames: vec![Frame::new(FrameKind::Root)],
             is_open_child: false,
-            ext: Vec::new(),
+            participants: Vec::new(),
             flat_mode: false,
             flat_reads: Vec::new(),
             spare_open_handle: None,
@@ -155,7 +152,7 @@ impl Txn {
             rv: s,
             frames: vec![Frame::new(FrameKind::Root)],
             is_open_child: false,
-            ext: Vec::new(),
+            participants: Vec::new(),
             flat_mode: false,
             flat_reads: Vec::new(),
             spare_open_handle: None,
@@ -171,7 +168,7 @@ impl Txn {
             rv: clock::now(),
             frames: vec![Frame::new(FrameKind::Root)],
             is_open_child: true,
-            ext: Vec::new(),
+            participants: Vec::new(),
             flat_mode: false,
             flat_reads: Vec::new(),
             spare_open_handle: None,
@@ -447,13 +444,14 @@ impl Txn {
     // Handler / undo registration
     // ------------------------------------------------------------------
 
-    /// Snapshot transactions are pure reads: handlers and undos registered
-    /// on one would silently never run, so registration is a misuse abort.
+    /// Snapshot transactions are pure reads: handlers, undos and
+    /// participants registered on one would silently never run, so
+    /// registration is a misuse abort.
     fn reject_registration_in_snapshot(&self) {
         if self.snapshot.is_some() {
             self.misuse(
-                "handler/undo registration inside a snapshot transaction: atomic_read \
-                 bodies are read-only and never commit or abort anything",
+                "handler/undo/participant registration inside a snapshot transaction: \
+                 atomic_read bodies are read-only and never commit or abort anything",
             );
         }
     }
@@ -499,16 +497,6 @@ impl Txn {
     /// rollback is the whole attempt's, which the abort handlers see.
     pub fn in_closed_frame(&self) -> bool {
         self.frames.len() > 1
-    }
-
-    /// Abort with `diag` if this is the child context of [`Txn::open`];
-    /// no-op otherwise. Layers above this crate that park per-attempt state
-    /// in extension slots call this before creating a slot: a child's slots
-    /// die with the child, so state buffered there would be lost.
-    pub fn reject_in_open(&self, diag: &'static str) {
-        if self.is_open_child {
-            self.misuse(diag);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -587,10 +575,10 @@ impl Txn {
     ///
     /// Unlike Moss's formulation, the child does *not* see the parent's
     /// uncommitted buffered writes: the collection classes keep their
-    /// uncommitted state in the parent's extension slots precisely so that
-    /// open children never need it (paper §5 guidelines). The child starts
-    /// with no slots of its own, which is why a collection operation inside
-    /// an open body is a misuse abort ([`Txn::reject_in_open`]).
+    /// uncommitted state in the parent's participants precisely so that
+    /// open children never need it (paper §5 guidelines). The child can
+    /// enlist none of its own, which is why a collection operation inside
+    /// an open body is a misuse abort ([`Txn::enlist`]).
     pub fn open<T>(&mut self, mut f: impl FnMut(&mut Txn) -> T) -> T {
         if self.mode == TxnMode::Direct {
             return f(self); // handler context: effects are already immediate
@@ -746,38 +734,41 @@ impl Txn {
     }
 
     // ------------------------------------------------------------------
-    // Extension slots (the semantic kernel's per-attempt state)
+    // Participants (the semantic kernel's per-attempt state)
     // ------------------------------------------------------------------
 
-    /// True if an extension slot tagged `tag` exists on this attempt. The
-    /// semantic kernel's first-touch probe: replaces a sharded-table lookup
-    /// with a scan of a (nearly always tiny) local vector.
-    pub fn ext_contains(&self, tag: usize) -> bool {
-        self.ext.iter().any(|(t, _)| *t == tag)
+    /// Enlist `p` under `tag`, unique per owner (use the owner's address),
+    /// for the rest of this attempt: exactly one of its `commit` and `abort`
+    /// runs, once, under the handler lane. Where it could never run, `p` is
+    /// rejected: inside a snapshot transaction or a [`Txn::open`] body as a
+    /// misuse abort, and from a handler (the participants are already
+    /// taken) with a panic.
+    pub fn enlist(&mut self, tag: usize, p: Box<dyn Participant>) {
+        assert!(
+            self.mode == TxnMode::Speculative,
+            "Txn::enlist inside a commit/abort handler: this attempt's participants have \
+             already been taken, so the new one would never run"
+        );
+        self.reject_registration_in_snapshot();
+        if self.is_open_child {
+            self.misuse(
+                "collection operation inside a tx.open body: the open child's state dies with it \
+                 — call the collection from the enclosing transaction",
+            );
+        }
+        debug_assert!(
+            self.participants.iter().all(|(t, _)| *t != tag),
+            "duplicate participant tag"
+        );
+        self.participants.push((tag, p));
     }
 
-    /// Insert an extension slot. `tag` must be unique per owner (use the
-    /// owner's address); inserting a duplicate tag is a logic error.
-    pub fn ext_insert(&mut self, tag: usize, slot: Box<dyn Any + Send>) {
-        debug_assert!(!self.ext_contains(tag), "duplicate extension tag");
-        self.ext.push((tag, slot));
-    }
-
-    /// Mutable access to the slot tagged `tag`, if present.
-    pub fn ext_get_mut(&mut self, tag: usize) -> Option<&mut (dyn Any + Send)> {
-        self.ext
-            .iter_mut()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, s)| s.as_mut())
-    }
-
-    /// Remove and return the slot tagged `tag`. The kernel's handlers use
-    /// this to take the attempt's whole footprint (buffer, undo log, lock
-    /// cache) and drop the cache *before* any semantic lock is released —
-    /// the cache-lifetime obligation of docs/PROTOCOL.md.
-    pub fn ext_remove(&mut self, tag: usize) -> Option<Box<dyn Any + Send>> {
-        let i = self.ext.iter().position(|(t, _)| *t == tag)?;
-        Some(self.ext.swap_remove(i).1)
+    /// The participant enlisted under `tag`, if this attempt has one there
+    /// of type `P`. `None` once the handlers have taken the participants.
+    pub fn participant<P: Participant>(&mut self, tag: usize) -> Option<&mut P> {
+        let (_, p) = self.participants.iter_mut().find(|(t, _)| *t == tag)?;
+        let p: &mut dyn Any = &mut **p;
+        p.downcast_mut()
     }
 
     // ------------------------------------------------------------------
@@ -786,21 +777,22 @@ impl Txn {
 
     /// Attempt the top-level commit — the sharded two-phase commit:
     ///
-    /// 1. a transaction with commit handlers first acquires the **handler
-    ///    lane** and holds it through step 6 — such transactions (every
-    ///    collection-touching transaction is one) therefore serialize their
-    ///    whole commit exactly as under the old global mutex, which is what
-    ///    keeps the doom protocol's decision point (step 4) ordered
-    ///    consistently with handler execution order;
+    /// 1. a transaction with commit handlers or participants first acquires
+    ///    the **handler lane** and holds it through step 6 — such
+    ///    transactions (every collection-touching transaction is one)
+    ///    therefore serialize their whole commit exactly as under the old
+    ///    global mutex, which is what keeps the doom protocol's decision
+    ///    point (step 4) ordered consistently with handler execution order;
     /// 2. lock the write set in `VarId` order ([`clock::CommitGuard`]);
     /// 3. validate the read set against per-var version stamps, failing fast
     ///    if a read var is locked by another committer;
     /// 4. win the doom-vs-commit race (`TxHandle::begin_commit` — the point
     ///    of no return);
     /// 5. draw one clock `fetch_add` and publish-and-release;
-    /// 6. run commit handlers in direct mode (still under the lane).
+    /// 6. run participants' `commit`, then commit handlers, in direct mode
+    ///    (still under the lane).
     ///
-    /// Handler-free transactions — plain memory transactions, the fast path
+    /// Transactions with neither — plain memory transactions, the fast path
     /// this refactor shards — skip steps 1 and 6 and execute the rest fully
     /// in parallel with every other disjoint-write-set committer.
     pub(crate) fn try_commit_top(&mut self) -> Result<(), AbortCause> {
@@ -808,15 +800,11 @@ impl Txn {
         debug_assert_eq!(self.frames.len(), 1, "unbalanced nesting at commit");
         let commit_t0 = metrics::timer();
         let frame = &mut self.frames[0];
-        let has_handlers = !frame.commit_handlers.is_empty();
+        let has_handlers = !frame.commit_handlers.is_empty() || !self.participants.is_empty();
         // Lane before var locks, never the reverse: a lane-holder's direct
         // writes spin on var locks, so waiting for the lane while holding a
         // var lock could deadlock.
-        let lane = if has_handlers {
-            Some(clock::lane_lock(self.handle.id()))
-        } else {
-            None
-        };
+        let lane = has_handlers.then(|| clock::lane_lock(self.handle.id()));
         {
             // Scope the guard (it borrows the frame) so the frame borrow is
             // provably dead before the handlers need `&mut self`.
@@ -837,7 +825,7 @@ impl Txn {
         }
         self.handle.mark_committed();
         if has_handlers {
-            self.run_commit_handlers();
+            self.run_handlers(true);
         }
         drop(lane);
         metrics::committed(!has_handlers, commit_t0);
@@ -871,16 +859,32 @@ impl Txn {
         trace::txn_abort(self.handle.id(), AbortCause::Explicit, 0);
     }
 
-    /// Drain commit handlers in direct mode. The caller holds the handler
-    /// lane (committer-holds-lane-through-handlers), so the collections'
+    /// Run the participants' `commit` (`abort`) in enlistment order, then
+    /// drain the root frame's commit (abort) handlers, in direct mode. Every
+    /// participant leaves the transaction before any runs. The caller holds
+    /// the handler lane whenever there is one to run
+    /// (committer-holds-lane-through-handlers), so the collections'
     /// apply-buffer-then-doom-scan protocol never interleaves with another
     /// transaction's handlers.
-    fn run_commit_handlers(&mut self) {
+    fn run_handlers(&mut self, commit: bool) {
         self.mode = TxnMode::Direct;
+        for (_, p) in std::mem::take(&mut self.participants) {
+            metrics::tally(Total::HandlerRuns);
+            if commit {
+                p.commit(self);
+            } else {
+                p.abort(self);
+            }
+        }
         // Drain iteratively so a handler that registers another handler
         // still gets it run.
         loop {
-            let hs: Vec<Handler> = std::mem::take(&mut self.frames[0].commit_handlers);
+            let root = &mut self.frames[0];
+            let hs: Vec<Handler> = std::mem::take(if commit {
+                &mut root.commit_handlers
+            } else {
+                &mut root.abort_handlers
+            });
             if hs.is_empty() {
                 break;
             }
@@ -892,8 +896,9 @@ impl Txn {
     }
 
     /// The abort path: run local undos (innermost first, reverse order), then
-    /// abort handlers in direct mode under the handler lane. Called by the
-    /// runtime after any failed attempt and by [`crate::PreparedTxn::abort`].
+    /// the participants' `abort` in enlistment order and the abort handlers,
+    /// in direct mode under the handler lane. Called by the runtime after
+    /// any failed attempt and by [`crate::PreparedTxn::abort`].
     pub(crate) fn run_abort_path(&mut self, cause: AbortCause) {
         // A doom may have unwound out of an `open_read` body mid-flight;
         // clear the flag so handler-mode reads behave normally.
@@ -909,33 +914,20 @@ impl Txn {
         while let Some(u) = self.frames[0].local_undos.pop() {
             u(self);
         }
-        if !self.frames[0].abort_handlers.is_empty() {
-            // Compensation runs under the handler lane, serialized with all
-            // other handler execution and writing open commits.
-            let _lane = clock::lane_lock(self.handle.id());
-            self.mode = TxnMode::Direct;
-            loop {
-                let hs: Vec<Handler> = std::mem::take(&mut self.frames[0].abort_handlers);
-                if hs.is_empty() {
-                    break;
-                }
-                for h in hs {
-                    metrics::tally(Total::HandlerRuns);
-                    h(self);
-                }
-            }
-            self.frames[0].commit_handlers.clear();
-            // Mark aborted only now, still holding the lane: compensation
-            // (undo of any in-place effects, semantic-lock release) is
-            // complete, so observers that treat a non-Active owner's locks as
-            // stale can never see un-compensated state. (Marking before the
-            // handlers ran let a pessimistic writer's in-place value be read
-            // during the undo window.)
-            self.handle.mark_aborted();
-        } else {
-            self.frames[0].commit_handlers.clear();
-            self.handle.mark_aborted();
-        }
+        // Compensation runs under the handler lane, serialized with all
+        // other handler execution and writing open commits.
+        let lane = (!self.participants.is_empty() || !self.frames[0].abort_handlers.is_empty())
+            .then(|| clock::lane_lock(self.handle.id()));
+        self.run_handlers(false);
+        self.frames[0].commit_handlers.clear();
+        // Mark aborted only now, still holding the lane: compensation (undo
+        // of any in-place effects, semantic-lock release) is complete, so
+        // observers that treat a non-Active owner's locks as stale can never
+        // see un-compensated state. (Marking before the handlers ran let a
+        // pessimistic writer's in-place value be read during the undo
+        // window.)
+        self.handle.mark_aborted();
+        drop(lane);
         metrics::abort_counted(cause);
         // Every begun attempt reaches exactly one of `trace::txn_commit` /
         // this emission, so a trace never holds a dangling begin.

@@ -4,15 +4,19 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use stm::{atomic, atomic_with, AbortCause, BackoffPolicy, RunOpts, TVar, TxHandle, TxState};
+use stm::{
+    atomic, atomic_read, atomic_with, AbortCause, BackoffPolicy, Participant, RunOpts, TVar,
+    TxHandle, TxState, Txn,
+};
 
-/// Held by every test here that runs an open-nested child, and by the test
-/// that asserts a window of the process-wide counters saw no open commit:
-/// without it, a sibling test's open commit lands in that window.
-static OPEN_NESTING: Mutex<()> = Mutex::new(());
+/// Held by every test here that runs an open-nested child or a handler, and
+/// by the tests that assert a window of the process-wide counters: without
+/// it, a sibling test's open commit, lane entry or handler run lands in
+/// that window.
+static LANE: Mutex<()> = Mutex::new(());
 
-fn exclusive_open_nesting() -> std::sync::MutexGuard<'static, ()> {
-    OPEN_NESTING.lock().unwrap_or_else(|e| e.into_inner())
+fn exclusive_lane() -> std::sync::MutexGuard<'static, ()> {
+    LANE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[test]
@@ -108,7 +112,7 @@ fn closed_nested_commit_merges_into_parent() {
 
 #[test]
 fn open_nested_commits_immediately() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     let shared = Arc::new(TVar::new(0u32));
     let mid_view = Arc::new(AtomicU32::new(u32::MAX));
     let s2 = shared.clone();
@@ -128,7 +132,7 @@ fn open_nested_commits_immediately() {
 
 #[test]
 fn open_nested_leaves_no_parent_dependencies() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     let noise = Arc::new(TVar::new(0u64));
     let target = Arc::new(TVar::new(0u64));
     let attempts = Arc::new(AtomicU32::new(0));
@@ -167,7 +171,7 @@ fn open_nested_leaves_no_parent_dependencies() {
 
 #[test]
 fn open_read_leaves_no_parent_dependencies() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     // Same experiment as above with the flattened read: the per-var stamp
     // validation happens inside `open_read` and is then forgotten — the
     // noise var never enters the parent's read set.
@@ -259,6 +263,7 @@ fn plain_read_of_contended_var_does_abort() {
 
 #[test]
 fn commit_handlers_run_on_commit_only() {
+    let _lane = exclusive_lane();
     let ran = Arc::new(AtomicU32::new(0));
     let r2 = ran.clone();
     atomic(move |tx| {
@@ -273,6 +278,7 @@ fn commit_handlers_run_on_commit_only() {
 
 #[test]
 fn abort_handlers_run_per_aborted_attempt() {
+    let _lane = exclusive_lane();
     let aborts = Arc::new(AtomicU32::new(0));
     let commits = Arc::new(AtomicU32::new(0));
     let first = Arc::new(AtomicU32::new(1));
@@ -296,6 +302,7 @@ fn abort_handlers_run_per_aborted_attempt() {
 
 #[test]
 fn handlers_registered_in_aborted_closed_frame_are_discarded() {
+    let _lane = exclusive_lane();
     let commit_runs = Arc::new(AtomicU32::new(0));
     let undo_runs = Arc::new(AtomicU32::new(0));
     let v = Arc::new(TVar::new(0u32));
@@ -391,6 +398,7 @@ fn dooming_committed_transaction_is_noop() {
 
 #[test]
 fn user_abort_panics_after_cleanup() {
+    let _lane = exclusive_lane();
     let undone = Arc::new(AtomicU32::new(0));
     let u2 = undone.clone();
     let result = std::panic::catch_unwind(move || {
@@ -408,6 +416,7 @@ fn user_abort_panics_after_cleanup() {
 
 #[test]
 fn user_panic_runs_abort_handlers_then_propagates() {
+    let _lane = exclusive_lane();
     let undone = Arc::new(AtomicU32::new(0));
     let u2 = undone.clone();
     let result = std::panic::catch_unwind(move || {
@@ -445,7 +454,7 @@ fn explicit_retry_reexecutes_body() {
 
 #[test]
 fn open_nested_effects_survive_parent_abort_unless_compensated() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     // UID-generator semantics: the open increment persists even though the
     // first parent attempt aborts (gaps are allowed, paper §6.3).
     let uid = Arc::new(TVar::new(0u64));
@@ -470,7 +479,7 @@ fn open_nested_effects_survive_parent_abort_unless_compensated() {
 
 #[test]
 fn open_nested_with_compensation_rolls_back_on_abort() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     // The compensating pattern the collection classes use: the abort handler
     // undoes the open child's published effect.
     let counter = Arc::new(TVar::new(0i64));
@@ -500,6 +509,7 @@ fn open_nested_with_compensation_rolls_back_on_abort() {
 
 #[test]
 fn commit_handler_direct_writes_are_visible() {
+    let _lane = exclusive_lane();
     let v = Arc::new(TVar::new(0u32));
     let v2 = v.clone();
     atomic(move |tx| {
@@ -513,6 +523,143 @@ fn commit_handler_direct_writes_are_visible() {
     });
     // Memory commit (5) happens before the handler (+10).
     assert_eq!(v.read_committed(), 15);
+}
+
+/// A participant that logs `name:outcome:left` when it runs, where `left`
+/// says whether any recorder (tag 1 or 2) is still in the transaction.
+struct Recorder {
+    name: &'static str,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl Recorder {
+    fn boxed(name: &'static str, log: &Arc<Mutex<Vec<String>>>) -> Box<Recorder> {
+        Box::new(Recorder {
+            name,
+            log: log.clone(),
+        })
+    }
+
+    fn left_in(htx: &mut Txn) -> bool {
+        [1, 2]
+            .into_iter()
+            .any(|tag| htx.participant::<Recorder>(tag).is_some())
+    }
+
+    fn record(log: &Mutex<Vec<String>>, name: &str, outcome: &str, htx: &mut Txn) {
+        let left = Recorder::left_in(htx);
+        log.lock().unwrap().push(format!("{name}:{outcome}:{left}"));
+    }
+}
+
+impl Participant for Recorder {
+    fn commit(self: Box<Self>, htx: &mut Txn) {
+        Recorder::record(&self.log, self.name, "commit", htx);
+    }
+
+    fn abort(self: Box<Self>, htx: &mut Txn) {
+        Recorder::record(&self.log, self.name, "abort", htx);
+    }
+}
+
+/// A closure handler that logs like a [`Recorder`] named `closure`.
+fn probe_handler(
+    log: Arc<Mutex<Vec<String>>>,
+    outcome: &'static str,
+) -> impl FnOnce(&mut Txn) + Send + 'static {
+    move |htx| Recorder::record(&log, "closure", outcome, htx)
+}
+
+/// Participants run once each, in enlistment order and before the closure
+/// handlers (even ones registered before them), under one lane entry; each
+/// run counts as one handler run. The body reaches a participant by tag and
+/// type; every participant leaves the transaction before any runs, so no
+/// handler finds one.
+#[test]
+fn participants_run_once_in_enlistment_order_before_closure_handlers() {
+    let _lane = exclusive_lane();
+    for (commit, outcome) in [(true, "commit"), (false, "abort")] {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let before = stm::global_stats();
+        let l = log.clone();
+        let (_, prepared) = stm::speculate(
+            move |tx| {
+                tx.on_commit_top(probe_handler(l.clone(), "commit"));
+                tx.on_abort_top(probe_handler(l.clone(), "abort"));
+                tx.enlist(1, Recorder::boxed("p1", &l));
+                tx.enlist(2, Recorder::boxed("p2", &l));
+                assert_eq!(tx.participant::<Recorder>(2).map(|p| p.name), Some("p2"));
+                assert!(tx.participant::<Recorder>(3).is_none(), "no such tag");
+            },
+            0,
+        )
+        .unwrap();
+        if commit {
+            prepared.commit();
+        } else {
+            prepared.abort(AbortCause::Explicit);
+        }
+        let d = stm::global_stats().since(&before);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![
+                format!("p1:{outcome}:false"),
+                format!("p2:{outcome}:false"),
+                format!("closure:{outcome}:false"),
+            ]
+        );
+        assert_eq!(d.lane_entries, 1, "{outcome}");
+        assert_eq!(d.handler_runs, 3, "{outcome}");
+    }
+}
+
+/// The panic message `f` ends with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("the call must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Neither a snapshot transaction nor an open child ever runs the
+/// participants it would enlist, so `enlist` there aborts as a misuse.
+#[test]
+fn enlist_in_a_snapshot_or_open_child_is_a_misuse_abort() {
+    let _lane = exclusive_lane();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let msg = panic_message(|| atomic_read(|tx| tx.enlist(1, Recorder::boxed("snap", &log))));
+    assert!(msg.contains("snapshot transaction"), "diagnostic: {msg}");
+    let msg = panic_message(|| {
+        atomic(|tx| tx.open(|otx| otx.enlist(1, Recorder::boxed("open", &log))));
+    });
+    assert!(msg.contains("tx.open"), "diagnostic: {msg}");
+    assert!(
+        log.lock().unwrap().is_empty(),
+        "no rejected participant ran"
+    );
+}
+
+/// A handler runs after the participants were taken, so one enlisted from
+/// a handler would never run: `enlist` panics.
+#[test]
+fn enlist_from_a_commit_handler_panics() {
+    let _lane = exclusive_lane();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let msg = panic_message(|| {
+        atomic(|tx| {
+            let l = log.clone();
+            // txlint: allow(TX004) — the commit-side handler is the subject
+            tx.on_commit_top(move |htx| htx.enlist(1, Recorder::boxed("late", &l)));
+        })
+    });
+    assert!(msg.contains("Txn::enlist"), "diagnostic: {msg}");
+    assert!(
+        log.lock().unwrap().is_empty(),
+        "the late participant never ran"
+    );
 }
 
 #[test]
@@ -549,7 +696,7 @@ fn closed_nesting_depth() {
 
 #[test]
 fn open_within_closed_promotes_handlers_to_closed_frame() {
-    let _open = exclusive_open_nesting();
+    let _lane = exclusive_lane();
     // A handler registered via an open child inside a closed frame is
     // discarded when the closed frame aborts (the paper's discard rule).
     let handler_runs = Arc::new(AtomicU64::new(0));
@@ -617,6 +764,7 @@ fn speculate_then_commit_applies_writes() {
 
 #[test]
 fn speculate_then_abort_discards_and_compensates() {
+    let _lane = exclusive_lane();
     let v = Arc::new(TVar::new(0u32));
     let compensated = Arc::new(AtomicU32::new(0));
     let (v2, c2) = (v.clone(), compensated.clone());

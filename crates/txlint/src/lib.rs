@@ -22,7 +22,7 @@
 //! | TX005 | nested top-level `atomic`/`atomic_with`/`speculate` inside a transaction region (use `.closed(..)` / `.open(..)`) |
 //! | TX006 | non-`pub(crate)` visibility in a file carrying the commit-internals marker comment (the sharded commit protocol's surface — `stm`'s clock/var-lock/handler-lane module — must stay crate-private) |
 //! | TX007 | raw stripe access (`stripes[i]` indexing or a `.lock()` on a `stripes` element) in a file carrying the semantic-tables marker comment — stripes must be acquired through the ordered helpers (`with_stripe_for` / `for_stripes_ascending` / `with_global`), which preserve the stripes-ascending lock order the doom-protocol proof depends on |
-//! | TX008 | direct `.on_commit_top(..)` / `.on_abort_top(..)` handler registration in a file carrying the semantic-tables marker but not the semantic-kernel marker — collection classes must register through `SemanticCore::ensure_registered`, so the probe → commit handler → abort handler → locals-insert ordering lives in exactly one place (the kernel file) |
+//! | TX008 | direct `.on_commit_top(..)` / `.on_abort_top(..)` handler registration or `.enlist(..)` in a file carrying the semantic-tables marker but not the semantic-kernel marker — collection classes must register through `SemanticCore::ensure_registered`, so first-touch enlistment of the instance's one participant lives in exactly one place (the kernel file) |
 //! | TX009 | allocation inside a trace-emission call (`format!`, `String::..`, `.to_string()`/`.to_owned()`, or per-event `intern(..)` in the argument span of an `stm::trace` emitter) — trace events are fixed-width word-packed records pushed from commit/abort/lock hot paths; class names are interned once at collection construction |
 //! | TX010 | ill-formed conflict-graph declaration in a file carrying the conflict-graph marker comment — `ConflictGraph` initializers are checked for referential integrity (edges reference declared ops, modes/effects the ops declare), commutativity closure (overlap-gated edges only on keyed modes with `KeyWrite`; `Always` never on keyed modes), symmetry (no asymmetric compatibility: a conflicting pair whose roles both hold in reverse needs the mirrored edge), and reflexivity (a mutating observer needs its self-edge on every cell the graph declares conflicting). The same rules run semantically via `synthesize()` at core construction; TX010 catches them at lint time, before anything runs |
 //! | TX011 | eager `backend.insert(..)` / `backend.remove(..)` with no `UndoOp` pairing nearby in a file carrying the boosted-backend marker comment — an in-place mutation against a boosted (non-transactional) backend must log its compensation through `SemanticCore::log_undo` (first write per key), or an abort cannot restore the pre-transaction state; the kernel replays logged entries newest-first before any semantic lock is released |

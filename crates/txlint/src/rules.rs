@@ -610,7 +610,7 @@ fn tx008_direct_handler_registration(
         if t.kind != TokKind::Ident {
             continue;
         }
-        if (t.is_ident("on_commit_top") || t.is_ident("on_abort_top"))
+        if (t.is_ident("on_commit_top") || t.is_ident("on_abort_top") || t.is_ident("enlist"))
             && i.checked_sub(1).and_then(|p| toks[p].punct()) == Some('.')
             && toks.get(i + 1).and_then(Tok::punct) == Some('(')
         {
@@ -619,10 +619,10 @@ fn tx008_direct_handler_registration(
                 t,
                 "TX008",
                 format!(
-                    "direct `.{}(..)` handler registration in a semantic-tables file",
+                    "direct `.{}(..)` registration in a semantic-tables file",
                     t.text
                 ),
-                "collection classes must register handlers through SemanticCore::ensure_registered, which discharges the probe -> commit handler -> abort handler -> locals-insert ordering once; only the kernel file (semantic-kernel marker) registers on_commit_top/on_abort_top directly",
+                "collection classes must register through SemanticCore::ensure_registered, which enlists the instance's one participant (its buffer and its commit/abort handler pair) once per transaction; only the kernel file (semantic-kernel marker) calls enlist or on_commit_top/on_abort_top directly",
             ));
         }
     }
@@ -1511,6 +1511,9 @@ mod tests {
                       tx.on_commit_top(|h| tbl.apply(h)); \
                       tx.on_abort_top(|h| tbl.release(h)); }";
         assert_eq!(codes(&marked(direct)), vec!["TX008", "TX008"]);
+        // Enlisting a participant by hand is the same bypass.
+        let enlist = "fn reg(tbl: &T, tx: &mut Txn) { tx.enlist(tbl.tag(), Box::new(Slot)); }";
+        assert_eq!(codes(&marked(enlist)), vec!["TX008"]);
         // Routing through the kernel is the sanctioned form.
         let via_core =
             "fn reg(core: &SemanticCore<C>, tx: &mut Txn) { core.ensure_registered(tx); }";

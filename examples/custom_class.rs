@@ -17,11 +17,13 @@
 //!   txlint's TX010 pass re-checks the declaration without running code.
 //! * **Guideline 1** — keep transaction-local state encapsulated: the
 //!   `HistLocal` buffer, reached only via [`SemanticCore::with_local`]. It
-//!   lives in the transaction itself (the kernel's extension slot), and
-//!   [`SemanticCore::local_undo`] rolls it back if a closed frame aborts.
+//!   lives in the transaction itself (in the participant the kernel
+//!   enlists), and [`SemanticCore::local_undo`] rolls it back if a closed
+//!   frame aborts.
 //! * **Guideline 2** — register one commit/abort handler pair on first
 //!   touch: [`SemanticCore::ensure_registered`], one call per operation;
-//!   the kernel makes it idempotent and ordering-safe.
+//!   the kernel makes it idempotent and enlists the pair with the buffer
+//!   it drains, as one participant, in one step.
 //! * **Guideline 3** — take semantic locks before reading committed state,
 //!   then read open-nested: `count`/`total` below. Bin locks go through
 //!   [`SemanticCore::take_key_lock`] (the class says where its key tables
@@ -39,10 +41,10 @@
 //!   code that releases a whole-collection lock.
 //!
 //! Everything the pre-kernel version of this example re-implemented by hand
-//! — first-touch registration ordering, where the buffer lives and how it
-//! drains, lock caching, stripe sweep order, doom dispatch, the counters —
-//! is gone: the class (its buffer, `HistClass` and the two trait impls) is
-//! under 60 lines of code below, and the histogram's operations about 40.
+//! — first-touch registration, where the buffer lives and how it drains,
+//! lock caching, stripe sweep order, doom dispatch, the counters — is gone:
+//! the class (its buffer, `HistClass` and the two trait impls) is under 60
+//! lines of code below, and the histogram's operations about 40.
 //!
 //! ```sh
 //! cargo run --release --example custom_class
