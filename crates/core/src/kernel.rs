@@ -111,6 +111,7 @@
 // txlint: semantic-tables
 // txlint: semantic-kernel
 
+use crate::conflict_graph::ConflictGraph;
 use crate::locks::{
     bucket_order, GlobalLocks, GlobalStripe, Held, KeyLockShard, MapTables, ObsMode, SemanticStats,
     StripedTables, UpdateEffect,
@@ -246,14 +247,17 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// The class's declared operation conflict graph, if it has one.
     ///
     /// A class that declares its graph gets its lock modes *synthesized*
-    /// and validated: [`SemanticCore::new`] soundness-checks the
-    /// declaration (symmetry, reflexivity, commutativity closure) and
-    /// verifies that on every cell the class's operations can reach, the
-    /// synthesized matrix agrees with the production dispatch matrix —
-    /// panicking at construction on any mismatch, so an ill-formed class
-    /// cannot run. In-tree classes all declare graphs; txlint's TX010 pass
-    /// additionally checks the declarations lexically.
-    fn conflict_graph(&self) -> Option<&'static crate::conflict_graph::ConflictGraph<'static>> {
+    /// and validated: the first [`SemanticCore::new`] of a graph in the
+    /// process soundness-checks the declaration (symmetry, reflexivity,
+    /// commutativity closure) and verifies that on every cell the class's
+    /// operations can reach, the synthesized matrix agrees with the
+    /// production dispatch matrix — panicking on any mismatch, so an
+    /// ill-formed class cannot run. The graph is `'static` and immutable,
+    /// so a graph that passed is not checked again; one that failed is
+    /// never recorded, and every construction of its class panics. In-tree
+    /// classes all declare graphs; txlint's TX010 pass additionally checks
+    /// the declarations lexically.
+    fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
         None
     }
 }
@@ -357,6 +361,54 @@ impl Drop for HandlerRun<'_> {
     }
 }
 
+/// The address of every declared graph that passed [`validate_graph`] in
+/// this process. Held while a graph is validated, so each is validated
+/// exactly once; a graph that failed is not recorded.
+static VALIDATED_GRAPHS: parking_lot::Mutex<Vec<usize>> = parking_lot::Mutex::new(Vec::new());
+
+/// The address of every graph [`validate_graph`] was called on, in order.
+#[cfg(test)]
+static VALIDATIONS: parking_lot::Mutex<Vec<usize>> = parking_lot::Mutex::new(Vec::new());
+
+/// [`validate_graph`] once per declared graph per process, before the first
+/// instance of its class is built.
+fn validate_once(graph: &'static ConflictGraph<'static>) {
+    let addr = std::ptr::from_ref(graph) as usize;
+    let mut validated = VALIDATED_GRAPHS.lock();
+    if !validated.contains(&addr) {
+        validate_graph(graph);
+        validated.push(addr);
+    }
+}
+
+/// Synthesize and cross-check a declared conflict graph: the declaration
+/// must be sound, and on every `(mode, effect, overlap)` cell the class's
+/// declared operations can reach, the synthesized matrix must agree with
+/// the production dispatch matrix ([`mode_compatible`](crate::mode_compatible)).
+/// Panics on any violation — an ill-formed class never runs.
+fn validate_graph(graph: &ConflictGraph<'_>) {
+    use crate::conflict_graph::{reachable_cells, synthesize};
+    #[cfg(test)]
+    VALIDATIONS.lock().push(std::ptr::from_ref(graph) as usize);
+    let synthesis = synthesize(graph).unwrap_or_else(|errs| {
+        panic!(
+            "ill-formed conflict graph for class `{}`:\n{}",
+            graph.class,
+            errs.join("\n")
+        )
+    });
+    for (m, e, ov) in reachable_cells(graph) {
+        let declared = synthesis.matrix.compatible(m, e, ov);
+        let dispatch = crate::locks::mode_compatible(m, e, ov);
+        assert_eq!(
+            declared, dispatch,
+            "class `{}`: declared graph says compatible({m:?}, {e:?}, overlap={ov}) = \
+             {declared}, but the dispatch matrix says {dispatch}",
+            graph.class
+        );
+    }
+}
+
 /// The invariant half of every transactional class: first-touch enlistment
 /// of the per-attempt slot holding the class's buffered state and handler
 /// pair, and the lock-taking entry points, which cache their locks in that
@@ -378,40 +430,13 @@ impl<C: SemanticClass> SemanticCore<C> {
     pub fn new(class: C) -> Self {
         class.global_stripe().stats().set_class(class.name());
         if let Some(graph) = class.conflict_graph() {
-            Self::validate_graph(graph);
+            validate_once(graph);
         }
         SemanticCore {
             inner: Arc::new(CoreInner {
                 class,
                 handler_seq: AtomicU64::new(0),
             }),
-        }
-    }
-
-    /// Synthesize and cross-check a declared conflict graph at core
-    /// construction: the declaration must be sound, and on every
-    /// `(mode, effect, overlap)` cell the class's declared operations can
-    /// reach, the synthesized matrix must agree with the production
-    /// dispatch matrix ([`mode_compatible`](crate::mode_compatible)).
-    /// Panics on any violation — an ill-formed class never runs.
-    fn validate_graph(graph: &crate::conflict_graph::ConflictGraph<'_>) {
-        use crate::conflict_graph::{reachable_cells, synthesize};
-        let synthesis = synthesize(graph).unwrap_or_else(|errs| {
-            panic!(
-                "ill-formed conflict graph for class `{}`:\n{}",
-                graph.class,
-                errs.join("\n")
-            )
-        });
-        for (m, e, ov) in reachable_cells(graph) {
-            let declared = synthesis.matrix.compatible(m, e, ov);
-            let dispatch = crate::locks::mode_compatible(m, e, ov);
-            assert_eq!(
-                declared, dispatch,
-                "class `{}`: declared graph says compatible({m:?}, {e:?}, overlap={ov}) = \
-                 {declared}, but the dispatch matrix says {dispatch}",
-                graph.class
-            );
         }
     }
 
@@ -1349,5 +1374,64 @@ mod tests {
         assert_eq!(applied, 2);
         assert_eq!(tables.locked_key_count(), 0);
         t.commit();
+    }
+
+    #[test]
+    fn a_declared_graph_is_validated_once_per_process() {
+        let graph = std::ptr::from_ref(&crate::SORTED_MAP_CONFLICT_GRAPH) as usize;
+        for _ in 0..1_000 {
+            crate::TransactionalSortedMap::<u64, u64>::new();
+        }
+        let validations = VALIDATIONS.lock().iter().filter(|&&a| a == graph).count();
+        assert_eq!(validations, 1, "1,000 sorted maps validated their graph");
+    }
+
+    /// A class whose declared graph names an operation it does not declare.
+    struct IllFormedProbe(GlobalStripe<()>);
+
+    static ILL_FORMED_GRAPH: ConflictGraph<'static> = ConflictGraph {
+        class: "ill_formed_probe",
+        ops: &[crate::conflict_graph::op("get", &[ObsMode::Key], &[])],
+        edges: &[crate::conflict_graph::edge(
+            "get",
+            "put",
+            ObsMode::Key,
+            UpdateEffect::KeyWrite,
+            crate::conflict_graph::Overlap::OnOverlap,
+        )],
+    };
+
+    impl SemanticClass for IllFormedProbe {
+        type Local = ();
+        type Undo = ();
+        type RangeKey = ();
+
+        fn global_stripe(&self) -> &GlobalStripe<()> {
+            &self.0
+        }
+
+        fn apply(&self, _local: (), _htx: &mut Txn) {}
+
+        fn release(&self, _local: (), _htx: &mut Txn) {}
+
+        fn conflict_graph(&self) -> Option<&'static ConflictGraph<'static>> {
+            Some(&ILL_FORMED_GRAPH)
+        }
+    }
+
+    #[test]
+    fn every_construction_of_an_ill_formed_class_panics() {
+        for attempt in 0..2 {
+            let err = std::panic::catch_unwind(|| {
+                SemanticCore::new(IllFormedProbe(GlobalStripe::default()))
+            })
+            .err()
+            .unwrap_or_else(|| panic!("construction {attempt} of an ill-formed class succeeded"));
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("ill-formed conflict graph"),
+                "construction {attempt} panicked with {msg:?}"
+            );
+        }
     }
 }

@@ -24,9 +24,12 @@
 //! A table is one block: its bucket vars are [`stm::TCell`]s in one boxed
 //! slice, shared as an `Arc` that each access names as the cells' owner.
 //! Each bucket keeps its own id, version and commit lock, so the footprint
-//! is the same as with one `TVar` per bucket. A bucket is an immutable
-//! `Arc<[_]>` snapshot of exactly its entries, replaced whole on write; the
-//! empty buckets share one empty slice.
+//! is the same as with one `TVar` per bucket. A non-empty bucket is an
+//! immutable `Arc<[_]>` snapshot of exactly its entries, replaced whole on
+//! write; an empty bucket is `None`, so building, reading or emptying one
+//! touches no shared count. A resize moves a whole bucket's `Arc` into the
+//! new table when all its entries land in one new bucket, and copies only
+//! the buckets that split.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -34,7 +37,9 @@ use std::iter;
 use std::sync::Arc;
 use stm::{TCell, TVar, Txn};
 
-type Bucket<K, V> = Arc<[(K, V)]>;
+/// A bucket's entries; `None` is the empty bucket, and a `Some` slice is
+/// never empty.
+type Bucket<K, V> = Option<Arc<[(K, V)]>>;
 
 /// The bucket vars of one table size, in one block.
 type Table<K, V> = Box<[TCell<Bucket<K, V>>]>;
@@ -45,8 +50,12 @@ where
     K: Send + Sync + 'static,
     V: Send + Sync + 'static,
 {
-    let empty: Bucket<K, V> = Arc::default();
-    (0..cap).map(|_| TCell::new(Arc::clone(&empty))).collect()
+    (0..cap).map(|_| TCell::new(None)).collect()
+}
+
+/// The entries of `bucket`.
+fn slice<K, V>(bucket: &Bucket<K, V>) -> &[(K, V)] {
+    bucket.as_deref().unwrap_or_default()
 }
 
 /// The bucket var `key` hashes to.
@@ -132,7 +141,7 @@ where
     pub fn get(&self, tx: &mut Txn, key: &K) -> Option<V> {
         let t = self.header.read(tx).table;
         let bucket = bucket_cell(&t, key).read(tx, &t);
-        bucket
+        slice(&bucket)
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.clone())
@@ -151,9 +160,10 @@ where
         let t = &h.table;
         let cell = bucket_cell(t, &key);
         let bucket = cell.read(tx, t);
+        let bucket = slice(&bucket);
         let Some(i) = bucket.iter().position(|(k, _)| *k == key) else {
             let entries = bucket.iter().cloned().chain(iter::once((key, value)));
-            cell.write(tx, t, entries.collect());
+            cell.write(tx, t, Some(entries.collect()));
             let size = h.size + 1;
             if size * LOAD_FACTOR_DEN > t.len() * LOAD_FACTOR_NUM {
                 self.resize(tx, t, size, t.len() * 2);
@@ -166,7 +176,7 @@ where
         let (k, prev) = &bucket[i];
         let (before, after) = (&bucket[..i], &bucket[i + 1..]);
         let entries = before.iter().cloned().chain(iter::once((k.clone(), value)));
-        cell.write(tx, t, entries.chain(after.iter().cloned()).collect());
+        cell.write(tx, t, Some(entries.chain(after.iter().cloned()).collect()));
         Some(prev.clone())
     }
 
@@ -176,6 +186,7 @@ where
         let t = &h.table;
         let cell = bucket_cell(t, key);
         let bucket = cell.read(tx, t);
+        let bucket = slice(&bucket);
         let pos = bucket.iter().position(|(k, _)| k == key)?;
         // As `Vec::swap_remove`: the last entry takes the removed one's place.
         let last = bucket.len() - 1;
@@ -185,7 +196,7 @@ where
             (&bucket[last..], &bucket[pos + 1..last])
         };
         let entries = bucket[..pos].iter().chain(moved).chain(rest).cloned();
-        cell.write(tx, t, entries.collect());
+        cell.write(tx, t, (last > 0).then(|| entries.collect()));
         let table = Arc::clone(t);
         self.header.write(
             tx,
@@ -200,22 +211,30 @@ where
     /// Rehash into a table of `new_cap` buckets, a multiple of the old
     /// count. Touches every bucket — a deliberate conflict storm, as in any
     /// in-place hash map. Old bucket `i` feeds only the new buckets
-    /// congruent to `i`, so each is filled as its old bucket is read.
+    /// congruent to `i`, so each is filled as its old bucket is read: a
+    /// bucket whose entries all land in one new bucket moves there whole,
+    /// and only a bucket that splits is copied.
     fn resize(&self, tx: &mut Txn, old: &Arc<Table<K, V>>, size: usize, new_cap: usize) {
         let mut fresh = empty_table(new_cap);
         let mut dest = Vec::new();
         for (i, cell) in old.iter().enumerate() {
-            let bucket = cell.read(tx, old);
+            let Some(bucket) = cell.read(tx, old) else {
+                continue;
+            };
             dest.clear();
             dest.extend(bucket.iter().map(|(k, _)| index(k, new_cap)));
             for j in (i..new_cap).step_by(old.len()) {
                 let n = dest.iter().filter(|&&d| d == j).count();
+                if n == bucket.len() {
+                    *fresh[j].get_mut() = Some(bucket);
+                    break;
+                }
                 if n > 0 {
                     let mut moving = bucket.iter().zip(&dest).filter(|&(_, &d)| d == j);
                     // A `Range`-driven iterator has an exact length, so the
                     // bucket is allocated once, at its final size.
                     let entries = (0..n).map(|_| moving.next().expect("counted").0.clone());
-                    *fresh[j].get_mut() = entries.collect();
+                    *fresh[j].get_mut() = Some(entries.collect());
                 }
             }
         }
@@ -228,7 +247,7 @@ where
         let h = self.header.read(tx);
         let mut out = Vec::with_capacity(h.size);
         for cell in h.table.iter() {
-            out.extend(cell.read(tx, &h.table).iter().cloned());
+            out.extend(slice(&cell.read(tx, &h.table)).iter().cloned());
         }
         out
     }
@@ -239,7 +258,8 @@ where
         let h = self.header.read(tx);
         let mut out = Vec::with_capacity(h.size);
         for cell in h.table.iter() {
-            out.extend(cell.read(tx, &h.table).iter().map(|(k, _)| k.clone()));
+            let bucket = cell.read(tx, &h.table);
+            out.extend(slice(&bucket).iter().map(|(k, _)| k.clone()));
         }
         out
     }
@@ -247,10 +267,9 @@ where
     /// Remove all entries.
     pub fn clear(&self, tx: &mut Txn) {
         let h = self.header.read(tx);
-        let empty: Bucket<K, V> = Arc::default();
         for cell in h.table.iter() {
-            if !cell.read(tx, &h.table).is_empty() {
-                cell.write(tx, &h.table, Arc::clone(&empty));
+            if cell.read(tx, &h.table).is_some() {
+                cell.write(tx, &h.table, None);
             }
         }
         let table = h.table;
@@ -399,7 +418,7 @@ mod tests {
         let b: Arc<Table<u64, u64>> = Arc::new(empty_table(4));
         let panics = |cell: &TCell<Bucket<u64, u64>>, owner: &Arc<Table<u64, u64>>| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                atomic(|tx| cell.read(tx, owner).len())
+                atomic(|tx| cell.read(tx, owner).is_none())
             }))
             .is_err()
         };

@@ -1,10 +1,12 @@
 //! Concurrency stress for the substrates: the red-black tree keeps its
-//! invariants under real-thread transactional mutation, and the segmented
-//! map linearizes per segment.
+//! invariants under real-thread transactional mutation, the hash map stays
+//! consistent for snapshot readers while concurrent writers resize it, and
+//! the segmented map linearizes per segment.
 
-use std::sync::Arc;
-use stm::atomic;
-use txstruct::{SegmentedTxHashMap, TxTreeMap, TxVecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use stm::{atomic, atomic_read};
+use txstruct::{SegmentedTxHashMap, TxHashMap, TxTreeMap, TxVecDeque};
 
 #[test]
 fn treemap_invariants_survive_concurrent_mutation() {
@@ -73,6 +75,77 @@ fn treemap_multi_op_transactions_are_atomic() {
         "net-zero transactions leaked size"
     );
     atomic(|tx| t.check_invariants(tx)).unwrap();
+}
+
+#[test]
+fn hash_map_resizes_under_concurrent_writers_and_snapshot_scans() {
+    // Each writer inserts its keys in order; after each insert the previous
+    // key either goes (every third) or takes its final value.
+    const KEYS: u64 = 150;
+    let key = |w: u64, i: u64| w * 1_000_000 + i;
+    let absent = |i: u64| 2_000_000 + i;
+    let m: TxHashMap<u64, u64> = TxHashMap::with_capacity(2);
+    let start = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (m, start) = (&m, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..KEYS {
+                        atomic(|tx| m.insert(tx, key(w, i), 0));
+                        if let Some(j) = i.checked_sub(1) {
+                            atomic(|tx| {
+                                if j % 3 == 0 {
+                                    m.remove(tx, &key(w, j));
+                                } else {
+                                    m.insert(tx, key(w, j), j + 1);
+                                }
+                            });
+                        }
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            start.wait();
+            for i in 0.. {
+                let finished = done.load(Ordering::SeqCst);
+                let (len, entries) = atomic_read(|tx| (m.len(tx), m.entries(tx)));
+                assert_eq!(len, entries.len(), "a scan's size and its entries disagree");
+                let mut keys: Vec<u64> = entries.into_iter().map(|(k, _)| k).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                assert_eq!(len, keys.len(), "a scan saw a key twice");
+                assert_eq!(atomic_read(|tx| m.get(tx, &absent(i % 64))), None);
+                if finished {
+                    break;
+                }
+            }
+        });
+        // Stop the scanner before checking the writers, so that a writer's
+        // panic cannot leave it scanning forever.
+        let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::SeqCst);
+        assert!(joined.iter().all(Result::is_ok), "a writer panicked");
+    });
+    // The last key of each writer keeps the value it was inserted with.
+    let mut want: Vec<(u64, u64)> = (0..2u64)
+        .flat_map(|w| {
+            let last = (key(w, KEYS - 1), 0);
+            (0..KEYS - 1)
+                .filter(|j| j % 3 != 0)
+                .map(move |j| (key(w, j), j + 1))
+                .chain([last])
+        })
+        .collect();
+    want.sort_unstable();
+    let (mut got, buckets) = atomic(|tx| (m.entries(tx), tx.read_set_len() - 1));
+    got.sort_unstable();
+    assert_eq!(got, want, "lost, duplicated or stale entries");
+    // The table only doubles: 2 buckets to at least 128 is 6 resizes.
+    assert!(buckets >= 2 << 6, "only {buckets} buckets");
 }
 
 #[test]
