@@ -1002,7 +1002,7 @@ fn main() -> ExitCode {
             }
             let snap = trace::snapshot();
             drop(guard);
-            let d = global_stats().since(&before);
+            let d = global_stats().diff(&before);
             println!(
                 "soak: {threads} threads x {txns} txns x {rounds} round(s), \
                  {} commits, {} doomed aborts (stats)",

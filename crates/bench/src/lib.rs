@@ -7,9 +7,10 @@
 //! * `fig3_testcompound` — TestCompound (Figure 3)
 //! * `fig4_specjbb` — single-warehouse SPECjbb2000 (Figure 4)
 //!
-//! plus Criterion microbenches (`stm_ops`, `collection_overhead`) and the
-//! ablations discussed in the paper's text (`ablation_segmented`,
-//! `ablation_isempty`, `ablation_putreturn`).
+//! plus the ablations discussed in the paper's text (`ablation_segmented`,
+//! `ablation_isempty`, `ablation_putreturn`, `ablation_eager`) and the cost
+//! ladder (`tests/cost_ladder.rs`), which counts what one warm operation
+//! costs at each layer.
 //!
 //! Speedup convention matches the paper: each series at `p` CPUs is
 //! normalized to the **1-CPU Java (lock) configuration** of the same

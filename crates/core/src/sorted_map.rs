@@ -42,7 +42,7 @@
 
 // txlint: semantic-tables
 // txlint: fast-path
-use crate::backend::SortedMapBackend;
+use crate::backend::{SortedMapBackend, SortedReadOps};
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
 use crate::kernel::{ClassTables, KeyedClass, SemanticClass, SemanticCore};
 use crate::locks::{GlobalStripe, ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
@@ -567,6 +567,75 @@ fn above_lower<K: Ord>(k: &K, lower: &Bound<K>) -> bool {
     }
 }
 
+/// The direction a probe → lock → verify step scans in: up toward larger
+/// keys (`first_in_range` and the iterator) or down toward smaller ones
+/// (`last_in_range`).
+#[derive(Clone, Copy)]
+enum Dir {
+    Up,
+    Down,
+}
+
+impl Dir {
+    /// Key order in this direction: the nearer key is the lesser.
+    fn order<K: Ord>(self, a: &K, b: &K) -> std::cmp::Ordering {
+        match self {
+            Dir::Up => a.cmp(b),
+            Dir::Down => b.cmp(a),
+        }
+    }
+
+    /// Whether `k` lies no further than the bound `to`.
+    fn within<K: Ord>(self, k: &K, to: &Bound<K>) -> bool {
+        match self {
+            Dir::Up => below_upper(k, to),
+            Dir::Down => above_lower(k, to),
+        }
+    }
+
+    /// Whether `k` lies between the bounds `from` and `to`.
+    fn between<K: Ord>(self, k: &K, from: &Bound<K>, to: &Bound<K>) -> bool {
+        let (lower, upper) = self.span(from, to);
+        above_lower(k, lower) && below_upper(k, upper)
+    }
+
+    /// The bounds `from` and `to` as `(lower, upper)`.
+    fn span<T>(self, from: T, to: T) -> (T, T) {
+        match self {
+            Dir::Up => (from, to),
+            Dir::Down => (to, from),
+        }
+    }
+
+    /// The first committed entry at or past `from`.
+    fn start<K, V, B: SortedReadOps<K, V>>(
+        self,
+        b: &B,
+        otx: &mut Txn,
+        from: Bound<&K>,
+    ) -> Option<(K, V)> {
+        match (self, from) {
+            (Dir::Up, Bound::Unbounded) => b.first_entry(otx),
+            (Dir::Up, Bound::Included(k)) => b.ceiling_entry(otx, k),
+            (Dir::Up, Bound::Excluded(k)) => b.next_entry_after(otx, k),
+            (Dir::Down, Bound::Unbounded) => b.last_entry(otx),
+            (Dir::Down, Bound::Included(k)) => b.floor_entry(otx, k),
+            (Dir::Down, Bound::Excluded(k)) => b.prev_entry_before(otx, k),
+        }
+    }
+}
+
+/// How a step holds the range it observed.
+enum RangeLock<'a> {
+    /// A new range lock per attempt (`first_in_range`, `last_in_range`).
+    Fresh,
+    /// An iterator's one growing range lock, whose id the first step
+    /// records. Iterators scan up, so the lock grows at its upper end. A
+    /// snapshot iteration is isolated by the version chains and takes
+    /// none (the id stays `None`).
+    Grown(&'a mut Option<u64>),
+}
+
 impl<K, V> TransactionalSortedMap<K, V, TxTreeMap<K, V>>
 where
     K: Clone + Ord + Eq + Hash + Send + Sync + 'static,
@@ -701,191 +770,159 @@ where
     // Sorted operations
     // ------------------------------------------------------------------
 
-    /// Committed next entry after `from`, skipping keys the buffer removes,
-    /// staying under `upper`. Each step is one settled descent.
-    fn committed_next(&self, tx: &mut Txn, from: &Bound<K>, upper: &Bound<K>) -> Option<(K, V)> {
-        let mut cur = match from {
-            Bound::Unbounded => self.committed(tx, |otx, b| b.first_entry(otx)),
-            Bound::Included(k) => self.committed(tx, |otx, b| b.ceiling_entry(otx, k)),
-            Bound::Excluded(k) => self.committed(tx, |otx, b| b.next_entry_after(otx, k)),
-        };
+    /// The nearest committed entry from `from` toward `to` in direction
+    /// `dir`, skipping keys the buffer removes. Each step is one settled
+    /// descent.
+    fn committed_nearest(
+        &self,
+        tx: &mut Txn,
+        dir: Dir,
+        from: &Bound<K>,
+        to: &Bound<K>,
+    ) -> Option<(K, V)> {
+        let mut cur = self.committed(tx, |otx, b| dir.start(b, otx, from.as_ref()));
         while let Some((k, v)) = cur {
-            if !below_upper(&k, upper) {
+            if !dir.within(&k, to) {
                 return None;
             }
             if !self.removed_here(tx, &k) {
                 return Some((k, v));
             }
-            cur = self.committed(tx, |otx, b| b.next_entry_after(otx, &k));
+            cur = self.committed(tx, |otx, b| dir.start(b, otx, Bound::Excluded(&k)));
         }
         None
     }
 
-    /// Smallest buffered `Put` with key in `(from, upper]`.
-    fn buffered_next(&self, tx: &mut Txn, from: &Bound<K>, upper: &Bound<K>) -> Option<(K, V)> {
+    /// The nearest buffered `Put` from `from` toward `to` in direction
+    /// `dir`.
+    fn buffered_nearest(
+        &self,
+        tx: &mut Txn,
+        dir: Dir,
+        from: &Bound<K>,
+        to: &Bound<K>,
+    ) -> Option<(K, V)> {
         self.core
             .try_local(tx, |l| {
                 l.store_buffer
                     .iter()
-                    .filter(|&(k, _)| above_lower(k, from) && below_upper(k, upper))
+                    .filter(|&(k, _)| dir.between(k, from, to))
                     .filter_map(|(k, e)| Some((k, e.write.value()?)))
-                    .min_by(|a, b| a.0.cmp(b.0))
+                    .min_by(|a, b| dir.order(a.0, b.0))
                     .map(|(k, v)| (k.clone(), v.clone()))
             })
             .flatten()
     }
 
-    /// Largest committed entry at or below `upper`, skipping keys the buffer
-    /// removes, staying above `lower` (the mirror of [`Self::committed_next`]).
-    fn committed_prev(&self, tx: &mut Txn, upper: &Bound<K>, lower: &Bound<K>) -> Option<(K, V)> {
-        let mut cur = match upper {
-            Bound::Unbounded => self.committed(tx, |otx, b| b.last_entry(otx)),
-            Bound::Included(k) => self.committed(tx, |otx, b| b.floor_entry(otx, k)),
-            Bound::Excluded(k) => self.committed(tx, |otx, b| b.prev_entry_before(otx, k)),
-        };
-        while let Some((k, v)) = cur {
-            if !above_lower(&k, lower) {
-                return None;
+    /// The nearest visible entry from `from` toward `to`: one probe →
+    /// lock → verify step, the protocol of every ordered query. An
+    /// unlocked probe finds the candidate (the nearer of the committed and
+    /// the buffered one); the range from `from` to it (to `to` if none) is
+    /// locked; the committed state is **re-read under the lock**, and the
+    /// buffer overrides that read. If the verify disagrees, the world
+    /// changed between probe and lock and the step restarts, so what it
+    /// returns is covered by a lock that predates it. After 64 restarts
+    /// the transaction retries (the §5.1 livelock hazard, resolved by
+    /// back-off).
+    fn step(
+        &self,
+        tx: &mut Txn,
+        dir: Dir,
+        from: &Bound<K>,
+        to: &Bound<K>,
+        mut range: RangeLock<'_>,
+    ) -> Option<(K, V)> {
+        for _attempt in 0..64 {
+            let committed = self.committed_nearest(tx, dir, from, to);
+            let buffered = self.buffered_nearest(tx, dir, from, to);
+            let candidate = match (committed, buffered) {
+                (Some((ck, _)), Some((bk, _))) => {
+                    Some(if dir.order(&bk, &ck).is_le() { bk } else { ck })
+                }
+                (committed, buffered) => committed.or(buffered).map(|(k, _)| k),
+            };
+            // Lock the observed prefix (or the whole empty range). A
+            // snapshot transaction takes no lock: what it observes is
+            // already stable (served from the version chains).
+            let lock_to = match &candidate {
+                Some(k) => Bound::Included(k.clone()),
+                None => to.clone(),
+            };
+            match &mut range {
+                RangeLock::Fresh => {
+                    let (lower, upper) = dir.span(from.clone(), lock_to.clone());
+                    self.core.take_range_lock(tx, lower, upper);
+                }
+                RangeLock::Grown(id) => {
+                    match **id {
+                        Some(id) => self.core.extend_range_lock(id, lock_to.clone()),
+                        None => **id = self.core.take_range_lock(tx, from.clone(), lock_to.clone()),
+                    }
+                    if candidate.is_none() && matches!(to, Bound::Unbounded) {
+                        // Observed that nothing follows: the last-key lock
+                        // of Table 5's `hasNext == false` row.
+                        self.core.take_point_lock(tx, ObsMode::Last);
+                    }
+                }
             }
-            if !self.removed_here(tx, &k) {
+            let verify = self.committed_nearest(tx, dir, from, &lock_to);
+            let Some(k) = candidate else {
+                if verify.is_some() {
+                    continue; // something appeared in the range
+                }
+                return None;
+            };
+            let committed_now = match verify {
+                Some((vk, vv)) if vk == k => Some(vv),
+                // A nearer committed key slipped in before the lock:
+                // re-probe (the lock now covers it, so it is stable for the
+                // next round).
+                Some(_) => continue,
+                None => None,
+            };
+            // Buffer override for the candidate key.
+            let value = self
+                .core
+                .buffered(tx, &k, |v| v.cloned())
+                .unwrap_or(committed_now);
+            if let Some(v) = value {
                 return Some((k, v));
             }
-            cur = self.committed(tx, |otx, b| b.prev_entry_before(otx, &k));
+            // The candidate vanished between probe and lock.
         }
-        None
+        stm::abort_and_retry()
     }
 
-    /// The smallest visible entry in the given range.
-    ///
-    /// Protocol (probe → lock → verify): a first unlocked probe finds the
-    /// candidate; the range lock `[lower, candidate]` (plus the first lock
-    /// when `lower` is unbounded, Table 5) is taken; then the committed
-    /// state is **re-read under the lock** and the verified value returned.
-    /// If the verify disagrees, the world changed between probe and lock and
-    /// the query restarts — the returned observation is therefore always
-    /// covered by a lock that predates it (lock-then-read soundness).
+    /// The smallest visible entry in the given range: one probe → lock →
+    /// verify step up from `lower` with a fresh range lock
+    /// `[lower, candidate]`, plus the first lock when `lower` is unbounded
+    /// (Table 5) and a key lock on the answer.
     pub fn first_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
         self.core.ensure_registered(tx);
         if matches!(lower, Bound::Unbounded) {
             self.core.take_point_lock(tx, ObsMode::First);
         }
-        for _attempt in 0..64 {
-            let committed = self.committed_next(tx, &lower, &upper);
-            let buffered = self.buffered_next(tx, &lower, &upper);
-            let candidate = match (&committed, &buffered) {
-                (None, None) => None,
-                (Some((ck, _)), None) => Some(ck.clone()),
-                (None, Some((bk, _))) => Some(bk.clone()),
-                (Some((ck, _)), Some((bk, _))) => {
-                    Some(if bk <= ck { bk.clone() } else { ck.clone() })
-                }
-            };
-            // Lock the observed prefix (or the whole empty range).
-            let lock_upper = match &candidate {
-                Some(k) => Bound::Included(k.clone()),
-                None => upper.clone(),
-            };
-            // A snapshot transaction takes none: the observed prefix is
-            // already stable (served from the version chains).
-            self.core
-                .take_range_lock(tx, lower.clone(), lock_upper.clone());
-            // Verify under the lock.
-            let verify = self.committed_next(tx, &lower, &lock_upper);
-            match (&candidate, verify) {
-                (None, None) => return None,
-                (Some(k), verify) => {
-                    let committed_now = match verify {
-                        Some((vk, vv)) if vk == *k => Some(vv),
-                        Some(_) => continue, // a smaller committed key appeared
-                        None => None,
-                    };
-                    // Buffer override for the candidate key.
-                    let value = self
-                        .core
-                        .buffered(tx, k, |v| v.cloned())
-                        .unwrap_or(committed_now);
-                    match value {
-                        Some(v) => {
-                            self.core.take_key_lock(tx, k);
-                            return Some((k.clone(), v));
-                        }
-                        // Candidate vanished between probe and verify.
-                        None => continue,
-                    }
-                }
-                (None, Some(_)) => continue, // something appeared in the range
-            }
+        let found = self.step(tx, Dir::Up, &lower, &upper, RangeLock::Fresh);
+        if let Some((k, _)) = &found {
+            self.core.take_key_lock(tx, k);
         }
-        // Pathological contention: give up the attempt and retry the whole
-        // transaction (the §5.1 livelock hazard, resolved by back-off).
-        stm::abort_and_retry()
+        found
     }
 
-    /// Largest buffered `Put` with key in `[lower, upper]` bounds.
-    fn buffered_prev(&self, tx: &mut Txn, upper: &Bound<K>, lower: &Bound<K>) -> Option<(K, V)> {
-        self.core
-            .try_local(tx, |l| {
-                l.store_buffer
-                    .iter()
-                    .filter(|&(k, _)| above_lower(k, lower) && below_upper(k, upper))
-                    .filter_map(|(k, e)| Some((k, e.write.value()?)))
-                    .max_by(|a, b| a.0.cmp(b.0))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-            })
-            .flatten()
-    }
-
-    /// The largest visible entry in the given range — the mirror of
-    /// [`Self::first_in_range`], with the same probe → lock → verify
-    /// protocol (the last lock when `upper` is unbounded, a range lock
-    /// `[candidate, upper]` otherwise).
+    /// The largest visible entry in the given range: the mirror of
+    /// [`Self::first_in_range`], one step down from `upper` with a range
+    /// lock `[candidate, upper]` and the last lock when `upper` is
+    /// unbounded.
     pub fn last_in_range(&self, tx: &mut Txn, lower: Bound<K>, upper: Bound<K>) -> Option<(K, V)> {
         self.core.ensure_registered(tx);
         if matches!(upper, Bound::Unbounded) {
             self.core.take_point_lock(tx, ObsMode::Last);
         }
-        for _attempt in 0..64 {
-            let committed = self.committed_prev(tx, &upper, &lower);
-            let buffered = self.buffered_prev(tx, &upper, &lower);
-            let candidate = match (&committed, &buffered) {
-                (None, None) => None,
-                (Some((ck, _)), None) => Some(ck.clone()),
-                (None, Some((bk, _))) => Some(bk.clone()),
-                (Some((ck, _)), Some((bk, _))) => {
-                    Some(if bk >= ck { bk.clone() } else { ck.clone() })
-                }
-            };
-            let lock_lower = match &candidate {
-                Some(k) => Bound::Included(k.clone()),
-                None => lower.clone(),
-            };
-            self.core
-                .take_range_lock(tx, lock_lower.clone(), upper.clone());
-            let verify = self.committed_prev(tx, &upper, &lock_lower);
-            match (&candidate, verify) {
-                (None, None) => return None,
-                (Some(k), verify) => {
-                    let committed_now = match verify {
-                        Some((vk, vv)) if vk == *k => Some(vv),
-                        Some(_) => continue, // a larger committed key appeared
-                        None => None,
-                    };
-                    let value = self
-                        .core
-                        .buffered(tx, k, |v| v.cloned())
-                        .unwrap_or(committed_now);
-                    match value {
-                        Some(v) => {
-                            self.core.take_key_lock(tx, k);
-                            return Some((k.clone(), v));
-                        }
-                        None => continue,
-                    }
-                }
-                (None, Some(_)) => continue,
-            }
+        let found = self.step(tx, Dir::Down, &upper, &lower, RangeLock::Fresh);
+        if let Some((k, _)) = &found {
+            self.core.take_key_lock(tx, k);
         }
-        stm::abort_and_retry()
+        found
     }
 
     /// Smallest key (first lock + key lock on the result, Table 5).
@@ -1018,27 +1055,14 @@ where
     V: Clone + Send + Sync + 'static,
     B: SortedMapBackend<K, V>,
 {
-    fn extend_lock(&mut self, tx: &mut Txn, upper: Bound<K>) {
-        // The growing range lock exists to doom writers that insert into
-        // the iterated prefix; a snapshot iteration is isolated by the
-        // version chains and takes none (its `range_id` stays `None`).
-        let core = &self.map.core;
-        match self.range_id {
-            Some(id) => core.extend_range_lock(id, upper),
-            None => self.range_id = core.take_range_lock(tx, self.lower.clone(), upper),
-        }
-    }
-
     /// Produce the next entry in key order, or `None` once the range is
     /// exhausted (at which point the range lock spans the entire range).
     ///
-    /// Each step is probe → lock-extension → verify: the candidate is found
-    /// unlocked, the growing range lock is extended to cover it, and the
-    /// committed state is re-read under the lock. The returned value always
-    /// comes from the post-lock read, so a writer committing between probe
-    /// and lock either shows up in the verify (the step restarts) or
-    /// commits after the lock and dooms this transaction — never a stale
-    /// observation.
+    /// Each call is one probe → lock → verify step up from the last key
+    /// returned, growing the iterator's one range lock to cover the
+    /// candidate: a writer committing between probe and lock either shows
+    /// up in the verify (the step restarts) or commits after the lock and
+    /// dooms this transaction, never a stale observation.
     pub fn next(&mut self, tx: &mut Txn) -> Option<(K, V)> {
         if self.done {
             return None;
@@ -1047,66 +1071,13 @@ where
             None => self.lower.clone(),
             Some(k) => Bound::Excluded(k.clone()),
         };
-        for _attempt in 0..64 {
-            let committed = self.map.committed_next(tx, &from, &self.upper);
-            let buffered = self.map.buffered_next(tx, &from, &self.upper);
-            let candidate: Option<K> = match (&committed, &buffered) {
-                (None, None) => None,
-                (Some((ck, _)), None) => Some(ck.clone()),
-                (None, Some((bk, _))) => Some(bk.clone()),
-                (Some((ck, _)), Some((bk, _))) => {
-                    Some(if bk <= ck { bk.clone() } else { ck.clone() })
-                }
-            };
-            match candidate {
-                Some(k) => {
-                    self.extend_lock(tx, Bound::Included(k.clone()));
-                    // Verify under the lock: the next committed key within
-                    // the freshly locked prefix.
-                    let verify = self
-                        .map
-                        .committed_next(tx, &from, &Bound::Included(k.clone()));
-                    let committed_now = match verify {
-                        Some((vk, vv)) if vk == k => Some(vv),
-                        // A smaller committed key slipped in before the
-                        // lock: re-probe (the lock now covers it, so it is
-                        // stable for the next round).
-                        Some(_) => continue,
-                        None => None,
-                    };
-                    let value = self
-                        .map
-                        .core
-                        .buffered(tx, &k, |v| v.cloned())
-                        .unwrap_or(committed_now);
-                    match value {
-                        Some(v) => {
-                            self.last = Some(k.clone());
-                            return Some((k, v));
-                        }
-                        // The candidate vanished between probe and lock.
-                        None => continue,
-                    }
-                }
-                None => {
-                    // Exhaustion: lock the whole remaining range, then make
-                    // sure nothing appeared before the lock landed.
-                    self.extend_lock(tx, self.upper.clone());
-                    if matches!(self.upper, Bound::Unbounded) {
-                        // Observed that nothing follows: the last-key lock
-                        // of Table 5's `hasNext == false` row.
-                        self.map.core.take_point_lock(tx, ObsMode::Last);
-                    }
-                    let verify = self.map.committed_next(tx, &from, &self.upper);
-                    if verify.is_some() {
-                        continue;
-                    }
-                    self.done = true;
-                    return None;
-                }
-            }
+        let range = RangeLock::Grown(&mut self.range_id);
+        let found = self.map.step(tx, Dir::Up, &from, &self.upper, range);
+        match &found {
+            Some((k, _)) => self.last = Some(k.clone()),
+            None => self.done = true,
         }
-        stm::abort_and_retry()
+        found
     }
 }
 

@@ -55,7 +55,7 @@ fn size_locker_is_doomed_by_committing_writer() {
         assert_eq!(observed, 1, "retry must see the applied insert");
     });
 
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
     assert!(
         d.aborts_doomed >= 1,
         "the size-locker must have been doomed, got {d:?}"
@@ -97,7 +97,7 @@ fn key_locker_is_doomed_by_conflicting_put() {
         assert_eq!(observed, Some(99), "retry must see the conflicting put");
     });
 
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
     assert!(
         d.aborts_doomed >= 1,
         "the key-locker must have been doomed, got {d:?}"

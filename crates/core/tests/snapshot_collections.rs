@@ -1,6 +1,6 @@
 //! Collection-layer snapshot reads (PR 9): every `snapshot_*` entry point
 //! must return the committed answer while acquiring **zero semantic locks**
-//! and executing **zero aborts** — the acceptance criterion of the
+//! and executing **zero aborts** — the promise of the
 //! never-aborting read design — with the two non-capable cases (boosted
 //! backends, the eager map) taking the *counted* validated fallback.
 

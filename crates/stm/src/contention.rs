@@ -2,10 +2,11 @@
 //!
 //! Optimistic concurrency control can livelock: a long transaction may be
 //! repeatedly rolled back by shorter ones (paper §5.1). The contention
-//! manager decides how long an aborted attempt waits before retrying;
-//! priority (attempt count) feeds into the wait so repeat victims back off
-//! *less* over time relative to their adversaries, a simplified Karma-style
-//! scheme.
+//! manager decides how long an aborted attempt waits before retrying.
+//! [`atomic`](crate::atomic) runs the default policy, jittered exponential
+//! back-off; [`atomic_with`](crate::atomic_with) can instead retry at once
+//! or use `Karma`, which divides the wait by the attempt count so that a
+//! repeat victim waits less.
 
 use std::time::Duration;
 

@@ -376,13 +376,6 @@ impl StatsSnapshot {
         let (now, then) = (self.to_totals(), earlier.to_totals());
         StatsSnapshot::from_totals(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
     }
-
-    /// Counter-wise difference (`self - earlier`), saturating. Alias of
-    /// [`StatsSnapshot::diff`], kept for existing call sites.
-    #[must_use]
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        self.diff(earlier)
-    }
 }
 
 /// Snapshot the always-on totals: every shard's (live or parked) plus the
@@ -1342,8 +1335,6 @@ mod tests {
         assert_eq!(d.aborts_doomed, 4);
         assert_eq!(d.dooms_absorbed(), 4);
         assert_eq!(d.dooms_issued, 0);
-        // `since` is an exact alias.
-        assert_eq!(later.since(&earlier), d);
     }
 
     #[test]

@@ -946,25 +946,18 @@ impl Txn {
     /// Ids of every var read (and not overwritten before first read) by the
     /// root frame. Only meaningful once nesting has collapsed.
     pub fn read_ids(&self) -> Vec<VarId> {
-        self.read_ids_iter().collect()
-    }
-
-    /// Non-allocating form of [`Txn::read_ids`] for validation-style sweeps
-    /// that only need to walk the footprint once.
-    pub fn read_ids_iter(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.frames[0].reads.keys().copied()
+        self.frames[0].reads.keys().copied().collect()
     }
 
     /// `(var, body-cycle-offset)` of every root-frame read — the simulator
     /// uses offsets to decide whether a read had already happened when a
     /// conflicting commit broadcast arrived.
     pub fn read_offsets(&self) -> Vec<(VarId, u64)> {
-        self.read_offsets_iter().collect()
-    }
-
-    /// Non-allocating form of [`Txn::read_offsets`].
-    pub fn read_offsets_iter(&self) -> impl Iterator<Item = (VarId, u64)> + '_ {
-        self.frames[0].reads.iter().map(|(id, r)| (*id, r.offset))
+        self.frames[0]
+            .reads
+            .iter()
+            .map(|(id, r)| (*id, r.offset))
+            .collect()
     }
 
     /// Ids of every var written by the root frame.

@@ -54,7 +54,7 @@ fn disjoint_commits_lose_no_updates_and_skip_the_lane() {
     let finals: HashSet<u64> = vars.iter().map(TVar::version).collect();
     assert_eq!(finals.len(), THREADS, "commit versions must be unique");
 
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
     assert!(
         d.lane_free_commits >= (THREADS as u64) * PER,
         "handler-free commits must take the lane-free fast path, got {}",
@@ -168,7 +168,7 @@ fn doom_vs_commit_decides_exactly_once() {
 
     // The first attempt lost the doom-vs-commit race; the retry committed.
     assert_eq!(v.read_committed(), 1);
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
     assert!(
         d.aborts_doomed >= 1,
         "the doomed attempt must be recorded, got {d:?}"

@@ -207,7 +207,7 @@ fn open_read_leaves_no_parent_dependencies() {
         1,
         "flattened read must not create a parent dependency"
     );
-    let d = stm::global_stats().since(&before);
+    let d = stm::global_stats().diff(&before);
     assert_eq!(d.open_commits, 0, "no child transaction may be spawned");
     assert!(d.open_flattened >= 1, "the flattened read must be counted");
 }
@@ -599,7 +599,7 @@ fn participants_run_once_in_enlistment_order_before_closure_handlers() {
         } else {
             prepared.abort(AbortCause::Explicit);
         }
-        let d = stm::global_stats().since(&before);
+        let d = stm::global_stats().diff(&before);
         assert_eq!(
             *log.lock().unwrap(),
             vec![
@@ -673,7 +673,7 @@ fn stats_count_commits_and_aborts() {
             stm::abort_and_retry();
         }
     });
-    let diff = stm::global_stats().since(&before);
+    let diff = stm::global_stats().diff(&before);
     assert!(diff.commits >= 1);
     assert!(diff.aborts_explicit >= 1);
 }

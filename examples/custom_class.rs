@@ -255,7 +255,7 @@ fn main() {
             });
         }
     });
-    let stats = stm::global_stats().since(&before);
+    let stats = stm::global_stats().diff(&before);
 
     let total = atomic(|tx| hist.total(tx));
     assert_eq!(total, 4 * samples_per_thread * 2, "histogram lost counts!");

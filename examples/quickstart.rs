@@ -39,7 +39,7 @@ fn main() {
             });
         }
     });
-    let stats = stm::global_stats().since(&before);
+    let stats = stm::global_stats().diff(&before);
 
     println!("final scores:");
     let entries = atomic(|tx| scores.entries(tx));

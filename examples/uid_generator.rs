@@ -57,7 +57,7 @@ fn run(use_open_nesting: bool) -> (Vec<i64>, stm::StatsSnapshot, std::time::Dura
         }
     });
     let elapsed = start.elapsed();
-    let stats = stm::global_stats().since(&before);
+    let stats = stm::global_stats().diff(&before);
     let out = ids.lock().clone();
     (out, stats, elapsed)
 }

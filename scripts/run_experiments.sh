@@ -19,9 +19,8 @@ for ab in ablation_segmented ablation_isempty ablation_putreturn ablation_eager;
     cargo bench -p bench --bench "$ab" | tee "$OUT/$ab.txt"
 done
 
-echo "== criterion microbenches =="
-cargo bench -p bench --bench stm_ops -- --noplot | tee "$OUT/stm_ops.txt"
-cargo bench -p bench --bench collection_overhead -- --noplot | tee "$OUT/collection_overhead.txt"
+echo "== cost ladder =="
+cargo test -p bench --release -q --test cost_ladder -- --nocapture | tee "$OUT/cost_ladder.txt"
 
 echo
 echo "All outputs in $OUT/"
