@@ -1006,8 +1006,7 @@ fn main() -> ExitCode {
             println!(
                 "soak: {threads} threads x {txns} txns x {rounds} round(s), \
                  {} commits, {} doomed aborts (stats)",
-                d.commits,
-                d.dooms_absorbed()
+                d.commits, d.aborts_doomed
             );
             report(&snap);
             if let Some(path) = export {

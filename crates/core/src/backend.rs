@@ -22,11 +22,11 @@
 //!    for eager classes, from the body with logged compensation). A TVar
 //!    backend publishes these through the direct-mode write path; a boosted
 //!    backend mutates its own concurrent structure in place. They are also
-//!    the undo surface: an eager class logs one [`UndoOp`] per first
-//!    in-place write, and its abort path replays the log in reverse through
-//!    `insert`/`remove`. TVar backends get undo for free (speculative
-//!    rollback discards buffered state), which is why only
-//!    eagerly-applied mutations ever log.
+//!    the undo surface: the eager map keeps one [`UndoOp`] per first
+//!    in-place write in its transaction-local buffer, and its abort
+//!    handler replays them in reverse through `insert`/`remove`. Buffered
+//!    classes get undo for free (an abort discards the buffer), which is
+//!    why only eagerly-applied mutations ever log.
 //!
 //! The umbrella aliases [`MapBackend`], [`SortedMapBackend`] and
 //! [`QueueBackend`] are blanket-implemented from the layers, so a concrete

@@ -37,12 +37,18 @@
 //! optimistic wrapper (an eager iterator would have to write-lock every
 //! visited key, which §5.1's performance framing argues against).
 //!
+//! The undo log is this class's own: it lives in the transaction's buffer
+//! beside the held locks, one [`UndoOp`] per key's first in-place write,
+//! and the abort handler replays it newest first before it releases a
+//! single lock. A commit drops it with the buffer. In-place writes are
+//! rejected inside a closed frame (`tx.closed`): each is an open-nested
+//! commit that a frame rollback could not put back.
+//!
 //! Paired with the non-transactional [`BoostedHashMap`]
 //! ([`EagerTransactionalMap::boosted`]), this class is transactional
 //! *boosting* proper: in-place mutations against a genuinely concurrent
 //! structure, isolation entirely from the semantic locks plus the logged
-//! [`UndoOp`] compensations the kernel replays (newest first, before any
-//! lock is released) on abort.
+//! compensations.
 
 // txlint: semantic-tables
 // txlint: boosted-backend
@@ -156,22 +162,27 @@ pub enum EagerPolicy {
     DoomReaders,
 }
 
-struct EagerLocal<K> {
+struct EagerLocal<K, V> {
     read_keys: StripeSet<K>,
     write_keys: StripeSet<K>,
-    /// Keys whose pre-transaction state is already captured in the kernel
-    /// undo log — only the **first** in-place write of a key logs an
-    /// [`UndoOp`]; later writes are undone by the same entry.
+    /// Compensations for this transaction's in-place writes, in logging
+    /// order: replayed newest first by the abort handler, dropped by the
+    /// commit handler.
+    undo: Vec<UndoOp<K, V>>,
+    /// Keys whose pre-transaction state is already captured in `undo` —
+    /// only the **first** in-place write of a key logs an [`UndoOp`];
+    /// later writes are undone by the same entry.
     undone_keys: StripeSet<K>,
     /// Whether this transaction has joined the size writers.
     size_writer: bool,
 }
 
-impl<K> Default for EagerLocal<K> {
+impl<K, V> Default for EagerLocal<K, V> {
     fn default() -> Self {
         EagerLocal {
             read_keys: StripeSet::default(),
             write_keys: StripeSet::default(),
+            undo: Vec::new(),
             undone_keys: StripeSet::default(),
             size_writer: false,
         }
@@ -207,14 +218,31 @@ struct EagerClass<K, V, B> {
 impl<K, V, B> EagerClass<K, V, B>
 where
     K: Clone + Eq + Hash + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    B: MapBackend<K, V>,
 {
+    /// Put back what the in-place writes logged in `undo` displaced, newest
+    /// first, through the backend's own `insert`/`remove`.
+    fn roll_back(&self, undo: Vec<UndoOp<K, V>>, htx: &mut Txn) {
+        for entry in undo.into_iter().rev() {
+            match entry {
+                UndoOp::Restore(k, v) => {
+                    let _ = self.backend.insert(htx, k, v);
+                }
+                UndoOp::Delete(k) => {
+                    let _ = self.backend.remove(htx, &k);
+                }
+            }
+        }
+    }
+
     /// Release every lock `id` holds: per-stripe reader/writer entries
     /// (stripes ascending via the kernel sweep, writer slots handled before
     /// reader sets within each stripe), then, in the global phase, last,
     /// the size lock and the size writing. `doom_write_key_readers`
     /// additionally dooms remaining readers of the written keys (commit
     /// path only).
-    fn release_footprint(&self, local: &EagerLocal<K>, id: u64, doom_write_key_readers: bool) {
+    fn release_footprint(&self, local: &EagerLocal<K, V>, id: u64, doom_write_key_readers: bool) {
         let mut released = 0u64;
         sweep_commit_footprint(
             &self.tables,
@@ -260,8 +288,7 @@ where
     V: Clone + Send + Sync + 'static,
     B: MapBackend<K, V>,
 {
-    type Local = EagerLocal<K>;
-    type Undo = UndoOp<K, V>;
+    type Local = EagerLocal<K, V>;
     type RangeKey = K;
 
     fn name(&self) -> &'static str {
@@ -285,34 +312,22 @@ where
         false
     }
 
-    /// Commit handler. Changes are already in place: drop the undo log, doom
-    /// the readers of our written keys that appeared after our write lock
-    /// (none can exist — they abort on seeing the write lock — but a
-    /// doomed-then-revived bookkeeping race is cheap to close), and release
-    /// everything.
-    fn apply(&self, local: EagerLocal<K>, htx: &mut Txn) {
+    /// Commit handler. Changes are already in place: drop the undo log with
+    /// the buffer, doom the readers of our written keys that appeared after
+    /// our write lock (none can exist — they abort on seeing the write lock
+    /// — but a doomed-then-revived bookkeeping race is cheap to close), and
+    /// release everything.
+    fn apply(&self, local: EagerLocal<K, V>, htx: &mut Txn) {
         self.release_footprint(&local, htx.handle().id(), true);
     }
 
-    /// One undo entry, replayed by the kernel in reverse logging order
-    /// **before** [`Self::release`] — this transaction's exclusive write
-    /// locks are still held, and it is still a size writer, so no reader can
-    /// observe the window between a compensating write and the lock drop.
-    /// The backend's own `insert`/`remove` put the entry back.
-    fn compensate(&self, undo: UndoOp<K, V>, htx: &mut Txn) {
-        match undo {
-            UndoOp::Restore(k, v) => {
-                let _ = self.backend.insert(htx, k, v);
-            }
-            UndoOp::Delete(k) => {
-                let _ = self.backend.remove(htx, &k);
-            }
-        }
-    }
-
-    /// Abort handler: the kernel has already drained the undo log through
-    /// [`Self::compensate`]; all that is left is releasing the footprint.
-    fn release(&self, local: EagerLocal<K>, htx: &mut Txn) {
+    /// Abort handler: undo before release. The undo log is replayed newest
+    /// first while this transaction still holds its exclusive write locks
+    /// and is still a size writer, so no reader can observe the window
+    /// between a compensating write and the lock drop; then the footprint
+    /// is released.
+    fn release(&self, mut local: EagerLocal<K, V>, htx: &mut Txn) {
+        self.roll_back(std::mem::take(&mut local.undo), htx);
         self.release_footprint(&local, htx.handle().id(), false);
     }
 }
@@ -490,6 +505,15 @@ where
     /// Acquire the exclusive write lock on `key`, resolving conflicts by
     /// policy. Returns without the lock only by unwinding (abort & retry).
     fn acquire_write_lock(&self, tx: &mut Txn, key: &K) {
+        // The in-place write that follows is an open-nested commit, and the
+        // undo log replays only when the whole attempt aborts: a closed
+        // frame that rolled back and re-ran would leave the write behind.
+        // The panic aborts the attempt, which puts back its earlier writes.
+        assert!(
+            !tx.in_closed_frame(),
+            "`eager_map` writes cannot run inside a closed frame (`tx.closed`): an in-place \
+             write cannot be rolled back with its frame"
+        );
         let self_id = tx.handle().id();
         let owner = tx.handle().clone();
         let class = self.core.class();
@@ -555,6 +579,10 @@ where
 
     /// Insert or replace **in place**; returns the previous value. The undo
     /// log restores it if the transaction aborts.
+    ///
+    /// # Panics
+    ///
+    /// Inside a closed frame (`tx.closed`); see the module docs.
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
         self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, &key);
@@ -564,21 +592,23 @@ where
         let old = tx.open(move |otx| backend.insert(otx, k2.clone(), value.clone()));
         // Only the first in-place write of a key needs an undo entry; later
         // writes are undone by the same restore.
-        if self
-            .core
-            .with_local(tx, |l| l.undone_keys.insert(key.clone()))
-        {
-            match &old {
-                Some(v) => self
-                    .core
-                    .log_undo(tx, UndoOp::Restore(key.clone(), v.clone())),
-                None => self.core.log_undo(tx, UndoOp::Delete(key.clone())),
+        self.core.with_local(tx, |l| {
+            if l.undone_keys.insert(key.clone()) {
+                l.undo.push(match &old {
+                    Some(v) => UndoOp::Restore(key, v.clone()),
+                    None => UndoOp::Delete(key),
+                });
             }
-        }
+        });
         old
     }
 
-    /// Remove **in place**; returns the previous value.
+    /// Remove **in place**; returns the previous value. The undo log
+    /// restores it if the transaction aborts.
+    ///
+    /// # Panics
+    ///
+    /// Inside a closed frame (`tx.closed`); see the module docs.
     pub fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
         self.core.ensure_registered(tx);
         self.acquire_write_lock(tx, key);
@@ -587,13 +617,11 @@ where
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.remove(otx, &k2));
         if let Some(v) = &old {
-            if self
-                .core
-                .with_local(tx, |l| l.undone_keys.insert(key.clone()))
-            {
-                self.core
-                    .log_undo(tx, UndoOp::Restore(key.clone(), v.clone()));
-            }
+            self.core.with_local(tx, |l| {
+                if l.undone_keys.insert(key.clone()) {
+                    l.undo.push(UndoOp::Restore(key.clone(), v.clone()));
+                }
+            });
         }
         old
     }
@@ -642,6 +670,39 @@ mod tests {
             assert_eq!(m.get(tx, &2), None, "undo failed to delete");
             assert_eq!(m.size(tx), 1);
         });
+    }
+
+    /// An in-place write inside a closed frame panics: a frame rollback
+    /// could not put it back. The panic aborts the attempt, whose earlier
+    /// in-place writes are compensated, and the map stays usable.
+    #[test]
+    fn writes_in_a_closed_frame_are_rejected_and_the_attempt_rolls_back() {
+        let m: EagerTransactionalMap<u32, u32> =
+            EagerTransactionalMap::new(EagerPolicy::WriterWaits);
+        atomic(|tx| {
+            m.put(tx, 1, 10);
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            atomic(|tx| {
+                m.put(tx, 1, 11);
+                m.put(tx, 2, 20);
+                tx.closed(|tx| m.put(tx, 3, 30));
+            })
+        }))
+        .expect_err("an eager write inside a closed frame must panic");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(
+            msg.contains("cannot be rolled back with its frame"),
+            "panicked with {msg:?}"
+        );
+        atomic(|tx| {
+            assert_eq!(m.get(tx, &1), Some(10), "root-frame write not undone");
+            assert_eq!(m.get(tx, &2), None, "root-frame insert not undone");
+            assert_eq!(m.get(tx, &3), None, "closed-frame write survived");
+            assert_eq!(m.size(tx), 1);
+        });
+        atomic(|tx| m.put(tx, 3, 30));
+        assert_eq!(atomic(|tx| m.get(tx, &3)), Some(30));
     }
 
     #[test]

@@ -195,7 +195,6 @@ where
     V: Clone + Send + Sync + 'static,
 {
     type Local = IntervalMapLocal<K, V>;
-    type Undo = ();
     type RangeKey = K;
 
     fn name(&self) -> &'static str {

@@ -19,8 +19,8 @@
 //!   underlying structure and doom every holder of a semantic lock the
 //!   update invalidates,
 //! * [`SemanticClass::release`], run inside the abort handler: the
-//!   compensating transaction — undo any in-place effects and release the
-//!   footprint.
+//!   compensating transaction — undo any in-place effects recorded in the
+//!   buffer, then release the footprint.
 //!
 //! [`SemanticCore`] owns everything invariant:
 //!
@@ -34,15 +34,15 @@
 //!   handlers that drain it. txlint TX008 rejects any direct enlistment or
 //!   handler registration outside this file.
 //! * **The attempt's footprint lives in the transaction.** The slot holds
-//!   the class's `Local` buffer, the eager undo log and the lock cache, so
-//!   buffering a write is a local probe of the transaction's own state —
-//!   paper §3.1 keeps this state thread-local for the same reason. The
-//!   runtime takes every participant out of the transaction before it runs
-//!   any, and the slot hands the buffer to the class by value; a fresh
-//!   attempt starts with a fresh `Txn` and no slot, so nothing can outlive,
-//!   leak from or be resurrected into an attempt. A collection operation
-//!   inside a `tx.open` body is a misuse abort: the child could enlist no
-//!   participant of its own.
+//!   the class's `Local` buffer (and with it any undo log the class keeps)
+//!   and the lock cache, so buffering a write is a local probe of the
+//!   transaction's own state — paper §3.1 keeps this state thread-local
+//!   for the same reason. The runtime takes every participant out of the
+//!   transaction before it runs any, and the slot hands the buffer to the
+//!   class by value; a fresh attempt starts with a fresh `Txn` and no slot,
+//!   so nothing can outlive, leak from or be resurrected into an attempt. A
+//!   collection operation inside a `tx.open` body is a misuse abort: the
+//!   child could enlist no participant of its own.
 //! * **The txn-local semantic-lock cache.** The slot doubles as a
 //!   per-transaction, per-instance cache of already-acquired `(kind, key)`
 //!   semantic locks: the first acquisition populates it, every later
@@ -62,12 +62,6 @@
 //!   buffer compensation only inside a closed frame, the one place a
 //!   conflict can roll back less than the whole attempt; at the root frame
 //!   the abort handler already receives the buffer, so nothing is boxed.
-//! * **The per-transaction undo log.** Classes that apply mutations
-//!   eagerly (boosted backends) record a [`SemanticClass::Undo`] entry per
-//!   first write via [`SemanticCore::log_undo`]; the abort handler drains
-//!   the log **in reverse** through [`SemanticClass::compensate`] strictly
-//!   before `release` drops a single semantic lock, and the commit handler
-//!   discards it. Buffered classes set `type Undo = ()` and never touch it.
 //! * **The sweep discipline.** Commit and abort handlers visit the striped
 //!   lock tables in the proved order: touched key stripes strictly
 //!   ascending (grouped by a comparison-free [`bucket_order`] counting
@@ -146,15 +140,6 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// runtime takes it out to run a handler.
     type Local: Default + Send + 'static;
 
-    /// One logged compensation entry for an **eagerly applied** mutation —
-    /// the boosted/undo-logging form of guideline 5, where the body writes
-    /// the underlying structure in place and records how to put it back.
-    /// Entries go through [`SemanticCore::log_undo`] and come back, in
-    /// reverse order, through [`SemanticClass::compensate`] when the
-    /// transaction aborts. Buffered-update classes never log; they set
-    /// `type Undo = ();`.
-    type Undo: Send + 'static;
-
     /// What the class's range locks are taken on: its key type (any type,
     /// `()` say, for a class that takes no range locks).
     type RangeKey;
@@ -185,7 +170,10 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// Abort handler body (the compensating transaction): undo any
     /// in-place effects recorded in `local` and release the aborting
     /// transaction's (`htx`'s) locks. Buffered-update classes have nothing
-    /// to undo and only release.
+    /// to undo and only release; a class that writes in place keeps its
+    /// undo log in `local` and replays it, newest first, before it releases
+    /// a single lock (the undo-before-release obligation,
+    /// `docs/PROTOCOL.md`).
     ///
     /// A whole-attempt abort passes `local` as the body last wrote it: no
     /// undo is registered for a root-frame write. Undos
@@ -201,29 +189,11 @@ pub trait SemanticClass: Send + Sync + 'static {
     /// Whether a handler given `local` may change the underlying structure
     /// — `apply` writing the buffered updates, or `release` restoring what
     /// the body took. Only such handlers make [`SemanticCore::read_settled`]
-    /// wait or retry (the abort handler also counts when it replays undo
-    /// entries), so a class that settles reads answers `false` for the
+    /// wait or retry, so a class that settles reads answers `false` for the
     /// buffer of a read-only transaction. The default, `true`, is always
     /// sound.
     fn writes_backend(&self, _local: &Self::Local) -> bool {
         true
-    }
-
-    /// Replay one undo entry in the abort handler (direct mode, under the
-    /// handler lane). The core drains the aborting transaction's undo log
-    /// **in reverse logging order**, calling this once per entry, strictly
-    /// **before** [`SemanticClass::release`] runs — so every compensating
-    /// write lands while the transaction still holds all of its semantic
-    /// locks (the undo-before-release obligation, `docs/PROTOCOL.md`).
-    ///
-    /// The default body is for buffered-update classes (`type Undo = ()`),
-    /// which never log: reaching it means a class logged entries without
-    /// implementing compensation, which is unrecoverable.
-    fn compensate(&self, _undo: Self::Undo, _htx: &mut Txn) {
-        unreachable!(
-            "class `{}` logged undo entries but does not implement `compensate`",
-            self.name()
-        );
     }
 
     /// Whether a **snapshot transaction** ([`stm::atomic_read`]) can serve
@@ -296,43 +266,33 @@ struct KernelSlot<C: SemanticClass> {
     points: u8,
     /// The class's buffered state, handed to `apply`/`release` by value.
     local: C::Local,
-    /// Compensations for eagerly applied mutations, in logging order.
-    /// Replayed in reverse by the abort handler (before `release`), and
-    /// discarded by the commit handler.
-    undo: Vec<C::Undo>,
 }
 
-impl<C: SemanticClass> Participant for KernelSlot<C> {
-    fn commit(self: Box<Self>, htx: &mut Txn) {
-        // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the runtime took
-        // this slot out of the transaction, which ended the lock cache — the
-        // point bits die here, and the held keys move into `apply` as its
-        // release list — before the sweep releases a single semantic lock.
-        // Committed eager mutations stand: the undo log is dead weight,
-        // dropped with the box, and nothing replays it.
-        let KernelSlot { core, local, .. } = *self;
+impl<C: SemanticClass> KernelSlot<C> {
+    /// Hand the buffer to `handler` (the class's `apply` or `release`),
+    /// marking the run in `handler_seq` when it may write the backend.
+    ///
+    /// Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the runtime took this
+    /// slot out of the transaction, which ended the lock cache — the point
+    /// bits die here, and the held keys move into the handler as its
+    /// release list — before the sweep releases a single semantic lock.
+    fn drain(self, htx: &mut Txn, handler: fn(&C, C::Local, &mut Txn)) {
+        let KernelSlot { core, local, .. } = self;
         let _run = core
             .class
             .writes_backend(&local)
             .then(|| HandlerRun::begin(&core.handler_seq));
-        core.class.apply(local, htx);
+        handler(&core.class, local, htx);
+    }
+}
+
+impl<C: SemanticClass> Participant for KernelSlot<C> {
+    fn commit(self: Box<Self>, htx: &mut Txn) {
+        (*self).drain(htx, C::apply);
     }
 
     fn abort(self: Box<Self>, htx: &mut Txn) {
-        let KernelSlot {
-            core, local, undo, ..
-        } = *self;
-        // Undo before release: drain the compensation log in reverse while
-        // the transaction still holds every semantic lock it took, so no
-        // observer can see a partially rolled-back state between a
-        // compensating write and the lock drop (docs/PROTOCOL.md,
-        // "undo-before-release").
-        let _run = (!undo.is_empty() || core.class.writes_backend(&local))
-            .then(|| HandlerRun::begin(&core.handler_seq));
-        for entry in undo.into_iter().rev() {
-            core.class.compensate(entry, htx);
-        }
-        core.class.release(local, htx);
+        (*self).drain(htx, C::release);
     }
 }
 
@@ -488,7 +448,6 @@ impl<C: SemanticClass> SemanticCore<C> {
                     core: Arc::clone(&self.inner),
                     points: 0,
                     local: C::Local::default(),
-                    undo: Vec::new(),
                 }),
             );
         }
@@ -593,18 +552,6 @@ impl<C: SemanticClass> SemanticCore<C> {
                 undo(&mut slot.local);
             }
         });
-    }
-
-    /// Log a compensation entry for an **eagerly applied** mutation. The
-    /// abort handler replays the calling transaction's entries in reverse
-    /// logging order through [`SemanticClass::compensate`], strictly before
-    /// [`SemanticClass::release`]; a commit discards the log.
-    pub fn log_undo(&self, tx: &mut Txn, entry: C::Undo) {
-        tx.reject_in_snapshot(
-            "eager collection mutation inside a snapshot transaction (stm::atomic_read): \
-             snapshot transactions are read-only — run writes under stm::atomic",
-        );
-        self.with_slot(tx, |slot| slot.undo.push(entry));
     }
 }
 
@@ -1046,7 +993,6 @@ mod tests {
 
     impl SemanticClass for ProbeClass {
         type Local = Vec<u64>;
-        type Undo = ();
         type RangeKey = ();
 
         fn global_stripe(&self) -> &GlobalStripe<()> {
@@ -1254,86 +1200,6 @@ mod tests {
         assert_eq!(load(&n.applies), 0);
     }
 
-    /// Class that logs undo entries and records the order in which the
-    /// core hands them back, plus whether `release` had already run.
-    struct UndoProbe {
-        events: Arc<parking_lot::Mutex<Vec<String>>>,
-        global: GlobalStripe<()>,
-    }
-
-    impl SemanticClass for UndoProbe {
-        type Local = ();
-        type Undo = u64;
-        type RangeKey = ();
-
-        fn global_stripe(&self) -> &GlobalStripe<()> {
-            &self.global
-        }
-
-        fn apply(&self, _local: (), _htx: &mut Txn) {
-            self.events.lock().push("apply".into());
-        }
-
-        fn release(&self, _local: (), _htx: &mut Txn) {
-            self.events.lock().push("release".into());
-        }
-
-        fn compensate(&self, undo: u64, _htx: &mut Txn) {
-            self.events.lock().push(format!("undo:{undo}"));
-        }
-    }
-
-    fn undo_core() -> (
-        SemanticCore<UndoProbe>,
-        Arc<parking_lot::Mutex<Vec<String>>>,
-    ) {
-        let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let core = SemanticCore::new(UndoProbe {
-            events: events.clone(),
-            global: GlobalStripe::default(),
-        });
-        (core, events)
-    }
-
-    #[test]
-    fn abort_drains_undo_log_in_reverse_before_release() {
-        let (core, events) = undo_core();
-        let c = core.clone();
-        let (_, t) = stm::speculate(
-            move |tx| {
-                c.ensure_registered(tx);
-                c.log_undo(tx, 1);
-                c.log_undo(tx, 2);
-                c.log_undo(tx, 3);
-            },
-            0,
-        )
-        .unwrap();
-        t.abort(stm::AbortCause::Explicit);
-        assert_eq!(
-            *events.lock(),
-            vec!["undo:3", "undo:2", "undo:1", "release"],
-            "compensation must replay newest-first and finish before release"
-        );
-    }
-
-    #[test]
-    fn commit_discards_undo_log_without_compensating() {
-        let (core, events) = undo_core();
-        let c = core.clone();
-        let (_, t) = stm::speculate(
-            move |tx| {
-                c.ensure_registered(tx);
-                c.log_undo(tx, 41);
-                c.log_undo(tx, 42);
-            },
-            0,
-        )
-        .unwrap();
-        t.commit();
-        assert_eq!(*events.lock(), vec!["apply"]);
-    }
-
     #[test]
     fn class_tables_sweep_releases_all_locks() {
         // Drive ClassTables directly: take key + size locks as one txn,
@@ -1403,7 +1269,6 @@ mod tests {
 
     impl SemanticClass for IllFormedProbe {
         type Local = ();
-        type Undo = ();
         type RangeKey = ();
 
         fn global_stripe(&self) -> &GlobalStripe<()> {

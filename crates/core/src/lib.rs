@@ -110,7 +110,6 @@ mod multiset;
 mod priority_queue;
 mod queue;
 mod set;
-mod snapshot;
 mod sorted_map;
 
 pub use backend::{
@@ -163,12 +162,6 @@ impl OpenNestedCounter {
     /// increment in place (a gap).
     pub fn add(&self, tx: &mut Txn, delta: i64) -> i64 {
         self.counter.add_open(tx, delta)
-    }
-
-    /// Open-nested add with a compensating abort handler restoring the
-    /// value (but not the ordering) on abort.
-    pub fn add_compensated(&self, tx: &mut Txn, delta: i64) -> i64 {
-        self.counter.add_open_compensated(tx, delta)
     }
 
     /// Committed value.

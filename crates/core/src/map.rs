@@ -406,7 +406,6 @@ where
     B: MapBackend<K, V>,
 {
     type Local = MapLocal<K, V>;
-    type Undo = ();
     type RangeKey = K;
 
     fn name(&self) -> &'static str {

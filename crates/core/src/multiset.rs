@@ -149,7 +149,6 @@ where
     B: MapBackend<T, u64>,
 {
     type Local = MultisetLocal<T>;
-    type Undo = ();
     type RangeKey = T;
 
     fn name(&self) -> &'static str {

@@ -217,7 +217,6 @@ where
     B: SortedMapBackend<T, u64>,
 {
     type Local = PqLocal<T>;
-    type Undo = ();
     type RangeKey = T;
 
     fn name(&self) -> &'static str {

@@ -203,7 +203,6 @@ where
     B: QueueBackend<T>,
 {
     type Local = QueueLocal<T>;
-    type Undo = ();
     type RangeKey = ();
 
     fn name(&self) -> &'static str {

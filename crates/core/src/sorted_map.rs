@@ -386,7 +386,6 @@ where
     B: SortedMapBackend<K, V>,
 {
     type Local = MapLocal<K, V>;
-    type Undo = ();
     type RangeKey = K;
 
     fn name(&self) -> &'static str {

@@ -2,7 +2,7 @@
 //!
 //! `BoostedHashMap` has no TVars: isolation for collections built over it
 //! comes entirely from the semantic locks, the handler lane, and (for the
-//! eager wrapper) the kernel undo log. These tests rerun the oracle-matrix
+//! eager wrapper) its undo log. These tests rerun the oracle-matrix
 //! map cells and the stripe-invariance discipline as live two-transaction
 //! executions over `TransactionalMap::boosted*`, and check the undo path
 //! with an abort-compensation proptest over
@@ -295,7 +295,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Eager mutations hit the concurrent map in place; a forced abort must
-    /// drain the kernel undo log (newest first, before any lock release)
+    /// replay the eager map's undo log (newest first, before any lock release)
     /// and leave the map exactly at its pre-transaction snapshot, with no
     /// residual locks or locals.
     #[test]

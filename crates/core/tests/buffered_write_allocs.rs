@@ -177,7 +177,6 @@ struct Probe(GlobalStripe<()>);
 
 impl SemanticClass for Probe {
     type Local = ();
-    type Undo = ();
     type RangeKey = ();
 
     fn global_stripe(&self) -> &GlobalStripe<()> {

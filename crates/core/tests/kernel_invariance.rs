@@ -29,7 +29,6 @@ struct ProbeClass {
 
 impl SemanticClass for ProbeClass {
     type Local = Vec<u64>;
-    type Undo = ();
     type RangeKey = ();
 
     fn global_stripe(&self) -> &GlobalStripe<()> {
@@ -167,7 +166,6 @@ struct BinsLocal {
 
 impl SemanticClass for Bins {
     type Local = BinsLocal;
-    type Undo = ();
     type RangeKey = u64;
 
     fn global_stripe(&self) -> &GlobalStripe<u64> {

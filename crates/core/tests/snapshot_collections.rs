@@ -1,12 +1,12 @@
-//! Collection-layer snapshot reads (PR 9): every `snapshot_*` entry point
-//! must return the committed answer while acquiring **zero semantic locks**
-//! and executing **zero aborts** — the promise of the
-//! never-aborting read design — with the two non-capable cases (boosted
+//! Collection-layer snapshot reads: every collection read run under
+//! `stm::atomic_read` must return the committed answer while acquiring
+//! **zero semantic locks** and executing **zero aborts** — the promise of
+//! the never-aborting read design — with the two non-capable cases (boosted
 //! backends, the eager map) taking the *counted* validated fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use stm::{atomic, global_stats};
+use stm::{atomic, atomic_read, global_stats};
 use txcollections::{
     Channel, EagerPolicy, EagerTransactionalMap, TransactionalIntervalMap, TransactionalMap,
     TransactionalMultiset, TransactionalPriorityQueue, TransactionalQueue, TransactionalSet,
@@ -64,36 +64,35 @@ fn snapshot_reads_take_zero_locks_across_all_collections() {
     .iter()
     .sum();
 
-    assert_eq!(map.snapshot_get(&3), Some("v3".to_string()));
-    assert!(map.snapshot_contains_key(&5));
-    assert_eq!(map.snapshot_size(), 5);
-    assert!(!map.snapshot_is_empty());
-    assert_eq!(sorted.snapshot_get(&2), Some(20));
-    assert_eq!(sorted.snapshot_size(), 5);
-    assert_eq!(sorted.snapshot_first_key(), Some(1));
-    assert_eq!(sorted.snapshot_last_key(), Some(5));
+    assert_eq!(atomic_read(|tx| map.get(tx, &3)), Some("v3".to_string()));
+    assert!(atomic_read(|tx| map.contains_key(tx, &5)));
+    assert_eq!(atomic_read(|tx| map.size(tx)), 5);
+    assert!(!atomic_read(|tx| map.is_empty(tx)));
+    assert_eq!(atomic_read(|tx| sorted.get(tx, &2)), Some(20));
+    assert_eq!(atomic_read(|tx| sorted.size(tx)), 5);
+    assert_eq!(atomic_read(|tx| sorted.first_key(tx)), Some(1));
+    assert_eq!(atomic_read(|tx| sorted.last_key(tx)), Some(5));
     assert_eq!(
-        sorted.snapshot_entries(),
+        atomic_read(|tx| sorted.entries(tx)),
         (1..=5).map(|k| (k, k * 10)).collect::<Vec<_>>()
     );
-    assert_eq!(queue.snapshot_peek(), Some(1));
-    assert_eq!(queue.snapshot_len(), 5);
-    assert!(!queue.snapshot_is_empty());
-    assert!(set.snapshot_contains(&4));
-    assert_eq!(set.snapshot_size(), 5);
-    assert!(sset.snapshot_contains(&1));
-    assert_eq!(sset.snapshot_size(), 5);
-    assert_eq!(sset.snapshot_first(), Some(1));
-    assert_eq!(sset.snapshot_last(), Some(5));
-    assert_eq!(mset.snapshot_count(&4), 4);
-    assert!(mset.snapshot_contains(&2));
-    assert_eq!(mset.snapshot_len(), 15);
-    assert_eq!(pq.snapshot_peek_min(), Some(1));
-    assert_eq!(pq.snapshot_len(), 5);
-    let stabbed = ivl.snapshot_stab(&18);
+    assert_eq!(atomic_read(|tx| queue.peek(tx)), Some(1));
+    assert_eq!(atomic_read(|tx| queue.committed_len(tx)), 5);
+    assert!(atomic_read(|tx| set.contains(tx, &4)));
+    assert_eq!(atomic_read(|tx| set.size(tx)), 5);
+    assert!(atomic_read(|tx| sset.contains(tx, &1)));
+    assert_eq!(atomic_read(|tx| sset.size(tx)), 5);
+    assert_eq!(atomic_read(|tx| sset.first(tx)), Some(1));
+    assert_eq!(atomic_read(|tx| sset.last(tx)), Some(5));
+    assert_eq!(atomic_read(|tx| mset.count(tx, &4)), 4);
+    assert!(atomic_read(|tx| mset.contains(tx, &2)));
+    assert_eq!(atomic_read(|tx| mset.len(tx)), 15);
+    assert_eq!(atomic_read(|tx| pq.peek_min(tx)), Some(1));
+    assert_eq!(atomic_read(|tx| pq.len(tx)), 5);
+    let stabbed = atomic_read(|tx| ivl.stab(tx, &18));
     assert_eq!(stabbed.len(), 2, "both [10,20] and [15,30] cover 18");
-    assert_eq!(ivl.snapshot_overlapping(25, 40).len(), 1);
-    assert_eq!(ivl.snapshot_len(), 2);
+    assert_eq!(atomic_read(|tx| ivl.overlapping(tx, 25, 40)).len(), 1);
+    assert_eq!(atomic_read(|tx| ivl.len(tx)), 2);
 
     let acq1: u64 = [
         lock_acqs(map.semantic_stats()),
@@ -124,7 +123,7 @@ fn snapshot_reads_take_zero_locks_across_all_collections() {
 }
 
 /// Boosted backends have no per-version history (reads bypass the TVar
-/// layer), so their snapshot entry points take the validated fallback —
+/// layer), so a snapshot read of one takes the validated fallback —
 /// counted, correct, and not an abort.
 #[test]
 fn boosted_backend_snapshot_falls_back_counted() {
@@ -133,7 +132,7 @@ fn boosted_backend_snapshot_falls_back_counted() {
     atomic(|tx| m.put_discard(tx, 7, 70));
 
     let before = global_stats();
-    assert_eq!(m.snapshot_get(&7), Some(70));
+    assert_eq!(atomic_read(|tx| m.get(tx, &7)), Some(70));
     let d = global_stats().diff(&before);
     assert_eq!(d.snapshot_fallbacks, 1, "boosted fallback must be counted");
     assert_eq!(d.aborts(), 0, "a fallback is not an abort");
@@ -151,14 +150,14 @@ fn eager_map_snapshot_always_falls_back() {
     });
 
     let before = global_stats();
-    assert_eq!(m.snapshot_get(&1), Some(10));
+    assert_eq!(atomic_read(|tx| m.get(tx, &1)), Some(10));
     let d = global_stats().diff(&before);
     assert_eq!(d.snapshot_fallbacks, 1, "eager fallback must be counted");
     assert_eq!(d.aborts(), 0);
 }
 
-/// The paper's size pain point, inverted: `snapshot_size` racing a writer
-/// dooms nobody. A validated size observation holds the size lock in
+/// The paper's size pain point, inverted: a snapshot `size` racing a
+/// writer dooms nobody. A validated size observation holds the size lock in
 /// observe mode and a size-changing put dooms it (or is doomed); the
 /// snapshot path touches no lock at all, so a single uncontended writer
 /// plus hammering snapshot observers commit with zero aborts total.
@@ -183,7 +182,7 @@ fn snapshot_size_never_dooms_concurrent_writers() {
             s.spawn(move || {
                 let mut last = 0;
                 for _ in 0..200 {
-                    let n = m.snapshot_size() as u64;
+                    let n = atomic_read(|tx| m.size(tx)) as u64;
                     assert!(
                         n >= last,
                         "snapshot sizes of a grow-only map went backwards"
@@ -194,7 +193,7 @@ fn snapshot_size_never_dooms_concurrent_writers() {
             });
         }
     });
-    assert_eq!(m.snapshot_size(), 400);
+    assert_eq!(atomic_read(|tx| m.size(tx)), 400);
     let d = global_stats().diff(&before);
     // The depth bound is the one designed escape hatch left: an observer
     // preempted across more than MAX_CHAIN_DEPTH size-var publishes falls
@@ -257,7 +256,7 @@ fn snapshot_across_collections_sees_at_most_the_in_flight_item() {
             let (q, m) = (q.clone(), m.clone());
             s.spawn(move || {
                 for _ in 0..100 {
-                    let total = stm::atomic_read(|tx| q.committed_len(tx) + m.size(tx));
+                    let total = atomic_read(|tx| q.committed_len(tx) + m.size(tx));
                     assert!(
                         total == 64 || total == 63,
                         "snapshot saw {total}: more than the single in-flight \
@@ -267,6 +266,6 @@ fn snapshot_across_collections_sees_at_most_the_in_flight_item() {
             });
         }
     });
-    assert_eq!(q.snapshot_len(), 0);
-    assert_eq!(m.snapshot_size(), 64);
+    assert_eq!(atomic_read(|tx| q.committed_len(tx)), 0);
+    assert_eq!(atomic_read(|tx| m.size(tx)), 64);
 }

@@ -361,13 +361,6 @@ impl StatsSnapshot {
         self.aborts_read_invalid + self.aborts_doomed + self.aborts_explicit
     }
 
-    /// Program-directed dooms *absorbed*: top-level aborts whose cause was a
-    /// doom. Alias of `aborts_doomed`, named to pair with
-    /// [`StatsSnapshot::dooms_issued`] for counter/trace cross-checks.
-    pub fn dooms_absorbed(&self) -> u64 {
-        self.aborts_doomed
-    }
-
     /// Counter-wise difference (`self - earlier`), saturating. The harness
     /// idiom is snapshot-before, run, snapshot-after, `after.diff(&before)`;
     /// the totals only grow, so a window is exact.
@@ -1333,7 +1326,6 @@ mod tests {
         let d = later.diff(&earlier);
         assert_eq!(d.commits, 5);
         assert_eq!(d.aborts_doomed, 4);
-        assert_eq!(d.dooms_absorbed(), 4);
         assert_eq!(d.dooms_issued, 0);
     }
 

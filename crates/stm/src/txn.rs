@@ -223,9 +223,9 @@ impl Txn {
 
     /// Abort with `diag` if this is a snapshot transaction; no-op otherwise.
     /// Write-shaped entry points in layers above this crate (the semantic
-    /// kernel's local-state and undo-log surfaces) call this unconditionally
-    /// so a buffering or compensating operation can never run under a
-    /// transaction that registers no handlers to drain it.
+    /// kernel's local-state surface) call this unconditionally so a
+    /// buffering operation can never run under a transaction that registers
+    /// no handlers to drain it.
     pub fn reject_in_snapshot(&self, diag: &'static str) {
         if self.snapshot.is_some() {
             self.misuse(diag);

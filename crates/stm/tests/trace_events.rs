@@ -65,7 +65,7 @@ fn doomed_abort_attributes_culprit() {
 
     let diff = global_stats().diff(&before);
     assert!(diff.dooms_issued >= 1);
-    assert!(diff.dooms_absorbed() >= 1);
+    assert!(diff.aborts_doomed >= 1);
 }
 
 /// Under a contended retry-heavy workload, every begun attempt reaches

@@ -25,9 +25,8 @@
 //! | TX008 | direct `.on_commit_top(..)` / `.on_abort_top(..)` handler registration or `.enlist(..)` in a file carrying the semantic-tables marker but not the semantic-kernel marker — collection classes must register through `SemanticCore::ensure_registered`, so first-touch enlistment of the instance's one participant lives in exactly one place (the kernel file) |
 //! | TX009 | allocation inside a trace-emission call (`format!`, `String::..`, `.to_string()`/`.to_owned()`, or per-event `intern(..)` in the argument span of an `stm::trace` emitter) — trace events are fixed-width word-packed records pushed from commit/abort/lock hot paths; class names are interned once at collection construction |
 //! | TX010 | ill-formed conflict-graph declaration in a file carrying the conflict-graph marker comment — `ConflictGraph` initializers are checked for referential integrity (edges reference declared ops, modes/effects the ops declare), commutativity closure (overlap-gated edges only on keyed modes with `KeyWrite`; `Always` never on keyed modes), symmetry (no asymmetric compatibility: a conflicting pair whose roles both hold in reverse needs the mirrored edge), and reflexivity (a mutating observer needs its self-edge on every cell the graph declares conflicting). The same rules run semantically via `synthesize()` at core construction; TX010 catches them at lint time, before anything runs |
-//! | TX011 | eager `backend.insert(..)` / `backend.remove(..)` with no `UndoOp` pairing nearby in a file carrying the boosted-backend marker comment — an in-place mutation against a boosted (non-transactional) backend must log its compensation through `SemanticCore::log_undo` (first write per key), or an abort cannot restore the pre-transaction state; the kernel replays logged entries newest-first before any semantic lock is released |
+//! | TX011 | eager `backend.insert(..)` / `backend.remove(..)` with no `UndoOp` nearby in a file carrying the boosted-backend marker comment — an in-place mutation against a boosted (non-transactional) backend must log its compensation in the undo log of the class's `Local` (first write per key), or an abort cannot restore the pre-transaction state; the abort handler replays the log newest first before any semantic lock is released |
 //! | TX012 | read-only open-nested body (`tx.open(..)` calling only read-layer backend methods) in a file carrying the fast-path marker — pays the full child-transaction protocol for observations `Txn::open_read` validates in place |
-//! | TX013 | lock-acquiring or state-buffering kernel call (`take_*_lock`, `with_local`, `local_undo`, `log_undo`, ...) in a file carrying the snapshot-mode marker — snapshot transactions run no release sweep and no handlers, so such a call leaks the lock or strands the buffered state |
 //! | TX014 | allocation inside a metrics-emission call (`format!`, `String::..`, `.to_string()`/`.to_owned()`, or per-emission `intern(..)` in the argument span of an `stm::metrics` emitter) in a file carrying the metrics marker — metrics counters are fixed-key thread-local slab increments on commit/abort/lock hot paths; class names are interned once at collection construction |
 //!
 //! Findings are suppressed by `// txlint: allow(TXnnn)` on the finding's
@@ -75,9 +74,9 @@ impl fmt::Display for Finding {
 }
 
 /// All rule codes, for `--explain` style listings and self-tests.
-pub const ALL_CODES: [&str; 14] = [
+pub const ALL_CODES: [&str; 13] = [
     "TX001", "TX002", "TX003", "TX004", "TX005", "TX006", "TX007", "TX008", "TX009", "TX010",
-    "TX011", "TX012", "TX013", "TX014",
+    "TX011", "TX012", "TX014",
 ];
 
 /// Escape a string for embedding in a JSON string literal.

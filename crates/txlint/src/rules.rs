@@ -269,7 +269,6 @@ pub fn analyze_source(path: &Path, src: &str) -> Vec<Finding> {
     tx010_conflict_graph(path, src, &m, &mut out);
     tx011_unlogged_eager_mutation(path, src, &m, &mut out);
     tx012_read_only_open(path, src, &m, &mut out);
-    tx013_snapshot_mode_locking(path, src, &m, &mut out);
     tx014_alloc_in_metrics_emission(path, src, &m, &mut out);
 
     out.sort_by_key(|f| (f.line, f.col));
@@ -1178,7 +1177,7 @@ fn cg_check(
 /// Marker comment (assembled at runtime like the others) declaring a file
 /// to mutate a boosted (non-transactional) backend **eagerly**: every
 /// in-place `backend.insert(..)` / `backend.remove(..)` site must pair
-/// with a logged `UndoOp` compensation, or an abort cannot restore the
+/// with an `UndoOp` compensation, or an abort cannot restore the
 /// pre-transaction state.
 fn boosted_backend_marker() -> String {
     format!("txlint: {}", "boosted-backend")
@@ -1209,9 +1208,7 @@ fn tx011_unlogged_eager_mutation(path: &Path, src: &str, m: &FileModel, out: &mu
         }
         let lo = i.saturating_sub(TX011_PAIRING_WINDOW);
         let hi = (i + TX011_PAIRING_WINDOW).min(toks.len());
-        let paired = toks[lo..hi]
-            .iter()
-            .any(|p| p.is_ident("log_undo") || p.is_ident("UndoOp"));
+        let paired = toks[lo..hi].iter().any(|p| p.is_ident("UndoOp"));
         if !paired {
             out.push(finding(
                 path,
@@ -1222,7 +1219,7 @@ fn tx011_unlogged_eager_mutation(path: &Path, src: &str, m: &FileModel, out: &mu
                      boosted-backend file",
                     method.text
                 ),
-                "an in-place mutation against a boosted backend must record its compensation: log an UndoOp through SemanticCore::log_undo (first write per key) so the abort handler can replay it, newest first, before any semantic lock is released",
+                "an in-place mutation against a boosted backend must record its compensation: push an UndoOp onto the undo log in the class's Local (first write per key) so the abort handler can replay it, newest first, before any semantic lock is released",
             ));
         }
     }
@@ -1307,55 +1304,6 @@ fn tx012_read_only_open(path: &Path, src: &str, m: &FileModel, out: &mut Vec<Fin
                 "a body that only observes the backend pays a child frame and an unwind guard for nothing: call Txn::open_read, which validates the logged reads in place and keeps the doom probe",
             ));
         }
-    }
-}
-
-/// Marker comment declaring a file that implements snapshot-mode (read-only,
-/// never-aborting) entry points: code in it must stay off every
-/// lock-acquiring or state-buffering kernel surface.
-fn snapshot_mode_marker() -> String {
-    format!("txlint: {}", "snapshot-mode")
-}
-
-/// Kernel entry points that acquire semantic locks or buffer transactional
-/// state. A snapshot transaction runs no release sweep and no handlers, so
-/// any of these reached from snapshot-mode code either leaks a lock for the
-/// lifetime of the table or strands buffered state — the dynamic guards
-/// abort, but snapshot-mode files must not even contain the call.
-const TX013_LOCKING_METHODS: &[&str] = &[
-    "take_key_lock",
-    "take_range_lock",
-    "add_range_lock",
-    "extend_range_upper",
-    "take_point_lock",
-    "with_local",
-    "local_undo",
-    "log_undo",
-];
-
-fn tx013_snapshot_mode_locking(path: &Path, src: &str, m: &FileModel, out: &mut Vec<Finding>) {
-    if !src.contains(&snapshot_mode_marker()) {
-        return;
-    }
-    let toks = m.toks;
-    for (i, t) in toks.iter().enumerate() {
-        // `<recv>.take_key_lock(` and friends — method-call shape only, so
-        // an identifier in, say, a match arm or a string (already stripped
-        // by the lexer) cannot fire.
-        if t.kind != TokKind::Ident
-            || !TX013_LOCKING_METHODS.contains(&t.text.as_str())
-            || i.checked_sub(1).and_then(|p| toks[p].punct()) != Some('.')
-            || toks.get(i + 1).and_then(Tok::punct) != Some('(')
-        {
-            continue;
-        }
-        out.push(finding(
-            path,
-            t,
-            "TX013",
-            format!("`{}` called in a snapshot-mode file", t.text),
-            "snapshot transactions take no semantic locks and buffer no state (there is no sweep or handler to undo either); route the operation through the collection's plain transactional API under stm::atomic instead",
-        ));
     }
 }
 
@@ -1696,13 +1644,7 @@ mod tests {
     #[test]
     fn tx011_logged_mutation_is_clean() {
         let marked = |body: &str| format!("// {}\n{body}\n", boosted_backend_marker());
-        // Pairing via the kernel log call...
-        assert!(codes(&marked(
-            "fn put(&self, tx: &mut Txn) { let old = self.backend.insert(tx, k, v); \
-             self.core.log_undo(tx, entry_for(old)); }"
-        ))
-        .is_empty());
-        // ...or via a literal UndoOp construction in the window.
+        // Paired by an UndoOp construction in the window.
         assert!(codes(&marked(
             "fn del(&self, tx: &mut Txn) { let old = self.backend.remove(tx, &k); \
              if let Some(v) = old { log.push(UndoOp::Restore(k, v)); } }"
@@ -1734,51 +1676,6 @@ mod tests {
     #[test]
     fn tx012_ignores_unmarked_files() {
         let src = "fn f(tx: &mut Txn) { let v = tx.open(|otx| backend.get(otx, &k)); }";
-        assert_eq!(codes(src), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn tx013_lock_call_in_snapshot_file_fires() {
-        let src = "// txlint: snapshot-mode\n\
-                   fn f(&self) { stm::atomic_read(|tx| { self.take_key_lock(tx, &k); \
-                   self.get(tx, &k) }); }";
-        assert_eq!(codes(src), vec!["TX013"]);
-    }
-
-    #[test]
-    fn tx013_buffering_call_in_snapshot_file_fires() {
-        let src = "// txlint: snapshot-mode\n\
-                   fn f(&self) { stm::atomic_read(|tx| self.core.with_local(tx, |s| s.0 += 1)); }";
-        assert_eq!(codes(src), vec!["TX013"]);
-    }
-
-    #[test]
-    fn tx013_buffer_undo_in_snapshot_file_fires() {
-        let src = "// txlint: snapshot-mode\n\
-                   fn f(&self) { stm::atomic_read(|tx| self.core.local_undo(tx, |s| s.0 -= 1)); }";
-        assert_eq!(codes(src), vec!["TX013"]);
-    }
-
-    #[test]
-    fn tx013_plain_reads_are_clean() {
-        let src = "// txlint: snapshot-mode\n\
-                   fn f(&self) { stm::atomic_read(|tx| self.get(tx, &k)); }";
-        assert_eq!(codes(src), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn tx013_ignores_unmarked_files() {
-        let src = "fn f(&self, tx: &mut Txn) { self.take_key_lock(tx, &k); }";
-        assert_eq!(codes(src), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn tx013_doc_text_cannot_fake_a_call_site() {
-        // The lexer strips comment bodies, so prose mentioning the entry
-        // points (as the real snapshot.rs docs do) never fires.
-        let src = "// txlint: snapshot-mode\n\
-                   /// Never calls .take_key_lock( or .with_local( here.\n\
-                   fn f(&self) { stm::atomic_read(|tx| self.get(tx, &k)); }";
         assert_eq!(codes(src), Vec::<&str>::new());
     }
 

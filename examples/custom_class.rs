@@ -110,7 +110,6 @@ struct HistClass {
 
 impl SemanticClass for HistClass {
     type Local = HistLocal;
-    type Undo = ();
     // No range locks: the key type is moot.
     type RangeKey = usize;
 
