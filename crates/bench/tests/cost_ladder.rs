@@ -6,6 +6,8 @@
 //! with fixed keys and seeds. The columns are counters the program
 //! already keeps, read across the measured window:
 //! * `allocs`: allocations on this thread (a counting global allocator);
+//! * `pins`: the `global_stats()` delta of owner pins, the `Arc` clones a
+//!   nesting frame takes of each owner block its entries' cells lie in;
 //! * `draws`: global-clock versions drawn, read as the version a snapshot
 //!   reads at. A snapshot draws none but counts as a commit, so it is
 //!   taken outside the `global_stats()` window;
@@ -99,9 +101,9 @@ fn key(i: u64) -> u64 {
     i * 7 % KEYS
 }
 
-const COLUMNS: [&str; 11] = [
-    "allocs", "draws", "lane", "gstripe", "cache", "open", "flat", "handlers", "locks", "reads",
-    "writes",
+const COLUMNS: [&str; 12] = [
+    "allocs", "pins", "draws", "lane", "gstripe", "cache", "open", "flat", "handlers", "locks",
+    "reads", "writes",
 ];
 
 /// One row's cells, in `COLUMNS` order, summed over its `TXNS`
@@ -170,6 +172,7 @@ impl Ladder {
         let d = stm::global_stats().diff(&before);
         let counts = [
             allocs,
+            d.owner_pins,
             clock() - version,
             d.lane_entries,
             d.global_stripe_entries,
@@ -189,33 +192,33 @@ impl Ladder {
 /// transactions (so 1000 is 10 per transaction).
 #[rustfmt::skip]
 const PINNED: [(&str, Counts); 26] = [
-    //                              allocs draws lane gstripe cache open flat handlers locks reads writes
-    ("raw LockHashMap::get",        [     0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
-    ("raw BoostedHashMap::get",     [     0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
-    ("empty atomic",                [   200,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
-    ("TVar read",                   [   300,     0,    0,       0,     0,    0,    0,        0,     0,   100,      0]),
-    ("TVar write",                  [   500,   100,    0,       0,     0,    0,    0,        0,     0,     0,    100]),
-    ("TVar read-modify-write",      [   600,   100,    0,       0,     0,    0,    0,        0,     0,   100,    100]),
-    ("64-var read",                 [   800,     0,    0,       0,     0,    0,    0,        0,     0,  6400,      0]),
-    ("64-var write",                [  7300,   100,    0,       0,     0,    0,    0,        0,     0,     0,   6400]),
-    ("closed-nested rmw",           [   900,   100,    0,       0,     0,    0,    0,        0,     0,   100,    100]),
-    ("open-nested rmw",             [   700,   100,  100,       0,     0,  100,    0,        0,     0,     0,      0]),
-    ("commit-handler registration", [   300,     0,  100,       0,     0,    0,    0,      100,     0,     0,      0]),
-    ("bare TxHashMap get",          [   300,     0,    0,       0,     0,    0,    0,        0,     0,   200,      0]),
-    ("boosted map get",             [  1000,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("boosted map put",             [  1100,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("boosted map put_discard",     [  1000,     0,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
-    ("TVar map get",                [  1100,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("TVar map put",                [  1300,   100,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("TVar map put_discard",        [  1100,   100,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
-    ("sorted map get",              [  1383,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("sorted map put",              [  1683,   100,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
-    ("sorted map range_entries",    [  1200,     0,  100,    1800,     0,    0, 3400,      100,   100,     0,      0]),
-    ("queue offer",                 [   800,   100,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
-    ("queue poll",                  [  1200,   100,  200,     100,     0,  100,    0,      100,     0,     0,      0]),
-    ("atomic_read TVar map get",    [   200,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
-    ("jbb NewOrder",                [  5699,  3057,  200,     300,     0,  100,    0,      300,     0,   599,    499]),
-    ("jbb Delivery",                [  3882,  1212,  100,     400,   100,    0,  400,      200,   400,   200,    100]),
+    //                               allocs  pins  draws  lane  gstripe  cache  open  flat  handlers  locks  reads  writes
+    ("raw LockHashMap::get",        [     0,    0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
+    ("raw BoostedHashMap::get",     [     0,    0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
+    ("empty atomic",                [   100,    0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
+    ("TVar read",                   [   100,  100,     0,    0,       0,     0,    0,    0,        0,     0,   100,      0]),
+    ("TVar write",                  [   100,  100,   100,    0,       0,     0,    0,    0,        0,     0,     0,    100]),
+    ("TVar read-modify-write",      [   100,  100,   100,    0,       0,     0,    0,    0,        0,     0,   100,    100]),
+    ("64-var read",                 [   100, 6400,     0,    0,       0,     0,    0,    0,        0,     0,  6400,      0]),
+    ("64-var write",                [   100, 6400,   100,    0,       0,     0,    0,    0,        0,     0,     0,   6400]),
+    ("closed-nested rmw",           [   100,  100,   100,    0,       0,     0,    0,    0,        0,     0,   100,    100]),
+    ("open-nested rmw",             [   100,  100,   100,  100,       0,     0,  100,    0,        0,     0,     0,      0]),
+    ("commit-handler registration", [   200,    0,     0,  100,       0,     0,    0,    0,      100,     0,     0,      0]),
+    ("bare TxHashMap get",          [   100,  200,     0,    0,       0,     0,    0,    0,        0,     0,   200,      0]),
+    ("boosted map get",             [   900,    0,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("boosted map put",             [  1000,    0,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("boosted map put_discard",     [   900,    0,     0,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
+    ("TVar map get",                [  1000,  200,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("TVar map put",                [  1200,  200,   100,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("TVar map put_discard",        [  1000,    0,   100,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
+    ("sorted map get",              [  1283, 1015,     0,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("sorted map put",              [  1583, 1015,   100,  100,     100,     0,    0,  100,      100,   100,     0,      0]),
+    ("sorted map range_entries",    [  1100, 2711,     0,  100,    1800,     0,    0, 3400,      100,   100,     0,      0]),
+    ("queue offer",                 [   700,    0,   100,  100,     100,     0,    0,    0,      100,     0,     0,      0]),
+    ("queue poll",                  [   600,  100,   100,  200,     100,     0,  100,    0,      100,     0,     0,      0]),
+    ("atomic_read TVar map get",    [   100,    0,     0,    0,       0,     0,    0,    0,        0,     0,     0,      0]),
+    ("jbb NewOrder",                [  4100,  300,  3057,  200,     300,     0,  100,    0,      300,     0,   599,    499]),
+    ("jbb Delivery",                [  3382, 1296,  1212,  100,     400,   100,    0,  400,      200,   400,   200,    100]),
 ];
 
 fn stm_rows(ladder: &mut Ladder) {

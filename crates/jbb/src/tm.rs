@@ -68,8 +68,7 @@ impl JCounter {
     /// Read the current value.
     pub fn get(&self, tx: &mut Txn) -> i64 {
         if self.open {
-            let inner = self.inner.clone();
-            tx.open(move |otx| inner.get(otx))
+            tx.open(|otx| self.inner.get(otx))
         } else {
             self.inner.get(tx)
         }

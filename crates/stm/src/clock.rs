@@ -63,7 +63,7 @@
 
 use crate::metrics::{self, Total};
 use crate::trace;
-use crate::tvar::{AnyVar, MAX_VERSION};
+use crate::tvar::{AnyVar, VarId, MAX_VERSION};
 use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,20 +169,30 @@ pub(crate) fn publish_direct(var: &dyn AnyVar, val: &mut (dyn Any + Send + Sync)
     var.apply(val, wv, crate::epoch::publish_horizon());
 }
 
-/// One write-set entry as a commit publishes it: the var and its buffered
-/// value, which [`AnyVar::apply`] moves into the var.
-pub(crate) type Write<'a> = (&'a dyn AnyVar, &'a mut (dyn Any + Send + Sync));
+/// Where a write-set entry's var and buffered value are kept: the frame's
+/// typed log and the entry's place in it.
+pub(crate) type Slot = (u32, u32);
+
+/// A write set as a commit locks and publishes it, each entry found by its
+/// [`Slot`].
+pub(crate) trait WriteSet {
+    /// The var of entry `slot`.
+    fn var(&self, slot: Slot) -> &dyn AnyVar;
+    /// Publish entry `slot`: [`AnyVar::apply`] its buffered value.
+    fn apply(&mut self, slot: Slot, version: u64, horizon: u64);
+}
 
 /// Ownership of a write set's commit locks: phase one of the two-phase
 /// commit. Dropping the guard before [`publish`](Self::publish) (validation
 /// failure, doom) releases every lock with versions unchanged.
 ///
-/// The guard *borrows* the write set from the committing frame — the frame
-/// outlives every commit attempt, so taking an `Arc` refcount per var per
-/// attempt would be pure overhead on the commit hot path.
+/// The guard *borrows* the write set from the committing frame, and its lock
+/// order from a scratch list the frame reuses, so a commit attempt takes no
+/// `Arc` refcount and, once the scratch has grown, allocates nothing.
 pub(crate) struct CommitGuard<'a> {
-    /// The write set in `VarId` order.
-    locked: Vec<Write<'a>>,
+    writes: &'a mut dyn WriteSet,
+    /// The write set's `(id, slot)` pairs in `VarId` order.
+    order: &'a [(VarId, Slot)],
     /// The write version once [`publish`](Self::publish) has drawn it,
     /// `u64::MAX` before: a var whose version is below it is still locked
     /// by this guard.
@@ -190,16 +200,21 @@ pub(crate) struct CommitGuard<'a> {
 }
 
 impl<'a> CommitGuard<'a> {
-    /// Acquire the commit locks of `writes` in `VarId` order (the globally
-    /// consistent order that makes concurrent committers deadlock-free). An
-    /// empty write set locks nothing and allocates nothing.
-    pub(crate) fn lock_write_set(mut writes: Vec<Write<'a>>) -> CommitGuard<'a> {
-        writes.sort_unstable_by_key(|w| w.0.id());
-        for w in &writes {
-            lock_var_spin(w.0);
+    /// Acquire the commit locks of the entries `order` names in `writes`,
+    /// sorting `order` by id first: `VarId` order is the globally consistent
+    /// order that makes concurrent committers deadlock-free. An empty write
+    /// set locks nothing.
+    pub(crate) fn lock_write_set(
+        writes: &'a mut dyn WriteSet,
+        order: &'a mut [(VarId, Slot)],
+    ) -> CommitGuard<'a> {
+        order.sort_unstable_by_key(|&(id, _)| id);
+        for &(_, slot) in order.iter() {
+            lock_var_spin(writes.var(slot));
         }
         CommitGuard {
-            locked: writes,
+            writes,
+            order,
             version: u64::MAX,
         }
     }
@@ -212,8 +227,8 @@ impl<'a> CommitGuard<'a> {
         version == recorded
             && (!locked
                 || self
-                    .locked
-                    .binary_search_by_key(&var.id(), |w| w.0.id())
+                    .order
+                    .binary_search_by_key(&var.id(), |&(id, _)| id)
                     .is_ok())
     }
 
@@ -224,15 +239,15 @@ impl<'a> CommitGuard<'a> {
     /// scan, and paying it per published var would tax every writer with
     /// `O(write_set × threads)` for a single long-lived reader.
     pub(crate) fn publish(mut self) {
-        if self.locked.is_empty() {
+        if self.order.is_empty() {
             return;
         }
         self.version = fresh_version();
         let horizon = crate::epoch::publish_horizon();
-        for (var, val) in &mut self.locked {
-            var.apply(&mut **val, self.version, horizon);
+        for &(_, slot) in self.order {
+            self.writes.apply(slot, self.version, horizon);
         }
-        self.locked.clear();
+        self.order = &[];
     }
 }
 
@@ -243,7 +258,8 @@ impl Drop for CommitGuard<'_> {
         // by now; releasing it again would hand that committer's lock to a
         // third. Every var still below the version is this guard's to
         // release. Before `publish` that is every var.
-        for (v, _) in &self.locked {
+        for &(_, slot) in self.order {
+            let v = self.writes.var(slot);
             if v.version() < self.version {
                 v.unlock_commit();
             }
@@ -251,10 +267,36 @@ impl Drop for CommitGuard<'_> {
     }
 }
 
+/// One write-set entry of a test's hand-built write set: a var and its
+/// buffered value, at slot `(0, i)` for the `i`th entry.
+#[cfg(test)]
+pub(crate) type Write<'a> = (&'a dyn AnyVar, &'a mut (dyn Any + Send + Sync));
+
+#[cfg(test)]
+impl WriteSet for Vec<Write<'_>> {
+    fn var(&self, (_, i): Slot) -> &dyn AnyVar {
+        self[i as usize].0
+    }
+    fn apply(&mut self, (_, i): Slot, version: u64, horizon: u64) {
+        let (var, val) = &mut self[i as usize];
+        var.apply(&mut **val, version, horizon);
+    }
+}
+
+/// The `(id, slot)` pairs a frame would list for `writes`.
+#[cfg(test)]
+pub(crate) fn order_of(writes: &[Write<'_>]) -> Vec<(VarId, Slot)> {
+    writes
+        .iter()
+        .zip(0..)
+        .map(|(w, i)| (w.0.id(), (0, i)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tvar::{TVar, VarId};
+    use crate::tvar::TVar;
     use std::sync::atomic::AtomicBool;
 
     /// A var that sorts after every cell and whose publish, like a commit
@@ -293,7 +335,9 @@ mod tests {
             locked: AtomicBool::new(false),
         };
         let (mut va, mut vb) = (Some(1u64), Some(2u64));
-        let guard = CommitGuard::lock_write_set(vec![(&*victim, &mut va), (&b, &mut vb)]);
+        let mut writes: Vec<Write> = vec![(&*victim, &mut va), (&b, &mut vb)];
+        let mut order = order_of(&writes);
+        let guard = CommitGuard::lock_write_set(&mut writes, &mut order);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| guard.publish()));
         assert!(unwound.is_err());
         let (version, locked) = victim.stamp();
@@ -313,7 +357,9 @@ mod tests {
         let (a, b) = (TVar::new(0u64), TVar::new(0u64));
         let (any_a, any_b) = (a.any(), b.any());
         let (mut va, mut vb) = (Some(1u64), Some(2u64));
-        let guard = CommitGuard::lock_write_set(vec![(&*any_a, &mut va), (&*any_b, &mut vb)]);
+        let mut writes: Vec<Write> = vec![(&*any_a, &mut va), (&*any_b, &mut vb)];
+        let mut order = order_of(&writes);
+        let guard = CommitGuard::lock_write_set(&mut writes, &mut order);
         assert!(guard.read_valid(&*any_a, 0), "own lock");
         assert!(!read_valid(&*any_a, 0), "another's lock");
         drop(guard);

@@ -86,4 +86,4 @@ pub use interrupt::{abort_and_retry, user_abort, AbortCause};
 pub use metrics::{global_stats, StatsSnapshot};
 pub use runtime::{atomic, atomic_read, atomic_with, speculate, PreparedTxn, RunOpts};
 pub use tvar::{label_count, label_owner, var_label, CellOwner, TCell, TVar, VarId};
-pub use txn::{Txn, TxnMode};
+pub use txn::{Txn, TxnMode, SPARE_FRAME_ENTRIES};

@@ -353,6 +353,10 @@ totals! {
     /// Version-chain entries reclaimed: dropped past the epoch horizon or
     /// the depth bound, or cleared when no snapshot reader was pinned.
     chain_entries_reclaimed: ChainEntriesReclaimed,
+    /// Owner-block pins: a nesting frame logged its first entry for a cell
+    /// of an owner block it did not already hold, and took one `Arc` clone
+    /// of the block for all its entries there.
+    owner_pins: OwnerPins,
 }
 
 impl StatsSnapshot {

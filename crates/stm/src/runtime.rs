@@ -180,6 +180,8 @@ pub fn atomic_read<T>(mut f: impl FnMut(&mut Txn) -> T) -> T {
 /// open-nested effects are visible, its top-level effects are buffered), and
 /// the simulator decides later — in virtual-time order — whether to
 /// [`commit`](PreparedTxn::commit) or [`abort`](PreparedTxn::abort) it.
+/// Its frames go back to the thread's spares only then, so a thread can
+/// hold many in flight.
 #[must_use = "a speculated transaction holds buffered writes and semantic locks until committed or aborted"]
 pub struct PreparedTxn {
     tx: Txn,

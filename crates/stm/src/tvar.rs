@@ -36,8 +36,11 @@
 //! link, say) can own chained cells whose drops re-enter the table.
 //!
 //! A cell's [`VarId`] is its address. Every read-set, write-set and
-//! flattened-read entry is a [`VarRef`], which keeps the block holding the
-//! cell alive, so no id is reused while a transaction can still compare it.
+//! flattened-read entry holds a bare [`CellPtr`], and the frame holding the
+//! entry pins the block the cell lives in, once per block: an entry's owner
+//! stays pinned by its frame, or by the frame it merged into, for as long as
+//! the entry exists. So no cell an entry points to is freed, and no id is
+//! reused, while a transaction can still compare it.
 //!
 //! A label names a whole owner block for conflict attribution
 //! ([`label_owner`], [`var_label`]): the label table holds one entry per
@@ -415,51 +418,59 @@ impl<T> Drop for Registration<'_, T> {
     }
 }
 
-/// A logged reference to a cell: the cell, and the `Arc` of the block that
-/// holds it, which keeps the cell alive as long as the entry.
-pub(crate) struct VarRef {
-    _owner: Arc<dyn CellOwner>,
-    var: NonNull<dyn AnyVar>,
-}
+/// A logged cell: the bare pointer a read-set, write-set or flattened-read
+/// entry holds. It keeps nothing alive; the frame holding the entry pins
+/// the cell's owner block (see the module docs).
+#[derive(Clone, Copy)]
+pub(crate) struct CellPtr(NonNull<dyn AnyVar>);
 
-// SAFETY: `_owner` is an `Arc` of a `Send + Sync` block (`CellOwner`
-// requires both), and `var` is a shared reference into that block to a
-// cell, which is `Send + Sync` (`AnyVar` requires both); `VarRef` hands out
-// nothing but shared access to either.
-unsafe impl Send for VarRef {}
-// SAFETY: as for `Send`: both fields only give shared access to `Sync` data.
-unsafe impl Sync for VarRef {}
+// SAFETY: a `CellPtr` gives only shared access to a cell, which is
+// `Send + Sync` (`AnyVar` requires both).
+unsafe impl Send for CellPtr {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for CellPtr {}
 
-impl VarRef {
-    /// Pin `cell` through `owner`: the one place a logged entry is made.
+impl CellPtr {
+    /// `cell`, checked to lie in `owner` ([`held`]).
     ///
     /// # Panics
     ///
-    /// If `owner` does not hold `cell` ([`CellOwner::cells`]): then `owner`
-    /// would not keep it alive, and the entry could outlive it.
-    pub(crate) fn pin<T, O>(owner: &Arc<O>, cell: &TCell<T>) -> VarRef
+    /// If `owner` does not hold `cell` ([`CellOwner::cells`]): then pinning
+    /// `owner` would not keep it alive, and the entry could outlive it.
+    pub(crate) fn new<T, O>(owner: &Arc<O>, cell: &TCell<T>) -> CellPtr
     where
         T: Clone + Send + Sync + 'static,
         O: CellOwner,
     {
-        let (cells, addr) = (owner.cells(), cell as *const TCell<T> as usize);
-        assert!(
-            cells.start <= addr && addr + size_of::<TCell<T>>() <= cells.end,
-            "TCell accessed through an Arc that does not contain it"
-        );
-        VarRef {
-            _owner: Arc::clone(owner) as Arc<dyn CellOwner>,
-            var: NonNull::from(cell as &dyn AnyVar),
-        }
+        CellPtr(NonNull::from(held(owner, cell) as &dyn AnyVar))
     }
 
-    /// The pinned cell.
-    pub(crate) fn get(&self) -> &dyn AnyVar {
-        // SAFETY: `pin` asserted that `*_owner` holds `var`, and this entry
-        // keeps the owner alive and shared; `CellOwner` keeps a held cell
-        // at its address, as that cell, for as long as it is shared.
-        unsafe { self.var.as_ref() }
+    /// The cell.
+    ///
+    /// # Safety
+    ///
+    /// The owner block [`new`](Self::new) checked must still be pinned:
+    /// `CellOwner` keeps a held cell at its address, as that cell, for as
+    /// long as the block is shared.
+    pub(crate) unsafe fn get<'a>(self) -> &'a dyn AnyVar {
+        // SAFETY: the caller keeps the owner pinned, so the cell is alive.
+        unsafe { self.0.as_ref() }
     }
+}
+
+/// `cell`, after checking that `owner` holds it: the check every logged
+/// entry's cell passes before its frame pins `owner`.
+///
+/// # Panics
+///
+/// If `owner` does not hold `cell` ([`CellOwner::cells`]).
+pub(crate) fn held<'a, T, O: CellOwner>(owner: &Arc<O>, cell: &'a TCell<T>) -> &'a TCell<T> {
+    let (cells, addr) = (owner.cells(), cell as *const TCell<T> as usize);
+    assert!(
+        cells.start <= addr && addr + size_of::<TCell<T>>() <= cells.end,
+        "TCell accessed through an Arc that does not contain it"
+    );
+    cell
 }
 
 impl<T> TCell<T> {
@@ -538,8 +549,9 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
     ///
     /// # Panics
     ///
-    /// If this cell does not lie inside `*owner` and the read is logged, as
-    /// every first read of a cell in a transaction body is.
+    /// If this cell does not lie inside `*owner` and the read is validated:
+    /// every read in a transaction body is, but a snapshot's and a read of
+    /// the transaction's own buffered write.
     #[must_use = "a read both yields the value and records a dependency; use `let _ =` when only the dependency is wanted"]
     pub fn read<O: CellOwner>(&self, tx: &mut Txn, owner: &Arc<O>) -> T {
         cost::add_cost(cost::MEM_ACCESS_COST);
@@ -918,7 +930,9 @@ mod tests {
         assert!(!clock::read_valid(&*any, 0), "another's lock");
         any.unlock_commit();
         let mut slot = Some(2u64);
-        let guard = clock::CommitGuard::lock_write_set(vec![(&*any, &mut slot)]);
+        let mut writes: Vec<clock::Write> = vec![(&*any, &mut slot)];
+        let mut order = clock::order_of(&writes);
+        let guard = clock::CommitGuard::lock_write_set(&mut writes, &mut order);
         assert!(guard.read_valid(&*any, 0), "own lock");
         drop(guard);
         assert!(clock::read_valid(&*any, 0));

@@ -3,16 +3,19 @@
 //! txlint: metrics — metrics-emitter argument spans here must not allocate
 //! or format (TX014).
 
-use crate::clock;
+use crate::clock::{self, CommitGuard, Slot, WriteSet};
 use crate::handle::TxHandle;
 use crate::handlers::{Handler, LocalUndo, Participant};
 use crate::hash::VarIdMap;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::metrics::{self, Total};
 use crate::trace;
-use crate::tvar::{CellOwner, TCell, VarId, VarRef};
-use std::any::Any;
+use crate::tvar::{held, AnyVar, CellOwner, CellPtr, TCell, VarId};
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
+use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// How reads and writes behave.
@@ -28,62 +31,366 @@ pub enum TxnMode {
 }
 
 struct ReadEntry {
-    var: VarRef,
+    cell: CellPtr,
     version: u64,
     /// Virtual-cycle offset within the body at which the read first
     /// happened (simulator timing; meaningless in threaded mode).
     offset: u64,
 }
 
-struct WriteEntry {
-    var: VarRef,
-    /// An `Option<T>` of the var's `T`: the buffered value until a commit
-    /// moves it into the var, then the outgoing value or `None`, dropped
-    /// with the frame (see `AnyVar::apply`).
-    val: Box<dyn Any + Send + Sync>,
+/// What [`Txn::log_read`] made of a validated read.
+enum FirstRead {
+    /// A frame holds the read at this version already: version unchanged
+    /// implies value unchanged.
+    Repeated,
+    /// The innermost frame logged it; its owner is to be pinned.
+    Logged,
+    /// The version is past `rv`: extend and read again.
+    Stale,
+}
+
+/// One frame's buffered writes of one value type: per entry, a cell and a
+/// value. The value is the buffered one until a commit moves it into the
+/// cell, then the outgoing one or `None` (see `AnyVar::apply`), dropped
+/// when the frame is cleared.
+struct Log<T> {
+    entries: Vec<(NonNull<TCell<T>>, Option<T>)>,
+}
+
+// SAFETY: the pointers give only shared access to cells, which are `Sync`
+// (`TCell<T>` is for `T: Send + Sync`), and the values are `Send`.
+unsafe impl<T: Send + Sync> Send for Log<T> {}
+
+/// A [`Log`] with its value type erased, as a commit or a closed frame's
+/// merge reaches it. Every entry's cell lies in an owner block that the
+/// frame holding the log pins. Only what needs `T` is here, so each value
+/// type adds little code.
+trait WriteLog: Any + Send {
+    /// Entry `i`'s cell.
+    fn var(&self, i: u32) -> &dyn AnyVar;
+    /// Publish entry `i`'s value into its cell.
+    fn apply(&mut self, i: u32, version: u64, horizon: u64);
+    /// Entries in the log.
+    fn len(&self) -> usize;
+    /// Move entry `i` into `into`, a log of the same value type: its value
+    /// onto entry `at`, or the entry onto the end when `at` is `None`.
+    fn move_entry(&mut self, i: u32, into: &mut dyn WriteLog, at: Option<u32>);
+    /// Drop every entry, and the buffer too if it has room for more than
+    /// [`SPARE_FRAME_ENTRIES`].
+    fn clear(&mut self);
+    /// Entries the log has room for without allocating.
+    fn capacity(&self) -> usize;
+}
+
+impl<T: Clone + Send + Sync + 'static> WriteLog for Log<T> {
+    fn var(&self, i: u32) -> &dyn AnyVar {
+        // SAFETY: the frame holding this log pins the cell's owner block.
+        unsafe { self.entries[i as usize].0.as_ref() }
+    }
+
+    fn apply(&mut self, i: u32, version: u64, horizon: u64) {
+        let (cell, val) = &mut self.entries[i as usize];
+        // SAFETY: as in `var`.
+        AnyVar::apply(unsafe { cell.as_ref() }, val, version, horizon);
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn move_entry(&mut self, i: u32, into: &mut dyn WriteLog, at: Option<u32>) {
+        let into: &mut dyn Any = into;
+        let into: &mut Log<T> = into.downcast_mut().expect("a log of the same type");
+        let (cell, val) = &mut self.entries[i as usize];
+        match at {
+            Some(at) => into.entries[at as usize].1 = val.take(),
+            None => into.entries.push((*cell, val.take())),
+        }
+    }
+
+    fn clear(&mut self) {
+        clear_vec(&mut self.entries);
+    }
+
+    fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+}
+
+impl<T: Clone + Send + Sync + 'static> Log<T> {
+    /// A new, empty log of `T`s.
+    fn empty() -> Box<dyn WriteLog> {
+        Box::new(Log::<T> {
+            entries: Vec::new(),
+        })
+    }
+}
+
+/// A frame's write log of one value type, found by the type's [`TypeId`]
+/// and kept with the function that makes an empty one.
+struct TypedLog {
+    ty: TypeId,
+    empty: fn() -> Box<dyn WriteLog>,
+    log: Box<dyn WriteLog>,
+}
+
+/// A frame's write logs, one per value type; a write-set [`Slot`] names a
+/// log and an entry in it.
+#[derive(Default)]
+struct Logs(Vec<TypedLog>);
+
+impl Logs {
+    /// The index of the log of type `ty`, made by `empty` if the frame has
+    /// none yet.
+    fn index(&mut self, ty: TypeId, empty: fn() -> Box<dyn WriteLog>) -> usize {
+        self.0.iter().position(|l| l.ty == ty).unwrap_or_else(|| {
+            let log = empty();
+            self.0.push(TypedLog { ty, empty, log });
+            self.0.len() - 1
+        })
+    }
+
+    /// `T`'s log and its index, made on the frame's first write of a `T`.
+    fn of<T: Clone + Send + Sync + 'static>(&mut self) -> (u32, &mut Log<T>) {
+        let l = self.index(TypeId::of::<T>(), Log::<T>::empty);
+        let log: &mut dyn Any = &mut *self.0[l].log;
+        (l as u32, log.downcast_mut().expect("a log holds its type"))
+    }
+
+    /// The value buffered in `slot`, which holds a `T`.
+    fn value<T: 'static>(&self, (l, i): Slot) -> &Option<T> {
+        let log: &dyn Any = &*self.0[l as usize].log;
+        let log: &Log<T> = log.downcast_ref().expect("write-set type mismatch");
+        &log.entries[i as usize].1
+    }
+
+    /// [`value`](Self::value), mutably.
+    fn value_mut<T: 'static>(&mut self, (l, i): Slot) -> &mut Option<T> {
+        let log: &mut dyn Any = &mut *self.0[l as usize].log;
+        let log: &mut Log<T> = log.downcast_mut().expect("write-set type mismatch");
+        &mut log.entries[i as usize].1
+    }
+}
+
+impl WriteSet for Logs {
+    fn var(&self, (l, i): Slot) -> &dyn AnyVar {
+        self.0[l as usize].log.var(i)
+    }
+
+    fn apply(&mut self, (l, i): Slot, version: u64, horizon: u64) {
+        self.0[l as usize].log.apply(i, version, horizon);
+    }
 }
 
 /// Why a frame exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum FrameKind {
     /// The outermost frame of a top-level or open-nested transaction.
+    #[default]
     Root,
     /// A closed-nested frame with partial-rollback support.
     Closed,
 }
 
+/// The most entries a buffer of a frame that a thread keeps for reuse has
+/// room for: clearing a frame drops any buffer that grew larger, so one
+/// large transaction leaves its thread no more than this per buffer.
+pub const SPARE_FRAME_ENTRIES: usize = 256;
+
+/// The most write logs, one per value type, a reused frame keeps.
+const SPARE_LOGS: usize = 8;
+
+/// The most cleared frames, and frame stacks, a thread keeps for reuse:
+/// enough for a transaction nested a few levels deep. A thread with many
+/// transactions in flight, as the simulator's up to 32 speculated ones,
+/// frees the rest as they finish instead of keeping their peak.
+const SPARE_FRAMES: usize = 8;
+
+#[derive(Default)]
 pub(crate) struct Frame {
     kind: FrameKind,
     reads: VarIdMap<ReadEntry>,
-    writes: VarIdMap<WriteEntry>,
+    /// Where each buffered var's value is in `logs`.
+    writes: VarIdMap<Slot>,
+    logs: Logs,
+    /// One `Arc` per owner block holding a cell that an entry of this frame
+    /// points to, keyed by the block's address: the entries' pins.
+    pins: VarIdMap<Arc<dyn CellOwner>>,
+    /// The block pinned last, so a run of entries in one block probes
+    /// `pins` once.
+    last_pin: VarId,
+    /// Commit scratch: the write set's `(id, slot)` pairs in lock order.
+    order: Vec<(VarId, Slot)>,
     commit_handlers: Vec<Handler>,
     abort_handlers: Vec<Handler>,
     local_undos: Vec<LocalUndo>,
 }
 
 impl Frame {
-    fn new(kind: FrameKind) -> Self {
-        Frame {
-            kind,
-            reads: VarIdMap::default(),
-            writes: VarIdMap::default(),
-            commit_handlers: Vec::new(),
-            abort_handlers: Vec::new(),
-            local_undos: Vec::new(),
+    /// Hold `owner` for this frame's entries, unless the frame already does.
+    fn pin<O: CellOwner>(&mut self, owner: &Arc<O>) {
+        let block = Arc::as_ptr(owner) as usize as VarId;
+        if block != self.last_pin {
+            self.pin_block(block, &|| Arc::clone(owner) as Arc<dyn CellOwner>);
         }
+    }
+
+    /// [`pin`](Self::pin) past its check of the last block: `owner` clones
+    /// the `Arc` of the block at `block`.
+    fn pin_block(&mut self, block: VarId, owner: &dyn Fn() -> Arc<dyn CellOwner>) {
+        self.last_pin = block;
+        if let Entry::Vacant(pin) = self.pins.entry(block) {
+            pin.insert(owner());
+            metrics::tally(Total::OwnerPins);
+        }
+    }
+
+    /// Phase one of committing this frame: lock its write set, then
+    /// validate its read set against the locks. `None` if a read is stale;
+    /// the locks are released with the guard.
+    fn lock_and_validate(&mut self) -> Option<CommitGuard<'_>> {
+        self.order.clear();
+        self.order
+            .extend(self.writes.iter().map(|(&id, &slot)| (id, slot)));
+        let guard = CommitGuard::lock_write_set(&mut self.logs, &mut self.order);
+        self.reads
+            .values()
+            // SAFETY: this frame pins every entry's owner block.
+            .all(|r| guard.read_valid(unsafe { r.cell.get() }, r.version))
+            .then_some(guard)
+    }
+
+    /// Empty the frame for reuse: its entries, their values and pins, and
+    /// its handlers drop here. A buffer with room for more than
+    /// [`SPARE_FRAME_ENTRIES`] goes too, and so do the logs past the first
+    /// [`SPARE_LOGS`] types.
+    fn clear(&mut self) {
+        self.logs.0.iter_mut().for_each(|l| l.log.clear());
+        self.logs.0.truncate(SPARE_LOGS);
+        clear_map(&mut self.reads);
+        clear_map(&mut self.writes);
+        clear_map(&mut self.pins);
+        self.last_pin = 0;
+        clear_vec(&mut self.order);
+        clear_vec(&mut self.commit_handlers);
+        clear_vec(&mut self.abort_handlers);
+        clear_vec(&mut self.local_undos);
+    }
+
+    /// See [`Txn::frame_capacity`].
+    fn capacity(&self) -> usize {
+        let logs = self.logs.0.iter().map(|l| l.log.capacity());
+        [
+            self.reads.capacity(),
+            self.writes.capacity(),
+            self.pins.capacity(),
+            self.order.capacity(),
+        ]
+        .into_iter()
+        .chain(logs)
+        .max()
+        .unwrap_or(0)
     }
 }
 
-/// Borrowed view of a write set for commit locking and publishing. One Vec
-/// is unavoidable (the locks must be sorted by `VarId`), but borrowing
-/// avoids an `Arc` refcount bump per written var per commit attempt — the
-/// frame outlives the [`clock::CommitGuard`] on every path. An empty write
-/// set allocates nothing.
-fn write_set(writes: &mut VarIdMap<WriteEntry>) -> Vec<clock::Write<'_>> {
-    writes
-        .values_mut()
-        .map(|w| (w.var.get(), &mut *w.val))
-        .collect()
+/// Clear `map`, keeping its buffer only up to [`SPARE_FRAME_ENTRIES`].
+fn clear_map<V>(map: &mut VarIdMap<V>) {
+    map.clear();
+    if map.capacity() > SPARE_FRAME_ENTRIES {
+        *map = VarIdMap::default();
+    }
+}
+
+/// Clear `v`, keeping its buffer only up to [`SPARE_FRAME_ENTRIES`].
+fn clear_vec<T>(v: &mut Vec<T>) {
+    v.clear();
+    if v.capacity() > SPARE_FRAME_ENTRIES {
+        *v = Vec::new();
+    }
+}
+
+/// What a thread's finished transaction contexts left for its next ones:
+/// cleared frames, and the emptied stacks that held them.
+struct Spare {
+    frames: Vec<Frame>,
+    stacks: Vec<Vec<Frame>>,
+}
+
+thread_local! {
+    static SPARE: RefCell<Spare> = const {
+        RefCell::new(Spare {
+            frames: Vec::new(),
+            stacks: Vec::new(),
+        })
+    };
+}
+
+// No code of a transaction's values or handlers runs while `SPARE` is
+// borrowed: a frame is cleared before it goes back, and a cleared frame's
+// drop frees only memory. Reaching `SPARE` with `try_with` lets a
+// transaction run from a thread-local destructor after it is gone; the
+// frames are then made and dropped as needed.
+
+/// A cleared frame of `kind`: a spare one, if this thread keeps any.
+fn take_frame(kind: FrameKind) -> Frame {
+    let spare = SPARE.try_with(|s| s.borrow_mut().frames.pop());
+    let mut frame = spare.ok().flatten().unwrap_or_default();
+    frame.kind = kind;
+    frame
+}
+
+/// Clear `frame` and keep it for this thread's next nesting frame or
+/// transaction.
+fn give_back(mut frame: Frame) {
+    frame.clear();
+    let _ = SPARE.try_with(|s| {
+        let mut s = s.borrow_mut();
+        if s.frames.len() < SPARE_FRAMES {
+            s.frames.push(frame);
+        }
+    });
+}
+
+/// A transaction context's frame stack: taken from its thread's spares
+/// with a cleared root frame on it, and given back, each frame cleared,
+/// when the context drops.
+struct Frames(Vec<Frame>);
+
+impl Frames {
+    fn take() -> Frames {
+        let spare = SPARE.try_with(|s| s.borrow_mut().stacks.pop());
+        let mut stack = spare.ok().flatten().unwrap_or_default();
+        stack.push(take_frame(FrameKind::Root));
+        Frames(stack)
+    }
+}
+
+impl Deref for Frames {
+    type Target = Vec<Frame>;
+    fn deref(&self) -> &Vec<Frame> {
+        &self.0
+    }
+}
+
+impl DerefMut for Frames {
+    fn deref_mut(&mut self) -> &mut Vec<Frame> {
+        &mut self.0
+    }
+}
+
+impl Drop for Frames {
+    fn drop(&mut self) {
+        let mut stack = std::mem::take(&mut self.0);
+        stack.iter_mut().for_each(Frame::clear);
+        let _ = SPARE.try_with(|s| {
+            let mut s = s.borrow_mut();
+            let room = SPARE_FRAMES.saturating_sub(s.frames.len());
+            s.frames.extend(stack.drain(..).take(room));
+            if s.stacks.len() < SPARE_FRAMES {
+                s.stacks.push(stack);
+            }
+        });
+    }
 }
 
 /// A transaction context. Obtained from [`crate::atomic`] (top-level),
@@ -95,7 +402,7 @@ pub struct Txn {
     /// Read-validity horizon: all logged reads were consistent at this clock
     /// value. Extended incrementally when a newer version is encountered.
     rv: u64,
-    frames: Vec<Frame>,
+    frames: Frames,
     /// True for the child context of [`Txn::open`].
     is_open_child: bool,
     /// This attempt's participants in enlistment order, each under an
@@ -108,8 +415,9 @@ pub struct Txn {
     /// frame read set (the flattened read-only open).
     flat_mode: bool,
     /// Scratch `(var, version)` log for `open_read`, validated when the
-    /// body returns; the buffer is reused across calls.
-    flat_reads: Vec<(VarRef, u64)>,
+    /// body returns; the buffer is reused across calls. The frame that was
+    /// innermost at each read pins the var's owner block.
+    flat_reads: Vec<(CellPtr, u64)>,
     /// Cached `Arc<TxHandle>` clone reused across this parent's open
     /// children, so `Txn::open` costs one refcount bump per transaction
     /// instead of one per operation.
@@ -125,56 +433,36 @@ pub struct Txn {
 }
 
 impl Txn {
-    pub(crate) fn new_top(handle: Arc<TxHandle>) -> Self {
-        trace::txn_begin(handle.id());
+    fn new(handle: Arc<TxHandle>, rv: u64, snapshot: Option<u64>, is_open_child: bool) -> Self {
         Txn {
             mode: TxnMode::Speculative,
             handle,
-            rv: clock::now(),
-            frames: vec![Frame::new(FrameKind::Root)],
-            is_open_child: false,
+            rv,
+            frames: Frames::take(),
+            is_open_child,
             participants: Vec::new(),
             flat_mode: false,
             flat_reads: Vec::new(),
             spare_open_handle: None,
-            snapshot: None,
+            snapshot,
             snapshot_reads_served: 0,
         }
+    }
+
+    pub(crate) fn new_top(handle: Arc<TxHandle>) -> Self {
+        trace::txn_begin(handle.id());
+        Txn::new(handle, clock::now(), None, false)
     }
 
     /// Context for a snapshot transaction reading at clock value `s` (the
     /// caller holds the epoch pin protecting the chains down to `s`).
     pub(crate) fn new_snapshot(handle: Arc<TxHandle>, s: u64) -> Self {
         trace::txn_begin(handle.id());
-        Txn {
-            mode: TxnMode::Speculative,
-            handle,
-            rv: s,
-            frames: vec![Frame::new(FrameKind::Root)],
-            is_open_child: false,
-            participants: Vec::new(),
-            flat_mode: false,
-            flat_reads: Vec::new(),
-            spare_open_handle: None,
-            snapshot: Some(s),
-            snapshot_reads_served: 0,
-        }
+        Txn::new(handle, s, Some(s), false)
     }
 
     fn new_open_child(handle: Arc<TxHandle>) -> Self {
-        Txn {
-            mode: TxnMode::Speculative,
-            handle,
-            rv: clock::now(),
-            frames: vec![Frame::new(FrameKind::Root)],
-            is_open_child: true,
-            participants: Vec::new(),
-            flat_mode: false,
-            flat_reads: Vec::new(),
-            spare_open_handle: None,
-            snapshot: None,
-            snapshot_reads_served: 0,
-        }
+        Txn::new(handle, clock::now(), None, true)
     }
 
     /// The top-level handle owning this transaction (also for open-nested
@@ -245,7 +533,8 @@ impl Txn {
     // ------------------------------------------------------------------
 
     /// The one read path, for a [`TCell`] inline in `owner` and for a
-    /// [`crate::TVar`] (its own owner). Entries it logs pin `owner`.
+    /// [`crate::TVar`] (its own owner). The frame that logs an entry pins
+    /// `owner`.
     pub(crate) fn read_var<T, O>(&mut self, var: &TCell<T>, owner: &Arc<O>) -> T
     where
         T: Clone + Send + Sync + 'static,
@@ -278,64 +567,74 @@ impl Txn {
             // *not* see the parent's buffered writes and leaves no entry in
             // the parent's read set.
             let (ver, val) = var.committed_pair();
-            self.flat_reads.push((VarRef::pin(owner, var), ver));
+            let cell = CellPtr::new(owner, var);
+            self.current_frame().pin(owner);
+            self.flat_reads.push((cell, ver));
             return val;
         }
         let id = var.id();
         // Redo-log lookup, innermost frame first.
         for frame in self.frames.iter().rev() {
-            if let Some(w) = frame.writes.get(&id) {
-                return w
-                    .val
-                    .downcast_ref::<Option<T>>()
-                    .and_then(Option::as_ref)
+            if let Some(&slot) = frame.writes.get(&id) {
+                return frame
+                    .logs
+                    .value::<T>(slot)
+                    .as_ref()
                     .expect("write-set type mismatch")
                     .clone();
             }
         }
-        let (ver, val) = var.committed_pair();
-        // Repeated read: version unchanged implies value unchanged.
-        if let Some((fi, recorded)) = self.find_read(id) {
-            if ver == recorded {
-                return val;
+        let cell = CellPtr::new(owner, var);
+        loop {
+            let (ver, val) = var.committed_pair();
+            match self.log_read(id, cell, ver) {
+                FirstRead::Repeated => return val,
+                FirstRead::Logged => {
+                    self.current_frame().pin(owner);
+                    return val;
+                }
+                // Past `rv`: extend it, then read again.
+                FirstRead::Stale => self.extend_or_abort(),
             }
-            // The var changed under us after we read it: unrecoverable for
-            // the frame that read it; partially recoverable if that frame is
-            // the innermost closed frame.
+        }
+    }
+
+    /// Log the read of `cell` (var `id`) at committed version `ver` in the
+    /// innermost frame, unless a frame already holds it, probing that
+    /// frame's read set once for the entry or its place. A var that changed
+    /// after a frame read it aborts that frame: partially if it is the
+    /// innermost closed frame.
+    fn log_read(&mut self, id: VarId, cell: CellPtr, ver: u64) -> FirstRead {
+        let innermost = self.frames.len() - 1;
+        let (frame, outer) = self
+            .frames
+            .split_last_mut()
+            .expect("transaction has no frames");
+        let place = match frame.reads.entry(id) {
+            Entry::Occupied(r) if r.get().version == ver => return FirstRead::Repeated,
+            Entry::Occupied(_) => self.conflict_on_frames(&[innermost]),
+            Entry::Vacant(place) => place,
+        };
+        if let Some((fi, r)) = outer
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(fi, f)| Some((fi, f.reads.get(&id)?)))
+        {
+            if r.version == ver {
+                return FirstRead::Repeated;
+            }
             self.conflict_on_frames(&[fi]);
         }
         if ver > self.rv {
-            self.extend_or_abort();
-            // Re-read: the extension moved rv past the version we saw, unless
-            // the var changed yet again (extremely rare); loop via recursion
-            // depth 1 amortized — iterate instead.
-            let mut pair = var.committed_pair();
-            while pair.0 > self.rv {
-                self.extend_or_abort();
-                pair = var.committed_pair();
-            }
-            let (ver2, val2) = pair;
-            let offset = crate::cost::current_cost();
-            self.current_frame().reads.insert(
-                id,
-                ReadEntry {
-                    var: VarRef::pin(owner, var),
-                    version: ver2,
-                    offset,
-                },
-            );
-            return val2;
+            return FirstRead::Stale;
         }
-        let offset = crate::cost::current_cost();
-        self.current_frame().reads.insert(
-            id,
-            ReadEntry {
-                var: VarRef::pin(owner, var),
-                version: ver,
-                offset,
-            },
-        );
-        val
+        place.insert(ReadEntry {
+            cell,
+            version: ver,
+            offset: crate::cost::current_cost(),
+        });
+        FirstRead::Logged
     }
 
     /// The one write path; see [`Txn::read_var`].
@@ -366,36 +665,23 @@ impl Txn {
             );
         }
         self.check_doom();
-        match self.current_frame().writes.entry(var.id()) {
+        let frame = self.current_frame();
+        match frame.writes.entry(var.id()) {
             // A rewrite replaces the buffered value in place: the entry
-            // already pins the owner and keeps its slot in the write set.
-            Entry::Occupied(w) => {
-                *w.into_mut()
-                    .val
-                    .downcast_mut::<Option<T>>()
-                    .expect("write-set type mismatch") = Some(val);
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(WriteEntry {
-                    var: VarRef::pin(owner, var),
-                    val: Box::new(Some(val)),
-                });
+            // keeps its slot, and the frame already pins the owner.
+            Entry::Occupied(w) => *frame.logs.value_mut(*w.get()) = Some(val),
+            Entry::Vacant(w) => {
+                let cell = NonNull::from(held(owner, var));
+                let (l, log) = frame.logs.of::<T>();
+                w.insert((l, log.entries.len() as u32));
+                log.entries.push((cell, Some(val)));
+                frame.pin(owner);
             }
         }
     }
 
     fn current_frame(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("transaction has no frames")
-    }
-
-    /// Locate an existing read entry; returns (frame index, recorded version).
-    fn find_read(&self, id: VarId) -> Option<(usize, u64)> {
-        for (fi, frame) in self.frames.iter().enumerate().rev() {
-            if let Some(r) = frame.reads.get(&id) {
-                return Some((fi, r.version));
-            }
-        }
-        None
     }
 
     /// Timestamp extension: re-validate every logged read against current
@@ -413,7 +699,8 @@ impl Txn {
         let mut invalid_frames: Vec<usize> = Vec::new();
         for (fi, frame) in self.frames.iter().enumerate() {
             for r in frame.reads.values() {
-                if clock::stable_version(r.var.get()) != r.version {
+                // SAFETY: the frame pins every entry's owner block.
+                if clock::stable_version(unsafe { r.cell.get() }) != r.version {
                     invalid_frames.push(fi);
                     break;
                 }
@@ -518,7 +805,7 @@ impl Txn {
         debug_assert!(!self.flat_mode, "closed nesting inside an open_read body");
         let my_index = self.frames.len();
         loop {
-            self.frames.push(Frame::new(FrameKind::Closed));
+            self.frames.push(take_frame(FrameKind::Closed));
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
             match outcome {
                 Ok(v) => {
@@ -545,26 +832,45 @@ impl Txn {
     }
 
     /// The frame-abort protocol: run the popped frame's local undos (reverse
-    /// order) and drop its handlers with it.
+    /// order), then drop its entries, pins and handlers with it.
     fn roll_back_frame(&mut self, mut frame: Frame) {
         while let Some(u) = frame.local_undos.pop() {
             u(self);
         }
+        give_back(frame);
     }
 
-    /// Merge the innermost frame into its parent (closed-nested commit).
+    /// Merge the innermost frame into its parent (closed-nested commit):
+    /// its entries move, and so do the pins of their owner blocks.
     fn merge_top_frame(&mut self) {
-        let child = self.frames.pop().expect("frame stack underflow");
+        let mut child = self.frames.pop().expect("frame stack underflow");
         let parent = self.current_frame();
-        for (id, r) in child.reads {
+        for (id, r) in child.reads.drain() {
             parent.reads.entry(id).or_insert(r);
         }
-        for (id, w) in child.writes {
-            parent.writes.insert(id, w);
+        // The logs hold every entry the write map names. A var the parent
+        // already buffers takes the child's value in place.
+        child.writes.clear();
+        for TypedLog { ty, empty, log } in &mut child.logs.0 {
+            let l = parent.logs.index(*ty, *empty);
+            let into = &mut *parent.logs.0[l].log;
+            for i in 0..log.len() as u32 {
+                match parent.writes.entry(log.var(i).id()) {
+                    Entry::Occupied(slot) => log.move_entry(i, into, Some(slot.get().1)),
+                    Entry::Vacant(slot) => {
+                        slot.insert((l as u32, into.len() as u32));
+                        log.move_entry(i, into, None);
+                    }
+                }
+            }
         }
-        parent.commit_handlers.extend(child.commit_handlers);
-        parent.abort_handlers.extend(child.abort_handlers);
-        parent.local_undos.extend(child.local_undos);
+        for (block, pin) in child.pins.drain() {
+            parent.pins.entry(block).or_insert(pin);
+        }
+        parent.commit_handlers.append(&mut child.commit_handlers);
+        parent.abort_handlers.append(&mut child.abort_handlers);
+        parent.local_undos.append(&mut child.local_undos);
+        give_back(child);
     }
 
     /// Run `f` as an **open-nested** transaction: an independent transaction
@@ -598,24 +904,23 @@ impl Txn {
             let mut child = Txn::new_open_child(handle);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut child)));
             match outcome {
-                Ok(v) => match child.try_commit_open() {
-                    Ok((committed, h)) => {
-                        self.spare_open_handle = Some(h);
-                        let parent = self.current_frame();
-                        parent.commit_handlers.extend(committed.commit_handlers);
-                        parent.abort_handlers.extend(committed.abort_handlers);
-                        parent.local_undos.extend(committed.local_undos);
-                        metrics::tally(Total::OpenCommits);
-                        trace::open_commit(self.handle.id());
-                        return v;
-                    }
-                    Err(h) => {
-                        handle = h;
-                        metrics::tally(Total::OpenRetries);
-                        trace::open_retry(self.handle.id());
-                        continue;
-                    }
-                },
+                Ok(v) if child.try_commit_open() => {
+                    let (committed, parent) = (&mut child.frames[0], self.current_frame());
+                    parent
+                        .commit_handlers
+                        .append(&mut committed.commit_handlers);
+                    parent.abort_handlers.append(&mut committed.abort_handlers);
+                    parent.local_undos.append(&mut committed.local_undos);
+                    self.spare_open_handle = Some(child.into_handle());
+                    metrics::tally(Total::OpenCommits);
+                    trace::open_commit(self.handle.id());
+                    return v;
+                }
+                Ok(_) => {
+                    handle = child.into_handle();
+                    metrics::tally(Total::OpenRetries);
+                    trace::open_retry(self.handle.id());
+                }
                 Err(payload) => {
                     handle = child.into_handle();
                     match interrupt::classify(payload) {
@@ -624,7 +929,6 @@ impl Txn {
                         | Ok(TxInterrupt::RetryFrame(_)) => {
                             metrics::tally(Total::OpenRetries);
                             trace::open_retry(self.handle.id());
-                            continue;
                         }
                         // Doom / explicit abort concern the whole transaction.
                         Ok(other) => interrupt::throw(other),
@@ -667,10 +971,13 @@ impl Txn {
             self.flat_mode = true;
             let v = f(self);
             self.flat_mode = false;
+            // SAFETY: the body cannot pop the frame that was innermost at
+            // each read: a closed frame it opened and rolled back unwound
+            // out of the body, so validation never sees that frame's reads.
             let valid = self
                 .flat_reads
                 .iter()
-                .all(|(var, ver)| clock::read_valid(var.get(), *ver));
+                .all(|&(cell, ver)| clock::read_valid(unsafe { cell.get() }, ver));
             if valid {
                 metrics::tally(Total::OpenFlattened);
                 trace::open_flattened(self.handle.id());
@@ -681,11 +988,10 @@ impl Txn {
         }
     }
 
-    /// Commit an open-nested child: validate, publish, and surrender its
-    /// root frame (handlers and local undos) plus its handle clone to the
-    /// caller. `Err(handle)` means validation failed and the child should
-    /// re-execute (the handle comes back so the retry reuses it).
-    fn try_commit_open(mut self) -> Result<(Frame, Arc<TxHandle>), Arc<TxHandle>> {
+    /// Commit an open-nested child: validate and publish, leaving its root
+    /// frame's handlers and local undos for the caller to promote. `false`
+    /// means validation failed and the child should re-execute.
+    fn try_commit_open(&mut self) -> bool {
         debug_assert!(self.is_open_child);
         debug_assert_eq!(self.frames.len(), 1, "open child must end with one frame");
         // Advisory doom check (cheap early exit). The authoritative
@@ -696,39 +1002,23 @@ impl Txn {
             interrupt::throw(TxInterrupt::Retry(AbortCause::Doomed));
         }
         let frame = &mut self.frames[0];
-        if frame.writes.is_empty() {
-            // Read-only child: validate against per-var stamps; no locks, no
-            // lane, no clock traffic.
-            for r in frame.reads.values() {
-                if !clock::read_valid(r.var.get(), r.version) {
-                    return Err(self.handle);
-                }
-            }
-            let frame = self.frames.pop().unwrap();
-            return Ok((frame, self.handle));
-        }
         // A *writing* open commit publishes direct-mode-visible state, so it
         // serializes with handler execution: lane first, then var locks (a
         // lane-holder's direct writes spin on var locks, so the lane must
-        // never be awaited while var locks are held).
-        let lane = clock::lane_lock(self.handle.id());
-        let guard = clock::CommitGuard::lock_write_set(write_set(&mut frame.writes));
-        for r in frame.reads.values() {
-            if !guard.read_valid(r.var.get(), r.version) {
-                // guard + lane drop: locks released, versions unchanged
-                drop(guard);
-                drop(lane);
-                return Err(self.handle);
-            }
-        }
+        // never be awaited while var locks are held). A read-only child
+        // validates against per-var stamps: no locks, no lane, no clock
+        // traffic.
+        let lane = (!frame.writes.is_empty()).then(|| clock::lane_lock(self.handle.id()));
+        let Some(guard) = frame.lock_and_validate() else {
+            return false; // guard + lane drop: locks released, versions unchanged
+        };
         guard.publish();
         drop(lane);
-        let frame = self.frames.pop().unwrap();
-        Ok((frame, self.handle))
+        true
     }
 
-    /// Surrender this child's handle clone (retry paths that unwound out of
-    /// the body). `Txn` has no `Drop`, so the move is free.
+    /// Surrender this child's handle clone. `Txn` has no `Drop`, so the
+    /// move is free; the child's frames go back to the thread's spares.
     fn into_handle(self) -> Arc<TxHandle> {
         self.handle
     }
@@ -808,12 +1098,9 @@ impl Txn {
         {
             // Scope the guard (it borrows the frame) so the frame borrow is
             // provably dead before the handlers need `&mut self`.
-            let guard = clock::CommitGuard::lock_write_set(write_set(&mut frame.writes));
-            for r in frame.reads.values() {
-                if !guard.read_valid(r.var.get(), r.version) {
-                    return Err(AbortCause::ReadInvalid); // guard + lane drop release everything
-                }
-            }
+            let Some(guard) = frame.lock_and_validate() else {
+                return Err(AbortCause::ReadInvalid); // guard + lane drop release everything
+            };
             if self.handle.begin_commit().is_err() {
                 return Err(AbortCause::Doomed);
             }
@@ -973,5 +1260,13 @@ impl Txn {
     /// Number of logged writes (diagnostics).
     pub fn write_set_len(&self) -> usize {
         self.frames.iter().map(|f| f.writes.len()).sum()
+    }
+
+    /// The most entries any one buffer of the innermost frame — its read
+    /// set, write set, owner pins, commit scratch or a write log — has room
+    /// for without allocating (diagnostics). A frame starts a transaction
+    /// with at most [`SPARE_FRAME_ENTRIES`].
+    pub fn frame_capacity(&self) -> usize {
+        self.frames.last().map_or(0, Frame::capacity)
     }
 }

@@ -93,10 +93,9 @@ impl TxCounter {
     /// immediately and the parent keeps **no dependency** on the counter.
     /// If the parent later aborts, the increment persists (a gap).
     pub fn add_open(&self, tx: &mut Txn, delta: i64) -> i64 {
-        let var = self.var.clone();
-        tx.open(move |otx| {
-            let v = var.read(otx);
-            var.write(otx, v + delta);
+        tx.open(|otx| {
+            let v = self.var.read(otx);
+            self.var.write(otx, v + delta);
             v
         })
     }
