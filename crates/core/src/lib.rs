@@ -37,7 +37,7 @@
 //! | [`TransactionalMultiset`] | §5.1 extension | key locks, size lock, empty lock — **synthesized** |
 //! | [`TransactionalPriorityQueue`] | §3.2 extension | key locks, first lock, size/empty locks — **synthesized** |
 //! | [`TransactionalIntervalMap`] | §3.2 extension | range locks (span-valued), size/empty locks — **synthesized** |
-//! | [`OpenNestedCounter`] / [`UidGenerator`] | §6.3 | none (isolation deliberately forgone) |
+//! | [`UidGenerator`] | §6.3 | none (isolation deliberately forgone) |
 //!
 //! ## Declarative conflict graphs
 //!
@@ -140,35 +140,6 @@ pub use sorted_map::{
 pub use stm::hash::{key_hash64, stripe_index, StripeHasher};
 
 use stm::Txn;
-
-/// A shared counter whose updates run open-nested: parents carry no
-/// dependency on it, trading serializability for scalability exactly as the
-/// paper's SPECjbb "Atomos Open" configuration does for its global counters
-/// (§6.3). Re-exported view over [`txstruct::TxCounter`].
-#[derive(Clone, Default)]
-pub struct OpenNestedCounter {
-    counter: txstruct::TxCounter,
-}
-
-impl OpenNestedCounter {
-    /// Create with an initial value.
-    pub fn new(initial: i64) -> Self {
-        OpenNestedCounter {
-            counter: txstruct::TxCounter::new(initial),
-        }
-    }
-
-    /// Open-nested add; returns the pre-add value. Aborted parents leave the
-    /// increment in place (a gap).
-    pub fn add(&self, tx: &mut Txn, delta: i64) -> i64 {
-        self.counter.add_open(tx, delta)
-    }
-
-    /// Committed value.
-    pub fn get_committed(&self) -> i64 {
-        self.counter.get_committed()
-    }
-}
 
 /// A unique-id generator built on an open-nested counter: ids are unique and
 /// monotonic in issue order, but aborted transactions leave gaps — the

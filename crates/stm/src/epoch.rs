@@ -19,6 +19,10 @@
 //!   entry at or below that horizon; everything older is unreachable by any
 //!   current *or future* pin (future pins sample a clock that is already
 //!   past every committed version).
+//! - The unpin that takes the live pin count to zero **drains** the chain
+//!   table (`tvar::drain_chains`): with no snapshot left, every chain is
+//!   unreachable by the same argument, so history lasts only as long as
+//!   some pin does.
 //! - [`readers_active`] is the publishers' fast gate: a single relaxed-ish
 //!   counter load. When no snapshot is pinned anywhere, the commit path
 //!   skips history maintenance entirely, so workloads that never call
@@ -111,7 +115,13 @@ impl Drop for PinGuard {
                 None => slot.store(UNPINNED, Ordering::SeqCst),
             }
         });
-        ACTIVE_PINS.fetch_sub(1, Ordering::SeqCst);
+        // The last unpin drains the chain table, once the pin state is
+        // settled, so a drained value whose drop pins again finds it so.
+        // An unpin while its thread unwinds leaves the drain to the next
+        // last unpin: a drained value's drop that panicked then would abort.
+        if ACTIVE_PINS.fetch_sub(1, Ordering::SeqCst) == 1 && !std::thread::panicking() {
+            crate::tvar::drain_chains();
+        }
     }
 }
 
@@ -193,6 +203,11 @@ pub(crate) fn readers_active() -> bool {
     ACTIVE_PINS.load(Ordering::SeqCst) != 0
 }
 
+/// Does this thread hold a pin? Only such a reader may look a chain up.
+pub(crate) fn pinned_here() -> bool {
+    PIN_STATE.with(|st| !st.borrow().stack.is_empty())
+}
+
 /// The oldest clock value any live pin still needs, or `u64::MAX` when no
 /// pin is live. Chain entries strictly older than the newest entry at or
 /// below this horizon are unreachable and may be reclaimed.
@@ -230,12 +245,18 @@ fn registered_slots() -> usize {
     SLOTS.read().len()
 }
 
+/// Held by every unit test of this crate that pins, so that one checking
+/// what its unpin drains knows that unpin is the last.
+#[cfg(test)]
+pub(crate) static PIN_TESTS: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn nested_pins_keep_oldest_published() {
+        let _serial = PIN_TESTS.lock();
         // Pins on this thread only; other tests' threads may hold their own
         // pins, so assert about our slot via min over *our* epochs.
         let outer = pin();
@@ -259,6 +280,7 @@ mod tests {
         // at most the one slot the first spawned thread allocates. The
         // slack below absorbs other tests in this binary racing their own
         // first pins while we measure.
+        let _serial = PIN_TESTS.lock();
         let before = registered_slots();
         for _ in 0..16 {
             std::thread::spawn(|| {
@@ -277,6 +299,7 @@ mod tests {
         // Not UNPINNED while we hold a pin; UNPINNED (skip maintenance)
         // requires no pins anywhere, which concurrent tests may violate —
         // so only the pinned direction is asserted unconditionally.
+        let _serial = PIN_TESTS.lock();
         let g = pin();
         assert!(publish_horizon() <= g.epoch());
     }

@@ -26,14 +26,16 @@
 //! where.
 //!
 //! A cell's snapshot history lives outside it, in the **chain table**: one
-//! mutex-guarded map keyed by [`VarId`], which holds an entry exactly for
-//! the cells whose word has the chain bit. Only a publish while a snapshot
-//! is pinned creates, extends or cuts a chain, and the first publish after
-//! the last unpin frees it; every other publish, read and drop leaves the
-//! table alone. No code of `T` runs under the table lock: a reader clones a
-//! chain entry after releasing it, and what a publish or a drop takes out
-//! of the table drops after it, because a chain's values (a tree node's
-//! link, say) can own chained cells whose drops re-enter the table.
+//! mutex-guarded map keyed by [`VarId`], which holds an entry only for cells
+//! whose word has the chain bit. Only a publish while a snapshot is pinned
+//! creates, extends or cuts a chain. The unpin that ends the last pin
+//! drains the whole table ([`drain_chains`]); before that, a publish that
+//! sees no pin or the cell's drop frees one chain. Every other publish,
+//! read and drop leaves the table alone. No code of `T` runs under the
+//! table lock: a reader clones a chain entry after releasing it, and what a
+//! publish, a drop or a drain takes out of the table drops after it,
+//! because a chain's values (a tree node's link, say) can own chained cells
+//! whose drops re-enter the table.
 //!
 //! A cell's [`VarId`] is its address. Every read-set, write-set and
 //! flattened-read entry holds a bare [`CellPtr`], and the frame holding the
@@ -58,7 +60,7 @@ use std::collections::BTreeMap;
 use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Upper bound on the per-var history chain. A snapshot pinned so far in the
@@ -71,11 +73,13 @@ const LOCKED: u64 = 1;
 /// The cell word's swap bit: set only by [`AnyVar::apply`], while it holds
 /// the commit lock and replaces the value.
 const SWAP: u64 = 1 << 1;
-/// The cell word's chain bit: the chain table holds this cell's history.
-/// Only [`AnyVar::apply`] sets or clears it, in the store that stamps the
-/// version, so a registered reader's word says whether a chain is there.
-/// The table files a chain under its cell's address, so a cell that moves
-/// keeps the bit but not the chain (see "Moving a cell" at [`TCell`]).
+/// The cell word's chain bit: a hint that the chain table may hold this
+/// cell's history. Only [`AnyVar::apply`] sets or clears it, in the store
+/// that stamps the version. An entry implies the bit, but the bit does not
+/// imply an entry: a drain frees every chain and leaves the words alone,
+/// and the table files a chain under its cell's address, so a cell that
+/// moves keeps the bit but not the chain (see "Moving a cell" at
+/// [`TCell`]). Whatever looks a chain up tolerates a miss.
 const CHAINED: u64 = 1 << 2;
 /// One registered reader in the cell word.
 const READER: u64 = 1 << 3;
@@ -94,44 +98,125 @@ pub(crate) const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
 /// pairs, newest first, forming a *contiguous* suffix of its committed
 /// history ending just before the value in the cell. Kept only while
 /// snapshot readers are pinned (see `epoch.rs`): made by a publish that
-/// sees a pin, freed by the next publish that sees none, and bounded by
+/// sees a pin, freed by the unpin that ends the last pin, by the next
+/// publish that sees none or by the cell's drop, and bounded by
 /// [`MAX_CHAIN_DEPTH`].
 ///
 /// The contiguity is what makes [`TCell::read_at`] sound: every publish
 /// either pushes the outgoing value onto the chain or (when no reader is
-/// pinned) frees the chain, so a chain entry `<= s` is always the *latest*
-/// committed value at snapshot `s`, never a stale value with skipped
-/// versions between it and `s`.
+/// pinned) frees the chain, and a drain frees every chain at once, so a
+/// chain entry `<= s` is always the *latest* committed value at snapshot
+/// `s`, never a stale value with skipped versions between it and `s`.
 type Chain<T> = Vec<(u64, T)>;
+
+/// A [`Chain`] of any value type, as the chain table holds it.
+trait History: Any + Send + Sync {
+    /// The chain's number of entries, which a drain counts without knowing
+    /// its type.
+    fn len(&self) -> usize;
+}
+
+impl<T: Send + Sync + 'static> History for Chain<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
 
 /// A chain-table entry: a cell's boxed [`Chain`]. The box's heap block
 /// stays in place when the map grows, shrinks or drops other entries.
-type Entry = Box<dyn Any + Send + Sync>;
+type Entry = Box<dyn History>;
 
-/// The chain table: one entry per cell whose word has the chain bit, keyed
-/// by its id. The lock guards the map, not the chains: a chain changes only
-/// under its cell's swap bit with no reader registered, and no code of `T`
-/// runs under the lock.
-static CHAINS: Mutex<VarIdMap<Entry>> =
-    Mutex::new(VarIdMap::with_hasher(BuildHasherDefault::new()));
+/// The chain table: an entry per chained cell, keyed by its id, and the
+/// slots a drain keeps for the next chains. The lock guards the maps, not
+/// the chains: a chain changes only under its cell's swap bit with no
+/// reader registered, and no code of `T` runs under the lock.
+struct Table {
+    chains: VarIdMap<Entry>,
+    /// The emptied map of the last drain, which the next drain swaps in, so
+    /// a steady state of pins allocates no table.
+    spare: VarIdMap<Entry>,
+    /// How many chains the last drain freed: both maps keep slots for as
+    /// many.
+    kept: usize,
+}
+
+static CHAINS: Mutex<Table> = Mutex::new(Table {
+    chains: VarIdMap::with_hasher(BuildHasherDefault::new()),
+    spare: VarIdMap::with_hasher(BuildHasherDefault::new()),
+    kept: 0,
+});
+
+/// Raised by every publish that may make an entry and lowered by a drain,
+/// both under the table lock, so the table holds no entry while it is low.
+static MAY_HOLD: AtomicBool = AtomicBool::new(false);
+
+impl Table {
+    /// Take cell `id`'s entry out, to drop once the table lock is released.
+    /// A removal gives back the slots a burst of chains grew, but not those
+    /// kept for the last drain's chains; a miss, which the chain bit allows,
+    /// gives back none.
+    fn take(&mut self, id: VarId) -> Option<Entry> {
+        let entry = self.chains.remove(&id)?;
+        let len = self.chains.len().max(self.kept);
+        fit(&mut self.chains, len);
+        Some(entry)
+    }
+}
+
+/// Give back the slots of a map less than a quarter full for `len`
+/// entries, so a burst of chains under a long pin does not keep them.
+fn fit(map: &mut VarIdMap<Entry>, len: usize) {
+    if len < map.capacity() / 4 {
+        map.shrink_to(2 * len);
+    }
+}
 
 /// Where cell `id`'s entry points, if it has one; the table lock is held
 /// for the lookup only.
-fn find_chain(id: VarId) -> Option<NonNull<dyn Any + Send + Sync>> {
-    CHAINS.lock().get(&id).map(|e| NonNull::from(&**e))
+fn find_chain(id: VarId) -> Option<NonNull<dyn History>> {
+    CHAINS.lock().chains.get(&id).map(|e| NonNull::from(&**e))
 }
 
 /// Take cell `id`'s entry out of the table, to drop once the table lock is
-/// released. A map a burst of chains grew gives its slots back as its
-/// chains are freed.
+/// released.
 fn take_chain(id: VarId) -> Option<Entry> {
-    let mut chains = CHAINS.lock();
-    let entry = chains.remove(&id);
-    let len = chains.len();
-    if len < chains.capacity() / 4 {
-        chains.shrink_to(2 * len);
+    CHAINS.lock().take(id)
+}
+
+/// Free every chain once no snapshot is pinned: run by the unpin that ends
+/// the last pin (`epoch.rs`). It skips the lock while [`MAY_HOLD`] is low,
+/// re-checks the pin count under the lock, and swaps the spare map in for
+/// the full one. The entries drop after the lock is released, since their
+/// values can own chained cells whose drops take it again, and each is
+/// counted as reclaimed.
+///
+/// Nothing a pinned reader holds is freed: a reader looks its chain up
+/// under the table lock after its pin is counted, so a drain that saw no
+/// pin under the lock came first, and the reader finds only chains pushed
+/// after it. A pin taken after the drain stabilizes its epoch past every
+/// version drawn before it (`epoch::pin`), so it needs no drained entry:
+/// see PROTOCOL.md, "The chain invariant".
+pub(crate) fn drain_chains() {
+    if !MAY_HOLD.load(Ordering::SeqCst) {
+        return;
     }
-    entry
+    let mut drained = {
+        let mut table = CHAINS.lock();
+        if crate::epoch::readers_active() {
+            return;
+        }
+        MAY_HOLD.store(false, Ordering::SeqCst);
+        let spare = std::mem::take(&mut table.spare);
+        std::mem::replace(&mut table.chains, spare)
+    };
+    let cells = drained.len();
+    let freed: usize = drained.values().map(|e| e.len()).sum();
+    metrics::tally_n(Total::ChainEntriesReclaimed, freed as u64);
+    drained.clear();
+    fit(&mut drained, cells);
+    let mut table = CHAINS.lock();
+    table.spare = drained;
+    table.kept = cells;
 }
 
 /// The label table: one entry per labelled owner block, keyed by the
@@ -289,22 +374,26 @@ pub unsafe trait CellOwner: Send + Sync + 'static {
 ///
 /// A cell's snapshot history is filed in the chain table under the cell's
 /// address, so it does not move with the cell. A cell that was published
-/// while a snapshot was pinned keeps such a chain until its next publish
-/// with no snapshot pinned. Moving it meanwhile, which takes the `&mut` or
-/// the ownership that `Arc::get_mut` or `Arc::try_unwrap` give back once no
-/// one else shares its owner, has two effects:
+/// while a snapshot was pinned keeps such a chain until the last pin ends,
+/// or until its next publish with no snapshot pinned. Moving it meanwhile,
+/// which takes the `&mut` or the ownership that `Arc::get_mut` or
+/// `Arc::try_unwrap` give back once no one else shares its owner, has two
+/// effects, and neither outlasts the pins live while it moved:
 ///
-/// - The chain stays at the old address, values and all, until a cell
-///   there starts a chain of its own or is dropped with one.
+/// - The chain stays at the old address, values and all, until the unpin
+///   that ends the last pin frees every chain, or until a cell there
+///   starts a chain of its own or is dropped with one.
 /// - The moved cell reads below its head from whatever chain is filed at
 ///   its new address, and its next publish under a pin extends that chain.
 ///   Where there is none, such a read falls back to the validated path.
 ///   Where another moved cell left its chain, as when two chained fields
-///   are swapped with `std::mem::swap`, the moved cell serves that other
-///   cell's history, so a snapshot read of it can return a value that had
-///   already been replaced at the snapshot.
+///   are swapped with `std::mem::swap` through `Arc::get_mut` while a pin
+///   is live, the moved cell serves that other cell's history, so a
+///   snapshot read of it can return a value that had already been replaced
+///   at the snapshot.
 ///
-/// A cell that never moves once it has been written has neither effect.
+/// A cell that never moves once it has been written, or that moves only
+/// while no snapshot is pinned, has neither effect.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -390,22 +479,25 @@ impl<T> Registration<'_, T> {
 }
 
 impl<T: Send + Sync + 'static> Registration<'_, T> {
-    /// The cell's history chain, if its word has the chain bit. Only the
-    /// lookup holds the table lock.
+    /// The cell's history chain, if its word has the chain bit and the
+    /// table holds one. Only the lookup holds the table lock, so only a
+    /// reader whose thread is pinned may call this: a snapshot read below
+    /// the head.
     fn chain(&self) -> Option<&[(u64, T)]> {
+        debug_assert!(crate::epoch::pinned_here(), "an unpinned chain lookup");
         if self.word & CHAINED == 0 {
             return None;
         }
         let entry = find_chain(self.cell.id())?;
         // SAFETY: no other live cell has this id, so only this cell changes
         // or removes the entry under it: its `apply`, with the swap bit set
-        // and no reader registered, and its drop, with `&mut`. So while this
-        // registration lasts the chain stays as it is, and where it is:
-        // other cells' insertions and removals move the entry's box within
-        // the map, not the block it points to.
-        unsafe { entry.as_ref() }
-            .downcast_ref::<Chain<T>>()
-            .map(Vec::as_slice)
+        // and no reader registered, and its drop, with `&mut`. A drain frees
+        // entries only while no pin is live, and this thread's pin outlasts
+        // the registration. So while this registration lasts the chain stays
+        // as it is, and where it is: other cells' insertions and removals
+        // move the entry's box within the map, not the block it points to.
+        let history: &dyn Any = unsafe { entry.as_ref() };
+        history.downcast_ref::<Chain<T>>().map(Vec::as_slice)
     }
 }
 
@@ -526,9 +618,10 @@ impl<T> TCell<T> {
 
 impl<T> Drop for TCell<T> {
     fn drop(&mut self) {
-        // Only a chained cell has an entry, so every other drop leaves the
-        // table alone. The chain drops after the lock is released: its
-        // values can own chained cells, whose drops come back here.
+        // Only a chained cell can have an entry, so every other drop leaves
+        // the table alone; a drain may have freed it already. The chain
+        // drops after the lock is released: its values can own chained
+        // cells, whose drops come back here.
         if *self.vlock.get_mut() & CHAINED != 0 {
             drop(take_chain(self.id()));
         }
@@ -622,35 +715,58 @@ impl<T: Clone + Send + Sync + 'static> TCell<T> {
         Some((reader.version(), reader.value().clone()))
     }
 
-    /// Push `outgoing` onto this cell's chain, or start a chain with it if
-    /// `chained` is false, then cut what no pin can reach: entries older
+    /// The history work of a publish, by `apply` with the swap bit set and
+    /// no reader registered: keep the outgoing value, version `outgoing`,
+    /// which `slot` holds, while a snapshot may need it, or free the chain.
+    /// Returns the chain bit for the word and what leaves the table, for the
+    /// caller to drop after the table lock is released.
+    ///
+    /// Kept, the value is pushed onto the chain, or starts one if `chained`
+    /// is false, and the push cuts what no pin can reach: entries older
     /// than the newest one at or below `horizon` (future pins sample a clock
-    /// past every version), and any past the depth bound. Returns the cut
-    /// entries and any stale entry the new chain replaced, for the caller
-    /// to drop after the table lock is released. The caller is `apply`,
-    /// with the swap bit set and no reader registered.
-    fn push_chain(
+    /// past every version), and any past the depth bound. Freed, the value
+    /// stays in `slot`: keeping older entries without it would leave a
+    /// version *gap* a later snapshot could misread as the state at its
+    /// version.
+    fn keep_history(
         &self,
         chained: bool,
-        outgoing: (u64, T),
+        outgoing: u64,
+        slot: &mut Option<T>,
         horizon: u64,
-    ) -> (Chain<T>, Option<Entry>) {
+    ) -> (u64, Chain<T>, Option<Entry>) {
         let id = self.id();
-        let mut chains = CHAINS.lock();
-        let chain = chains.get_mut(&id).filter(|_| chained);
-        let Some(chain) = chain.and_then(|c| c.downcast_mut::<Chain<T>>()) else {
-            // The bit is clear, or the cell moved here and finds no chain of
-            // its type (see "Moving a cell" at `TCell`): start a chain. An
-            // entry under this id was left by a cell that moved away or was
-            // forgotten, and gives way.
-            return (Vec::new(), chains.insert(id, Box::new(vec![outgoing])));
+        if horizon == u64::MAX {
+            // No snapshot was pinned when the commit sampled its horizon.
+            return (0, Vec::new(), if chained { take_chain(id) } else { None });
+        }
+        let mut table = CHAINS.lock();
+        // Raised before the pin count is read, as the last unpin lowers the
+        // count before it reads the flag: either this publish sees no pin,
+        // or that unpin sees the flag and drains what this publish keeps.
+        MAY_HOLD.store(true, Ordering::SeqCst);
+        if !crate::epoch::readers_active() {
+            // The last pin ended after the horizon sample, and any later pin
+            // stabilizes past this commit's version: nothing needs history.
+            return (0, Vec::new(), if chained { table.take(id) } else { None });
+        }
+        let old = (outgoing, slot.take().expect("the outgoing value"));
+        let chain = table.chains.get_mut(&id).filter(|_| chained);
+        let history = chain.map(|c| &mut **c as &mut dyn Any);
+        let Some(chain) = history.and_then(|c| c.downcast_mut::<Chain<T>>()) else {
+            // The bit is clear, a drain freed the chain, or the cell moved
+            // here and finds no chain of its type (see "Moving a cell" at
+            // `TCell`): start a chain. An entry under this id was left by a
+            // cell that moved away or was forgotten, and gives way.
+            let stale = table.chains.insert(id, Box::new(vec![old]));
+            return (CHAINED, Vec::new(), stale);
         };
-        chain.insert(0, outgoing);
+        chain.insert(0, old);
         let keep = chain
             .iter()
             .position(|e| e.0 <= horizon)
             .map_or(chain.len(), |i| i + 1);
-        (chain.split_off(keep.min(MAX_CHAIN_DEPTH)), None)
+        (CHAINED, chain.split_off(keep.min(MAX_CHAIN_DEPTH)), None)
     }
 }
 
@@ -694,36 +810,19 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for TCell<T> {
         // none registers while the bit is set, so nothing else refers to the
         // value or the chain until the store below clears the bit.
         let old = std::mem::replace(unsafe { &mut *self.value.get() }, new);
+        // The outgoing value goes back to the write set, which drops it once
+        // the whole commit is published, unless a snapshot may still need
+        // it: then it moves onto the chain before the store that restamps
+        // the word. The horizon is sampled once per commit; a pin landing
+        // mid-batch is safe anyway, as its stabilization loop (`epoch::pin`)
+        // puts this commit's version at or below the pinned epoch.
+        *slot = Some(old);
         // Until the store, the swap runs no code of `T`'s, so no panic can
         // leave the swap bit set, and none runs under the table lock: what the
         // publish takes out of the chain or the table is moved out here and
         // dropped on return, after the store lets readers back in.
-        let (chained, reclaimed, _cut, _entry) = if horizon != u64::MAX {
-            // A snapshot may still need the outgoing value: push it before
-            // the store that restamps the word. The horizon is sampled once
-            // per commit; a pin landing mid-batch is safe anyway, as its
-            // stabilization loop (`epoch::pin`) puts this commit's version at
-            // or below the pinned epoch.
-            let (cut, stale) = self.push_chain(w & CHAINED != 0, (outgoing, old), horizon);
-            (CHAINED, cut.len(), cut, stale)
-        } else {
-            // No snapshot pinned anywhere: free the chain. Keeping older
-            // entries without this push would leave a version *gap* a later
-            // snapshot could misread as the state at its version. The
-            // outgoing value goes back to the write set, which drops it once
-            // the whole commit is published.
-            *slot = Some(old);
-            let freed = if w & CHAINED != 0 {
-                take_chain(self.id())
-            } else {
-                None
-            };
-            let len = freed
-                .as_deref()
-                .and_then(|c| c.downcast_ref::<Chain<T>>())
-                .map_or(0, Vec::len);
-            (0, len, Vec::new(), freed)
-        };
+        let (chained, cut, freed) = self.keep_history(w & CHAINED != 0, outgoing, slot, horizon);
+        let reclaimed = cut.len() + freed.as_deref().map_or(0, History::len);
         // Stamp, end the swap and release the lock in one store: no reader
         // is registered, and none registers until the store lands.
         self.vlock
@@ -804,12 +903,12 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     }
 
     /// Length of this var's multi-version history chain (diagnostic). Zero
-    /// whenever no snapshot reader has been pinned across a recent publish;
-    /// never exceeds the compiled-in chain depth bound.
+    /// once the last snapshot pin has ended, as its unpin frees every
+    /// chain; never exceeds the compiled-in chain depth bound.
     pub fn chain_len(&self) -> usize {
-        // Registered as a validated read, it waits out a publish in flight.
-        let reader = self.core.register(u64::MAX);
-        reader.chain().map_or(0, <[_]>::len)
+        // Read under the table lock, where a publish changes the chain: a
+        // drain frees chains without waiting for an unpinned reader.
+        CHAINS.lock().chains.get(&self.id()).map_or(0, |e| e.len())
     }
 
     pub(crate) fn committed_pair(&self) -> (u64, T) {
@@ -843,6 +942,7 @@ impl<T: std::fmt::Debug + Clone + Send + Sync + 'static> std::fmt::Debug for TVa
 mod tests {
     use super::*;
     use crate::clock;
+    use crate::epoch::{self, PIN_TESTS};
     use std::sync::atomic::AtomicBool;
 
     #[test]
@@ -981,22 +1081,26 @@ mod tests {
         assert_eq!(v.read_committed().0, 2);
     }
 
+    /// A value whose next drop panics once `ARMED` is set.
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    struct PanicOnDrop(u64);
+    impl Clone for PanicOnDrop {
+        fn clone(&self) -> Self {
+            PanicOnDrop(self.0)
+        }
+    }
+    impl Drop for PanicOnDrop {
+        fn drop(&mut self) {
+            if ARMED.swap(false, Ordering::Relaxed) {
+                panic!("drop panics once");
+            }
+        }
+    }
+
     #[test]
     fn a_drop_that_panics_in_a_reclaimed_entry_leaves_the_word_released() {
-        static ARMED: AtomicBool = AtomicBool::new(false);
-        struct PanicOnDrop(u64);
-        impl Clone for PanicOnDrop {
-            fn clone(&self) -> Self {
-                PanicOnDrop(self.0)
-            }
-        }
-        impl Drop for PanicOnDrop {
-            fn drop(&mut self) {
-                if ARMED.swap(false, Ordering::Relaxed) {
-                    panic!("drop panics once");
-                }
-            }
-        }
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         let v = TVar::new(PanicOnDrop(0));
         let any = v.any();
         // Horizon 0 keeps the outgoing head: the chain is [(0, 0)].
@@ -1077,7 +1181,10 @@ mod tests {
     #[test]
     fn snapshot_below_head_reads_chain_while_another_thread_publishes() {
         // Pinned at S = 2 below the head at 4, reading while a publisher
-        // that sees the pin (horizon 2) extends the chain: always 0.
+        // that sees the pin (horizon 2) extends the chain: always 0. A live
+        // pin keeps the chain from a drain.
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         let v = TVar::new(0u64);
         assert!(v.any().try_lock_commit());
         v.any().apply(&mut Some(1u64), 4, 2);
@@ -1102,6 +1209,8 @@ mod tests {
         // An in-flight publish only forces a wait when the committed head
         // is still at or below the snapshot: a head already newer proves
         // the pending version is newer too, so the chain answers at once.
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         let v = TVar::new(0u32);
         let any = v.any();
         // horizon 0 retains the outgoing head on the chain: [(0, 0)].
@@ -1115,32 +1224,96 @@ mod tests {
 
     /// Entries the chain table holds for cell `id`: 0 or 1.
     fn entries(id: VarId) -> usize {
-        usize::from(CHAINS.lock().contains_key(&id))
+        usize::from(CHAINS.lock().chains.contains_key(&id))
     }
 
     #[test]
     fn a_cell_chained_under_a_pin_leaves_no_entry_once_dropped() {
+        let _serial = PIN_TESTS.lock();
         let v = TVar::new(0u64);
         let id = v.id();
-        // Publish from another thread while this one holds a snapshot pin,
-        // so each publish keeps its outgoing value on the var's chain.
-        let seen = crate::atomic_read(|tx| {
-            let x = v.read(tx);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for i in 1..=3 {
-                        crate::atomic(|tx| v.write(tx, i));
-                    }
-                });
-            });
-            x
-        });
-        assert_eq!(seen, 0);
-        assert!(v.chain_len() > 0, "no chain was built under the pin");
-        assert_eq!(entries(id), 1);
-        // No publish follows the unpin: the drop alone removes the entry.
+        // Each publish under the pin keeps its outgoing value on the chain.
+        let pin = epoch::pin();
+        for i in 1..=3 {
+            crate::atomic(|tx| v.write(tx, i));
+        }
+        assert_eq!((v.chain_len(), entries(id)), (3, 1));
+        // The pin outlives the var, so no drain runs: the drop alone
+        // removes the entry.
         drop(v);
         assert_eq!(entries(id), 0, "a dropped cell left its chain behind");
+        drop(pin);
+    }
+
+    /// Every entry of the chain table, of every cell.
+    fn table_len() -> usize {
+        CHAINS.lock().chains.len()
+    }
+
+    #[test]
+    fn the_last_unpin_leaves_no_entry_even_for_a_moved_out_cell() {
+        let _serial = PIN_TESTS.lock();
+        let v = TVar::new(0u64);
+        let p = pair();
+        let ids = [v.id(), p.a.id(), p.b.id()];
+        let pin = epoch::pin();
+        for i in 1..=3 {
+            crate::atomic(|tx| {
+                v.write(tx, i);
+                p.a.write(tx, &p, i);
+                p.b.write(tx, &p, i);
+            });
+        }
+        assert_eq!(ids.map(entries), [1, 1, 1]);
+        // Moved out of its block while the pin is live, a chained cell
+        // leaves its chain at its old address, and its drop takes none.
+        let Ok(Pair { a, b }) = Arc::try_unwrap(p) else {
+            panic!("the pair is still shared");
+        };
+        let moved = Box::new(a);
+        drop(b);
+        assert_eq!(ids.map(entries), [1, 1, 1]);
+        drop(pin);
+        assert_eq!(ids.map(entries), [0, 0, 0], "an entry outlived the pins");
+        assert_eq!(table_len(), 0, "the last unpin left entries behind");
+        assert!(!MAY_HOLD.load(Ordering::SeqCst));
+        // The chain bit is only a hint now: a drained var publishes with no
+        // pin and with one as before, and a drained cell's drop misses.
+        assert_ne!(v.core.vlock.load(Ordering::Acquire) & CHAINED, 0);
+        crate::atomic(|tx| v.write(tx, 4));
+        assert_eq!(v.core.vlock.load(Ordering::Acquire) & CHAINED, 0);
+        let pin = epoch::pin();
+        crate::atomic(|tx| v.write(tx, 5));
+        assert_eq!(v.chain_len(), 1, "a publish after a drain starts a chain");
+        assert_eq!(v.core.read_at(v.version() - 1), Some(4));
+        drop(moved);
+        drop(pin);
+        assert_eq!(table_len(), 0);
+    }
+
+    #[test]
+    fn a_drain_keeps_slots_for_as_many_chains_as_it_freed() {
+        let _serial = PIN_TESTS.lock();
+        let vars: Vec<_> = (0..64u64).map(TVar::new).collect();
+        // Two rounds of 64 chains, each drained by its unpin, leave both
+        // maps with slots for 64.
+        for round in 1..=2 {
+            let pin = epoch::pin();
+            for v in &vars {
+                crate::atomic(|tx| v.write(tx, round));
+            }
+            drop(pin);
+        }
+        let slots = CHAINS.lock().chains.capacity();
+        assert!(slots >= 64, "the drains left {slots} slots");
+        // A chain made and removed under the next pin gives none back.
+        let pin = epoch::pin();
+        let v = TVar::new(0u64);
+        crate::atomic(|tx| v.write(tx, 1));
+        assert_eq!(entries(v.id()), 1);
+        drop(v);
+        assert_eq!(CHAINS.lock().chains.capacity(), slots);
+        drop(pin);
     }
 
     #[test]
@@ -1182,7 +1355,10 @@ mod tests {
             }
         });
         // Another thread unlinks every node while this one holds a pin, so
-        // each link's chain keeps the next node's `Arc`.
+        // each link's chain keeps the next node's `Arc`. The pin outlives the
+        // test's publish, so the publish frees the chains, not a drain.
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         crate::atomic_read(|tx| {
             let _ = nodes[0].next.read(tx, &nodes[0]);
             std::thread::scope(|s| {
@@ -1198,8 +1374,9 @@ mod tests {
         let head = nodes.swap_remove(0);
         drop(nodes);
         // Now each node after the first lives only on its predecessor's
-        // chain. An unpinned publish frees the first chain, and the drops
-        // it starts free the others, each taking the table lock again.
+        // chain. A publish that frees the first chain, as one that sees no
+        // pin does, starts the drops that free the others, each taking the
+        // table lock again.
         let (done, finished) = std::sync::mpsc::channel();
         let freer = std::thread::spawn(move || {
             let any: &dyn AnyVar = &head.next;
@@ -1222,6 +1399,84 @@ mod tests {
             ids.iter().all(|&id| entries(id) == 0),
             "an entry outlived its cell"
         );
+    }
+
+    #[test]
+    fn nodes_unlinked_under_a_pin_are_drained_within_a_deadline() {
+        let _serial = PIN_TESTS.lock();
+        let nodes: Vec<_> = (0..8)
+            .map(|_| {
+                Arc::new(Node {
+                    next: TCell::new(None),
+                })
+            })
+            .collect();
+        crate::atomic(|tx| {
+            for w in nodes.windows(2) {
+                w[0].next.write(tx, &w[0], Some(Arc::clone(&w[1])));
+            }
+        });
+        let weak: Vec<_> = nodes.iter().map(Arc::downgrade).collect();
+        let ids: Vec<_> = nodes.iter().map(|n| n.next.id()).collect();
+        let head = Arc::clone(&nodes[0]);
+        // A thread unlinks every node under its own pin, so each link's
+        // chain keeps the next node's `Arc`, drops its nodes but the head,
+        // and unpins. Each node after the first then lives only on its
+        // predecessor's chain: the drain frees them all, and the drops it
+        // starts take the table lock again.
+        let (done, finished) = std::sync::mpsc::channel();
+        let freer = std::thread::spawn(move || {
+            let pin = epoch::pin();
+            for n in &nodes {
+                crate::atomic(|tx| n.next.write(tx, n, None));
+            }
+            drop(nodes);
+            drop(pin);
+            let _ = done.send(());
+        });
+        // A chain dropped under the table lock deadlocks the freer, which
+        // then holds the lock for good, so every other test that takes it
+        // would hang too: end the whole run at the deadline.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            eprintln!("nodes_unlinked_under_a_pin_are_drained_within_a_deadline: no drain");
+            std::process::exit(1);
+        }
+        freer.join().unwrap();
+        assert!(
+            weak[1..].iter().all(|w| w.strong_count() == 0),
+            "a node leaked"
+        );
+        assert!(
+            ids.iter().all(|&id| entries(id) == 0),
+            "an entry outlived the pins"
+        );
+        drop(head);
+    }
+
+    #[test]
+    fn a_drop_that_panics_in_a_drain_leaves_the_table_unlocked_and_no_pin() {
+        let _serial = PIN_TESTS.lock();
+        let v = TVar::new(PanicOnDrop(0));
+        let pin = epoch::pin();
+        crate::atomic(|tx| v.write(tx, PanicOnDrop(1)));
+        assert_eq!(v.chain_len(), 1, "the pin kept no chain");
+        ARMED.store(true, Ordering::Relaxed);
+        let dropped = panics(|| drop(pin));
+        ARMED.store(false, Ordering::Relaxed);
+        assert!(dropped, "the drain dropped no entry");
+        assert!(!epoch::readers_active(), "the unpin left its pin counted");
+        assert!(
+            CHAINS.try_lock().is_some(),
+            "the drain left the table locked"
+        );
+        assert_eq!(entries(v.id()), 0);
+        // Pins and drains go on as before.
+        let pin = epoch::pin();
+        crate::atomic(|tx| v.write(tx, PanicOnDrop(2)));
+        assert_eq!(v.chain_len(), 1);
+        drop(pin);
+        assert_eq!((entries(v.id()), v.read_committed().0), (0, 2));
     }
 
     struct Pair {
@@ -1248,6 +1503,8 @@ mod tests {
 
     #[test]
     fn a_moved_chained_cell_leaves_its_chain_at_its_old_address() {
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         let mut p = pair();
         let ids = (p.a.id(), p.b.id());
         // Published at horizon 0, as under a pin at 0, each cell keeps its
@@ -1291,17 +1548,19 @@ mod tests {
     #[test]
     fn the_chain_table_gives_back_the_slots_of_freed_chains() {
         // A burst of 10,000 chains, as writes under a long pin make, then
-        // their cells' drops.
+        // their cells' drops while the pin lasts.
+        let _serial = PIN_TESTS.lock();
+        let _pin = epoch::pin();
         let vars: Vec<_> = (0..10_000u64).map(TVar::new).collect();
         for v in &vars {
             let any: &dyn AnyVar = &*v.core;
             assert!(any.try_lock_commit());
             any.apply(&mut Some(1u64), 1, 0);
         }
-        assert!(CHAINS.lock().capacity() >= 10_000);
+        assert!(CHAINS.lock().chains.capacity() >= 10_000);
         drop(vars);
         // Other tests may hold a few chains meanwhile, never hundreds.
-        let slots = CHAINS.lock().capacity();
+        let slots = CHAINS.lock().chains.capacity();
         assert!(slots < 1_000, "{slots} slots kept after the burst");
     }
 

@@ -1,49 +1,6 @@
-//! Transactional scalar cells and counters.
+//! A transactional counter.
 
 use stm::{TVar, Txn};
-
-/// A single transactional value — a name-level analog of a mutable field in
-/// a Java object accessed inside transactions.
-pub struct TxCell<T> {
-    var: TVar<T>,
-}
-
-impl<T> Clone for TxCell<T> {
-    fn clone(&self) -> Self {
-        TxCell {
-            var: self.var.clone(),
-        }
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> TxCell<T> {
-    /// Create a cell with an initial value.
-    pub fn new(value: T) -> Self {
-        TxCell {
-            var: TVar::new(value),
-        }
-    }
-
-    /// Transactional read.
-    pub fn get(&self, tx: &mut Txn) -> T {
-        self.var.read(tx)
-    }
-
-    /// Transactional write.
-    pub fn set(&self, tx: &mut Txn, value: T) {
-        self.var.write(tx, value)
-    }
-
-    /// Committed value, outside any transaction.
-    pub fn get_committed(&self) -> T {
-        self.var.read_committed()
-    }
-
-    /// The underlying variable (for read/write-set introspection in tests).
-    pub fn var(&self) -> &TVar<T> {
-        &self.var
-    }
-}
 
 /// A shared integer counter.
 ///
@@ -136,14 +93,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use stm::atomic;
-
-    #[test]
-    fn cell_roundtrip() {
-        let c = TxCell::new("a".to_string());
-        atomic(|tx| c.set(tx, "b".to_string()));
-        assert_eq!(c.get_committed(), "b");
-        assert_eq!(atomic(|tx| c.get(tx)), "b");
-    }
 
     #[test]
     fn counter_add_returns_previous() {

@@ -24,10 +24,10 @@
 //!   on the hot path) serving as the *boosted* backend, where isolation
 //!   comes entirely from the wrapper's semantic locks plus commit/abort
 //!   (undo) handlers.
-//! * [`TxCell`] / [`TxCounter`] — shared scalars; the counter offers the
-//!   open-nested increment used for the paper's UID-generator discussion.
-//! * [`LockHashMap`] / [`LockTreeMap`] / [`LockDeque`] — coarse-grained-lock
-//!   counterparts standing in for the paper's Java `synchronized` baselines.
+//! * [`TxCounter`] — a shared counter offering the open-nested increment
+//!   used for the paper's UID-generator discussion.
+//! * [`LockHashMap`] / [`LockTreeMap`] — coarse-grained-lock counterparts
+//!   standing in for the paper's Java `synchronized` baselines.
 //!
 //! All transactional types take `&mut stm::Txn` on every operation and are
 //! usable both from [`stm::atomic`] bodies and (in direct mode) from commit
@@ -44,9 +44,9 @@ mod segmented;
 mod treemap;
 
 pub use boosted::BoostedHashMap;
-pub use cell::{TxCell, TxCounter};
+pub use cell::TxCounter;
 pub use deque::TxVecDeque;
 pub use hashmap::TxHashMap;
-pub use locked::{LockDeque, LockHashMap, LockTreeMap};
+pub use locked::{LockHashMap, LockTreeMap};
 pub use segmented::SegmentedTxHashMap;
 pub use treemap::TxTreeMap;

@@ -7,7 +7,7 @@
 //! across several operations (the Figure-3 "coarse grained lock" baseline).
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -154,54 +154,6 @@ impl<K: Ord + Clone, V: Clone> Default for LockTreeMap<K, V> {
     }
 }
 
-/// A `Mutex<VecDeque>` standing in for a synchronized queue.
-pub struct LockDeque<T> {
-    inner: Arc<Mutex<VecDeque<T>>>,
-}
-
-impl<T> Clone for LockDeque<T> {
-    fn clone(&self) -> Self {
-        LockDeque {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<T> LockDeque<T> {
-    /// Create an empty deque.
-    pub fn new() -> Self {
-        LockDeque {
-            inner: Arc::new(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// Enqueue at the back.
-    pub fn push_back(&self, item: T) {
-        self.inner.lock().push_back(item);
-    }
-
-    /// Dequeue from the front.
-    pub fn pop_front(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-}
-
-impl<T> Default for LockDeque<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,15 +198,5 @@ mod tests {
         assert_eq!(r, vec![(2, 2), (3, 3), (4, 4)]);
         assert_eq!(m.first_key(), Some(0));
         assert_eq!(m.last_key(), Some(9));
-    }
-
-    #[test]
-    fn lock_deque_fifo() {
-        let q = LockDeque::new();
-        q.push_back(1);
-        q.push_back(2);
-        assert_eq!(q.pop_front(), Some(1));
-        assert_eq!(q.pop_front(), Some(2));
-        assert_eq!(q.pop_front(), None);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Most of the memory of a workload built from `TVar`s is the vars
 //! themselves, so what one var costs, what a tree node costs, what a hash
-//! map's table and buckets cost, what a var keeps alive after a snapshot
-//! reader left and what a rewrite of a buffered var costs are gated here
-//! with a counting global allocator (counting only on the measuring
+//! map's table and buckets cost, what a var keeps alive once a snapshot
+//! reader's pin ends and what a rewrite of a buffered var costs are gated
+//! here with a counting global allocator (counting only on the measuring
 //! thread), and so is the label table, which keeps one entry per labelled
 //! block and names nothing once its owner is gone.
 
@@ -92,20 +92,30 @@ struct Counted {
 }
 
 fn counted<R>(f: impl FnOnce() -> R) -> (R, Counted) {
+    start_counting();
+    let r = f();
+    (r, stop_counting())
+}
+
+/// Start counting this thread's heap from zero, as [`counted`] does around
+/// its closure.
+fn start_counting() {
     ALLOCS.with(|n| n.set(0));
     LARGEST.with(|m| m.set(0));
     NET_BYTES.with(|b| b.set(0));
     NET_BLOCKS.with(|b| b.set(0));
     COUNTING.with(|on| on.set(true));
-    let r = f();
+}
+
+/// What this thread did to its heap since [`start_counting`].
+fn stop_counting() -> Counted {
     COUNTING.with(|on| on.set(false));
-    let c = Counted {
+    Counted {
         allocs: ALLOCS.with(Cell::get),
         largest: LARGEST.with(Cell::get),
         net_bytes: NET_BYTES.with(Cell::get),
         net_blocks: NET_BLOCKS.with(Cell::get),
-    };
-    (r, c)
+    }
 }
 
 #[test]
@@ -243,39 +253,47 @@ fn a_resize_allocates_only_for_buckets_that_split() {
     assert_eq!(atomic(|tx| m.len(tx)), full as usize + 1);
 }
 
-#[test]
-fn a_chain_is_freed_by_the_first_publish_after_the_last_unpin() {
-    let _pin = pin_lock();
-    let v = TVar::new(0u64);
-    // Publish from another thread while this one holds a snapshot pin, so
-    // each publish keeps its outgoing head on the chain.
-    let seen = atomic_read(|tx| {
+/// A snapshot of `v` during which another thread publishes to it
+/// `publishes` times, counting this thread's heap from the end of the
+/// snapshot's body until its unpin has returned. Returns the value read and
+/// the chain's depth under the pin, with the count.
+fn snapshot_ending_counted(v: &TVar<u64>, publishes: u64) -> (u64, usize, Counted) {
+    let (seen, depth) = atomic_read(|tx| {
         let x = v.read(tx);
         std::thread::scope(|s| {
             s.spawn(|| {
-                for i in 1..=3 {
+                for i in 1..=publishes {
                     atomic(|tx| v.write(tx, i));
                 }
             });
         });
-        x
+        let depth = v.chain_len();
+        start_counting();
+        (x, depth)
     });
-    assert_eq!(seen, 0);
-    let depth = v.chain_len();
-    assert!(depth > 0, "no chain was built under the pin");
-    // The same publish on a var without a chain is the baseline: whatever
-    // a commit allocates it frees again.
+    (seen, depth, stop_counting())
+}
+
+#[test]
+fn a_chain_is_freed_by_the_last_unpin() {
+    let _pin = pin_lock();
+    // The same snapshot over a var no publish touches is the baseline:
+    // whatever ending a snapshot allocates it frees again. Each publish
+    // under the pin keeps its outgoing head on the chain.
     let control = TVar::new(0u64);
-    atomic(|tx| control.write(tx, 1));
-    let ((), base) = counted(|| atomic(|tx| control.write(tx, 2)));
-    let ((), c) = counted(|| atomic(|tx| v.write(tx, 9)));
-    assert_eq!(v.chain_len(), 0);
+    snapshot_ending_counted(&control, 0);
+    let (_, _, base) = snapshot_ending_counted(&control, 0);
+    let v = TVar::new(0u64);
+    let (seen, depth, c) = snapshot_ending_counted(&v, 3);
+    assert_eq!(seen, 0);
+    assert!(depth > 0, "no chain was built under the pin");
+    assert_eq!(v.chain_len(), 0, "the last unpin left the chain");
     let freed = base.net_bytes - c.net_bytes;
     let entries = (depth * std::mem::size_of::<(u64, u64)>()) as i64;
-    println!("publish after unpin freed {freed} bytes ({depth} entries)");
+    println!("the last unpin freed {freed} bytes ({depth} entries)");
     assert!(
         freed >= entries,
-        "the publish after the last unpin freed {freed} bytes; the chain held {entries}"
+        "the last unpin freed {freed} bytes; the chain held {entries}"
     );
 }
 
